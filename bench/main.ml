@@ -5,7 +5,6 @@
 
      dune exec bench/main.exe                 # all experiments
      dune exec bench/main.exe -- fig7 fig9    # a subset
-     dune exec bench/main.exe -- micro        # Bechamel micro-benchmarks
      dune exec bench/main.exe -- protocols    # backend head-to-head
      dune exec bench/main.exe -- fig10 --protocol msi   # rerun on a backend
 
@@ -15,16 +14,18 @@
    every simulated configuration runs on (unknown names are rejected,
    never silently defaulted).  --workload SPEC restricts the [workloads]
    experiment to one registry spec (validated loudly, like every CLI).
+   Unknown experiment names are a usage error before anything runs.
    Results are bit-identical at every jobs level: each simulation is
    self-contained, workers never print, and the --json artifact is
-   sorted by run key. *)
+   sorted by run key.  Each experiment is one [experiment] record whose
+   rows name the runs they read: the driver simulates all of them in one
+   parallel prewarm, then renders every row from the finished results. *)
 
 open Pcc_core
 module Apps = Pcc_workload.Apps
 module Table = Pcc_stats.Table
 module Summary = Pcc_stats.Summary
 module Jsonl = Pcc_stats.Jsonl
-module Histogram = Pcc_stats.Histogram
 module Pool = Pcc_parallel.Pool
 
 let nodes = 16
@@ -75,11 +76,6 @@ let programs app =
       Hashtbl.add programs_cache app.Apps.name p;
       p
 
-let run_key app config tag =
-  let key = Printf.sprintf "%s/%s/%s" app.Apps.name (Config.describe config) tag in
-  Hashtbl.replace workload_by_key key (String.lowercase_ascii app.Apps.name);
-  key
-
 (* Record a finished run: warnings print here, always from the main
    domain, so a parallel prewarm emits them in the same deterministic
    (submission) order as a sequential run. *)
@@ -91,24 +87,21 @@ let record_run key r =
       (String.concat "; " r.System.invariant_errors);
   Hashtbl.add run_cache key r
 
-let run ?(tag = "") app config =
-  let config = apply_protocol config in
-  let key = run_key app config tag in
-  match Hashtbl.find_opt run_cache key with
-  | Some r -> r
-  | None ->
-      let r = System.run ~config ~programs:(programs app) () in
-      record_run key r;
-      r
+(* One simulated run a row reads: (tag, app, config).  The tag tells
+   apart runs whose configurations describe alike; --protocol applies
+   when the key is minted. *)
+type run = string * Apps.app * Config.t
 
-(* A cell is one (tag, app, config) run an experiment will request; each
-   experiment declares its cells so the driver can fan the whole matrix
-   out across domains before any printing happens.  A cell list that
-   misses a run is not a correctness bug — the printer falls back to
-   computing it in the main domain — it only costs parallelism. *)
-type cell = string * Apps.app * Config.t
+let sim ?(tag = "") config app : run = (tag, app, config)
 
-let cell ?(tag = "") app config : cell = (tag, app, apply_protocol config)
+let key_of (tag, app, config) =
+  let described = Config.describe (apply_protocol config) in
+  let key = Printf.sprintf "%s/%s/%s" app.Apps.name described tag in
+  Hashtbl.replace workload_by_key key (String.lowercase_ascii app.Apps.name);
+  key
+
+(* Rows only read runs the prewarm finished. *)
+let result run = Hashtbl.find run_cache (key_of run)
 
 (* ------------------------------------------------------------------ *)
 (* Capacity dedup                                                       *)
@@ -153,18 +146,18 @@ let proves ~(donor : Config.t) ~(target : Config.t) (r : System.result) =
   || r.System.deledc_pressure = 0)
   && (donor.Config.rac_bytes = target.Config.rac_bytes || r.System.rac_pressure = 0)
 
-let prewarm ~jobs cells =
+let prewarm ~jobs runs =
   let seen = Hashtbl.create 64 in
   let todo =
     List.filter_map
-      (fun (tag, app, config) ->
-        let key = run_key app config tag in
+      (fun ((_, app, config) as run) ->
+        let key = key_of run in
         if Hashtbl.mem run_cache key || Hashtbl.mem seen key then None
         else begin
           Hashtbl.add seen key ();
-          Some (key, app, config)
+          Some (key, app, apply_protocol config)
         end)
-      cells
+      runs
   in
   (* Runs that actually executed, available as dedup donors. *)
   let completed = ref [] in
@@ -253,6 +246,8 @@ let prewarm ~jobs cells =
 
 let speedup ~base r = float_of_int base.System.cycles /. float_of_int r.System.cycles
 
+let slowdown ~base r = float_of_int r.System.cycles /. float_of_int base.System.cycles
+
 let msg_ratio ~base r =
   float_of_int r.System.network_messages /. float_of_int base.System.network_messages
 
@@ -261,37 +256,88 @@ let miss_ratio ~base r =
   /. float_of_int (max 1 (Run_stats.remote_misses base.System.stats))
 
 (* ------------------------------------------------------------------ *)
-(* Table 1 and Table 2                                                  *)
+(* Experiments                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let table1 () =
-  let t =
-    Table.create ~title:"Table 1: system configuration" ~columns:[ "Parameter"; "Value" ]
-  in
-  List.iter (fun (k, v) -> Table.add_row t [ Table.String k; Table.String v ]) Config.table1;
-  Table.print t;
-  print_newline ()
+(* A table row: the runs it reads and a renderer over their results, in
+   the same order. *)
+type row = Row of run list * (System.result list -> Table.cell list) | Separator
 
-let table2 () =
-  let t =
-    Table.create ~title:"Table 2: applications and data sets"
-      ~columns:[ "Application"; "Problem size (paper)"; "accesses (simulated)" ]
-  in
-  List.iter
+(* [rows] is evaluated once per invocation, before the prewarm.  [note]
+   is the text under the table; it is a function because it may read
+   finished runs (Figure 7's geomean lines). *)
+type experiment = {
+  name : string;
+  title : string;
+  columns : string list;
+  rows : unit -> row list;
+  note : unit -> string;
+}
+
+let text s () = s
+
+let fixed cells = Row ([], fun _ -> cells)
+
+(* A row normalized to a reference run: reads [base], then [run]. *)
+let against base run render =
+  Row ([ base; run ], function [ base; r ] -> render ~base r | _ -> assert false)
+
+let base_config = Config.base ~nodes ()
+
+let small = Config.small_full ~nodes ()
+
+let large = Config.large_full ~nodes ()
+
+(* One row per app: [metric] (speedup by default) of each variant over
+   the app's [base] run. *)
+let per_app ?(metric = speedup) ?(base = sim base_config) variants =
+  List.map
     (fun app ->
-      Table.add_row t
-        [
-          Table.String app.Apps.name;
-          Table.String app.Apps.problem_size;
-          Table.Int (Pcc_workload.Gen.total_ops (programs app));
-        ])
-    Apps.all;
-  Table.print t;
-  print_newline ()
+      Row
+        ( base app :: List.map (fun variant -> variant app) variants,
+          function
+          | base :: rs ->
+              Table.String app.Apps.name
+              :: List.map (fun r -> Table.Float (metric ~base r)) rs
+          | [] -> assert false ))
+    Apps.all
 
-(* ------------------------------------------------------------------ *)
-(* Table 3: number of consumers                                         *)
-(* ------------------------------------------------------------------ *)
+(* One row per (name, config) variant of [app], normalized to its Base
+   run; [tagged] keys each run by its variant name. *)
+let per_variant ?(tagged = false) app variants render =
+  List.map
+    (fun (name, config) ->
+      let tag = if tagged then name else "" in
+      against (sim base_config app) (sim ~tag config app) (render name))
+    variants
+
+let table1 =
+  {
+    name = "table1";
+    title = "Table 1: system configuration";
+    columns = [ "Parameter"; "Value" ];
+    rows = (fun () -> List.map (fun (k, v) -> fixed [ String k; String v ]) Config.table1);
+    note = text "";
+  }
+
+let table2 =
+  {
+    name = "table2";
+    title = "Table 2: applications and data sets";
+    columns = [ "Application"; "Problem size (paper)"; "accesses (simulated)" ];
+    rows =
+      (fun () ->
+        List.map
+          (fun app ->
+            fixed
+              [
+                Table.String app.Apps.name;
+                String app.Apps.problem_size;
+                Int (Pcc_workload.Gen.total_ops (programs app));
+              ])
+          Apps.all);
+    note = text "";
+  }
 
 let paper_table3 =
   [
@@ -304,47 +350,49 @@ let paper_table3 =
     ("Appbt", (51.0, 7.5, 2.9, 1.8, 36.7));
   ]
 
-let table3_cells () = List.map (fun app -> cell app (Config.large_full ~nodes ())) Apps.all
+let table3 =
+  {
+    name = "table3";
+    title = "Table 3: consumers per producer-consumer epoch (%) - measured vs [paper]";
+    columns = [ "Application"; "1"; "2"; "3"; "4"; "4+" ];
+    rows =
+      (fun () ->
+        List.map
+          (fun app ->
+            Row
+              ( [ sim large app ],
+                fun rs ->
+                  let h = (List.hd rs).System.stats.Run_stats.consumer_hist in
+                  let cell measured paper =
+                    Table.String
+                      (Printf.sprintf "%5.1f [%5.1f]" (100.0 *. measured) paper)
+                  in
+                  let p1, p2, p3, p4, p4p = List.assoc app.Apps.name paper_table3 in
+                  let f n = Pcc_stats.Histogram.fraction h n in
+                  [
+                    Table.String app.Apps.name;
+                    cell (f 1) p1;
+                    cell (f 2) p2;
+                    cell (f 3) p3;
+                    cell (f 4) p4;
+                    cell (Pcc_stats.Histogram.fraction_ge h 5) p4p;
+                  ] ))
+          Apps.all);
+    note = text "";
+  }
 
-let table3 () =
-  let t =
-    Table.create
-      ~title:"Table 3: consumers per producer-consumer epoch (%) - measured vs [paper]"
-      ~columns:[ "Application"; "1"; "2"; "3"; "4"; "4+" ]
-  in
-  List.iter
-    (fun app ->
-      let r = run app (Config.large_full ~nodes ()) in
-      let h = r.System.stats.Run_stats.consumer_hist in
-      let f n = 100.0 *. Pcc_stats.Histogram.fraction h n in
-      let f_ge n = 100.0 *. Pcc_stats.Histogram.fraction_ge h n in
-      let p1, p2, p3, p4, p4p = List.assoc app.Apps.name paper_table3 in
-      let cell measured paper =
-        Table.String (Printf.sprintf "%5.1f [%5.1f]" measured paper)
-      in
-      Table.add_row t
-        [
-          Table.String app.Apps.name;
-          cell (f 1) p1;
-          cell (f 2) p2;
-          cell (f 3) p3;
-          cell (f 4) p4;
-          cell (f_ge 5) p4p;
-        ])
-    Apps.all;
-  Table.print t;
-  print_newline ()
+(* Figure 7: speedup / messages / remote misses across configurations. *)
 
-(* ------------------------------------------------------------------ *)
-(* Figure 7: speedup / messages / remote misses across configurations   *)
-(* ------------------------------------------------------------------ *)
+let fig7_small = "32-entry deledc & 32K RAC"
 
-let fig7_configs () =
+let fig7_large = "1K-entry deledc & 1M RAC"
+
+let fig7_configs =
   [
-    ("Base", Config.base ~nodes ());
+    ("Base", base_config);
     ("32K RAC", Config.rac_only ~nodes ());
-    ("32-entry deledc & 32K RAC", Config.small_full ~nodes ());
-    ("1K-entry deledc & 1M RAC", Config.large_full ~nodes ());
+    (fig7_small, small);
+    (fig7_large, large);
     ( "1K-entry deledc & 32K RAC",
       Config.full ~nodes ~rac_bytes:(32 * 1024) ~delegate_entries:1024 () );
     ( "32-entry deledc & 1M RAC",
@@ -363,598 +411,314 @@ let paper_fig7_speedups =
     ("Appbt", (1.08, 1.24));
   ]
 
-let fig7_cells () =
-  List.concat_map
-    (fun app ->
-      cell app (Config.base ~nodes ())
-      :: List.map (fun (_, config) -> cell app config) (fig7_configs ()))
-    Apps.all
-
-let fig7 () =
-  let t =
-    Table.create
-      ~title:"Figure 7: speedup, network messages, remote misses (normalized to Base)"
-      ~columns:[ "app"; "config"; "speedup"; "paper"; "msgs"; "remote misses" ]
+(* The geomean summary line of one configuration across every app. *)
+let fig7_summary label config (paper_speedup, paper_msgs, paper_miss) =
+  let pairs =
+    List.rev_map
+      (fun app -> (result (sim base_config app), result (sim config app)))
+      Apps.all
   in
-  let small_speedups = ref [] and large_speedups = ref [] in
-  let small_msgs = ref [] and large_msgs = ref [] in
-  let small_miss = ref [] and large_miss = ref [] in
-  List.iter
-    (fun app ->
-      let base = run app (Config.base ~nodes ()) in
-      List.iter
-        (fun (name, config) ->
-          let r = run app config in
-          let s = speedup ~base r in
-          let paper_small, paper_large = List.assoc app.Apps.name paper_fig7_speedups in
-          let paper_ref =
-            if name = "32-entry deledc & 32K RAC" then Printf.sprintf "[%.2f]" paper_small
-            else if name = "1K-entry deledc & 1M RAC" then
-              Printf.sprintf "[%.2f]" paper_large
-            else ""
-          in
-          if name = "32-entry deledc & 32K RAC" then begin
-            small_speedups := s :: !small_speedups;
-            small_msgs := msg_ratio ~base r :: !small_msgs;
-            small_miss := miss_ratio ~base r :: !small_miss
-          end;
-          if name = "1K-entry deledc & 1M RAC" then begin
-            large_speedups := s :: !large_speedups;
-            large_msgs := msg_ratio ~base r :: !large_msgs;
-            large_miss := miss_ratio ~base r :: !large_miss
-          end;
-          Table.add_row t
-            [
-              Table.String app.Apps.name;
-              Table.String name;
-              Table.Float s;
-              Table.String paper_ref;
-              Table.Float (msg_ratio ~base r);
-              Table.Float (miss_ratio ~base r);
-            ])
-        (fig7_configs ());
-      Table.add_separator t)
-    Apps.all;
-  Table.print t;
-  let mean = Summary.arithmetic_mean in
-  Format.printf
-    "small config: geomean speedup %.2f [paper 1.13], msgs %.2f [0.83], remote misses %.2f [0.71]@."
-    (Summary.geometric_mean !small_speedups)
-    (mean !small_msgs) (mean !small_miss);
-  Format.printf
-    "large config: geomean speedup %.2f [paper 1.21], msgs %.2f [0.85], remote misses %.2f [0.60]@.@."
-    (Summary.geometric_mean !large_speedups)
-    (mean !large_msgs) (mean !large_miss)
+  let over f = List.map (fun (base, r) -> f ~base r) pairs in
+  Printf.sprintf
+    "%s config: geomean speedup %.2f [paper %.2f], msgs %.2f [%.2f], remote misses %.2f \
+     [%.2f]"
+    label
+    (Summary.geometric_mean (over speedup))
+    paper_speedup
+    (Summary.arithmetic_mean (over msg_ratio))
+    paper_msgs
+    (Summary.arithmetic_mean (over miss_ratio))
+    paper_miss
 
-(* ------------------------------------------------------------------ *)
-(* Figure 8: smarter vs larger caches (equal silicon)                   *)
-(* ------------------------------------------------------------------ *)
+let fig7 =
+  {
+    name = "fig7";
+    title = "Figure 7: speedup, network messages, remote misses (normalized to Base)";
+    columns = [ "app"; "config"; "speedup"; "paper"; "msgs"; "remote misses" ];
+    rows =
+      (fun () ->
+        List.concat_map
+          (fun app ->
+            let paper_small, paper_large = List.assoc app.Apps.name paper_fig7_speedups in
+            per_variant app fig7_configs (fun name ~base r ->
+                [
+                  Table.String app.Apps.name;
+                  String name;
+                  Float (speedup ~base r);
+                  String
+                    (if name = fig7_small then Printf.sprintf "[%.2f]" paper_small
+                     else if name = fig7_large then Printf.sprintf "[%.2f]" paper_large
+                     else "");
+                  Float (msg_ratio ~base r);
+                  Float (miss_ratio ~base r);
+                ])
+            @ [ Separator ])
+          Apps.all);
+    note =
+      (fun () ->
+        fig7_summary "small" small (1.13, 0.83, 0.71)
+        ^ "\n"
+        ^ fig7_summary "large" large (1.21, 0.85, 0.60));
+  }
 
-let fig8_variants () =
+(* Figure 8: smarter vs larger caches (equal silicon). *)
+let fig8 =
   let l2 bytes config = { config with Config.l2_bytes = bytes } in
   let mib = 1024 * 1024 in
-  [
-    ("fig8-base", l2 mib (Config.base ~nodes ()));
-    ("fig8-smart", l2 mib (Config.small_full ~nodes ()));
-    ("fig8-big", l2 (mib + (40 * 1024)) (Config.base ~nodes ()));
-  ]
+  let base = sim ~tag:"fig8-base" (l2 mib base_config) in
+  {
+    name = "fig8";
+    title =
+      "Figure 8: equal-silicon comparison (1MB L2 baseline vs extensions vs 1.04MB L2)";
+    columns = [ "app"; "Base (1M L2)"; "ext (1M L2 + 32/32K)"; "equal area (1.04M L2)" ];
+    rows =
+      (fun () ->
+        per_app ~base
+          [
+            base;
+            sim ~tag:"fig8-smart" (l2 mib small);
+            sim ~tag:"fig8-big" (l2 (mib + (40 * 1024)) base_config);
+          ]);
+    note = text "paper: extensions beat the equal-area larger L2 for every app but Appbt";
+  }
 
-let fig8_cells () =
-  List.concat_map
-    (fun app -> List.map (fun (tag, config) -> cell ~tag app config) (fig8_variants ()))
-    Apps.all
-
-let fig8 () =
-  let t =
-    Table.create
-      ~title:
-        "Figure 8: equal-silicon comparison (1MB L2 baseline vs extensions vs 1.04MB L2)"
-      ~columns:[ "app"; "Base (1M L2)"; "ext (1M L2 + 32/32K)"; "equal area (1.04M L2)" ]
+(* Figure 9: sensitivity to the intervention delay, normalized to the
+   5-cycle delay. *)
+let fig9 =
+  let delays = [ 5; 50; 500; 5_000; 50_000; 500_000; 5_000_000 ] in
+  let at delay =
+    sim
+      ~tag:(Printf.sprintf "delay%d" delay)
+      { small with Config.intervention_delay = delay }
   in
-  let variant tag = List.assoc tag (fig8_variants ()) in
-  List.iter
-    (fun app ->
-      let base = run app ~tag:"fig8-base" (variant "fig8-base") in
-      let smart = run app ~tag:"fig8-smart" (variant "fig8-smart") in
-      let bigger = run app ~tag:"fig8-big" (variant "fig8-big") in
-      Table.add_row t
-        [
-          Table.String app.Apps.name;
-          Table.Float 1.0;
-          Table.Float (speedup ~base smart);
-          Table.Float (speedup ~base bigger);
-        ])
-    Apps.all;
-  Table.print t;
-  print_endline "paper: extensions beat the equal-area larger L2 for every app but Appbt\n"
-
-(* ------------------------------------------------------------------ *)
-(* Figure 9: sensitivity to the intervention delay                      *)
-(* ------------------------------------------------------------------ *)
-
-let fig9_delays = [ 5; 50; 500; 5_000; 50_000; 500_000; 5_000_000 ]
-
-let fig9_cells () =
-  List.concat_map
-    (fun app ->
-      List.map
-        (fun delay ->
-          cell
-            ~tag:(Printf.sprintf "delay%d" delay)
-            app
-            { (Config.small_full ~nodes ()) with Config.intervention_delay = delay })
-        fig9_delays)
-    Apps.all
-
-let fig9 () =
-  let t =
-    Table.create
-      ~title:"Figure 9: execution time vs intervention delay (normalized to 5-cycle delay)"
-      ~columns:
-        ("app"
-        :: List.map
-             (fun d ->
-               if d >= 1_000_000 then Printf.sprintf "%dM" (d / 1_000_000)
-               else if d >= 1_000 then Printf.sprintf "%dK" (d / 1_000)
-               else string_of_int d)
-             fig9_delays)
+  let label d =
+    if d >= 1_000_000 then Printf.sprintf "%dM" (d / 1_000_000)
+    else if d >= 1_000 then Printf.sprintf "%dK" (d / 1_000)
+    else string_of_int d
   in
-  List.iter
-    (fun app ->
-      let reference =
-        run app ~tag:"delay5"
-          { (Config.small_full ~nodes ()) with Config.intervention_delay = 5 }
-      in
-      let cells =
+  {
+    name = "fig9";
+    title =
+      "Figure 9: execution time vs intervention delay (normalized to 5-cycle delay)";
+    columns = "app" :: List.map label delays;
+    rows = (fun () -> per_app ~metric:slowdown ~base:(at 5) (List.map at delays));
+    note =
+      text "paper: flat from 5..50K cycles, degrading beyond; 50 cycles works for all apps";
+  }
+
+(* Figure 10: sensitivity to network hop latency (Appbt). *)
+let fig10 =
+  {
+    name = "fig10";
+    title = "Figure 10: sensitivity to hop latency (Appbt; 2GHz => 1ns = 2 cycles)";
+    columns =
+      [ "hop (ns)"; "base cycles"; "enhanced cycles"; "speedup"; "paper speedup" ];
+    rows =
+      (fun () ->
         List.map
-          (fun delay ->
-            let r =
-              run app
-                ~tag:(Printf.sprintf "delay%d" delay)
-                { (Config.small_full ~nodes ()) with Config.intervention_delay = delay }
+          (fun (ns, paper) ->
+            let at label config =
+              sim
+                ~tag:(Printf.sprintf "hop%d-%s" ns label)
+                (Config.with_hop_latency config (2 * ns))
+                Apps.appbt
             in
-            Table.Float
-              (float_of_int r.System.cycles /. float_of_int reference.System.cycles))
-          fig9_delays
-      in
-      Table.add_row t (Table.String app.Apps.name :: cells))
-    Apps.all;
-  Table.print t;
-  print_endline
-    "paper: flat from 5..50K cycles, degrading beyond; 50 cycles works for all apps\n"
+            against (at "base" base_config) (at "small" small) (fun ~base r ->
+                [
+                  Table.Int ns;
+                  Int base.System.cycles;
+                  Int r.System.cycles;
+                  Float (speedup ~base r);
+                  Float paper;
+                ]))
+          [ (25, 1.24); (50, 1.25); (100, 1.26); (200, 1.28) ]);
+    note =
+      text "paper: execution time ~doubles per hop-latency doubling; speedup grows slowly";
+  }
 
-(* ------------------------------------------------------------------ *)
-(* Figure 10: sensitivity to network hop latency (Appbt)                *)
-(* ------------------------------------------------------------------ *)
+(* Figures 11 and 12: one app against a sweep of one capacity knob. *)
+let capacity_sweep ~name ~title app variants note =
+  {
+    name;
+    title;
+    columns = [ "config"; "speedup"; "network msgs (norm)" ];
+    rows =
+      (fun () ->
+        per_variant ~tagged:true app variants (fun name ~base r ->
+            [ Table.String name; Float (speedup ~base r); Float (msg_ratio ~base r) ]));
+    note = text note;
+  }
 
-let fig10_hops = [ 25; 50; 100; 200 ]
+let sizes = [ 32; 64; 128; 256; 512; 1024 ]
 
-let fig10_cells () =
-  List.concat_map
-    (fun ns ->
-      let cycles = 2 * ns in
-      [
-        cell
-          ~tag:(Printf.sprintf "hop%d-base" ns)
-          Apps.appbt
-          (Config.with_hop_latency (Config.base ~nodes ()) cycles);
-        cell
-          ~tag:(Printf.sprintf "hop%d-small" ns)
-          Apps.appbt
-          (Config.with_hop_latency (Config.small_full ~nodes ()) cycles);
+let fig11 =
+  capacity_sweep ~name:"fig11"
+    ~title:"Figure 11: MG vs delegate-cache size (32K RAC unless noted)" Apps.mg
+    (List.map
+       (fun entries ->
+         ( Printf.sprintf "%d-entry deledc & 32K RAC" entries,
+           Config.full ~nodes ~delegate_entries:entries () ))
+       sizes
+    @ [
+        (fig7_large, large);
+        ("32-entry deledc & 1M RAC", Config.full ~nodes ~rac_bytes:(1024 * 1024) ());
       ])
-    fig10_hops
+    "paper: MG speedup grows 1.09 -> 1.22 with delegate entries; RAC size secondary"
 
-let fig10 () =
-  let t =
-    Table.create
-      ~title:"Figure 10: sensitivity to hop latency (Appbt; 2GHz => 1ns = 2 cycles)"
-      ~columns:[ "hop (ns)"; "base cycles"; "enhanced cycles"; "speedup"; "paper speedup" ]
+let fig12 =
+  capacity_sweep ~name:"fig12"
+    ~title:"Figure 12: Appbt vs RAC size (32-entry deledc unless noted)" Apps.appbt
+    (List.map
+       (fun kb ->
+         ( Printf.sprintf "32-entry deledc & %dK RAC" kb,
+           Config.full ~nodes ~rac_bytes:(kb * 1024) () ))
+       sizes
+    @ [ (fig7_large, large) ])
+    "paper: Appbt speedup grows 1.08 -> ~1.24 as the RAC grows to 1MB"
+
+(* Ablation: delegation without updates (§3.2 prose). *)
+let ablation =
+  {
+    name = "ablation";
+    title = "Ablation: delegation-only vs delegation+updates (speedup over Base)";
+    columns = [ "app"; "delegation only"; "delegation + updates" ];
+    rows = (fun () -> per_app [ sim (Config.delegation_only ~nodes ()); sim small ]);
+    note =
+      text
+        "paper: delegation alone performed within ~1% of baseline; updates provide the \
+         gains";
+  }
+
+(* Analytical model (§5): speedup bound vs push accuracy. *)
+let model =
+  {
+    name = "model";
+    title = "Analytical model (Sec. 5): measured speedup vs 1/(1 - f*a) prediction";
+    columns =
+      [ "app"; "push acc"; "a (misses removed)"; "remote frac f"; "model"; "measured" ];
+    rows =
+      (fun () ->
+        List.map
+          (fun app ->
+            against (sim base_config app) (sim large app) (fun ~base full ->
+                let push_accuracy =
+                  Analytic.accuracy
+                    ~updates_sent:full.System.stats.Run_stats.updates_sent
+                    ~updates_consumed:full.System.updates_consumed
+                    ~updates_as_reply:full.System.stats.Run_stats.updates_as_reply
+                in
+                (* the model's "accuracy" is the fraction of remote misses
+                   the mechanisms eliminate end to end *)
+                let a = max 0.0 (1.0 -. miss_ratio ~base full) in
+                let f =
+                  Analytic.remote_time_fraction base.System.stats
+                    ~cycles:base.System.cycles ~nodes
+                in
+                [
+                  Table.String app.Apps.name;
+                  Float push_accuracy;
+                  Float a;
+                  Float f;
+                  Float (Analytic.speedup_model ~remote_time_fraction:f ~accuracy:a);
+                  Float (speedup ~base full);
+                ]))
+          Apps.all);
+    note =
+      text "paper (Sec. 5): as network latency grows, speedup is bounded by 1/(1-accuracy)";
+  }
+
+(* Predictor-threshold ablation (design choice of §2.2). *)
+let predictor =
+  let at threshold =
+    sim
+      ~tag:(Printf.sprintf "thr%d" threshold)
+      { small with Config.write_repeat_threshold = threshold }
   in
-  let paper = [ (25, 1.24); (50, 1.25); (100, 1.26); (200, 1.28) ] in
-  List.iter
-    (fun (ns, paper_speedup) ->
-      let cycles = 2 * ns in
-      let base =
-        run Apps.appbt
-          ~tag:(Printf.sprintf "hop%d-base" ns)
-          (Config.with_hop_latency (Config.base ~nodes ()) cycles)
-      in
-      let enhanced =
-        run Apps.appbt
-          ~tag:(Printf.sprintf "hop%d-small" ns)
-          (Config.with_hop_latency (Config.small_full ~nodes ()) cycles)
-      in
-      Table.add_row t
-        [
-          Table.Int ns;
-          Table.Int base.System.cycles;
-          Table.Int enhanced.System.cycles;
-          Table.Float (speedup ~base enhanced);
-          Table.Float paper_speedup;
-        ])
-    paper;
-  Table.print t;
-  print_endline
-    "paper: execution time ~doubles per hop-latency doubling; speedup grows slowly\n"
+  {
+    name = "predictor";
+    title = "Ablation: write-repeat saturation threshold (speedup over Base)";
+    columns = [ "app"; "t=1 (eager)"; "t=2"; "t=3 (paper)"; "t=5 (conservative)" ];
+    rows = (fun () -> per_app (List.map at [ 1; 2; 3; 5 ]));
+    note =
+      text
+        "an eager detector delegates unstable lines (extra churn); a conservative one misses \
+         epochs";
+  }
 
-(* ------------------------------------------------------------------ *)
-(* Figure 11: sensitivity to delegate cache size (MG)                   *)
-(* ------------------------------------------------------------------ *)
+(* Adaptive intervention delay (§5 future work). *)
+let adaptive =
+  {
+    name = "adaptive";
+    title =
+      "Extension: fixed 50-cycle vs adaptive intervention delay (speedup over Base)";
+    columns = [ "app"; "fixed 50"; "adaptive" ];
+    rows =
+      (fun () ->
+        per_app
+          [
+            sim small;
+            sim ~tag:"adaptive" { small with Config.adaptive_intervention = true };
+          ]);
+    note =
+      text "the adaptive mechanism tracks each line's write-burst span (EWMA) per Sec. 5";
+  }
 
-let fig11_variants () =
-  List.map
-    (fun entries ->
-      ( Printf.sprintf "%d-entry deledc & 32K RAC" entries,
-        Config.full ~nodes ~delegate_entries:entries () ))
-    [ 32; 64; 128; 256; 512; 1024 ]
-  @ [
-      ("1K-entry deledc & 1M RAC", Config.large_full ~nodes ());
-      ("32-entry deledc & 1M RAC", Config.full ~nodes ~rac_bytes:(1024 * 1024) ());
-    ]
+(* Backend head-to-head: the paper's protocol vs classic bus snooping. *)
+let protocols =
+  {
+    name = "protocols";
+    title =
+      "Backend head-to-head: speedup, messages, remote misses (normalized to directory \
+       base)";
+    columns = [ "app"; "backend"; "speedup"; "msgs"; "remote misses" ];
+    rows =
+      (fun () ->
+        List.concat_map
+          (fun app ->
+            per_variant app
+              [
+                ("directory base", base_config);
+                ("adaptive 32/32K", small);
+                ("MSI snoop", Config.snoop ~nodes Types.Msi ());
+                ("MESI snoop", Config.snoop ~nodes Types.Mesi ());
+              ]
+              (fun name ~base r ->
+                [
+                  Table.String app.Apps.name;
+                  String name;
+                  Float (speedup ~base r);
+                  Float (msg_ratio ~base r);
+                  Float (miss_ratio ~base r);
+                ])
+            @ [ Separator ])
+          Apps.all);
+    note =
+      text
+        "the paper's adaptive directory protocol vs bus snooping on the same workloads;\n\
+         the serialized bus pays arbitration on every miss, the directory pays 3-hop\n\
+         forwarding only on remote ones";
+  }
 
-let fig11_cells () =
-  cell Apps.mg (Config.base ~nodes ())
-  :: List.map (fun (tag, config) -> cell ~tag Apps.mg config) (fig11_variants ())
-
-let fig11 () =
-  let t =
-    Table.create ~title:"Figure 11: MG vs delegate-cache size (32K RAC unless noted)"
-      ~columns:[ "config"; "speedup"; "network msgs (norm)" ]
-  in
-  let base = run Apps.mg (Config.base ~nodes ()) in
-  let entry (name, config) =
-    let r = run Apps.mg ~tag:name config in
-    Table.add_row t
-      [ Table.String name; Table.Float (speedup ~base r); Table.Float (msg_ratio ~base r) ]
-  in
-  List.iter entry (fig11_variants ());
-  Table.print t;
-  print_endline
-    "paper: MG speedup grows 1.09 -> 1.22 with delegate entries; RAC size secondary\n"
-
-(* ------------------------------------------------------------------ *)
-(* Figure 12: sensitivity to RAC size (Appbt)                           *)
-(* ------------------------------------------------------------------ *)
-
-let fig12_variants () =
-  List.map
-    (fun kb ->
-      ( Printf.sprintf "32-entry deledc & %dK RAC" kb,
-        Config.full ~nodes ~rac_bytes:(kb * 1024) () ))
-    [ 32; 64; 128; 256; 512; 1024 ]
-  @ [ ("1K-entry deledc & 1M RAC", Config.large_full ~nodes ()) ]
-
-let fig12_cells () =
-  cell Apps.appbt (Config.base ~nodes ())
-  :: List.map (fun (tag, config) -> cell ~tag Apps.appbt config) (fig12_variants ())
-
-let fig12 () =
-  let t =
-    Table.create ~title:"Figure 12: Appbt vs RAC size (32-entry deledc unless noted)"
-      ~columns:[ "config"; "speedup"; "network msgs (norm)" ]
-  in
-  let base = run Apps.appbt (Config.base ~nodes ()) in
-  let entry (name, config) =
-    let r = run Apps.appbt ~tag:name config in
-    Table.add_row t
-      [ Table.String name; Table.Float (speedup ~base r); Table.Float (msg_ratio ~base r) ]
-  in
-  List.iter entry (fig12_variants ());
-  Table.print t;
-  print_endline "paper: Appbt speedup grows 1.08 -> ~1.24 as the RAC grows to 1MB\n"
-
-(* ------------------------------------------------------------------ *)
-(* Ablation: delegation without updates (§3.2 prose)                    *)
-(* ------------------------------------------------------------------ *)
-
-let ablation_cells () =
-  List.concat_map
-    (fun app ->
-      [
-        cell app (Config.base ~nodes ());
-        cell app (Config.delegation_only ~nodes ());
-        cell app (Config.small_full ~nodes ());
-      ])
-    Apps.all
-
-let ablation () =
-  let t =
-    Table.create
-      ~title:"Ablation: delegation-only vs delegation+updates (speedup over Base)"
-      ~columns:[ "app"; "delegation only"; "delegation + updates" ]
-  in
-  List.iter
-    (fun app ->
-      let base = run app (Config.base ~nodes ()) in
-      let dele = run app (Config.delegation_only ~nodes ()) in
-      let full = run app (Config.small_full ~nodes ()) in
-      Table.add_row t
-        [
-          Table.String app.Apps.name;
-          Table.Float (speedup ~base dele);
-          Table.Float (speedup ~base full);
-        ])
-    Apps.all;
-  Table.print t;
-  print_endline
-    "paper: delegation alone performed within ~1% of baseline; updates provide the gains\n"
-
-(* ------------------------------------------------------------------ *)
-(* Analytical model (§5): speedup bound vs push accuracy                *)
-(* ------------------------------------------------------------------ *)
-
-let model_cells () =
-  List.concat_map
-    (fun app -> [ cell app (Config.base ~nodes ()); cell app (Config.large_full ~nodes ()) ])
-    Apps.all
-
-let model () =
-  let t =
-    Table.create
-      ~title:"Analytical model (Sec. 5): measured speedup vs 1/(1 - f*a) prediction"
-      ~columns:
-        [ "app"; "push acc"; "a (misses removed)"; "remote frac f"; "model"; "measured" ]
-  in
-  List.iter
-    (fun app ->
-      let base = run app (Config.base ~nodes ()) in
-      let full = run app (Config.large_full ~nodes ()) in
-      let push_accuracy =
-        Analytic.accuracy ~updates_sent:full.System.stats.Run_stats.updates_sent
-          ~updates_consumed:full.System.updates_consumed
-          ~updates_as_reply:full.System.stats.Run_stats.updates_as_reply
-      in
-      (* the model's "accuracy" is the fraction of remote misses the
-         mechanisms eliminate end to end *)
-      let a = max 0.0 (1.0 -. miss_ratio ~base full) in
-      let f =
-        Analytic.remote_time_fraction base.System.stats ~cycles:base.System.cycles ~nodes
-      in
-      Table.add_row t
-        [
-          Table.String app.Apps.name;
-          Table.Float push_accuracy;
-          Table.Float a;
-          Table.Float f;
-          Table.Float (Analytic.speedup_model ~remote_time_fraction:f ~accuracy:a);
-          Table.Float (speedup ~base full);
-        ])
-    Apps.all;
-  Table.print t;
-  print_endline
-    "paper (Sec. 5): as network latency grows, speedup is bounded by 1/(1-accuracy)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Predictor-threshold ablation (design choice of §2.2)                 *)
-(* ------------------------------------------------------------------ *)
-
-let predictor_thresholds = [ 1; 2; 3; 5 ]
-
-let predictor_cells () =
-  List.concat_map
-    (fun app ->
-      cell app (Config.base ~nodes ())
-      :: List.map
-           (fun threshold ->
-             cell
-               ~tag:(Printf.sprintf "thr%d" threshold)
-               app
-               {
-                 (Config.small_full ~nodes ()) with
-                 Config.write_repeat_threshold = threshold;
-               })
-           predictor_thresholds)
-    Apps.all
-
-let predictor_ablation () =
-  let t =
-    Table.create
-      ~title:"Ablation: write-repeat saturation threshold (speedup over Base)"
-      ~columns:[ "app"; "t=1 (eager)"; "t=2"; "t=3 (paper)"; "t=5 (conservative)" ]
-  in
-  List.iter
-    (fun app ->
-      let base = run app (Config.base ~nodes ()) in
-      let at threshold =
-        let r =
-          run app
-            ~tag:(Printf.sprintf "thr%d" threshold)
-            { (Config.small_full ~nodes ()) with Config.write_repeat_threshold = threshold }
-        in
-        Table.Float (speedup ~base r)
-      in
-      Table.add_row t [ Table.String app.Apps.name; at 1; at 2; at 3; at 5 ])
-    Apps.all;
-  Table.print t;
-  print_endline
-    "an eager detector delegates unstable lines (extra churn); a conservative one misses epochs\n"
-
-(* ------------------------------------------------------------------ *)
-(* Adaptive intervention delay (§5 future work)                         *)
-(* ------------------------------------------------------------------ *)
-
-let adaptive_cells () =
-  List.concat_map
-    (fun app ->
-      [
-        cell app (Config.base ~nodes ());
-        cell app (Config.small_full ~nodes ());
-        cell ~tag:"adaptive" app
-          { (Config.small_full ~nodes ()) with Config.adaptive_intervention = true };
-      ])
-    Apps.all
-
-let adaptive () =
-  let t =
-    Table.create
-      ~title:"Extension: fixed 50-cycle vs adaptive intervention delay (speedup over Base)"
-      ~columns:[ "app"; "fixed 50"; "adaptive" ]
-  in
-  List.iter
-    (fun app ->
-      let base = run app (Config.base ~nodes ()) in
-      let fixed = run app (Config.small_full ~nodes ()) in
-      let adaptive =
-        run app ~tag:"adaptive"
-          { (Config.small_full ~nodes ()) with Config.adaptive_intervention = true }
-      in
-      Table.add_row t
-        [
-          Table.String app.Apps.name;
-          Table.Float (speedup ~base fixed);
-          Table.Float (speedup ~base adaptive);
-        ])
-    Apps.all;
-  Table.print t;
-  print_endline
-    "the adaptive mechanism tracks each line's write-burst span (EWMA) per Sec. 5\n"
-
-(* ------------------------------------------------------------------ *)
-(* Backend head-to-head: the paper's protocol vs classic bus snooping   *)
-(* ------------------------------------------------------------------ *)
-
-let protocols_variants () =
-  [
-    ("directory base", Config.base ~nodes ());
-    ("adaptive 32/32K", Config.small_full ~nodes ());
-    ("MSI snoop", Config.snoop ~nodes Types.Msi ());
-    ("MESI snoop", Config.snoop ~nodes Types.Mesi ());
-  ]
-
-let protocols_cells () =
-  List.concat_map
-    (fun app ->
-      List.map (fun (_, config) -> cell app config) (protocols_variants ()))
-    Apps.all
-
-let protocols () =
-  let t =
-    Table.create
-      ~title:
-        "Backend head-to-head: speedup, messages, remote misses (normalized to \
-         directory base)"
-      ~columns:[ "app"; "backend"; "speedup"; "msgs"; "remote misses" ]
-  in
-  List.iter
-    (fun app ->
-      let base = run app (Config.base ~nodes ()) in
-      List.iter
-        (fun (name, config) ->
-          let r = run app config in
-          Table.add_row t
-            [
-              Table.String app.Apps.name;
-              Table.String name;
-              Table.Float (speedup ~base r);
-              Table.Float (msg_ratio ~base r);
-              Table.Float (miss_ratio ~base r);
-            ])
-        (protocols_variants ());
-      Table.add_separator t)
-    Apps.all;
-  Table.print t;
-  print_endline
-    "the paper's adaptive directory protocol vs bus snooping on the same workloads;\n\
-     the serialized bus pays arbitration on every miss, the directory pays 3-hop\n\
-     forwarding only on remote ones\n"
-
-(* ------------------------------------------------------------------ *)
-(* Hardware cost summary (§3.3.1)                                       *)
-(* ------------------------------------------------------------------ *)
-
-let hw_cost () =
-  let t =
-    Table.create ~title:"Hardware overhead per node (Sec. 3.3.1)"
-      ~columns:[ "config"; "component"; "bytes" ]
-  in
-  List.iter
-    (fun (name, config) ->
-      List.iter
-        (fun (component, bytes) ->
-          Table.add_row t [ Table.String name; Table.String component; Table.Int bytes ])
-        (Hw_cost.breakdown config);
-      Table.add_row t
-        [
-          Table.String name; Table.String "TOTAL"; Table.Int (Hw_cost.per_node_bytes config);
-        ];
-      Table.add_separator t)
-    [ ("small", Config.small_full ~nodes ()); ("large", Config.large_full ~nodes ()) ];
-  Table.print t;
-  print_endline "paper: the small configuration costs < 40KB of SRAM per node\n"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                            *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  let rng = Pcc_engine.Rng.create ~seed:7 in
-  let event_queue_test =
-    Test.make ~name:"event-queue push+pop x1000"
-      (Staged.stage (fun () ->
-           let q = Pcc_engine.Event_queue.create () in
-           for i = 0 to 999 do
-             Pcc_engine.Event_queue.add q ~time:(i * 7 mod 997) ignore
-           done;
-           while Pcc_engine.Event_queue.pop q <> None do
-             ()
-           done))
-  in
-  let cache_test =
-    let cache = Pcc_memory.Cache.create ~rng ~sets:64 ~ways:4 () in
-    Test.make ~name:"cache insert+find x1000"
-      (Staged.stage (fun () ->
-           for i = 0 to 999 do
-             ignore (Pcc_memory.Cache.insert cache i i);
-             ignore (Pcc_memory.Cache.find cache (i / 2))
-           done))
-  in
-  let predictor_test =
-    let params = { Predictor.write_repeat_threshold = 3; reader_count_max = 3 } in
-    Test.make ~name:"predictor update x1000"
-      (Staged.stage (fun () ->
-           let e = Predictor.fresh () in
-           for i = 0 to 999 do
-             if i mod 3 = 0 then Predictor.record_write params e ~writer:1
-             else Predictor.record_read params e ~reader:(i mod 16) ~unique:true
-           done))
-  in
-  let small_sim_test =
-    Test.make ~name:"4-node producer-consumer run"
-      (Staged.stage (fun () ->
-           let line = Types.Layout.make_line ~home:0 ~index:0 in
-           let programs =
-             Array.init 4 (fun node ->
-                 List.concat
-                   (List.init 4 (fun e ->
-                        (if node = 1 then [ Types.Access (Types.Store, line) ] else [])
-                        @ [ Types.Barrier ((2 * e) + 1) ]
-                        @ (if node >= 2 then [ Types.Access (Types.Load, line) ] else [])
-                        @ [ Types.Barrier ((2 * e) + 2) ])))
-           in
-           ignore (System.run ~config:(Config.full ~nodes:4 ()) ~programs ())))
-  in
-  let tests =
-    Test.make_grouped ~name:"pcc"
-      [ event_queue_test; cache_test; predictor_test; small_sim_test ]
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) () in
-  let raw = Benchmark.all cfg instances tests in
-  Format.printf "Bechamel micro-benchmarks (monotonic clock, ns/run):@.";
-  List.iter
-    (fun instance ->
-      let results = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ estimate ] -> Format.printf "  %-40s %12.1f ns@." name estimate
-          | Some _ | None -> Format.printf "  %-40s (no estimate)@." name)
-        results)
-    instances;
-  print_newline ()
+(* Hardware cost summary (§3.3.1). *)
+let hwcost =
+  {
+    name = "hwcost";
+    title = "Hardware overhead per node (Sec. 3.3.1)";
+    columns = [ "config"; "component"; "bytes" ];
+    rows =
+      (fun () ->
+        List.concat_map
+          (fun (name, config) ->
+            List.map
+              (fun (component, bytes) -> fixed [ String name; String component; Int bytes ])
+              (Hw_cost.breakdown config)
+            @ [
+                fixed [ String name; String "TOTAL"; Int (Hw_cost.per_node_bytes config) ];
+                Separator;
+              ])
+          [ ("small", small); ("large", large) ]);
+    note = text "paper: the small configuration costs < 40KB of SRAM per node";
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Datacenter workloads head-to-head (streaming generators)             *)
@@ -965,13 +729,10 @@ let micro () =
    more sharers per object), under the paper's adaptive machine and both
    snooping backends.  Streams are fed directly — no materialized
    program arrays — so the matrix exercises the same pull path a
-   10^8-event run uses. *)
+   10^8-event run uses.  These runs fan out on their own when the rows
+   are built, outside the prewarm and its capacity-dedup count. *)
 
 let wl_events = 150_000
-
-let wl_skews = [ 0.6; 1.0; 1.4 ]
-
-let wl_generators = [ "kv"; "pubsub"; "worksteal"; "mpsc" ]
 
 let wl_specs () =
   match !workload_override with
@@ -980,40 +741,35 @@ let wl_specs () =
       List.concat_map
         (fun name ->
           List.map
-            (fun skew ->
-              Printf.sprintf "%s:skew=%.1f,events=%d" name skew wl_events)
-            wl_skews)
-        wl_generators
+            (fun skew -> Printf.sprintf "%s:skew=%.1f,events=%d" name skew wl_events)
+            [ 0.6; 1.0; 1.4 ])
+        [ "kv"; "pubsub"; "worksteal"; "mpsc" ]
 
-let wl_backends () =
+let wl_backends =
   [
-    ("adaptive", Config.small_full ~nodes ());
+    ("adaptive", small);
     ("msi", Config.snoop ~nodes Types.Msi ());
     ("mesi", Config.snoop ~nodes Types.Mesi ());
   ]
 
 let wl_key spec backend = Printf.sprintf "wl/%s/%s" spec backend
 
-let wl_resolve spec =
-  match Pcc_workload.Workload.of_spec ~nodes ~scale ~seed:7 spec with
-  | Ok w -> w
-  | Error message ->
-      Format.eprintf "workloads: %s@." message;
-      exit 2
-
-let workloads () =
-  let specs = wl_specs () in
+let workload_rows () =
   (* Workloads resolve in the main domain; workers only call [stream],
      which builds fresh per-feed state (no lazies are forced). *)
-  let resolved = List.map (fun spec -> (spec, wl_resolve spec)) specs in
+  let resolved =
+    List.map
+      (fun spec ->
+        (spec, Cli_common.resolve_workload ~tool:"workloads" ~nodes ~scale ~seed:7 spec))
+      (wl_specs ())
+  in
   let tasks =
     List.concat_map
       (fun (spec, workload) ->
         List.filter_map
           (fun (backend, config) ->
             let key = wl_key spec backend in
-            Hashtbl.replace workload_by_key key
-              (Pcc_workload.Workload.describe workload);
+            Hashtbl.replace workload_by_key key (Pcc_workload.Workload.describe workload);
             if Hashtbl.mem run_cache key then None
             else
               Some
@@ -1021,45 +777,64 @@ let workloads () =
                   fun () ->
                     let sys = System.create ~config () in
                     System.run_stream sys (Pcc_workload.Workload.stream workload) ))
-          (wl_backends ()))
+          wl_backends)
       resolved
   in
   let results = Pool.run_keyed ~jobs:!bench_jobs tasks in
   List.iter2 (fun (key, _) r -> record_run key r) tasks results;
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Datacenter workloads: adaptive vs snooping (%d nodes, %d events/run)"
-           nodes wl_events)
-      ~columns:
-        [ "workload"; "backend"; "cycles"; "rel time"; "msgs"; "remote misses"; "deleg" ]
-  in
-  List.iter
+  List.concat_map
     (fun (spec, _) ->
       let adaptive = Hashtbl.find run_cache (wl_key spec "adaptive") in
-      List.iter
+      List.map
         (fun (backend, _) ->
           let r = Hashtbl.find run_cache (wl_key spec backend) in
-          Table.add_row t
+          fixed
             [
               Table.String spec;
-              Table.String backend;
-              Table.Int r.System.cycles;
-              Table.Float
-                (float_of_int r.System.cycles /. float_of_int adaptive.System.cycles);
-              Table.Int r.System.network_messages;
-              Table.Int (Run_stats.remote_misses r.System.stats);
-              Table.Int r.System.stats.Run_stats.delegations;
+              String backend;
+              Int r.System.cycles;
+              Float (slowdown ~base:adaptive r);
+              Int r.System.network_messages;
+              Int (Run_stats.remote_misses r.System.stats);
+              Int r.System.stats.Run_stats.delegations;
             ])
-        (wl_backends ());
-      Table.add_separator t)
-    resolved;
+        wl_backends
+      @ [ Separator ])
+    resolved
+
+let workloads =
+  {
+    name = "workloads";
+    title =
+      Printf.sprintf "Datacenter workloads: adaptive vs snooping (%d nodes, %d events/run)"
+        nodes wl_events;
+    columns =
+      [ "workload"; "backend"; "cycles"; "rel time"; "msgs"; "remote misses"; "deleg" ];
+    rows = workload_rows;
+    note =
+      text
+        "rel time = cycles / adaptive cycles (lower = faster than adaptive); skew is\n\
+         each generator's consumer-distribution knob (Zipf theta over keys / topics /\n\
+         victims / shards)";
+  }
+
+let experiments =
+  [
+    table1; table2; table3; fig7; fig8; fig9; fig10; fig11; fig12; ablation; model;
+    predictor; adaptive; protocols; workloads; hwcost;
+  ]
+
+let print experiment rows =
+  let t = Table.create ~title:experiment.title ~columns:experiment.columns in
+  List.iter
+    (function
+      | Separator -> Table.add_separator t
+      | Row (runs, render) -> Table.add_row t (render (List.map result runs)))
+    rows;
   Table.print t;
-  print_endline
-    "rel time = cycles / adaptive cycles (lower = faster than adaptive); skew is\n\
-     each generator's consumer-distribution knob (Zipf theta over keys / topics /\n\
-     victims / shards)\n"
+  let note = experiment.note () in
+  if note <> "" then print_endline note;
+  print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* JSON export (--json out.json)                                        *)
@@ -1112,103 +887,51 @@ let write_json path =
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let no_cells () = []
-
-(* (name, cells for the parallel prewarm, printer) *)
-let experiments =
-  [
-    ("table1", no_cells, table1);
-    ("table2", no_cells, table2);
-    ("table3", table3_cells, table3);
-    ("fig7", fig7_cells, fig7);
-    ("fig8", fig8_cells, fig8);
-    ("fig9", fig9_cells, fig9);
-    ("fig10", fig10_cells, fig10);
-    ("fig11", fig11_cells, fig11);
-    ("fig12", fig12_cells, fig12);
-    ("ablation", ablation_cells, ablation);
-    ("model", model_cells, model);
-    ("predictor", predictor_cells, predictor_ablation);
-    ("adaptive", adaptive_cells, adaptive);
-    ("protocols", protocols_cells, protocols);
-    ("workloads", no_cells, workloads);
-    ("hwcost", no_cells, hw_cost);
-    ("micro", no_cells, micro);
-  ]
-
-let () =
-  (* Extract "--flag value" from the argument list. *)
-  let rec split_opt flag acc = function
-    | f :: value :: rest when f = flag -> (Some value, List.rev_append acc rest)
-    | [ f ] when f = flag ->
-        Format.eprintf "%s requires a value@." flag;
-        exit 2
-    | x :: rest -> split_opt flag (x :: acc) rest
-    | [] -> (None, List.rev acc)
-  in
-  let args = List.tl (Array.to_list Sys.argv) in
-  let json_path, args = split_opt "--json" [] args in
-  let protocol_arg, args = split_opt "--protocol" [] args in
-  let workload_arg, args = split_opt "--workload" [] args in
-  let jobs_arg, names = split_opt "--jobs" [] args in
-  (* Reject unknown backend names loudly: a silent fallback to the
-     default would masquerade as an adaptive run (and trip the
-     zero-delegation warning for the wrong reason). *)
-  (match protocol_arg with
-  | None -> ()
-  | Some name -> (
-      match Protocol.of_string name with
-      | Ok p -> protocol := p
-      | Error message ->
-          Format.eprintf "--protocol: %s@." message;
-          exit 2));
+let main selected jobs json_path backend workload =
   (* Same loud-rejection contract as the CLIs: an unknown workload name
      exits 2 with the suggestion list, never a silent default. *)
-  (match workload_arg with
-  | None -> ()
-  | Some spec -> (
-      match Pcc_workload.Workload.of_spec ~nodes ~scale ~seed:7 spec with
-      | Ok _ -> workload_override := Some spec
-      | Error message ->
-          Format.eprintf "--workload: %s@." message;
-          exit 2));
-  let jobs =
-    match jobs_arg with
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> n
-        | Some _ | None ->
-            Format.eprintf "--jobs %s: expected a positive integer@." s;
-            exit 2)
-    | None -> Pool.default_jobs ()
-  in
+  Option.iter
+    (fun spec ->
+      ignore (Cli_common.resolve_workload ~tool:"--workload" ~nodes ~scale ~seed:7 spec))
+    workload;
+  protocol := backend;
   bench_jobs := jobs;
-  let requested =
-    match names with [] -> List.map (fun (n, _, _) -> n) experiments | names -> names
-  in
+  workload_override := workload;
+  let selected = match selected with [] -> experiments | selected -> selected in
   (* The jobs count goes to stderr: stdout and the --json artifact stay
      byte-identical across every jobs level. *)
   Format.eprintf "running with %d job(s) (set --jobs or PCC_JOBS to change)@." jobs;
   Format.printf
     "Reproduction harness: %d nodes, scale %.2f (set PCC_SCALE to change)%s@.@." nodes
     scale
-    (match !protocol with
+    (match backend with
     | Types.Adaptive -> ""
     | p -> Printf.sprintf ", %s backend" (Protocol.to_string p));
-  let selected =
-    List.filter_map
-      (fun name ->
-        match List.find_opt (fun (n, _, _) -> n = name) experiments with
-        | Some exp -> Some exp
-        | None ->
-            Format.eprintf "unknown experiment %S; available: %s@." name
-              (String.concat ", " (List.map (fun (n, _, _) -> n) experiments));
-            None)
-      requested
-  in
+  let tables = List.map (fun e -> (e, e.rows ())) selected in
   (* Unconditional (even at --jobs 1): the capacity dedup lives in the
      prewarm scheduler, and skipping it would silently re-simulate the
      collapsed matrix rows sequentially. *)
-  prewarm ~jobs (List.concat_map (fun (_, cells, _) -> cells ()) selected);
-  List.iter (fun (_, _, printer) -> printer ()) selected;
-  match json_path with Some path -> write_json path | None -> ()
+  prewarm ~jobs
+    (List.concat_map
+       (fun (_, rows) ->
+         List.concat_map (function Row (runs, _) -> runs | Separator -> []) rows)
+       tables);
+  List.iter (fun (e, rows) -> print e rows) tables;
+  Option.iter write_json json_path
+
+let () =
+  let open Cmdliner in
+  let names =
+    let doc = "Experiments to run, in order (default: all of them)." in
+    let experiment = Arg.enum (List.map (fun e -> (e.name, e)) experiments) in
+    Arg.(value & pos_all experiment [] & info [] ~docv:"EXPERIMENT" ~doc)
+  in
+  let workload =
+    Cli_common.workload_spec ~doc:"Pin the $(b,workloads) experiment to one workload spec." ()
+  in
+  let term =
+    Term.(
+      const main $ names $ Cli_common.jobs () $ Cli_common.json () $ Cli_common.protocol ()
+      $ workload)
+  in
+  exit (Cmd.eval (Cmd.v (Cmd.info "main" ~doc:"Reproduce the paper's tables and figures") term))

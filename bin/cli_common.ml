@@ -1,4 +1,4 @@
-(* Shared cmdliner vocabulary for the six CLIs.
+(* Shared cmdliner vocabulary for the six CLIs and bench/main.exe.
 
    Every tool speaks the same flags with the same docstrings; defaults
    differ per tool (a chaos sweep wants 6 nodes at scale 0.15, the
@@ -21,41 +21,21 @@ let seeds ?(default = 50) ?(doc = "Number of seeds to sweep.") () =
   Arg.(value & opt int default & info [ "seeds" ] ~docv:"N" ~doc)
 
 (* Workload selection: the [--workload NAME[:k=v,...]] spec grammar over
-   the Workload registry, with [--app NAME] kept as a warning-emitting
-   alias for one release.  Parsing to a Workload.packed happens in
+   the Workload registry.  Parsing to a Workload.packed happens in
    [resolve_workload] (not an Arg.conv) so unknown names and keys exit 2
    with a suggestion list, mirroring the --protocol loud-rejection
-   contract. *)
-let workload ?(default = "em3d") () =
-  let workload_arg =
-    let doc =
+   contract.  [workload_spec] is the optional form, for tools that only
+   pin a workload when asked. *)
+let workload_spec
+    ?(doc =
       Printf.sprintf
-        "Workload spec: $(i,NAME) or $(i,NAME:key=value,...).  Names: %s.  Unknown \
-         names and keys are rejected (exit 2)."
-        (String.concat ", " (Pcc.Workload.names ()))
-    in
-    Arg.(value & opt (some string) None & info [ "w"; "workload" ] ~docv:"SPEC" ~doc)
-  in
-  let app_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "a"; "app" ] ~docv:"APP"
-          ~doc:"Deprecated alias for $(b,--workload); emits a warning.")
-  in
-  let combine w a =
-    match (w, a) with
-    | Some spec, None -> spec
-    | Some spec, Some _ ->
-        prerr_endline "warning: --app ignored because --workload was given";
-        spec
-    | None, Some name ->
-        prerr_endline
-          "warning: --app is deprecated; use --workload NAME[:key=value,...] instead";
-        name
-    | None, None -> default
-  in
-  Term.(const combine $ workload_arg $ app_arg)
+        "Workload spec: $(i,NAME) or $(i,NAME:key=value,...).  Names: %s.  Unknown names \
+         and keys are rejected (exit 2)."
+        (String.concat ", " (Pcc.Workload.names ()))) () =
+  Arg.(value & opt (some string) None & info [ "w"; "workload" ] ~docv:"SPEC" ~doc)
+
+let workload ?(default = "em3d") () =
+  Term.(const (Option.value ~default) $ workload_spec ())
 
 let resolve_workload ~tool ~nodes ~scale ~seed spec =
   match Pcc.Workload.of_spec ~nodes ~scale ~seed spec with
@@ -64,11 +44,23 @@ let resolve_workload ~tool ~nodes ~scale ~seed spec =
       Printf.eprintf "%s: %s\n" tool message;
       exit 2
 
-(* Config/machine selection: pcc_sim calls it --machine, the trace tool
-   --config; both mean the same names. *)
-let config ?(names = [ "m"; "machine" ]) ?(default = "full")
-    ?(doc = "Machine configuration: base, rac, delegation, small/full, large.") () =
-  Arg.(value & opt string default & info names ~docv:"MACHINE" ~doc)
+(* Machine selection: one name table ({!Pcc.Config.of_name}) for every
+   tool.  Resolved after parsing, like the workload, because the machine
+   is built for the workload's node count; unknown names exit 2 with the
+   valid names listed. *)
+let machine ?(default = "full") () =
+  let doc =
+    Printf.sprintf "Machine configuration: %s.  Unknown names are rejected (exit 2)."
+      (String.concat ", " Pcc.Config.names)
+  in
+  Arg.(value & opt string default & info [ "m"; "machine" ] ~docv:"MACHINE" ~doc)
+
+let resolve_machine ~tool ~nodes name =
+  match Pcc.Config.of_name ~nodes name with
+  | Ok config -> config
+  | Error message ->
+      Printf.eprintf "%s: %s\n" tool message;
+      exit 2
 
 (* Backend selection.  The converter rejects unknown names loudly (usage
    error, exit 124) instead of silently falling back to a default — a
@@ -94,7 +86,16 @@ let jobs ?(what = "runs") () =
        sequential).  Results are bit-identical at every level."
       what
   in
-  Arg.(value & opt int (Pcc.Pool.default_jobs ()) & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(
+    value & opt positive (Pcc.Pool.default_jobs ()) & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let json ?(doc = "Write machine-readable results to $(docv).") () =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)

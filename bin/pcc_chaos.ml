@@ -538,20 +538,16 @@ let flight_dir_arg =
            the retained event window lands at that path and the failure \
            report names it (decode with $(b,pcc_trace --flight)).")
 
-let workload_pin_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "w"; "workload" ] ~docv:"SPEC"
-        ~doc:
-          "Pin every chaotic run to one workload spec \
-           ($(i,NAME) or $(i,NAME:key=value,...)) instead of the \
-           random + rotating-benchmark pair per seed.")
-
 let cmd =
   let term =
     Term.(
-      const main $ workload_pin_arg
+      const main
+      $ Cli_common.workload_spec
+          ~doc:
+            "Pin every chaotic run to one workload spec ($(i,NAME) or \
+             $(i,NAME:key=value,...)) instead of the random + rotating-benchmark \
+             pair per seed."
+          ()
       $ Cli_common.seeds ~default:34
           ~doc:"Seeds per fault profile (each seed runs 2 benchmarks)." ()
       $ Cli_common.protocol ()

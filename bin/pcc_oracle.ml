@@ -223,20 +223,17 @@ let golden_arg =
     value & flag
     & info [ "golden" ] ~doc:"Print the golden-statistics table for test_golden.ml.")
 
-let workload_pin_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "w"; "workload" ] ~docv:"SPEC"
-        ~doc:
-          "Pin every sweep run to one workload spec \
-           ($(i,NAME) or $(i,NAME:key=value,...)) instead of the \
-           random + rotating-benchmark pair per seed.")
-
 let cmd =
   let term =
     Term.(
-      const main $ workload_pin_arg $ Cli_common.seeds ()
+      const main
+      $ Cli_common.workload_spec
+          ~doc:
+            "Pin every sweep run to one workload spec ($(i,NAME) or \
+             $(i,NAME:key=value,...)) instead of the random + rotating-benchmark \
+             pair per seed."
+          ()
+      $ Cli_common.seeds ()
       $ Cli_common.protocol
           ~doc:
             "Coherence backend for the sweep: $(b,adaptive) audits base+full with \

@@ -8,14 +8,6 @@
 open Pcc
 open Cmdliner
 
-let machine_of_string nodes = function
-  | "base" -> Ok (Config.base ~nodes ())
-  | "rac" -> Ok (Config.rac_only ~nodes ())
-  | "delegation" -> Ok (Config.delegation_only ~nodes ())
-  | "small" | "full" -> Ok (Config.small_full ~nodes ())
-  | "large" -> Ok (Config.large_full ~nodes ())
-  | other -> Error (Printf.sprintf "unknown machine %S" other)
-
 let run workload_spec machine protocol nodes scale seed delegate_entries rac_kb
     intervention_delay hop_latency max_events verbose metrics_path flight_dump
     record_path json_path =
@@ -25,88 +17,79 @@ let run workload_spec machine protocol nodes scale seed delegate_entries rac_kb
   (* a trace replay carries its own node count; generators were built at
      the requested one *)
   let nodes = Workload.nodes workload in
-  match machine_of_string nodes machine with
-  | Error message ->
-      prerr_endline message;
-      1
-  | Ok config ->
-      let config = { config with Config.protocol } in
-      let config =
-        {
-          config with
-          Config.delegate_entries =
-            Option.value delegate_entries ~default:config.Config.delegate_entries;
-          rac_bytes =
-            (match rac_kb with
-            | Some kb -> kb * 1024
-            | None -> config.Config.rac_bytes);
-          intervention_delay =
-            Option.value intervention_delay ~default:config.Config.intervention_delay;
-        }
-      in
-      let config =
-        match hop_latency with
-        | Some hop -> Config.with_hop_latency config hop
-        | None -> config
-      in
-      Format.printf "workload=%s machine=%s nodes=%d%s@."
-        (Workload.describe workload)
-        (Config.describe config) nodes
-        (match Workload.total_accesses workload with
-        | Some ops -> Printf.sprintf " ops=%d" ops
-        | None -> "");
-      let sys = System.create ~config () in
-      (match flight_dump with
-      | Some path -> System.arm_flight_dump sys ~path
-      | None -> ());
-      let stream = Workload.stream workload in
-      let writer =
-        Option.map (fun path -> Btrace.Writer.create ~path ~nodes ()) record_path
-      in
-      let stream =
-        match writer with Some w -> Btrace.recording w stream | None -> stream
-      in
-      let result =
-        match System.run_stream ?max_events sys stream with
-        | result ->
-            Option.iter Btrace.Writer.close writer;
-            result
-        | exception e ->
-            Option.iter Btrace.Writer.abort writer;
-            raise e
-      in
-      (match (writer, record_path) with
-      | Some _, Some path -> Format.printf "recorded binary trace: %s@." path
-      | _ -> ());
-      Cli_common.write_metrics metrics_path (fun registry ->
-          Telemetry.Registry.add_result registry result;
-          Telemetry.Registry.add_system registry sys);
-      (match json_path with
-      | Some path ->
-          Atomic_file.write_string ~path
-            (Run_export.to_string
-               ~workload:(Workload.describe workload)
-               ~key:(Config.describe config) result
-            ^ "\n")
-      | None -> ());
-      Format.printf "cycles            %d@." result.System.cycles;
-      Format.printf "network messages  %d (%d KB)@." result.System.network_messages
-        (result.System.network_bytes / 1024);
-      Format.printf "remote misses     %d@." (Run_stats.remote_misses result.System.stats);
-      Format.printf "%a@." Run_stats.pp result.System.stats;
-      Format.printf "updates consumed  %d, wasted %d@." result.System.updates_consumed
-        result.System.updates_wasted;
-      Format.printf "violations        %d@." result.System.violations;
-      List.iter (Format.printf "INVARIANT ERROR: %s@.") result.System.invariant_errors;
-      (match result.System.stall with
-      | Some stall -> Format.printf "%a@." System.pp_stall_report stall
-      | None -> ());
-      if verbose then begin
-        Format.printf "@.per-class network messages:@.";
-        Format.printf "%a@." Counter.pp result.System.stats.Run_stats.message_classes
-      end;
-      if result.System.violations = 0 && result.System.invariant_errors = [] then 0
-      else 2
+  (* --protocol switches an adaptive machine to a snooping backend; the
+     adaptive default leaves the named machine (e.g. msi) as it is *)
+  let config = Cli_common.resolve_machine ~tool:"pcc_sim" ~nodes machine in
+  let config =
+    if protocol = Protocol.Adaptive then config else { config with Config.protocol }
+  in
+  let config =
+    {
+      config with
+      Config.delegate_entries =
+        Option.value delegate_entries ~default:config.Config.delegate_entries;
+      rac_bytes = (match rac_kb with Some kb -> kb * 1024 | None -> config.Config.rac_bytes);
+      intervention_delay =
+        Option.value intervention_delay ~default:config.Config.intervention_delay;
+    }
+  in
+  let config =
+    match hop_latency with Some hop -> Config.with_hop_latency config hop | None -> config
+  in
+  Format.printf "workload=%s machine=%s nodes=%d%s@."
+    (Workload.describe workload)
+    (Config.describe config) nodes
+    (match Workload.total_accesses workload with
+    | Some ops -> Printf.sprintf " ops=%d" ops
+    | None -> "");
+  let sys = System.create ~config () in
+  (match flight_dump with
+  | Some path -> System.arm_flight_dump sys ~path
+  | None -> ());
+  let stream = Workload.stream workload in
+  let writer = Option.map (fun path -> Btrace.Writer.create ~path ~nodes ()) record_path in
+  let stream = match writer with Some w -> Btrace.recording w stream | None -> stream in
+  let result =
+    match System.run_stream ?max_events sys stream with
+    | result ->
+        Option.iter Btrace.Writer.close writer;
+        result
+    | exception e ->
+        Option.iter Btrace.Writer.abort writer;
+        raise e
+  in
+  (match (writer, record_path) with
+  | Some _, Some path -> Format.printf "recorded binary trace: %s@." path
+  | _ -> ());
+  Cli_common.write_metrics metrics_path (fun registry ->
+      Telemetry.Registry.add_result registry result;
+      Telemetry.Registry.add_system registry sys);
+  (match json_path with
+  | Some path ->
+      Atomic_file.write_string ~path
+        (Run_export.to_string
+           ~workload:(Workload.describe workload)
+           ~key:(Config.describe config) result
+        ^ "\n")
+  | None -> ());
+  Format.printf "cycles            %d@." result.System.cycles;
+  Format.printf "network messages  %d (%d KB)@." result.System.network_messages
+    (result.System.network_bytes / 1024);
+  Format.printf "remote misses     %d@." (Run_stats.remote_misses result.System.stats);
+  Format.printf "%a@." Run_stats.pp result.System.stats;
+  Format.printf "updates consumed  %d, wasted %d@." result.System.updates_consumed
+    result.System.updates_wasted;
+  Format.printf "violations        %d@." result.System.violations;
+  List.iter (Format.printf "INVARIANT ERROR: %s@.") result.System.invariant_errors;
+  (match result.System.stall with
+  | Some stall -> Format.printf "%a@." System.pp_stall_report stall
+  | None -> ());
+  if verbose then begin
+    Format.printf "@.per-class network messages:@.";
+    Format.printf "%a@." Counter.pp result.System.stats.Run_stats.message_classes
+  end;
+  if result.System.violations = 0 && result.System.invariant_errors = [] then 0
+  else 2
 
 let delegate_arg =
   Arg.(
@@ -156,24 +139,16 @@ let record_arg =
            (atomic temp+rename); re-feed it with \
            $(b,--workload trace:file=)$(docv).")
 
-let json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"PATH"
-        ~doc:
-          "Write the canonical machine-readable result row (Run_export) to \
-           $(docv).")
-
 let cmd =
   let term =
     Term.(
-      const run $ Cli_common.workload () $ Cli_common.config () $ Cli_common.protocol ()
+      const run $ Cli_common.workload () $ Cli_common.machine () $ Cli_common.protocol ()
       $ Cli_common.nodes ()
       $ Cli_common.scale () $ Cli_common.seed () $ delegate_arg $ rac_arg $ delay_arg
       $ hop_arg $ max_events_arg
       $ Cli_common.verbose ~doc:"Print per-class message counters." ()
-      $ Cli_common.metrics () $ flight_dump_arg $ record_arg $ json_arg)
+      $ Cli_common.metrics () $ flight_dump_arg $ record_arg
+      $ Cli_common.json ~doc:"Write the canonical result row (Run_export) to $(docv)." ())
   in
   Cmd.v
     (Cmd.info "pcc_sim" ~doc:"Simulate a workload on a selectable coherence backend")

@@ -4,7 +4,7 @@
    a self-profiler of the simulator (events/sec, peak queue depth).
 
      dune exec bin/pcc_trace.exe -- --out-dir /tmp/pcc
-     dune exec bin/pcc_trace.exe -- --workload em3d --config full --sample-every 200
+     dune exec bin/pcc_trace.exe -- --workload em3d --machine full --sample-every 200
 
    Load trace.json at https://ui.perfetto.dev or chrome://tracing. *)
 
@@ -26,22 +26,14 @@ let decode_flight path =
       Format.printf "wrote %s (load at https://ui.perfetto.dev)@." perfetto_path;
       0
 
-let run_traced ~workload_spec ~config_name ~nodes ~scale ~seed ~sample_every ~out_dir
+let run_traced ~workload_spec ~machine ~nodes ~scale ~seed ~sample_every ~out_dir
     ~max_events ~metrics_path =
   let workload =
     Cli_common.resolve_workload ~tool:"pcc_trace" ~nodes ~scale ~seed workload_spec
   in
   let nodes = Workload.nodes workload in
   let config =
-    Oracle.Trace.config_of_desc
-      {
-        Oracle.Trace.bench = Workload.name workload;
-        config_name;
-        nodes;
-        scale;
-        seed;
-        fault = false;
-      }
+    { (Cli_common.resolve_machine ~tool:"pcc_trace" ~nodes machine) with Config.seed }
   in
   let sys = System.create ~config () in
   let recorder = Telemetry.Recorder.attach ~sample_every sys in
@@ -82,13 +74,13 @@ let run_traced ~workload_spec ~config_name ~nodes ~scale ~seed ~sample_every ~ou
   else if result.System.outcome <> Sim.Drained then 1
   else 0
 
-let main workload_spec config_name nodes scale seed sample_every out_dir max_events
-    flight metrics_path =
+let main workload_spec machine nodes scale seed sample_every out_dir max_events flight
+    metrics_path =
   match flight with
   | Some path -> decode_flight path
   | None ->
-      run_traced ~workload_spec ~config_name ~nodes ~scale ~seed ~sample_every
-        ~out_dir ~max_events ~metrics_path
+      run_traced ~workload_spec ~machine ~nodes ~scale ~seed ~sample_every ~out_dir
+        ~max_events ~metrics_path
 
 let flight_arg =
   Arg.(
@@ -99,37 +91,6 @@ let flight_arg =
           "Decode a flight-recorder post-mortem dump instead of running a \
            workload: print the retained event window as a timeline and write \
            $(docv).perfetto.json next to it.")
-
-(* --workload with --bench kept as this tool's historical alias. *)
-let workload_arg =
-  let workload =
-    let doc =
-      Printf.sprintf
-        "Workload spec: $(i,NAME) or $(i,NAME:key=value,...).  Names: %s."
-        (String.concat ", " (Pcc.Workload.names ()))
-    in
-    Arg.(value & opt (some string) None & info [ "w"; "workload" ] ~docv:"SPEC" ~doc)
-  in
-  let bench =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "b"; "bench" ] ~docv:"NAME"
-          ~doc:"Deprecated alias for $(b,--workload); emits a warning.")
-  in
-  let combine w b =
-    match (w, b) with
-    | Some spec, None -> spec
-    | Some spec, Some _ ->
-        prerr_endline "warning: --bench ignored because --workload was given";
-        spec
-    | None, Some spec ->
-        prerr_endline
-          "warning: --bench is deprecated; use --workload NAME[:key=value,...] instead";
-        spec
-    | None, None -> "prodcons"
-  in
-  Term.(const combine $ workload $ bench)
 
 let sample_arg =
   Arg.(
@@ -149,12 +110,9 @@ let out_dir_arg =
 let cmd =
   let term =
     Term.(
-      const main $ workload_arg
-      $ Cli_common.config ~names:[ "c"; "config" ]
-          ~doc:
-            "Protocol configuration: base, rac, delegation, full, or a snooping \
-             backend (msi, mesi)."
-          ()
+      const main
+      $ Cli_common.workload ~default:"prodcons" ()
+      $ Cli_common.machine ()
       $ Cli_common.nodes ~default:8 ()
       $ Cli_common.scale ~default:0.15 ~doc:"Run-length scale for app benchmarks." ()
       $ Cli_common.seed ~default:7 ()

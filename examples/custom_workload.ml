@@ -59,14 +59,14 @@ let () =
   let programs = Gen.programs spec in
   Format.printf "Custom pipeline workload: %d nodes, %d memory accesses@.@." nodes
     (Gen.total_ops programs);
-  (* Save/reload through the text trace format, proving the run is
-     reproducible from the serialized trace alone. *)
-  let roundtripped =
-    match Workload_trace.of_string (Workload_trace.to_string programs) with
-    | Ok p -> p
-    | Error message -> failwith message
-  in
-  assert (roundtripped = programs);
+  (* Save/reload through a binary trace, proving the run is reproducible
+     from the serialized trace alone (replay it with
+     --workload trace:file=PATH on any CLI). *)
+  let path = Filename.temp_file "pipeline" ".pcct" in
+  Btrace.write ~path programs;
+  let reloaded = Btrace.read ~path in
+  Sys.remove path;
+  assert (reloaded = Ok programs);
   let base = System.run ~config:(Config.base ~nodes ()) ~programs () in
   List.iter
     (fun (name, config) ->

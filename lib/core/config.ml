@@ -122,6 +122,28 @@ let snoop ?nodes protocol () =
 
 let large_full ?nodes () = full ?nodes ~rac_bytes:(mib 1) ~delegate_entries:1024 ()
 
+let machines =
+  [
+    ("base", fun nodes -> base ~nodes ());
+    ("rac", fun nodes -> rac_only ~nodes ());
+    ("delegation", fun nodes -> delegation_only ~nodes ());
+    ("small", fun nodes -> small_full ~nodes ());
+    ("full", fun nodes -> small_full ~nodes ());
+    ("large", fun nodes -> large_full ~nodes ());
+    ("msi", fun nodes -> snoop ~nodes Types.Msi ());
+    ("mesi", fun nodes -> snoop ~nodes Types.Mesi ());
+  ]
+
+let names = List.map fst machines
+
+let of_name ~nodes name =
+  match List.assoc_opt name machines with
+  | Some make -> Ok (make nodes)
+  | None ->
+      Error
+        (Printf.sprintf "unknown machine %S; valid machines: %s" name
+           (String.concat ", " names))
+
 let with_hop_latency t hop_latency = { t with network = { t.network with hop_latency } }
 
 let with_faults t profile = { t with net_faults = Some profile }

@@ -125,6 +125,15 @@ val snoop : ?nodes:int -> Types.protocol -> unit -> t
 val large_full : ?nodes:int -> unit -> t
 (** 1K-entry delegate tables + 1 MB RAC, delegation + updates. *)
 
+val names : string list
+(** Every machine name {!of_name} accepts, in a fixed order. *)
+
+val of_name : nodes:int -> string -> (t, string) result
+(** The machine a CLI flag or an oracle artifact names: ["base"],
+    ["rac"], ["delegation"], ["small"] or ["full"] (32-entry delegate
+    tables + 32 KB RAC), ["large"], or a snooping backend (["msi"],
+    ["mesi"]).  [Error] names the offender and lists {!names}. *)
+
 val with_hop_latency : t -> int -> t
 (** Functional update of the network hop latency (Fig. 10 sweeps). *)
 

@@ -56,21 +56,14 @@ end
 (* ------------------------------------------------------------------ *)
 
 let config_of_desc desc =
-  let base =
-    match desc.config_name with
-    | "base" -> Config.base ~nodes:desc.nodes ()
-    | "rac" -> Config.rac_only ~nodes:desc.nodes ()
-    | "delegation" -> Config.delegation_only ~nodes:desc.nodes ()
-    | "full" -> Config.full ~nodes:desc.nodes ()
-    | "msi" -> Config.snoop ~nodes:desc.nodes Types.Msi ()
-    | "mesi" -> Config.snoop ~nodes:desc.nodes Types.Mesi ()
-    | other -> invalid_arg (Printf.sprintf "Trace.config_of_desc: unknown config %S" other)
-  in
-  {
-    base with
-    Config.seed = desc.seed;
-    inject_fault = (if desc.fault then Some Config.Stale_update_no_resharing else None);
-  }
+  match Config.of_name ~nodes:desc.nodes desc.config_name with
+  | Ok base ->
+      {
+        base with
+        Config.seed = desc.seed;
+        inject_fault = (if desc.fault then Some Config.Stale_update_no_resharing else None);
+      }
+  | Error message -> invalid_arg ("Trace.config_of_desc: " ^ message)
 
 let programs_of_desc desc =
   match

@@ -16,9 +16,7 @@ open Pcc_core
 
 type run_desc = {
   bench : string;  (** a {!Pcc_workload.Workload.of_spec} workload spec *)
-  config_name : string;
-      (** ["base"], ["rac"], ["delegation"], ["full"], or a snooping
-          backend: ["msi"], ["mesi"] *)
+  config_name : string;  (** a {!Pcc_core.Config.of_name} machine name *)
   nodes : int;
   scale : float;  (** epoch-count multiplier for app benchmarks *)
   seed : int;
@@ -52,7 +50,8 @@ end
 
 val config_of_desc : run_desc -> Config.t
 (** Build the simulator configuration the descriptor names.  Raises
-    [Invalid_argument] on an unknown [config_name]. *)
+    [Invalid_argument], listing the valid names, on an unknown
+    [config_name]. *)
 
 val programs_of_desc : run_desc -> Types.op list array
 (** Regenerate the workload via {!Pcc_workload.Workload.of_spec}.  Raises

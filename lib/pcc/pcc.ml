@@ -105,9 +105,6 @@ module Op_stream = Pcc_core.Op_stream
 (** Build-your-own workload machinery. *)
 module Workload_gen = Pcc_workload.Gen
 
-(** Program-trace serialization: save and replay generated workloads. *)
-module Workload_trace = Pcc_workload.Trace
-
 (** Explicit-state model checker (§2.5). *)
 module Checker = Pcc_mcheck.Checker
 

@@ -17,10 +17,7 @@
     file is caught by the trailer magic.  Reading back is a streaming
     {!Pcc_core.Op_stream.t} whose steady-state pulls do not allocate
     (in-buffer varint decodes; chunk loads reuse one buffer per node),
-    which keeps 10^8-record replays on the allocation-gated hot path.
-
-    The textual {!Trace} format stays for human-readable exchange; this
-    format is ~10x smaller and is the one to use at production volume. *)
+    which keeps 10^8-record replays on the allocation-gated hot path. *)
 
 open Pcc_core
 

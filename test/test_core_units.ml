@@ -346,6 +346,26 @@ let test_config_describe () =
   Alcotest.(check string) "large" "1024-entry deledc & 1M RAC"
     (Config.describe (Config.large_full ()))
 
+let test_config_of_name () =
+  (* one table serves every CLI and oracle artifact: each listed name
+     resolves, and an unknown one is an error that lists them all *)
+  List.iter
+    (fun name ->
+      match Config.of_name ~nodes:4 name with
+      | Ok config -> Alcotest.(check int) (name ^ " nodes") 4 config.Config.nodes
+      | Error message -> Alcotest.fail message)
+    Config.names;
+  Alcotest.(check string) "msi is the snooping machine" "MSI snoop"
+    (Config.describe (Result.get_ok (Config.of_name ~nodes:4 "msi")));
+  match Config.of_name ~nodes:4 "nosuch" with
+  | Ok _ -> Alcotest.fail "unknown machine accepted"
+  | Error message ->
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) ("lists " ^ name) true
+            (Astring_contains.contains message name))
+        Config.names
+
 let test_config_hop_latency () =
   let c = Config.with_hop_latency (Config.base ()) 50 in
   Alcotest.(check int) "hop set" 50 c.Config.network.Pcc_interconnect.Network.hop_latency
@@ -397,6 +417,7 @@ let suite =
     Alcotest.test_case "message class names" `Quick test_message_class_names_unique;
     Alcotest.test_case "config presets" `Quick test_config_presets;
     Alcotest.test_case "config describe" `Quick test_config_describe;
+    Alcotest.test_case "config of_name" `Quick test_config_of_name;
     Alcotest.test_case "config hop latency" `Quick test_config_hop_latency;
     Alcotest.test_case "hw cost (§3.3.1)" `Quick test_hw_cost_small_config;
   ]

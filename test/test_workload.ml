@@ -137,47 +137,19 @@ let test_table3_cg () =
   let _, _, _, _, c4plus = consumer_fractions Apps.cg in
   Alcotest.(check bool) "CG ~99.7% wide (detected lines)" true (c4plus > 90.0)
 
-module Trace = Pcc_workload.Trace
-
-let test_trace_roundtrip () =
-  List.iter
-    (fun app ->
-      let programs = Apps.programs app ~scale:0.1 ~nodes:4 () in
-      match Trace.of_string (Trace.to_string programs) with
-      | Ok reloaded ->
-          Alcotest.(check bool) (app.Apps.name ^ " roundtrips") true (reloaded = programs)
-      | Error message -> Alcotest.failf "%s: %s" app.Apps.name message)
-    Apps.all
-
-let test_trace_parse_errors () =
-  let expect_error text =
-    match Trace.of_string text with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "accepted malformed trace %S" text
-  in
-  expect_error "";
-  expect_error "nodes 0";
-  expect_error "nodes 2\n5 L 0:0";
-  expect_error "nodes 2\n0 X 0:0";
-  expect_error "nodes 2\n0 L zero:0"
-
-let test_trace_comments_and_blanks () =
-  let text = "# a comment\n\nnodes 2\n# more\n0 S 1:3\n\n1 B 1\n" in
-  match Trace.of_string text with
-  | Ok programs ->
-      Alcotest.(check int) "two nodes" 2 (Array.length programs);
-      Alcotest.(check int) "node 0 ops" 1 (List.length programs.(0))
-  | Error message -> Alcotest.fail message
-
 let test_trace_runs () =
-  (* a hand-written trace executes and stays coherent *)
-  let text = "nodes 2\n0 S 0:1\n0 B 1\n1 B 1\n1 L 0:1\n" in
-  match Trace.of_string text with
-  | Error message -> Alcotest.fail message
-  | Ok programs ->
-      let r = System.run ~config:(Config.base ~nodes:2 ()) ~programs () in
-      Alcotest.(check int) "coherent" 0 r.System.violations;
-      Alcotest.(check int) "one remote read" 1 r.System.stats.Run_stats.remote_2hop
+  (* a hand-written program executes and stays coherent: node 0 stores a
+     line it homes, node 1 reads it after the barrier *)
+  let line = Types.Layout.make_line ~home:0 ~index:1 in
+  let programs =
+    [|
+      [ Types.Access (Types.Store, line); Types.Barrier 1 ];
+      [ Types.Barrier 1; Types.Access (Types.Load, line) ];
+    |]
+  in
+  let r = System.run ~config:(Config.base ~nodes:2 ()) ~programs () in
+  Alcotest.(check int) "coherent" 0 r.System.violations;
+  Alcotest.(check int) "one remote read" 1 r.System.stats.Run_stats.remote_2hop
 
 (* ------------------------------------------------------------------ *)
 (* Workload registry (Workload.of_spec) and streaming generators        *)
@@ -290,9 +262,6 @@ let suite =
     Alcotest.test_case "shared/private disjoint" `Quick test_shared_private_disjoint;
     Alcotest.test_case "consumer samplers" `Quick test_consumer_samplers;
     Alcotest.test_case "consumer dist sampler" `Quick test_consumer_dist_sampler;
-    Alcotest.test_case "trace roundtrip" `Quick test_trace_roundtrip;
-    Alcotest.test_case "trace parse errors" `Quick test_trace_parse_errors;
-    Alcotest.test_case "trace comments/blanks" `Quick test_trace_comments_and_blanks;
     Alcotest.test_case "trace runs" `Quick test_trace_runs;
     Alcotest.test_case "registry resolves all" `Quick test_registry_resolves_all;
     Alcotest.test_case "registry rejects unknown name" `Quick
