@@ -137,7 +137,7 @@ let run_replay ~max_lines ~path =
       else begin
         List.iter (fun v -> Printf.printf "  %s\n" v) report.violations;
         List.iter
-          (fun e -> Format.printf "  %a@." Oracle.Trace.pp_event e)
+          (fun e -> Format.printf "  %a@." Flight_ring.pp_event e)
           report.events;
         1
       end

@@ -37,7 +37,7 @@ let () =
         List.iter (Format.printf "  %s@.") report.violations;
         Format.printf "last %d events before the violation:@."
           (List.length report.events);
-        List.iter (Format.printf "  %a@." Oracle.Trace.pp_event) report.events
+        List.iter (Format.printf "  %a@." Pcc.Flight_ring.pp_event) report.events
       end
   in
   hunt 1

@@ -39,13 +39,10 @@ let () =
     | Message.Intervention _ -> "  <-- 3-hop read: home intervenes at the owner"
     | _ -> ""
   in
-  Array.iter
-    (fun node ->
-      Node.set_trace node (fun ~time ~dst msg ->
-          Format.printf "%8d  n%d -> n%d  %-38s%s@." time (Node.id node) dst
-            (Format.asprintf "%a" Message.pp msg)
-            (annotate msg)))
-    (System.nodes t);
+  System.on_message t (fun ~time ~src ~dst msg ->
+      Format.printf "%8d  n%d -> n%d  %-38s%s@." time src dst
+        (Format.asprintf "%a" Message.pp msg)
+        (annotate msg));
   Format.printf
     "Trace of one producer (n1), two consumers (n2, n3), line homed at n0.@.\
      The final store by n3 forces undelegation.@.@.";

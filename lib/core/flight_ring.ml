@@ -125,23 +125,88 @@ let unpack ~time ~code ~arg ~line =
     e_line = line;
   }
 
-(* Oldest retained event first: once the ring has wrapped, the slot the
-   next record would overwrite is the oldest one retained. *)
-let fold_window t f acc =
-  let cap = t.mask + 1 in
-  let n = min t.head cap in
-  let start = t.head - n in
-  let acc = ref acc in
-  for k = start to t.head - 1 do
+(* The last [n] retained events, oldest first: walk back from the newest
+   so wrap-around needs no special case. *)
+let recent t n =
+  let acc = ref [] in
+  for k = t.head - 1 downto t.head - min n (min t.head (t.mask + 1)) do
     let i = k land t.mask in
     acc :=
-      f !acc
-        (unpack ~time:t.times.(i) ~code:t.codes.(i) ~arg:t.args.(i)
-           ~line:t.lines.(i))
+      unpack ~time:t.times.(i) ~code:t.codes.(i) ~arg:t.args.(i) ~line:t.lines.(i) :: !acc
   done;
   !acc
 
-let events t = List.rev (fold_window t (fun acc e -> e :: acc) [])
+let events t = recent t (t.mask + 1)
+
+(* ------------------------------------------------------------------ *)
+(* Rendering                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let crash_phase_name = function
+  | 0 -> "down"
+  | 1 -> "detected"
+  | 2 -> "restarted"
+  | d -> Printf.sprintf "phase-%d" d
+
+(* Lines render as index@home (the operand form the rest of the tooling
+   uses); -1 marks an event with no line. *)
+let line_name line =
+  if line < 0 then "-"
+  else
+    Printf.sprintf "%d@%d"
+      (Types.Layout.index_of_line line)
+      (Types.Layout.home_of_line line)
+
+let op_name = function 0 -> "load" | 1 -> "store" | d -> Printf.sprintf "op-%d" d
+
+let describe e =
+  let line = line_name e.e_line in
+  if e.e_kind = k_send || e.e_kind = k_recv then
+    Printf.sprintf "%s %s %d->%d line %s" (kind_name e.e_kind)
+      (Message.class_index_name e.e_detail)
+      e.e_src e.e_dst line
+  else if e.e_kind = k_retransmit then Printf.sprintf "retransmit %d->%d" e.e_src e.e_dst
+  else if e.e_kind = k_issue then
+    Printf.sprintf "issue %s node %d line %s" (op_name e.e_detail) e.e_src line
+  else if e.e_kind = k_commit then
+    Printf.sprintf "commit %s node %d line %s = %d" (op_name e.e_detail) e.e_src line
+      e.e_arg
+  else if e.e_kind = k_crash then
+    Printf.sprintf "crash node %d %s" e.e_src (crash_phase_name e.e_detail)
+  else if e.e_kind = k_note then begin
+    let base = Printf.sprintf "%s node %d line %s" (note_name e.e_detail) e.e_src line in
+    if e.e_detail = n_dir_state then Printf.sprintf "%s -> %s" base (dstate_name e.e_arg)
+    else if e.e_detail = n_timeout then Printf.sprintf "%s (strike %d)" base e.e_arg
+    else if e.e_detail = n_delegate then
+      Printf.sprintf "%s (%d consumer%s this epoch)" base e.e_arg
+        (if e.e_arg = 1 then "" else "s")
+    else if e.e_detail = n_predictor then
+      Printf.sprintf "%s -> %s" base
+        (if e.e_arg = 1 then "producer-consumer" else "other")
+    else base
+  end
+  else
+    Printf.sprintf "%s(%d) node %d line %s" (kind_name e.e_kind) e.e_detail e.e_src line
+
+let pp_event ppf e = Format.fprintf ppf "[%8d] %s" e.e_time (describe e)
+
+(* ------------------------------------------------------------------ *)
+(* JSON                                                                *)
+(* ------------------------------------------------------------------ *)
+
+let event_to_json e =
+  Jsonl.List
+    [
+      Jsonl.Int e.e_time;
+      Jsonl.Int (pack_code ~kind:e.e_kind ~detail:e.e_detail ~src:e.e_src ~dst:e.e_dst);
+      Jsonl.Int e.e_arg;
+      Jsonl.Int e.e_line;
+    ]
+
+let event_of_json = function
+  | Jsonl.List [ Jsonl.Int time; Jsonl.Int code; Jsonl.Int arg; Jsonl.Int line ] ->
+      Some (unpack ~time ~code ~arg ~line)
+  | _ -> None
 
 type dump = {
   d_reason : string;
@@ -154,20 +219,6 @@ type dump = {
 }
 
 let dump_to_json t ~reason ~time ~nodes ~config =
-  let events =
-    fold_window t
-      (fun acc e ->
-        Jsonl.List
-          [
-            Jsonl.Int e.e_time;
-            Jsonl.Int (pack_code ~kind:e.e_kind ~detail:e.e_detail ~src:e.e_src ~dst:e.e_dst);
-            Jsonl.Int e.e_arg;
-            Jsonl.Int e.e_line;
-          ]
-        :: acc)
-      []
-    |> List.rev
-  in
   Jsonl.Obj
     [
       ("kind", Jsonl.String "pcc-flight");
@@ -178,7 +229,7 @@ let dump_to_json t ~reason ~time ~nodes ~config =
       ("config", Jsonl.String config);
       ("recorded", Jsonl.Int t.head);
       ("capacity", Jsonl.Int (t.mask + 1));
-      ("events", Jsonl.List events);
+      ("events", Jsonl.List (List.map event_to_json (events t)));
     ]
 
 let dump_of_json json =
@@ -205,16 +256,10 @@ let dump_of_json json =
   let* recorded = field "recorded" Jsonl.get_int in
   let* capacity = field "capacity" Jsonl.get_int in
   let* events = field "events" Jsonl.get_list in
-  let* events =
-    List.fold_left
-      (fun acc ev ->
-        let* acc = acc in
-        match ev with
-        | Jsonl.List [ Jsonl.Int time; Jsonl.Int code; Jsonl.Int arg; Jsonl.Int line ]
-          ->
-            Ok (unpack ~time ~code ~arg ~line :: acc)
-        | _ -> Error "flight dump: event is not a [time,code,arg,line] int quad")
-      (Ok []) events
+  let decoded = List.filter_map event_of_json events in
+  let* () =
+    if List.compare_lengths decoded events = 0 then Ok ()
+    else Error "flight dump: event is not a [time,code,arg,line] int quad"
   in
   Ok
     {
@@ -224,7 +269,7 @@ let dump_of_json json =
       d_config = config;
       d_recorded = recorded;
       d_capacity = capacity;
-      d_events = List.rev events;
+      d_events = decoded;
     }
 
 let write_dump t ~path ~reason ~time ~nodes ~config =

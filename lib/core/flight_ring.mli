@@ -1,14 +1,17 @@
 (** Always-on flight recorder: a fixed-size ring of int-packed protocol
     events.
 
-    Every {!System} keeps one of these running from cycle zero; the
-    record path stores four ints into preallocated arrays and allocates
-    nothing, so the recorder can stay on for every run (the [test_alloc]
-    budgets enforce this).  When a run ends badly — stalled, oracle
-    violation, node crash, uncaught exception — the last window of
-    events is dumped atomically as a JSON post-mortem artifact that
-    [pcc_trace --flight] decodes into a timeline and a Perfetto
-    fragment (see {!Pcc_telemetry.Flight}). *)
+    Every {!System} keeps one of these running from cycle zero, owned by
+    its {!Probe}; the record path stores four ints into preallocated
+    arrays and allocates nothing, so the recorder can stay on for every
+    run (the [test_alloc] budgets enforce this).  The ring is the
+    machine's only recent-event window: stall reports and oracle
+    failures carry its last events ({!recent}), and when a run ends
+    badly — stalled, oracle violation, node crash, uncaught exception —
+    the retained window is dumped atomically as a JSON post-mortem
+    artifact that [pcc_trace --flight] decodes into a timeline and a
+    Perfetto fragment (see {!Pcc_telemetry.Flight}).  Every tool renders
+    events through {!describe}. *)
 
 type t
 
@@ -35,6 +38,8 @@ val k_commit : int
 (** processor op committed; detail = 0 load / 1 store, arg = value *)
 
 val k_crash : int  (** fail-stop phase; detail = 0 down / 1 detected / 2 restarted *)
+
+val crash_phase_name : int -> string
 
 val k_note : int  (** protocol decision point; detail = note code below *)
 
@@ -103,6 +108,27 @@ val unpack : time:int -> code:int -> arg:int -> line:int -> event
 val events : t -> event list
 (** The retained window (last [min total capacity] events), oldest
     first — wrap-around is resolved here. *)
+
+val recent : t -> int -> event list
+(** [recent t n]: the last [n] retained events, oldest first (the whole
+    window when [n] exceeds it). *)
+
+val describe : event -> string
+(** One human-readable line for one event (no timestamp), e.g.
+    ["send get-shared 3->0 line 5@0"] or ["dir-state node 0 line 5@0 -> Dele"]. *)
+
+val pp_event : Format.formatter -> event -> unit
+(** ["[%8d] %s"] — timestamp column plus {!describe}. *)
+
+val line_name : int -> string
+(** A line as ["index@home"], or ["-"] for [-1] (no line). *)
+
+val event_to_json : event -> Pcc_stats.Jsonl.t
+(** The [[time, code, arg, line]] int quad dumps and oracle artifacts
+    store. *)
+
+val event_of_json : Pcc_stats.Jsonl.t -> event option
+(** Inverse of {!event_to_json}; [None] on anything but an int quad. *)
 
 (** {2 Post-mortem dumps} *)
 

@@ -57,10 +57,6 @@ let rec arm_retransmit t ~dst ~seq ~attempt =
       | bytes, payload ->
           t.retx_by_dst.(dst) <- t.retx_by_dst.(dst) + 1;
           t.on_retransmit ~dst;
-          if Sim.trace_enabled t.sim then
-            Sim.record t.sim ~time:(Sim.now t.sim)
-              (Printf.sprintf "link %d->%d retransmit seq %d (attempt %d)" t.id dst seq
-                 (attempt + 1));
           Network.send t.network ~src:t.id ~dst ~bytes (Data { seq; payload });
           arm_retransmit t ~dst ~seq ~attempt:(attempt + 1))
 

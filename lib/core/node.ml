@@ -66,23 +66,10 @@ type prod_entry = {
          cannot identify a dead flush target during crash recovery *)
 }
 
-(* A committed processor operation, as seen by external observers (the
-   coherence oracle).  [c_value] is the value returned to the processor
-   (for stores: the globally unique version written). *)
-type commit_event = {
-  c_node : Types.node_id;
-  c_kind : Types.op_kind;
-  c_line : Types.line;
-  c_value : int;
-  c_started : int;
-  c_time : int;
-  c_l2_hit : bool;
-  c_miss : Types.miss_class option;  (* None for L2 hits *)
-}
-
 type t = {
   config : Config.t;
   sim : Sim.t;
+  probe : Probe.t;  (* the machine's event sink and flight recorder *)
   hub : Message.t Hub_link.t;
   id : Types.node_id;
   stats : Run_stats.t;
@@ -110,9 +97,6 @@ type t = {
       (* cached [stats.message_classes] cells, indexed by
          [Message.class_index]; filled lazily so untouched classes never
          appear in reports, then bumped without hashing the class name *)
-  flight : Flight_ring.t;
-      (* always-on post-mortem recorder, shared machine-wide; the record
-         path is allocation-free so it stays armed in every run *)
   mutable deledc_pressure : int;
       (* delegate-cache capacity events (producer victims, locked-set
          refusals, consumer-hint evictions): zero means a larger delegate
@@ -121,62 +105,14 @@ type t = {
   mutable pending : pending option;
   mutable alive : bool;
   mutable node_epoch : int;  (* incarnation count, mirrors the network's *)
-  mutable trace : (time:int -> dst:Types.node_id -> Message.t -> unit) list;
-  mutable commit_hooks : (commit_event -> unit) list;
-  mutable issue_hooks :
-    (time:int -> kind:Types.op_kind -> line:Types.line -> unit) list;
-  mutable recv_hooks : (time:int -> src:Types.node_id -> Message.t -> unit) list;
-  mutable retransmit_hooks : (time:int -> dst:Types.node_id -> unit) list;
 }
 
 let id t = t.id
 
 let busy t = t.pending <> None
 
-let set_trace t f = t.trace <- t.trace @ [ f ]
-
-let on_commit t f = t.commit_hooks <- t.commit_hooks @ [ f ]
-
-let on_issue t f = t.issue_hooks <- t.issue_hooks @ [ f ]
-
-let on_recv t f = t.recv_hooks <- t.recv_hooks @ [ f ]
-
-let on_retransmit t f = t.retransmit_hooks <- t.retransmit_hooks @ [ f ]
-
-let op_code = function Types.Load -> 0 | Types.Store -> 1
-
-(* Flight-recorder notes: protocol decision points recorded straight into
-   the shared ring (no observer closure, no allocation). *)
-let note t ~code ~line ~arg =
-  Flight_ring.record t.flight ~time:(Sim.now t.sim) ~kind:Flight_ring.k_note
-    ~detail:code ~src:t.id ~dst:t.id ~line ~arg
-
-let notify_issue t ~kind ~line =
-  Flight_ring.record t.flight ~time:(Sim.now t.sim) ~kind:Flight_ring.k_issue
-    ~detail:(op_code kind) ~src:t.id ~dst:t.id ~line ~arg:0;
-  match t.issue_hooks with
-  | [] -> ()
-  | fs -> List.iter (fun f -> f ~time:(Sim.now t.sim) ~kind ~line) fs
-
-let notify_commit t ~kind ~line ~value ~started ~l2_hit ~miss =
-  Flight_ring.record t.flight ~time:(Sim.now t.sim) ~kind:Flight_ring.k_commit
-    ~detail:(op_code kind) ~src:t.id ~dst:t.id ~line ~arg:value;
-  match t.commit_hooks with
-  | [] -> ()
-  | hooks ->
-      let event =
-        {
-          c_node = t.id;
-          c_kind = kind;
-          c_line = line;
-          c_value = value;
-          c_started = started;
-          c_time = Sim.now t.sim;
-          c_l2_hit = l2_hit;
-          c_miss = miss;
-        }
-      in
-      List.iter (fun f -> f event) hooks
+(* Protocol decision points, recorded straight into the flight ring. *)
+let note t ~code ~line ~arg = Probe.note t.probe ~node:t.id ~code ~line ~arg
 
 let directory t = t.dir
 
@@ -229,12 +165,7 @@ let effective_intervention_delay t entry =
 (* ------------------------------------------------------------------ *)
 
 let send t ~dst msg =
-  Flight_ring.record t.flight ~time:(Sim.now t.sim) ~kind:Flight_ring.k_send
-    ~detail:(Message.class_index msg) ~src:t.id ~dst ~line:(Message.line_of msg)
-    ~arg:0;
-  (match t.trace with
-  | [] -> ()
-  | fs -> List.iter (fun f -> f ~time:(Sim.now t.sim) ~dst msg) fs);
+  Probe.send t.probe ~src:t.id ~dst msg;
   if dst <> t.id then begin
     let idx = Message.class_index msg in
     let cell =
@@ -506,11 +437,6 @@ let force_fallback t line =
     (match t.consumer_table with
     | Some table -> Consumer.remove table line
     | None -> ());
-    if Sim.trace_enabled t.sim then
-      Sim.record t.sim ~time:(Sim.now t.sim)
-        (Printf.sprintf "node %d: line %d@%d falls back to base protocol" t.id
-           (Types.Layout.index_of_line line)
-           (Types.Layout.home_of_line line));
     match find_producer t line with
     | None -> ()
     | Some entry ->
@@ -564,8 +490,8 @@ let commit_load t p ~value ~miss =
     (Memory_check.load_committed t.memcheck p.line ~value ~started:p.started ~time:now);
   Run_stats.record_miss t.stats miss ~line:p.line ~latency:(now - p.started);
   t.pending <- None;
-  notify_commit t ~kind:Types.Load ~line:p.line ~value ~started:p.started
-    ~l2_hit:false ~miss:(Some miss);
+  Probe.commit t.probe ~node:t.id ~kind:Types.Load ~line:p.line ~value
+    ~started:p.started ~l2_hit:false ~miss:(Some miss);
   p.on_commit ()
 
 (* Producer bookkeeping common to store commits and exclusive store hits:
@@ -600,8 +526,8 @@ let rec commit_store t p =
   in
   Run_stats.record_miss t.stats miss ~line:p.line ~latency:(now - p.started);
   t.pending <- None;
-  notify_commit t ~kind:Types.Store ~line:p.line ~value:version ~started:p.started
-    ~l2_hit:false ~miss:(Some miss);
+  Probe.commit t.probe ~node:t.id ~kind:Types.Store ~line:p.line ~value:version
+    ~started:p.started ~l2_hit:false ~miss:(Some miss);
   note_producer_write t p.line;
   List.iter
     (fun d ->
@@ -1327,12 +1253,7 @@ let on_update_flush_ack t ~src line =
 (* ------------------------------------------------------------------ *)
 
 let handle_message t ~src (msg : Message.t) =
-  Flight_ring.record t.flight ~time:(Sim.now t.sim) ~kind:Flight_ring.k_recv
-    ~detail:(Message.class_index msg) ~src ~dst:t.id ~line:(Message.line_of msg)
-    ~arg:0;
-  (match t.recv_hooks with
-  | [] -> ()
-  | fs -> List.iter (fun f -> f ~time:(Sim.now t.sim) ~src msg) fs);
+  Probe.recv t.probe ~src ~dst:t.id msg;
   match msg with
   | Get_shared { line; tid } ->
       if home_of line = t.id then home_get_shared t ~src ~tid line
@@ -1388,13 +1309,6 @@ let rec arm_txn_timeout t p ~delay =
           t.stats.txn_timeouts <- t.stats.txn_timeouts + 1;
           p.timeouts <- p.timeouts + 1;
           note t ~code:Flight_ring.n_timeout ~line:p.line ~arg:p.timeouts;
-          if Sim.trace_enabled t.sim then
-            Sim.record t.sim ~time:(Sim.now t.sim)
-              (Printf.sprintf "node %d: %s on line %d@%d timed out (strike %d)" t.id
-                 (match p.kind with Types.Load -> "load" | Types.Store -> "store")
-                 (Types.Layout.index_of_line p.line)
-                 (Types.Layout.home_of_line p.line)
-                 p.timeouts);
           note_strike t p.line;
           (if not p.have_data then start_attempt t p
            else if t.crashable && p.kind = Types.Store && p.acks_needed > 0 then
@@ -1442,7 +1356,7 @@ let start_miss t ~kind ~line ~on_commit =
 let submit t ~kind ~line ~on_commit =
   if t.pending <> None then invalid_arg "Node.submit: operation already pending";
   let started = Sim.now t.sim in
-  notify_issue t ~kind ~line;
+  Probe.issue t.probe ~node:t.id ~kind ~line;
   (match kind with
   | Types.Load -> t.stats.loads <- t.stats.loads + 1
   | Types.Store -> t.stats.stores <- t.stats.stores + 1);
@@ -1453,8 +1367,8 @@ let submit t ~kind ~line ~on_commit =
           ignore
             (Memory_check.load_committed t.memcheck line ~value:entry.value ~started
                ~time:(Sim.now t.sim));
-          notify_commit t ~kind:Types.Load ~line ~value:entry.value ~started
-            ~l2_hit:true ~miss:None;
+          Probe.commit t.probe ~node:t.id ~kind:Types.Load ~line ~value:entry.value
+            ~started ~l2_hit:true ~miss:None;
           on_commit ())
   | Some L2.{ state = Exclusive; _ }, Types.Store ->
       t.stats.l2_hits <- t.stats.l2_hits + 1;
@@ -1470,8 +1384,8 @@ let submit t ~kind ~line ~on_commit =
                   entry.last_write <- Sim.now t.sim;
                   schedule_intervention t line entry
               | None -> ());
-              notify_commit t ~kind:Types.Store ~line ~value:version ~started
-                ~l2_hit:true ~miss:None;
+              Probe.commit t.probe ~node:t.id ~kind:Types.Store ~line ~value:version
+                ~started ~l2_hit:true ~miss:None;
               on_commit ()
           | Some L2.{ state = Shared; _ } | None ->
               (* lost exclusivity in the hit window: take the miss path *)
@@ -1483,19 +1397,13 @@ let submit t ~kind ~line ~on_commit =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create ?alive_view ?flight ~config ~sim ~network ~id ~stats ~memcheck
-    ~next_version ~rng () =
+let create ~probe ~alive_view ~config ~sim ~network ~id ~stats ~memcheck ~next_version
+    ~rng () =
   let open Config in
   if config.speculative_updates && not config.rac_enabled then
     invalid_arg "Node.create: speculative updates require a RAC";
   if config.delegation_enabled && not config.rac_enabled then
     invalid_arg "Node.create: delegation requires a RAC";
-  let alive_view =
-    match alive_view with Some a -> a | None -> Array.make config.nodes true
-  in
-  let flight =
-    match flight with Some f -> f | None -> Flight_ring.create ()
-  in
   let l2 =
     L2.create ~rng:(Pcc_engine.Rng.split rng) ~lines:(Config.l2_lines config)
       ~ways:config.l2_ways ()
@@ -1522,18 +1430,16 @@ let create ?alive_view ?flight ~config ~sim ~network ~id ~stats ~memcheck
            ~ways:config.delegate_ways ())
     else None
   in
-  (* The hub link needs the node's message handler (and the node's
-     retransmit hooks) while the node needs the hub to send: tie the knot
-     through forward references. *)
+  (* The hub link needs the node's message handler while the node needs
+     the hub to send: tie the knot through a forward reference. *)
   let handler = ref (fun ~src:_ (_ : Message.t) -> assert false) in
-  let retransmit_notify = ref (fun ~dst:_ -> ()) in
   let hub =
     Hub_link.create ~sim ~network ~id ~nodes:config.nodes
       ~reliable:(Config.hardened config) ~rto:config.link_rto
       ~rto_cap:config.link_rto_cap ~ack_bytes:Message.header_bytes
       ~on_retransmit:(fun ~dst ->
         stats.Run_stats.retransmits <- stats.Run_stats.retransmits + 1;
-        !retransmit_notify ~dst)
+        Probe.retransmit probe ~src:id ~dst)
       ~on_duplicate:(fun () ->
         stats.Run_stats.dup_dropped <- stats.Run_stats.dup_dropped + 1)
       ~deliver:(fun ~src msg -> !handler ~src msg)
@@ -1542,6 +1448,7 @@ let create ?alive_view ?flight ~config ~sim ~network ~id ~stats ~memcheck
     {
       config;
       sim;
+      probe;
       hub;
       id;
       stats;
@@ -1561,27 +1468,14 @@ let create ?alive_view ?flight ~config ~sim ~network ~id ~stats ~memcheck
       strikes = Hashtbl.create 16;
       fallback_lines = Hashtbl.create 16;
       class_cells = Array.make Message.class_count None;
-      flight;
       deledc_pressure = 0;
       next_tid = 0;
       pending = None;
       alive = true;
       node_epoch = 0;
-      trace = [];
-      commit_hooks = [];
-      issue_hooks = [];
-      recv_hooks = [];
-      retransmit_hooks = [];
     }
   in
   handler := (fun ~src msg -> handle_message t ~src msg);
-  (retransmit_notify :=
-     fun ~dst ->
-       Flight_ring.record t.flight ~time:(Sim.now t.sim)
-         ~kind:Flight_ring.k_retransmit ~detail:0 ~src:t.id ~dst ~line:(-1) ~arg:0;
-       match t.retransmit_hooks with
-       | [] -> ()
-       | fs -> List.iter (fun f -> f ~time:(Sim.now t.sim) ~dst) fs);
   t
 
 (* ------------------------------------------------------------------ *)
@@ -1602,8 +1496,6 @@ let rac_updates_wasted t =
 let rac_pressure t = match t.rac with Some rac -> Rac.pressure rac | None -> 0
 
 let deledc_pressure t = t.deledc_pressure
-
-let flight t = t.flight
 
 let is_delegated_producer t line = find_producer t line <> None
 

@@ -6,13 +6,18 @@
     with delegation enabled — (c) a potential {e delegated home} for lines
     it produces.  All inter-node interaction goes through coherence
     messages on the network; a node sending to itself models a processor
-    accessing its own home memory. *)
+    accessing its own home memory.
+
+    A node has no observer surface of its own: every send, receive,
+    issue, commit, retransmission and protocol decision note goes once
+    into the machine's {!Probe}, which records it in the flight ring and
+    fans it out to {!System}'s subscribers. *)
 
 type t
 
 val create :
-  ?alive_view:bool array ->
-  ?flight:Flight_ring.t ->
+  probe:Probe.t ->
+  alive_view:bool array ->
   config:Config.t ->
   sim:Pcc_engine.Simulator.t ->
   network:Message.t Hub_link.frame Pcc_interconnect.Network.t ->
@@ -28,11 +33,9 @@ val create :
     with a fault profile configured ({!Config.hardened}) the link runs
     in reliable mode, otherwise it is a strict pass-through.
     [next_version] supplies globally unique store values for coherence
-    checking.  [alive_view] is the machine-wide aliveness array shared
-    by every node of one system (crash-capable machines; defaults to a
-    private all-alive array).  [flight] is the machine-wide always-on
-    flight recorder every protocol event is written into (defaults to a
-    private ring); the record path allocates nothing. *)
+    checking.  [probe] is the machine-wide event sink every protocol
+    event is emitted into; [alive_view] is the machine-wide aliveness
+    array shared by every node of one system (flipped by crashes). *)
 
 val id : t -> Types.node_id
 
@@ -45,48 +48,6 @@ val submit :
 
 val busy : t -> bool
 (** True while a submitted operation has not yet committed. *)
-
-val set_trace : t -> (time:int -> dst:Types.node_id -> Message.t -> unit) -> unit
-(** Observe every message this node sends (for trace tooling/tests).
-    Observers compose: each registered function is called in registration
-    order; none replaces another. *)
-
-(** A committed processor operation as reported to {!on_commit}
-    observers.  [c_value] is the value returned to the processor — for
-    stores, the globally unique version written. *)
-type commit_event = {
-  c_node : Types.node_id;
-  c_kind : Types.op_kind;
-  c_line : Types.line;
-  c_value : int;
-  c_started : int;  (** cycle the operation was submitted *)
-  c_time : int;  (** cycle it committed *)
-  c_l2_hit : bool;  (** satisfied entirely by the local L2 *)
-  c_miss : Types.miss_class option;
-      (** how the miss was serviced; [None] for L2 hits *)
-}
-
-val on_commit : t -> (commit_event -> unit) -> unit
-(** Observe every committed load/store on this node.  The hook fires
-    after the commit's cache effects but before the processor's
-    continuation runs.  Observers compose like {!set_trace} and must not
-    submit operations or mutate protocol state. *)
-
-val on_issue :
-  t -> (time:int -> kind:Types.op_kind -> line:Types.line -> unit) -> unit
-(** Observe every processor operation as it is submitted, before any
-    cache lookup.  Paired with {!on_commit} this brackets the lifetime of
-    each transaction (telemetry spans).  Observers compose like
-    {!set_trace}; all hooks cost nothing when none are registered. *)
-
-val on_recv : t -> (time:int -> src:Types.node_id -> Message.t -> unit) -> unit
-(** Observe every coherence message as this node's hub delivers it,
-    before the protocol reacts to it.  The mirror of {!set_trace}
-    (sends). *)
-
-val on_retransmit : t -> (time:int -> dst:Types.node_id -> unit) -> unit
-(** Observe every hub-link retransmission this node performs (hardened
-    mode only). *)
 
 (** {2 Inspection (tests, examples, invariant checks)} *)
 
@@ -109,9 +70,6 @@ val deledc_pressure : t -> int
     locked-set refusals plus consumer-hint evictions.  Zero means a
     larger delegate cache would have run byte-identically (the bench
     matrix collapses such configs). *)
-
-val flight : t -> Flight_ring.t
-(** The machine-wide flight recorder this node records into. *)
 
 val is_delegated_producer : t -> Types.line -> bool
 (** True when this node currently holds a producer-table entry for the

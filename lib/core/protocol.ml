@@ -22,17 +22,6 @@ module type S = sig
 
   val busy : node -> bool
 
-  val set_trace : node -> (time:int -> dst:Types.node_id -> Message.t -> unit) -> unit
-
-  val on_commit : node -> (Node.commit_event -> unit) -> unit
-
-  val on_issue :
-    node -> (time:int -> kind:Types.op_kind -> line:Types.line -> unit) -> unit
-
-  val on_recv : node -> (time:int -> src:Types.node_id -> Message.t -> unit) -> unit
-
-  val on_retransmit : node -> (time:int -> dst:Types.node_id -> unit) -> unit
-
   val l2_state : node -> Types.line -> L2.entry option
 
   val iter_l2 : node -> (Types.line -> L2.entry -> unit) -> unit
@@ -67,47 +56,5 @@ type packed = Pack : (module S with type node = 'n) * 'n array -> packed
 module Adaptive_backend = struct
   type node = Node.t
 
-  let id = Node.id
-
-  let submit = Node.submit
-
-  let busy = Node.busy
-
-  let set_trace = Node.set_trace
-
-  let on_commit = Node.on_commit
-
-  let on_issue = Node.on_issue
-
-  let on_recv = Node.on_recv
-
-  let on_retransmit = Node.on_retransmit
-
-  let l2_state = Node.l2_state
-
-  let iter_l2 = Node.iter_l2
-
-  let pending_op = Node.pending_op
-
-  let pending_info = Node.pending_info
-
-  let check_invariants = Node.check_invariants
-
-  let delegated_line_count = Node.delegated_line_count
-
-  let rac_occupancy = Node.rac_occupancy
-
-  let rac_capacity = Node.rac_capacity
-
-  let rac_updates_consumed = Node.rac_updates_consumed
-
-  let rac_updates_wasted = Node.rac_updates_wasted
-
-  let rac_pressure = Node.rac_pressure
-
-  let deledc_pressure = Node.deledc_pressure
-
-  let hub_in_flight = Node.hub_in_flight
-
-  let link_retransmits = Node.link_retransmits
+  include Node
 end

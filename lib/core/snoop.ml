@@ -30,6 +30,7 @@ type pending = {
 type t = {
   config : Config.t;
   sim : Sim.t;
+  probe : Probe.t;
   hub : Message.t Hub_link.t;
   id : Types.node_id;
   stats : Run_stats.t;
@@ -42,15 +43,8 @@ type t = {
          the value oracle's before-time initial value *)
   bus : bus;
   class_cells : int ref option array;
-  flight : Flight_ring.t;
   mutable next_tid : int;
   mutable pending : pending option;
-  mutable trace : (time:int -> dst:Types.node_id -> Message.t -> unit) list;
-  mutable commit_hooks : (Node.commit_event -> unit) list;
-  mutable issue_hooks :
-    (time:int -> kind:Types.op_kind -> line:Types.line -> unit) list;
-  mutable recv_hooks : (time:int -> src:Types.node_id -> Message.t -> unit) list;
-  mutable retransmit_hooks : (time:int -> dst:Types.node_id -> unit) list;
 }
 
 (* The machine-wide bus: a round-robin arbiter over the nodes.  [rr] is
@@ -68,62 +62,18 @@ let id t = t.id
 
 let busy t = t.pending <> None
 
-let set_trace t f = t.trace <- t.trace @ [ f ]
-
-let on_commit t f = t.commit_hooks <- t.commit_hooks @ [ f ]
-
-let on_issue t f = t.issue_hooks <- t.issue_hooks @ [ f ]
-
-let on_recv t f = t.recv_hooks <- t.recv_hooks @ [ f ]
-
-let on_retransmit t f = t.retransmit_hooks <- t.retransmit_hooks @ [ f ]
-
-let op_code = function Types.Load -> 0 | Types.Store -> 1
-
 let home_of line = Types.Layout.home_of_line line
 
 let mem_read t line = match Hashtbl.find_opt t.mem line with Some v -> v | None -> 0
 
 let mem_write t line value = Hashtbl.replace t.mem line value
 
-let notify_issue t ~kind ~line =
-  Flight_ring.record t.flight ~time:(Sim.now t.sim) ~kind:Flight_ring.k_issue
-    ~detail:(op_code kind) ~src:t.id ~dst:t.id ~line ~arg:0;
-  match t.issue_hooks with
-  | [] -> ()
-  | fs -> List.iter (fun f -> f ~time:(Sim.now t.sim) ~kind ~line) fs
-
-let notify_commit t ~kind ~line ~value ~started ~l2_hit ~miss =
-  Flight_ring.record t.flight ~time:(Sim.now t.sim) ~kind:Flight_ring.k_commit
-    ~detail:(op_code kind) ~src:t.id ~dst:t.id ~line ~arg:value;
-  match t.commit_hooks with
-  | [] -> ()
-  | hooks ->
-      let event =
-        {
-          Node.c_node = t.id;
-          c_kind = kind;
-          c_line = line;
-          c_value = value;
-          c_started = started;
-          c_time = Sim.now t.sim;
-          c_l2_hit = l2_hit;
-          c_miss = miss;
-        }
-      in
-      List.iter (fun f -> f event) hooks
-
 (* ------------------------------------------------------------------ *)
-(* Messaging and timing helpers (mirrors Node's hot path)              *)
+(* Messaging and timing helpers (mirrors the adaptive node's hot path) *)
 (* ------------------------------------------------------------------ *)
 
 let send t ~dst msg =
-  Flight_ring.record t.flight ~time:(Sim.now t.sim) ~kind:Flight_ring.k_send
-    ~detail:(Message.class_index msg) ~src:t.id ~dst ~line:(Message.line_of msg)
-    ~arg:0;
-  (match t.trace with
-  | [] -> ()
-  | fs -> List.iter (fun f -> f ~time:(Sim.now t.sim) ~dst msg) fs);
+  Probe.send t.probe ~src:t.id ~dst msg;
   if dst <> t.id then begin
     let idx = Message.class_index msg in
     let cell =
@@ -306,8 +256,8 @@ and commit t p =
   Run_stats.record_miss t.stats miss ~line:p.line ~latency:(now - p.started);
   t.pending <- None;
   release_bus t;
-  notify_commit t ~kind:p.kind ~line:p.line ~value ~started:p.started ~l2_hit:false
-    ~miss:(Some miss);
+  Probe.commit t.probe ~node:t.id ~kind:p.kind ~line:p.line ~value ~started:p.started
+    ~l2_hit:false ~miss:(Some miss);
   p.on_commit ()
 
 (* ------------------------------------------------------------------ *)
@@ -429,12 +379,7 @@ let on_bus_wb_ack t =
 (* ------------------------------------------------------------------ *)
 
 let handle_message t ~src (msg : Message.t) =
-  Flight_ring.record t.flight ~time:(Sim.now t.sim) ~kind:Flight_ring.k_recv
-    ~detail:(Message.class_index msg) ~src ~dst:t.id ~line:(Message.line_of msg)
-    ~arg:0;
-  (match t.recv_hooks with
-  | [] -> ()
-  | fs -> List.iter (fun f -> f ~time:(Sim.now t.sim) ~src msg) fs);
+  Probe.recv t.probe ~src ~dst:t.id msg;
   match msg with
   | Bus_rd { line; tid } -> on_bus_rd t ~requester:src ~tid line
   | Bus_rdx { line; tid } -> on_bus_rdx t ~requester:src ~tid line
@@ -483,7 +428,7 @@ let start_miss t ~kind ~line ~on_commit =
 let submit t ~kind ~line ~on_commit =
   if t.pending <> None then invalid_arg "Snoop.submit: operation already pending";
   let started = Sim.now t.sim in
-  notify_issue t ~kind ~line;
+  Probe.issue t.probe ~node:t.id ~kind ~line;
   (match kind with
   | Types.Load -> t.stats.loads <- t.stats.loads + 1
   | Types.Store -> t.stats.stores <- t.stats.stores + 1);
@@ -494,8 +439,8 @@ let submit t ~kind ~line ~on_commit =
           ignore
             (Memory_check.load_committed t.memcheck line ~value:entry.value ~started
                ~time:(Sim.now t.sim));
-          notify_commit t ~kind:Types.Load ~line ~value:entry.value ~started
-            ~l2_hit:true ~miss:None;
+          Probe.commit t.probe ~node:t.id ~kind:Types.Load ~line ~value:entry.value
+            ~started ~l2_hit:true ~miss:None;
           on_commit ())
   | Some L2.{ state = Exclusive; _ }, Types.Store ->
       t.stats.l2_hits <- t.stats.l2_hits + 1;
@@ -507,8 +452,8 @@ let submit t ~kind ~line ~on_commit =
               L2.set t.l2 line L2.{ state = Exclusive; value = version; dirty = true };
               Memory_check.store_committed t.memcheck line ~node:t.id ~value:version
                 ~time:(Sim.now t.sim);
-              notify_commit t ~kind:Types.Store ~line ~value:version ~started
-                ~l2_hit:true ~miss:None;
+              Probe.commit t.probe ~node:t.id ~kind:Types.Store ~line ~value:version
+                ~started ~l2_hit:true ~miss:None;
               on_commit ()
           | Some L2.{ state = Shared; _ } | None ->
               (* lost exclusivity in the hit window: take the miss path *)
@@ -520,21 +465,20 @@ let submit t ~kind ~line ~on_commit =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create_node ~alive_view:_ ~flight ~config ~sim ~network ~id ~stats ~memcheck
-    ~next_version ~rng ~bus () =
+let create_node ~probe ~config ~sim ~network ~id ~stats ~memcheck ~next_version ~rng
+    ~bus () =
   let l2 =
     L2.create ~rng:(Pcc_engine.Rng.split rng) ~lines:(Config.l2_lines config)
       ~ways:config.l2_ways ()
   in
   let handler = ref (fun ~src:_ (_ : Message.t) -> assert false) in
-  let retransmit_notify = ref (fun ~dst:_ -> ()) in
   let hub =
     Hub_link.create ~sim ~network ~id ~nodes:config.nodes
       ~reliable:(Config.hardened config) ~rto:config.link_rto
       ~rto_cap:config.link_rto_cap ~ack_bytes:Message.header_bytes
       ~on_retransmit:(fun ~dst ->
         stats.Run_stats.retransmits <- stats.Run_stats.retransmits + 1;
-        !retransmit_notify ~dst)
+        Probe.retransmit probe ~src:id ~dst)
       ~on_duplicate:(fun () ->
         stats.Run_stats.dup_dropped <- stats.Run_stats.dup_dropped + 1)
       ~deliver:(fun ~src msg -> !handler ~src msg)
@@ -543,6 +487,7 @@ let create_node ~alive_view:_ ~flight ~config ~sim ~network ~id ~stats ~memcheck
     {
       config;
       sim;
+      probe;
       hub;
       id;
       stats;
@@ -553,36 +498,19 @@ let create_node ~alive_view:_ ~flight ~config ~sim ~network ~id ~stats ~memcheck
       mem = Hashtbl.create 64;
       bus;
       class_cells = Array.make Message.class_count None;
-      flight;
       next_tid = 0;
       pending = None;
-      trace = [];
-      commit_hooks = [];
-      issue_hooks = [];
-      recv_hooks = [];
-      retransmit_hooks = [];
     }
   in
   handler := (fun ~src msg -> handle_message t ~src msg);
-  (retransmit_notify :=
-     fun ~dst ->
-       Flight_ring.record t.flight ~time:(Sim.now t.sim)
-         ~kind:Flight_ring.k_retransmit ~detail:0 ~src:t.id ~dst ~line:(-1) ~arg:0;
-       match t.retransmit_hooks with
-       | [] -> ()
-       | fs -> List.iter (fun f -> f ~time:(Sim.now t.sim) ~dst) fs);
   t
 
-let create_machine ?alive_view ?flight ~(config : Config.t) ~sim ~network ~stats
-    ~memcheck ~next_version ~rng () =
+let create_machine ~probe ~(config : Config.t) ~sim ~network ~stats ~memcheck
+    ~next_version ~rng () =
   if config.protocol = Types.Adaptive then
     invalid_arg "Snoop.create_machine: adaptive config on the snooping backend";
   if Config.crash_capable config then
     invalid_arg "Snoop.create_machine: fail-stop crashes are not supported";
-  let alive_view =
-    match alive_view with Some a -> a | None -> Array.make config.nodes true
-  in
-  let flight = match flight with Some f -> f | None -> Flight_ring.create () in
   let bus =
     {
       granted_to = None;
@@ -593,8 +521,7 @@ let create_machine ?alive_view ?flight ~(config : Config.t) ~sim ~network ~stats
   in
   let nodes =
     Array.init config.nodes (fun id ->
-        create_node ~alive_view ~flight ~config ~sim ~network ~id ~stats ~memcheck
-          ~next_version
+        create_node ~probe ~config ~sim ~network ~id ~stats ~memcheck ~next_version
           ~rng:(Pcc_engine.Rng.split rng)
           ~bus ())
   in
@@ -702,16 +629,6 @@ module Backend = struct
   let submit = submit
 
   let busy = busy
-
-  let set_trace = set_trace
-
-  let on_commit = on_commit
-
-  let on_issue = on_issue
-
-  let on_recv = on_recv
-
-  let on_retransmit = on_retransmit
 
   let l2_state = l2_state
 

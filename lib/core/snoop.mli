@@ -1,8 +1,9 @@
 (** Bus-snooping MSI/MESI backend.
 
     The classic broadcast protocols, modeled on the same plumbing as the
-    adaptive machine (hub links, network, flight recorder, statistics)
-    so every observability and fault-injection layer applies unchanged.
+    adaptive machine (hub links, network, statistics, and the machine's
+    {!Probe} for every observed event) so every observability and
+    fault-injection layer applies unchanged.
 
     The shared bus is a machine-wide round-robin arbiter: one
     transaction holds the bus at a time, a grant costs
@@ -33,8 +34,7 @@
 type t
 
 val create_machine :
-  ?alive_view:bool array ->
-  ?flight:Flight_ring.t ->
+  probe:Probe.t ->
   config:Config.t ->
   sim:Pcc_engine.Simulator.t ->
   network:Message.t Hub_link.frame Pcc_interconnect.Network.t ->

@@ -37,7 +37,7 @@ type t = {
     (time:int -> node:Types.node_id -> phase:crash_phase -> unit) list;
   mutable last_finish : int;
   mutable commits : int;  (* watchdog progress counter (hardened mode) *)
-  flight : Flight_ring.t;  (* always-on machine-wide flight recorder *)
+  probe : Probe.t;  (* event sink: subscribers plus the always-on flight ring *)
   mutable flight_dump : string option;
       (* armed post-mortem path: stalls, crashes, and uncaught exceptions
          (oracle violations included) dump the flight window here *)
@@ -53,7 +53,9 @@ let adaptive_exn t =
         (Printf.sprintf "System: adaptive backend required (running %s)"
            (Config.describe t.config))
 
-let flight t = t.flight
+let flight t = Probe.flight t.probe
+
+let recent t = Flight_ring.recent (flight t) 64
 
 let arm_flight_dump t ~path = t.flight_dump <- Some path
 
@@ -66,7 +68,7 @@ let dump_flight t ~reason =
   match t.flight_dump with
   | None -> None
   | Some path ->
-      Flight_ring.write_dump t.flight ~path ~reason ~time:(Sim.now t.sim)
+      Flight_ring.write_dump (flight t) ~path ~reason ~time:(Sim.now t.sim)
         ~nodes:t.config.nodes ~config:(Config.describe t.config);
       Some path
 
@@ -75,19 +77,17 @@ let crash_phase_code = function
   | Crash_detected -> 1
   | Crash_restarted -> 2
 
-let crash_phase_name = function
-  | Crash_down -> "down"
-  | Crash_detected -> "detected"
-  | Crash_restarted -> "restarted"
-
+(* Crash phases are the one event kind System emits itself, so it keeps
+   their subscriber list too. *)
 let fire_crash_hooks t ~node ~phase =
   let time = Sim.now t.sim in
-  Flight_ring.record t.flight ~time ~kind:Flight_ring.k_crash
-    ~detail:(crash_phase_code phase) ~src:node ~dst:node ~line:(-1) ~arg:0;
+  let code = crash_phase_code phase in
+  Flight_ring.record (flight t) ~time ~kind:Flight_ring.k_crash ~detail:code ~src:node
+    ~dst:node ~line:(-1) ~arg:0;
   (match
      dump_flight t
        ~reason:
-         (Printf.sprintf "crash: node %d %s" node (crash_phase_name phase))
+         (Printf.sprintf "crash: node %d %s" node (Flight_ring.crash_phase_name code))
    with
   | Some _ | None -> ());
   List.iter (fun f -> f ~time ~node ~phase) t.crash_hooks
@@ -197,22 +197,22 @@ let create ~(config : Config.t) () =
   in
   let rng = Pcc_engine.Rng.create ~seed:config.seed in
   let alive_view = Array.make config.nodes true in
-  let flight = Flight_ring.create () in
+  let probe = Probe.create ~sim in
   let backend, adaptive_nodes =
     match config.protocol with
     | Types.Adaptive ->
         let nodes =
           Array.init config.nodes (fun id ->
-              Node.create ~alive_view ~flight ~config ~sim ~network ~id ~stats
-                ~memcheck ~next_version
+              Node.create ~probe ~alive_view ~config ~sim ~network ~id ~stats ~memcheck
+                ~next_version
                 ~rng:(Pcc_engine.Rng.split rng)
                 ())
         in
         (Protocol.Pack ((module Protocol.Adaptive_backend), nodes), Some nodes)
     | Types.Msi | Types.Mesi ->
         let nodes =
-          Snoop.create_machine ~alive_view ~flight ~config ~sim ~network ~stats
-            ~memcheck ~next_version ~rng ()
+          Snoop.create_machine ~probe ~config ~sim ~network ~stats ~memcheck
+            ~next_version ~rng ()
         in
         (Protocol.Pack ((module Snoop.Backend), nodes), None)
   in
@@ -232,7 +232,7 @@ let create ~(config : Config.t) () =
       crash_hooks = [];
       last_finish = 0;
       commits = 0;
-      flight;
+      probe;
       flight_dump = None;
     }
   in
@@ -246,23 +246,7 @@ let create ~(config : Config.t) () =
     Sim.set_watchdog sim ~interval:config.watchdog_interval
       ~stall_checks:config.watchdog_checks
       ~progress:(fun () -> t.commits);
-    match t.backend with
-    | Protocol.Pack ((module P), arr) ->
-        Array.iter
-          (fun node ->
-            P.on_commit node (fun (e : Node.commit_event) ->
-                t.commits <- t.commits + 1;
-                Sim.record sim ~time:e.c_time
-                  (Printf.sprintf "node %d commits %s" e.c_node
-                     (match e.c_kind with
-                     | Types.Load -> "load"
-                     | Types.Store -> "store")));
-            P.set_trace node (fun ~time ~dst msg ->
-                if Sim.trace_enabled sim then
-                  Sim.record sim ~time
-                    (Printf.sprintf "%d->%d %s" (P.id node) dst
-                       (Message.class_name msg))))
-          arr
+    Probe.on_commit probe (fun _ -> t.commits <- t.commits + 1)
   end;
   t
 
@@ -306,51 +290,21 @@ let violation_report t = Memory_check.violation_report t.memcheck
 let check_invariants t =
   match t.backend with Protocol.Pack ((module P), arr) -> P.check_invariants arr
 
-(* Observer hooks for online auditors (the coherence oracle): post-event
-   callbacks from the simulator, plus machine-wide commit and message
-   streams assembled from the per-node hooks. *)
+(* Observers: post-event callbacks from the simulator, and the
+   machine-wide event streams, which subscribe straight into the probe
+   every backend emits into. *)
 
 let on_post_event t f = Sim.on_event t.sim f
 
-let on_commit t f =
-  match t.backend with
-  | Protocol.Pack ((module P), arr) -> Array.iter (fun node -> P.on_commit node f) arr
+let on_commit t f = Probe.on_commit t.probe f
 
-let on_message t f =
-  match t.backend with
-  | Protocol.Pack ((module P), arr) ->
-      Array.iter
-        (fun node ->
-          let src = P.id node in
-          P.set_trace node (fun ~time ~dst msg -> f ~time ~src ~dst msg))
-        arr
+let on_message t f = Probe.on_send t.probe f
 
-let on_issue t f =
-  match t.backend with
-  | Protocol.Pack ((module P), arr) ->
-      Array.iter
-        (fun node ->
-          let n = P.id node in
-          P.on_issue node (fun ~time ~kind ~line -> f ~time ~node:n ~kind ~line))
-        arr
+let on_issue t f = Probe.on_issue t.probe f
 
-let on_recv t f =
-  match t.backend with
-  | Protocol.Pack ((module P), arr) ->
-      Array.iter
-        (fun node ->
-          let dst = P.id node in
-          P.on_recv node (fun ~time ~src msg -> f ~time ~src ~dst msg))
-        arr
+let on_recv t f = Probe.on_recv t.probe f
 
-let on_retransmit t f =
-  match t.backend with
-  | Protocol.Pack ((module P), arr) ->
-      Array.iter
-        (fun node ->
-          let src = P.id node in
-          P.on_retransmit node (fun ~time ~dst -> f ~time ~src ~dst))
-        arr
+let on_retransmit t f = Probe.on_retransmit t.probe f
 
 (* Live occupancy gauges for telemetry samplers. *)
 
@@ -408,7 +362,7 @@ type stall_report = {
   stall_outcome : Sim.outcome;
   stall_unfinished : int;
   stall_in_flight : in_flight list;
-  stall_recent : (int * string) list;
+  stall_recent : Flight_ring.event list;
   stall_flight_dump : string option;
 }
 
@@ -445,7 +399,7 @@ let pp_stall_report ppf r =
   | [] -> ()
   | events ->
       Format.fprintf ppf "@,recent events:";
-      List.iter (fun (time, label) -> Format.fprintf ppf "@,  [%d] %s" time label) events);
+      List.iter (fun e -> Format.fprintf ppf "@,  %a" Flight_ring.pp_event e) events);
   (match r.stall_flight_dump with
   | None -> ()
   | Some path ->
@@ -595,7 +549,7 @@ let run_stream ?max_events (t : t) (feed : Op_stream.t) =
                          stalled_timeouts = timeouts;
                        })
                      (P.pending_info node));
-          stall_recent = Sim.recent_events t.sim;
+          stall_recent = recent t;
         }
   in
   {

@@ -8,10 +8,15 @@
     The coherence state machine itself is pluggable: [Config.protocol]
     selects a {!Protocol} backend (the paper's adaptive directory
     protocol, or bus-snooping MSI/MESI), and everything in this module —
-    the run loop, barriers, watchdog, observer hooks, gauges, flight
+    the run loop, barriers, watchdog, observers, gauges, flight
     recorder, stall reports — works identically over any backend.  Only
     the fail-stop crash machinery and the [Node]-typed accessors are
-    adaptive-specific. *)
+    adaptive-specific.
+
+    Every backend emits its events once, into the machine's {!Probe}:
+    the flight ring records each one and the [on_*] observers below
+    subscribe there.  The ring is the machine's only recent-event
+    window — stall reports and oracle failures carry its last events. *)
 
 type t
 
@@ -71,10 +76,14 @@ val check_invariants : t -> string list
 (** {2 Flight recorder (always-on post-mortem)} *)
 
 val flight : t -> Flight_ring.t
-(** The machine-wide flight recorder.  Always running: every message
-    send/receive/retransmission, issue, commit, directory state change,
-    protocol decision note and crash phase lands in its ring, with an
-    allocation-free record path. *)
+(** The machine-wide flight recorder, owned by the machine's {!Probe}.
+    Always running: every message send/receive/retransmission, issue,
+    commit, directory state change, protocol decision note and crash
+    phase lands in its ring, with an allocation-free record path. *)
+
+val recent : t -> Flight_ring.event list
+(** The flight ring's last 64 events, oldest first: the window stall
+    reports and oracle failures carry. *)
 
 val arm_flight_dump : t -> path:string -> unit
 (** Arm a post-mortem dump path.  When armed, the retained flight window
@@ -85,14 +94,19 @@ val arm_flight_dump : t -> path:string -> unit
 
 val flight_dump_path : t -> string option
 
-(** {2 Observer hooks (online auditors)} *)
+(** {2 Observers (online auditors, telemetry, trace tooling)}
+
+    Each stream is the machine's {!Probe} subscriber list for that event
+    kind: callbacks run in registration order, right after the event is
+    written into the flight ring.  Observers must not submit operations
+    or mutate protocol state; raising aborts the run. *)
 
 val on_post_event : t -> (unit -> unit) -> unit
 (** Called after every executed simulator event (see
     {!Pcc_engine.Simulator.on_event}).  Observers must not schedule
     events or mutate protocol state; raising aborts the run. *)
 
-val on_commit : t -> (Node.commit_event -> unit) -> unit
+val on_commit : t -> (Probe.commit_event -> unit) -> unit
 (** Observe every committed load/store on every node. *)
 
 val on_message :
@@ -182,9 +196,9 @@ type stall_report = {
   stall_outcome : Pcc_engine.Simulator.outcome;
   stall_unfinished : int;  (** processors that had not finished their program *)
   stall_in_flight : in_flight list;
-  stall_recent : (int * string) list;
-      (** bounded recent-event trace (time, label), oldest first; empty
-          unless the watchdog armed it (hardened mode) *)
+  stall_recent : Flight_ring.event list;
+      (** {!recent} when the run ended, in every mode (rendered with
+          {!Flight_ring.pp_event}) *)
   stall_flight_dump : string option;
       (** where the flight-recorder post-mortem was written, when
           {!arm_flight_dump} armed one — the artifact to open first *)

@@ -14,10 +14,6 @@ type t = {
   mutable observers : (unit -> unit) list;  (* registration order *)
   mutable peak_pending : int;  (* high-water mark of the queue length *)
   mutable watchdog : watchdog option;
-  (* bounded recent-event trace for stall reports; empty when disabled *)
-  mutable ring : (int * string) array;
-  mutable ring_next : int;
-  mutable ring_count : int;
 }
 
 type outcome = Drained | Stopped | Time_limit_reached | Event_limit_reached | Stalled
@@ -31,14 +27,9 @@ let create () =
     observers = [];
     peak_pending = 0;
     watchdog = None;
-    ring = [||];
-    ring_next = 0;
-    ring_count = 0;
   }
 
 let on_event t f = t.observers <- t.observers @ [ f ]
-
-let clear_observers t = t.observers <- []
 
 let now t = t.now
 
@@ -65,10 +56,10 @@ let pending_events t = Event_queue.length t.queue
 let peak_pending t = t.peak_pending
 
 (* ------------------------------------------------------------------ *)
-(* Progress watchdog and recent-event trace                            *)
+(* Progress watchdog                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let set_watchdog ?(trace_capacity = 64) t ~interval ~stall_checks ~progress =
+let set_watchdog t ~interval ~stall_checks ~progress =
   if interval <= 0 then invalid_arg "Simulator.set_watchdog: interval must be positive";
   if stall_checks <= 0 then
     invalid_arg "Simulator.set_watchdog: stall_checks must be positive";
@@ -80,36 +71,7 @@ let set_watchdog ?(trace_capacity = 64) t ~interval ~stall_checks ~progress =
         wd_progress = progress;
         wd_last = progress ();
         wd_idle = 0;
-      };
-  if Array.length t.ring <> trace_capacity then begin
-    t.ring <-
-      (if trace_capacity > 0 then Array.make trace_capacity (0, "") else [||]);
-    t.ring_next <- 0;
-    t.ring_count <- 0
-  end
-
-let clear_watchdog t =
-  t.watchdog <- None;
-  t.ring <- [||];
-  t.ring_next <- 0;
-  t.ring_count <- 0
-
-let trace_enabled t = Array.length t.ring > 0
-
-let record t ~time label =
-  let capacity = Array.length t.ring in
-  if capacity > 0 then begin
-    t.ring.(t.ring_next) <- (time, label);
-    t.ring_next <- (t.ring_next + 1) mod capacity;
-    t.ring_count <- min (t.ring_count + 1) capacity
-  end
-
-let recent_events t =
-  let capacity = Array.length t.ring in
-  if capacity = 0 then []
-  else
-    let start = (t.ring_next - t.ring_count + capacity) mod capacity in
-    List.init t.ring_count (fun i -> t.ring.((start + i) mod capacity))
+      }
 
 (* True when the watchdog has seen no progress for [wd_stall_checks]
    consecutive check intervals: the run is livelocked (events keep

@@ -48,8 +48,6 @@ val on_event : t -> (unit -> unit) -> unit
     event granularity; observers must not schedule or mutate simulation
     state.  An observer may raise to abort the run. *)
 
-val clear_observers : t -> unit
-
 val run : ?until:int -> ?max_events:int -> t -> outcome
 (** Execute events in order.  [until] bounds simulated time (events at
     cycles > [until] are left queued); [max_events] bounds work. *)
@@ -61,7 +59,6 @@ val run : ?until:int -> ?max_events:int -> t -> outcome
     completes — and makes {!run} return {!Stalled} instead of hanging. *)
 
 val set_watchdog :
-  ?trace_capacity:int ->
   t ->
   interval:int ->
   stall_checks:int ->
@@ -70,20 +67,7 @@ val set_watchdog :
 (** Every [interval] executed events the watchdog samples [progress] (any
     monotone counter of useful work, e.g. committed operations); after
     [stall_checks] consecutive samples without change, {!run} returns
-    {!Stalled}.  Also enables the bounded recent-event trace
-    ([trace_capacity] entries, default 64; [0] disables it). *)
-
-val clear_watchdog : t -> unit
-
-val trace_enabled : t -> bool
-
-val record : t -> time:int -> string -> unit
-(** Append a line to the bounded recent-event trace (no-op while the
-    trace is disabled).  Components log deliveries, commits, and
-    retransmissions here so a stall report can show what the machine was
-    doing when it stopped making progress. *)
-
-val recent_events : t -> (int * string) list
-(** The trace contents, oldest first, at most [trace_capacity] entries. *)
+    {!Stalled}.  The engine keeps no event history: stall reports read
+    the machine's flight recorder ([Pcc_core.Flight_ring]). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

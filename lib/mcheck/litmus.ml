@@ -92,12 +92,12 @@ let run_test ~config ?(max_events = 20_000_000) test =
   System.on_commit sys (fun e ->
       observations :=
         {
-          o_node = e.Node.c_node;
-          o_kind = e.Node.c_kind;
-          o_loc = Types.Layout.index_of_line e.Node.c_line;
-          o_value = e.Node.c_value;
-          o_started = e.Node.c_started;
-          o_time = e.Node.c_time;
+          o_node = e.Probe.c_node;
+          o_kind = e.Probe.c_kind;
+          o_loc = Types.Layout.index_of_line e.Probe.c_line;
+          o_value = e.Probe.c_value;
+          o_started = e.Probe.c_started;
+          o_time = e.Probe.c_time;
         }
         :: !observations);
   let result = System.run_programs ~max_events sys (compile ~nodes test) in

@@ -2,12 +2,11 @@ open Pcc_core
 module Sim = Pcc_engine.Simulator
 
 exception
-  Violation of { message : string; time : int; events : Trace.event list }
+  Violation of { message : string; time : int; events : Flight_ring.event list }
 
 type t = {
   sys : System.t;
   order : Order.t;
-  ring : Trace.Ring.t;
   dirty : (Types.line, unit) Hashtbl.t;
   full_check_period : int;
   mutable events_count : int;
@@ -23,7 +22,7 @@ let raise_violation t message =
        {
          message;
          time = Sim.now (System.sim t.sys);
-         events = Trace.Ring.to_list t.ring;
+         events = System.recent t.sys;
        })
 
 (* ------------------------------------------------------------------ *)
@@ -206,42 +205,21 @@ let on_post_event t () =
   end;
   if t.events_count mod t.full_check_period = 0 then check_all t
 
-let attach ?(ring_capacity = 64) ?(full_check_period = 10_000) sys =
+let attach ?(full_check_period = 10_000) sys =
   let t =
     {
       sys;
       order = Order.create ();
-      ring = Trace.Ring.create ~capacity:ring_capacity;
       dirty = Hashtbl.create 64;
       full_check_period;
       events_count = 0;
     }
   in
-  System.on_message sys (fun ~time ~src ~dst msg ->
-      let line = Message.line_of msg in
-      Trace.Ring.add t.ring
-        (Trace.Msg { time; src; dst; cls = Message.class_name msg; line });
-      Hashtbl.replace t.dirty line ());
-  System.on_commit sys (fun (c : Node.commit_event) ->
-      Trace.Ring.add t.ring
-        (Trace.Commit
-           {
-             time = c.c_time;
-             node = c.c_node;
-             kind = c.c_kind;
-             line = c.c_line;
-             value = c.c_value;
-             started = c.c_started;
-           });
+  System.on_message sys (fun ~time:_ ~src:_ ~dst:_ msg ->
+      Hashtbl.replace t.dirty (Message.line_of msg) ());
+  System.on_commit sys (fun (c : Probe.commit_event) ->
       Hashtbl.replace t.dirty c.c_line ();
-      try
-        match c.c_kind with
-        | Types.Store ->
-            Order.record_store t.order ~node:c.c_node ~line:c.c_line ~value:c.c_value
-              ~time:c.c_time
-        | Types.Load ->
-            Order.record_load t.order ~node:c.c_node ~line:c.c_line ~value:c.c_value
-              ~started:c.c_started ~time:c.c_time
+      try Order.record_commit t.order c
       with Order.Violation message -> raise_violation t message);
   System.on_crash sys (fun ~time:_ ~node ~phase ->
       (* detection fires after the recovery sweep, so the surviving value
@@ -255,7 +233,5 @@ let attach ?(ring_capacity = 64) ?(full_check_period = 10_000) sys =
   t
 
 let order t = t.order
-
-let events t = Trace.Ring.to_list t.ring
 
 let events_seen t = t.events_count

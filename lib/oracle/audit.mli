@@ -34,28 +34,24 @@
     hook checks only dirty lines (plus a periodic and final full sweep).
 
     A violation raises {!Violation} out of the simulator's [run],
-    carrying a bounded ring of the most recent protocol events for the
+    carrying the flight recorder's last events ({!System.recent}) for the
     failure artifact (see {!Trace}). *)
 
 open Pcc_core
 
 exception
-  Violation of { message : string; time : int; events : Trace.event list }
+  Violation of { message : string; time : int; events : Flight_ring.event list }
 
 type t
 
-val attach : ?ring_capacity:int -> ?full_check_period:int -> System.t -> t
+val attach : ?full_check_period:int -> System.t -> t
 (** Register the auditor's observers on a freshly created system.
-    [ring_capacity] bounds the retained event window (default 64);
     [full_check_period] is the event interval between full sweeps of all
     known lines (default 10000). *)
 
 val order : t -> Order.t
 (** The per-address order checker fed by this auditor (for linearization
     after the run). *)
-
-val events : t -> Trace.event list
-(** The current event window, oldest first. *)
 
 val events_seen : t -> int
 

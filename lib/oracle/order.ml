@@ -102,6 +102,14 @@ let record_load t ~node ~line ~value ~started ~time =
   if t.keep_history then
     h.loads <- { l_node = node; l_value = value; l_started = started; l_time = time } :: h.loads
 
+let record_commit t (c : Probe.commit_event) =
+  match c.c_kind with
+  | Types.Store ->
+      record_store t ~node:c.c_node ~line:c.c_line ~value:c.c_value ~time:c.c_time
+  | Types.Load ->
+      record_load t ~node:c.c_node ~line:c.c_line ~value:c.c_value ~started:c.c_started
+        ~time:c.c_time
+
 (* ------------------------------------------------------------------ *)
 (* Fail-stop crashes                                                   *)
 (* ------------------------------------------------------------------ *)

@@ -33,6 +33,10 @@ val record_store : t -> node:int -> line:Types.line -> value:int -> time:int -> 
 val record_load :
   t -> node:int -> line:Types.line -> value:int -> started:int -> time:int -> unit
 
+val record_commit : t -> Probe.commit_event -> unit
+(** {!record_store} or {!record_load}, as the commit says: a
+    [System.on_commit] subscriber. *)
+
 val node_crashed : t -> dead:int -> surviving:(Types.line -> int) -> unit
 (** Fail-stop recovery: drop the newest run of [dead]'s stores per line
     whose versions exceed [surviving line] (they vanished with its

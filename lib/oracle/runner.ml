@@ -4,99 +4,69 @@ type report = {
   desc : Trace.run_desc;
   result : System.result option;
   violations : string list;
-  events : Trace.event list;
+  events : Flight_ring.event list;
   diff : Diff.outcome option;
 }
 
-(* Backend-agnostic audit layer for the snooping protocols: the
-   directory-state auditor and the model-checker replay read adaptive
-   internals, so a non-adaptive run keeps the per-address order tracker,
-   the memory checker, the quiescence invariants and the statistics
-   identities, and skips the adaptive-only passes. *)
-let run_generic ~sys ~config:_ ~programs desc =
-  let order = Order.create ~keep_history:false () in
-  System.on_commit sys (fun ev ->
-      match ev.Node.c_kind with
-      | Types.Store ->
-          Order.record_store order ~node:ev.Node.c_node ~line:ev.Node.c_line
-            ~value:ev.Node.c_value ~time:ev.Node.c_time
-      | Types.Load ->
-          Order.record_load order ~node:ev.Node.c_node ~line:ev.Node.c_line
-            ~value:ev.Node.c_value ~started:ev.Node.c_started ~time:ev.Node.c_time);
-  match System.run_programs sys programs with
-  | exception Order.Violation message ->
-      {
-        desc;
-        result = None;
-        violations = [ "order: " ^ message ];
-        events = [];
-        diff = None;
-      }
-  | result ->
-      let violations = ref [] in
-      if result.System.violations > 0 then
-        violations :=
-          List.map (fun v -> "memory check: " ^ v) (System.violation_report sys);
-      violations := !violations @ result.System.invariant_errors;
-      violations :=
-        !violations @ List.map (fun v -> "stats: " ^ v) (Stats_check.check sys result);
-      { desc; result = Some result; violations = !violations; events = []; diff = None }
-
+(* The directory-state auditor and the model-checker replay read
+   adaptive internals, so a snooping run keeps the per-address order
+   tracker, the memory checker, the quiescence invariants and the
+   statistics identities, and skips the adaptive-only passes.  Either
+   way a failed run carries the flight ring's last events. *)
 let run ?(diff = true) ?(max_lines = 400) (desc : Trace.run_desc) =
   let config = Trace.config_of_desc desc in
   let programs = Trace.programs_of_desc desc in
   let sys = System.create ~config () in
-  if config.Config.protocol <> Types.Adaptive then run_generic ~sys ~config ~programs desc
-  else
-  let audit = Audit.attach sys in
+  let audit =
+    if config.Config.protocol = Types.Adaptive then Some (Audit.attach sys)
+    else begin
+      System.on_commit sys (Order.record_commit (Order.create ~keep_history:false ()));
+      None
+    end
+  in
+  let aborted violations events =
+    { desc; result = None; violations; events; diff = None }
+  in
   match System.run_programs sys programs with
   | exception Audit.Violation { message; time; events } ->
-      {
-        desc;
-        result = None;
-        violations = [ Printf.sprintf "t=%d: %s" time message ];
-        events;
-        diff = None;
-      }
+      aborted [ Printf.sprintf "t=%d: %s" time message ] events
+  | exception Order.Violation message ->
+      aborted [ "order: " ^ message ] (System.recent sys)
   | result ->
-      let violations = ref [] in
-      (try Audit.check_all audit
-       with Audit.Violation { message; time; _ } ->
-         violations := [ Printf.sprintf "t=%d (final sweep): %s" time message ]);
-      if result.System.violations > 0 then
-        violations :=
-          !violations
-          @ List.map
-              (fun v -> "memory check: " ^ v)
-              (System.violation_report sys);
-      violations := !violations @ result.System.invariant_errors;
-      violations :=
-        !violations
-        @ List.map (fun v -> "stats: " ^ v) (Stats_check.check sys result);
-      let diff_outcome =
-        if diff && !violations = [] then begin
-          let outcome =
-            Diff.replay ~max_lines ~seed:desc.seed ~sys ~order:(Audit.order audit) ()
-          in
-          violations :=
-            List.map
-              (fun (d : Diff.divergence) ->
-                Printf.sprintf "diff: line %d@%d: %s"
-                  (Types.Layout.index_of_line d.d_line)
-                  (Types.Layout.home_of_line d.d_line)
-                  d.d_detail)
-              outcome.divergences;
-          Some outcome
-        end
-        else None
+      let final_sweep =
+        match audit with
+        | None -> []
+        | Some audit -> (
+            try
+              Audit.check_all audit;
+              []
+            with Audit.Violation { message; time; _ } ->
+              [ Printf.sprintf "t=%d (final sweep): %s" time message ])
       in
-      {
-        desc;
-        result = Some result;
-        violations = !violations;
-        events = (if !violations = [] then [] else Audit.events audit);
-        diff = diff_outcome;
-      }
+      let memory =
+        if result.System.violations = 0 then []
+        else List.map (fun v -> "memory check: " ^ v) (System.violation_report sys)
+      in
+      let stats = List.map (fun v -> "stats: " ^ v) (Stats_check.check sys result) in
+      let violations = final_sweep @ memory @ result.System.invariant_errors @ stats in
+      let diff_outcome, violations =
+        match audit with
+        | Some audit when diff && violations = [] ->
+            let outcome =
+              Diff.replay ~max_lines ~seed:desc.seed ~sys ~order:(Audit.order audit) ()
+            in
+            ( Some outcome,
+              List.map
+                (fun (d : Diff.divergence) ->
+                  Printf.sprintf "diff: line %d@%d: %s"
+                    (Types.Layout.index_of_line d.d_line)
+                    (Types.Layout.home_of_line d.d_line)
+                    d.d_detail)
+                outcome.divergences )
+        | Some _ | None -> (None, violations)
+      in
+      let events = if violations = [] then [] else System.recent sys in
+      { desc; result = Some result; violations; events; diff = diff_outcome }
 
 let clean report = report.violations = []
 

@@ -13,7 +13,9 @@ type report = {
   result : System.result option;
       (** [None] when the run aborted on an online violation *)
   violations : string list;  (** all layers' messages, empty = clean *)
-  events : Trace.event list;  (** recent-event window at failure (else []) *)
+  events : Flight_ring.event list;
+      (** {!System.recent} at failure (else []): the flight ring's last
+          64 events *)
   diff : Diff.outcome option;
 }
 

@@ -10,47 +10,6 @@ type run_desc = {
   fault : bool;
 }
 
-type event =
-  | Msg of { time : int; src : int; dst : int; cls : string; line : Types.line }
-  | Commit of {
-      time : int;
-      node : int;
-      kind : Types.op_kind;
-      line : Types.line;
-      value : int;
-      started : int;
-    }
-
-let pp_line ppf line =
-  Format.fprintf ppf "%d@%d" (Types.Layout.index_of_line line)
-    (Types.Layout.home_of_line line)
-
-let pp_event ppf = function
-  | Msg { time; src; dst; cls; line } ->
-      Format.fprintf ppf "[%d] msg %s %d->%d line %a" time cls src dst pp_line line
-  | Commit { time; node; kind; line; value; started } ->
-      Format.fprintf ppf "[%d] commit n%d %s line %a value %d (started %d)" time node
-        (match kind with Types.Load -> "load" | Types.Store -> "store")
-        pp_line line value started
-
-module Ring = struct
-  type t = { slots : event option array; mutable next : int; mutable count : int }
-
-  let create ~capacity =
-    assert (capacity > 0);
-    { slots = Array.make capacity None; next = 0; count = 0 }
-
-  let add t event =
-    t.slots.(t.next) <- Some event;
-    t.next <- (t.next + 1) mod Array.length t.slots;
-    t.count <- min (t.count + 1) (Array.length t.slots)
-
-  let to_list t =
-    let capacity = Array.length t.slots in
-    let start = (t.next - t.count + capacity) mod capacity in
-    List.init t.count (fun i -> Option.get t.slots.((start + i) mod capacity))
-end
-
 (* ------------------------------------------------------------------ *)
 (* Descriptor -> system                                                *)
 (* ------------------------------------------------------------------ *)
@@ -58,10 +17,15 @@ end
 let config_of_desc desc =
   match Config.of_name ~nodes:desc.nodes desc.config_name with
   | Ok base ->
+      let fault =
+        match base.Config.protocol with
+        | Types.Adaptive -> Config.Stale_update_no_resharing
+        | Types.Msi | Types.Mesi -> Config.Snoop_upgr_skips_invals
+      in
       {
         base with
         Config.seed = desc.seed;
-        inject_fault = (if desc.fault then Some Config.Stale_update_no_resharing else None);
+        inject_fault = (if desc.fault then Some fault else None);
       }
   | Error message -> invalid_arg ("Trace.config_of_desc: " ^ message)
 
@@ -89,49 +53,17 @@ let desc_to_json desc =
       ("fault", Jsonl.Bool desc.fault);
     ]
 
-let event_to_json = function
-  | Msg { time; src; dst; cls; line } ->
-      Jsonl.Obj
-        [
-          ("kind", Jsonl.String "event");
-          ("event", Jsonl.String "msg");
-          ("time", Jsonl.Int time);
-          ("src", Jsonl.Int src);
-          ("dst", Jsonl.Int dst);
-          ("class", Jsonl.String cls);
-          ("line", Jsonl.Int line);
-        ]
-  | Commit { time; node; kind; line; value; started } ->
-      Jsonl.Obj
-        [
-          ("kind", Jsonl.String "event");
-          ("event", Jsonl.String "commit");
-          ("time", Jsonl.Int time);
-          ("node", Jsonl.Int node);
-          ("op", Jsonl.String (match kind with Types.Load -> "load" | Types.Store -> "store"));
-          ("line", Jsonl.Int line);
-          ("value", Jsonl.Int value);
-          ("started", Jsonl.Int started);
-        ]
-
 let write ~path ~desc ~violations ~events =
-  Pcc_stats.Atomic_file.write ~path
-    (fun oc ->
-      output_string oc (Jsonl.to_string (desc_to_json desc));
-      output_char oc '\n';
+  let tagged kind key value = Jsonl.Obj [ ("kind", Jsonl.String kind); (key, value) ] in
+  Pcc_stats.Atomic_file.write ~path (fun oc ->
       List.iter
-        (fun message ->
-          output_string oc
-            (Jsonl.to_string
-               (Jsonl.Obj
-                  [ ("kind", Jsonl.String "violation"); ("message", Jsonl.String message) ]));
+        (fun json ->
+          output_string oc (Jsonl.to_string json);
           output_char oc '\n')
-        violations;
-      List.iter
-        (fun event ->
-          output_string oc (Jsonl.to_string (event_to_json event));
-          output_char oc '\n')
-        events)
+        ((desc_to_json desc
+         :: List.map (fun m -> tagged "violation" "message" (Jsonl.String m)) violations)
+        @ List.map (fun e -> tagged "event" "event" (Flight_ring.event_to_json e)) events
+        ))
 
 let read_desc ~path =
   match In_channel.with_open_text path In_channel.input_line with

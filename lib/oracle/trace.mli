@@ -2,12 +2,14 @@
 
     A violation is only useful if it can be reproduced, so the oracle's
     artifact is a {e run descriptor} — everything needed to regenerate the
-    exact workload and configuration — plus the violation messages and a
-    bounded window of the most recent protocol events for context.  The
-    file format is JSON Lines: a [kind = "run"] header object, one
-    [kind = "violation"] object per message, then [kind = "event"] objects
-    oldest-first.  Replaying means rebuilding the system from the header
-    and re-running with the oracle attached; the event log is for humans.
+    exact workload and configuration — plus the violation messages and
+    the flight recorder's last events for context ({!System.recent}).
+    The file format is JSON Lines: a [kind = "run"] header object, one
+    [kind = "violation"] object per message, then one [kind = "event"]
+    object per flight event, oldest first, holding the flight dump's
+    [[time, code, arg, line]] quad ({!Flight_ring.event_to_json}).
+    Replaying means rebuilding the system from the header and re-running
+    with the oracle attached; the event log is for humans.
 
     Workloads are deterministic functions of (bench, nodes, scale, seed),
     so the descriptor fully pins the run. *)
@@ -20,33 +22,12 @@ type run_desc = {
   nodes : int;
   scale : float;  (** epoch-count multiplier for app benchmarks *)
   seed : int;
-  fault : bool;  (** inject the stale-update protocol fault (test-only) *)
+  fault : bool;
+      (** plant the backend's own protocol fault (test-only): the
+          stale-update bug on the adaptive machine
+          ([Config.Stale_update_no_resharing]), upgrades that skip
+          invalidations on msi/mesi ([Config.Snoop_upgr_skips_invals]) *)
 }
-
-type event =
-  | Msg of { time : int; src : int; dst : int; cls : string; line : Types.line }
-  | Commit of {
-      time : int;
-      node : int;
-      kind : Types.op_kind;
-      line : Types.line;
-      value : int;
-      started : int;
-    }
-
-val pp_event : Format.formatter -> event -> unit
-
-(** Bounded ring of recent events. *)
-module Ring : sig
-  type t
-
-  val create : capacity:int -> t
-
-  val add : t -> event -> unit
-
-  val to_list : t -> event list
-  (** Oldest first; at most [capacity] events. *)
-end
 
 val config_of_desc : run_desc -> Config.t
 (** Build the simulator configuration the descriptor names.  Raises
@@ -58,7 +39,11 @@ val programs_of_desc : run_desc -> Types.op list array
     [Invalid_argument] on a spec the registry rejects. *)
 
 val write :
-  path:string -> desc:run_desc -> violations:string list -> events:event list -> unit
+  path:string ->
+  desc:run_desc ->
+  violations:string list ->
+  events:Flight_ring.event list ->
+  unit
 (** Write a failure artifact (overwrites [path]). *)
 
 val read_desc : path:string -> (run_desc, string) result

@@ -41,6 +41,10 @@ module Nodeset = Pcc_core.Nodeset
 (** Protocol messages (for traces). *)
 module Message = Pcc_core.Message
 
+(** The always-on flight recorder: int-packed recent protocol events and
+    the one printer every tool renders them with. *)
+module Flight_ring = Pcc_core.Flight_ring
+
 (** The producer-consumer sharing detector (§2.2). *)
 module Predictor = Pcc_core.Predictor
 

@@ -1,7 +1,6 @@
 module Jsonl = Pcc_stats.Jsonl
 module Ring = Pcc_core.Flight_ring
 module Message = Pcc_core.Message
-module Types = Pcc_core.Types
 
 type dump = Ring.dump
 
@@ -20,60 +19,6 @@ let load path =
       | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
       | Ok json -> Ring.dump_of_json json)
 
-(* Lines render as index@home (the operand form the rest of the tooling
-   uses); -1 marks an event with no line. *)
-let line_str line =
-  if line < 0 then "-"
-  else
-    Printf.sprintf "%d@%d"
-      (Types.Layout.index_of_line line)
-      (Types.Layout.home_of_line line)
-
-let op_name = function 0 -> "load" | 1 -> "store" | d -> Printf.sprintf "op-%d" d
-
-let crash_phase_str = function
-  | 0 -> "down"
-  | 1 -> "detected"
-  | 2 -> "restarted"
-  | d -> Printf.sprintf "phase-%d" d
-
-let describe (e : event) =
-  let line = line_str e.e_line in
-  if e.e_kind = Ring.k_send || e.e_kind = Ring.k_recv then
-    Printf.sprintf "%s %s %d->%d line %s" (Ring.kind_name e.e_kind)
-      (Message.class_index_name e.e_detail)
-      e.e_src e.e_dst line
-  else if e.e_kind = Ring.k_retransmit then
-    Printf.sprintf "retransmit %d->%d" e.e_src e.e_dst
-  else if e.e_kind = Ring.k_issue then
-    Printf.sprintf "issue %s node %d line %s" (op_name e.e_detail) e.e_src line
-  else if e.e_kind = Ring.k_commit then
-    Printf.sprintf "commit %s node %d line %s = %d" (op_name e.e_detail) e.e_src
-      line e.e_arg
-  else if e.e_kind = Ring.k_crash then
-    Printf.sprintf "crash node %d %s" e.e_src (crash_phase_str e.e_detail)
-  else if e.e_kind = Ring.k_note then begin
-    let base =
-      Printf.sprintf "%s node %d line %s" (Ring.note_name e.e_detail) e.e_src line
-    in
-    if e.e_detail = Ring.n_dir_state then
-      Printf.sprintf "%s -> %s" base (Ring.dstate_name e.e_arg)
-    else if e.e_detail = Ring.n_timeout then
-      Printf.sprintf "%s (strike %d)" base e.e_arg
-    else if e.e_detail = Ring.n_delegate then
-      Printf.sprintf "%s (%d consumer%s this epoch)" base e.e_arg
-        (if e.e_arg = 1 then "" else "s")
-    else if e.e_detail = Ring.n_predictor then
-      Printf.sprintf "%s -> %s" base
-        (if e.e_arg = 1 then "producer-consumer" else "other")
-    else base
-  end
-  else Printf.sprintf "%s(%d) node %d line %s" (Ring.kind_name e.e_kind) e.e_detail
-         e.e_src line
-
-let pp_event ppf (e : event) =
-  Format.fprintf ppf "[%8d] %s" e.e_time (describe e)
-
 let pp_timeline ppf (d : dump) =
   let retained = List.length d.d_events in
   Format.fprintf ppf "flight dump: %s@," d.d_reason;
@@ -81,7 +26,7 @@ let pp_timeline ppf (d : dump) =
   Format.fprintf ppf
     "dumped at cycle %d; %d nodes; last %d of %d recorded events (ring capacity %d)@,"
     d.d_time d.d_nodes retained d.d_recorded d.d_capacity;
-  List.iter (fun e -> Format.fprintf ppf "%a@," pp_event e) d.d_events
+  List.iter (fun e -> Format.fprintf ppf "%a@," Ring.pp_event e) d.d_events
 
 (* Perfetto rendering: every record becomes a thread-scoped instant on
    the source node's track, so the post-mortem window lines up under a
@@ -93,7 +38,7 @@ let perfetto_event (e : event) =
         (Message.class_index_name e.e_detail)
     else if e.e_kind = Ring.k_note then Ring.note_name e.e_detail
     else if e.e_kind = Ring.k_crash then
-      Printf.sprintf "crash %s" (crash_phase_str e.e_detail)
+      Printf.sprintf "crash %s" (Ring.crash_phase_name e.e_detail)
     else Ring.kind_name e.e_kind
   in
   Jsonl.Obj
@@ -109,9 +54,9 @@ let perfetto_event (e : event) =
         Jsonl.Obj
           [
             ("dst", Jsonl.Int e.e_dst);
-            ("line", Jsonl.String (line_str e.e_line));
+            ("line", Jsonl.String (Ring.line_name e.e_line));
             ("arg", Jsonl.Int e.e_arg);
-            ("detail", Jsonl.String (describe e));
+            ("detail", Jsonl.String (Ring.describe e));
           ] );
     ]
 

@@ -1,10 +1,10 @@
 (** Flight-recorder post-mortem decoding.
 
-    {!Pcc_core.Flight_ring} owns the hot recording path and the raw dump
-    format; this module is the presentation side: load a dump file,
-    render the retained window as a human-readable timeline, and emit a
-    Perfetto fragment so the same window can be inspected next to a full
-    [pcc_trace] capture.  Entry point: [pcc_trace --flight FILE]. *)
+    {!Pcc_core.Flight_ring} owns the hot recording path, the raw dump
+    format and the one-line event printer; this module loads a dump
+    file, renders the retained window as a human-readable timeline, and
+    emits a Perfetto fragment so the same window can be inspected next
+    to a full [pcc_trace] capture.  Entry point: [pcc_trace --flight FILE]. *)
 
 type dump = Pcc_core.Flight_ring.dump
 
@@ -14,16 +14,10 @@ val load : string -> (dump, string) result
 (** Read and decode a one-line JSON flight dump written by
     {!Pcc_core.System.arm_flight_dump}. *)
 
-val describe : event -> string
-(** One human-readable line for one event (no timestamp), e.g.
-    ["send get-shared 3->0 line 5@0"] or ["dir-state line 5@0 -> Dele"]. *)
-
-val pp_event : Format.formatter -> event -> unit
-(** ["[%8d] %s"] — timestamp column plus {!describe}. *)
-
 val pp_timeline : Format.formatter -> dump -> unit
 (** Dump header (reason, config, window coverage) followed by every
-    retained event, oldest first. *)
+    retained event, oldest first, each rendered by
+    {!Pcc_core.Flight_ring.pp_event}. *)
 
 val perfetto_json : dump -> Pcc_stats.Jsonl.t
 (** The retained window as a Perfetto [traceEvents] object: one instant

@@ -141,7 +141,7 @@ let suite =
     Alcotest.test_case "full adaptive machine under budget" `Quick
       (check "full" 500.0 (Config.small_full ~nodes ()));
     Alcotest.test_case "hardened machine under budget" `Quick
-      (check "hardened" 1400.0
+      (check "hardened" 1000.0
          (Config.with_faults
             (Config.small_full ~nodes ())
             (Pcc_interconnect.Fault.drops ~seed:7)));

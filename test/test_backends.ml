@@ -99,20 +99,17 @@ let run_backend ~lines ~nodes ~programs protocol =
   let store_counts = Hashtbl.create 64 in
   let version_identity = Hashtbl.create 64 in
   let last_load = Hashtbl.create 64 in
-  System.on_commit t (fun ev ->
-      let node = ev.Node.c_node and line = ev.Node.c_line in
-      match ev.Node.c_kind with
+  System.on_commit t (fun (ev : Probe.commit_event) ->
+      let node = ev.c_node and line = ev.c_line in
+      (match ev.c_kind with
       | Types.Store ->
           let nth =
             (try Hashtbl.find store_counts (node, line) with Not_found -> 0) + 1
           in
           Hashtbl.replace store_counts (node, line) nth;
-          Hashtbl.replace version_identity ev.Node.c_value (Stored { writer = node; nth });
-          Order.record_store order ~node ~line ~value:ev.Node.c_value ~time:ev.Node.c_time
-      | Types.Load ->
-          Hashtbl.replace last_load (node, line) ev.Node.c_value;
-          Order.record_load order ~node ~line ~value:ev.Node.c_value
-            ~started:ev.Node.c_started ~time:ev.Node.c_time);
+          Hashtbl.replace version_identity ev.c_value (Stored { writer = node; nth })
+      | Types.Load -> Hashtbl.replace last_load (node, line) ev.c_value);
+      Order.record_commit order ev);
   let result = System.run_programs t programs in
   let name = Protocol.to_string protocol in
   Alcotest.(check bool)
@@ -249,16 +246,16 @@ let conformance_property protocol =
       let t = System.create ~config () in
       let last_store = Hashtbl.create 16 in
       System.on_commit t (fun ev ->
-          match ev.Node.c_kind with
+          match ev.Probe.c_kind with
           | Types.Store ->
-              Hashtbl.replace last_store ev.Node.c_line ev.Node.c_value;
+              Hashtbl.replace last_store ev.Probe.c_line ev.Probe.c_value;
               for other = 0 to nodes - 1 do
-                if other <> ev.Node.c_node then
-                  match System.l2_entry t ~node:other ~line:ev.Node.c_line with
+                if other <> ev.Probe.c_node then
+                  match System.l2_entry t ~node:other ~line:ev.Probe.c_line with
                   | Some { L2.state = L2.Exclusive; _ } ->
                       Q.Test.fail_reportf
                         "two exclusive copies of line %d (nodes %d and %d)"
-                        ev.Node.c_line ev.Node.c_node other
+                        ev.Probe.c_line ev.Probe.c_node other
                   | _ -> ()
               done
           | Types.Load -> ());

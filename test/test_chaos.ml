@@ -187,7 +187,16 @@ let test_stall_report_on_event_limit () =
       (* the report is renderable *)
       let text = Format.asprintf "%a" System.pp_stall_report stall in
       Alcotest.(check bool) "report names the outcome" true
-        (contains_sub ~sub:"event-limit" text)
+        (contains_sub ~sub:"event-limit" text);
+      (* a reliable machine's report still lists the flight ring's last
+         events, each rendered by the flight printer *)
+      Alcotest.(check bool) "report lists recent events" true
+        (contains_sub ~sub:"recent events:" text);
+      match List.rev stall.System.stall_recent with
+      | [] -> Alcotest.fail "no recent events in the stall report"
+      | last :: _ ->
+          Alcotest.(check bool) "report renders the latest event" true
+            (contains_sub ~sub:(Format.asprintf "%a" Flight_ring.pp_event last) text)
 
 let suite =
   [

@@ -209,25 +209,6 @@ let test_watchdog_spares_progress () =
   Alcotest.(check bool) "drains" true (Simulator.run sim = Simulator.Drained);
   check "all ticks ran" 500 !done_count
 
-let test_watchdog_trace_ring () =
-  let sim = Simulator.create () in
-  Alcotest.(check bool) "trace off by default" false (Simulator.trace_enabled sim);
-  Simulator.record sim ~time:0 "dropped";
-  Alcotest.(check (list (pair int string))) "record is a no-op when off" []
-    (Simulator.recent_events sim);
-  Simulator.set_watchdog ~trace_capacity:4 sim ~interval:1000 ~stall_checks:1000
-    ~progress:(fun () -> 0);
-  Alcotest.(check bool) "trace on" true (Simulator.trace_enabled sim);
-  for i = 1 to 10 do
-    Simulator.record sim ~time:i (string_of_int i)
-  done;
-  Alcotest.(check (list (pair int string)))
-    "bounded, oldest first"
-    [ (7, "7"); (8, "8"); (9, "9"); (10, "10") ]
-    (Simulator.recent_events sim);
-  Simulator.clear_watchdog sim;
-  Alcotest.(check bool) "trace off again" false (Simulator.trace_enabled sim)
-
 let suite =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
@@ -252,5 +233,4 @@ let suite =
     Alcotest.test_case "watchdog detects livelock" `Quick
       test_watchdog_detects_livelock;
     Alcotest.test_case "watchdog spares progress" `Quick test_watchdog_spares_progress;
-    Alcotest.test_case "watchdog trace ring" `Quick test_watchdog_trace_ring;
   ]

@@ -1,9 +1,12 @@
-(* The observability layer's three contracts:
+(* The observability layer's contracts:
 
    - Flight recorder: the int-packed ring survives an encode → dump →
      JSON → decode round-trip bit-exactly, including wrap-around, and a
      truncated run leaves a well-formed dump behind that the decoder can
      fully render.
+   - One event stream: every subscriber callback the probe makes is, in
+     order, exactly the ring's send/recv/issue/commit/retransmit record
+     of the same event, on every backend and with retransmissions.
    - Metrics registry: the export bytes are a pure function of the run
      results, so a --jobs 4 sweep produces the same JSON and OpenMetrics
      files as --jobs 1. *)
@@ -105,6 +108,72 @@ let test_ring_wraparound () =
     retained
 
 (* ------------------------------------------------------------------ *)
+(* The sink and the ring cannot drift                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Runs one small seeded workload with a subscriber on every stream and
+   returns (callbacks, ring records), each callback rebuilt as the event
+   the ring would hold for it.  The run must fit in the ring, so the
+   ring still holds every record it made. *)
+let sink_and_ring config =
+  let programs =
+    Oracle.Trace.programs_of_desc
+      { Oracle.Trace.bench = "random"; config_name = "full"; nodes = 4; scale = 0.1;
+        seed = 3; fault = false }
+  in
+  let sys = System.create ~config () in
+  let seen = ref [] in
+  let push ~time kind ~detail ~src ~dst ~line ~arg =
+    let code = Ring.pack_code ~kind ~detail ~src ~dst in
+    seen := Ring.unpack ~time ~code ~arg ~line :: !seen
+  in
+  let op = function Types.Load -> 0 | Types.Store -> 1 in
+  let message kind ~time ~src ~dst msg =
+    push ~time kind ~detail:(Message.class_index msg) ~src ~dst
+      ~line:(Message.line_of msg) ~arg:0
+  in
+  System.on_message sys (message Ring.k_send);
+  System.on_recv sys (message Ring.k_recv);
+  System.on_issue sys (fun ~time ~node ~kind ~line ->
+      push ~time Ring.k_issue ~detail:(op kind) ~src:node ~dst:node ~line ~arg:0);
+  System.on_commit sys (fun (c : Probe.commit_event) ->
+      push ~time:c.c_time Ring.k_commit ~detail:(op c.c_kind) ~src:c.c_node
+        ~dst:c.c_node ~line:c.c_line ~arg:c.c_value);
+  System.on_retransmit sys (fun ~time ~src ~dst ->
+      push ~time Ring.k_retransmit ~detail:0 ~src ~dst ~line:(-1) ~arg:0);
+  let result = System.run_programs sys programs in
+  Alcotest.(check bool) "run drained" true (result.System.stall = None);
+  let ring = System.flight sys in
+  Alcotest.(check bool) "the ring holds the whole run" true
+    (Ring.total ring <= Ring.capacity ring);
+  ( List.rev !seen,
+    List.filter
+      (fun (e : Ring.event) -> e.e_kind <> Ring.k_note && e.e_kind <> Ring.k_crash)
+      (Ring.events ring) )
+
+let test_sink_matches_ring () =
+  List.iter
+    (fun (name, config) ->
+      let callbacks, records = sink_and_ring config in
+      let count kind =
+        List.length (List.filter (fun (e : Ring.event) -> e.e_kind = kind) callbacks)
+      in
+      Alcotest.(check bool) (name ^ ": commits observed") true (count Ring.k_commit > 0);
+      if Config.hardened config then
+        Alcotest.(check bool) (name ^ ": retransmits observed") true
+          (count Ring.k_retransmit > 0);
+      Alcotest.(check bool)
+        (name ^ ": callbacks are the ring's records, in order")
+        true (callbacks = records))
+    [
+      ("full", Config.full ~nodes:4 ());
+      ( "full+drops",
+        Config.with_faults (Config.full ~nodes:4 ())
+          (Pcc_interconnect.Fault.drops ~seed:7) );
+      ("msi", Config.snoop ~nodes:4 Types.Msi ());
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Registry export determinism across --jobs                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -166,7 +235,7 @@ let test_stall_dump_wellformed () =
       (* the decoder is total over everything the recorder wrote *)
       List.iter
         (fun e ->
-          if String.length (Flight.describe e) = 0 then
+          if String.length (Ring.describe e) = 0 then
             Alcotest.failf "event at t=%d renders empty" e.Ring.e_time)
         dump.Ring.d_events;
       let text = Format.asprintf "%a" Flight.pp_timeline dump in
@@ -182,4 +251,6 @@ let suite =
       test_registry_jobs_determinism;
     Alcotest.test_case "forced stall writes a decodable flight dump" `Quick
       test_stall_dump_wellformed;
+    Alcotest.test_case "probe subscribers see exactly the ring's events" `Quick
+      test_sink_matches_ring;
   ]

@@ -51,23 +51,40 @@ let prop_jsonl_roundtrip =
 
 (* ---------------- trace artifacts ---------------- *)
 
+(* The artifact's event lines, decoded from their flight-dump quads. *)
+let artifact_events path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun text ->
+         let json = Result.to_option (Jsonl.of_string text) in
+         let field key = Option.bind json (Jsonl.member key) in
+         match field "kind" with
+         | Some (Jsonl.String "event") -> (
+             match Option.bind (field "event") Flight_ring.event_of_json with
+             | Some e -> Some e
+             | None -> Alcotest.failf "undecodable event line: %s" text)
+         | Some _ | None -> None)
+
 let test_trace_roundtrip () =
   let desc =
     { Oracle.Trace.bench = "em3d"; config_name = "full"; nodes = 6; scale = 0.25;
       seed = 17; fault = true }
   in
-  let events =
-    [
-      Oracle.Trace.Msg { time = 3; src = 1; dst = 2; cls = "inval"; line = line ~home:2 ~index:5 };
-      Oracle.Trace.Commit
-        { time = 9; node = 4; kind = Types.Store; line = line ~home:0 ~index:1;
-          value = 42; started = 7 };
-    ]
-  in
+  let ring = Flight_ring.create () in
+  let inval = Message.Inval { line = line ~home:2 ~index:5; requester = 3 } in
+  Flight_ring.record ring ~time:3 ~kind:Flight_ring.k_send
+    ~detail:(Message.class_index inval) ~src:1 ~dst:2 ~line:(Message.line_of inval)
+    ~arg:0;
+  Flight_ring.record ring ~time:9 ~kind:Flight_ring.k_commit ~detail:1 ~src:4 ~dst:4
+    ~line:(line ~home:0 ~index:1) ~arg:42;
+  let events = Flight_ring.events ring in
   let path = Filename.temp_file "pcc-oracle" ".jsonl" in
   Oracle.Trace.write ~path ~desc ~violations:[ "boom" ] ~events;
   let reread = Oracle.Trace.read_desc ~path in
+  let decoded = artifact_events path in
   Sys.remove path;
+  Alcotest.(check bool) "event lines decode to the recorded events" true
+    (List.length decoded = 2 && decoded = events);
   match reread with
   | Ok desc' -> Alcotest.(check bool) "descriptor round-trips" true (desc = desc')
   | Error e -> Alcotest.failf "read_desc: %s" e
@@ -134,15 +151,17 @@ let test_order_rejects_unknown_value () =
 
 (* ---------------- fault injection ---------------- *)
 
-let test_fault_is_caught () =
-  (* not every seed's workload pushes an update into the corrupted
-     window, so scan a few; the oracle must catch at least one, and the
-     artifact it writes must replay *)
+(* Each backend's planted fault must be caught with a flight window
+   attached, and the artifact it writes must carry that window and
+   replay. *)
+let fault_is_caught config_name =
+  (* not every seed's workload reaches the corrupted window, so scan a
+     few; the oracle must catch at least one *)
   let caught = ref None in
   let seed = ref 1 in
   while !caught = None && !seed <= 10 do
     let desc =
-      { Oracle.Trace.bench = "random"; config_name = "full"; nodes = 6; scale = 0.15;
+      { Oracle.Trace.bench = "random"; config_name; nodes = 6; scale = 0.15;
         seed = !seed; fault = true }
     in
     let report = Oracle.Runner.run ~diff:false desc in
@@ -150,17 +169,24 @@ let test_fault_is_caught () =
     incr seed
   done;
   match !caught with
-  | None -> Alcotest.fail "injected stale-update fault never caught in 10 seeds"
+  | None -> Alcotest.failf "%s: injected fault never caught in 10 seeds" config_name
   | Some report ->
-      Alcotest.(check bool) "the run aborted online" true (report.result = None);
-      Alcotest.(check bool) "events captured" true (report.events <> []);
+      Alcotest.(check bool) (config_name ^ ": the run aborted online") true
+        (report.result = None);
+      Alcotest.(check bool) (config_name ^ ": events captured") true
+        (report.events <> []);
       let path = Filename.temp_file "pcc-oracle-fault" ".jsonl" in
       Oracle.Runner.save_artifact ~path report;
       let reread = Oracle.Trace.read_desc ~path in
+      let decoded = artifact_events path in
       Sys.remove path;
+      Alcotest.(check bool) (config_name ^ ": artifact carries the window") true
+        (decoded = report.events);
       (match reread with
       | Ok desc -> Alcotest.(check bool) "artifact records the fault" true desc.fault
       | Error e -> Alcotest.failf "artifact unreadable: %s" e)
+
+let test_fault_is_caught () = List.iter fault_is_caught [ "full"; "msi" ]
 
 let test_fault_free_config_ignores_flag () =
   (* the same workload under the baseline machine has no update path, so
