@@ -9,6 +9,19 @@
     this restores exactly-once, per-link in-order delivery — the network
     model the coherence protocol above was verified against.
 
+    Sequence numbers are dense per link and acknowledgements cumulative,
+    so the unacknowledged frames of a link are always one window of
+    seqs, from [base] up to but excluding [next_seq]: they sit in a
+    seq-indexed ring (the [Data] frame of the first send, re-sent as
+    is), and an acknowledgement just advances [base].  Frames held for
+    reassembly sit in a seq-tagged ring on the receiving side.  Both
+    rings start at 16 slots on first use and double when a window
+    outgrows them.  The retransmit timer is a typed engine event
+    ({!Pcc_engine.Simulator.schedule_call}) whose argument packs the
+    destination, the seq and the attempt count, so sending,
+    acknowledging and retransmitting a frame allocate no closure, table
+    entry or list.
+
     With [reliable = false] (no fault injection configured) the layer is
     a strict pass-through: no sequence tracking, no acknowledgement
     traffic, no timers — packet counts, bytes, and delivery schedule are
@@ -44,7 +57,8 @@ val create :
     timeout; backoff doubles per attempt up to [rto_cap].  [ack_bytes]
     is the wire size charged for acknowledgement frames.
     [on_retransmit]/[on_duplicate] fire once per retransmission and per
-    suppressed duplicate (statistics hooks). *)
+    suppressed duplicate (statistics hooks).  Raises [Invalid_argument]
+    beyond 64 nodes (the timer packs the destination into 6 bits). *)
 
 val send : 'a t -> dst:int -> bytes:int -> 'a -> unit
 (** Transmit a payload; in reliable mode it is retransmitted until the
@@ -71,12 +85,14 @@ val retransmits_by_link : 'a t -> (int * int) list
     links. *)
 
 val reset_all : 'a t -> unit
-(** Crash of the owning node: drop all sequence counters, unacked frames
-    (killing their retransmission chains) and reassembly buffers. *)
+(** Crash of the owning node: drop all sequence counters (every link
+    restarts at seq 0), unacked frames (killing their retransmission
+    chains) and reassembly buffers. *)
 
 val drop_peer : 'a t -> peer:int -> unit
 (** The peer died permanently: abandon frames queued for it so their
-    retransmission chains die and the simulation can drain. *)
+    retransmission chains die and the simulation can drain.  The unacked
+    window empties; sequence numbering to the peer carries on. *)
 
 val requeue_peer : 'a t -> peer:int -> unit
 (** The peer crashed but will restart with a zeroed hub: realign both

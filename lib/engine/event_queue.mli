@@ -2,7 +2,15 @@
 
     Events fire in nondecreasing time order; events scheduled for the same
     cycle fire in insertion order (FIFO), which keeps simulations
-    deterministic without requiring callers to break ties. *)
+    deterministic without requiring callers to break ties.
+
+    An event is either a thunk ({!add}) or a {e typed event}
+    ({!add_call}): a preallocated [int -> unit] handler plus one int
+    argument.  Both kinds share one insertion sequence, so FIFO holds
+    across them.  The heap itself holds only ints (time, insertion
+    sequence, payload slot); thunks, handlers and arguments sit in
+    slot-indexed arrays beside it, so reordering the heap never touches
+    a pointer, and a typed event costs no allocation at all. *)
 
 type t
 
@@ -15,6 +23,11 @@ val length : t -> int
 val add : t -> time:int -> (unit -> unit) -> unit
 (** [add q ~time f] schedules [f] to run at [time]. *)
 
+val add_call : t -> time:int -> (int -> unit) -> int -> unit
+(** [add_call q ~time handler arg] schedules [handler arg] at [time].
+    Allocation-free once the queue has grown to its peak depth, provided
+    [handler] is a closure built once, not per event. *)
+
 val min_time : t -> int option
 (** Timestamp of the next event, if any. *)
 
@@ -22,12 +35,11 @@ val next_time : t -> int
 (** Unboxed {!min_time}: timestamp of the next event, or [max_int] when
     the queue is empty.  Allocation-free. *)
 
-val pop : t -> (int * (unit -> unit)) option
-(** Remove and return the earliest event as [(time, action)]. *)
-
-val pop_exn : t -> unit -> unit
-(** Remove and return the earliest event's action without boxing the
-    result.  Raises [Invalid_argument] on an empty queue; pair with
-    {!is_empty}/{!next_time}.  Allocation-free. *)
+val run_next : t -> unit
+(** Remove the earliest event and run it.  The event's slot is released
+    before it runs, so it may schedule further events freely.  Raises
+    [Invalid_argument] on an empty queue; pair with
+    {!is_empty}/{!next_time}. *)
 
 val clear : t -> unit
+(** Drop every pending event (and the references they hold). *)

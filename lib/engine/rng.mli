@@ -4,7 +4,10 @@
     produces the same event ordering and the same statistics.  This module
     wraps a SplitMix64 generator, which has a tiny state, good statistical
     quality for simulation purposes, and supports cheap splitting so every
-    node / workload thread can own an independent stream. *)
+    node / workload thread can own an independent stream.
+
+    The 64-bit state is kept unboxed, so {!int}, {!float} and {!bool}
+    allocate nothing per draw; only {!next_int64} returns a boxed value. *)
 
 type t
 

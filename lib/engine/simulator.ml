@@ -47,6 +47,16 @@ let schedule_at t ~time action =
   Event_queue.add t.queue ~time action;
   note_depth t
 
+let schedule_call t ~delay handler arg =
+  assert (delay >= 0);
+  Event_queue.add_call t.queue ~time:(t.now + delay) handler arg;
+  note_depth t
+
+let schedule_call_at t ~time handler arg =
+  assert (time >= t.now);
+  Event_queue.add_call t.queue ~time handler arg;
+  note_depth t
+
 let stop t = t.stop_requested <- true
 
 let events_executed t = t.executed
@@ -112,10 +122,9 @@ let run ?until ?max_events t =
         Time_limit_reached
       end
       else begin
-        let action = Event_queue.pop_exn t.queue in
         t.now <- next_time;
         t.executed <- t.executed + 1;
-        action ();
+        Event_queue.run_next t.queue;
         (match t.observers with
         | [] -> ()
         | observers -> List.iter (fun f -> f ()) observers);

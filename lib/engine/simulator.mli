@@ -3,7 +3,15 @@
     A simulator owns a clock (measured in processor cycles) and an event
     queue.  Components schedule closures at future cycles; [run] executes
     them in deterministic timestamp order until the queue drains, a time
-    limit is hit, or a component calls [stop]. *)
+    limit is hit, or a component calls [stop].
+
+    Hot, high-volume event kinds use {e typed events} instead
+    ({!schedule_call}): a handler closure built once by the component,
+    called with one int argument that names the event's state (a packet
+    slot, a packed timer key).  Scheduling one allocates nothing.  Both
+    kinds share one (time, insertion) order, so switching an event kind
+    from a closure to a typed event, scheduled at the same moment,
+    leaves every simulated result unchanged. *)
 
 type t
 
@@ -29,6 +37,15 @@ val schedule : t -> delay:int -> (unit -> unit) -> unit
 
 val schedule_at : t -> time:int -> (unit -> unit) -> unit
 (** Absolute-time variant; [time] must not be in the past. *)
+
+val schedule_call : t -> delay:int -> (int -> unit) -> int -> unit
+(** [schedule_call t ~delay handler arg] runs [handler arg] at
+    [now t + delay], in the same order as {!schedule} would have run a
+    closure scheduled at this moment.  Allocation-free when [handler] is
+    preallocated. *)
+
+val schedule_call_at : t -> time:int -> (int -> unit) -> int -> unit
+(** Absolute-time variant of {!schedule_call}. *)
 
 val stop : t -> unit
 (** Request that [run] return after the current event. *)

@@ -100,15 +100,21 @@ type stats = {
 type t = {
   profile : profile;
   rng : Rng.t;
-  outage_until : (int * int, int) Hashtbl.t;  (* (src, dst) -> end cycle *)
+  nodes : int;
+  outage_until : int array;
+      (* link [src * nodes + dst] -> end cycle of its last outage;
+         [min_int] for a link that never went down *)
   stats : stats;
 }
 
-let create profile =
+let max_copies = 2
+
+let create ~nodes profile =
   {
     profile;
     rng = Rng.create ~seed:profile.chaos_seed;
-    outage_until = Hashtbl.create 64;
+    nodes;
+    outage_until = Array.make (nodes * nodes) min_int;
     stats = { dropped = 0; duplicated = 0; delayed = 0; outages_started = 0 };
   }
 
@@ -117,34 +123,34 @@ let stats t = t.stats
 (* Guard every probability with [> 0.0] so an all-zero profile draws
    nothing from the RNG: the packet schedule is then bit-identical to a
    network with no fault layer at all. *)
-let plan t ~src ~dst ~now =
+let plan t ~src ~dst ~now arrivals =
   let p = t.profile in
-  let link = (src, dst) in
+  let link = (src * t.nodes) + dst in
+  let until_ = t.outage_until.(link) in
   let down =
-    match Hashtbl.find_opt t.outage_until link with
-    | Some until_ when now < until_ -> true
+    if now < until_ then true
     (* refractory window: a link that just came back carries the whole
        retransmit backlog its outage created, and each of those packets
        would re-roll the outage die — a busy link would go straight back
        down, forever.  After an outage the link is guaranteed up for at
        least [outage_cycles], bounding the duty cycle at 50% so reliable
        delivery always makes progress. *)
-    | Some until_ when now < until_ + p.outage_cycles -> false
-    | Some _ | None ->
-        p.outage > 0.0
-        && Rng.bool t.rng ~p:p.outage
-        &&
-        (Hashtbl.replace t.outage_until link (now + p.outage_cycles);
-         t.stats.outages_started <- t.stats.outages_started + 1;
-         true)
+    else if now < until_ + p.outage_cycles then false
+    else
+      p.outage > 0.0
+      && Rng.bool t.rng ~p:p.outage
+      &&
+      (t.outage_until.(link) <- now + p.outage_cycles;
+       t.stats.outages_started <- t.stats.outages_started + 1;
+       true)
   in
   if down then begin
     t.stats.dropped <- t.stats.dropped + 1;
-    []
+    0
   end
   else if p.drop > 0.0 && Rng.bool t.rng ~p:p.drop then begin
     t.stats.dropped <- t.stats.dropped + 1;
-    []
+    0
   end
   else begin
     let jitter =
@@ -159,11 +165,13 @@ let plan t ~src ~dst ~now =
     in
     let extra = jitter + slow in
     if extra > 0 then t.stats.delayed <- t.stats.delayed + 1;
+    arrivals.(0) <- extra;
     if p.duplicate > 0.0 && Rng.bool t.rng ~p:p.duplicate then begin
       t.stats.duplicated <- t.stats.duplicated + 1;
       let echo_gap = 1 + Rng.int t.rng ~bound:(max 1 (max p.delay_max p.reorder_window))
       in
-      [ extra; extra + echo_gap ]
+      arrivals.(1) <- extra + echo_gap;
+      2
     end
-    else [ extra ]
+    else 1
   end

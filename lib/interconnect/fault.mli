@@ -10,7 +10,12 @@
 
     An all-zero profile draws nothing from the RNG and schedules every
     packet exactly as the fault-free network would: the chaos layer is
-    bit-identical to no chaos layer when its probabilities are zero. *)
+    bit-identical to no chaos layer when its probabilities are zero.
+
+    A per-packet decision ({!plan}) allocates nothing: it writes its
+    arrival offsets into the caller's buffer, keeps one outage clock per
+    directed link in an int array, and draws from an unboxed
+    {!Pcc_engine.Rng}. *)
 
 type crash = {
   victim : int;  (** node that fail-stops *)
@@ -85,12 +90,22 @@ type stats = {
 
 type t
 
-val create : profile -> t
+val create : nodes:int -> profile -> t
+(** Fault state for a [nodes]-node machine: the profile's RNG stream and
+    one outage clock per directed link. *)
 
 val stats : t -> stats
 
-val plan : t -> src:int -> dst:int -> now:int -> int list
-(** Fault decision for one packet: the list of extra delays (in cycles,
+val max_copies : int
+(** Most arrivals {!plan} ever writes for one packet (2: a duplicate). *)
+
+val plan : t -> src:int -> dst:int -> now:int -> int array -> int
+(** Fault decision for one packet.  [plan t ~src ~dst ~now arrivals]
+    writes into [arrivals.(0 .. n-1)] the extra delays (in cycles,
     relative to the undisturbed arrival time) at which copies of the
-    packet should be delivered.  [[]] means the packet is lost; [[0]]
-    means undisturbed delivery; two entries mean duplication. *)
+    packet should be delivered, and returns [n]: [0] means the packet is
+    lost, [1] with offset [0] means undisturbed delivery, and [2] means
+    duplication.  [arrivals] must hold at least {!max_copies} slots; it
+    is the caller's buffer, so a decision allocates nothing (outage
+    clocks live in an int array indexed by [src * nodes + dst], so
+    [src] and [dst] must be nodes of the machine given to {!create}). *)

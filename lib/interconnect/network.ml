@@ -32,6 +32,13 @@ type crash_state = {
   mutable stale_dropped : int;  (* stale-epoch packets discarded *)
 }
 
+(* In-flight packets live in a slot table: the delivery event is a typed
+   engine event whose argument is the packet's slot, so sending a packet
+   allocates neither a closure nor a tuple.  Slots are recycled through a
+   free stack; a delivered slot's payload is overwritten with [filler]
+   (the first payload ever sent) so the table never keeps a dead payload
+   alive into the major heap.  The epoch columns are used only on
+   crash-capable machines. *)
 type 'a t = {
   sim : Simulator.t;
   topology : Topology.t;
@@ -41,11 +48,108 @@ type 'a t = {
   receivers : (src:int -> 'a -> unit) option array;
   egress_free : int array; (* per-node egress port availability *)
   ingress_free : int array;
+  arrivals : int array;  (* Fault.plan's output buffer *)
+  mutable pk_src : int array;
+  mutable pk_dst : int array;
+  mutable pk_src_epoch : int array;
+  mutable pk_dst_epoch : int array;
+  mutable pk_payload : 'a array;  (* [||] until the first packet *)
+  mutable filler : 'a option;
+  mutable pk_free : int array;  (* pk_free.(0 .. pk_free_top-1): unused slots *)
+  mutable pk_free_top : int;
+  mutable deliver_slot : int -> unit;  (* the delivery event's handler *)
   mutable messages : int;
   mutable bytes : int;
   mutable hops : int;
-  mutable in_flight : int;  (* scheduled deliveries not yet executed *)
 }
+
+let initial_packets = 64
+
+let set_receiver t ~node handler = t.receivers.(node) <- Some handler
+
+let fault_stats t = Option.map Fault.stats t.faults
+
+let extend a capacity filler =
+  let b = Array.make capacity filler in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Double the packet table; every slot is taken when this runs, so the
+   free stack becomes exactly the new slots. *)
+let grow_packets t payload =
+  let old = Array.length t.pk_src in
+  let capacity = max initial_packets (2 * old) in
+  let filler =
+    match t.filler with
+    | Some filler -> filler
+    | None ->
+        t.filler <- Some payload;
+        payload
+  in
+  t.pk_src <- extend t.pk_src capacity 0;
+  t.pk_dst <- extend t.pk_dst capacity 0;
+  if t.crash <> None then begin
+    t.pk_src_epoch <- extend t.pk_src_epoch capacity 0;
+    t.pk_dst_epoch <- extend t.pk_dst_epoch capacity 0
+  end;
+  t.pk_payload <- extend t.pk_payload capacity filler;
+  t.pk_free <- Array.init capacity (fun i -> capacity - 1 - i);
+  t.pk_free_top <- capacity - old
+
+(* Deliveries scheduled but not yet executed: the taken slots. *)
+let in_flight t = Array.length t.pk_src - t.pk_free_top
+
+(* The one delivery path, for local and remote packets alike.  On a
+   crash-capable machine the packet carries the incarnation numbers of
+   both endpoints as they were at send time; it lands only if the
+   destination is up and neither endpoint has been through a crash
+   detection since — in-flight traffic from a dead node keeps arriving
+   until the crash is detected (its epoch bumps), then drains away. *)
+let deliver t slot =
+  let src = t.pk_src.(slot) and dst = t.pk_dst.(slot) in
+  let payload = t.pk_payload.(slot) in
+  let live =
+    match t.crash with
+    | None -> true
+    | Some cs ->
+        if cs.down.(dst) then begin
+          cs.dead_dropped <- cs.dead_dropped + 1;
+          false
+        end
+        else if
+          cs.epoch.(src) <> t.pk_src_epoch.(slot) || cs.epoch.(dst) <> t.pk_dst_epoch.(slot)
+        then begin
+          cs.stale_dropped <- cs.stale_dropped + 1;
+          false
+        end
+        else true
+  in
+  (match t.filler with Some filler -> t.pk_payload.(slot) <- filler | None -> ());
+  t.pk_free.(t.pk_free_top) <- slot;
+  t.pk_free_top <- t.pk_free_top + 1;
+  if live then
+    match t.receivers.(dst) with
+    | Some handler -> handler ~src payload
+    | None ->
+        failwith
+          (Printf.sprintf
+             "Network.deliver: node %d has no receiver for the packet from node %d" dst
+             src)
+
+let schedule_delivery t ~time ~src ~dst payload =
+  if t.pk_free_top = 0 then grow_packets t payload;
+  let top = t.pk_free_top - 1 in
+  let slot = t.pk_free.(top) in
+  t.pk_free_top <- top;
+  t.pk_src.(slot) <- src;
+  t.pk_dst.(slot) <- dst;
+  t.pk_payload.(slot) <- payload;
+  (match t.crash with
+  | None -> ()
+  | Some cs ->
+      t.pk_src_epoch.(slot) <- cs.epoch.(src);
+      t.pk_dst_epoch.(slot) <- cs.epoch.(dst));
+  Simulator.schedule_call_at t.sim ~time t.deliver_slot slot
 
 let create ?faults sim topology config =
   let n = Topology.nodes topology in
@@ -61,62 +165,33 @@ let create ?faults sim topology config =
           }
     | Some _ | None -> None
   in
-  {
-    sim;
-    topology;
-    config;
-    faults = Option.map Fault.create faults;
-    crash;
-    receivers = Array.make n None;
-    egress_free = Array.make n 0;
-    ingress_free = Array.make n 0;
-    messages = 0;
-    bytes = 0;
-    hops = 0;
-    in_flight = 0;
-  }
-
-let set_receiver t ~node handler = t.receivers.(node) <- Some handler
-
-let fault_stats t = Option.map Fault.stats t.faults
-
-let deliver t ~src ~dst payload =
-  t.in_flight <- t.in_flight - 1;
-  match t.receivers.(dst) with
-  | Some handler -> handler ~src payload
-  | None ->
-      failwith
-        (Printf.sprintf
-           "Network.deliver: node %d has no receiver for the packet from node %d" dst
-           src)
-
-(* Epoch-stamped delivery: the packet carries the incarnation numbers of
-   both endpoints as they were at send time.  It lands only if the
-   destination is up and neither endpoint has been through a crash
-   detection since — in-flight traffic from a dead node keeps arriving
-   until the crash is detected (its epoch bumps), then drains away. *)
-let deliver_stamped t cs ~src ~dst ~src_epoch ~dst_epoch payload =
-  t.in_flight <- t.in_flight - 1;
-  if cs.down.(dst) then cs.dead_dropped <- cs.dead_dropped + 1
-  else if cs.epoch.(src) <> src_epoch || cs.epoch.(dst) <> dst_epoch then
-    cs.stale_dropped <- cs.stale_dropped + 1
-  else
-    match t.receivers.(dst) with
-    | Some handler -> handler ~src payload
-    | None ->
-        failwith
-          (Printf.sprintf
-             "Network.deliver: node %d has no receiver for the packet from node %d" dst
-             src)
-
-let schedule_delivery t ~time ~src ~dst payload =
-  t.in_flight <- t.in_flight + 1;
-  match t.crash with
-  | None -> Simulator.schedule_at t.sim ~time (fun () -> deliver t ~src ~dst payload)
-  | Some cs ->
-      let src_epoch = cs.epoch.(src) and dst_epoch = cs.epoch.(dst) in
-      Simulator.schedule_at t.sim ~time (fun () ->
-          deliver_stamped t cs ~src ~dst ~src_epoch ~dst_epoch payload)
+  let t =
+    {
+      sim;
+      topology;
+      config;
+      faults = Option.map (Fault.create ~nodes:n) faults;
+      crash;
+      receivers = Array.make n None;
+      egress_free = Array.make n 0;
+      ingress_free = Array.make n 0;
+      arrivals = Array.make Fault.max_copies 0;
+      pk_src = [||];
+      pk_dst = [||];
+      pk_src_epoch = [||];
+      pk_dst_epoch = [||];
+      pk_payload = [||];
+      filler = None;
+      pk_free = [||];
+      pk_free_top = 0;
+      deliver_slot = ignore;
+      messages = 0;
+      bytes = 0;
+      hops = 0;
+    }
+  in
+  t.deliver_slot <- (fun slot -> deliver t slot);
+  t
 
 (* Misrouted or premature traffic must fail loudly at the send, not as a
    bare [Invalid_argument] (or a silent misroute) deep inside a scheduled
@@ -161,15 +236,8 @@ let send t ~src ~dst ~bytes payload =
     | Some _ | None -> false
   in
   if zombie_send then ()
-  else if src = dst then begin
-    match t.crash with
-    | None ->
-        t.in_flight <- t.in_flight + 1;
-        Simulator.schedule t.sim ~delay:t.config.local_latency (fun () ->
-            deliver t ~src ~dst payload)
-    | Some _ ->
-        schedule_delivery t ~time:(now + t.config.local_latency) ~src ~dst payload
-  end
+  else if src = dst then
+    schedule_delivery t ~time:(now + t.config.local_latency) ~src ~dst payload
   else begin
     let wire_bytes = max bytes t.config.min_packet_bytes in
     let occupancy = (wire_bytes + t.config.port_bytes_per_cycle - 1) / t.config.port_bytes_per_cycle in
@@ -190,9 +258,10 @@ let send t ~src ~dst ~bytes payload =
     | Some chaos ->
         (* traffic counters above describe what was {e sent}; the fault
            layer only decides what arrives, and when *)
-        List.iter
-          (fun extra -> schedule_delivery t ~time:(in_clear + extra) ~src ~dst payload)
-          (Fault.plan chaos ~src ~dst ~now)
+        let copies = Fault.plan chaos ~src ~dst ~now t.arrivals in
+        for i = 0 to copies - 1 do
+          schedule_delivery t ~time:(in_clear + t.arrivals.(i)) ~src ~dst payload
+        done
   end
 
 let crash_state t =
@@ -225,8 +294,6 @@ let crash_drops t =
   match t.crash with
   | Some cs -> (cs.dead_dropped, cs.stale_dropped)
   | None -> (0, 0)
-
-let in_flight t = t.in_flight
 
 let messages_sent t = t.messages
 

@@ -8,7 +8,18 @@
     §3.1 of the paper.
 
     Messages between a node and itself are delivered after the local hub
-    latency and are not counted as network traffic. *)
+    latency and are not counted as network traffic.
+
+    Packets in flight sit in a slot table (source, destination, payload,
+    and on crash-capable machines both endpoints' epochs), and each
+    delivery is a typed engine event carrying its slot
+    ({!Pcc_engine.Simulator.schedule_call_at}): one delivery path serves
+    local and remote, plain and epoch-stamped packets, and sending a
+    packet allocates nothing beyond the payload the caller built.  The
+    fault layer writes its arrival offsets into a buffer the network
+    owns.  Deliveries are scheduled at the same moments and in the same
+    order as a closure per packet would be, so the schedule is
+    unchanged. *)
 
 type 'a t
 

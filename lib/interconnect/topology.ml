@@ -12,16 +12,14 @@ let nodes t = t.nodes
 let levels t = t.levels
 
 (* The common-ancestor level of two leaves: 1 when they share a leaf
-   router, 2 when their leaf routers share a level-2 router, ... *)
-let common_level t src dst =
-  let rec search level group_size =
-    if src / group_size = dst / group_size then level
-    else search (level + 1) (group_size * t.radix)
-  in
-  search 1 t.radix
+   router, 2 when their leaf routers share a level-2 router, ...  A
+   top-level loop, not a local closure: it runs once per remote packet. *)
+let rec common_level t src dst ~level ~group_size =
+  if src / group_size = dst / group_size then level
+  else common_level t src dst ~level:(level + 1) ~group_size:(group_size * t.radix)
 
 let router_hops t ~src ~dst =
   assert (src >= 0 && src < t.nodes && dst >= 0 && dst < t.nodes);
-  if src = dst then 0 else 2 * common_level t src dst
+  if src = dst then 0 else 2 * common_level t src dst ~level:1 ~group_size:t.radix
 
 let diameter t = 2 * t.levels

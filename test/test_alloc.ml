@@ -84,6 +84,55 @@ let check_flight_record () =
        always-on recorder must stay allocation-free"
       words events
 
+(* Every fault decision and every random-replacement victim draws from
+   [Rng]: a draw must keep the 64-bit SplitMix64 state unboxed, or each
+   one leaves a boxed [Int64] behind (3 words per draw). *)
+let check_rng_draws () =
+  let rng = Pcc_engine.Rng.create ~seed:5 in
+  let draws = 1_000_000 in
+  let hits = ref 0 and sum = ref 0 in
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    if Pcc_engine.Rng.bool rng ~p:0.3 then incr hits;
+    sum := !sum + Pcc_engine.Rng.int rng ~bound:17
+  done;
+  let words = Gc.minor_words () -. before in
+  if !hits = 0 || !sum = 0 then Alcotest.fail "rng draws degenerate";
+  if words > 256.0 then
+    Alcotest.failf
+      "Rng.bool/Rng.int allocated %.0f minor words over %d draws of each — the \
+       generator state must stay unboxed"
+      words draws
+
+(* The fault planner runs once per remote packet on a chaotic network: it
+   must write its arrival offsets into the caller's buffer and key link
+   outages by an int, touching the minor heap not at all. *)
+let check_fault_plan () =
+  let module Fault = Pcc_interconnect.Fault in
+  let nodes = 8 in
+  let faults = Fault.create ~nodes (Fault.storm ~seed:3) in
+  let outages = Fault.create ~nodes (Fault.outages ~seed:3) in
+  let buf = Array.make Fault.max_copies 0 in
+  let packets = 200_000 in
+  let copies = ref 0 in
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  for i = 0 to packets - 1 do
+    let src = i land 7 and dst = (i lsr 3) land 7 in
+    copies := !copies + Fault.plan faults ~src ~dst ~now:(4 * i) buf;
+    copies := !copies + Fault.plan outages ~src ~dst ~now:(4 * i) buf
+  done;
+  let words = Gc.minor_words () -. before in
+  if !copies = 0 then Alcotest.fail "fault planner delivered nothing";
+  if (Fault.stats outages).Fault.outages_started = 0 then
+    Alcotest.fail "outage profile never took a link down";
+  if words > 256.0 then
+    Alcotest.failf
+      "Fault.plan allocated %.0f minor words over %d packets — the per-packet \
+       fault decision must stay allocation-free"
+      words (2 * packets)
+
 (* The streaming feed path: a run fed by Workload.stream — generator
    refills or binary-trace chunk decoding included — must hold the same
    order of per-commit allocation as the materialized path, or 10^8-event
@@ -135,13 +184,16 @@ let trace_workload () =
 let suite =
   [
     Alcotest.test_case "flight record path allocation-free" `Quick check_flight_record;
+    Alcotest.test_case "rng draws allocation-free" `Quick check_rng_draws;
+    Alcotest.test_case "fault plan allocation-free" `Quick check_fault_plan;
     Alcotest.test_case "base protocol under budget" `Quick
       (check "base" 500.0 (Config.base ~nodes ()));
     Alcotest.test_case "model checker under budget" `Quick (check_checker 5_000.0);
     Alcotest.test_case "full adaptive machine under budget" `Quick
       (check "full" 500.0 (Config.small_full ~nodes ()));
+    (* reliable hub links over 8% loss: measured 291 words/commit *)
     Alcotest.test_case "hardened machine under budget" `Quick
-      (check "hardened" 1000.0
+      (check "hardened" 600.0
          (Config.with_faults
             (Config.small_full ~nodes ())
             (Pcc_interconnect.Fault.drops ~seed:7)));

@@ -52,35 +52,97 @@ let zero_profile_invisible =
 
 (* ---------------- hub link reliability ---------------- *)
 
-(* Two hubs over a hostile network: every payload must come out exactly
-   once, in order, despite drops, duplicates, delays, and reordering. *)
-let test_hub_link_exactly_once () =
-  let nodes = 2 in
+(* Two hubs over a hostile network (a storm, or outages) trade bursts in
+   both directions: every payload must come out exactly once, in order,
+   on each link, and the link must drain with nothing unacknowledged.
+   A burst leaves its 20-60 frames unacknowledged at once, more than the
+   16 slots a ring starts with, and a lost frame early in a burst holds
+   the rest of it back in the receiver's reassembly ring, so both rings
+   grow.  During
+   the run, at every delivery, [exists_unacked] is checked against a
+   shadow list of what each hub has sent: the unacknowledged frames must
+   be exactly the last [in_flight] sent, and must include every frame
+   the peer has not delivered yet. *)
+let check_hub_link ~seed ~outages ~burst =
+  let nodes = 2 and bursts = 4 in
   let sim = Simulator.create () in
   let topo = Topology.fat_tree ~nodes ~radix:8 in
-  let net =
-    Network.create ~faults:(Fault.storm ~seed:1234) sim topo Network.default_config
+  let profile = if outages then Fault.outages ~seed else Fault.storm ~seed in
+  let net = Network.create ~faults:profile sim topo Network.default_config in
+  (* payloads are (src, index) packed into one int *)
+  let payload ~src i = (src * 1_000_000) + i in
+  let sent = Array.init nodes (fun _ -> Array.make (bursts * burst) (-1)) in
+  let sent_n = Array.make nodes 0 in
+  let received = Array.make nodes [] and received_n = Array.make nodes 0 in
+  let links = Array.make nodes None in
+  let link n = Option.get links.(n) in
+  let shadow_agrees src =
+    let dst = 1 - src in
+    let l = link src in
+    let unacked = Hub_link.in_flight l and n = sent_n.(src) in
+    let is_unacked i = Hub_link.exists_unacked l ~peer:dst ~f:(( = ) sent.(src).(i)) in
+    unacked <= n
+    && received_n.(dst) >= n - unacked
+    && (unacked = 0 || (is_unacked (n - unacked) && is_unacked (n - 1)))
+    && (unacked = n || not (is_unacked (n - unacked - 1)))
   in
-  let retransmits = ref 0 and duplicates = ref 0 in
-  let received = ref [] in
-  let mk id deliver =
-    Hub_link.create ~sim ~network:net ~id ~nodes ~reliable:true ~rto:500 ~rto_cap:8000
-      ~ack_bytes:16
-      ~on_retransmit:(fun ~dst:_ -> incr retransmits)
-      ~on_duplicate:(fun () -> incr duplicates)
-      ~deliver
+  let mismatch = ref None and retransmits = ref 0 in
+  let sample () =
+    for src = 0 to nodes - 1 do
+      if !mismatch = None && not (shadow_agrees src) then
+        mismatch :=
+          Some
+            (Printf.sprintf "t=%d hub %d: %d sent, %d unacked, %d delivered"
+               (Simulator.now sim) src sent_n.(src) (Hub_link.in_flight (link src))
+               received_n.(1 - src))
+    done
   in
-  let link0 = mk 0 (fun ~src:_ _ -> ()) in
-  let _link1 = mk 1 (fun ~src:_ tag -> received := tag :: !received) in
-  for i = 1 to 200 do
-    Simulator.schedule sim ~delay:(i * 40) (fun () -> Hub_link.send link0 ~dst:1 ~bytes:48 i)
+  for id = 0 to nodes - 1 do
+    links.(id) <-
+      Some
+        (Hub_link.create ~sim ~network:net ~id ~nodes ~reliable:true ~rto:500
+           ~rto_cap:8000 ~ack_bytes:16
+           ~on_retransmit:(fun ~dst:_ -> incr retransmits)
+           ~on_duplicate:ignore
+           ~deliver:(fun ~src:_ v ->
+             received.(id) <- v :: received.(id);
+             received_n.(id) <- received_n.(id) + 1;
+             sample ()))
   done;
-  Alcotest.(check bool) "drains" true (Simulator.run sim = Simulator.Drained);
-  Alcotest.(check (list int)) "exactly once, in order"
-    (List.init 200 (fun i -> i + 1))
-    (List.rev !received);
-  Alcotest.(check int) "nothing left unacknowledged" 0 (Hub_link.in_flight link0);
-  Alcotest.(check bool) "loss forced retransmissions" true (!retransmits > 0)
+  for b = 0 to bursts - 1 do
+    for src = 0 to nodes - 1 do
+      Simulator.schedule sim ~delay:((b * 3000) + (src * 700)) (fun () ->
+          for _ = 1 to burst do
+            let v = payload ~src sent_n.(src) in
+            sent.(src).(sent_n.(src)) <- v;
+            sent_n.(src) <- sent_n.(src) + 1;
+            Hub_link.send (link src) ~dst:(1 - src) ~bytes:48 v
+          done;
+          sample ())
+    done
+  done;
+  (* a broken link retransmits forever: bound the run so it fails, not hangs *)
+  if Simulator.run ~max_events:1_000_000 sim <> Simulator.Drained then
+    Q.Test.fail_report "did not drain";
+  Option.iter (Q.Test.fail_reportf "shadow list disagrees: %s") !mismatch;
+  for src = 0 to nodes - 1 do
+    let expected = List.init (bursts * burst) (payload ~src) in
+    if List.rev received.(1 - src) <> expected then
+      Q.Test.fail_reportf "link %d->%d: not exactly once in order" src (1 - src);
+    if Hub_link.in_flight (link src) <> 0 then
+      Q.Test.fail_reportf "hub %d: %d frames unacknowledged at drain" src
+        (Hub_link.in_flight (link src))
+  done;
+  (* a storm drops 8% of packets: over hundreds of frames, a run with no
+     retransmission would mean the timers never fired *)
+  if (not outages) && !retransmits = 0 then
+    Q.Test.fail_report "storm forced no retransmission";
+  true
+
+let hub_link_exactly_once =
+  Q.Test.make ~count:12 ~name:"hub link: exactly once, in order"
+    Q.(triple (int_bound 1_000_000) bool (int_bound 40))
+    (fun (seed, outages, extra) -> check_hub_link ~seed ~outages ~burst:(20 + extra))
 
 (* ---------------- end-to-end chaotic runs ---------------- *)
 
@@ -201,8 +263,7 @@ let test_stall_report_on_event_limit () =
 let suite =
   [
     QCheck_alcotest.to_alcotest zero_profile_invisible;
-    Alcotest.test_case "hub link: exactly once, in order" `Quick
-      test_hub_link_exactly_once;
+    QCheck_alcotest.to_alcotest hub_link_exactly_once;
     Alcotest.test_case "storm run stays coherent" `Quick test_storm_run_stays_coherent;
     Alcotest.test_case "outages force base-protocol fallback" `Quick
       test_outage_forces_fallback;

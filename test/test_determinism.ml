@@ -20,26 +20,30 @@ open Pcc_core
 (* Event_queue vs a sorted-list reference model                         *)
 (* ------------------------------------------------------------------ *)
 
-type model_op = Add of int | Pop | Clear
+(* [Add] schedules a thunk, [Call] a typed event (a shared handler plus
+   an int argument); both draw from one insertion sequence, so FIFO
+   within a cycle must hold across the two kinds. *)
+type model_op = Add of int | Call of int | Pop | Clear
 
 let op_gen =
   Q.Gen.(
     frequency
       [
-        (6, map (fun t -> Add t) (int_bound 10));
+        (3, map (fun t -> Add t) (int_bound 10));
+        (3, map (fun t -> Call t) (int_bound 10));
         (4, return Pop);
         (1, return Clear);
       ])
 
-let ops_arbitrary =
-  let print_op = function
-    | Add t -> Printf.sprintf "Add %d" t
-    | Pop -> "Pop"
-    | Clear -> "Clear"
-  in
-  Q.make
-    ~print:(fun ops -> String.concat "; " (List.map print_op ops))
-    Q.Gen.(list_size (int_range 0 400) op_gen)
+let print_op = function
+  | Add t -> Printf.sprintf "Add %d" t
+  | Call t -> Printf.sprintf "Call %d" t
+  | Pop -> "Pop"
+  | Clear -> "Clear"
+
+let print_ops ops = String.concat "; " (List.map print_op ops)
+
+let ops_arbitrary = Q.make ~print:print_ops Q.Gen.(list_size (int_range 0 400) op_gen)
 
 (* Reference: a list of (time, id) where FIFO within a cycle means a new
    entry goes after every entry with time <= t. *)
@@ -55,6 +59,9 @@ let check_against_model ops =
   let model = ref [] in
   let next_id = ref 0 in
   let popped = ref (-1) in
+  (* one handler for every typed event, as the simulator's callers do:
+     the event's identity travels in the int argument *)
+  let record id = popped := id in
   let agree label =
     if Event_queue.length q <> List.length !model then
       Q.Test.fail_reportf "%s: length %d, model %d" label (Event_queue.length q)
@@ -62,8 +69,24 @@ let check_against_model ops =
     let expected_min = match !model with [] -> None | (t, _) :: _ -> Some t in
     if Event_queue.min_time q <> expected_min then
       Q.Test.fail_reportf "%s: min_time disagrees" label;
+    if Event_queue.next_time q <> Option.value expected_min ~default:max_int then
+      Q.Test.fail_reportf "%s: next_time disagrees" label;
     if Event_queue.is_empty q <> (!model = []) then
       Q.Test.fail_reportf "%s: is_empty disagrees" label
+  in
+  let run_next label =
+    match !model with
+    | [] -> Q.Test.fail_reportf "%s: model is empty" label
+    | (t, id) :: rest ->
+        if Event_queue.next_time q <> t then
+          Q.Test.fail_reportf "%s: time %d, model expected %d" label
+            (Event_queue.next_time q) t;
+        popped := -1;
+        Event_queue.run_next q;
+        if !popped <> id then
+          Q.Test.fail_reportf "%s: ran event %d, model expected %d (FIFO broken)" label
+            !popped id;
+        model := rest
   in
   List.iter
     (fun op ->
@@ -73,39 +96,22 @@ let check_against_model ops =
           incr next_id;
           Event_queue.add q ~time:t (fun () -> popped := id);
           model := model_insert !model t id
-      | Pop -> (
-          match (Event_queue.pop q, !model) with
-          | None, [] -> ()
-          | None, _ :: _ -> Q.Test.fail_reportf "pop: queue empty, model is not"
-          | Some _, [] -> Q.Test.fail_reportf "pop: queue has entries, model is empty"
-          | Some (time, action), (t, id) :: rest ->
-              if time <> t then
-                Q.Test.fail_reportf "pop: time %d, model expected %d" time t;
-              popped := -1;
-              action ();
-              if !popped <> id then
-                Q.Test.fail_reportf "pop: ran action %d, model expected %d (FIFO broken)"
-                  !popped id;
-              model := rest)
+      | Call t ->
+          let id = !next_id in
+          incr next_id;
+          Event_queue.add_call q ~time:t record id;
+          model := model_insert !model t id
+      | Pop -> if not (Event_queue.is_empty q) then run_next "pop"
       | Clear ->
           Event_queue.clear q;
           model := []);
       agree "after op")
     ops;
   (* drain what is left: total order must hold to the end *)
-  let rec drain () =
-    match (Event_queue.pop q, !model) with
-    | None, [] -> ()
-    | Some (time, action), (t, id) :: rest ->
-        if time <> t then Q.Test.fail_reportf "drain: time %d, model %d" time t;
-        popped := -1;
-        action ();
-        if !popped <> id then Q.Test.fail_reportf "drain: order diverged";
-        model := rest;
-        drain ()
-    | _ -> Q.Test.fail_reportf "drain: length disagreement"
-  in
-  drain ();
+  while not (Event_queue.is_empty q) do
+    run_next "drain"
+  done;
+  if !model <> [] then Q.Test.fail_reportf "drain: model has %d left" (List.length !model);
   true
 
 let event_queue_model =
@@ -113,10 +119,20 @@ let event_queue_model =
     ops_arbitrary check_against_model
 
 let event_queue_model_growth =
-  (* long same-time runs force grow while FIFO must survive *)
+  (* long same-time runs of both kinds force grow, and a clear in the
+     middle recycles every slot, while FIFO must survive *)
+  let adds =
+    Q.Gen.(
+      list_repeat 300
+        (map2 (fun typed t -> if typed then Call (t mod 3) else Add (t mod 3)) bool
+           (int_bound 2)))
+  in
   Q.Test.make ~count:50 ~name:"event queue model across grow"
-    (Q.make Q.Gen.(list_repeat 300 (map (fun t -> Add (t mod 3)) (int_bound 2))))
-    (fun adds -> check_against_model (adds @ List.init 300 (fun _ -> Pop)))
+    (Q.make ~print:(fun (a, b) -> print_ops (a @ (Clear :: b))) Q.Gen.(pair adds adds))
+    (fun (first, second) ->
+      check_against_model
+        (first @ List.init 100 (fun _ -> Pop) @ (Clear :: second)
+        @ List.init 300 (fun _ -> Pop)))
 
 (* ------------------------------------------------------------------ *)
 (* Parallel-vs-sequential bit-identity over the app×config matrix       *)

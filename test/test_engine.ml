@@ -76,14 +76,9 @@ let test_queue_time_order () =
   Event_queue.add q ~time:30 (fun () -> log := 30 :: !log);
   Event_queue.add q ~time:10 (fun () -> log := 10 :: !log);
   Event_queue.add q ~time:20 (fun () -> log := 20 :: !log);
-  let rec drain () =
-    match Event_queue.pop q with
-    | Some (_, action) ->
-        action ();
-        drain ()
-    | None -> ()
-  in
-  drain ();
+  while not (Event_queue.is_empty q) do
+    Event_queue.run_next q
+  done;
   Alcotest.(check (list int)) "time order" [ 10; 20; 30 ] (List.rev !log)
 
 let test_queue_fifo_within_cycle () =
@@ -92,14 +87,9 @@ let test_queue_fifo_within_cycle () =
   for i = 1 to 50 do
     Event_queue.add q ~time:5 (fun () -> log := i :: !log)
   done;
-  let rec drain () =
-    match Event_queue.pop q with
-    | Some (_, action) ->
-        action ();
-        drain ()
-    | None -> ()
-  in
-  drain ();
+  while not (Event_queue.is_empty q) do
+    Event_queue.run_next q
+  done;
   Alcotest.(check (list int)) "insertion order at same time" (List.init 50 (fun i -> i + 1))
     (List.rev !log)
 
@@ -117,15 +107,12 @@ let test_queue_growth () =
   done;
   check "length" 1000 (Event_queue.length q);
   let last = ref (-1) in
-  let rec drain () =
-    match Event_queue.pop q with
-    | Some (time, _) ->
-        Alcotest.(check bool) "nondecreasing" true (time >= !last);
-        last := time;
-        drain ()
-    | None -> ()
-  in
-  drain ()
+  while not (Event_queue.is_empty q) do
+    let time = Event_queue.next_time q in
+    Alcotest.(check bool) "nondecreasing" true (time >= !last);
+    last := time;
+    Event_queue.run_next q
+  done
 
 let test_queue_clear () =
   let q = Event_queue.create () in
