@@ -186,9 +186,7 @@ let run_one ~bench ~config_name ~protocol ~nodes ~scale ~seed ~profile_name
         ~path:
           (Filename.concat dir
              (Printf.sprintf "seed%d-%s-%s.flight.json" seed profile_name bench)));
-  (* the directory-state auditor reads adaptive internals; the snooping
-     backends are covered by the memory checker and quiescence invariants *)
-  if protocol = Types.Adaptive then ignore (Oracle.Audit.attach sys);
+  let checks = Oracle.Runner.attach sys in
   let committed = ref 0 in
   System.on_commit sys (fun _ -> incr committed);
   let report =
@@ -220,6 +218,8 @@ let run_one ~bench ~config_name ~protocol ~nodes ~scale ~seed ~profile_name
         report with
         rr_problems = [ Printf.sprintf "oracle violation at t=%d: %s" time message ];
       }
+  | exception Oracle.Order.Violation message ->
+      { report with rr_problems = [ "oracle violation: order: " ^ message ] }
   | result ->
       let stats = result.System.stats in
       let drops, dups, delays, outages =
@@ -232,7 +232,8 @@ let run_one ~bench ~config_name ~protocol ~nodes ~scale ~seed ~profile_name
       in
       {
         report with
-        rr_problems = check_run ~total_ops ~committed:!committed result @ stats_errors;
+        rr_problems =
+          check_run ~total_ops ~committed:!committed result @ stats_errors @ checks.sweep ();
         rr_retransmits = stats.Run_stats.retransmits;
         rr_dup_dropped = stats.Run_stats.dup_dropped;
         rr_txn_timeouts = stats.Run_stats.txn_timeouts;

@@ -42,7 +42,7 @@ let checker_metrics registry (stats : Pcc.Checker.stats) ~violations ~deadlocks 
 
 let snoop_bug_of_string = function
   | "" -> Ok None
-  | "upgr-skips-invals" -> Ok (Some Pcc.Snoop_model.Upgr_skips_invals)
+  | "upgr-skips-invals" -> Ok (Some Pcc.Config.Snoop_upgr_skips_invals)
   | other ->
       Error
         (Printf.sprintf "unknown snooping bug %S (expected upgr-skips-invals)" other)
@@ -73,7 +73,7 @@ let run_model_check protocol nodes lines ops workload delegation updates bug max
               lines;
               variant = protocol;
               max_ops_per_node = ops;
-              bug;
+              fault = bug;
             }
           in
           let (module M) = Pcc.Snoop_model.make ~por params in

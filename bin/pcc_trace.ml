@@ -22,7 +22,7 @@ let decode_flight path =
   | Ok dump ->
       Format.printf "@[<v>%a@]@?" Telemetry.Flight.pp_timeline dump;
       let perfetto_path = path ^ ".perfetto.json" in
-      Telemetry.Flight.write_perfetto ~path:perfetto_path dump;
+      Telemetry.Perfetto.write_flight ~path:perfetto_path dump;
       Format.printf "wrote %s (load at https://ui.perfetto.dev)@." perfetto_path;
       0
 

@@ -15,9 +15,10 @@ type fault =
           runtime oracle detects real protocol errors *)
   | Snoop_upgr_skips_invals
       (** snoopers ignore BUS_UPGR commands, so an S->M upgrade leaves
-          stale shared copies alive — the snooping backend's twin of the
-          model checker's [Upgr_skips_invals] bug, used to prove the
-          litmus harness detects a broken bus protocol *)
+          stale shared copies alive — a mutation of the {!Mesi} table,
+          so the snooping backend and its model checker plant one
+          definition; used to prove the litmus harness and the checker
+          detect a broken bus protocol *)
 
 type t = {
   nodes : int;

@@ -9,8 +9,9 @@
     failures carry its last events ({!recent}), and when a run ends
     badly — stalled, oracle violation, node crash, uncaught exception —
     the retained window is dumped atomically as a JSON post-mortem
-    artifact that [pcc_trace --flight] decodes into a timeline and a
-    Perfetto fragment (see {!Pcc_telemetry.Flight}).  Every tool renders
+    artifact that [pcc_trace --flight] decodes into a timeline
+    ({!Pcc_telemetry.Flight}) and a Perfetto fragment
+    ({!Pcc_telemetry.Perfetto}).  Every tool renders
     events through {!describe}. *)
 
 type t

@@ -36,6 +36,7 @@ type t = {
   stats : Run_stats.t;
   memcheck : Memory_check.t;
   next_version : unit -> int;
+  table : Mesi.t;
   l2 : L2.t;
   dram : Pcc_memory.Dram.t;
   mem : (Types.line, int) Hashtbl.t;
@@ -96,6 +97,12 @@ let dram_delay t =
   let now = Sim.now t.sim in
   Pcc_memory.Dram.access t.dram ~now - now
 
+(* a committed store installs a fresh version in the table's state *)
+let write_version t line =
+  let version = t.next_version () in
+  L2.set t.l2 line (Mesi.entry (Mesi.fill t.table Types.Store ~shared:false) version);
+  version
+
 (* ------------------------------------------------------------------ *)
 (* Bus arbitration                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -150,12 +157,13 @@ and on_grant t =
       let line = p.line in
       let tid = p.tid in
       let cmd =
-        match (p.kind, L2.peek t.l2 line) with
-        | Types.Load, _ -> Message.Bus_rd { line; tid }
-        | Types.Store, Some L2.{ state = Shared; _ } ->
+        match Mesi.request (Mesi.state_of (L2.peek t.l2 line)) p.kind with
+        | Mesi.Bus Rd -> Message.Bus_rd { line; tid }
+        | Mesi.Bus Rdx -> Message.Bus_rdx { line; tid }
+        | Mesi.Bus Upgr ->
             p.upgrade <- true;
             Message.Bus_upgr { line; tid }
-        | Types.Store, _ -> Message.Bus_rdx { line; tid }
+        | Mesi.Hit -> assert false (* only this node's own fill adds a copy *)
       in
       for dst = 0 to t.config.nodes - 1 do
         if dst <> t.id then send t ~dst cmd
@@ -176,41 +184,28 @@ and on_grant t =
    memory before the bus is released (a later Bus_rd would otherwise
    read the stale word); clean lines drop silently. *)
 and handle_victim t p = function
-  | None -> ()
-  | Some L2.{ victim_line; victim_entry = { state = Exclusive; value; dirty = true } }
-    ->
+  | Some L2.{ victim_line; victim_entry = { value; _ } as victim_entry }
+    when Mesi.evict_writes_back (Mesi.state_of_entry victim_entry) ->
       t.stats.writebacks <- t.stats.writebacks + 1;
       if home_of victim_line = t.id then mem_write t victim_line value
       else begin
         p.wb_expected <- p.wb_expected + 1;
         send t ~dst:(home_of victim_line) (Bus_wb { line = victim_line; value })
       end
-  | Some _ -> ()
+  | Some _ | None -> ()
 
+(* the owner's cache-to-cache copy, else the home's memory word *)
+and received p =
+  match (p.owner_seen, p.supplied, p.mem_value) with
+  | true, Some v, _ | false, _, Some v -> v
+  | _ -> assert false (* guarded by [data_ready] *)
+
+(* a store's M copy holds the old word until the commit writes its
+   version; the bus stays held, so nobody sees it *)
 and do_fill t p =
   p.filled <- true;
-  let data =
-    match (p.owner_seen, p.supplied, p.mem_value) with
-    | true, Some v, _ -> v
-    | false, _, Some v -> v
-    | _ -> assert false (* guarded by [data_ready] *)
-  in
-  let entry =
-    match p.kind with
-    | Types.Load ->
-        (* MESI grants exclusive-clean on a sharerless read; MSI always
-           fills Shared *)
-        if
-          t.config.protocol = Types.Mesi
-          && (not p.shared_seen)
-          && not p.owner_seen
-        then L2.{ state = Exclusive; value = data; dirty = false }
-        else L2.{ state = Shared; value = data; dirty = false }
-    | Types.Store ->
-        (* placeholder until the commit writes the new version *)
-        L2.{ state = Exclusive; value = data; dirty = false }
-  in
-  handle_victim t p (L2.fill t.l2 p.line entry)
+  let st = Mesi.fill t.table p.kind ~shared:(p.shared_seen || p.owner_seen) in
+  handle_victim t p (L2.fill t.l2 p.line (Mesi.entry st (received p)))
 
 and try_complete t p =
   if p.granted && p.resp_needed = 0 then begin
@@ -235,16 +230,7 @@ and commit t p =
     else Types.Remote_2hop
   in
   let value =
-    match p.kind with
-    | Types.Load -> (
-        match (p.owner_seen, p.supplied, p.mem_value) with
-        | true, Some v, _ -> v
-        | false, _, Some v -> v
-        | _ -> assert false)
-    | Types.Store ->
-        let version = t.next_version () in
-        L2.set t.l2 p.line L2.{ state = Exclusive; value = version; dirty = true };
-        version
+    match p.kind with Types.Load -> received p | Types.Store -> write_version t p.line
   in
   (match p.kind with
   | Types.Load ->
@@ -264,79 +250,38 @@ and commit t p =
 (* Snooper side                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Every snooper answers every command; the home's answer additionally
-   carries the memory word and is therefore delayed by the DRAM access
-   (read in parallel with the snoop, as a real memory controller
-   would). *)
-let respond t ~requester ~tid line ~shared ~owner ~flushed_home =
-  if home_of line = t.id then
-    let delay = dram_delay t in
-    Sim.schedule t.sim ~delay (fun () ->
+(* The command's row of the table decides the snooper's next state,
+   whether it supplies its copy and whether its dirty word goes home;
+   this side moves the messages.  A row that kills every copy takes the
+   pre-state from the invalidation itself, with no separate probe. *)
+let on_bus_cmd t ~requester ~tid (row : Mesi.row) line =
+  let entry = if row.kills then L2.invalidate t.l2 line else L2.peek t.l2 line in
+  let before = Mesi.state_of entry in
+  let r = Mesi.react row before in
+  let value = match entry with Some e -> e.value | None -> 0 in
+  if r.next <> before && not row.kills then L2.set t.l2 line (Mesi.entry r.next value);
+  (* dirty data reaches home memory before the requester releases the
+     bus; when home is the requester, the single flush below updates it *)
+  let home = home_of line in
+  let flushed_home = r.writeback && home <> t.id && home <> requester in
+  if r.writeback && home = t.id then mem_write t line value;
+  if flushed_home then
+    send t ~dst:home (Bus_flush { line; value; tid; requester; dirty = true });
+  if r.supply then
+    send t ~dst:requester
+      (Bus_flush { line; value; tid; requester; dirty = r.writeback && home = requester });
+  let shared = r.shared and owner = r.owner in
+  (* Every snooper answers; a data command's home answer also carries the
+     memory word, read in parallel with the snoop and so a DRAM access
+     late.  An upgrade moves no data: even the home answers at once. *)
+  if home = t.id && row.cmd <> Upgr then
+    Sim.schedule t.sim ~delay:(dram_delay t) (fun () ->
+        let mem_value = Some (mem_read t line) in
         send t ~dst:requester
-          (Snoop_resp
-             {
-               line;
-               tid;
-               shared;
-               owner;
-               flushed_home;
-               mem_value = Some (mem_read t line);
-             }))
+          (Snoop_resp { line; tid; shared; owner; flushed_home; mem_value }))
   else
     send t ~dst:requester
       (Snoop_resp { line; tid; shared; owner; flushed_home; mem_value = None })
-
-let on_bus_rd t ~requester ~tid line =
-  match L2.peek t.l2 line with
-  | Some L2.{ state = Exclusive; value; dirty } ->
-      (* supply cache-to-cache and downgrade to S; dirty data reaches
-         home memory before the requester releases the bus *)
-      L2.set t.l2 line L2.{ state = Shared; value; dirty = false };
-      let flushed_home =
-        if dirty then
-          if home_of line = t.id then begin
-            mem_write t line value;
-            false
-          end
-          else if home_of line = requester then false
-            (* the single flush below updates the requester's memory *)
-          else begin
-            send t ~dst:(home_of line)
-              (Bus_flush { line; value; tid; requester; dirty = true });
-            true
-          end
-        else false
-      in
-      send t ~dst:requester
-        (Bus_flush
-           { line; value; tid; requester; dirty = dirty && home_of line = requester });
-      respond t ~requester ~tid line ~shared:true ~owner:true ~flushed_home
-  | Some L2.{ state = Shared; _ } ->
-      respond t ~requester ~tid line ~shared:true ~owner:false ~flushed_home:false
-  | None -> respond t ~requester ~tid line ~shared:false ~owner:false ~flushed_home:false
-
-let on_bus_rdx t ~requester ~tid line =
-  match L2.peek t.l2 line with
-  | Some L2.{ state = Exclusive; value; _ } ->
-      (* the new owner installs a fresh version over the whole line, so
-         the old dirty word dies with the invalidation — memory staleness
-         stays covered by the requester's M copy *)
-      ignore (L2.invalidate t.l2 line);
-      send t ~dst:requester (Bus_flush { line; value; tid; requester; dirty = false });
-      respond t ~requester ~tid line ~shared:false ~owner:true ~flushed_home:false
-  | Some L2.{ state = Shared; _ } ->
-      ignore (L2.invalidate t.l2 line);
-      respond t ~requester ~tid line ~shared:false ~owner:false ~flushed_home:false
-  | None -> respond t ~requester ~tid line ~shared:false ~owner:false ~flushed_home:false
-
-let on_bus_upgr t ~requester ~tid line =
-  (match t.config.inject_fault with
-  | Some Config.Snoop_upgr_skips_invals -> () (* planted bug: stale S survives *)
-  | Some Config.Stale_update_no_resharing | None -> ignore (L2.invalidate t.l2 line));
-  (* upgrades carry no data: even the home answers without a memory read *)
-  send t ~dst:requester
-    (Snoop_resp
-       { line; tid; shared = false; owner = false; flushed_home = false; mem_value = None })
 
 let on_bus_flush t ~line ~value ~tid ~requester ~dirty =
   if dirty && home_of line = t.id then mem_write t line value;
@@ -381,9 +326,9 @@ let on_bus_wb_ack t =
 let handle_message t ~src (msg : Message.t) =
   Probe.recv t.probe ~src ~dst:t.id msg;
   match msg with
-  | Bus_rd { line; tid } -> on_bus_rd t ~requester:src ~tid line
-  | Bus_rdx { line; tid } -> on_bus_rdx t ~requester:src ~tid line
-  | Bus_upgr { line; tid } -> on_bus_upgr t ~requester:src ~tid line
+  | Bus_rd { line; tid } -> on_bus_cmd t ~requester:src ~tid (Mesi.row t.table Rd) line
+  | Bus_rdx { line; tid } -> on_bus_cmd t ~requester:src ~tid (Mesi.row t.table Rdx) line
+  | Bus_upgr { line; tid } -> on_bus_cmd t ~requester:src ~tid (Mesi.row t.table Upgr) line
   | Bus_flush { line; value; tid; requester; dirty } ->
       on_bus_flush t ~line ~value ~tid ~requester ~dirty
   | Snoop_resp { line; tid; shared; owner; flushed_home; mem_value } ->
@@ -432,41 +377,40 @@ let submit t ~kind ~line ~on_commit =
   (match kind with
   | Types.Load -> t.stats.loads <- t.stats.loads + 1
   | Types.Store -> t.stats.stores <- t.stats.stores + 1);
-  match (L2.lookup t.l2 line, kind) with
-  | Some entry, Types.Load ->
+  let entry = L2.lookup t.l2 line in
+  match (Mesi.request (Mesi.state_of entry) kind, entry) with
+  | Mesi.Hit, Some { value; _ } when kind = Types.Load ->
       t.stats.l2_hits <- t.stats.l2_hits + 1;
       Sim.schedule t.sim ~delay:t.config.l2_hit_latency (fun () ->
           ignore
-            (Memory_check.load_committed t.memcheck line ~value:entry.value ~started
+            (Memory_check.load_committed t.memcheck line ~value ~started
                ~time:(Sim.now t.sim));
-          Probe.commit t.probe ~node:t.id ~kind:Types.Load ~line ~value:entry.value
-            ~started ~l2_hit:true ~miss:None;
+          Probe.commit t.probe ~node:t.id ~kind:Types.Load ~line ~value ~started
+            ~l2_hit:true ~miss:None;
           on_commit ())
-  | Some L2.{ state = Exclusive; _ }, Types.Store ->
+  | Mesi.Hit, _ ->
       t.stats.l2_hits <- t.stats.l2_hits + 1;
       Sim.schedule t.sim ~delay:t.config.l2_hit_latency (fun () ->
-          match L2.peek t.l2 line with
-          | Some L2.{ state = Exclusive; _ } ->
+          match Mesi.request (Mesi.state_of (L2.peek t.l2 line)) Types.Store with
+          | Mesi.Hit ->
               (* M hit, or MESI's silent E->M upgrade *)
-              let version = t.next_version () in
-              L2.set t.l2 line L2.{ state = Exclusive; value = version; dirty = true };
+              let version = write_version t line in
               Memory_check.store_committed t.memcheck line ~node:t.id ~value:version
                 ~time:(Sim.now t.sim);
               Probe.commit t.probe ~node:t.id ~kind:Types.Store ~line ~value:version
                 ~started ~l2_hit:true ~miss:None;
               on_commit ()
-          | Some L2.{ state = Shared; _ } | None ->
+          | Mesi.Bus _ ->
               (* lost exclusivity in the hit window: take the miss path *)
               start_miss t ~kind ~line ~on_commit)
-  | Some L2.{ state = Shared; _ }, Types.Store | None, (Types.Load | Types.Store) ->
-      start_miss t ~kind ~line ~on_commit
+  | Mesi.Bus _, _ -> start_miss t ~kind ~line ~on_commit
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let create_node ~probe ~config ~sim ~network ~id ~stats ~memcheck ~next_version ~rng
-    ~bus () =
+    ~table ~bus () =
   let l2 =
     L2.create ~rng:(Pcc_engine.Rng.split rng) ~lines:(Config.l2_lines config)
       ~ways:config.l2_ways ()
@@ -493,6 +437,7 @@ let create_node ~probe ~config ~sim ~network ~id ~stats ~memcheck ~next_version 
       stats;
       memcheck;
       next_version;
+      table;
       l2;
       dram = Pcc_memory.Dram.create ~latency:config.dram_latency ();
       mem = Hashtbl.create 64;
@@ -511,6 +456,7 @@ let create_machine ~probe ~(config : Config.t) ~sim ~network ~stats ~memcheck
     invalid_arg "Snoop.create_machine: adaptive config on the snooping backend";
   if Config.crash_capable config then
     invalid_arg "Snoop.create_machine: fail-stop crashes are not supported";
+  let table = Mesi.make config.protocol config.inject_fault in
   let bus =
     {
       granted_to = None;
@@ -523,7 +469,7 @@ let create_machine ~probe ~(config : Config.t) ~sim ~network ~stats ~memcheck
     Array.init config.nodes (fun id ->
         create_node ~probe ~config ~sim ~network ~id ~stats ~memcheck ~next_version
           ~rng:(Pcc_engine.Rng.split rng)
-          ~bus ())
+          ~table ~bus ())
   in
   bus.members <- nodes;
   nodes
@@ -541,10 +487,15 @@ let pending_op t = match t.pending with Some p -> Some (p.kind, p.line) | None -
 let pending_info t =
   match t.pending with Some p -> Some (p.kind, p.line, p.started, 0) | None -> None
 
-(* Machine-wide structural invariants over a quiesced system: the
-   single-writer property, memory currency of every Shared copy, and the
-   per-protocol state-encoding rules (M/E dirty bits; MSI never holds
-   exclusive-clean). *)
+let copy_state (_, e) = Mesi.state_of_entry e
+
+let copy_value (_, (e : L2.entry)) = e.value
+
+let describe_copy (n, e) =
+  Printf.sprintf "n%d:%s=%d" n (Mesi.state_name (Mesi.state_of_entry e)) e.L2.value
+
+(* Machine-wide structural invariants over a quiesced system: the bus
+   drained, and every line passes the table's per-line invariants. *)
 let check_invariants nodes =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
@@ -578,46 +529,16 @@ let check_invariants nodes =
   in
   List.iter
     (fun (line, copies) ->
-      let msi = nodes.(0).config.protocol = Types.Msi in
-      let excl =
-        List.filter (fun (_, e) -> e.L2.state = L2.Exclusive) copies
-      in
-      (match excl with
-      | _ :: _ :: _ ->
-          err "line %d@%d: multiple exclusive holders (%s)"
-            (Types.Layout.index_of_line line)
-            (Types.Layout.home_of_line line)
-            (String.concat ","
-               (List.map (fun (n, _) -> string_of_int n) excl))
-      | [ (owner, _) ] when List.length copies > 1 ->
-          err "line %d@%d: node %d exclusive alongside other copies"
-            (Types.Layout.index_of_line line)
-            (Types.Layout.home_of_line line)
-            owner
-      | _ -> ());
       let mem = mem_read nodes.(home_of line) line in
       List.iter
-        (fun (n, e) ->
-          (match e.L2.state with
-          | L2.Shared ->
-              if e.L2.dirty then
-                err "line %d@%d: node %d holds a dirty Shared copy"
-                  (Types.Layout.index_of_line line)
-                  (Types.Layout.home_of_line line)
-                  n;
-              if e.L2.value <> mem then
-                err "line %d@%d: node %d shared copy %d != home memory %d"
-                  (Types.Layout.index_of_line line)
-                  (Types.Layout.home_of_line line)
-                  n e.L2.value mem
-          | L2.Exclusive ->
-              if msi && not e.L2.dirty then
-                err "line %d@%d: node %d holds exclusive-clean under MSI"
-                  (Types.Layout.index_of_line line)
-                  (Types.Layout.home_of_line line)
-                  n);
-          ())
-        copies)
+        (fun inv ->
+          err "line %d@%d: %s broken by [%s], home memory %d"
+            (Types.Layout.index_of_line line)
+            (Types.Layout.home_of_line line)
+            (Mesi.invariant_name inv)
+            (String.concat " " (List.map describe_copy copies))
+            mem)
+        (Mesi.violations nodes.(0).table ~state:copy_state ~value:copy_value ~mem copies))
     sorted_lines;
   List.rev !errors
 

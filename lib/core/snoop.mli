@@ -22,8 +22,13 @@
     closes every stale-memory race, which is what makes the invariant
     "every Shared copy equals home memory" checkable after a run.
 
-    State encoding on the shared {!L2}: M = [Exclusive] dirty,
-    E = [Exclusive] clean (MESI only; MSI loads always fill [Shared]),
+    Every state decision — hit or bus command, each snooper's reaction,
+    the state a fill installs, write-back on eviction, the per-line
+    invariants of {!Backend.check_invariants}, the planted
+    [Config.Snoop_upgr_skips_invals] — comes from the {!Mesi} table,
+    the same table the model checker interprets; this module keeps only
+    bus arbitration, messages and timing.  State encoding on the shared
+    {!L2}: M = [Exclusive] dirty, E = [Exclusive] clean (MESI only),
     S = [Shared], I = absent.
 
     Fail-stop crashes are not supported ([Invalid_argument] at creation

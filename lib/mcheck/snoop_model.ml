@@ -1,157 +1,117 @@
 open Pcc_core
 
-type bug = Upgr_skips_invals
-
 type params = {
   nodes : int;
   lines : int;
   variant : Types.protocol;
   max_ops_per_node : int;
-  bug : bug option;
+  fault : Config.fault option;
 }
 
 let default_params =
-  { nodes = 3; lines = 1; variant = Types.Msi; max_ops_per_node = 2; bug = None }
+  { nodes = 3; lines = 1; variant = Types.Msi; max_ops_per_node = 2; fault = None }
 
-(* One cache's view of one line.  Values are store versions from a
-   per-line counter, so "the newest value" is a comparison. *)
-type copy = I | S of int | E of int | M of int
+(* One node's part of one line: its cache copy as a (table state, value)
+   pair, and its processor's remaining operations and newest observed
+   value.  Values are store versions from a per-line counter, so "the
+   newest value" is a comparison; an I copy holds 0, so dead values
+   never split states. *)
+type node = { st : Mesi.state; value : int; remaining : int; seen : int }
 
 type line = {
-  copies : copy array;  (** per node *)
+  nodes : node list;
   mem : int;  (** home memory's version of the line *)
   vers : int;  (** newest version handed out; 0 = initial value *)
-  remaining : int array;  (** operations each node may still issue *)
-  seen : int array;  (** newest version each node has observed *)
 }
 
 type state = line array
 
-let make ?(por = true) params =
+let make ?(por = true) (params : params) =
   if params.nodes < 2 || params.nodes > 5 then
     invalid_arg "Snoop_model.make: nodes must be in 2..5";
   if params.lines < 1 then invalid_arg "Snoop_model.make: lines must be positive";
-  if params.variant = Types.Adaptive then
-    invalid_arg "Snoop_model.make: variant must be Msi or Mesi";
+  if params.max_ops_per_node < 0 || params.nodes * params.max_ops_per_node > 255 then
+    invalid_arg "Snoop_model.make: versions must fit a byte (nodes * ops <= 255)";
+  let table = Mesi.make params.variant params.fault in
   let n = params.nodes in
-  let mesi = params.variant = Types.Mesi in
-  let skip_invals = params.bug = Some Upgr_skips_invals in
   let module Model = struct
     type nonrec state = state
 
-    let initial_line =
-      {
-        copies = Array.make n I;
-        mem = 0;
-        vers = 0;
-        remaining = Array.make n params.max_ops_per_node;
-        seen = Array.make n 0;
-      }
+    let initial =
+      let node = { st = Mesi.I; value = 0; remaining = params.max_ops_per_node; seen = 0 } in
+      [ Array.make params.lines { nodes = List.init n (fun _ -> node); mem = 0; vers = 0 } ]
 
-    let initial = [ Array.make params.lines initial_line ]
+    let prefixes =
+      Array.init (params.lines * n) (fun k ->
+          if params.lines = 1 then Printf.sprintf "n%d:" k
+          else Printf.sprintf "L%d:n%d:" (k / n) (k mod n))
 
-    let set_copy line node copy =
-      let copies = Array.copy line.copies in
-      copies.(node) <- copy;
-      { line with copies }
+    let label l i op (access : Mesi.access) =
+      prefixes.((l * n) + i) ^ op
+      ^ match access with Hit -> "hit" | Bus cmd -> Mesi.cmd_name cmd
 
-    let observe line node v =
-      let seen = Array.copy line.seen in
-      seen.(node) <- max seen.(node) v;
-      let remaining = Array.copy line.remaining in
-      remaining.(node) <- remaining.(node) - 1;
-      { line with seen; remaining }
+    let set nodes i c = List.mapi (fun j d -> if j = i then c else d) nodes
 
-    (* The bus-wide effect of a read miss: the M/E owner (if any)
-       downgrades to S and flushes dirty data home. *)
-    let snoop_read line =
-      let mem = ref line.mem in
-      let copies =
-        Array.map
-          (function
-            | M v ->
-                mem := v;
-                S v
-            | E v -> S v
-            | c -> c)
-          line.copies
+    (* One atomic bus transaction: every other cache applies the table's
+       reaction to [cmd].  Returns the line after the snoop, the word the
+       requester receives (the owner's copy, else memory) and whether any
+       cache raised the shared or owner wire. *)
+    let bus line i cmd =
+      let row = Mesi.row table cmd in
+      let mem = ref line.mem and supplied = ref 0 in
+      let shared = ref false and owner = ref false in
+      let snoop j c =
+        if j = i then c
+        else begin
+          let r = Mesi.react row c.st in
+          if r.writeback then mem := c.value;
+          if r.supply then supplied := c.value;
+          shared := !shared || r.shared || r.owner;
+          owner := !owner || r.owner;
+          { c with st = r.next; value = (if r.next = I then 0 else c.value) }
+        end
       in
-      { line with copies; mem = !mem }
+      let nodes = List.mapi snoop line.nodes in
+      ({ line with nodes; mem = !mem }, (if !owner then !supplied else !mem), !shared)
 
-    (* The bus-wide effect of a write miss: every copy dies; dirty data
-       reaches home first (the value is about to be overwritten, but the
-       flush is what keeps "latest value materialized" an invariant at
-       every intermediate state). *)
-    let snoop_write line =
-      let mem = ref line.mem in
-      let copies =
-        Array.map
-          (function
-            | M v ->
-                mem := v;
-                I
-            | E _ | S _ -> I
-            | I -> I)
-          line.copies
-      in
-      { line with copies; mem = !mem }
-
-    let alone line node =
-      let free = ref true in
-      Array.iteri (fun i c -> if i <> node && c <> I then free := false) line.copies;
-      !free
-
-    (* Every enabled transition of one line, labeled. *)
-    let line_successors line =
+    (* Every enabled transition of one line, labeled.  An access leaves
+       the requester in the table's fill state (a load hit keeps its
+       copy), spends one operation and observes the value. *)
+    let line_successors l line =
       let out = ref [] in
-      let add label line' = out := (label, line') :: !out in
-      for node = 0 to n - 1 do
-        (if line.remaining.(node) > 0 then begin
-           (* load *)
-           (match line.copies.(node) with
-           | S v | E v | M v -> add (Printf.sprintf "n%d:load-hit" node) (observe line node v)
-           | I ->
-               let line' = snoop_read line in
-               let v = line'.mem in
-               let fills = if mesi && alone line' node then E v else S v in
-               add
-                 (Printf.sprintf "n%d:load-miss" node)
-                 (observe (set_copy line' node fills) node v));
-           (* store *)
-           let commit line' =
-             let v = line'.vers + 1 in
-             observe (set_copy { line' with vers = v } node (M v)) node v
-           in
-           match line.copies.(node) with
-           | M _ -> add (Printf.sprintf "n%d:store-hit" node) (commit line)
-           | E _ -> add (Printf.sprintf "n%d:store-silent-upgrade" node) (commit line)
-           | S _ ->
-               let line' =
-                 if skip_invals then line
-                 else
-                   {
-                     line with
-                     copies =
-                       Array.mapi
-                         (fun i c -> if i = node then c else match c with S _ -> I | c -> c)
-                         line.copies;
-                   }
-               in
-               add (Printf.sprintf "n%d:store-upgrade" node) (commit line')
-           | I -> add (Printf.sprintf "n%d:store-miss" node) (commit (snoop_write line))
-         end);
-        (* spontaneous evictions keep capacity pressure in the model *)
-        match line.copies.(node) with
-        | I -> ()
-        | S _ | E _ -> add (Printf.sprintf "n%d:evict" node) (set_copy line node I)
-        | M v ->
-            add
-              (Printf.sprintf "n%d:evict-writeback" node)
-              (set_copy { line with mem = v } node I)
-      done;
+      List.iteri
+        (fun i c ->
+          let add op access line' st value =
+            let c = { st; value; remaining = c.remaining - 1; seen = max c.seen value } in
+            out := (label l i op access, { line' with nodes = set line'.nodes i c }) :: !out
+          in
+          if c.remaining > 0 then begin
+            (match Mesi.request c.st Load with
+            | Hit -> add "load-" Hit line c.st c.value
+            | Bus cmd as access ->
+                let line', data, shared = bus line i cmd in
+                add "load-" access line' (Mesi.fill table Load ~shared) data);
+            let access = Mesi.request c.st Store in
+            let line' =
+              match access with
+              | Hit -> line
+              | Bus cmd ->
+                  let line', _, _ = bus line i cmd in
+                  line'
+            in
+            let v = line'.vers + 1 in
+            add "store-" access { line' with vers = v } (Mesi.fill table Store ~shared:false) v
+          end;
+          (* spontaneous evictions keep capacity pressure in the model *)
+          if c.st <> I then begin
+            let writeback = Mesi.evict_writes_back c.st in
+            let mem = if writeback then c.value else line.mem in
+            let nodes = set line.nodes i { c with st = I; value = 0 } in
+            let evict = if writeback then "evict-writeback" else "evict" in
+            out := (prefixes.((l * n) + i) ^ evict, { line with mem; nodes }) :: !out
+          end)
+        line.nodes;
       List.rev !out
-
-    let prefix l label = if params.lines = 1 then label else Printf.sprintf "L%d:%s" l label
 
     let groups state =
       List.init params.lines (fun l ->
@@ -159,95 +119,73 @@ let make ?(por = true) params =
             (fun (label, line') ->
               let state' = Array.copy state in
               state'.(l) <- line';
-              (prefix l label, state'))
-            (line_successors state.(l)))
+              (label, state'))
+            (line_successors l state.(l)))
 
     let successors state = List.concat (groups state)
 
     let por = if por && params.lines > 1 then Some groups else None
 
-    let line_invariants =
-      [
-        ( "single-writer",
-          fun line ->
-            let owners = ref 0 and others = ref 0 in
-            Array.iter
-              (function
-                | M _ | E _ -> incr owners
-                | S _ -> incr others
-                | I -> ())
-              line.copies;
-            !owners <= 1 && (!owners = 0 || !others = 0) );
-        ( "latest-materialized",
-          fun line ->
-            let owner = ref None in
-            Array.iter
-              (function M v | E v -> owner := Some v | S _ | I -> ())
-              line.copies;
-            match !owner with Some v -> v = line.vers | None -> line.mem = line.vers );
-        ( "shared-matches-memory",
-          fun line ->
-            Array.for_all (function S v -> v = line.mem | _ -> true) line.copies );
-        ( "msi-has-no-exclusive-clean",
-          fun line -> mesi || Array.for_all (function E _ -> false | _ -> true) line.copies
-        );
-        ( "observations-monotone",
-          fun line -> Array.for_all (fun s -> s <= line.vers) line.seen );
-      ]
+    let every check (state : state) = Array.for_all check state
 
     let invariants =
       List.map
-        (fun (name, check) ->
-          ( name,
-            fun state ->
-              let ok = ref true in
-              Array.iter (fun line -> if not (check line) then ok := false) state;
-              !ok ))
-        line_invariants
+        (fun inv ->
+          ( Mesi.invariant_name inv,
+            every (fun line ->
+                Mesi.holds table inv
+                  ~state:(fun c -> c.st)
+                  ~value:(fun c -> c.value)
+                  ~mem:line.mem line.nodes) ))
+        Mesi.invariants
+      @ [
+          (* the newest version lives in the E/M copy when one exists, in
+             home memory otherwise *)
+          ( "latest-materialized",
+            every (fun line ->
+                match List.find_opt (fun c -> c.st = E || c.st = M) line.nodes with
+                | Some c -> c.value = line.vers
+                | None -> line.mem = line.vers) );
+          ( "observations-monotone",
+            every (fun line -> List.for_all (fun c -> c.seen <= line.vers) line.nodes) );
+        ]
 
-    let is_quiescent state =
-      Array.for_all (fun line -> Array.for_all (fun r -> r = 0) line.remaining) state
+    let is_quiescent = every (fun line -> List.for_all (fun c -> c.remaining = 0) line.nodes)
+
+    (* Fixed-width bytes: per line, home memory and the version counter,
+       then each node's state, value, remaining operations and newest
+       observation. *)
+    let width = 2 + (4 * n)
 
     let encode state =
-      let b = Buffer.create 64 in
-      Array.iter
-        (fun line ->
-          Array.iter
-            (fun c ->
-              match c with
-              | I -> Buffer.add_string b "i;"
-              | S v -> Buffer.add_string b (Printf.sprintf "s%d;" v)
-              | E v -> Buffer.add_string b (Printf.sprintf "e%d;" v)
-              | M v -> Buffer.add_string b (Printf.sprintf "m%d;" v))
-            line.copies;
-          Buffer.add_string b (Printf.sprintf "|%d|%d|" line.mem line.vers);
-          Array.iter (fun r -> Buffer.add_string b (Printf.sprintf "%d," r)) line.remaining;
-          Buffer.add_char b '|';
-          Array.iter (fun s -> Buffer.add_string b (Printf.sprintf "%d," s)) line.seen;
-          Buffer.add_char b '/')
-        state;
-      Buffer.contents b
-
-    let pp ppf state =
+      let b = Bytes.create (params.lines * width) in
       Array.iteri
         (fun l line ->
-          Format.fprintf ppf "@[<h>L%d: mem=%d vers=%d copies=[" l line.mem line.vers;
-          Array.iteri
+          let o = l * width in
+          Bytes.set_uint8 b o line.mem;
+          Bytes.set_uint8 b (o + 1) line.vers;
+          List.iteri
             (fun i c ->
-              if i > 0 then Format.pp_print_string ppf " ";
-              match c with
-              | I -> Format.fprintf ppf "n%d:I" i
-              | S v -> Format.fprintf ppf "n%d:S%d" i v
-              | E v -> Format.fprintf ppf "n%d:E%d" i v
-              | M v -> Format.fprintf ppf "n%d:M%d" i v)
-            line.copies;
-          Format.fprintf ppf "] remaining=[";
-          Array.iteri
-            (fun i r ->
-              if i > 0 then Format.pp_print_string ppf " ";
-              Format.pp_print_int ppf r)
-            line.remaining;
-          Format.fprintf ppf "]@]@ ")
+              let p = o + 2 + (4 * i) in
+              Bytes.set_uint8 b p (match c.st with I -> 0 | S -> 1 | E -> 2 | M -> 3);
+              Bytes.set_uint8 b (p + 1) c.value;
+              Bytes.set_uint8 b (p + 2) c.remaining;
+              Bytes.set_uint8 b (p + 3) c.seen)
+            line.nodes)
+        state;
+      Bytes.unsafe_to_string b
+
+    let pp ppf state =
+      let copy i c =
+        Printf.sprintf "n%d:%s%s" i (Mesi.state_name c.st)
+          (if c.st = I then "" else string_of_int c.value)
+      in
+      Array.iteri
+        (fun l line ->
+          Format.fprintf ppf "@[<h>L%d: mem=%d vers=%d copies=[%s] remaining=[%s]@]@ " l
+            line.mem line.vers
+            (String.concat " " (List.mapi copy line.nodes))
+            (String.concat " " (List.map (fun c -> string_of_int c.remaining) line.nodes)))
         state
   end in
   (module Model : Checker.MODEL)

@@ -1,44 +1,40 @@
-(** Abstract model of the bus-snooping MSI/MESI backend for exhaustive
-    checking.
+(** The bus-snooping MSI/MESI protocol as an exhaustively checkable
+    model: an interpreter of the {!Pcc_core.Mesi} table the simulator's
+    {!Pcc_core.Snoop} backend reads.
 
-    The shared bus serializes transactions, so the model abstracts each
-    bus transaction to one atomic step — the standard reduction for
-    snooping protocols: a miss invalidates/downgrades every other copy,
-    moves dirty data, and fills the requester in a single transition.
-    Nondeterminism comes from each node's choice of operation, target
-    line, and spontaneous evictions.
+    The shared bus serializes transactions, so the model takes each bus
+    transaction as one atomic step — the standard reduction for snooping
+    protocols: the requester's access is {!Pcc_core.Mesi.request}, every
+    other cache applies its reaction from the command's row
+    ({!Pcc_core.Mesi.react}: downgrade or invalidate, supply its copy,
+    write its dirty word home), and the
+    requester installs {!Pcc_core.Mesi.fill}.  A write miss therefore
+    lets an owner's dirty word die with its copy, exactly as the
+    simulator does.  Nondeterminism comes from each node's choice of
+    operation, target line, and spontaneous evictions.  Each copy is a
+    (table state, value) pair, an I copy's value is zeroed, and a state
+    is encoded as fixed-width bytes.
 
     Under that atomicity the protocol's contracts become plain state
-    invariants, checked in every reachable state (prefixed ["L<l>:"]
-    when [lines > 1]):
-    - {e single writer}: at most one M/E copy of a line, and an M/E copy
-      excludes every other copy;
-    - {e latest value materialized}: the newest store version lives in
-      the M/E copy when one exists, in home memory otherwise;
-    - {e shared matches memory}: every S copy equals home memory;
-    - {e MSI has no E}: the MSI variant never holds an exclusive-clean
-      copy.
-
-    [bug] injects the same deliberate protocol error the simulator's
-    fault hook ({!Pcc_core.Config.Snoop_upgr_skips_invals}) injects, so
-    tests can prove the checker and the litmus harness detect a broken
-    bus protocol. *)
-
-type bug =
-  | Upgr_skips_invals
-      (** BUS_UPGR does not invalidate the other shared copies, so an
-          S->M upgrade leaves stale sharers alive *)
+    invariants, checked in every reachable state: the table's per-line
+    invariants (single-writer, shared-matches-memory, MSI-has-no-E), plus
+    {e latest value materialized} (the newest store version lives in the
+    E/M copy when one exists, in home memory otherwise) and per-node
+    observation monotonicity.  Transition labels are prefixed ["L<l>:"]
+    when [lines > 1]. *)
 
 type params = {
   nodes : int;  (** 2..5 is practical *)
   lines : int;  (** independent lines; the state space is the product *)
   variant : Pcc_core.Types.protocol;  (** [Msi] or [Mesi] *)
   max_ops_per_node : int;  (** per line *)
-  bug : bug option;
+  fault : Pcc_core.Config.fault option;
+      (** a planted fault, applied to the table as the simulator applies
+          it ({!Pcc_core.Mesi.make}) *)
 }
 
 val default_params : params
-(** 3 nodes, 1 line, MSI, 2 ops each, no bug. *)
+(** 3 nodes, 1 line, MSI, 2 ops each, no fault. *)
 
 val make : ?por:bool -> params -> (module Checker.MODEL)
 (** [por] (default true) exposes per-line transition groups for
@@ -46,4 +42,5 @@ val make : ?por:bool -> params -> (module Checker.MODEL)
     [params.lines > 1].
 
     @raise Invalid_argument when [nodes] is outside 2..5, [lines < 1],
-    or [variant] is [Adaptive]. *)
+    [nodes * max_ops_per_node] exceeds 255, [variant] is [Adaptive], or
+    [fault] is not a snooping-protocol fault. *)

@@ -1,6 +1,33 @@
 module Jsonl = Pcc_stats.Jsonl
+module Ring = Pcc_core.Flight_ring
 
 let hex_line line = Printf.sprintf "0x%x" line
+
+(* One track per node: pid 0, tid = node id. *)
+let thread_name node =
+  Jsonl.Obj
+    [
+      ("name", Jsonl.String "thread_name");
+      ("ph", Jsonl.String "M");
+      ("pid", Jsonl.Int 0);
+      ("tid", Jsonl.Int node);
+      ("args", Jsonl.Obj [ ("name", Jsonl.String (Printf.sprintf "node %d" node)) ]);
+    ]
+
+(* The object every trace file shares; timestamps are sim cycles
+   presented as trace microseconds. *)
+let envelope ~other events =
+  Jsonl.Obj
+    [
+      ("traceEvents", Jsonl.List events);
+      ("displayTimeUnit", Jsonl.String "ns");
+      ("otherData", Jsonl.Obj (("timeUnit", Jsonl.String "sim cycles as us") :: other));
+    ]
+
+let write_json ~path json =
+  Pcc_stats.Atomic_file.write ~path (fun oc ->
+      output_string oc (Jsonl.to_string json);
+      output_char oc '\n')
 
 (* Complete ("X") slice for one phase segment, on the requester node's
    track.  ts/dur are sim cycles presented as trace microseconds. *)
@@ -114,37 +141,53 @@ let metadata_events ~recoveries spans =
       ("pid", Jsonl.Int 0);
       ("args", Jsonl.Obj [ ("name", Jsonl.String "pcc machine") ]);
     ]
-  :: List.map
-       (fun node ->
-         Jsonl.Obj
-           [
-             ("name", Jsonl.String "thread_name");
-             ("ph", Jsonl.String "M");
-             ("pid", Jsonl.Int 0);
-             ("tid", Jsonl.Int node);
-             ( "args",
-               Jsonl.Obj [ ("name", Jsonl.String (Printf.sprintf "node %d" node)) ]
-             );
-           ])
-       nodes
+  :: List.map thread_name nodes
 
 let json_of_spans ?(recoveries = []) spans =
-  let events =
-    metadata_events ~recoveries spans
+  envelope ~other:[]
+    (metadata_events ~recoveries spans
     @ List.concat_map
         (fun (span : Span.t) ->
           List.map (event_of_segment span) span.segments @ async_events span)
         spans
-    @ List.concat_map recovery_events recoveries
+    @ List.concat_map recovery_events recoveries)
+
+let write ?recoveries ~path spans = write_json ~path (json_of_spans ?recoveries spans)
+
+(* Every flight record becomes a thread-scoped instant on the source
+   node's track, so a post-mortem window lines up under a full capture. *)
+let flight_event (e : Ring.event) =
+  let name =
+    if e.e_kind = Ring.k_send || e.e_kind = Ring.k_recv then
+      Printf.sprintf "%s %s" (Ring.kind_name e.e_kind)
+        (Pcc_core.Message.class_index_name e.e_detail)
+    else if e.e_kind = Ring.k_note then Ring.note_name e.e_detail
+    else if e.e_kind = Ring.k_crash then
+      Printf.sprintf "crash %s" (Ring.crash_phase_name e.e_detail)
+    else Ring.kind_name e.e_kind
   in
   Jsonl.Obj
     [
-      ("traceEvents", Jsonl.List events);
-      ("displayTimeUnit", Jsonl.String "ns");
-      ("otherData", Jsonl.Obj [ ("timeUnit", Jsonl.String "sim cycles as us") ]);
+      ("name", Jsonl.String name);
+      ("cat", Jsonl.String (Ring.kind_name e.e_kind));
+      ("ph", Jsonl.String "i");
+      ("s", Jsonl.String "t");
+      ("ts", Jsonl.Int e.e_time);
+      ("pid", Jsonl.Int 0);
+      ("tid", Jsonl.Int e.e_src);
+      ( "args",
+        Jsonl.Obj
+          [
+            ("dst", Jsonl.Int e.e_dst);
+            ("line", Jsonl.String (Ring.line_name e.e_line));
+            ("arg", Jsonl.Int e.e_arg);
+            ("detail", Jsonl.String (Ring.describe e));
+          ] );
     ]
 
-let write ?recoveries ~path spans =
-  Pcc_stats.Atomic_file.write ~path (fun oc ->
-      output_string oc (Jsonl.to_string (json_of_spans ?recoveries spans));
-      output_char oc '\n')
+let json_of_flight (d : Ring.dump) =
+  envelope
+    ~other:[ ("reason", Jsonl.String d.d_reason); ("config", Jsonl.String d.d_config) ]
+    (List.init d.d_nodes thread_name @ List.map flight_event d.d_events)
+
+let write_flight ~path d = write_json ~path (json_of_flight d)

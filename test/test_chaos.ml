@@ -157,11 +157,10 @@ let count_accesses programs =
         acc ops)
     0 programs
 
-let chaos_run ?(txn_timeout = 2000) ?(fallback_threshold = 2) ~profile ~seed ~bench ()
-    =
+let chaos_run ?(config_name = "full") ?(txn_timeout = 2000) ?(fallback_threshold = 2)
+    ~profile ~seed ~bench () =
   let desc =
-    { Oracle.Trace.bench; config_name = "full"; nodes = 6; scale = 0.1; seed;
-      fault = false }
+    { Oracle.Trace.bench; config_name; nodes = 6; scale = 0.1; seed; fault = false }
   in
   let config =
     {
@@ -173,11 +172,11 @@ let chaos_run ?(txn_timeout = 2000) ?(fallback_threshold = 2) ~profile ~seed ~be
   in
   let programs = Oracle.Trace.programs_of_desc desc in
   let sys = System.create ~config () in
-  let _audit = Oracle.Audit.attach sys in
+  let checks = Oracle.Runner.attach sys in
   let committed = ref 0 in
   System.on_commit sys (fun _ -> incr committed);
   let result = System.run_programs ~max_events:20_000_000 sys programs in
-  (result, count_accesses programs, !committed)
+  (result, count_accesses programs, !committed, checks)
 
 let assert_clean (result : System.result) ~total ~committed =
   Alcotest.(check bool) "drained" true (result.outcome = Simulator.Drained);
@@ -187,7 +186,7 @@ let assert_clean (result : System.result) ~total ~committed =
   Alcotest.(check (list string)) "no invariant errors" [] result.invariant_errors
 
 let test_storm_run_stays_coherent () =
-  let result, total, committed =
+  let result, total, committed, _ =
     chaos_run ~profile:(Fault.storm ~seed:42) ~seed:3 ~bench:"random" ()
   in
   assert_clean result ~total ~committed;
@@ -195,6 +194,18 @@ let test_storm_run_stays_coherent () =
     (result.stats.Run_stats.retransmits > 0);
   Alcotest.(check bool) "duplicates suppressed" true
     (result.stats.Run_stats.dup_dropped > 0)
+
+(* A snooping machine gets its oracle checks from the same function as
+   the oracle runs: the order tracker sees every commit, and the
+   post-run sweep runs. *)
+let test_snoop_storm_run_checked () =
+  let result, total, committed, checks =
+    chaos_run ~config_name:"msi" ~profile:(Fault.storm ~seed:42) ~seed:3 ~bench:"random" ()
+  in
+  assert_clean result ~total ~committed;
+  Alcotest.(check (list string)) "post-run sweep clean" [] (checks.sweep ());
+  Alcotest.(check int) "order tracker saw every commit" committed
+    (Oracle.Order.total_ops checks.order)
 
 (* Long link outages against a short completion timeout: some line must
    take enough strikes to be demoted to the base protocol, and the run
@@ -205,7 +216,7 @@ let test_outage_forces_fallback () =
   let rec attempt seed =
     if seed > 6 then Alcotest.fail "no seed in 1..6 exercised the fallback path"
     else
-      let result, total, committed =
+      let result, total, committed, _ =
         chaos_run ~txn_timeout:1000 ~fallback_threshold:1
           ~profile:(Fault.outages ~seed:(seed * 131)) ~seed ~bench:"random" ()
       in
@@ -221,7 +232,7 @@ let test_outage_forces_fallback () =
    numbers, acks, timeouts armed) — the protocol outcome must be as
    clean as a reliable run. *)
 let test_zero_profile_run_clean () =
-  let result, total, committed =
+  let result, total, committed, _ =
     chaos_run ~profile:Fault.zero ~seed:5 ~bench:"random" ()
   in
   assert_clean result ~total ~committed;
@@ -265,6 +276,8 @@ let suite =
     QCheck_alcotest.to_alcotest zero_profile_invisible;
     QCheck_alcotest.to_alcotest hub_link_exactly_once;
     Alcotest.test_case "storm run stays coherent" `Quick test_storm_run_stays_coherent;
+    Alcotest.test_case "msi storm run gets the oracle checks" `Quick
+      test_snoop_storm_run_checked;
     Alcotest.test_case "outages force base-protocol fallback" `Quick
       test_outage_forces_fallback;
     Alcotest.test_case "zero-probability profile runs clean" `Quick

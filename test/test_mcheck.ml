@@ -172,32 +172,72 @@ let test_bug_no_resharing_detected () =
 
 (* ---- the snooping backends' atomic-bus model ---- *)
 
-let test_snoop_msi_verified () =
-  (* the CI gate: an exhaustive MSI exploration of >= 10k states with
-     zero counterexamples *)
-  match
-    run_snoop_model { Pcc_mcheck.Snoop_model.default_params with nodes = 4; variant = Pcc_core.Types.Msi }
-  with
+(* The recorded state counts: a different count means the model no
+   longer interprets the table the simulator runs. *)
+let check_snoop_states name ~expected outcome =
+  match outcome with
   | S_ok stats ->
-      Alcotest.(check bool) "msi 4n >= 10k states" true
-        (stats.Checker.states_explored >= 10_000);
-      Alcotest.(check bool) "msi 4n exhaustive" true stats.Checker.complete
+      Alcotest.(check int) (name ^ " states") expected stats.Checker.states_explored;
+      Alcotest.(check bool) (name ^ " exhaustive") true stats.Checker.complete
   | S_violation (invariant, steps) ->
-      Alcotest.failf "msi 4n: invariant '%s' violated (%d-step trace)" invariant steps
-  | S_deadlock steps -> Alcotest.failf "msi 4n: deadlock (%d-step trace)" steps
+      Alcotest.failf "%s: invariant '%s' violated (%d-step trace)" name invariant steps
+  | S_deadlock steps -> Alcotest.failf "%s: deadlock (%d-step trace)" name steps
+
+let test_snoop_msi_verified () =
+  check_snoop_states "msi 4n" ~expected:92_901
+    (run_snoop_model
+       { Pcc_mcheck.Snoop_model.default_params with nodes = 4; variant = Pcc_core.Types.Msi })
 
 let test_snoop_mesi_verified () =
-  check_ok "mesi 3n 2-line"
+  check_snoop_states "mesi 3n 2-line" ~expected:767_869
     (run_snoop_model
        { Pcc_mcheck.Snoop_model.default_params with lines = 2; variant = Pcc_core.Types.Mesi })
 
+(* the shortest counterexample: an upgrade leaves a stale sharer
+   beside the new M *)
 let test_snoop_bug_detected () =
-  expect_violation "snoop upgr-skips-invals"
-    (run_snoop_model
-       {
-         Pcc_mcheck.Snoop_model.default_params with
-         bug = Some Pcc_mcheck.Snoop_model.Upgr_skips_invals;
-       })
+  List.iter
+    (fun variant ->
+      let name = Pcc_core.Protocol.to_string variant in
+      match
+        run_snoop_model
+          {
+            Pcc_mcheck.Snoop_model.default_params with
+            variant;
+            fault = Some Pcc_core.Config.Snoop_upgr_skips_invals;
+          }
+      with
+      | S_violation (invariant, steps) ->
+          Alcotest.(check string) (name ^ " invariant") "single-writer" invariant;
+          Alcotest.(check int) (name ^ " trace steps") 3 steps
+      | S_ok _ -> Alcotest.failf "%s: seeded bug not detected" name
+      | S_deadlock steps -> Alcotest.failf "%s: deadlock (%d-step trace)" name steps)
+    [ Pcc_core.Types.Msi; Pcc_core.Types.Mesi ]
+
+(* The table's per-line invariants serve the simulator's end-of-run
+   check and the model alike: each hand-built line must break exactly
+   the invariant it targets. *)
+let test_snoop_table_invariants () =
+  let module Mesi = Pcc_core.Mesi in
+  let broken variant ~mem copies =
+    Mesi.violations
+      (Mesi.make variant None)
+      ~state:fst ~value:snd ~mem copies
+    |> List.map Mesi.invariant_name
+  in
+  let check name variant ~mem copies expected =
+    Alcotest.(check (list string)) name expected (broken variant ~mem copies)
+  in
+  let msi = Pcc_core.Types.Msi and mesi = Pcc_core.Types.Mesi in
+  check "clean line" msi ~mem:2 [ (Mesi.S, 2); (Mesi.I, 0); (Mesi.S, 2) ] [];
+  check "two M copies" msi ~mem:0 [ (Mesi.M, 5); (Mesi.I, 0); (Mesi.M, 6) ]
+    [ "single-writer" ];
+  check "M beside S" msi ~mem:0 [ (Mesi.M, 5); (Mesi.S, 0) ] [ "single-writer" ];
+  check "S differs from memory" msi ~mem:2 [ (Mesi.S, 3); (Mesi.S, 3) ]
+    [ "shared-matches-memory" ];
+  check "E under MSI" msi ~mem:4 [ (Mesi.E, 4); (Mesi.I, 0) ]
+    [ "msi-has-no-exclusive-clean" ];
+  check "E under MESI" mesi ~mem:4 [ (Mesi.E, 4); (Mesi.I, 0) ] []
 
 (* ---------------- canonical hashing properties (qcheck) ---------------- *)
 
@@ -414,6 +454,8 @@ let suite =
     Alcotest.test_case "snoop mesi 3n 2-line exhaustive" `Slow test_snoop_mesi_verified;
     Alcotest.test_case "snoop seeded bug: upgr skips invals" `Quick
       test_snoop_bug_detected;
+    Alcotest.test_case "snoop table invariants catch broken lines" `Quick
+      test_snoop_table_invariants;
     Alcotest.test_case "golden: minimal canonical counterexample" `Quick
       test_golden_counterexample;
     Alcotest.test_case "verdict byte-stable across jobs" `Quick
