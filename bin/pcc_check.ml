@@ -47,6 +47,12 @@ let snoop_bug_of_string = function
       Error
         (Printf.sprintf "unknown snooping bug %S (expected upgr-skips-invals)" other)
 
+(* Exit 2 means "violation found", so a usage error — an unknown name or
+   parameters the model rejects — must exit 1. *)
+let usage_error message =
+  prerr_endline message;
+  1
+
 let report_outcome pp outcome metrics_path =
   Format.printf "%a@." (Checker.pp_outcome pp) outcome;
   Cli_common.write_metrics metrics_path (fun registry ->
@@ -63,10 +69,8 @@ let run_model_check protocol nodes lines ops workload delegation updates bug max
   match protocol with
   | Pcc.Types.Msi | Pcc.Types.Mesi -> (
       match snoop_bug_of_string bug with
-      | Error message ->
-          prerr_endline message;
-          1
-      | Ok bug ->
+      | Error message -> usage_error message
+      | Ok bug -> (
           let params =
             {
               Pcc.Snoop_model.nodes;
@@ -76,15 +80,15 @@ let run_model_check protocol nodes lines ops workload delegation updates bug max
               fault = bug;
             }
           in
-          let (module M) = Pcc.Snoop_model.make ~por params in
-          let outcome = Checker.run (module M) ~max_states ~jobs ?spill () in
-          report_outcome M.pp outcome metrics_path)
+          match Pcc.Snoop_model.make ~por params with
+          | exception Invalid_argument message -> usage_error message
+          | (module M) ->
+              let outcome = Checker.run (module M) ~max_states ~jobs ?spill () in
+              report_outcome M.pp outcome metrics_path))
   | Pcc.Types.Adaptive -> (
       match (bug_of_string bug, workload_of_string workload) with
-      | Error message, _ | _, Error message ->
-          prerr_endline message;
-          2
-      | Ok bug, Ok workload ->
+      | Error message, _ | _, Error message -> usage_error message
+      | Ok bug, Ok workload -> (
           let params =
             {
               Model.default_params with
@@ -97,9 +101,11 @@ let run_model_check protocol nodes lines ops workload delegation updates bug max
               bug;
             }
           in
-          let (module M) = Model.make ~por params in
-          let outcome = Checker.run (module M) ~max_states ~jobs ?spill () in
-          report_outcome M.pp outcome metrics_path)
+          match Model.make ~por params with
+          | exception Invalid_argument message -> usage_error message
+          | (module M) ->
+              let outcome = Checker.run (module M) ~max_states ~jobs ?spill () in
+              report_outcome M.pp outcome metrics_path))
 
 let run_litmus jobs mutate protocol metrics_path =
   let results =

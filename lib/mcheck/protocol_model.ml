@@ -167,38 +167,173 @@ let with_node st n f =
   ns.(n) <- f ns.(n);
   { st with ns }
 
+let rec next_seq src dst seq = function
+  | [] -> seq
+  | p :: rest ->
+      let seq = if p.src = src && p.dst = dst then Int.max seq (p.seq + 1) else seq in
+      next_seq src dst seq rest
+
+(* Each packet goes on the front of the network with the next sequence
+   number of its pair. *)
 let post st packets =
-  let next_seq net src dst =
-    1
-    + List.fold_left
-        (fun acc p -> if p.src = src && p.dst = dst then max acc p.seq else acc)
-        (-1) net
-  in
-  List.fold_left
-    (fun st p -> { st with net = { p with seq = next_seq st.net p.src p.dst } :: st.net })
-    st packets
+  match packets with
+  | [] -> st
+  | _ ->
+      let net =
+        List.fold_left
+          (fun net p -> { p with seq = next_seq p.src p.dst 0 net } :: net)
+          st.net packets
+      in
+      { st with net }
 
 let remove_packet st packet =
   let rec drop = function
     | [] -> []
-    | p :: rest -> if p = packet then rest else p :: drop rest
+    | p :: rest -> if p == packet then rest else p :: drop rest
   in
   { st with net = drop st.net }
 
-(* Canonical form: per-pair sequence numbers are renumbered from 0 so
-   states differing only by absolute sequence values coincide. *)
+(* Packets sort by (src, dst, seq).  Sequence numbers are distinct within
+   a pair, so this order is total and never looks at the message. *)
+let packet_order a b =
+  if a.src <> b.src then Int.compare a.src b.src
+  else if a.dst <> b.dst then Int.compare a.dst b.dst
+  else Int.compare a.seq b.seq
+
+let rec normalized_after q = function
+  | [] -> true
+  | p :: rest ->
+      (if p.src = q.src && p.dst = q.dst then p.seq = q.seq + 1
+       else p.seq = 0 && packet_order q p < 0)
+      && normalized_after p rest
+
+(* Canonical form: packets sorted, and per-pair sequence numbers
+   renumbered from 0 so states differing only by absolute sequence values
+   coincide.  A state already in that form comes back unchanged. *)
 let norm st =
-  let sorted = List.sort compare st.net in
-  let rec renumber last counter acc = function
-    | [] -> List.rev acc
-    | p :: rest ->
-        let pair = (p.src, p.dst) in
-        let counter = if last = Some pair then counter + 1 else 0 in
-        renumber (Some pair) counter ({ p with seq = counter } :: acc) rest
-  in
-  { st with net = renumber None 0 [] sorted }
+  match st.net with
+  | [] -> st
+  | p :: rest when p.seq = 0 && normalized_after p rest -> st
+  | net ->
+      let rec renumber src dst seq = function
+        | [] -> []
+        | p :: rest ->
+            let seq = if p.src = src && p.dst = dst then seq + 1 else 0 in
+            (if p.seq = seq then p else { p with seq }) :: renumber p.src p.dst seq rest
+      in
+      { st with net = renumber (-1) (-1) 0 (List.sort packet_order net) }
 
 let fail st message = { st with error = Some message }
+
+(* ------------------------------------------------------------------ *)
+(* Transition labels                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Only a counterexample or a steering driver ever reads a label, so
+   labels are interned: every label of a model with up to [label_nodes]
+   nodes is built once, here, and each successor shares one.  A label is
+   an index into [labels]: issues, then spontaneous moves, then
+   deliveries. *)
+let label_nodes = 8
+
+module Issue = struct
+  let names =
+    [| "load-hit"; "load-rac"; "load-miss"; "store-hit"; "store-upgrade"; "store-regain";
+       "store-miss" |]
+
+  let load_hit = 0
+  and load_rac = 1
+  and load_miss = 2
+  and store_hit = 3
+  and store_upgrade = 4
+  and store_regain = 5
+  and store_miss = 6
+end
+
+(* spontaneous moves *)
+module Move = struct
+  let names =
+    [| "downgrade"; "evict-excl-delegated"; "evict-excl"; "evict-shared"; "undelegate";
+       "drop-hint" |]
+
+  let downgrade = 0
+  and evict_excl_delegated = 1
+  and evict_excl = 2
+  and evict_shared = 3
+  and undelegate = 4
+  and drop_hint = 5
+end
+
+let delivery_names =
+  [| "gets"; "getx"; "fwds"; "inval"; "intv"; "transfer"; "datas"; "datae"; "ack"; "swb";
+     "tack"; "nack"; "delegate"; "newhome"; "recall"; "undele"; "update"; "updack"; "wb";
+     "wback" |]
+
+let msg_kind = function
+  | MGetS _ -> 0
+  | MGetX _ -> 1
+  | MFwdS _ -> 2
+  | MInval _ -> 3
+  | MIntv _ -> 4
+  | MTransfer _ -> 5
+  | MDataS _ -> 6
+  | MDataE _ -> 7
+  | MAck -> 8
+  | MSwb _ -> 9
+  | MTack _ -> 10
+  | MNack _ -> 11
+  | MDelegate _ -> 12
+  | MNewHome _ -> 13
+  | MRecall -> 14
+  | MUndele _ -> 15
+  | MUpdate _ -> 16
+  | MFlush | MFlushAck -> 17
+  | MWb _ -> 18
+  | MWbAck -> 19
+
+(* A delivery has at most two outcomes (the home grants or delegates);
+   the second one's label ends in "#1". *)
+let alternatives = 2
+
+let issue_count = label_nodes * Array.length Issue.names
+
+let spontaneous_count = label_nodes * Array.length Move.names
+
+let issue_label n k = (n * Array.length Issue.names) + k
+
+let spontaneous_label n k = issue_count + (n * Array.length Move.names) + k
+
+let delivery_label p alt =
+  assert (alt < alternatives);
+  issue_count + spontaneous_count
+  + (((((p.src * label_nodes) + p.dst) * Array.length delivery_names) + msg_kind p.msg)
+     * alternatives)
+  + alt
+
+let labels =
+  let s = string_of_int in
+  let issues =
+    Array.init issue_count (fun id ->
+        let k = Array.length Issue.names in
+        String.concat "" [ "n"; s (id / k); ":issue-"; Issue.names.(id mod k) ])
+  in
+  let spontaneous =
+    Array.init spontaneous_count (fun id ->
+        let k = Array.length Move.names in
+        String.concat "" [ "n"; s (id / k); ":"; Move.names.(id mod k) ])
+  in
+  let deliveries =
+    let k = Array.length delivery_names in
+    Array.init
+      (label_nodes * label_nodes * k * alternatives)
+      (fun id ->
+        let alt = id mod alternatives and rest = id / alternatives in
+        let pair = rest / k in
+        String.concat ""
+          [ "deliver["; s (pair / label_nodes); "->"; s (pair mod label_nodes); "]:";
+            delivery_names.(rest mod k); (if alt = 0 then "" else "#" ^ s alt) ])
+  in
+  Array.concat [ issues; spontaneous; deliveries ]
 
 (* ------------------------------------------------------------------ *)
 (* Symmetry reduction                                                  *)
@@ -207,86 +342,16 @@ let fail st message = { st with error = Some message }
 (* Non-home nodes are interchangeable (a Murphi "scalarset"): states that
    differ only by a permutation of nodes 1..n-1 are equivalent.  The
    canonical encoding is the minimum over all such permutations of the
-   renamed, normalized state. *)
+   renamed, normalized state's encoding ([encode_mstate]). *)
 
 let rename_node perm n = if n < 0 then n else perm.(n)
 
 let rename_mask perm mask =
-  let rec go n acc =
-    if n >= Array.length perm then acc
-    else go (n + 1) (if mem_bit mask n then add_bit acc perm.(n) else acc)
-  in
-  go 0 0
-
-let rename_msg perm = function
-  | MFwdS (r, tid) -> MFwdS (rename_node perm r, tid)
-  | MInval r -> MInval (rename_node perm r)
-  | MIntv (r, tid) -> MIntv (rename_node perm r, tid)
-  | MTransfer (r, tid) -> MTransfer (rename_node perm r, tid)
-  | MSwb (v, ns) -> MSwb (v, rename_node perm ns)
-  | MTack o -> MTack (rename_node perm o)
-  | MDelegate (sharers, v, a, tid) -> MDelegate (rename_mask perm sharers, v, a, tid)
-  | MNewHome h -> MNewHome (rename_node perm h)
-  | MUndele (sharers, v, pending) ->
-      MUndele
-        ( rename_mask perm sharers,
-          v,
-          Option.map (fun (r, tid) -> (rename_node perm r, tid)) pending )
-  | ( MGetS _ | MGetX _ | MDataS _ | MDataE _ | MAck | MNack _ | MRecall | MUpdate _
-    | MFlush | MFlushAck | MWb _ | MWbAck ) as m ->
-      m
-
-let rename_state perm st =
-  let ns = Array.make (Array.length st.ns) st.ns.(0) in
-  Array.iteri
-    (fun i node ->
-      ns.(perm.(i)) <-
-        {
-          node with
-          prod =
-            Option.map
-              (fun p ->
-                {
-                  p with
-                  psharers = rename_mask perm p.psharers;
-                  upds = rename_mask perm p.upds;
-                  unflushed = rename_mask perm p.unflushed;
-                })
-              node.prod;
-          pend =
-            Option.map
-              (fun p ->
-                {
-                  p with
-                  target = rename_node perm p.target;
-                  deferred =
-                    List.map
-                      (fun (t, r, tid) -> (t, rename_node perm r, tid))
-                      p.deferred;
-                })
-              node.pend;
-          hint = Option.map (rename_node perm) node.hint;
-        })
-    st.ns;
-  let net =
-    List.map
-      (fun p ->
-        {
-          p with
-          src = rename_node perm p.src;
-          dst = rename_node perm p.dst;
-          msg = rename_msg perm p.msg;
-        })
-      st.net
-  in
-  {
-    st with
-    ns;
-    net;
-    shr = rename_mask perm st.shr;
-    own = rename_node perm st.own;
-    req = rename_node perm st.req;
-  }
+  let renamed = ref 0 in
+  for n = 0 to Array.length perm - 1 do
+    if mem_bit mask n then renamed := add_bit !renamed perm.(n)
+  done;
+  !renamed
 
 (* All permutations of fixed+1..n-1; nodes 0..fixed map to themselves.
    [fixed = 0] fixes only the home — the full symmetric group over the
@@ -803,24 +868,37 @@ let cache_handle params st ~src n msg =
 (* Transition enumeration                                              *)
 (* ------------------------------------------------------------------ *)
 
-let issue_transitions params ~line st n =
+(* [keep] adds a candidate successor to [acc], normalized, unless it
+   overfills a channel: the message it would react to then stays in the
+   network for later.  On a normalized network a pair holds more than
+   [channel_capacity] packets exactly when one of them has a sequence
+   number that reaches it. *)
+let rec fits capacity = function
+  | [] -> true
+  | p :: rest -> p.seq < capacity && fits capacity rest
+
+let keep params labels id st acc =
+  let st = norm st in
+  if fits params.channel_capacity st.net then (labels.(id), st) :: acc else acc
+
+let issue_transitions params labels ~line st n acc =
   let node = st.ns.(n) in
-  let may_load, may_store =
-    match params.workload with
-    | Symmetric -> (true, true)
-    | Producer_consumer ->
-        let p = producer_of_line params line in
-        (n <> p, n = p)
-  in
-  if node.pend <> None || node.done_ >= params.max_ops_per_node then []
+  if node.pend <> None || node.done_ >= params.max_ops_per_node then acc
   else begin
-    let label kind = Printf.sprintf "n%d:issue-%s" n kind in
-    let load =
+    let may_load, may_store =
+      match params.workload with
+      | Symmetric -> (true, true)
+      | Producer_consumer ->
+          let p = producer_of_line params line in
+          (n <> p, n = p)
+    in
+    let keep kind st acc = keep params labels (issue_label n kind) st acc in
+    let load acc =
       match node.cache with
-      | CS v | CE v -> (label "load-hit", commit_read st n v ~cache_fill:true)
+      | CS v | CE v -> keep Issue.load_hit (commit_read st n v ~cache_fill:true) acc
       | CI -> (
           match node.rac with
-          | Some v -> (label "load-rac", commit_read st n v ~cache_fill:true)
+          | Some v -> keep Issue.load_rac (commit_read st n v ~cache_fill:true) acc
           | None ->
               let st =
                 with_node st n (fun node ->
@@ -829,11 +907,11 @@ let issue_transitions params ~line st n =
                       pend = Some { pkind = PL; have_data = false; acks = 0; poisoned = false; target = -1; tid = 2 * node.done_; deferred = [] };
                     })
               in
-              (label "load-miss", resend_request st n))
+              keep Issue.load_miss (resend_request st n) acc)
     in
-    let store =
+    let store acc =
       match (node.cache, node.prod) with
-      | CE _, _ -> (label "store-hit", commit_store st n)
+      | CE _, _ -> keep Issue.store_hit (commit_store st n) acc
       | _, Some ({ pst = PSh; _ } as p) ->
           (* delegated local upgrade: invalidate consumers directly *)
           let others = bits_list (rem_bit p.psharers n) in
@@ -858,10 +936,10 @@ let issue_transitions params ~line st n =
           let st =
             post st (List.map (fun c -> { src = n; dst = c; seq = 0; msg = MInval n }) others)
           in
-          (label "store-upgrade", try_complete_store st n)
+          keep Issue.store_upgrade (try_complete_store st n) acc
       | CI, Some { pst = PEx; _ } ->
           (* exclusivity held, line evicted to the pinned RAC entry *)
-          (label "store-regain", commit_store st n)
+          keep Issue.store_regain (commit_store st n) acc
       | (CI | CS _), _ ->
           let st =
             with_node st n (fun node ->
@@ -870,96 +948,86 @@ let issue_transitions params ~line st n =
                   pend = Some { pkind = PW; have_data = false; acks = 0; poisoned = false; target = -1; tid = (2 * node.done_) + 1; deferred = [] };
                 })
           in
-          (label "store-miss", resend_request st n)
+          keep Issue.store_miss (resend_request st n) acc
     in
-    (if may_load then [ load ] else []) @ (if may_store then [ store ] else [])
+    let acc = if may_load then load acc else acc in
+    if may_store then store acc else acc
   end
 
-let spontaneous_transitions params st n =
+(* Kept in reverse of the order they are offered: hint eviction,
+   undelegation, cache eviction, delayed intervention. *)
+let spontaneous_transitions params labels st n acc =
   let node = st.ns.(n) in
-  let transitions = ref [] in
-  let add label st' = transitions := (Printf.sprintf "n%d:%s" n label, st') :: !transitions in
-  (* delayed intervention fires *)
-  (match node.prod with
-  | Some { pst = PEx; _ } -> add "downgrade" (downgrade_push params st n ~exclude:None)
-  | _ -> ());
-  (* cache eviction *)
-  (match (node.cache, node.prod) with
-  | CE v, Some _ ->
-      add "evict-excl-delegated"
-        (with_node st n (fun node -> { node with cache = CI; rac = Some v }))
-  | CE v, None ->
-      add "evict-excl"
-        (post
-           (with_node st n (fun node -> { node with cache = CI; wbp = true }))
-           [ { src = n; dst = home; seq = 0; msg = MWb v } ])
-  | CS v, _ ->
-      let st' =
-        with_node st n (fun node ->
-            { node with cache = CI; rac = (if n = home then node.rac else Some v) })
-      in
-      add "evict-shared" st'
-  | CI, _ -> ());
-  (* capacity undelegation *)
-  (match node.prod with
-  | Some ({ pst = PEx | PSh; _ } as p) when not (fence_needed p) ->
-      add "undelegate" (undelegate st n ~pending:None)
-  | _ -> ());
+  let keep move st acc = keep params labels (spontaneous_label n move) st acc in
   (* consumer-table hint eviction *)
-  (match node.hint with
-  | Some _ -> add "drop-hint" (with_node st n (fun node -> { node with hint = None }))
-  | None -> ());
-  !transitions
+  let acc =
+    match node.hint with
+    | Some _ ->
+        keep Move.drop_hint (with_node st n (fun node -> { node with hint = None })) acc
+    | None -> acc
+  in
+  (* capacity undelegation *)
+  let acc =
+    match node.prod with
+    | Some ({ pst = PEx | PSh; _ } as p) when not (fence_needed p) ->
+        keep Move.undelegate (undelegate st n ~pending:None) acc
+    | _ -> acc
+  in
+  (* cache eviction *)
+  let acc =
+    match (node.cache, node.prod) with
+    | CE v, Some _ ->
+        keep Move.evict_excl_delegated
+          (with_node st n (fun node -> { node with cache = CI; rac = Some v }))
+          acc
+    | CE v, None ->
+        keep Move.evict_excl
+          (post
+             (with_node st n (fun node -> { node with cache = CI; wbp = true }))
+             [ { src = n; dst = home; seq = 0; msg = MWb v } ])
+          acc
+    | CS v, _ ->
+        keep Move.evict_shared
+          (with_node st n (fun node ->
+               { node with cache = CI; rac = (if n = home then node.rac else Some v) }))
+          acc
+    | CI, _ -> acc
+  in
+  (* delayed intervention fires *)
+  match node.prod with
+  | Some { pst = PEx; _ } ->
+      keep Move.downgrade (downgrade_push params st n ~exclude:None) acc
+  | _ -> acc
 
-let head_of_line net packet =
-  List.for_all
-    (fun q -> not (q.src = packet.src && q.dst = packet.dst && q.seq < packet.seq))
-    net
+let rec head_of_line packet = function
+  | [] -> true
+  | q :: rest ->
+      (not (q.src = packet.src && q.dst = packet.dst && q.seq < packet.seq))
+      && head_of_line packet rest
 
-let deliver_transitions params st =
-  List.concat_map
-    (fun packet ->
-      if not (head_of_line st.net packet) then []
+let rec keep_outcomes params labels packet alt outcomes acc =
+  match outcomes with
+  | [] -> acc
+  | st :: rest ->
+      keep_outcomes params labels packet (alt + 1) rest
+        (keep params labels (delivery_label packet alt) st acc)
+
+let deliver_transitions params labels st acc =
+  List.fold_left
+    (fun acc packet ->
+      if not (head_of_line packet st.net) then acc
       else
-      let st' = remove_packet st packet in
-      let results =
-        match packet.msg with
-        | (MGetS _ | MGetX _) when packet.dst = home ->
-            home_handle params st' ~s:packet.src packet.msg
-        | MWb _ | MSwb _ | MTack _ | MUndele _ ->
-            home_handle params st' ~s:packet.src packet.msg
-        | _ -> cache_handle params st' ~src:packet.src packet.dst packet.msg
-      in
-      List.mapi
-        (fun i result ->
-          let label =
-            Printf.sprintf "deliver[%d->%d]%s%s" packet.src packet.dst
-              (match packet.msg with
-              | MGetS _ -> ":gets"
-              | MGetX _ -> ":getx"
-              | MFwdS _ -> ":fwds"
-              | MInval _ -> ":inval"
-              | MIntv _ -> ":intv"
-              | MTransfer _ -> ":transfer"
-              | MDataS _ -> ":datas"
-              | MDataE _ -> ":datae"
-              | MAck -> ":ack"
-              | MSwb _ -> ":swb"
-              | MTack _ -> ":tack"
-              | MNack _ -> ":nack"
-              | MDelegate _ -> ":delegate"
-              | MNewHome _ -> ":newhome"
-              | MRecall -> ":recall"
-              | MUndele _ -> ":undele"
-              | MUpdate _ -> ":update"
-              | MFlush | MFlushAck -> ":updack"
-              | MWb _ -> ":wb"
-              | MWbAck -> ":wback")
-              (if i = 0 then "" else Printf.sprintf "#%d" i)
-          in
-          (label, result))
-        results)
-    st.net
+        let st' = remove_packet st packet in
+        let outcomes =
+          match packet.msg with
+          | (MGetS _ | MGetX _) when packet.dst = home ->
+              home_handle params st' ~s:packet.src packet.msg
+          | MWb _ | MSwb _ | MTack _ | MUndele _ ->
+              home_handle params st' ~s:packet.src packet.msg
+          | _ -> cache_handle params st' ~src:packet.src packet.dst packet.msg
+        in
+        keep_outcomes params labels packet 0 outcomes acc)
+    acc st.net
 
 (* ------------------------------------------------------------------ *)
 (* Invariants                                                          *)
@@ -1076,29 +1144,17 @@ let initial_state params =
       error = None;
     }
 
-(* a successor that overfills some channel is not taken; the message it
-   would react to stays in the network for later *)
-let channels_ok params st =
-  let counts = Hashtbl.create 16 in
-  List.for_all
-    (fun p ->
-      let key = (p.src, p.dst) in
-      let c = 1 + (try Hashtbl.find counts key with Not_found -> 0) in
-      Hashtbl.replace counts key c;
-      c <= params.channel_capacity)
-    st.net
-
-let all_successors ?(line = 0) params st =
-  let issues =
-    List.concat (List.init params.nodes (fun n -> issue_transitions params ~line st n))
-  in
-  let spontaneous =
-    List.concat (List.init params.nodes (fun n -> spontaneous_transitions params st n))
-  in
-  let deliveries = deliver_transitions params st in
-  List.filter_map
-    (fun (label, st') -> if channels_ok params st' then Some (label, norm st') else None)
-    (issues @ spontaneous @ deliveries)
+(* Issues, then spontaneous moves, then deliveries; [labels] names the
+   line's transitions (see [line_labels]). *)
+let all_successors ?(line = 0) params labels st =
+  let acc = ref [] in
+  for n = 0 to params.nodes - 1 do
+    acc := issue_transitions params labels ~line st n !acc
+  done;
+  for n = 0 to params.nodes - 1 do
+    acc := spontaneous_transitions params labels st n !acc
+  done;
+  List.rev (deliver_transitions params labels st !acc)
 
 let invariants_list =
   [
@@ -1143,166 +1199,233 @@ let pp_state ppf st =
   Format.fprintf ppf "net: %d msgs@]" (List.length st.net)
 
 (* ------------------------------------------------------------------ *)
-(* Fast structural encoding                                             *)
+(* Canonical encoding                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The seed encoded states with [Marshal], which dominated exploration
-   time once symmetry reduction multiplied encodes by (n-1)!.  This hand
-   encoder writes one byte per small field into a reused buffer.  Every
-   integer in a reachable state is tiny (masks < 2^nodes, versions and
-   tids bounded by the op budget, ack counts by in-flight messages), so a
-   single byte biased by 64 covers the range; the encoding of each list
-   is length-prefixed, making the whole encoding self-delimiting and the
-   concatenation of several line encodings injective. *)
+(* One byte per small field, biased by 64.  Every integer in a reachable
+   state is tiny (masks < 2^nodes, versions and tids bounded by the op
+   budget, ack counts by in-flight messages; [validate] rejects parameters
+   that could reach 192, where the byte wraps), and every list is
+   length-prefixed, so a line's encoding is self-delimiting and several
+   line encodings concatenate injectively.
 
-let byte buf n = Buffer.add_char buf (Char.unsafe_chr ((n + 64) land 0xff))
+   A state's encoding under a node permutation is the encoding of the
+   renamed, normalized state.  [write_line] writes it straight from the
+   normalized original: it reads node records through the inverse
+   permutation, renames masks and node ids as it writes them, and emits
+   packets in the order [norm] gives the renamed network. *)
 
-let enc_bool buf x = byte buf (if x then 1 else 0)
+(* The growable buffer of one [encode] call. *)
+type out = { mutable b : Bytes.t; mutable len : int }
 
-let enc_opt enc buf = function
-  | None -> byte buf 0
-  | Some x ->
-      byte buf 1;
-      enc buf x
+let reserve o n =
+  if o.len + n > Bytes.length o.b then begin
+    let b = Bytes.create (Int.max (o.len + n) (2 * Bytes.length o.b)) in
+    Bytes.blit o.b 0 b 0 o.len;
+    o.b <- b
+  end
 
-let enc_cache buf = function
-  | CI -> byte buf 0
-  | CS v ->
-      byte buf 1;
-      byte buf v
-  | CE v ->
-      byte buf 2;
-      byte buf v
+let put o n =
+  reserve o 1;
+  Bytes.unsafe_set o.b o.len (Char.unsafe_chr ((n + 64) land 0xff));
+  o.len <- o.len + 1
 
-let enc_prod buf p =
-  byte buf (match p.pst with PB -> 0 | PEx -> 1 | PSh -> 2);
-  byte buf p.psharers;
-  byte buf p.upds;
-  enc_bool buf p.recalled;
-  byte buf p.unflushed;
-  byte buf p.fl_acks
+let put_bool o x = put o (if x then 1 else 0)
 
-let enc_pend buf p =
-  byte buf (match p.pkind with PL -> 0 | PW -> 1);
-  enc_bool buf p.have_data;
-  byte buf p.acks;
-  enc_bool buf p.poisoned;
-  byte buf p.target;
-  byte buf p.tid;
-  byte buf (List.length p.deferred);
-  List.iter
-    (fun (t, r, tid) ->
-      enc_bool buf t;
-      byte buf r;
-      byte buf tid)
-    p.deferred
+let put_node o perm n = put o (rename_node perm n)
 
-let enc_msg buf = function
+let put_mask o perm mask = put o (rename_mask perm mask)
+
+let put_msg o perm = function
   | MGetS tid ->
-      byte buf 0;
-      byte buf tid
+      put o 0;
+      put o tid
   | MGetX tid ->
-      byte buf 1;
-      byte buf tid
+      put o 1;
+      put o tid
   | MFwdS (r, tid) ->
-      byte buf 2;
-      byte buf r;
-      byte buf tid
+      put o 2;
+      put_node o perm r;
+      put o tid
   | MInval r ->
-      byte buf 3;
-      byte buf r
+      put o 3;
+      put_node o perm r
   | MIntv (r, tid) ->
-      byte buf 4;
-      byte buf r;
-      byte buf tid
+      put o 4;
+      put_node o perm r;
+      put o tid
   | MTransfer (r, tid) ->
-      byte buf 5;
-      byte buf r;
-      byte buf tid
+      put o 5;
+      put_node o perm r;
+      put o tid
   | MDataS (v, tid) ->
-      byte buf 6;
-      byte buf v;
-      byte buf tid
+      put o 6;
+      put o v;
+      put o tid
   | MDataE (v, a, tid) ->
-      byte buf 7;
-      byte buf v;
-      byte buf a;
-      byte buf tid
-  | MAck -> byte buf 8
+      put o 7;
+      put o v;
+      put o a;
+      put o tid
+  | MAck -> put o 8
   | MSwb (v, ns) ->
-      byte buf 9;
-      byte buf v;
-      byte buf ns
-  | MTack o ->
-      byte buf 10;
-      byte buf o
+      put o 9;
+      put o v;
+      put_node o perm ns
+  | MTack w ->
+      put o 10;
+      put_node o perm w
   | MNack (r, tid) ->
-      byte buf 11;
-      byte buf (match r with NBusy -> 0 | NNotHome -> 1 | NPending -> 2);
-      byte buf tid
+      put o 11;
+      put o (match r with NBusy -> 0 | NNotHome -> 1 | NPending -> 2);
+      put o tid
   | MDelegate (s, v, a, tid) ->
-      byte buf 12;
-      byte buf s;
-      byte buf v;
-      byte buf a;
-      byte buf tid
+      put o 12;
+      put_mask o perm s;
+      put o v;
+      put o a;
+      put o tid
   | MNewHome h ->
-      byte buf 13;
-      byte buf h
-  | MRecall -> byte buf 14
-  | MUndele (s, v, p) ->
-      byte buf 15;
-      byte buf s;
-      enc_opt byte buf v;
-      enc_opt
-        (fun buf (r, tid) ->
-          byte buf r;
-          byte buf tid)
-        buf p
+      put o 13;
+      put_node o perm h
+  | MRecall -> put o 14
+  | MUndele (s, v, pending) -> (
+      put o 15;
+      put_mask o perm s;
+      (match v with
+      | None -> put o 0
+      | Some v ->
+          put o 1;
+          put o v);
+      match pending with
+      | None -> put o 0
+      | Some (r, tid) ->
+          put o 1;
+          put_node o perm r;
+          put o tid)
   | MUpdate v ->
-      byte buf 16;
-      byte buf v
-  | MFlush -> byte buf 17
-  | MFlushAck -> byte buf 18
+      put o 16;
+      put o v
+  | MFlush -> put o 17
+  | MFlushAck -> put o 18
   | MWb v ->
-      byte buf 19;
-      byte buf v
-  | MWbAck -> byte buf 20
+      put o 19;
+      put o v
+  | MWbAck -> put o 20
 
-(* [st] must already be normalized ([norm]). *)
-let enc_line buf st =
-  Array.iter
-    (fun n ->
-      enc_cache buf n.cache;
-      enc_opt byte buf n.rac;
-      enc_opt enc_prod buf n.prod;
-      enc_opt enc_pend buf n.pend;
-      enc_opt byte buf n.hint;
-      byte buf n.done_;
-      byte buf n.last_seen;
-      enc_bool buf n.wbp)
-    st.ns;
-  byte buf (match st.dir with DU -> 0 | DS -> 1 | DE -> 2 | DBs -> 3 | DBe -> 4 | DD -> 5);
-  byte buf st.shr;
-  byte buf st.own;
-  byte buf st.req;
-  byte buf st.req_tid;
-  byte buf st.mem;
-  byte buf st.nextv;
-  byte buf (List.length st.net);
-  List.iter
-    (fun p ->
-      byte buf p.src;
-      byte buf p.dst;
-      byte buf p.seq;
-      enc_msg buf p.msg)
-    st.net;
+let rec put_deferred o perm = function
+  | [] -> ()
+  | (is_transfer, requester, tid) :: rest ->
+      put_bool o is_transfer;
+      put_node o perm requester;
+      put o tid;
+      put_deferred o perm rest
+
+let put_node_record o perm node =
+  (match node.cache with
+  | CI -> put o 0
+  | CS v ->
+      put o 1;
+      put o v
+  | CE v ->
+      put o 2;
+      put o v);
+  (match node.rac with
+  | None -> put o 0
+  | Some v ->
+      put o 1;
+      put o v);
+  (match node.prod with
+  | None -> put o 0
+  | Some p ->
+      put o 1;
+      put o (match p.pst with PB -> 0 | PEx -> 1 | PSh -> 2);
+      put_mask o perm p.psharers;
+      put_mask o perm p.upds;
+      put_bool o p.recalled;
+      put_mask o perm p.unflushed;
+      put o p.fl_acks);
+  (match node.pend with
+  | None -> put o 0
+  | Some p ->
+      put o 1;
+      put o (match p.pkind with PL -> 0 | PW -> 1);
+      put_bool o p.have_data;
+      put o p.acks;
+      put_bool o p.poisoned;
+      put_node o perm p.target;
+      put o p.tid;
+      put o (List.length p.deferred);
+      put_deferred o perm p.deferred);
+  (match node.hint with
+  | None -> put o 0
+  | Some h ->
+      put o 1;
+      put_node o perm h);
+  put o node.done_;
+  put o node.last_seen;
+  put_bool o node.wbp
+
+let sort_prefix (a : int array) k =
+  for i = 1 to k - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+(* One line under [perm] ([inv] is its inverse).  [pk] is the line's
+   network as an array; [keys] is scratch at least as long. *)
+let write_line o ~perm ~inv ~(keys : int array) (pk : packet array) st =
+  for j = 0 to Array.length inv - 1 do
+    put_node_record o perm st.ns.(inv.(j))
+  done;
+  put o (match st.dir with DU -> 0 | DS -> 1 | DE -> 2 | DBs -> 3 | DBe -> 4 | DD -> 5);
+  put_mask o perm st.shr;
+  put_node o perm st.own;
+  put_node o perm st.req;
+  put o st.req_tid;
+  put o st.mem;
+  put o st.nextv;
+  let count = Array.length pk and nodes = Array.length perm in
+  put o count;
+  (* key: renamed (src, dst) pair, seq, then the packet's index *)
+  for i = 0 to count - 1 do
+    let p = pk.(i) in
+    let pair = (perm.(p.src) * nodes) + perm.(p.dst) in
+    keys.(i) <- (((pair lsl 20) lor p.seq) lsl 20) lor i
+  done;
+  sort_prefix keys count;
+  let pair = ref (-1) and seq = ref 0 in
+  for i = 0 to count - 1 do
+    let p = pk.(keys.(i) land 0xfffff) in
+    let this = keys.(i) lsr 40 in
+    seq := if this = !pair then !seq + 1 else 0;
+    pair := this;
+    put o perm.(p.src);
+    put o perm.(p.dst);
+    put o !seq;
+    put_msg o perm p.msg
+  done;
   match st.error with
-  | None -> byte buf 0
+  | None -> put o 0
   | Some e ->
-      byte buf 1;
-      byte buf (String.length e);
-      Buffer.add_string buf e
+      let n = String.length e in
+      put o 1;
+      put o n;
+      reserve o n;
+      Bytes.blit_string e 0 o.b o.len n;
+      o.len <- o.len + n
+
+(* [String.compare] of two regions of [b]. *)
+let rec compare_regions b i ilen j jlen =
+  if ilen = 0 || jlen = 0 then Int.compare ilen jlen
+  else
+    let c = Char.compare (Bytes.unsafe_get b i) (Bytes.unsafe_get b j) in
+    if c <> 0 then c else compare_regions b (i + 1) (ilen - 1) (j + 1) (jlen - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-line composition                                               *)
@@ -1323,22 +1446,31 @@ let initial_mstate params = { ls = Array.init params.lines (fun _ -> initial_sta
 let line_label params l label =
   if params.lines > 1 then Printf.sprintf "L%d:%s" l label else label
 
-let line_successors params mst l =
+(* Each line's label table: [labels] itself for a single line, otherwise
+   one copy per line with every label prefixed "L<l>:". *)
+let line_labels params =
+  if params.lines = 1 then [| labels |]
+  else Array.init params.lines (fun l -> Array.map (line_label params l) labels)
+
+let line_successors params tables mst l =
   List.map
     (fun (label, st') ->
-      ( line_label params l label,
-        { ls = Array.mapi (fun i s -> if i = l then st' else s) mst.ls } ))
-    (all_successors ~line:l params mst.ls.(l))
+      let ls = Array.copy mst.ls in
+      ls.(l) <- st';
+      (label, { ls }))
+    (all_successors ~line:l params tables.(l) mst.ls.(l))
 
-let mstate_successors params mst =
-  List.concat (List.init (Array.length mst.ls) (line_successors params mst))
+let mstate_successors params tables mst =
+  match mst.ls with
+  | [| _ |] -> line_successors params tables mst 0
+  | ls -> List.concat (List.init (Array.length ls) (line_successors params tables mst))
 
 (* Transition groups for POR, in fixed line order.  The checker expands
    the first group offering an unexplored successor; the soundness
    argument (DESIGN.md, "Verification") depends on this order being a
    fixed function of the line index, not of the state. *)
-let mstate_groups params mst =
-  List.init (Array.length mst.ls) (line_successors params mst)
+let mstate_groups params tables mst =
+  List.init (Array.length mst.ls) (line_successors params tables mst)
 
 let mstate_invariants params =
   List.concat
@@ -1365,61 +1497,125 @@ let pp_mstate ppf mst =
   end
 
 (* Canonical representative over the node × line symmetry group: for each
-   admissible node permutation, encode every line (renamed,
-   renormalized), sort the interchangeable line encodings (all lines
-   under the symmetric workload; only same-producer lines under the
-   producer-consumer workload, since distinct producers make lines
-   distinguishable), and keep the lexicographically least concatenation
-   over all permutations.  Self-delimiting parts and params-determined
-   group sizes keep the concatenation injective. *)
+   admissible node permutation, write every line under it, order the
+   interchangeable lines by their bytes (all lines under the symmetric
+   workload; only same-producer lines under the producer-consumer
+   workload, since distinct producers make lines distinguishable), and
+   keep the lexicographically least concatenation over all permutations.
+   The least so far sits at the front of the call's one buffer, and each
+   candidate is written after it.  Self-delimiting parts and
+   params-determined group sizes keep the concatenation injective. *)
 let encode_mstate params =
-  let permutations = model_permutations params in
-  let sort_parts parts =
+  let perms = model_permutations params in
+  let line_class =
     match params.workload with
-    | Symmetric -> List.sort String.compare parts
-    | Producer_consumer ->
-        let k = params.nodes - 1 in
-        let classes = Array.make k [] in
-        List.iteri (fun l part -> classes.(l mod k) <- part :: classes.(l mod k)) parts;
-        Array.to_list classes |> List.concat_map (List.sort String.compare)
+    | Symmetric -> fun _ -> 0
+    | Producer_consumer -> fun l -> l mod (params.nodes - 1)
   in
   fun mst ->
-    let buf = Buffer.create 256 in
-    let encode_with perm st =
-      Buffer.clear buf;
-      enc_line buf (norm (rename_state perm st));
-      Buffer.contents buf
+    let lines = Array.length mst.ls in
+    let pks = Array.map (fun st -> Array.of_list st.net) mst.ls in
+    let keys =
+      Array.make (Array.fold_left (fun m pk -> Int.max m (Array.length pk)) 0 pks) 0
     in
-    let many = Array.length mst.ls > 1 in
-    let best = ref None in
-    List.iter
-      (fun perm ->
-        let parts = Array.to_list (Array.map (encode_with perm) mst.ls) in
-        let parts = if many then sort_parts parts else parts in
-        let candidate = String.concat "" parts in
-        match !best with
-        | Some b when String.compare b candidate <= 0 -> ()
-        | _ -> best := Some candidate)
-      permutations;
-    Option.get !best
+    let o = { b = Bytes.create 256; len = 0 } in
+    (* line [l] of the current candidate is bytes [starts.(l), starts.(l+1)) *)
+    let starts = Array.make (lines + 1) 0 and order = Array.init lines Fun.id in
+    let before a b =
+      let ca = line_class a and cb = line_class b in
+      if ca <> cb then ca < cb
+      else
+        compare_regions o.b starts.(a)
+          (starts.(a + 1) - starts.(a))
+          starts.(b)
+          (starts.(b + 1) - starts.(b))
+        < 0
+    in
+    let inv = Array.make params.nodes 0 in
+    (* writes [perm]'s candidate from [o.len] on and returns where it starts *)
+    let candidate perm =
+      for i = 0 to Array.length perm - 1 do
+        inv.(perm.(i)) <- i
+      done;
+      let base = o.len in
+      for l = 0 to lines - 1 do
+        starts.(l) <- o.len;
+        write_line o ~perm ~inv ~keys pks.(l) mst.ls.(l)
+      done;
+      starts.(lines) <- o.len;
+      if lines = 1 then base
+      else begin
+        for i = 1 to lines - 1 do
+          let x = order.(i) in
+          let j = ref (i - 1) in
+          while !j >= 0 && before x order.(!j) do
+            order.(!j + 1) <- order.(!j);
+            decr j
+          done;
+          order.(!j + 1) <- x
+        done;
+        let cand = o.len in
+        reserve o (cand - base);
+        Array.iter
+          (fun l ->
+            let len = starts.(l + 1) - starts.(l) in
+            Bytes.blit o.b starts.(l) o.b o.len len;
+            o.len <- o.len + len)
+          order;
+        cand
+      end
+    in
+    (* the least candidate so far is bytes [0, least) *)
+    let least = ref 0 in
+    List.iteri
+      (fun k perm ->
+        o.len <- !least;
+        let cand = candidate perm in
+        let len = o.len - cand in
+        if k = 0 || compare_regions o.b cand len 0 !least < 0 then begin
+          Bytes.blit o.b cand o.b 0 len;
+          least := len
+        end)
+      perms;
+    Bytes.sub_string o.b 0 !least
+
+(* The largest int the one-byte encoding holds: 192 + 64 wraps to 0. *)
+let max_encoded = 191
 
 let validate params =
   if params.nodes < 2 || params.nodes > 7 then
     invalid_arg "Protocol_model: nodes must be in 2..7 (canonicalization \
                  enumerates (nodes-1)! permutations)";
-  if params.lines < 1 then invalid_arg "Protocol_model: lines must be >= 1"
+  if params.lines < 1 then invalid_arg "Protocol_model: lines must be >= 1";
+  if params.max_ops_per_node < 0 then
+    invalid_arg "Protocol_model: max_ops_per_node must be >= 0";
+  if params.nodes * params.max_ops_per_node > max_encoded then
+    invalid_arg
+      (Printf.sprintf
+         "Protocol_model: versions reach nodes * max_ops_per_node = %d; the \
+          one-byte encoding holds at most %d"
+         (params.nodes * params.max_ops_per_node)
+         max_encoded);
+  if params.channel_capacity * params.nodes * params.nodes > max_encoded then
+    invalid_arg
+      (Printf.sprintf
+         "Protocol_model: in-flight messages reach channel_capacity * nodes^2 = %d; \
+          the one-byte encoding holds at most %d"
+         (params.channel_capacity * params.nodes * params.nodes)
+         max_encoded)
 
 let make ?(por = true) params =
   validate params;
+  let tables = line_labels params in
   (module struct
     type state = mstate
 
     let initial = [ initial_mstate params ]
 
-    let successors = mstate_successors params
+    let successors = mstate_successors params tables
 
     let por =
-      if por && params.lines > 1 then Some (mstate_groups params) else None
+      if por && params.lines > 1 then Some (mstate_groups params tables) else None
 
     let invariants = mstate_invariants params
 
@@ -1439,15 +1635,281 @@ module Sym = struct
 
   let initial = initial_mstate
 
-  let successors = mstate_successors
+  let successors params = mstate_successors params (line_labels params)
 
   let encode = encode_mstate
 
   let node_permutations = node_permutations
 
+  let rename_msg perm = function
+    | MFwdS (r, tid) -> MFwdS (rename_node perm r, tid)
+    | MInval r -> MInval (rename_node perm r)
+    | MIntv (r, tid) -> MIntv (rename_node perm r, tid)
+    | MTransfer (r, tid) -> MTransfer (rename_node perm r, tid)
+    | MSwb (v, ns) -> MSwb (v, rename_node perm ns)
+    | MTack o -> MTack (rename_node perm o)
+    | MDelegate (sharers, v, a, tid) -> MDelegate (rename_mask perm sharers, v, a, tid)
+    | MNewHome h -> MNewHome (rename_node perm h)
+    | MUndele (sharers, v, pending) ->
+        MUndele
+          ( rename_mask perm sharers,
+            v,
+            Option.map (fun (r, tid) -> (rename_node perm r, tid)) pending )
+    | ( MGetS _ | MGetX _ | MDataS _ | MDataE _ | MAck | MNack _ | MRecall | MUpdate _
+      | MFlush | MFlushAck | MWb _ | MWbAck ) as m ->
+        m
+
+  let rename_state perm st =
+    let ns = Array.make (Array.length st.ns) st.ns.(0) in
+    Array.iteri
+      (fun i node ->
+        ns.(perm.(i)) <-
+          {
+            node with
+            prod =
+              Option.map
+                (fun p ->
+                  {
+                    p with
+                    psharers = rename_mask perm p.psharers;
+                    upds = rename_mask perm p.upds;
+                    unflushed = rename_mask perm p.unflushed;
+                  })
+                node.prod;
+            pend =
+              Option.map
+                (fun p ->
+                  {
+                    p with
+                    target = rename_node perm p.target;
+                    deferred =
+                      List.map
+                        (fun (t, r, tid) -> (t, rename_node perm r, tid))
+                        p.deferred;
+                  })
+                node.pend;
+            hint = Option.map (rename_node perm) node.hint;
+          })
+      st.ns;
+    let net =
+      List.map
+        (fun p ->
+          {
+            p with
+            src = rename_node perm p.src;
+            dst = rename_node perm p.dst;
+            msg = rename_msg perm p.msg;
+          })
+        st.net
+    in
+    {
+      st with
+      ns;
+      net;
+      shr = rename_mask perm st.shr;
+      own = rename_node perm st.own;
+      req = rename_node perm st.req;
+    }
+
   let rename_nodes perm mst = { ls = Array.map (fun st -> norm (rename_state perm st)) mst.ls }
 
   let permute_lines perm mst = { ls = Array.init (Array.length mst.ls) (fun i -> mst.ls.(perm.(i))) }
+
+  (* The encoder [encode] replaced, kept as its reference: per
+     permutation, rename a copy of the whole state, normalize it again
+     (sorting with polymorphic [compare]), serialize each line into its
+     own string, and keep the least concatenation. *)
+  module Reference = struct
+    let norm st =
+      let sorted = List.sort compare st.net in
+      let rec renumber last counter acc = function
+        | [] -> List.rev acc
+        | p :: rest ->
+            let pair = (p.src, p.dst) in
+            let counter = if last = Some pair then counter + 1 else 0 in
+            renumber (Some pair) counter ({ p with seq = counter } :: acc) rest
+      in
+      { st with net = renumber None 0 [] sorted }
+
+    let byte buf n = Buffer.add_char buf (Char.unsafe_chr ((n + 64) land 0xff))
+
+    let enc_bool buf x = byte buf (if x then 1 else 0)
+
+    let enc_opt enc buf = function
+      | None -> byte buf 0
+      | Some x ->
+          byte buf 1;
+          enc buf x
+
+    let enc_cache buf = function
+      | CI -> byte buf 0
+      | CS v ->
+          byte buf 1;
+          byte buf v
+      | CE v ->
+          byte buf 2;
+          byte buf v
+
+    let enc_prod buf p =
+      byte buf (match p.pst with PB -> 0 | PEx -> 1 | PSh -> 2);
+      byte buf p.psharers;
+      byte buf p.upds;
+      enc_bool buf p.recalled;
+      byte buf p.unflushed;
+      byte buf p.fl_acks
+
+    let enc_pend buf p =
+      byte buf (match p.pkind with PL -> 0 | PW -> 1);
+      enc_bool buf p.have_data;
+      byte buf p.acks;
+      enc_bool buf p.poisoned;
+      byte buf p.target;
+      byte buf p.tid;
+      byte buf (List.length p.deferred);
+      List.iter
+        (fun (t, r, tid) ->
+          enc_bool buf t;
+          byte buf r;
+          byte buf tid)
+        p.deferred
+
+    let enc_msg buf = function
+      | MGetS tid ->
+          byte buf 0;
+          byte buf tid
+      | MGetX tid ->
+          byte buf 1;
+          byte buf tid
+      | MFwdS (r, tid) ->
+          byte buf 2;
+          byte buf r;
+          byte buf tid
+      | MInval r ->
+          byte buf 3;
+          byte buf r
+      | MIntv (r, tid) ->
+          byte buf 4;
+          byte buf r;
+          byte buf tid
+      | MTransfer (r, tid) ->
+          byte buf 5;
+          byte buf r;
+          byte buf tid
+      | MDataS (v, tid) ->
+          byte buf 6;
+          byte buf v;
+          byte buf tid
+      | MDataE (v, a, tid) ->
+          byte buf 7;
+          byte buf v;
+          byte buf a;
+          byte buf tid
+      | MAck -> byte buf 8
+      | MSwb (v, ns) ->
+          byte buf 9;
+          byte buf v;
+          byte buf ns
+      | MTack o ->
+          byte buf 10;
+          byte buf o
+      | MNack (r, tid) ->
+          byte buf 11;
+          byte buf (match r with NBusy -> 0 | NNotHome -> 1 | NPending -> 2);
+          byte buf tid
+      | MDelegate (s, v, a, tid) ->
+          byte buf 12;
+          byte buf s;
+          byte buf v;
+          byte buf a;
+          byte buf tid
+      | MNewHome h ->
+          byte buf 13;
+          byte buf h
+      | MRecall -> byte buf 14
+      | MUndele (s, v, p) ->
+          byte buf 15;
+          byte buf s;
+          enc_opt byte buf v;
+          enc_opt
+            (fun buf (r, tid) ->
+              byte buf r;
+              byte buf tid)
+            buf p
+      | MUpdate v ->
+          byte buf 16;
+          byte buf v
+      | MFlush -> byte buf 17
+      | MFlushAck -> byte buf 18
+      | MWb v ->
+          byte buf 19;
+          byte buf v
+      | MWbAck -> byte buf 20
+
+    let enc_line buf st =
+      Array.iter
+        (fun n ->
+          enc_cache buf n.cache;
+          enc_opt byte buf n.rac;
+          enc_opt enc_prod buf n.prod;
+          enc_opt enc_pend buf n.pend;
+          enc_opt byte buf n.hint;
+          byte buf n.done_;
+          byte buf n.last_seen;
+          enc_bool buf n.wbp)
+        st.ns;
+      byte buf (match st.dir with DU -> 0 | DS -> 1 | DE -> 2 | DBs -> 3 | DBe -> 4 | DD -> 5);
+      byte buf st.shr;
+      byte buf st.own;
+      byte buf st.req;
+      byte buf st.req_tid;
+      byte buf st.mem;
+      byte buf st.nextv;
+      byte buf (List.length st.net);
+      List.iter
+        (fun p ->
+          byte buf p.src;
+          byte buf p.dst;
+          byte buf p.seq;
+          enc_msg buf p.msg)
+        st.net;
+      match st.error with
+      | None -> byte buf 0
+      | Some e ->
+          byte buf 1;
+          byte buf (String.length e);
+          Buffer.add_string buf e
+
+    let encode params mst =
+      let sort_parts parts =
+        match params.workload with
+        | Symmetric -> List.sort String.compare parts
+        | Producer_consumer ->
+            let k = params.nodes - 1 in
+            let classes = Array.make k [] in
+            List.iteri (fun l part -> classes.(l mod k) <- part :: classes.(l mod k)) parts;
+            Array.to_list classes |> List.concat_map (List.sort String.compare)
+      in
+      let buf = Buffer.create 256 in
+      let encode_with perm st =
+        Buffer.clear buf;
+        enc_line buf (norm (rename_state perm st));
+        Buffer.contents buf
+      in
+      let many = Array.length mst.ls > 1 in
+      let best = ref None in
+      List.iter
+        (fun perm ->
+          let parts = Array.to_list (Array.map (encode_with perm) mst.ls) in
+          let parts = if many then sort_parts parts else parts in
+          let candidate = String.concat "" parts in
+          match !best with
+          | Some b when String.compare b candidate <= 0 -> ()
+          | _ -> best := Some candidate)
+        (model_permutations params);
+      Option.get !best
+  end
+
+  let reference_encode = Reference.encode
 
   (* A symmetry-invariant projection of the observable facts: any two
      states related by a node/line permutation agree on it, so
@@ -1491,9 +1953,13 @@ end
 module Step = struct
   type nonrec state = state
 
-  let initial = initial_state
+  let initial params =
+    if params.nodes > label_nodes then
+      invalid_arg
+        (Printf.sprintf "Protocol_model.Step: at most %d nodes" label_nodes);
+    initial_state params
 
-  let successors params st = all_successors params st
+  let successors params st = all_successors params labels st
 
   let invariants = invariants_list
 

@@ -4,9 +4,13 @@
     protocol plus delegation and speculative updates) for a small
     configuration: [lines] independent cache lines homed at node 0,
     [nodes] processors each performing up to [max_ops_per_node]
-    nondeterministically chosen loads/stores per line, an unordered
-    network, and nondeterministic cache evictions, delayed interventions,
-    capacity undelegations, and hint evictions.  This corresponds to the
+    nondeterministically chosen loads/stores per line, a network of
+    bounded FIFO channels, one per (source, destination) pair, whose
+    head-of-line messages are delivered in any interleaving, and
+    nondeterministic cache evictions, delayed interventions, capacity
+    undelegations, and hint evictions.  Speculative updates depend on the
+    per-pair order: an update overtaken by a later invalidation from the
+    same producer would strand a stale copy.  This corresponds to the
     paper's extension of the DASH Murphi model (§2.5).
 
     Checked invariants (instantiated per line, prefixed ["L<l>:"] when
@@ -81,7 +85,10 @@ val make : ?por:bool -> params -> (module Checker.MODEL)
     when [params.lines > 1].  [por:false] forces full expansion — useful
     for cross-checking that reduction preserves verdicts.
 
-    @raise Invalid_argument when [nodes] is outside 2..7 or [lines < 1]. *)
+    @raise Invalid_argument when [nodes] is outside 2..7, [lines < 1],
+    [max_ops_per_node < 0], or a value the one-byte state encoding must
+    hold could exceed 191: versions ([nodes * max_ops_per_node]) or
+    in-flight messages ([channel_capacity * nodes * nodes]). *)
 
 (** The same transition system with an inspectable (single-line) state,
     for drivers that steer the model along one specific execution instead
@@ -99,6 +106,7 @@ module Step : sig
   type state
 
   val initial : params -> state
+  (** @raise Invalid_argument when [nodes] exceeds 8. *)
 
   val successors : params -> state -> (string * state) list
   (** Every enabled labeled transition from [state]. *)
@@ -143,9 +151,15 @@ module Sym : sig
   val initial : params -> mstate
 
   val successors : params -> mstate -> (string * mstate) list
+  (** Apply it to [params] once: that builds the label tables. *)
 
   val encode : params -> mstate -> string
   (** The packed model's canonical encoding. *)
+
+  val reference_encode : params -> mstate -> string
+  (** The encoder [encode] replaced: rename a copy of the state per
+      permutation, normalize it again, serialize it, and keep the least
+      result.  Slow; [encode] must match it byte for byte. *)
 
   val node_permutations : int -> int array list
   (** All permutations of nodes [1..n-1] (home fixed), as arrays mapping

@@ -188,7 +188,10 @@ let suite =
     Alcotest.test_case "fault plan allocation-free" `Quick check_fault_plan;
     Alcotest.test_case "base protocol under budget" `Quick
       (check "base" 500.0 (Config.base ~nodes ()));
-    Alcotest.test_case "model checker under budget" `Quick (check_checker 5_000.0);
+    (* measured 637 words/state; 2,000 trips a return to a renamed copy
+       of the state per permutation and a formatted label per successor,
+       which cost 2,568 *)
+    Alcotest.test_case "model checker under budget" `Quick (check_checker 2_000.0);
     Alcotest.test_case "full adaptive machine under budget" `Quick
       (check "full" 500.0 (Config.small_full ~nodes ()));
     (* reliable hub links over 8% loss: measured 291 words/commit *)

@@ -170,6 +170,23 @@ let test_bug_no_resharing_detected () =
          bug = Some Protocol_model.Updates_without_resharing;
        })
 
+(* Every int goes into one byte biased by 64, so 192 and up would wrap
+   (255 aliases -1, "no owner"): [make] must refuse parameters that can
+   reach it, and accept the largest that cannot. *)
+let test_make_rejects_unencodable () =
+  let rejects name params =
+    match Protocol_model.make params with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: accepted parameters the encoding cannot hold" name
+  in
+  let d = Protocol_model.default_params in
+  rejects "negative op count" { d with max_ops_per_node = -1 };
+  rejects "versions reach 192 (3 nodes x 64 ops)" { d with max_ops_per_node = 64 };
+  rejects "in-flight messages reach 196 (capacity 4 x 7 nodes^2)"
+    { d with nodes = 7; channel_capacity = 4 };
+  ignore (Protocol_model.make { d with max_ops_per_node = 63 } : (module Checker.MODEL));
+  ignore (Protocol_model.make { d with nodes = 7; channel_capacity = 3 } : (module Checker.MODEL))
+
 (* ---- the snooping backends' atomic-bus model ---- *)
 
 (* The recorded state counts: a different count means the model no
@@ -249,25 +266,30 @@ module Q = QCheck
 let sym_params =
   { Protocol_model.default_params with nodes = 3; lines = 2; max_ops_per_node = 1 }
 
-(* a reachable state, chosen by a deterministic pseudo-random walk: each
+(* the states of a deterministic pseudo-random walk, last first: each
    pick indexes into the successor list *)
-let reachable_state picks =
-  let rec go state = function
-    | [] -> state
+let walk params picks =
+  let successors = Sym.successors params in
+  let rec go visited state = function
+    | [] -> state :: visited
     | pick :: rest -> (
-        match Sym.successors sym_params state with
-        | [] -> state
+        match successors state with
+        | [] -> state :: visited
         | succs ->
             let _, next = List.nth succs (abs pick mod List.length succs) in
-            go next rest)
+            go (state :: visited) next rest)
   in
-  go (Sym.initial sym_params) picks
+  go [] (Sym.initial params) picks
+
+let reachable_state picks = List.hd (walk sym_params picks)
 
 let walk_gen = Q.list_of_size (Q.Gen.int_range 0 24) (Q.int_bound 9999)
 
+let sym_successors = Sym.successors sym_params
+
 let encodings_of_successors state =
   List.sort_uniq String.compare
-    (List.map (fun (_, s) -> Sym.encode sym_params s) (Sym.successors sym_params state))
+    (List.map (fun (_, s) -> Sym.encode sym_params s) (sym_successors state))
 
 let prop_rename_hash_equal =
   Q.Test.make ~count:60 ~name:"node renaming preserves the canonical hash"
@@ -317,6 +339,35 @@ let prop_distinct_states_hash_distinct =
       then Q.Test.fail_report "distinct observables, same canonical hash";
       true)
 
+(* the direct encoder writes exactly the bytes of the renamed-state
+   encoder it replaced, on every state of a walk, across node counts,
+   line counts and both workloads *)
+let prop_encode_matches_reference =
+  let config =
+    Q.make
+      ~print:(fun (nodes, lines, pc) ->
+        Printf.sprintf "nodes=%d lines=%d workload=%s" nodes lines
+          (if pc then "pc" else "symmetric"))
+      Q.Gen.(triple (int_range 3 5) (int_range 1 2) bool)
+  in
+  Q.Test.make ~count:60 ~name:"direct encoding matches the renamed-state reference"
+    (Q.pair config walk_gen)
+    (fun ((nodes, lines, pc), picks) ->
+      let params =
+        {
+          Protocol_model.default_params with
+          nodes;
+          lines;
+          workload = (if pc then Protocol_model.Producer_consumer else Protocol_model.Symmetric);
+        }
+      in
+      List.iter
+        (fun s ->
+          if not (String.equal (Sym.encode params s) (Sym.reference_encode params s)) then
+            Q.Test.fail_report "encoding differs from the reference")
+        (walk params picks);
+      true)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -324,6 +375,7 @@ let qcheck_cases =
       prop_line_permutation_hash_equal;
       prop_rename_verdict_equivalent;
       prop_distinct_states_hash_distinct;
+      prop_encode_matches_reference;
     ]
 
 (* ---------------- determinism and golden counterexample ---------------- *)
@@ -449,6 +501,8 @@ let suite =
     Alcotest.test_case "seeded bug: skip invals" `Quick test_bug_skip_invals_detected;
     Alcotest.test_case "seeded bug: no poison" `Slow test_bug_no_poison_detected;
     Alcotest.test_case "seeded bug: no resharing" `Slow test_bug_no_resharing_detected;
+    Alcotest.test_case "make rejects values the encoding cannot hold" `Quick
+      test_make_rejects_unencodable;
     Alcotest.test_case "snoop msi 4n exhaustive (>=10k states)" `Quick
       test_snoop_msi_verified;
     Alcotest.test_case "snoop mesi 3n 2-line exhaustive" `Slow test_snoop_mesi_verified;
