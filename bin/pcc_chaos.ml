@@ -186,9 +186,7 @@ let run_one ~bench ~config_name ~protocol ~nodes ~scale ~seed ~profile_name
         ~path:
           (Filename.concat dir
              (Printf.sprintf "seed%d-%s-%s.flight.json" seed profile_name bench)));
-  let checks = Oracle.Runner.attach sys in
-  let committed = ref 0 in
-  System.on_commit sys (fun _ -> incr committed);
+  let sweep = Oracle.Runner.attach sys in
   let report =
     {
       rr_seed = seed;
@@ -218,8 +216,6 @@ let run_one ~bench ~config_name ~protocol ~nodes ~scale ~seed ~profile_name
         report with
         rr_problems = [ Printf.sprintf "oracle violation at t=%d: %s" time message ];
       }
-  | exception Oracle.Order.Violation message ->
-      { report with rr_problems = [ "oracle violation: order: " ^ message ] }
   | result ->
       let stats = result.System.stats in
       let drops, dups, delays, outages =
@@ -233,7 +229,10 @@ let run_one ~bench ~config_name ~protocol ~nodes ~scale ~seed ~profile_name
       {
         report with
         rr_problems =
-          check_run ~total_ops ~committed:!committed result @ stats_errors @ checks.sweep ();
+          check_run ~total_ops
+            ~committed:(Sc_check.commits (System.checker sys))
+            result
+          @ stats_errors @ sweep ();
         rr_retransmits = stats.Run_stats.retransmits;
         rr_dup_dropped = stats.Run_stats.dup_dropped;
         rr_txn_timeouts = stats.Run_stats.txn_timeouts;

@@ -237,8 +237,8 @@ let cmd =
       $ Cli_common.protocol
           ~doc:
             "Coherence backend for the sweep: $(b,adaptive) audits base+full with \
-             the differential replay, $(b,msi)/$(b,mesi) run the order tracker and \
-             statistics identities over the snooping machine." ()
+             the differential replay, $(b,msi)/$(b,mesi) check the machine's SC \
+             verdict and statistics identities over the snooping machine." ()
       $ Cli_common.nodes ~default:6 ()
       $ Cli_common.scale ~default:0.15 ~doc:"Run-length scale for app benchmarks." ()
       $ max_lines_arg $ trace_arg $ replay_arg $ fault_arg $ golden_arg

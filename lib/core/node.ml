@@ -73,7 +73,6 @@ type t = {
   hub : Message.t Hub_link.t;
   id : Types.node_id;
   stats : Run_stats.t;
-  memcheck : Memory_check.t;
   next_version : unit -> int;
   rng : Pcc_engine.Rng.t;
   crashable : bool;  (* the fault profile schedules fail-stop crashes *)
@@ -486,12 +485,10 @@ let commit_load t p ~value ~miss =
   let now = Sim.now t.sim in
   if not p.poisoned then
     fill_l2 t p.line L2.{ state = Shared; value; dirty = false };
-  ignore
-    (Memory_check.load_committed t.memcheck p.line ~value ~started:p.started ~time:now);
   Run_stats.record_miss t.stats miss ~line:p.line ~latency:(now - p.started);
   t.pending <- None;
   Probe.commit t.probe ~node:t.id ~kind:Types.Load ~line:p.line ~value
-    ~started:p.started ~l2_hit:false ~miss:(Some miss);
+    ~started:p.started ~miss:(Some miss);
   p.on_commit ()
 
 (* Producer bookkeeping common to store commits and exclusive store hits:
@@ -518,7 +515,6 @@ let rec commit_store t p =
   | Some rac, None -> Rac.invalidate rac p.line
   | Some _, Some _ | None, _ -> ());
   fill_l2 t p.line L2.{ state = Exclusive; value = version; dirty = true };
-  Memory_check.store_committed t.memcheck p.line ~node:t.id ~value:version ~time:now;
   let miss =
     match p.miss_override with
     | Some m -> m
@@ -527,7 +523,7 @@ let rec commit_store t p =
   Run_stats.record_miss t.stats miss ~line:p.line ~latency:(now - p.started);
   t.pending <- None;
   Probe.commit t.probe ~node:t.id ~kind:Types.Store ~line:p.line ~value:version
-    ~started:p.started ~l2_hit:false ~miss:(Some miss);
+    ~started:p.started ~miss:(Some miss);
   note_producer_write t p.line;
   List.iter
     (fun d ->
@@ -1364,11 +1360,8 @@ let submit t ~kind ~line ~on_commit =
   | Some entry, Types.Load ->
       t.stats.l2_hits <- t.stats.l2_hits + 1;
       sched t ~delay:t.config.l2_hit_latency (fun () ->
-          ignore
-            (Memory_check.load_committed t.memcheck line ~value:entry.value ~started
-               ~time:(Sim.now t.sim));
           Probe.commit t.probe ~node:t.id ~kind:Types.Load ~line ~value:entry.value
-            ~started ~l2_hit:true ~miss:None;
+            ~started ~miss:None;
           on_commit ())
   | Some L2.{ state = Exclusive; _ }, Types.Store ->
       t.stats.l2_hits <- t.stats.l2_hits + 1;
@@ -1377,18 +1370,18 @@ let submit t ~kind ~line ~on_commit =
           | Some L2.{ state = Exclusive; _ } ->
               let version = t.next_version () in
               L2.set t.l2 line L2.{ state = Exclusive; value = version; dirty = true };
-              Memory_check.store_committed t.memcheck line ~node:t.id ~value:version
-                ~time:(Sim.now t.sim);
               (match find_producer t line with
               | Some entry ->
                   entry.last_write <- Sim.now t.sim;
                   schedule_intervention t line entry
               | None -> ());
               Probe.commit t.probe ~node:t.id ~kind:Types.Store ~line ~value:version
-                ~started ~l2_hit:true ~miss:None;
+                ~started ~miss:None;
               on_commit ()
           | Some L2.{ state = Shared; _ } | None ->
-              (* lost exclusivity in the hit window: take the miss path *)
+              (* lost exclusivity in the hit window: the miss path counts
+                 this access, so it was no hit *)
+              t.stats.l2_hits <- t.stats.l2_hits - 1;
               start_miss t ~kind ~line ~on_commit)
   | Some L2.{ state = Shared; _ }, Types.Store | None, (Types.Load | Types.Store) ->
       start_miss t ~kind ~line ~on_commit
@@ -1397,8 +1390,7 @@ let submit t ~kind ~line ~on_commit =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create ~probe ~alive_view ~config ~sim ~network ~id ~stats ~memcheck ~next_version
-    ~rng () =
+let create ~probe ~alive_view ~config ~sim ~network ~id ~stats ~next_version ~rng () =
   let open Config in
   if config.speculative_updates && not config.rac_enabled then
     invalid_arg "Node.create: speculative updates require a RAC";
@@ -1452,7 +1444,6 @@ let create ~probe ~alive_view ~config ~sim ~network ~id ~stats ~memcheck ~next_v
       hub;
       id;
       stats;
-      memcheck;
       next_version;
       rng;
       crashable = Config.crash_capable config;

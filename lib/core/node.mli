@@ -23,7 +23,6 @@ val create :
   network:Message.t Hub_link.frame Pcc_interconnect.Network.t ->
   id:Types.node_id ->
   stats:Run_stats.t ->
-  memcheck:Memory_check.t ->
   next_version:(unit -> int) ->
   rng:Pcc_engine.Rng.t ->
   unit ->

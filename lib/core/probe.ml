@@ -7,7 +7,6 @@ type commit_event = {
   c_value : int;
   c_started : int;
   c_time : int;
-  c_l2_hit : bool;
   c_miss : Types.miss_class option;
 }
 
@@ -16,6 +15,7 @@ type message_fn = time:int -> src:Types.node_id -> dst:Types.node_id -> Message.
 type t = {
   sim : Sim.t;
   ring : Flight_ring.t;
+  check : Sc_check.t;
   (* subscribers per event kind, in registration order *)
   mutable sends : message_fn list;
   mutable recvs : message_fn list;
@@ -26,11 +26,21 @@ type t = {
   mutable retransmits : (time:int -> src:Types.node_id -> dst:Types.node_id -> unit) list;
 }
 
-let create ~sim =
-  let ring = Flight_ring.create () in
-  { sim; ring; sends = []; recvs = []; issues = []; commits = []; retransmits = [] }
+let create ~sim ~nodes =
+  {
+    sim;
+    ring = Flight_ring.create ();
+    check = Sc_check.create ~nodes;
+    sends = [];
+    recvs = [];
+    issues = [];
+    commits = [];
+    retransmits = [];
+  }
 
 let flight t = t.ring
+
+let checker t = t.check
 
 let on_send t f = t.sends <- t.sends @ [ f ]
 
@@ -92,10 +102,11 @@ let issue t ~node ~kind ~line =
     ~src:node ~dst:node ~line ~arg:0;
   fire_issue t.issues ~time ~node ~kind ~line
 
-let commit t ~node ~kind ~line ~value ~started ~l2_hit ~miss =
+let commit t ~node ~kind ~line ~value ~started ~miss =
   let time = Sim.now t.sim in
   Flight_ring.record t.ring ~time ~kind:Flight_ring.k_commit ~detail:(op_code kind)
     ~src:node ~dst:node ~line ~arg:value;
+  Sc_check.commit t.check ~node ~kind ~line ~value ~started ~time;
   match t.commits with
   | [] -> ()
   | fs ->
@@ -107,7 +118,6 @@ let commit t ~node ~kind ~line ~value ~started ~l2_hit ~miss =
           c_value = value;
           c_started = started;
           c_time = time;
-          c_l2_hit = l2_hit;
           c_miss = miss;
         }
 

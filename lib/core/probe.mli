@@ -5,7 +5,10 @@
     decision note — is emitted here exactly once.  Each emitter writes
     the event into the machine's {!Flight_ring} first (allocation-free,
     always on) and then calls that kind's subscribers in registration
-    order, so with nobody subscribed watching costs one ring write.
+    order, so with nobody subscribed watching costs one ring write.  A
+    commit is also fed, between the two, to the machine's {!Sc_check}:
+    every run checks per-location sequential consistency with no
+    subscriber and no allocation.
 
     {!System} creates one probe per machine and hands it to the backend,
     which has no hook surface of its own; {!System}'s [on_message],
@@ -25,18 +28,21 @@ type commit_event = {
   c_value : int;
   c_started : int;  (** cycle the operation was submitted *)
   c_time : int;  (** cycle it committed *)
-  c_l2_hit : bool;  (** satisfied entirely by the local L2 *)
   c_miss : Types.miss_class option;
-      (** how the miss was serviced; [None] for L2 hits *)
+      (** how the miss was serviced; [None] when the local L2 satisfied
+          the operation entirely *)
 }
 
 type t
 
-val create : sim:Pcc_engine.Simulator.t -> t
-(** A sink over a fresh {!Flight_ring} (default capacity) that stamps
-    every event with [sim]'s clock. *)
+val create : sim:Pcc_engine.Simulator.t -> nodes:int -> t
+(** A sink over a fresh {!Flight_ring} (default capacity) and a fresh
+    {!Sc_check} for [nodes] processors, stamping every event with
+    [sim]'s clock. *)
 
 val flight : t -> Flight_ring.t
+
+val checker : t -> Sc_check.t
 
 (** {2 Subscribing} *)
 
@@ -57,8 +63,8 @@ val on_issue :
     lookup. *)
 
 val on_commit : t -> (commit_event -> unit) -> unit
-(** Every committed load/store, after the commit's cache effects but
-    before the processor's continuation runs. *)
+(** Every committed load/store, after the commit's cache effects and the
+    checker's verdict but before the processor's continuation runs. *)
 
 val on_retransmit :
   t -> (time:int -> src:Types.node_id -> dst:Types.node_id -> unit) -> unit
@@ -79,10 +85,10 @@ val commit :
   line:Types.line ->
   value:int ->
   started:int ->
-  l2_hit:bool ->
   miss:Types.miss_class option ->
   unit
-(** The {!commit_event} record is built only when someone subscribed. *)
+(** Ring, then {!Sc_check.commit}, then subscribers; the {!commit_event}
+    record is built only when someone subscribed. *)
 
 val retransmit : t -> src:Types.node_id -> dst:Types.node_id -> unit
 

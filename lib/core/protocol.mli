@@ -14,14 +14,16 @@
     A backend has no hook surface to implement: it receives the
     machine's {!Probe.t} at creation and emits every send, receive,
     issue, commit and retransmission into it, and every observer
-    subscribes there through {!System}.
+    subscribes there through {!System}.  Emitting its commits is all a
+    backend does for coherence checking: the probe feeds each one to
+    the machine's {!Sc_check}.
 
     To add a backend: implement {!S} (create your nodes around the
-    shared [probe]/[sim]/[network]/[stats]/[memcheck] plumbing the way
+    shared [probe]/[sim]/[network]/[stats] plumbing the way
     {!Snoop.create_machine} does), give it a {!kind} constructor, and
     teach {!System.create} to pack it.  Everything that only consumes
     {!S} and the probe — the run loop, watchdog, gauges, observers,
-    stall reports — comes for free. *)
+    stall reports, the per-location SC check — comes for free. *)
 
 type kind = Types.protocol = Adaptive | Msi | Mesi
 

@@ -34,14 +34,13 @@ type t = {
   hub : Message.t Hub_link.t;
   id : Types.node_id;
   stats : Run_stats.t;
-  memcheck : Memory_check.t;
   next_version : unit -> int;
   table : Mesi.t;
   l2 : L2.t;
   dram : Pcc_memory.Dram.t;
   mem : (Types.line, int) Hashtbl.t;
       (* home memory for this node's slice; absent lines read 0, matching
-         the value oracle's before-time initial value *)
+         the SC checker's before-time initial value *)
   bus : bus;
   class_cells : int ref option array;
   mutable next_tid : int;
@@ -232,18 +231,11 @@ and commit t p =
   let value =
     match p.kind with Types.Load -> received p | Types.Store -> write_version t p.line
   in
-  (match p.kind with
-  | Types.Load ->
-      ignore
-        (Memory_check.load_committed t.memcheck p.line ~value ~started:p.started
-           ~time:now)
-  | Types.Store ->
-      Memory_check.store_committed t.memcheck p.line ~node:t.id ~value ~time:now);
   Run_stats.record_miss t.stats miss ~line:p.line ~latency:(now - p.started);
   t.pending <- None;
   release_bus t;
   Probe.commit t.probe ~node:t.id ~kind:p.kind ~line:p.line ~value ~started:p.started
-    ~l2_hit:false ~miss:(Some miss);
+    ~miss:(Some miss);
   p.on_commit ()
 
 (* ------------------------------------------------------------------ *)
@@ -382,11 +374,8 @@ let submit t ~kind ~line ~on_commit =
   | Mesi.Hit, Some { value; _ } when kind = Types.Load ->
       t.stats.l2_hits <- t.stats.l2_hits + 1;
       Sim.schedule t.sim ~delay:t.config.l2_hit_latency (fun () ->
-          ignore
-            (Memory_check.load_committed t.memcheck line ~value ~started
-               ~time:(Sim.now t.sim));
           Probe.commit t.probe ~node:t.id ~kind:Types.Load ~line ~value ~started
-            ~l2_hit:true ~miss:None;
+            ~miss:None;
           on_commit ())
   | Mesi.Hit, _ ->
       t.stats.l2_hits <- t.stats.l2_hits + 1;
@@ -395,13 +384,13 @@ let submit t ~kind ~line ~on_commit =
           | Mesi.Hit ->
               (* M hit, or MESI's silent E->M upgrade *)
               let version = write_version t line in
-              Memory_check.store_committed t.memcheck line ~node:t.id ~value:version
-                ~time:(Sim.now t.sim);
               Probe.commit t.probe ~node:t.id ~kind:Types.Store ~line ~value:version
-                ~started ~l2_hit:true ~miss:None;
+                ~started ~miss:None;
               on_commit ()
           | Mesi.Bus _ ->
-              (* lost exclusivity in the hit window: take the miss path *)
+              (* lost exclusivity in the hit window: the miss path counts
+                 this access, so it was no hit *)
+              t.stats.l2_hits <- t.stats.l2_hits - 1;
               start_miss t ~kind ~line ~on_commit)
   | Mesi.Bus _, _ -> start_miss t ~kind ~line ~on_commit
 
@@ -409,8 +398,8 @@ let submit t ~kind ~line ~on_commit =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create_node ~probe ~config ~sim ~network ~id ~stats ~memcheck ~next_version ~rng
-    ~table ~bus () =
+let create_node ~probe ~config ~sim ~network ~id ~stats ~next_version ~rng ~table ~bus
+    () =
   let l2 =
     L2.create ~rng:(Pcc_engine.Rng.split rng) ~lines:(Config.l2_lines config)
       ~ways:config.l2_ways ()
@@ -435,7 +424,6 @@ let create_node ~probe ~config ~sim ~network ~id ~stats ~memcheck ~next_version 
       hub;
       id;
       stats;
-      memcheck;
       next_version;
       table;
       l2;
@@ -450,8 +438,8 @@ let create_node ~probe ~config ~sim ~network ~id ~stats ~memcheck ~next_version 
   handler := (fun ~src msg -> handle_message t ~src msg);
   t
 
-let create_machine ~probe ~(config : Config.t) ~sim ~network ~stats ~memcheck
-    ~next_version ~rng () =
+let create_machine ~probe ~(config : Config.t) ~sim ~network ~stats ~next_version ~rng
+    () =
   if config.protocol = Types.Adaptive then
     invalid_arg "Snoop.create_machine: adaptive config on the snooping backend";
   if Config.crash_capable config then
@@ -467,7 +455,7 @@ let create_machine ~probe ~(config : Config.t) ~sim ~network ~stats ~memcheck
   in
   let nodes =
     Array.init config.nodes (fun id ->
-        create_node ~probe ~config ~sim ~network ~id ~stats ~memcheck ~next_version
+        create_node ~probe ~config ~sim ~network ~id ~stats ~next_version
           ~rng:(Pcc_engine.Rng.split rng)
           ~table ~bus ())
   in

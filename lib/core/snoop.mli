@@ -44,7 +44,6 @@ val create_machine :
   sim:Pcc_engine.Simulator.t ->
   network:Message.t Hub_link.frame Pcc_interconnect.Network.t ->
   stats:Run_stats.t ->
-  memcheck:Memory_check.t ->
   next_version:(unit -> int) ->
   rng:Pcc_engine.Rng.t ->
   unit ->

@@ -26,7 +26,6 @@ type t = {
          adaptive protocol: the crash machinery and the adaptive-only
          oracle layers (Audit, Diff) need the full Node surface *)
   stats : Run_stats.t;
-  memcheck : Memory_check.t;
   alive_view : bool array;  (* shared with every node; flipped by crashes *)
   barriers : (int, barrier) Hashtbl.t;
   barriers_released : (int, unit) Hashtbl.t;
@@ -36,8 +35,12 @@ type t = {
   mutable crash_hooks :
     (time:int -> node:Types.node_id -> phase:crash_phase -> unit) list;
   mutable last_finish : int;
-  mutable commits : int;  (* watchdog progress counter (hardened mode) *)
-  probe : Probe.t;  (* event sink: subscribers plus the always-on flight ring *)
+  mutable crash_progress : int;
+      (* crash phases so far: with the checker's commit count, the
+         watchdog's progress measure *)
+  probe : Probe.t;
+      (* event sink: the always-on flight ring and SC checker, then
+         subscribers *)
   mutable flight_dump : string option;
       (* armed post-mortem path: stalls, crashes, and uncaught exceptions
          (oracle violations included) dump the flight window here *)
@@ -54,6 +57,8 @@ let adaptive_exn t =
            (Config.describe t.config))
 
 let flight t = Probe.flight t.probe
+
+let checker t = Probe.checker t.probe
 
 let recent t = Flight_ring.recent (flight t) 64
 
@@ -145,7 +150,7 @@ let barrier_forget t ~dead =
    detection delay the machine notices: the victim's incarnation epoch is
    bumped — discarding its remaining pre-crash traffic — and the
    machine-wide recovery sweep repairs directories, transactions and the
-   value oracle.  At the optional restart the node rejoins cold.  Each
+   value checker.  At the optional restart the node rejoins cold.  Each
    event counts as watchdog progress: a machine busy recovering is not
    livelocked. *)
 let schedule_crashes t (crashes : Fault.crash list) =
@@ -159,18 +164,18 @@ let schedule_crashes t (crashes : Fault.crash list) =
       Sim.schedule t.sim ~delay:c.crash_at (fun () ->
           Network.mark_down t.network ~node:victim;
           Node.crash nodes.(victim);
-          t.commits <- t.commits + 1;
+          t.crash_progress <- t.crash_progress + 1;
           fire_crash_hooks t ~node:victim ~phase:Crash_down);
       Sim.schedule t.sim ~delay:detect_at (fun () ->
           let will_restart = c.restart_after <> None in
           Network.bump_epoch t.network ~node:victim;
           Node.recover_after_crash nodes ~dead:victim ~will_restart;
-          Memory_check.crash_forget t.memcheck ~dead:victim
+          Sc_check.crash (checker t) ~dead:victim
             ~surviving:(fun line -> Node.surviving_value nodes line);
           if not will_restart then
             t.dead_forever <- Nodeset.add t.dead_forever victim;
           barrier_forget t ~dead:victim;
-          t.commits <- t.commits + 1;
+          t.crash_progress <- t.crash_progress + 1;
           fire_crash_hooks t ~node:victim ~phase:Crash_detected);
       match c.restart_after with
       | None -> ()
@@ -180,7 +185,7 @@ let schedule_crashes t (crashes : Fault.crash list) =
           Sim.schedule t.sim ~delay:restart_at (fun () ->
               Network.mark_up t.network ~node:victim;
               Node.restart nodes.(victim);
-              t.commits <- t.commits + 1;
+              t.crash_progress <- t.crash_progress + 1;
               fire_crash_hooks t ~node:victim ~phase:Crash_restarted))
     crashes
 
@@ -189,7 +194,6 @@ let create ~(config : Config.t) () =
   let topology = Topology.fat_tree ~nodes:config.nodes ~radix:8 in
   let network = Network.create ?faults:config.net_faults sim topology config.network in
   let stats = Run_stats.create () in
-  let memcheck = Memory_check.create () in
   let version = ref 0 in
   let next_version () =
     incr version;
@@ -197,13 +201,13 @@ let create ~(config : Config.t) () =
   in
   let rng = Pcc_engine.Rng.create ~seed:config.seed in
   let alive_view = Array.make config.nodes true in
-  let probe = Probe.create ~sim in
+  let probe = Probe.create ~sim ~nodes:config.nodes in
   let backend, adaptive_nodes =
     match config.protocol with
     | Types.Adaptive ->
         let nodes =
           Array.init config.nodes (fun id ->
-              Node.create ~probe ~alive_view ~config ~sim ~network ~id ~stats ~memcheck
+              Node.create ~probe ~alive_view ~config ~sim ~network ~id ~stats
                 ~next_version
                 ~rng:(Pcc_engine.Rng.split rng)
                 ())
@@ -211,8 +215,7 @@ let create ~(config : Config.t) () =
         (Protocol.Pack ((module Protocol.Adaptive_backend), nodes), Some nodes)
     | Types.Msi | Types.Mesi ->
         let nodes =
-          Snoop.create_machine ~probe ~config ~sim ~network ~stats ~memcheck
-            ~next_version ~rng ()
+          Snoop.create_machine ~probe ~config ~sim ~network ~stats ~next_version ~rng ()
         in
         (Protocol.Pack ((module Snoop.Backend), nodes), None)
   in
@@ -224,14 +227,13 @@ let create ~(config : Config.t) () =
       backend;
       adaptive_nodes;
       stats;
-      memcheck;
       alive_view;
       barriers = Hashtbl.create 16;
       barriers_released = Hashtbl.create 16;
       dead_forever = Nodeset.empty;
       crash_hooks = [];
       last_finish = 0;
-      commits = 0;
+      crash_progress = 0;
       probe;
       flight_dump = None;
     }
@@ -243,10 +245,10 @@ let create ~(config : Config.t) () =
     (* livelock detection: committed operations are the progress measure —
        under fault injection events keep flowing (retransmissions, retries)
        even when the protocol is stuck *)
+    let check = Probe.checker probe in
     Sim.set_watchdog sim ~interval:config.watchdog_interval
       ~stall_checks:config.watchdog_checks
-      ~progress:(fun () -> t.commits);
-    Probe.on_commit probe (fun _ -> t.commits <- t.commits + 1)
+      ~progress:(fun () -> Sc_check.commits check + t.crash_progress)
   end;
   t
 
@@ -282,10 +284,6 @@ let fault_stats t = Network.fault_stats t.network
 let submit t ~node ~kind ~line ~on_commit =
   match t.backend with
   | Protocol.Pack ((module P), arr) -> P.submit arr.(node) ~kind ~line ~on_commit
-
-let violations t = Memory_check.violations t.memcheck
-
-let violation_report t = Memory_check.violation_report t.memcheck
 
 let check_invariants t =
   match t.backend with Protocol.Pack ((module P), arr) -> P.check_invariants arr
@@ -559,7 +557,7 @@ let run_stream ?max_events (t : t) (feed : Op_stream.t) =
     stats = t.stats;
     network_messages = Network.messages_sent t.network;
     network_bytes = Network.bytes_sent t.network;
-    violations = Memory_check.violations t.memcheck;
+    violations = Sc_check.violations (checker t);
     invariant_errors;
     updates_consumed;
     updates_wasted;

@@ -64,10 +64,10 @@ val submit :
 (** Issue a single operation directly (fine-grained control for examples
     and tests). *)
 
-val violations : t -> int
-(** Sequential-consistency value violations detected so far (§2.5). *)
-
-val violation_report : t -> string list
+val checker : t -> Sc_check.t
+(** The machine's per-location SC checker (§2.5), fed by every commit:
+    its violations, reports, commit count and, when kept, per-line
+    history. *)
 
 val check_invariants : t -> string list
 (** Run the machine-wide structural invariants; call on a quiesced

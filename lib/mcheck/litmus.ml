@@ -1,10 +1,9 @@
 (* Litmus tests against the real simulator: small per-thread programs,
    committed operations checked against the per-location SC axioms by
-   the oracle's order tracker, plus per-test forbidden-outcome
+   the machine's own checker, plus per-test forbidden-outcome
    predicates.  See litmus.mli for the axiom-to-check mapping. *)
 
 open Pcc_core
-module Order = Pcc_oracle.Order
 module Fault = Pcc_interconnect.Fault
 
 type instr = Load of int | Store of int | Delay of int | Barrier of int
@@ -14,8 +13,6 @@ type obs = {
   o_kind : Types.op_kind;
   o_loc : int;
   o_value : int;
-  o_started : int;
-  o_time : int;
 }
 
 type test = {
@@ -58,32 +55,6 @@ let compile ~nodes test =
       | Some instrs -> thread instrs
       | None -> [])
 
-(* ------------------------------------------------------------------ *)
-(* Axiom checking                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Replay the commit stream (chronological by construction) through the
-   oracle's per-address order tracker.  Its checks are exactly the
-   per-location SC axioms: store serialization (coWW) and per-node
-   monotonicity + window legality (coRR, coRW, coWR — a node's own
-   stores count as observations). *)
-let check_axioms ~nodes observations =
-  let order = Order.create ~keep_history:false () in
-  try
-    List.iter
-      (fun o ->
-        let line = line_of_loc ~nodes o.o_loc in
-        match o.o_kind with
-        | Types.Store ->
-            Order.record_store order ~node:o.o_node ~line ~value:o.o_value
-              ~time:o.o_time
-        | Types.Load ->
-            Order.record_load order ~node:o.o_node ~line ~value:o.o_value
-              ~started:o.o_started ~time:o.o_time)
-      observations;
-    None
-  with Order.Violation message -> Some message
-
 let run_test ~config ?(max_events = 20_000_000) test =
   let nodes = node_count test in
   let config = { config with Config.nodes } in
@@ -96,8 +67,6 @@ let run_test ~config ?(max_events = 20_000_000) test =
           o_kind = e.Probe.c_kind;
           o_loc = Types.Layout.index_of_line e.Probe.c_line;
           o_value = e.Probe.c_value;
-          o_started = e.Probe.c_started;
-          o_time = e.Probe.c_time;
         }
         :: !observations);
   let result = System.run_programs ~max_events sys (compile ~nodes test) in
@@ -114,13 +83,10 @@ let run_test ~config ?(max_events = 20_000_000) test =
         match result.System.invariant_errors with
         | err :: _ -> Fail (Printf.sprintf "machine invariant: %s" err)
         | [] -> (
-            match check_axioms ~nodes observations with
-            | Some message -> Fail (Printf.sprintf "per-location SC: %s" message)
-            | None -> (
-                match test.forbidden with
-                | Some (description, reached) when reached observations ->
-                    Fail (Printf.sprintf "forbidden outcome reached: %s" description)
-                | _ -> Pass)))
+            match test.forbidden with
+            | Some (description, reached) when reached observations ->
+                Fail (Printf.sprintf "forbidden outcome reached: %s" description)
+            | _ -> Pass))
 
 (* ------------------------------------------------------------------ *)
 (* The regression corpus                                                *)

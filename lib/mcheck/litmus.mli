@@ -4,9 +4,10 @@
     an abstract model of the protocol, this harness verifies the
     simulator itself: it runs small multi-threaded programs (litmus
     tests) through {!Pcc_core.System} across machine configurations,
-    chaos profiles, and seeds, and checks the committed operations
-    against the per-location sequential-consistency axioms using the
-    oracle's per-address order tracker ({!Pcc_oracle.Order}):
+    chaos profiles, and seeds, and requires the machine's own checker
+    ({!Pcc_core.Sc_check}, fed by every commit of every run) to have
+    flagged nothing.  Its checks are the per-location
+    sequential-consistency axioms:
 
     - {e coWW} (store serialization): stores to a location are totally
       ordered — versions strictly increase;
@@ -17,7 +18,7 @@
     - {e coWR}: a read after a write in the same thread never returns a
       version older than that write.
 
-    coWW falls out of the tracker's store-serialization check; coRR,
+    coWW falls out of the checker's store-serialization check; coRR,
     coRW and coWR out of its per-node monotonicity and window-legality
     checks (a thread's own stores count as observations).
 
@@ -42,8 +43,6 @@ type obs = {
   o_kind : Types.op_kind;
   o_loc : int;
   o_value : int;  (** version observed (loads) or written (stores) *)
-  o_started : int;
-  o_time : int;
 }
 
 type test = {

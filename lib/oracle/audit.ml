@@ -6,7 +6,6 @@ exception
 
 type t = {
   sys : System.t;
-  order : Order.t;
   dirty : (Types.line, unit) Hashtbl.t;
   full_check_period : int;
   mutable events_count : int;
@@ -16,14 +15,17 @@ let describe_line line =
   Printf.sprintf "%d@%d" (Types.Layout.index_of_line line)
     (Types.Layout.home_of_line line)
 
-let raise_violation t message =
+let raise_violation sys message =
   raise
-    (Violation
-       {
-         message;
-         time = Sim.now (System.sim t.sys);
-         events = System.recent t.sys;
-       })
+    (Violation { message; time = Sim.now (System.sim sys); events = System.recent sys })
+
+(* The machine's checker judged each commit before any subscriber runs,
+   so its first violation aborts the run at the offending commit. *)
+let abort_on_violation sys =
+  let check = System.checker sys in
+  System.on_commit sys (fun _ ->
+      if Sc_check.violations check > 0 then
+        raise_violation sys (List.hd (Sc_check.violation_report check)))
 
 (* ------------------------------------------------------------------ *)
 (* Per-line structural invariants                                      *)
@@ -175,7 +177,7 @@ let check_lines t lines =
     (fun line ->
       match check_line t line with
       | [] -> ()
-      | errors -> raise_violation t (String.concat "; " errors))
+      | errors -> raise_violation t.sys (String.concat "; " errors))
     lines
 
 let known_lines t =
@@ -206,32 +208,13 @@ let on_post_event t () =
   if t.events_count mod t.full_check_period = 0 then check_all t
 
 let attach ?(full_check_period = 10_000) sys =
-  let t =
-    {
-      sys;
-      order = Order.create ();
-      dirty = Hashtbl.create 64;
-      full_check_period;
-      events_count = 0;
-    }
-  in
+  let t = { sys; dirty = Hashtbl.create 64; full_check_period; events_count = 0 } in
   System.on_message sys (fun ~time:_ ~src:_ ~dst:_ msg ->
       Hashtbl.replace t.dirty (Message.line_of msg) ());
   System.on_commit sys (fun (c : Probe.commit_event) ->
-      Hashtbl.replace t.dirty c.c_line ();
-      try Order.record_commit t.order c
-      with Order.Violation message -> raise_violation t message);
-  System.on_crash sys (fun ~time:_ ~node ~phase ->
-      (* detection fires after the recovery sweep, so the surviving value
-         the order oracle rolls back to is the one recovery installed *)
-      match phase with
-      | System.Crash_detected ->
-          Order.node_crashed t.order ~dead:node ~surviving:(fun line ->
-              Node.surviving_value (System.nodes sys) line)
-      | System.Crash_down | System.Crash_restarted -> ());
+      Hashtbl.replace t.dirty c.c_line ());
+  abort_on_violation sys;
   System.on_post_event sys (fun () -> on_post_event t ());
   t
-
-let order t = t.order
 
 let events_seen t = t.events_count

@@ -26,8 +26,9 @@
       shared phase: holders are covered by the producer's vector and
       match its RAC backing value.
 
-    The commit stream is additionally fed to an {!Order} checker (store
-    serialization, per-node monotonicity, load-window legality).
+    The run also aborts at the first commit the machine's
+    {!Pcc_core.Sc_check} flags (store serialization, per-node
+    monotonicity, load-window legality).
 
     Cost is kept off the critical path by auditing incrementally: message
     and commit hooks mark the affected lines dirty, and the post-event
@@ -45,13 +46,14 @@ exception
 type t
 
 val attach : ?full_check_period:int -> System.t -> t
-(** Register the auditor's observers on a freshly created system.
-    [full_check_period] is the event interval between full sweeps of all
-    known lines (default 10000). *)
+(** Register the auditor's observers on a freshly created system,
+    {!abort_on_violation} included.  [full_check_period] is the event
+    interval between full sweeps of all known lines (default 10000). *)
 
-val order : t -> Order.t
-(** The per-address order checker fed by this auditor (for linearization
-    after the run). *)
+val abort_on_violation : System.t -> unit
+(** Raise {!Violation} at the first commit the machine's checker flags,
+    with the checker's report and the flight window: the online oracle
+    of a backend whose structure the auditor cannot read. *)
 
 val events_seen : t -> int
 

@@ -28,7 +28,7 @@ let is_issue label =
   | None -> false
 
 let op_node = function
-  | Order.O_store { node; _ } | Order.O_load { node; _ } -> node
+  | Sc_check.O_store { node; _ } | Sc_check.O_load { node; _ } -> node
 
 (* The simulator's authoritative resting value of a line: home memory when
    the home owns it, otherwise the owner's cached or delegated-RAC copy. *)
@@ -54,8 +54,8 @@ let sim_final_value sys line =
 (* One line's replay                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let replay_line ~rng ~chaos ~step_budget ~(config : Config.t) ~sys ~order ~line
-    ~ops ~participants ~count_step =
+let replay_line ~rng ~chaos ~step_budget ~(config : Config.t) ~sys ~line ~ops
+    ~participants ~count_step =
   let home = Types.Layout.home_of_line line in
   let others = List.sort compare (List.filter (fun n -> n <> home) participants) in
   let renumber =
@@ -85,10 +85,10 @@ let replay_line ~rng ~chaos ~step_budget ~(config : Config.t) ~sys ~order ~line
     let next = ref 0 in
     List.iter
       (function
-        | Order.O_store { value; _ } ->
+        | Sc_check.O_store { value; _ } ->
             incr next;
             Hashtbl.replace tbl value !next
-        | Order.O_load _ -> ())
+        | Sc_check.O_load _ -> ())
       ops;
     fun value ->
       if value = 0 then 0
@@ -164,7 +164,7 @@ let replay_line ~rng ~chaos ~step_budget ~(config : Config.t) ~sys ~order ~line
     (fun op ->
       let mnode = renumber (op_node op) in
       match op with
-      | Order.O_store _ ->
+      | Sc_check.O_store _ ->
           st := issue !st ~mnode ~kind:"store";
           st := drain !st;
           incr stores_done;
@@ -172,7 +172,7 @@ let replay_line ~rng ~chaos ~step_budget ~(config : Config.t) ~sys ~order ~line
           if Step.store_count !st <> !stores_done then
             diverged "after store #%d the model counts %d stores" !stores_done
               (Step.store_count !st)
-      | Order.O_load { value; _ } ->
+      | Sc_check.O_load { value; _ } ->
           let rank = rank_of value in
           if rank <> !stores_done then
             diverged "serial order broken: load of version rank %d replayed after %d stores"
@@ -190,9 +190,10 @@ let replay_line ~rng ~chaos ~step_budget ~(config : Config.t) ~sys ~order ~line
   let stf = !st in
   if not (Step.dir_stable stf) then
     diverged "directory still in a transient state after the final drain";
-  let nstores = Order.store_count order line in
+  let check = System.checker sys in
+  let nstores = Sc_check.store_count check line in
   if !stores_done <> nstores then
-    diverged "replayed %d stores but the order checker recorded %d" !stores_done nstores;
+    diverged "replayed %d stores but the SC checker recorded %d" !stores_done nstores;
   if Step.store_count stf <> nstores then
     diverged "model finished with %d stores, simulator committed %d"
       (Step.store_count stf) nstores;
@@ -201,10 +202,10 @@ let replay_line ~rng ~chaos ~step_budget ~(config : Config.t) ~sys ~order ~line
   | Some v -> diverged "model's final value is %d, expected %d" v nstores
   | None -> diverged "model has no resting final value after the drain");
   (match sim_final_value sys line with
-  | Some v when v = Order.last_store order line -> ()
+  | Some v when v = Sc_check.last_store check line -> ()
   | Some v ->
       diverged "simulator's final value is version %d but its newest store was %d" v
-        (Order.last_store order line)
+        (Sc_check.last_store check line)
   | None -> ());
   !replayed
 
@@ -212,15 +213,14 @@ let replay_line ~rng ~chaos ~step_budget ~(config : Config.t) ~sys ~order ~line
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let replay ?(max_lines = 400) ?(chaos = 0.25) ?(step_budget = 20_000) ~seed ~sys
-    ~order () =
+let replay ?(max_lines = 400) ?(chaos = 0.25) ?(step_budget = 20_000) ~seed ~sys () =
   let config = System.config sys in
   let rng = Rng.create ~seed in
   let annotated =
     List.map
       (fun (line, ops) ->
         (line, ops, List.sort_uniq compare (List.map op_node ops)))
-      (Order.linearize order)
+      (Sc_check.linearize (System.checker sys))
   in
   (* busiest multi-node lines first: they carry the interesting races *)
   let prioritized =
@@ -248,8 +248,7 @@ let replay ?(max_lines = 400) ?(chaos = 0.25) ?(step_budget = 20_000) ~seed ~sys
         try
           replayed :=
             !replayed
-            + replay_line ~rng ~chaos ~step_budget ~config ~sys ~order ~line ~ops
-                ~participants
+            + replay_line ~rng ~chaos ~step_budget ~config ~sys ~line ~ops ~participants
                 ~count_step:(fun () -> incr steps)
         with Diverged detail ->
           divergences := { d_line = line; d_detail = detail } :: !divergences

@@ -2,11 +2,11 @@
 
     The simulator and {!Pcc_mcheck.Protocol_model} implement the same
     protocol twice, independently.  This driver connects them: after a
-    simulated run, the {!Order} checker has already established a legal
-    serial order per line (stores in version order, each load attached to
-    the store it observed).  We replay that serial order through the
-    model's transition system ({!Pcc_mcheck.Protocol_model.Step}), one
-    line at a time:
+    simulated run, the machine's {!Pcc_core.Sc_check} has already
+    established a legal serial order per line (stores in version order,
+    each load attached to the store it observed).  We replay that serial
+    order through the model's transition system
+    ({!Pcc_mcheck.Protocol_model.Step}), one line at a time:
 
     - simulator nodes are renamed so the line's home becomes model node 0
       and the other participants 1..n;
@@ -49,15 +49,15 @@ val replay :
   ?step_budget:int ->
   seed:int ->
   sys:System.t ->
-  order:Order.t ->
   unit ->
   outcome
-(** Replay every line recorded in [order] (up to [max_lines], default
-    400) against the model.  [chaos] (default 0.25) is the probability of
+(** Replay every line in [sys]'s checker history (up to [max_lines],
+    default 400) against the model; the history must have been kept
+    ({!Pcc_core.Sc_check.keep_history}) from the start of the run.  [chaos] (default 0.25) is the probability of
     preferring a spontaneous transition over a delivery while draining;
     [step_budget] (default 20000) bounds each drain before the line is
-    declared stuck.  [sys] must be the (quiesced) system the order was
-    recorded from — its config selects the model's feature set and its
-    final state provides the authoritative value comparison. *)
+    declared stuck.  [sys] must be quiesced: its config selects the
+    model's feature set and its final state provides the authoritative
+    value comparison. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

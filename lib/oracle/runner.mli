@@ -19,22 +19,15 @@ type report = {
   diff : Diff.outcome option;
 }
 
-(** The oracle checks one run gets, chosen by its backend. *)
-type checks = {
-  order : Order.t;  (** the per-address order tracker every commit feeds *)
-  sweep : unit -> string list;
-      (** the post-run pass, one message per violation: the auditor's
-          final full sweep on the adaptive backend, nothing on the
-          snooping ones *)
-}
-
-val attach : System.t -> checks
-(** Register the checks on a freshly created system: the directory
-    {!Audit} (which feeds its own order tracker) on the adaptive backend,
-    the {!Order} tracker alone on the snooping backends, whose state the
-    auditor cannot read.  During the run a violation raises
-    {!Audit.Violation} or {!Order.Violation}.  Both {!run} and
-    [pcc_chaos] call this. *)
+val attach : System.t -> unit -> string list
+(** Register the oracle checks on a freshly created system, chosen by its
+    backend: the directory {!Audit} on the adaptive backend, the
+    checker's online abort ({!Audit.abort_on_violation}) alone on the
+    snooping backends, whose state the auditor cannot read.  During the
+    run a violation raises {!Audit.Violation}.  The returned function is
+    the post-run pass, one message per violation: the auditor's final
+    full sweep on the adaptive backend, nothing on the snooping ones.
+    Both {!run} and [pcc_chaos] call this. *)
 
 val run : ?diff:bool -> ?max_lines:int -> Trace.run_desc -> report
 (** [diff] (default true) controls the model-checker replay; it is

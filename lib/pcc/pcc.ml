@@ -15,6 +15,9 @@ module Config = Pcc_core.Config
 (** Whole-machine simulation: build, run, measure. *)
 module System = Pcc_core.System
 
+(** The per-location SC checker every commit feeds (§2.5). *)
+module Sc_check = Pcc_core.Sc_check
+
 (** Pluggable coherence backends: the interface every state machine
     implements, plus backend-name parsing for CLIs. *)
 module Protocol = Pcc_core.Protocol

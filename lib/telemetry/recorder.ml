@@ -221,7 +221,7 @@ let on_commit t (e : Probe.commit_event) =
           line = e.c_line;
           start = o.o_start;
           finish = e.c_time;
-          l2_hit = e.c_l2_hit;
+          l2_hit = e.c_miss = None;
           miss = e.c_miss;
           segments = List.rev segments;
           retransmits = o.o_retransmits;

@@ -133,6 +133,47 @@ let check_fault_plan () =
        fault decision must stay allocation-free"
       words (2 * packets)
 
+(* Every commit of every run passes through the machine's SC checker: once
+   a line's state exists, checking a store, a load in flight across it
+   and a load of the newest version must touch the minor heap not at
+   all. *)
+let check_sc_checker () =
+  let lines = 256 in
+  let c = Sc_check.create ~nodes:8 in
+  let version = ref 0 and time = ref 0 in
+  let newest = Array.make lines 0 in
+  let round line =
+    let reader = 4 + (line land 3) in
+    time := !time + 3;
+    incr version;
+    let older = newest.(line) in
+    newest.(line) <- !version;
+    Sc_check.commit c ~node:(!version land 3) ~kind:Types.Store ~line ~value:!version
+      ~started:(!time - 10) ~time:!time;
+    Sc_check.commit c ~node:reader ~kind:Types.Load ~line ~value:older
+      ~started:(!time - 1) ~time:(!time + 1);
+    Sc_check.commit c ~node:reader ~kind:Types.Load ~line ~value:!version
+      ~started:(!time + 1) ~time:(!time + 2)
+  in
+  for line = 0 to lines - 1 do
+    round line
+  done;
+  let rounds = 40_000 in
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  for i = 0 to rounds - 1 do
+    round (i mod lines)
+  done;
+  let words = Gc.minor_words () -. before in
+  if Sc_check.violations c <> 0 then
+    Alcotest.failf "legal history flagged: %s"
+      (String.concat "; " (Sc_check.violation_report c));
+  if words > 256.0 then
+    Alcotest.failf
+      "the SC checker allocated %.0f minor words over %d commits — checking a \
+       commit must stay allocation-free"
+      words (3 * rounds)
+
 (* The streaming feed path: a run fed by Workload.stream — generator
    refills or binary-trace chunk decoding included — must hold the same
    order of per-commit allocation as the materialized path, or 10^8-event
@@ -186,6 +227,7 @@ let suite =
     Alcotest.test_case "flight record path allocation-free" `Quick check_flight_record;
     Alcotest.test_case "rng draws allocation-free" `Quick check_rng_draws;
     Alcotest.test_case "fault plan allocation-free" `Quick check_fault_plan;
+    Alcotest.test_case "memory-model checker allocation-free" `Quick check_sc_checker;
     Alcotest.test_case "base protocol under budget" `Quick
       (check "base" 500.0 (Config.base ~nodes ()));
     (* measured 637 words/state; 2,000 trips a return to a renamed copy

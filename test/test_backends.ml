@@ -7,8 +7,8 @@
    - a differential suite: phased racing workloads whose final phase has
      a designated last writer per line, so the final memory image has a
      backend-independent identity (writer node, per-node store index);
-     every backend must drain cleanly, pass the per-location SC order
-     tracker, and produce the same final image.  Raw stored values are
+     every backend must drain cleanly, pass the machine's per-location
+     SC checker, and produce the same final image.  Raw stored values are
      versions from a global counter and therefore timing-dependent, so
      images are compared after mapping each version back to the
      program-determined identity of the store that produced it;
@@ -22,7 +22,6 @@
 open Pcc_core
 module Q = QCheck
 module Rng = Pcc_engine.Rng
-module Order = Pcc_oracle.Order
 
 let backends = [ Types.Adaptive; Types.Msi; Types.Mesi ]
 
@@ -88,14 +87,11 @@ let identity_testable =
     (fun a b -> a = b)
 
 (* Run one backend over the shared programs; return the final memory
-   image as seen by the order tracker (per line, the identity of the
-   last store) plus every node's final observation of every line.
-   Order-tracker verdicts are checked inline: any per-location SC
-   violation raises {!Order.Violation} out of the run. *)
+   image as seen by the machine's SC checker (per line, the identity of
+   the last store) plus every node's final observation of every line. *)
 let run_backend ~lines ~nodes ~programs protocol =
   let config = config_for ~nodes protocol in
   let t = System.create ~config () in
-  let order = Order.create () in
   let store_counts = Hashtbl.create 64 in
   let version_identity = Hashtbl.create 64 in
   let last_load = Hashtbl.create 64 in
@@ -108,8 +104,7 @@ let run_backend ~lines ~nodes ~programs protocol =
           in
           Hashtbl.replace store_counts (node, line) nth;
           Hashtbl.replace version_identity ev.c_value (Stored { writer = node; nth })
-      | Types.Load -> Hashtbl.replace last_load (node, line) ev.c_value);
-      Order.record_commit order ev);
+      | Types.Load -> Hashtbl.replace last_load (node, line) ev.c_value));
   let result = System.run_programs t programs in
   let name = Protocol.to_string protocol in
   Alcotest.(check bool)
@@ -123,7 +118,7 @@ let run_backend ~lines ~nodes ~programs protocol =
   in
   let image =
     Array.to_list lines
-    |> List.map (fun l -> identity_of (Order.last_store order l))
+    |> List.map (fun l -> identity_of (Sc_check.last_store (System.checker t) l))
   in
   (* Every node's closing load must observe exactly the final image. *)
   Array.iteri

@@ -172,11 +172,11 @@ let chaos_run ?(config_name = "full") ?(txn_timeout = 2000) ?(fallback_threshold
   in
   let programs = Oracle.Trace.programs_of_desc desc in
   let sys = System.create ~config () in
-  let checks = Oracle.Runner.attach sys in
+  let sweep = Oracle.Runner.attach sys in
   let committed = ref 0 in
   System.on_commit sys (fun _ -> incr committed);
   let result = System.run_programs ~max_events:20_000_000 sys programs in
-  (result, count_accesses programs, !committed, checks)
+  (result, count_accesses programs, !committed, sweep, sys)
 
 let assert_clean (result : System.result) ~total ~committed =
   Alcotest.(check bool) "drained" true (result.outcome = Simulator.Drained);
@@ -186,7 +186,7 @@ let assert_clean (result : System.result) ~total ~committed =
   Alcotest.(check (list string)) "no invariant errors" [] result.invariant_errors
 
 let test_storm_run_stays_coherent () =
-  let result, total, committed, _ =
+  let result, total, committed, _, _ =
     chaos_run ~profile:(Fault.storm ~seed:42) ~seed:3 ~bench:"random" ()
   in
   assert_clean result ~total ~committed;
@@ -196,16 +196,16 @@ let test_storm_run_stays_coherent () =
     (result.stats.Run_stats.dup_dropped > 0)
 
 (* A snooping machine gets its oracle checks from the same function as
-   the oracle runs: the order tracker sees every commit, and the
+   the oracle runs: the machine's checker sees every commit, and the
    post-run sweep runs. *)
 let test_snoop_storm_run_checked () =
-  let result, total, committed, checks =
+  let result, total, committed, sweep, sys =
     chaos_run ~config_name:"msi" ~profile:(Fault.storm ~seed:42) ~seed:3 ~bench:"random" ()
   in
   assert_clean result ~total ~committed;
-  Alcotest.(check (list string)) "post-run sweep clean" [] (checks.sweep ());
-  Alcotest.(check int) "order tracker saw every commit" committed
-    (Oracle.Order.total_ops checks.order)
+  Alcotest.(check (list string)) "post-run sweep clean" [] (sweep ());
+  Alcotest.(check int) "checker saw every commit" committed
+    (Sc_check.commits (System.checker sys))
 
 (* Long link outages against a short completion timeout: some line must
    take enough strikes to be demoted to the base protocol, and the run
@@ -216,7 +216,7 @@ let test_outage_forces_fallback () =
   let rec attempt seed =
     if seed > 6 then Alcotest.fail "no seed in 1..6 exercised the fallback path"
     else
-      let result, total, committed, _ =
+      let result, total, committed, _, _ =
         chaos_run ~txn_timeout:1000 ~fallback_threshold:1
           ~profile:(Fault.outages ~seed:(seed * 131)) ~seed ~bench:"random" ()
       in
@@ -232,7 +232,7 @@ let test_outage_forces_fallback () =
    numbers, acks, timeouts armed) — the protocol outcome must be as
    clean as a reliable run. *)
 let test_zero_profile_run_clean () =
-  let result, total, committed, _ =
+  let result, total, committed, _, _ =
     chaos_run ~profile:Fault.zero ~seed:5 ~bench:"random" ()
   in
   assert_clean result ~total ~committed;

@@ -243,38 +243,47 @@ let test_directory_reset_predictor () =
   let b = Directory.access d line in
   Alcotest.(check (option int)) "reset" None (Predictor.producer b.Directory.predictor)
 
-(* ---------------- Memory check ---------------- *)
+(* ---------------- SC checker ---------------- *)
+
+let store m ~node line ~value ~time =
+  Sc_check.commit m ~node ~kind:Types.Store ~line ~value ~started:time ~time
+
+(* Whether the checker accepts the load: it flagged no violation. *)
+let load_ok m ~node line ~value ~started ~time =
+  let before = Sc_check.violations m in
+  Sc_check.commit m ~node ~kind:Types.Load ~line ~value ~started ~time;
+  Sc_check.violations m = before
 
 let test_memcheck_accepts_current () =
-  let m = Memory_check.create () in
-  Memory_check.store_committed m 1 ~value:10 ~time:100;
+  let m = Sc_check.create ~nodes:4 in
+  store m ~node:1 1 ~value:10 ~time:100;
   Alcotest.(check bool) "current value ok" true
-    (Memory_check.load_committed m 1 ~value:10 ~started:150 ~time:200);
-  Alcotest.(check int) "no violations" 0 (Memory_check.violations m)
+    (load_ok m ~node:2 1 ~value:10 ~started:150 ~time:200);
+  Alcotest.(check int) "no violations" 0 (Sc_check.violations m)
 
 let test_memcheck_accepts_overlap () =
-  let m = Memory_check.create () in
-  Memory_check.store_committed m 1 ~value:10 ~time:100;
-  Memory_check.store_committed m 1 ~value:20 ~time:180;
+  let m = Sc_check.create ~nodes:4 in
+  store m ~node:1 1 ~value:10 ~time:100;
+  store m ~node:1 1 ~value:20 ~time:180;
   (* a load in flight over the second store may return either value *)
   Alcotest.(check bool) "old overlapping ok" true
-    (Memory_check.load_committed m 1 ~value:10 ~started:150 ~time:220);
+    (load_ok m ~node:2 1 ~value:10 ~started:150 ~time:220);
   Alcotest.(check bool) "new ok" true
-    (Memory_check.load_committed m 1 ~value:20 ~started:150 ~time:220)
+    (load_ok m ~node:3 1 ~value:20 ~started:150 ~time:220)
 
 let test_memcheck_rejects_stale () =
-  let m = Memory_check.create () in
-  Memory_check.store_committed m 1 ~value:10 ~time:100;
-  Memory_check.store_committed m 1 ~value:20 ~time:150;
+  let m = Sc_check.create ~nodes:4 in
+  store m ~node:1 1 ~value:10 ~time:100;
+  store m ~node:1 1 ~value:20 ~time:150;
   Alcotest.(check bool) "stale rejected" false
-    (Memory_check.load_committed m 1 ~value:10 ~started:200 ~time:250);
-  Alcotest.(check int) "violation recorded" 1 (Memory_check.violations m);
-  Alcotest.(check bool) "report produced" true (Memory_check.violation_report m <> [])
+    (load_ok m ~node:2 1 ~value:10 ~started:200 ~time:250);
+  Alcotest.(check int) "violation recorded" 1 (Sc_check.violations m);
+  Alcotest.(check bool) "report produced" true (Sc_check.violation_report m <> [])
 
 let test_memcheck_initial_zero () =
-  let m = Memory_check.create () in
+  let m = Sc_check.create ~nodes:4 in
   Alcotest.(check bool) "zero-initialized memory" true
-    (Memory_check.load_committed m 5 ~value:0 ~started:0 ~time:10)
+    (load_ok m ~node:0 5 ~value:0 ~started:0 ~time:10)
 
 (* ---------------- Message ---------------- *)
 

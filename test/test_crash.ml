@@ -247,38 +247,50 @@ let test_crash_sweep_pool_width_bit_identity () =
 
 (* ---------------- oracle rollback units ---------------- *)
 
+let store c ~node line ~value ~time =
+  Sc_check.commit c ~node ~kind:Types.Store ~line ~value ~started:time ~time
+
+let load_ok c ~node line ~value ~started ~time =
+  let before = Sc_check.violations c in
+  Sc_check.commit c ~node ~kind:Types.Load ~line ~value ~started ~time;
+  Sc_check.violations c = before
+
 (* The per-location SC checker must accept exactly the rollback recovery
    performs: reading the surviving value after the victim's newer store
    vanished is legal, and only the victim's lost stores are forgiven. *)
 let test_memcheck_crash_forget () =
-  let m = Memory_check.create () in
-  Memory_check.store_committed m ~node:1 1 ~value:10 ~time:100;
-  Memory_check.store_committed m ~node:2 1 ~value:20 ~time:200;
+  let c = Sc_check.create ~nodes:4 in
+  store c ~node:1 1 ~value:10 ~time:100;
+  store c ~node:2 1 ~value:20 ~time:200;
   Alcotest.(check bool) "lost version illegal before recovery" false
-    (Memory_check.load_committed m 1 ~value:10 ~started:300 ~time:350);
-  Memory_check.crash_forget m ~dead:2 ~surviving:(fun _ -> 10);
+    (load_ok c ~node:3 1 ~value:10 ~started:300 ~time:350);
+  Sc_check.crash c ~dead:2 ~surviving:(fun _ -> 10);
   Alcotest.(check bool) "surviving value legal after rollback" true
-    (Memory_check.load_committed m 1 ~value:10 ~started:400 ~time:450);
+    (load_ok c ~node:0 1 ~value:10 ~started:400 ~time:450);
   (* a survivor's store above the surviving value is never expunged *)
-  let m2 = Memory_check.create () in
-  Memory_check.store_committed m2 ~node:1 1 ~value:10 ~time:100;
-  Memory_check.store_committed m2 ~node:3 1 ~value:20 ~time:200;
-  Memory_check.crash_forget m2 ~dead:2 ~surviving:(fun _ -> 10);
+  let c2 = Sc_check.create ~nodes:4 in
+  store c2 ~node:1 1 ~value:10 ~time:100;
+  store c2 ~node:3 1 ~value:20 ~time:200;
+  Sc_check.crash c2 ~dead:2 ~surviving:(fun _ -> 10);
   Alcotest.(check bool) "survivor's store still current" true
-    (Memory_check.load_committed m2 1 ~value:20 ~started:300 ~time:350)
+    (load_ok c2 ~node:0 1 ~value:20 ~started:300 ~time:350)
 
 let test_order_node_crashed () =
-  let o = Oracle.Order.create () in
-  Oracle.Order.record_store o ~node:1 ~line:1 ~value:10 ~time:100;
-  Oracle.Order.record_store o ~node:2 ~line:1 ~value:20 ~time:200;
-  Oracle.Order.record_load o ~node:0 ~line:1 ~value:20 ~started:210 ~time:250;
-  Oracle.Order.node_crashed o ~dead:2 ~surviving:(fun _ -> 10);
+  let c = Sc_check.create ~nodes:4 in
+  store c ~node:1 1 ~value:10 ~time:100;
+  store c ~node:2 1 ~value:20 ~time:200;
+  ignore (load_ok c ~node:0 1 ~value:20 ~started:210 ~time:250);
+  Sc_check.crash c ~dead:2 ~surviving:(fun _ -> 10);
   (* node 0 re-reading the rolled-back value is not a regression *)
-  Oracle.Order.record_load o ~node:0 ~line:1 ~value:10 ~started:300 ~time:350;
+  Alcotest.(check bool) "survivor re-reads the rolled-back value" true
+    (load_ok c ~node:0 1 ~value:10 ~started:300 ~time:350);
   (* the victim's fresh incarnation starts with no observation history *)
-  Oracle.Order.record_load o ~node:2 ~line:1 ~value:10 ~started:300 ~time:360;
+  Alcotest.(check bool) "restarted victim reads the rolled-back value" true
+    (load_ok c ~node:2 1 ~value:10 ~started:300 ~time:360);
+  Alcotest.(check int) "no violations" 0 (Sc_check.violations c);
   Alcotest.(check int) "lost store no longer anchors the order" 10
-    (Oracle.Order.last_store o 1)
+    (Sc_check.last_store c 1);
+  Alcotest.(check int) "lost store uncounted" 1 (Sc_check.store_count c 1)
 
 let suite =
   [

@@ -1,6 +1,7 @@
 (* The oracle subsystem's own tests: the JSONL codec and trace artifacts
-   round-trip, the order checker accepts legal histories and rejects
-   illegal ones, the online auditor catches the injected protocol fault,
+   round-trip, the machine's SC checker accepts legal histories and
+   rejects illegal ones, store-hit fallbacks keep the statistics
+   identities, the online auditor catches the injected protocol fault,
    and — the headline property — oracle-checked runs of every benchmark
    come back clean, including the differential replay against the model
    checker. *)
@@ -89,65 +90,106 @@ let test_trace_roundtrip () =
   | Ok desc' -> Alcotest.(check bool) "descriptor round-trips" true (desc = desc')
   | Error e -> Alcotest.failf "read_desc: %s" e
 
-(* ---------------- order checker ---------------- *)
+(* ---------------- SC checker ---------------- *)
+
+let store c ~node ~line ~value ~time =
+  Sc_check.commit c ~node ~kind:Types.Store ~line ~value ~started:time ~time
+
+let load c ~node ~line ~value ~started ~time =
+  Sc_check.commit c ~node ~kind:Types.Load ~line ~value ~started ~time
 
 let test_order_accepts_legal () =
-  let o = Oracle.Order.create () in
+  let c = Sc_check.create ~nodes:4 in
+  Sc_check.keep_history c;
   let l = line ~home:0 ~index:0 in
-  Oracle.Order.record_load o ~node:2 ~line:l ~value:0 ~started:1 ~time:5;
-  Oracle.Order.record_store o ~node:1 ~line:l ~value:10 ~time:10;
-  Oracle.Order.record_load o ~node:2 ~line:l ~value:10 ~started:12 ~time:15;
-  Oracle.Order.record_store o ~node:1 ~line:l ~value:20 ~time:20;
+  load c ~node:2 ~line:l ~value:0 ~started:1 ~time:5;
+  store c ~node:1 ~line:l ~value:10 ~time:10;
+  load c ~node:2 ~line:l ~value:10 ~started:12 ~time:15;
+  store c ~node:1 ~line:l ~value:20 ~time:20;
   (* started before the second store committed: still a legal window *)
-  Oracle.Order.record_load o ~node:3 ~line:l ~value:10 ~started:18 ~time:25;
-  Oracle.Order.record_load o ~node:2 ~line:l ~value:20 ~started:21 ~time:26;
-  Alcotest.(check int) "stores counted" 2 (Oracle.Order.store_count o l);
-  Alcotest.(check int) "last store" 20 (Oracle.Order.last_store o l);
-  match Oracle.Order.linearize o with
+  load c ~node:3 ~line:l ~value:10 ~started:18 ~time:25;
+  load c ~node:2 ~line:l ~value:20 ~started:21 ~time:26;
+  Alcotest.(check int) "no violations" 0 (Sc_check.violations c);
+  Alcotest.(check int) "every commit counted" 6 (Sc_check.commits c);
+  Alcotest.(check int) "stores counted" 2 (Sc_check.store_count c l);
+  Alcotest.(check int) "last store" 20 (Sc_check.last_store c l);
+  match Sc_check.linearize c with
   | [ (l', ops) ] ->
       Alcotest.(check bool) "same line" true (l = l');
       let shape =
         List.map
           (function
-            | Oracle.Order.O_store { value; _ } -> `S value
-            | Oracle.Order.O_load { value; _ } -> `L value)
+            | Sc_check.O_store { value; _ } -> `S value
+            | Sc_check.O_load { value; _ } -> `L value)
           ops
       in
       Alcotest.(check bool) "serial shape" true
         (shape = [ `L 0; `S 10; `L 10; `L 10; `S 20; `L 20 ])
   | other -> Alcotest.failf "expected one line, got %d" (List.length other)
 
+(* [f]'s history must hold exactly one offending commit. *)
 let expect_order_violation name f =
-  match f () with
-  | () -> Alcotest.failf "%s: violation not detected" name
-  | exception Oracle.Order.Violation _ -> ()
+  let c = Sc_check.create ~nodes:4 in
+  f c;
+  Alcotest.(check int) (name ^ ": one violation") 1 (Sc_check.violations c);
+  Alcotest.(check int) (name ^ ": one report") 1
+    (List.length (Sc_check.violation_report c))
 
 let test_order_rejects_stale_read () =
-  expect_order_violation "stale read" (fun () ->
-      let o = Oracle.Order.create () in
+  expect_order_violation "stale read" (fun c ->
       let l = line ~home:1 ~index:3 in
-      Oracle.Order.record_store o ~node:0 ~line:l ~value:7 ~time:10;
-      Oracle.Order.record_store o ~node:0 ~line:l ~value:9 ~time:20;
+      store c ~node:0 ~line:l ~value:7 ~time:10;
+      store c ~node:0 ~line:l ~value:9 ~time:20;
       (* started after version 9 committed, yet returned version 7 *)
-      Oracle.Order.record_load o ~node:2 ~line:l ~value:7 ~started:30 ~time:35)
+      load c ~node:2 ~line:l ~value:7 ~started:30 ~time:35)
 
 let test_order_rejects_nonmonotone () =
-  expect_order_violation "non-monotone observation" (fun () ->
-      let o = Oracle.Order.create () in
+  expect_order_violation "non-monotone observation" (fun c ->
       let l = line ~home:0 ~index:1 in
-      Oracle.Order.record_store o ~node:0 ~line:l ~value:5 ~time:10;
-      Oracle.Order.record_store o ~node:0 ~line:l ~value:6 ~time:20;
-      Oracle.Order.record_load o ~node:3 ~line:l ~value:6 ~started:25 ~time:30;
+      store c ~node:0 ~line:l ~value:5 ~time:10;
+      store c ~node:0 ~line:l ~value:6 ~time:20;
+      load c ~node:3 ~line:l ~value:6 ~started:25 ~time:30;
       (* legal window on its own (started before store 6), but node 3
          already observed the newer version *)
-      Oracle.Order.record_load o ~node:3 ~line:l ~value:5 ~started:5 ~time:40)
+      load c ~node:3 ~line:l ~value:5 ~started:5 ~time:40)
 
 let test_order_rejects_unknown_value () =
-  expect_order_violation "load of a value never stored" (fun () ->
-      let o = Oracle.Order.create () in
+  expect_order_violation "load of a value never stored" (fun c ->
       let l = line ~home:0 ~index:2 in
-      Oracle.Order.record_store o ~node:1 ~line:l ~value:3 ~time:10;
-      Oracle.Order.record_load o ~node:2 ~line:l ~value:4 ~started:11 ~time:12)
+      store c ~node:1 ~line:l ~value:3 ~time:10;
+      load c ~node:2 ~line:l ~value:4 ~started:11 ~time:12)
+
+let test_order_rejects_unserialized_store () =
+  expect_order_violation "store below the newest version" (fun c ->
+      let l = line ~home:2 ~index:4 in
+      store c ~node:1 ~line:l ~value:8 ~time:10;
+      store c ~node:2 ~line:l ~value:6 ~time:20)
+
+(* A load both stale and non-monotone is one offending commit. *)
+let test_order_counts_commits_once () =
+  expect_order_violation "stale and non-monotone" (fun c ->
+      let l = line ~home:0 ~index:5 in
+      store c ~node:0 ~line:l ~value:5 ~time:10;
+      store c ~node:0 ~line:l ~value:6 ~time:20;
+      load c ~node:3 ~line:l ~value:6 ~started:25 ~time:30;
+      load c ~node:3 ~line:l ~value:5 ~started:31 ~time:40)
+
+(* ---------------- statistics identities ---------------- *)
+
+(* A store that hits an exclusive L2 copy but loses it during the hit
+   latency falls back to the miss path.  This run takes two such
+   fallbacks; each access must count as an L2 hit or a miss, not both. *)
+let test_store_hit_fallback_counted_once () =
+  let nodes = 16 in
+  let workload =
+    match Pcc_workload.Workload.of_spec ~nodes ~scale:1.0 ~seed:7 "kv:events=50000" with
+    | Ok w -> w
+    | Error m -> Alcotest.fail m
+  in
+  let sys = System.create ~config:(Config.small_full ~nodes ()) () in
+  let result = System.run_stream sys (Pcc_workload.Workload.stream workload) in
+  Alcotest.(check (list string)) "statistics identities hold" []
+    (Oracle.Stats_check.check sys result)
 
 (* ---------------- fault injection ---------------- *)
 
@@ -250,6 +292,12 @@ let suite =
       test_order_rejects_nonmonotone;
     Alcotest.test_case "order: rejects an unknown value" `Quick
       test_order_rejects_unknown_value;
+    Alcotest.test_case "order: rejects an unserialized store" `Quick
+      test_order_rejects_unserialized_store;
+    Alcotest.test_case "order: one violation per offending commit" `Quick
+      test_order_counts_commits_once;
+    Alcotest.test_case "stats: store-hit fallback is one miss" `Quick
+      test_store_hit_fallback_counted_once;
     Alcotest.test_case "audit catches the injected fault" `Quick test_fault_is_caught;
     Alcotest.test_case "fault flag inert without updates" `Quick
       test_fault_free_config_ignores_flag;

@@ -216,24 +216,28 @@ let prop_geomean_bounds =
 
 (* ---------------- memory checker properties ---------------- *)
 
+(* Operations take turns across four nodes, so the serial history also
+   exercises per-node monotonicity. *)
 let prop_memcheck_accepts_serial_execution =
   Q.Test.make ~count:200 ~name:"memcheck accepts any serial execution"
     Q.(small_list bool)
     (fun ops ->
-      let m = Memory_check.create () in
-      let current = ref 0 and time = ref 0 and next = ref 0 in
-      List.for_all
+      let m = Sc_check.create ~nodes:4 in
+      let current = ref 0 and time = ref 0 in
+      List.iter
         (fun is_store ->
           incr time;
+          let node = !time land 3 in
           if is_store then begin
-            incr next;
-            current := !next;
-            Memory_check.store_committed m 1 ~value:!next ~time:!time;
-            true
+            current := !time;
+            Sc_check.commit m ~node ~kind:Types.Store ~line:1 ~value:!current
+              ~started:!time ~time:!time
           end
-          else Memory_check.load_committed m 1 ~value:!current ~started:!time ~time:!time)
-        ops
-      && Memory_check.violations m = 0)
+          else
+            Sc_check.commit m ~node ~kind:Types.Load ~line:1 ~value:!current
+              ~started:!time ~time:!time)
+        ops;
+      Sc_check.violations m = 0)
 
 (* ---------------- rng properties ---------------- *)
 
