@@ -251,13 +251,14 @@ let drop_peer t ~peer =
   clear_held t.inn.(peer)
 
 (* The peer crashed but will restart with a fresh (zeroed) hub: realign
-   both link directions to sequence 0 and re-send everything unacked, in
-   order, through the normal reliable path — the re-sent frames carry
-   current epoch stamps, so they survive until the restarted peer can
-   receive them.  Old retransmission timers outlive the realignment; a
-   timer whose old seq collides with a re-issued one merely retransmits
-   that frame early, which the receiver dedups. *)
-let requeue_peer t ~peer =
+   both link directions to sequence 0 and re-send everything unacked
+   that the caller does not mark [droppable], in order, through the
+   normal reliable path — the re-sent frames carry current epoch stamps,
+   so they survive until the restarted peer can receive them.  Old
+   retransmission timers outlive the realignment; a timer whose old seq
+   collides with a re-issued one merely retransmits that frame early,
+   which the receiver dedups. *)
+let requeue_peer t ~peer ~droppable =
   let o = t.out.(peer) in
   let pending =
     List.init (o.next_seq - o.base) (fun k ->
@@ -271,8 +272,8 @@ let requeue_peer t ~peer =
   List.iter
     (fun (bytes, frame) ->
       match frame with
-      | Data { payload; _ } -> send t ~dst:peer ~bytes payload
-      | Ack _ -> ())
+      | Data { payload; _ } when not (droppable payload) -> send t ~dst:peer ~bytes payload
+      | Data _ | Ack _ -> ())
     pending
 
 let peer_epoch t ~peer = Network.node_epoch t.network ~node:peer

@@ -94,11 +94,14 @@ val drop_peer : 'a t -> peer:int -> unit
     retransmission chains die and the simulation can drain.  The unacked
     window empties; sequence numbering to the peer carries on. *)
 
-val requeue_peer : 'a t -> peer:int -> unit
+val requeue_peer : 'a t -> peer:int -> droppable:('a -> bool) -> unit
 (** The peer crashed but will restart with a zeroed hub: realign both
     directions of the link to sequence 0 and re-send every unacked frame
-    in order through the normal reliable path (fresh epoch stamps, so
-    the frames survive until the restarted peer receives them). *)
+    whose payload is not [droppable], in order, through the normal
+    reliable path (fresh epoch stamps, so the frames survive until the
+    restarted peer receives them).  A payload is droppable when its
+    sender never relied on its delivery and the new incarnation would
+    act on it without the bookkeeping recovery dropped. *)
 
 val peer_epoch : 'a t -> peer:int -> int
 (** The peer's current incarnation epoch ({!Pcc_interconnect.Network.node_epoch}). *)

@@ -1942,7 +1942,13 @@ let recover_after_crash nodes ~dead ~will_restart =
   Array.iter
     (fun node ->
       if node.id <> dead then begin
-        if will_restart then Hub_link.requeue_peer node.hub ~peer:dead
+        (* updates are fire-and-forget, and the producer bookkeeping below
+           forgets the victim: a requeued update would install a copy no
+           later invalidation reaches *)
+        if will_restart then
+          Hub_link.requeue_peer node.hub ~peer:dead ~droppable:(function
+            | Message.Update _ -> true
+            | _ -> false)
         else Hub_link.drop_peer node.hub ~peer:dead;
         (match node.consumer_table with
         | Some table -> Consumer.drop_target table dead

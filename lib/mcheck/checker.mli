@@ -9,6 +9,16 @@
     optional disk-spilled visited set for explorations that outgrow
     memory.
 
+    {2 Storage}
+
+    Per state the checker keeps fixed-width data in chunks of about
+    1 MB, never a boxed value: the 16-byte digest and one int packing
+    the parent's id with the interned label of the transition that first
+    reached it, under an open-addressing int index.  Frontier states are
+    kept as their [Marshal] images (without sharing) and unpacked only
+    when expanded, so a state must survive that round trip unchanged
+    ({!repack}).
+
     {2 Determinism}
 
     The exploration is level-synchronous: every state of a BFS level is
@@ -94,10 +104,20 @@ val run :
       (default 1 = sequential); results are byte-identical at every
       setting.
     - [spill] names a scratch directory: the visited set is kept as a
-      sorted 16-byte-digest run file merged once per level, and
-      counterexample predecessor edges go to an append-only log, so
-      memory stays bounded by the largest frontier instead of the whole
-      reachable space. *)
+      sorted 16-byte-digest run file, and counterexample predecessor
+      edges go to an append-only log.  A level's distinct successors are
+      packed as expansion produces them and merged into the run once,
+      in digest order, when the level closes; memory stays bounded by
+      two levels of packed states instead of the whole reachable
+      space. *)
+
+val repack : 'a -> 'a
+(** [repack st] is [st] after the round trip every state takes between
+    being generated and being expanded: stored as its [Marshal] image
+    without sharing, then read back.  A model whose behaviour does not
+    survive it, for example a state holding a closure or a transition
+    that depends on physical sharing between two parts of a state,
+    cannot be checked. *)
 
 val pp_outcome :
   (Format.formatter -> 's -> unit) -> Format.formatter -> 's outcome -> unit

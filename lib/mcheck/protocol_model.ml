@@ -1377,10 +1377,10 @@ let sort_prefix (a : int array) k =
     a.(!j + 1) <- x
   done
 
-(* One line under [perm] ([inv] is its inverse).  [pk] is the line's
-   network as an array; [keys] is scratch at least as long. *)
-let write_line o ~perm ~inv ~(keys : int array) (pk : packet array) st =
-  for j = 0 to Array.length inv - 1 do
+(* One line under [perm] ([inv] is its inverse).  [pk.(0 .. count-1)]
+   is the line's network; [keys] is scratch at least as long. *)
+let write_line o ~perm ~inv ~(keys : int array) (pk : packet array) count st =
+  for j = 0 to Array.length perm - 1 do
     put_node_record o perm st.ns.(inv.(j))
   done;
   put o (match st.dir with DU -> 0 | DS -> 1 | DE -> 2 | DBs -> 3 | DBe -> 4 | DD -> 5);
@@ -1390,7 +1390,7 @@ let write_line o ~perm ~inv ~(keys : int array) (pk : packet array) st =
   put o st.req_tid;
   put o st.mem;
   put o st.nextv;
-  let count = Array.length pk and nodes = Array.length perm in
+  let nodes = Array.length perm in
   put o count;
   (* key: renamed (src, dst) pair, seq, then the packet's index *)
   for i = 0 to count - 1 do
@@ -1502,81 +1502,136 @@ let pp_mstate ppf mst =
    workload; only same-producer lines under the producer-consumer
    workload, since distinct producers make lines distinguishable), and
    keep the lexicographically least concatenation over all permutations.
-   The least so far sits at the front of the call's one buffer, and each
+   The least so far sits at the front of the scratch buffer, and each
    candidate is written after it.  Self-delimiting parts and
    params-determined group sizes keep the concatenation injective. *)
+
+(* The scratch of [encode_mstate], one per domain, since the checker
+   encodes on several domains at once; an encoding allocates only its
+   result.  Line [l]'s network is [pks.(l).(0 .. counts.(l) - 1)], and
+   line [l] of the current candidate is bytes
+   [starts.(l), starts.(l+1)). *)
+type scratch = {
+  o : out;
+  mutable pks : packet array array;
+  mutable counts : int array;
+  mutable keys : int array;
+  mutable starts : int array;
+  mutable order : int array;
+  mutable inv : int array;
+}
+
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      {
+        o = { b = Bytes.create 256; len = 0 };
+        pks = [||];
+        counts = [||];
+        keys = [||];
+        starts = [||];
+        order = [||];
+        inv = [||];
+      })
+
+let no_packet = { src = 0; dst = 0; seq = 0; msg = MAck }
+
+let rec fill_packets pk i = function
+  | [] -> ()
+  | p :: rest ->
+      pk.(i) <- p;
+      fill_packets pk (i + 1) rest
+
+(* Sizes [sc] for [mst] and copies each line's network into it. *)
+let load_scratch sc nodes mst =
+  let lines = Array.length mst.ls in
+  if Array.length sc.pks < lines then begin
+    sc.pks <- Array.init lines (fun l -> if l < Array.length sc.pks then sc.pks.(l) else [||]);
+    sc.counts <- Array.make lines 0;
+    sc.starts <- Array.make (lines + 1) 0;
+    sc.order <- Array.make lines 0
+  end;
+  if Array.length sc.inv < nodes then sc.inv <- Array.make nodes 0;
+  for l = 0 to lines - 1 do
+    let net = mst.ls.(l).net in
+    let count = List.length net in
+    if Array.length sc.pks.(l) < count then sc.pks.(l) <- Array.make (2 * count) no_packet;
+    if Array.length sc.keys < count then sc.keys <- Array.make (2 * count) 0;
+    fill_packets sc.pks.(l) 0 net;
+    sc.counts.(l) <- count;
+    sc.order.(l) <- l
+  done
+
+let line_class params l =
+  match params.workload with
+  | Symmetric -> 0
+  | Producer_consumer -> l mod (params.nodes - 1)
+
+(* Whether line [a] of the current candidate sorts before line [b]. *)
+let line_before params sc a b =
+  let ca = line_class params a and cb = line_class params b in
+  if ca <> cb then ca < cb
+  else
+    let starts = sc.starts in
+    compare_regions sc.o.b starts.(a)
+      (starts.(a + 1) - starts.(a))
+      starts.(b)
+      (starts.(b + 1) - starts.(b))
+    < 0
+
+(* Writes [perm]'s candidate from [sc.o.len] on and returns where it
+   starts. *)
+let write_candidate params sc mst perm =
+  let o = sc.o and lines = Array.length mst.ls in
+  for i = 0 to Array.length perm - 1 do
+    sc.inv.(perm.(i)) <- i
+  done;
+  let base = o.len in
+  for l = 0 to lines - 1 do
+    sc.starts.(l) <- o.len;
+    write_line o ~perm ~inv:sc.inv ~keys:sc.keys sc.pks.(l) sc.counts.(l) mst.ls.(l)
+  done;
+  sc.starts.(lines) <- o.len;
+  if lines = 1 then base
+  else begin
+    let order = sc.order in
+    for i = 1 to lines - 1 do
+      let x = order.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && line_before params sc x order.(!j) do
+        order.(!j + 1) <- order.(!j);
+        decr j
+      done;
+      order.(!j + 1) <- x
+    done;
+    let cand = o.len in
+    reserve o (cand - base);
+    for i = 0 to lines - 1 do
+      let l = order.(i) in
+      let len = sc.starts.(l + 1) - sc.starts.(l) in
+      Bytes.blit o.b sc.starts.(l) o.b o.len len;
+      o.len <- o.len + len
+    done;
+    cand
+  end
+
 let encode_mstate params =
-  let perms = model_permutations params in
-  let line_class =
-    match params.workload with
-    | Symmetric -> fun _ -> 0
-    | Producer_consumer -> fun l -> l mod (params.nodes - 1)
-  in
+  let perms = Array.of_list (model_permutations params) in
   fun mst ->
-    let lines = Array.length mst.ls in
-    let pks = Array.map (fun st -> Array.of_list st.net) mst.ls in
-    let keys =
-      Array.make (Array.fold_left (fun m pk -> Int.max m (Array.length pk)) 0 pks) 0
-    in
-    let o = { b = Bytes.create 256; len = 0 } in
-    (* line [l] of the current candidate is bytes [starts.(l), starts.(l+1)) *)
-    let starts = Array.make (lines + 1) 0 and order = Array.init lines Fun.id in
-    let before a b =
-      let ca = line_class a and cb = line_class b in
-      if ca <> cb then ca < cb
-      else
-        compare_regions o.b starts.(a)
-          (starts.(a + 1) - starts.(a))
-          starts.(b)
-          (starts.(b + 1) - starts.(b))
-        < 0
-    in
-    let inv = Array.make params.nodes 0 in
-    (* writes [perm]'s candidate from [o.len] on and returns where it starts *)
-    let candidate perm =
-      for i = 0 to Array.length perm - 1 do
-        inv.(perm.(i)) <- i
-      done;
-      let base = o.len in
-      for l = 0 to lines - 1 do
-        starts.(l) <- o.len;
-        write_line o ~perm ~inv ~keys pks.(l) mst.ls.(l)
-      done;
-      starts.(lines) <- o.len;
-      if lines = 1 then base
-      else begin
-        for i = 1 to lines - 1 do
-          let x = order.(i) in
-          let j = ref (i - 1) in
-          while !j >= 0 && before x order.(!j) do
-            order.(!j + 1) <- order.(!j);
-            decr j
-          done;
-          order.(!j + 1) <- x
-        done;
-        let cand = o.len in
-        reserve o (cand - base);
-        Array.iter
-          (fun l ->
-            let len = starts.(l + 1) - starts.(l) in
-            Bytes.blit o.b starts.(l) o.b o.len len;
-            o.len <- o.len + len)
-          order;
-        cand
-      end
-    in
+    let sc = Domain.DLS.get scratch in
+    load_scratch sc params.nodes mst;
+    let o = sc.o in
+    o.len <- 0;
     (* the least candidate so far is bytes [0, least) *)
     let least = ref 0 in
-    List.iteri
-      (fun k perm ->
-        o.len <- !least;
-        let cand = candidate perm in
-        let len = o.len - cand in
-        if k = 0 || compare_regions o.b cand len 0 !least < 0 then begin
-          Bytes.blit o.b cand o.b 0 len;
-          least := len
-        end)
-      perms;
+    for k = 0 to Array.length perms - 1 do
+      o.len <- !least;
+      let cand = write_candidate params sc mst perms.(k) in
+      let len = o.len - cand in
+      if k = 0 || compare_regions o.b cand len 0 !least < 0 then begin
+        Bytes.blit o.b cand o.b 0 len;
+        least := len
+      end
+    done;
     Bytes.sub_string o.b 0 !least
 
 (* The largest int the one-byte encoding holds: 192 + 64 wraps to 0. *)

@@ -61,6 +61,38 @@ let check_checker budget () =
        canonicalization or expansion added allocation"
       per_state budget
 
+(* The model checker's memory per explored state, at the benchmark's
+   bound: the heap's high-water mark during the run, as the alarm at
+   the end of each major cycle and the heap right after the run see
+   it, less the heap before.  Flat digests, int parent edges and
+   packed frontier states hold this at ~43 words/state; two hash
+   tables of boxed digests and edges plus a boxed frontier took 96–105. *)
+let checker_peak_words_per_state () =
+  let (module M) = Pcc_mcheck.Protocol_model.make Pcc_mcheck.Protocol_model.default_params in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.heap_words in
+  let peak = ref before in
+  let note () = peak := max !peak (Gc.quick_stat ()).Gc.heap_words in
+  let alarm = Gc.create_alarm note in
+  let outcome = Pcc_mcheck.Checker.run (module M) ~max_states:30_000 () in
+  note ();
+  Gc.delete_alarm alarm;
+  match outcome with
+  | Pcc_mcheck.Checker.Ok stats ->
+      let states = stats.Pcc_mcheck.Checker.states_explored in
+      (float_of_int (!peak - before) /. float_of_int states, states)
+  | _ -> Alcotest.fail "checker baseline must verify clean"
+
+let check_checker_memory budget () =
+  let per_state, states = checker_peak_words_per_state () in
+  if states < 30_000 then
+    Alcotest.failf "checker: only %d states — bound not reached" states;
+  if per_state > budget then
+    Alcotest.failf
+      "checker: peak heap of %.1f words per explored state exceeds the %.0f-word \
+       budget — the visited set or the frontier went back to boxed storage"
+      per_state budget
+
 (* The flight recorder's whole value proposition is that it can stay on
    for every run: the record path must store its four ints and touch the
    minor heap not at all.  The tiny slack absorbs Gc accounting, not
@@ -234,6 +266,8 @@ let suite =
        of the state per permutation and a formatted label per successor,
        which cost 2,568 *)
     Alcotest.test_case "model checker under budget" `Quick (check_checker 2_000.0);
+    Alcotest.test_case "model checker memory under budget" `Quick
+      (check_checker_memory 60.0);
     Alcotest.test_case "full adaptive machine under budget" `Quick
       (check "full" 500.0 (Config.small_full ~nodes ()));
     (* reliable hub links over 8% loss: measured 291 words/commit *)

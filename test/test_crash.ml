@@ -167,6 +167,32 @@ let test_no_restart_survivors_finish () =
   Alcotest.(check bool) "victim stayed dead" true
     (not (System.node_alive sys victim))
 
+(* ---------------- updates across a restart ---------------- *)
+
+(* A producer pushed an update to node 1 after it crashed and before
+   the crash was detected.  Recovery drops node 1 from every sharing
+   vector, so the survivor's hub link must not re-send that push to the
+   restarted node: it would cache a version no later invalidation
+   reaches, and keep reading it (196 stale reads before the fix). *)
+let test_restart_gets_no_orphan_update () =
+  let workload =
+    match Pcc_workload.Workload.of_spec ~nodes:6 ~scale:1.0 ~seed:2 "kv:events=20000" with
+    | Ok w -> w
+    | Error message -> Alcotest.fail message
+  in
+  let profile =
+    {
+      (Fault.drops ~seed:55) with
+      Fault.crashes = [ { Fault.victim = 1; crash_at = 56_835; restart_after = Some 20_000 } ];
+    }
+  in
+  let config = Config.with_faults (Config.small_full ~nodes:6 ()) profile in
+  let sys = System.create ~config () in
+  let result = System.run_stream sys (Pcc_workload.Workload.stream workload) in
+  Alcotest.(check bool) "drained" true (result.outcome = Simulator.Drained);
+  Alcotest.(check int) "one restart" 1 result.stats.Run_stats.restarts;
+  Alcotest.(check int) "no stale reads" 0 result.violations
+
 (* ---------------- telemetry recovery spans ---------------- *)
 
 (* The recorder must turn the crash life cycle into one recovery span —
@@ -300,6 +326,8 @@ let suite =
       test_producer_crash_mid_delegation;
     Alcotest.test_case "permanent death: survivors finish" `Quick
       test_no_restart_survivors_finish;
+    Alcotest.test_case "restarted node receives no orphan update" `Quick
+      test_restart_gets_no_orphan_update;
     Alcotest.test_case "recorder reconstructs recovery spans" `Quick
       test_recovery_spans;
     Alcotest.test_case "crash sweep bit-identical across pool widths" `Slow

@@ -368,6 +368,74 @@ let prop_encode_matches_reference =
         (walk params picks);
       true)
 
+(* The checker stores every frontier state as its [Marshal] image and
+   expands the unpacked copy, so a state must behave the same after the
+   round trip: same encoding, same successors (labels, order and
+   encodings, per transition group too) and same invariant verdicts.
+   This guards the models' use of physical equality, such as
+   [remove_packet]'s [==], and catches any closure that enters a
+   state. *)
+let repack_agrees (type s) (module M : Checker.MODEL with type state = s) picks =
+  let view successors = List.map (fun (label, st) -> (label, M.encode st)) successors in
+  let same name a b = if a <> b then Q.Test.fail_reportf "%s differ after the round trip" name in
+  let rec walk st = function
+    | [] -> ()
+    | pick :: rest -> (
+        let st' = Checker.repack st in
+        same "encodings" (M.encode st) (M.encode st');
+        same "successors" (view (M.successors st)) (view (M.successors st'));
+        Option.iter
+          (fun groups -> same "transition groups" (List.map view (groups st)) (List.map view (groups st')))
+          M.por;
+        same "invariant verdicts"
+          (List.map (fun (_, holds) -> holds st) M.invariants)
+          (List.map (fun (_, holds) -> holds st') M.invariants);
+        match M.successors st' with
+        | [] -> ()
+        | succs -> walk (snd (List.nth succs (abs pick mod List.length succs))) rest)
+  in
+  List.iter (fun st -> walk st picks) M.initial;
+  true
+
+let prop_repack_round_trip =
+  let config =
+    Q.make
+      ~print:(fun (snoop, nodes, lines, alt) ->
+        Printf.sprintf "%s nodes=%d lines=%d"
+          (match (snoop, alt) with
+          | false, false -> "adaptive symmetric"
+          | false, true -> "adaptive pc"
+          | true, false -> "msi"
+          | true, true -> "mesi")
+          nodes lines)
+      Q.Gen.(quad bool (int_range 3 5) (int_range 1 2) bool)
+  in
+  Q.Test.make ~count:60 ~name:"packed states round-trip"
+    (Q.pair config walk_gen)
+    (fun ((snoop, nodes, lines, alt), picks) ->
+      if snoop then
+        let (module M) =
+          Pcc_mcheck.Snoop_model.make
+            {
+              Pcc_mcheck.Snoop_model.default_params with
+              nodes;
+              lines;
+              variant = (if alt then Pcc_core.Types.Mesi else Pcc_core.Types.Msi);
+            }
+        in
+        repack_agrees (module M) picks
+      else
+        let (module M) =
+          Protocol_model.make
+            {
+              Protocol_model.default_params with
+              nodes;
+              lines;
+              workload = (if alt then Protocol_model.Producer_consumer else Protocol_model.Symmetric);
+            }
+        in
+        repack_agrees (module M) picks)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -376,6 +444,7 @@ let qcheck_cases =
       prop_rename_verdict_equivalent;
       prop_distinct_states_hash_distinct;
       prop_encode_matches_reference;
+      prop_repack_round_trip;
     ]
 
 (* ---------------- determinism and golden counterexample ---------------- *)
