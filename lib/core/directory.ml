@@ -72,8 +72,4 @@ let reset_predictor t line =
     | Cache.Inserted _ -> ()
     | Cache.All_ways_pinned -> assert false
 
-let lines_with_state t state =
-  Hashtbl.fold (fun line e acc -> if e.state = state then line :: acc else acc) t.backing []
-  |> List.sort compare
-
 let iter f t = Hashtbl.iter f t.backing

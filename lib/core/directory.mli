@@ -65,8 +65,4 @@ val reset_predictor : t -> Types.line -> unit
     pattern before being delegated again — the anti-thrash rule that
     makes producer-table capacity a real resource (§3.3.4). *)
 
-val lines_with_state : t -> dstate -> Types.line list
-(** All touched lines currently in a given state (for tests and
-    invariant checks). *)
-
 val iter : (Types.line -> entry -> unit) -> t -> unit

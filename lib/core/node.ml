@@ -1496,46 +1496,7 @@ let consumer_hint t line =
 let delegated_line_count t =
   match t.producer_table with Some table -> Producer.size table | None -> 0
 
-(* Side-effect-free views for external auditors.  These must never go
-   through [find]-style accessors: touching LRU recency or consuming
-   pushed updates from an observer would perturb the run under test. *)
-
-type producer_view = {
-  view_state : [ `Busy | `Exclusive | `Shared ];
-  view_sharers : Nodeset.t;
-  view_update_set : Nodeset.t;
-  view_fence_pending : bool;
-}
-
-let view_of_prod_entry entry =
-  {
-    view_state =
-      (match entry.pstate with
-      | P_busy -> `Busy
-      | P_excl -> `Exclusive
-      | P_shared -> `Shared);
-    view_sharers = entry.psharers;
-    view_update_set = entry.update_set;
-    view_fence_pending =
-      entry.flush_acks > 0 || not (Nodeset.is_empty entry.unflushed);
-  }
-
-let producer_view t line =
-  match t.producer_table with
-  | None -> None
-  | Some table -> Option.map view_of_prod_entry (Producer.peek table line)
-
-let iter_producers t f =
-  match t.producer_table with
-  | None -> ()
-  | Some table -> Producer.iter (fun line entry -> f line (view_of_prod_entry entry)) table
-
 let iter_l2 t f = L2.iter f t.l2
-
-let iter_rac t f = match t.rac with Some rac -> Rac.iter f rac | None -> ()
-
-let rac_pinned t line =
-  match t.rac with Some rac -> Rac.is_pinned rac line | None -> false
 
 let pending_op t =
   match t.pending with Some p -> Some (p.kind, p.line) | None -> None
@@ -1544,10 +1505,6 @@ let pending_info t =
   match t.pending with
   | Some p -> Some (p.kind, p.line, p.started, p.timeouts)
   | None -> None
-
-let in_fallback t line = Hashtbl.mem t.fallback_lines line
-
-let wb_in_flight t line = Hashtbl.mem t.wb_pending line
 
 let rac_occupancy t = match t.rac with Some rac -> Rac.size rac | None -> 0
 
@@ -1561,131 +1518,70 @@ let link_retransmits t = Hub_link.retransmits_by_link t.hub
 (* Machine-wide invariants (§2.5)                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Reads only through [peek]-style accessors: touching LRU recency or
+   consuming pushed updates would perturb the run under audit. *)
+let line_view nodes line (v : Dir_invariants.view) =
+  v.nodes <- Array.length nodes;
+  (match Directory.find nodes.(home_of line).dir line with
+  | Some e ->
+      v.dir <- e.state;
+      v.owner <- e.owner;
+      v.requester <- e.requester;
+      v.sharers <- e.sharers;
+      v.mem <- e.mem_value
+  | None ->
+      v.dir <- Unowned;
+      v.owner <- -1;
+      v.requester <- -1;
+      v.sharers <- Nodeset.empty;
+      v.mem <- 0);
+  for n = 0 to Array.length nodes - 1 do
+    let node = nodes.(n) in
+    (match L2.peek node.l2 line with
+    | Some { state; value; _ } ->
+        v.l2.(n) <- (if state = L2.Shared then Shared_copy else Exclusive_copy);
+        v.l2_value.(n) <- value
+    | None -> v.l2.(n) <- No_copy);
+    (match rac_value node line with
+    | Some value ->
+        v.rac.(n) <- true;
+        v.rac_value.(n) <- value
+    | None -> v.rac.(n) <- false);
+    match (match node.producer_table with Some t -> Producer.peek t line | None -> None) with
+    | Some p ->
+        v.phase.(n) <-
+          (match p.pstate with P_busy -> Busy | P_excl -> Exclusive | P_shared -> Shared);
+        v.vector.(n) <- p.psharers
+    | None -> v.phase.(n) <- No_entry
+  done
+
+let iter_lines nodes f =
+  let lines = Hashtbl.create 1024 in
+  let mark line _ = Hashtbl.replace lines line () in
+  Array.iter
+    (fun node ->
+      L2.iter mark node.l2;
+      (match node.rac with Some rac -> Rac.iter mark rac | None -> ());
+      Directory.iter mark node.dir)
+    nodes;
+  Hashtbl.iter (fun line () -> f line) lines
+
 let check_invariants nodes =
   let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  let describe_line line =
-    Printf.sprintf "%d@%d" (Types.Layout.index_of_line line)
-      (Types.Layout.home_of_line line)
-  in
   Array.iter
     (fun node ->
-      if node.pending <> None then err "node %d: stuck transaction at quiescence" node.id)
+      if node.pending <> None then
+        errors := Printf.sprintf "node %d: stuck transaction at quiescence" node.id :: !errors)
     nodes;
-  (* gather every line known anywhere *)
-  let lines = Hashtbl.create 1024 in
-  Array.iter
-    (fun node ->
-      L2.iter (fun line _ -> Hashtbl.replace lines line ()) node.l2;
-      (match node.rac with
-      | Some rac -> Rac.iter (fun line _ -> Hashtbl.replace lines line ()) rac
-      | None -> ());
-      Directory.iter (fun line _ -> Hashtbl.replace lines line ()) node.dir)
-    nodes;
-  let check_line line () =
-    let home = nodes.(Types.Layout.home_of_line line) in
-    let entry = Directory.entry home.dir line in
-    let l2_copies =
-      Array.to_list nodes
-      |> List.filter_map (fun node ->
-             match L2.peek node.l2 line with
-             | Some e -> Some (node.id, e)
-             | None -> None)
-    in
-    let rac_copies =
-      Array.to_list nodes
-      |> List.filter_map (fun node ->
-             match node.rac with
-             | Some rac -> (
-                 match Rac.peek rac line with Some v -> Some (node.id, v) | None -> None)
-             | None -> None)
-    in
-    let exclusive_holders =
-      List.filter (fun (_, (e : L2.entry)) -> e.state = L2.Exclusive) l2_copies
-    in
-    if List.length exclusive_holders > 1 then
-      err "line %s: multiple exclusive holders (%s)" (describe_line line)
-        (String.concat ","
-           (List.map (fun (n, _) -> string_of_int n) exclusive_holders));
-    let copy_holder_ids =
-      List.sort_uniq compare (List.map fst l2_copies @ List.map fst rac_copies)
-    in
-    let check_covered vector ~who =
-      List.iter
-        (fun node ->
-          if not (Nodeset.mem vector node) then
-            err "line %s: node %d holds a copy not covered by %s's sharing vector"
-              (describe_line line) node who)
-        copy_holder_ids
-    in
-    let check_values expected ~who =
-      List.iter
-        (fun (node, (e : L2.entry)) ->
-          if e.value <> expected then
-            err "line %s: node %d L2 value %d differs from %s value %d"
-              (describe_line line) node e.value who expected)
-        l2_copies;
-      List.iter
-        (fun (node, v) ->
-          if v <> expected then
-            err "line %s: node %d RAC value %d differs from %s value %d"
-              (describe_line line) node v who expected)
-        rac_copies
-    in
-    match entry.state with
-    | Directory.Busy_shared | Directory.Busy_excl ->
-        err "line %s: directory busy at quiescence" (describe_line line)
-    | Directory.Unowned ->
-        if copy_holder_ids <> [] then
-          err "line %s: unowned but copies exist at %s" (describe_line line)
-            (String.concat "," (List.map string_of_int copy_holder_ids))
-    | Directory.Shared_s ->
-        if exclusive_holders <> [] then
-          err "line %s: exclusive copy while directory is shared" (describe_line line);
-        check_covered entry.sharers ~who:"home";
-        check_values entry.mem_value ~who:"home memory"
-    | Directory.Excl -> (
-        match exclusive_holders with
-        | [ (node, _) ] when node = entry.owner ->
-            let others = List.filter (fun n -> n <> entry.owner) copy_holder_ids in
-            if others <> [] then
-              err "line %s: exclusive at %d but copies also at %s" (describe_line line)
-                entry.owner
-                (String.concat "," (List.map string_of_int others))
-        | [] ->
-            err "line %s: directory exclusive at %d but no exclusive L2 copy"
-              (describe_line line) entry.owner
-        | (node, _) :: _ ->
-            err "line %s: directory exclusive at %d but L2-exclusive at %d"
-              (describe_line line) entry.owner node)
-    | Directory.Dele -> (
-        let producer = nodes.(entry.owner) in
-        match find_producer producer line with
-        | None ->
-            err "line %s: delegated to %d but no producer-table entry"
-              (describe_line line) entry.owner
-        | Some pe -> (
-            match pe.pstate with
-            | P_busy ->
-                err "line %s: producer entry busy at quiescence" (describe_line line)
-            | P_excl ->
-                let foreign =
-                  List.filter (fun n -> n <> entry.owner) copy_holder_ids
-                in
-                if foreign <> [] then
-                  err "line %s: producer-exclusive but copies at %s" (describe_line line)
-                    (String.concat "," (List.map string_of_int foreign))
-            | P_shared -> (
-                check_covered pe.psharers ~who:"producer";
-                match Rac.peek (Option.get producer.rac) line with
-                | Some authoritative -> check_values authoritative ~who:"producer RAC"
-                | None ->
-                    err "line %s: delegated but producer RAC has no backing copy"
-                      (describe_line line))))
-  in
-  Hashtbl.iter check_line lines;
+  let view = Dir_invariants.create (Array.length nodes) in
+  iter_lines nodes (fun line ->
+      line_view nodes line view;
+      if Dir_invariants.violations Dir_invariants.Quiescent view <> [] then
+        List.iter
+          (fun (_, detail) ->
+            errors := Printf.sprintf "line %s: %s" (Flight_ring.line_name line) detail :: !errors)
+          (Dir_invariants.explain Dir_invariants.Quiescent view));
   List.rev !errors
-
 
 (* ------------------------------------------------------------------ *)
 (* Fail-stop crashes and directory recovery                            *)

@@ -79,32 +79,7 @@ val consumer_hint : t -> Types.line -> Types.node_id option
 
 val delegated_line_count : t -> int
 
-(** {2 Side-effect-free audit views}
-
-    Unlike [find]-style accessors these never touch LRU recency, consume
-    pushed updates, or create directory entries, so an online auditor can
-    inspect a node mid-run without perturbing it. *)
-
-type producer_view = {
-  view_state : [ `Busy | `Exclusive | `Shared ];
-  view_sharers : Nodeset.t;  (** current sharing vector (includes self) *)
-  view_update_set : Nodeset.t;  (** previous epoch's consumers *)
-  view_fence_pending : bool;
-      (** raw: pushes not yet flushed or flush acks outstanding (no
-          flush-window aging applied) *)
-}
-
-val producer_view : t -> Types.line -> producer_view option
-(** The delegated directory state this node holds for a line, if any. *)
-
-val iter_producers : t -> (Types.line -> producer_view -> unit) -> unit
-
 val iter_l2 : t -> (Types.line -> L2.entry -> unit) -> unit
-
-val iter_rac : t -> (Types.line -> int -> unit) -> unit
-
-val rac_pinned : t -> Types.line -> bool
-(** True when the RAC holds a pinned (delegated backing) entry. *)
 
 val pending_op : t -> (Types.op_kind * Types.line) option
 (** The outstanding processor transaction, if any. *)
@@ -113,14 +88,6 @@ val pending_info : t -> (Types.op_kind * Types.line * int * int) option
 (** The outstanding transaction with its start cycle and the number of
     completion timeouts it has taken — the raw material of a stall
     report. *)
-
-val in_fallback : t -> Types.line -> bool
-(** True when repeated completion timeouts demoted the line to the base
-    3-hop protocol on this node (no delegation, no speculative
-    updates). *)
-
-val wb_in_flight : t -> Types.line -> bool
-(** True while a writeback for the line awaits its acknowledgement. *)
 
 val rac_occupancy : t -> int
 (** Valid RAC entries right now (0 without a RAC) — a telemetry gauge. *)
@@ -136,13 +103,26 @@ val link_retransmits : t -> (Types.node_id * int) list
 (** Per-destination hub-link retransmission totals ([(dst, count)],
     destinations with at least one retransmission). *)
 
+(** {2 Machine-wide invariants (§2.5)}
+
+    The adaptive protocol's invariants are stated once, in
+    {!Dir_invariants}; these functions read a machine into its line
+    view. *)
+
+val line_view : t array -> Types.line -> Dir_invariants.view -> unit
+(** Fill the view's directory, copy and producer fields for one line,
+    leaving its in-transit answers to the caller.  Reads only
+    side-effect-free accessors (no LRU recency, no consumed updates, no
+    directory entry created), so an auditor can call it mid-run. *)
+
+val iter_lines : t array -> (Types.line -> unit) -> unit
+(** Every line some L2, RAC or directory knows, each once. *)
+
 val check_invariants : t array -> string list
-(** Machine-wide structural invariants over a quiesced system (§2.5):
-    "single writer exists" — at most one node holds a line exclusively,
-    and if one does, its home is in [Excl]/[Dele]/Busy for it; and
-    "consistency within the directory" — every shared copy is covered by
-    the responsible directory's sharing vector.  Returns human-readable
-    violation descriptions (empty = consistent). *)
+(** A drained machine's invariants: no transaction pending, and every
+    line's {!Dir_invariants} at the [Quiescent] strength.  Returns one
+    description per broken rule, such as ["line 2@2: node 2 holds a copy
+    not covered by producer's sharing vector"] (empty = consistent). *)
 
 (** {2 Fail-stop crashes and directory recovery}
 

@@ -45,6 +45,8 @@ let to_list t = List.rev (fold (fun node acc -> node :: acc) t [])
 
 let of_list nodes = List.fold_left add empty nodes
 
+let of_mask mask = mask land ((1 lsl max_nodes) - 1)
+
 let equal a b = a = b
 
 let pp ppf t =

@@ -34,6 +34,9 @@ val to_list : t -> int list
 
 val of_list : int list -> t
 
+val of_mask : int -> t
+(** The set holding node [n] exactly when bit [n] of the mask is set. *)
+
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -98,6 +98,4 @@ let pressure t = t.evictions + t.fill_refusals
 let peek t line =
   match Cache.peek t.cache line with Some entry -> Some entry.value | None -> None
 
-let is_pinned t line = Cache.is_pinned t.cache line
-
 let iter f t = Cache.iter (fun line entry -> f line entry.value) t.cache

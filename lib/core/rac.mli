@@ -66,8 +66,5 @@ val pressure : t -> int
 val peek : t -> Types.line -> int option
 (** Value without recency or consumption side effects. *)
 
-val is_pinned : t -> Types.line -> bool
-(** True for a resident delegated backing entry (no side effects). *)
-
 val iter : (Types.line -> int -> unit) -> t -> unit
 (** Visit every resident line/value (inspection/invariant checks). *)

@@ -1033,86 +1033,70 @@ let deliver_transitions params labels st acc =
 (* Invariants                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let in_flight st predicate = List.exists predicate st.net
+(* Value coherence (every read observes the write order) is the model's
+   own, recorded in [error] as reads commit.  The structural invariants
+   are [Pcc_core.Dir_invariants], read through a line view filled from
+   the state, with the network answering "may this still be in
+   transit". *)
+module Inv = Pcc_core.Dir_invariants
+module Nodeset = Pcc_core.Nodeset
 
-let exclusive_holders st =
-  let holders = ref [] in
-  Array.iteri
-    (fun n node -> match node.cache with CE _ -> holders := n :: !holders | _ -> ())
-    st.ns;
-  !holders
+let rec note_in_transit (v : Inv.view) own = function
+  | [] -> ()
+  | p :: rest ->
+      (match p.msg with
+      | MInval _ | MUpdate _ -> v.reaching <- Nodeset.add v.reaching p.dst
+      | MUndele (sharers, _, _) ->
+          (* a winding-down delegation carries its vector home *)
+          v.reaching <- Nodeset.union v.reaching (Nodeset.of_mask sharers);
+          if p.src = own then v.handoff <- true
+      | MTack n -> v.transfer <- Nodeset.add v.transfer n
+      | MDelegate (sharers, _, _, _) when p.dst = own ->
+          v.delegating <- Nodeset.union v.delegating (Nodeset.of_mask sharers);
+          v.handoff <- true
+      | _ -> ());
+      note_in_transit v own rest
 
-let value_coherent st = st.error = None
-
-let single_writer st =
-  match exclusive_holders st with
-  | [] -> true
-  | [ n ] ->
-      (match st.dir with
-      | (DE | DD | DBs | DBe) when st.own = n -> true
-      | _ -> in_flight st (fun p -> p.msg = MTack n))
-  | _ :: _ :: _ -> false
-
-let directory_consistent st =
-  let covered n =
-    let escape =
-      in_flight st (fun p ->
-          (p.dst = n && (match p.msg with MInval _ | MUpdate _ -> true | _ -> false))
-          (* a winding-down delegation carries its sharing vector in the
-             in-flight Undelegate message *)
-          || (match p.msg with MUndele (sharers, _, _) -> mem_bit sharers n | _ -> false))
-    in
-    let producer_covers owner =
-      owner >= 0
-      &&
-      match st.ns.(owner).prod with
-      | Some p -> mem_bit p.psharers n
-      | None -> false
-    in
-    escape
-    ||
-    match st.dir with
-    | DU -> false
-    | DS -> mem_bit st.shr n
-    | DE | DBs | DBe -> n = st.own || n = st.req || producer_covers st.own
-    | DD -> (
-        n = st.own
-        ||
-        match st.ns.(st.own).prod with
-        | Some p -> mem_bit p.psharers n
-        | None ->
-            (* delegation handshake in flight: the Delegate message still
-               holds the vector *)
-            in_flight st (fun p ->
-                match p.msg with
-                | MDelegate (sharers, _, _, _) -> p.dst = st.own && mem_bit sharers n
-                | _ -> false))
-  in
-  Array.for_all Fun.id
-    (Array.mapi
-       (fun n node ->
-         let has_copy = node.cache <> CI || node.rac <> None in
-         (not has_copy) || covered n)
-       st.ns)
-
-let delegation_consistent st =
-  let dir_side =
-    st.dir <> DD
-    || st.ns.(st.own).prod <> None
-    || in_flight st (fun p ->
-           match p.msg with
-           | MDelegate _ -> p.dst = st.own
-           | MUndele _ -> p.src = st.own
-           | _ -> false)
-  in
-  let node_side =
-    Array.for_all Fun.id
-      (Array.mapi
-         (fun n node ->
-           node.prod = None || ((st.dir = DD || st.dir = DBe) && st.own = n))
-         st.ns)
-  in
-  dir_side && node_side
+let fill_view (v : Inv.view) st =
+  v.nodes <- Array.length st.ns;
+  v.dir <-
+    (match st.dir with
+    | DU -> Unowned
+    | DS -> Shared_s
+    | DE -> Excl
+    | DBs -> Busy_shared
+    | DBe -> Busy_excl
+    | DD -> Dele);
+  v.owner <- st.own;
+  v.requester <- st.req;
+  v.sharers <- Nodeset.of_mask st.shr;
+  v.mem <- st.mem;
+  for n = 0 to Array.length st.ns - 1 do
+    let node = st.ns.(n) in
+    (match node.cache with
+    | CI -> v.l2.(n) <- No_copy
+    | CS x ->
+        v.l2.(n) <- Shared_copy;
+        v.l2_value.(n) <- x
+    | CE x ->
+        v.l2.(n) <- Exclusive_copy;
+        v.l2_value.(n) <- x);
+    (match node.rac with
+    | Some x ->
+        v.rac.(n) <- true;
+        v.rac_value.(n) <- x
+    | None -> v.rac.(n) <- false);
+    match node.prod with
+    | Some p ->
+        v.phase.(n) <- (match p.pst with PB -> Busy | PEx -> Exclusive | PSh -> Shared);
+        v.vector.(n) <- Nodeset.of_mask p.psharers
+    | None -> v.phase.(n) <- No_entry
+  done;
+  v.transfer <- Nodeset.empty;
+  v.reaching <- Nodeset.empty;
+  v.delegating <- Nodeset.empty;
+  v.handoff <- false;
+  note_in_transit v st.own st.net
 
 (* ------------------------------------------------------------------ *)
 (* Model assembly                                                      *)
@@ -1156,13 +1140,26 @@ let all_successors ?(line = 0) params labels st =
   done;
   List.rev (deliver_transitions params labels st !acc)
 
+(* One view per domain, since the checker evaluates invariants on several
+   domains at once.  [filled] is the state the view was last filled
+   from, so a state's three structural invariants share one fill. *)
+type view_scratch = { view : Inv.view; mutable filled : state }
+
+let view_scratch =
+  Domain.DLS.new_key (fun () ->
+      { view = Inv.create label_nodes; filled = initial_state default_params })
+
+let structural inv st =
+  let sc = Domain.DLS.get view_scratch in
+  if sc.filled != st then begin
+    fill_view sc.view st;
+    sc.filled <- st
+  end;
+  Inv.holds Event_boundary inv sc.view
+
 let invariants_list =
-  [
-    ("value coherence", value_coherent);
-    ("single writer exists", single_writer);
-    ("consistency within the directory", directory_consistent);
-    ("delegation consistency", delegation_consistent);
-  ]
+  ("value coherence", fun st -> st.error = None)
+  :: List.map (fun inv -> (Inv.name inv, structural inv)) Inv.invariants
 
 let pp_state ppf st =
   let cache_str node =

@@ -15,14 +15,17 @@
 
     Checked invariants (instantiated per line, prefixed ["L<l>:"] when
     [lines > 1]):
-    - {e value coherence}: every load returns a write each node observes in
-      a monotone order, with writes globally serialized (the model's
-      analogue of sequential consistency per location);
-    - {e single writer exists}: at most one exclusive copy, and the
-      directory (or an in-flight ownership transfer) accounts for it;
-    - {e consistency within the directory}: every cached copy is covered
-      by the responsible sharing vector or by an in-flight invalidation
-      or update.
+    - {e value coherence}, the model's own: every load returns a write
+      each node observes in a monotone order, with writes globally
+      serialized (the model's analogue of sequential consistency per
+      location);
+    - {e single writer exists}, {e consistency within the directory} and
+      {e delegation consistency}: [Pcc_core.Dir_invariants], the one
+      statement the simulator's auditor and drain check use too, read
+      through a line view filled from the state at the event-boundary
+      strength.  The network answers "may this still be in transit": an
+      in-flight transfer ack, invalidation, update, delegation or
+      undelegation.
 
     The packed model canonicalizes states over the full symmetry group —
     all permutations of the non-home nodes applied globally, composed

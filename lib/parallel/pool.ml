@@ -1,17 +1,9 @@
-exception
-  Job_failed of { key : string; exn : exn; backtrace : string; attempts : int }
-
-exception Timed_out of { key : string; seconds : float }
+exception Job_failed of { key : string; exn : exn; backtrace : string }
 
 let () =
   Printexc.register_printer (function
-    | Job_failed { key; exn; attempts; _ } ->
-        Some
-          (Printf.sprintf "Job_failed(%s: %s after %d attempt%s)" key
-             (Printexc.to_string exn) attempts
-             (if attempts = 1 then "" else "s"))
-    | Timed_out { key; seconds } ->
-        Some (Printf.sprintf "Timed_out(%s: %.3fs)" key seconds)
+    | Job_failed { key; exn; _ } ->
+        Some (Printf.sprintf "Job_failed(%s: %s)" key (Printexc.to_string exn))
     | _ -> None)
 
 let available_cores () = max 1 (Domain.recommended_domain_count ())
@@ -28,119 +20,38 @@ let jobs_from_env () =
 let default_jobs () =
   match jobs_from_env () with Some n -> n | None -> available_cores ()
 
-(* Process-wide job accounting for the metrics registry.  Attempts are
-   bumped from worker domains (hence atomics); completed/failed are
-   tallied at collection time in the submitting domain, so the totals
-   are identical at any pool size (jobs-1-vs-N byte-identity of metric
-   exports).  With wall-clock timeouts in play attempt counts can vary
-   between runs — that nondeterminism is the timeout's, not the pool's. *)
+(* Process-wide job accounting for the metrics registry, tallied at
+   collection time in the submitting domain, so the totals are identical
+   at any pool size (jobs-1-vs-N byte-identity of metric exports). *)
 let jobs_completed = Atomic.make 0
 let jobs_failed = Atomic.make 0
-let job_attempts = Atomic.make 0
 
-type stats = { completed : int; failed : int; attempts : int }
+type stats = { completed : int; failed : int }
 
-let stats () =
-  {
-    completed = Atomic.get jobs_completed;
-    failed = Atomic.get jobs_failed;
-    attempts = Atomic.get job_attempts;
-  }
+let stats () = { completed = Atomic.get jobs_completed; failed = Atomic.get jobs_failed }
 
-let reset_stats () =
-  Atomic.set jobs_completed 0;
-  Atomic.set jobs_failed 0;
-  Atomic.set job_attempts 0
-
-(* Outcome of one job, stored at its submission index. *)
-type 'a outcome =
-  | Ok of 'a
-  | Failed of { key : string; exn : exn; backtrace : string; attempts : int }
-
-let run_thunk key thunk =
+(* One job's outcome, stored at its submission index: its value or its
+   [Job_failed]. *)
+let run_job key thunk =
   match thunk () with
   | v -> Ok v
-  | exception exn ->
-      Failed { key; exn; backtrace = Printexc.get_backtrace (); attempts = 1 }
-
-(* One attempt under a wall-clock deadline.  A domain cannot be
-   cancelled, so the attempt runs in a throwaway domain the waiter polls;
-   on timeout the runaway domain is abandoned (its eventual result is
-   discarded, and it dies with the process).  That makes a wedged job
-   cost one leaked domain instead of hanging the whole sweep. *)
-let attempt_under_timeout ~seconds key thunk =
-  let slot = Atomic.make None in
-  let runner = Domain.spawn (fun () -> Atomic.set slot (Some (run_thunk key thunk))) in
-  let deadline = Unix.gettimeofday () +. seconds in
-  let rec wait () =
-    match Atomic.get slot with
-    | Some outcome ->
-        Domain.join runner;
-        outcome
-    | None ->
-        if Unix.gettimeofday () >= deadline then
-          Failed
-            { key; exn = Timed_out { key; seconds }; backtrace = ""; attempts = 1 }
-        else begin
-          Unix.sleepf 0.002;
-          wait ()
-        end
-  in
-  wait ()
-
-(* Bounded retry with exponential backoff around one job.  [attempts] in
-   the final outcome counts every try, so a post-mortem can tell a
-   first-strike failure from an exhausted retry budget.  With no timeout
-   and no retries this is exactly [run_thunk] — no domain, no clock. *)
-let run_job ~timeout ~retries ~backoff key thunk =
-  let attempt () =
-    match timeout with
-    | None -> run_thunk key thunk
-    | Some seconds -> attempt_under_timeout ~seconds key thunk
-  in
-  let rec go n delay =
-    Atomic.incr job_attempts;
-    match attempt () with
-    | Ok _ as ok -> ok
-    | Failed f ->
-        if n > retries then Failed { f with attempts = n }
-        else begin
-          Unix.sleepf delay;
-          go (n + 1) (delay *. 2.0)
-        end
-  in
-  go 1 backoff
+  | exception exn -> Error (Job_failed { key; exn; backtrace = Printexc.get_backtrace () })
 
 (* Collect in submission order; the earliest failure wins. *)
 let collect outcomes =
   Array.iter
-    (function
-      | Ok _ -> Atomic.incr jobs_completed
-      | Failed _ -> Atomic.incr jobs_failed)
+    (function Ok _ -> Atomic.incr jobs_completed | Error _ -> Atomic.incr jobs_failed)
     outcomes;
-  Array.to_list outcomes
-  |> List.map (function
-       | Ok v -> v
-       | Failed { key; exn; backtrace; attempts } ->
-           raise (Job_failed { key; exn; backtrace; attempts }))
+  Array.to_list outcomes |> List.map (function Ok v -> v | Error failure -> raise failure)
 
-let run_keyed ?timeout ?(retries = 0) ?(backoff = 0.05) ~jobs tasks =
-  (match timeout with
-  | Some s when s <= 0.0 -> invalid_arg "Pool.run_keyed: timeout must be positive"
-  | Some _ | None -> ());
-  if retries < 0 then invalid_arg "Pool.run_keyed: retries must be non-negative";
-  let run_job key thunk = run_job ~timeout ~retries ~backoff key thunk in
+let run_keyed ~jobs tasks =
   let tasks = Array.of_list tasks in
   let n = Array.length tasks in
   if jobs <= 1 || n <= 1 then
     (* Sequential fallback: same loop, same order, no pool domains. *)
     collect (Array.map (fun (key, thunk) -> run_job key thunk) tasks)
   else begin
-    let outcomes =
-      Array.map
-        (fun (key, _) -> Failed { key; exn = Not_found; backtrace = ""; attempts = 0 })
-        tasks
-    in
+    let outcomes = Array.make n (Error Not_found) in
     let next = Atomic.make 0 in
     (* Each worker claims the next unclaimed submission index; distinct
        indices mean workers never write the same outcome slot, and
@@ -158,7 +69,3 @@ let run_keyed ?timeout ?(retries = 0) ?(backoff = 0.05) ~jobs tasks =
     List.iter Domain.join helpers;
     collect outcomes
   end
-
-let map_keyed ?timeout ?retries ?backoff ~jobs ~key f xs =
-  run_keyed ?timeout ?retries ?backoff ~jobs
-    (List.map (fun x -> (key x, fun () -> f x)) xs)

@@ -11,21 +11,12 @@
     With [jobs <= 1] (or fewer than two jobs) everything runs in the
     calling domain and no pool domain is ever spawned — the sequential
     fallback path is the exact loop a pre-parallel harness would have
-    executed.  (A per-job [?timeout] is the one exception: enforcing a
-    wall-clock deadline requires running each attempt in a throwaway
-    domain even on the sequential path.) *)
+    executed. *)
 
-exception
-  Job_failed of { key : string; exn : exn; backtrace : string; attempts : int }
-(** Raised (in the submitting domain) when a job fails every attempt.
-    [key] names the failing job; [backtrace] is the raw backtrace text of
-    the last attempt; [attempts] counts every try made (1 when no retries
-    were requested).  When several jobs fail, the one earliest in
-    submission order wins. *)
-
-exception Timed_out of { key : string; seconds : float }
-(** The [exn] carried by {!Job_failed} when an attempt exceeded the
-    requested [?timeout] rather than raising. *)
+exception Job_failed of { key : string; exn : exn; backtrace : string }
+(** Raised (in the submitting domain) when a job raised.  [key] names the
+    failing job; [backtrace] is the raw backtrace text.  When several
+    jobs fail, the one earliest in submission order wins. *)
 
 val available_cores : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1. *)
@@ -40,53 +31,16 @@ val default_jobs : unit -> int
 
 (** {2 Job accounting (metrics registry)} *)
 
-type stats = { completed : int; failed : int; attempts : int }
+type stats = { completed : int; failed : int }
 
 val stats : unit -> stats
-(** Process-wide pool totals since start (or the last {!reset_stats}):
-    jobs that returned a value, jobs that exhausted their attempts, and
-    every attempt made.  Identical at any pool size — failure and
-    completion tallies happen at collection time in the submitting
-    domain — so metric exports stay byte-identical at [--jobs] 1 vs N.
-    (Attempt counts can vary only when wall-clock [?timeout]s fire.) *)
+(** Process-wide pool totals since start: jobs that returned a value and
+    jobs that raised.  Identical at any pool size — the tallies happen at
+    collection time in the submitting domain — so metric exports stay
+    byte-identical at [--jobs] 1 vs N. *)
 
-val reset_stats : unit -> unit
-
-val run_keyed :
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  jobs:int ->
-  (string * (unit -> 'a)) list ->
-  'a list
+val run_keyed : jobs:int -> (string * (unit -> 'a)) list -> 'a list
 (** [run_keyed ~jobs tasks] executes every thunk on a pool of at most
     [jobs] domains (the calling domain counts as one worker) and
     returns the results in submission order.  Raises {!Job_failed} if
-    any job failed all its attempts.
-
-    [timeout] (seconds, wall-clock, off by default) bounds each attempt:
-    a wedged or crashed job fails with {!Timed_out} instead of hanging
-    the whole sweep.  A domain cannot be cancelled, so a timed-out
-    attempt's domain is abandoned — it leaks until the process exits —
-    which is the price of liveness; keep timeouts generous.
-
-    [retries] (default 0) re-runs a failed attempt up to that many extra
-    times, sleeping [backoff] seconds before the first retry (default
-    0.05) and doubling the sleep each round.  Retries only make sense
-    for jobs whose failures are transient (flaky I/O, timeouts) —
-    deterministic simulation jobs fail identically every time.
-
-    Raises [Invalid_argument] on a non-positive [timeout] or negative
-    [retries]. *)
-
-val map_keyed :
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  jobs:int ->
-  key:('a -> string) ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
-(** [map_keyed ~jobs ~key f xs] is
-    [run_keyed ~jobs (List.map (fun x -> (key x, fun () -> f x)) xs)]. *)
+    any job raised. *)

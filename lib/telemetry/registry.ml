@@ -147,7 +147,8 @@ let add_pool t =
   let s = Pcc_parallel.Pool.stats () in
   counter t "pcc_pool_jobs_completed" s.completed;
   counter t "pcc_pool_jobs_failed" s.failed;
-  counter t "pcc_pool_job_attempts" s.attempts
+  (* every job runs once *)
+  counter t "pcc_pool_job_attempts" (s.completed + s.failed)
 
 (* {2 Exports} *)
 

@@ -206,6 +206,62 @@ let check_sc_checker () =
        commit must stay allocation-free"
       words (3 * rounds)
 
+(* The adaptive protocol's invariants run on every line the auditor
+   marks, every line at drain and every model state: checking a clean
+   line must touch the minor heap not at all, whether the simulator or
+   the model filled its view. *)
+let rec model_holds st = function
+  | [] -> true
+  | (_, holds) :: rest -> holds st && model_holds st rest
+
+let rec clean_views = function
+  | [] -> true
+  | v :: rest ->
+      Dir_invariants.violations Dir_invariants.Quiescent v = []
+      && Dir_invariants.violations Dir_invariants.Event_boundary v = []
+      && clean_views rest
+
+let check_dir_invariants () =
+  let sys = System.create ~config:(Config.small_full ~nodes ()) () in
+  let (_ : System.result) = System.run_programs sys (programs ()) in
+  let machine = System.nodes sys in
+  let views = ref [] in
+  Node.iter_lines machine (fun line ->
+      let v = Dir_invariants.create nodes in
+      Node.line_view machine line v;
+      views := v :: !views);
+  let module Step = Pcc_mcheck.Protocol_model.Step in
+  let params =
+    { Pcc_mcheck.Protocol_model.default_params with nodes = 3; max_ops_per_node = 1 }
+  in
+  (* the first 3,000 states of a breadth-first walk, repeats included *)
+  let queue = Queue.create () in
+  Queue.add (Step.initial params) queue;
+  let states =
+    Array.init 3_000 (fun _ ->
+        let st = Queue.pop queue in
+        List.iter (fun (_, next) -> Queue.add next queue) (Step.successors params st);
+        st)
+  in
+  let rounds = 20 in
+  let clean = ref true in
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    clean := !clean && clean_views !views;
+    for i = 0 to Array.length states - 1 do
+      clean := !clean && model_holds states.(i) Step.invariants
+    done
+  done;
+  let words = Gc.minor_words () -. before in
+  if not !clean then Alcotest.fail "a clean line or model state broke an invariant";
+  if List.length !views < 100 then Alcotest.fail "too few lines to measure";
+  if words > 256.0 then
+    Alcotest.failf
+      "checking %d simulator lines and %d model states %d times allocated %.0f minor \
+       words — a clean invariant check must stay allocation-free"
+      (List.length !views) (Array.length states) rounds words
+
 (* The streaming feed path: a run fed by Workload.stream — generator
    refills or binary-trace chunk decoding included — must hold the same
    order of per-commit allocation as the materialized path, or 10^8-event
@@ -260,6 +316,7 @@ let suite =
     Alcotest.test_case "rng draws allocation-free" `Quick check_rng_draws;
     Alcotest.test_case "fault plan allocation-free" `Quick check_fault_plan;
     Alcotest.test_case "memory-model checker allocation-free" `Quick check_sc_checker;
+    Alcotest.test_case "adaptive invariants allocation-free" `Quick check_dir_invariants;
     Alcotest.test_case "base protocol under budget" `Quick
       (check "base" 500.0 (Config.base ~nodes ()));
     (* measured 637 words/state; 2,000 trips a return to a renamed copy

@@ -256,6 +256,104 @@ let test_snoop_table_invariants () =
     [ "msi-has-no-exclusive-clean" ];
   check "E under MESI" mesi ~mem:4 [ (Mesi.E, 4); (Mesi.I, 0) ] []
 
+(* Hand-built lines over three nodes, each broken one way: every line
+   breaks exactly its target invariant at its strength, and the clean
+   lines pass both strengths. *)
+let test_adaptive_invariants () =
+  let module Inv = Pcc_core.Dir_invariants in
+  let set = Pcc_core.Nodeset.of_list in
+  let line ?(owner = -1) ?(requester = -1) ?(sharers = []) ?(mem = 0) ?(l2 = [])
+      ?(rac = []) ?(producer = []) ?(transfer = []) ?(handoff = false) dir =
+    let v =
+      { (Inv.create 3) with dir; owner; requester; sharers = set sharers; mem;
+        transfer = set transfer; handoff }
+    in
+    List.iter
+      (fun (n, copy, value) ->
+        v.l2.(n) <- copy;
+        v.l2_value.(n) <- value)
+      l2;
+    List.iter
+      (fun (n, value) ->
+        v.rac.(n) <- true;
+        v.rac_value.(n) <- value)
+      rac;
+    List.iter
+      (fun (n, phase, vector) ->
+        v.phase.(n) <- phase;
+        v.vector.(n) <- set vector)
+      producer;
+    v
+  in
+  let s = Inv.Shared_copy and e = Inv.Exclusive_copy in
+  let clean_shared =
+    line Shared_s ~sharers:[ 1; 2 ] ~mem:5 ~l2:[ (1, s, 5) ] ~rac:[ (2, 5) ]
+  and clean_delegation =
+    line Dele ~owner:1 ~producer:[ (1, Inv.Shared, [ 1; 2 ]) ] ~l2:[ (1, s, 7) ]
+      ~rac:[ (1, 7); (2, 7) ]
+  and busy = line Busy_shared ~owner:1 ~requester:2 ~l2:[ (1, e, 3) ]
+  and granting = line Excl ~owner:1
+  and delegating = line Dele ~owner:1 ~handoff:true in
+  List.iter
+    (fun (name, strength, v, expected) ->
+      let names invs = List.sort_uniq compare (List.map Inv.name invs) in
+      Alcotest.(check (list string))
+        name (names expected)
+        (names (Inv.violations strength v));
+      Alcotest.(check (list string)) (name ^ ", explained") (names expected)
+        (names (List.map fst (Inv.explain strength v))))
+    Inv.
+      [
+        ("clean shared line", Event_boundary, clean_shared, []);
+        ("clean shared line at rest", Quiescent, clean_shared, []);
+        ("clean delegation", Event_boundary, clean_delegation, []);
+        ("clean delegation at rest", Quiescent, clean_delegation, []);
+        ( "two E copies",
+          Event_boundary,
+          line Busy_excl ~owner:1 ~requester:2 ~transfer:[ 2 ]
+            ~l2:[ (1, e, 3); (2, e, 3) ],
+          [ Single_writer ] );
+        ( "an E copy the directory does not account for",
+          Event_boundary,
+          line Shared_s ~sharers:[ 1 ] ~mem:4 ~l2:[ (1, e, 4) ],
+          [ Single_writer ] );
+        ( "an S copy outside the home's vector",
+          Event_boundary,
+          line Shared_s ~sharers:[ 1 ] ~mem:2 ~l2:[ (1, s, 2); (2, s, 2) ],
+          [ Directory_consistency ] );
+        ( "a Shared_s copy that differs from memory",
+          Event_boundary,
+          line Shared_s ~sharers:[ 1; 2 ] ~mem:2 ~l2:[ (1, s, 2) ] ~rac:[ (2, 1) ],
+          [ Directory_consistency ] );
+        ( "a producer entry with no RAC backing",
+          Event_boundary,
+          line Dele ~owner:1 ~producer:[ (1, Exclusive, [ 1 ]) ] ~l2:[ (1, e, 3) ],
+          [ Delegation_consistency ] );
+        ( "a producer entry the directory does not reflect",
+          Event_boundary,
+          line Shared_s ~sharers:[ 1; 2 ] ~mem:2 ~l2:[ (1, s, 2) ] ~rac:[ (2, 2) ]
+            ~producer:[ (2, Shared, [ 2 ]) ],
+          [ Delegation_consistency ] );
+        ( "a foreign copy while the producer is exclusive",
+          Event_boundary,
+          line Dele ~owner:1 ~producer:[ (1, Exclusive, [ 1; 2 ]) ]
+            ~l2:[ (1, e, 3); (2, s, 2) ]
+            ~rac:[ (1, 2) ],
+          [ Directory_consistency ] );
+        ("a Busy entry mid-run", Event_boundary, busy, []);
+        ("a Busy entry at quiescence", Quiescent, busy, [ Directory_consistency ]);
+        ("an exclusive grant in flight", Event_boundary, granting, []);
+        ( "an exclusive grant that never landed",
+          Quiescent,
+          granting,
+          [ Directory_consistency ] );
+        ("a delegation in flight", Event_boundary, delegating, []);
+        ( "a delegation that never landed",
+          Quiescent,
+          delegating,
+          [ Delegation_consistency ] );
+      ]
+
 (* ---------------- canonical hashing properties (qcheck) ---------------- *)
 
 module Sym = Protocol_model.Sym
@@ -579,6 +677,8 @@ let suite =
       test_snoop_bug_detected;
     Alcotest.test_case "snoop table invariants catch broken lines" `Quick
       test_snoop_table_invariants;
+    Alcotest.test_case "adaptive invariants catch broken lines" `Quick
+      test_adaptive_invariants;
     Alcotest.test_case "golden: minimal canonical counterexample" `Quick
       test_golden_counterexample;
     Alcotest.test_case "verdict byte-stable across jobs" `Quick

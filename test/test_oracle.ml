@@ -226,7 +226,22 @@ let fault_is_caught config_name =
         (decoded = report.events);
       (match reread with
       | Ok desc -> Alcotest.(check bool) "artifact records the fault" true desc.fault
-      | Error e -> Alcotest.failf "artifact unreadable: %s" e)
+      | Error e -> Alcotest.failf "artifact unreadable: %s" e);
+      (* the auditor checks a line as soon as a delivery changes it, so
+         the adaptive machine's window ends at the receipt that broke the
+         line, and the report names it and the shared invariant *)
+      if config_name = "full" then begin
+        let last = List.nth report.events (List.length report.events - 1) in
+        Alcotest.(check string) "window ends at a receipt" "recv"
+          (Flight_ring.kind_name last.e_kind);
+        let names needle =
+          List.exists (fun v -> Astring_contains.contains v needle) report.violations
+        in
+        Alcotest.(check bool) "the receipt's line is the violating line" true
+          (names ("line " ^ Flight_ring.line_name last.e_line ^ ": "));
+        Alcotest.(check bool) "caught by the directory invariant" true
+          (names "consistency within the directory")
+      end
 
 let test_fault_is_caught () = List.iter fault_is_caught [ "full"; "msi" ]
 

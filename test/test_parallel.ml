@@ -92,92 +92,6 @@ let test_all_jobs_run () =
         (Array.make 50 1) ran)
     jobs_levels
 
-let test_map_keyed () =
-  let xs = List.init 30 (fun i -> i) in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check (list int)) "map squares"
-        (List.map (fun x -> x * x) xs)
-        (Pool.map_keyed ~jobs ~key:string_of_int (fun x -> x * x) xs))
-    jobs_levels
-
-let test_retries_eventually_succeed () =
-  (* a transiently failing job succeeds within its retry budget; the
-     cells are per-job so parallel widths don't race *)
-  List.iter
-    (fun jobs ->
-      let tries = Array.make 8 0 in
-      let tasks =
-        List.init 8 (fun i ->
-            ( Printf.sprintf "flaky%d" i,
-              fun () ->
-                tries.(i) <- tries.(i) + 1;
-                if tries.(i) < 3 then failwith "transient" else i ))
-      in
-      Alcotest.(check (list int))
-        (Printf.sprintf "flaky jobs recover at jobs=%d" jobs)
-        (List.init 8 Fun.id)
-        (Pool.run_keyed ~retries:2 ~backoff:0.001 ~jobs tasks);
-      Alcotest.(check (array int))
-        (Printf.sprintf "exactly three tries each at jobs=%d" jobs)
-        (Array.make 8 3) tries)
-    [ 1; 3 ]
-
-let test_retries_exhausted_reports_attempts () =
-  let tasks = [ ("doomed", fun () -> failwith "always") ] in
-  match Pool.run_keyed ~retries:2 ~backoff:0.001 ~jobs:1 tasks with
-  | _ -> Alcotest.fail "expected Job_failed"
-  | exception Pool.Job_failed { key; attempts; exn; _ } ->
-      Alcotest.(check string) "failing key" "doomed" key;
-      Alcotest.(check int) "attempts = 1 + retries" 3 attempts;
-      Alcotest.(check bool) "last exception preserved" true
-        (match exn with Failure msg -> String.equal msg "always" | _ -> false)
-
-let test_timeout_fails_wedged_job () =
-  (* one wedged job must not hang the sweep: it times out while the
-     well-behaved jobs still deliver their results' slots *)
-  let wedge = Atomic.make true in
-  let tasks =
-    [
-      ("fine", fun () -> 1);
-      ( "wedged",
-        fun () ->
-          while Atomic.get wedge do
-            Unix.sleepf 0.005
-          done;
-          2 );
-    ]
-  in
-  (match Pool.run_keyed ~timeout:0.2 ~jobs:2 tasks with
-  | _ -> Alcotest.fail "expected Job_failed"
-  | exception Pool.Job_failed { key; exn; attempts; _ } ->
-      Alcotest.(check string) "wedged key" "wedged" key;
-      Alcotest.(check int) "single attempt" 1 attempts;
-      Alcotest.(check bool) "Timed_out exception" true
-        (match exn with Pool.Timed_out { seconds; _ } -> seconds = 0.2 | _ -> false));
-  (* unwedge the abandoned domain so it exits before the process does *)
-  Atomic.set wedge false;
-  Unix.sleepf 0.02
-
-let test_timeout_passes_prompt_jobs () =
-  let tasks = List.init 6 (fun i -> (string_of_int i, fun () -> i * 2)) in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "prompt jobs under timeout at jobs=%d" jobs)
-        [ 0; 2; 4; 6; 8; 10 ]
-        (Pool.run_keyed ~timeout:30.0 ~jobs tasks))
-    [ 1; 3 ]
-
-let test_bad_knobs_rejected () =
-  let tasks = [ ("x", fun () -> 0) ] in
-  Alcotest.check_raises "non-positive timeout"
-    (Invalid_argument "Pool.run_keyed: timeout must be positive") (fun () ->
-      ignore (Pool.run_keyed ~timeout:0.0 ~jobs:1 tasks));
-  Alcotest.check_raises "negative retries"
-    (Invalid_argument "Pool.run_keyed: retries must be non-negative") (fun () ->
-      ignore (Pool.run_keyed ~retries:(-1) ~jobs:1 tasks))
-
 let test_default_jobs_positive () =
   Alcotest.(check bool) "available_cores >= 1" true (Pool.available_cores () >= 1);
   (* PCC_JOBS is not set in the test environment, so default_jobs falls
@@ -195,14 +109,5 @@ let suite =
     Alcotest.test_case "exception carries failing key" `Quick test_exception_carries_key;
     Alcotest.test_case "earliest failure wins" `Quick test_first_failure_wins;
     Alcotest.test_case "every job runs exactly once" `Quick test_all_jobs_run;
-    Alcotest.test_case "map_keyed" `Quick test_map_keyed;
-    Alcotest.test_case "retries recover transient failures" `Quick
-      test_retries_eventually_succeed;
-    Alcotest.test_case "exhausted retries report attempts" `Quick
-      test_retries_exhausted_reports_attempts;
-    Alcotest.test_case "timeout fails a wedged job" `Quick test_timeout_fails_wedged_job;
-    Alcotest.test_case "timeout leaves prompt jobs alone" `Quick
-      test_timeout_passes_prompt_jobs;
-    Alcotest.test_case "bad knobs rejected" `Quick test_bad_knobs_rejected;
     Alcotest.test_case "default jobs positive" `Quick test_default_jobs_positive;
   ]
