@@ -1,9 +1,12 @@
 (* Seeded chaos sweeps: run workloads over a deliberately unreliable
    interconnect — packets dropped, duplicated, delayed, reordered, links
    taken down transiently — with the online coherence oracle attached.
-   A sweep passes only if every run quiesces with every operation
-   committed and zero oracle violations, and the recovery machinery was
-   actually exercised (nonzero retransmit / duplicate-drop counters).
+   Each run is an Oracle.Runner checked run: the descriptor names the
+   fault profile, crash request and recovery knobs, and the runner's one
+   verdict judges it.  A sweep passes only if every run passes that
+   verdict and the recovery machinery was actually exercised (nonzero
+   retransmit / duplicate-drop counters).  A failed run leaves a flight
+   dump that pcc_oracle --replay re-runs.
 
    Seeds are independent simulations, so the sweep fans out across
    domains (--jobs N / PCC_JOBS; 1 = sequential).  Workers never print:
@@ -27,308 +30,115 @@ open Pcc
 
 let bench_rotation = [| "barnes"; "ocean"; "em3d"; "lu"; "cg"; "mg"; "appbt" |]
 
-let count_accesses programs =
-  Array.fold_left
-    (fun acc ops ->
-      List.fold_left
-        (fun acc op ->
-          match op with Types.Access _ -> acc + 1 | Types.Compute _ | Types.Barrier _ -> acc)
-        acc ops)
-    0 programs
+(* A run's counters, 0 for a run that aborted online, in three groups:
+   each run's JSON lists them recovered, injected, crashed; the tally
+   and the metrics list them injected, recovered, crashed. *)
+let stat f (r : Oracle.Runner.report) =
+  Option.fold r.result ~none:0 ~some:(fun result -> f result.System.stats)
 
-type tally = {
-  mutable runs : int;
-  mutable failures : int;
-  mutable retransmits : int;
-  mutable dup_dropped : int;
-  mutable txn_timeouts : int;
-  mutable fallbacks : int;
-  mutable injected_drops : int;
-  mutable injected_dups : int;
-  mutable injected_delays : int;
-  mutable injected_outages : int;
-  mutable crashes : int;
-  mutable restarts : int;
-  mutable crash_revoked : int;
-}
+let injected f (r : Oracle.Runner.report) = Option.fold r.faults ~none:0 ~some:f
 
-let tally () =
-  {
-    runs = 0;
-    failures = 0;
-    retransmits = 0;
-    dup_dropped = 0;
-    txn_timeouts = 0;
-    fallbacks = 0;
-    injected_drops = 0;
-    injected_dups = 0;
-    injected_delays = 0;
-    injected_outages = 0;
-    crashes = 0;
-    restarts = 0;
-    crash_revoked = 0;
-  }
+let recovered =
+  [
+    ("retransmits", stat (fun s -> s.Run_stats.retransmits));
+    ("dup_dropped", stat (fun s -> s.Run_stats.dup_dropped));
+    ("txn_timeouts", stat (fun s -> s.Run_stats.txn_timeouts));
+    ("fallbacks", stat (fun s -> s.Run_stats.fallbacks));
+  ]
 
-(* Failure reasons for one chaotic run; empty list = the run survived. *)
-let check_run ~total_ops ~committed (result : System.result) =
-  let problems = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  (match result.stall with
-  | None -> ()
-  | Some stall ->
-      add "did not quiesce: %s"
-        (Format.asprintf "%a" System.pp_stall_report stall));
-  if committed <> total_ops then
-    add "committed %d of %d operations" committed total_ops;
-  if result.violations > 0 then add "%d memory-check violations" result.violations;
-  (match result.invariant_errors with
-  | [] -> ()
-  | errs -> add "%d invariant errors (first: %s)" (List.length errs) (List.hd errs));
-  List.rev !problems
+let injections =
+  [
+    ("injected_drops", injected (fun f -> f.Fault.dropped));
+    ("injected_dups", injected (fun f -> f.Fault.duplicated));
+    ("injected_delays", injected (fun f -> f.Fault.delayed));
+    ("injected_outages", injected (fun f -> f.Fault.outages_started));
+  ]
+
+let crashed =
+  [
+    ("crashes", stat (fun s -> s.Run_stats.crashes));
+    ("restarts", stat (fun s -> s.Run_stats.restarts));
+    ("crash_revoked", stat (fun s -> s.Run_stats.crash_revoked));
+  ]
 
 (* Everything one chaotic run reports back to the main domain. *)
 type run_report = {
-  rr_seed : int;
+  rr_desc : Oracle.Trace.run_desc;
   rr_profile : string;
-  rr_bench : string;
   rr_workload : string;
       (* resolved workload description (registry describe string) for the
          --json artifact *)
-  rr_config : string;
   rr_total_ops : int;
   rr_problems : string list;
-  rr_retransmits : int;
-  rr_dup_dropped : int;
-  rr_txn_timeouts : int;
-  rr_fallbacks : int;
-  rr_injected_drops : int;
-  rr_injected_dups : int;
-  rr_injected_delays : int;
-  rr_injected_outages : int;
-  rr_crashes : int;
-  rr_restarts : int;
-  rr_crash_revoked : int;
+  rr_counts : (string * int) list;
   rr_flight_dump : string option;
-      (* armed post-mortem path for this run — the artifact to open when
-         the run fails *)
+      (* where this run's flight dump goes: written only when it fails *)
 }
 
-(* Fail-stop schedule for one run, derived purely from the run's own
-   identity so crash sweeps stay bit-identical across pool widths.
-   [crash_nodes], when non-empty, pins the victims (the seeded schedule
-   still picks the crash times); otherwise [crash_victims] seeded nodes
-   die.  The window sits inside a default-scale run so crashes land
-   mid-traffic, and every victim restarts — a sweep must quiesce. *)
-let crash_schedule_for ~chaos_seed ~nodes ~crash_victims ~crash_nodes ~restart_after =
-  if crash_victims = 0 && crash_nodes = [] then []
-  else
-    let victims =
-      if crash_nodes = [] then crash_victims else List.length crash_nodes
-    in
-    let sched =
-      Fault.crash_schedule ~seed:chaos_seed ~nodes ~victims ~window:(3_000, 12_000)
-        ~restart_after ()
-    in
-    match crash_nodes with
-    | [] -> sched
-    | explicit -> List.map2 (fun (c : Fault.crash) victim -> { c with victim }) sched explicit
-
-let run_one ~bench ~config_name ~protocol ~nodes ~scale ~seed ~profile_name
-    ~txn_timeout ~fallback_threshold ~max_events ~crash_victims ~crash_nodes
-    ~restart_after ~flight_dir =
-  let desc =
-    { Oracle.Trace.bench; config_name; nodes; scale; seed; fault = false }
+(* One cell of the sweep, built, run and judged by Oracle.Runner.  The
+   dump path is a function of the run's own identity, so parallel workers
+   never collide and reruns overwrite; a failed run leaves its flight
+   dump there, which pcc_oracle --replay re-runs. *)
+let run_one ~flight_dir (desc : Oracle.Trace.run_desc) =
+  let profile = (Option.get desc.chaos).profile in
+  let dump =
+    Option.map
+      (fun dir ->
+        Filename.concat dir
+          (Printf.sprintf "seed%d-%s-%s.flight.json" desc.seed profile desc.bench))
+      flight_dir
   in
-  (* independent chaos stream per (seed, profile, bench): the workload RNG
-     stays pinned by [seed] alone, so the same traffic meets different
-     fault schedules *)
-  let chaos_seed = (seed * 8191) + Hashtbl.hash (profile_name, bench) in
-  let profile =
-    match Fault.preset profile_name ~seed:chaos_seed with
-    | Some p -> p
-    | None ->
-        raise
-          (Invalid_argument (Printf.sprintf "unknown fault profile %S" profile_name))
-  in
-  let profile =
-    {
-      profile with
-      Fault.crashes =
-        crash_schedule_for ~chaos_seed ~nodes ~crash_victims ~crash_nodes
-          ~restart_after;
-    }
-  in
-  let config =
-    {
-      (Oracle.Trace.config_of_desc desc) with
-      Config.protocol;
-      net_faults = Some profile;
-      txn_timeout;
-      fallback_threshold;
-    }
-  in
-  (* resolve through the workload registry: [bench] is a full spec string
-     (validated up front in [main], so failure here is a program error) *)
+  let report = Oracle.Runner.run ~diff:false ?dump desc in
+  (* [bench] was validated up front in [main], so this cannot fail *)
   let workload =
-    match Workload.of_spec ~nodes ~scale ~seed bench with
-    | Ok w -> w
-    | Error message -> invalid_arg ("pcc_chaos: " ^ message)
+    Result.get_ok
+      (Workload.of_spec ~nodes:desc.nodes ~scale:desc.scale ~seed:desc.seed desc.bench)
   in
-  let programs = Workload.programs workload in
-  let total_ops = count_accesses programs in
-  let sys = System.create ~config () in
-  (* Deterministic per-run artifact path: a function of the run's own
-     identity, so parallel workers never collide and reruns overwrite. *)
-  (match flight_dir with
-  | None -> ()
-  | Some dir ->
-      System.arm_flight_dump sys
-        ~path:
-          (Filename.concat dir
-             (Printf.sprintf "seed%d-%s-%s.flight.json" seed profile_name bench)));
-  let sweep = Oracle.Runner.attach sys in
-  let report =
-    {
-      rr_seed = seed;
-      rr_profile = profile_name;
-      rr_bench = bench;
-      rr_workload = Workload.describe workload;
-      rr_config = config_name;
-      rr_total_ops = total_ops;
-      rr_problems = [];
-      rr_retransmits = 0;
-      rr_dup_dropped = 0;
-      rr_txn_timeouts = 0;
-      rr_fallbacks = 0;
-      rr_injected_drops = 0;
-      rr_injected_dups = 0;
-      rr_injected_delays = 0;
-      rr_injected_outages = 0;
-      rr_crashes = 0;
-      rr_restarts = 0;
-      rr_crash_revoked = 0;
-      rr_flight_dump = System.flight_dump_path sys;
-    }
-  in
-  match System.run_programs ~max_events sys programs with
-  | exception Oracle.Audit.Violation { message; time; _ } ->
-      {
-        report with
-        rr_problems = [ Printf.sprintf "oracle violation at t=%d: %s" time message ];
-      }
-  | result ->
-      let stats = result.System.stats in
-      let drops, dups, delays, outages =
-        match System.fault_stats sys with
-        | Some f -> (f.Fault.dropped, f.Fault.duplicated, f.Fault.delayed, f.Fault.outages_started)
-        | None -> (0, 0, 0, 0)
-      in
-      let stats_errors =
-        List.map (fun e -> "stats: " ^ e) (Oracle.Stats_check.check sys result)
-      in
-      {
-        report with
-        rr_problems =
-          check_run ~total_ops
-            ~committed:(Sc_check.commits (System.checker sys))
-            result
-          @ stats_errors @ sweep ();
-        rr_retransmits = stats.Run_stats.retransmits;
-        rr_dup_dropped = stats.Run_stats.dup_dropped;
-        rr_txn_timeouts = stats.Run_stats.txn_timeouts;
-        rr_fallbacks = stats.Run_stats.fallbacks;
-        rr_injected_drops = drops;
-        rr_injected_dups = dups;
-        rr_injected_delays = delays;
-        rr_injected_outages = outages;
-        rr_crashes = stats.Run_stats.crashes;
-        rr_restarts = stats.Run_stats.restarts;
-        rr_crash_revoked = stats.Run_stats.crash_revoked;
-      }
-
-let absorb t (r : run_report) =
-  t.runs <- t.runs + 1;
-  if r.rr_problems <> [] then t.failures <- t.failures + 1;
-  t.retransmits <- t.retransmits + r.rr_retransmits;
-  t.dup_dropped <- t.dup_dropped + r.rr_dup_dropped;
-  t.txn_timeouts <- t.txn_timeouts + r.rr_txn_timeouts;
-  t.fallbacks <- t.fallbacks + r.rr_fallbacks;
-  t.injected_drops <- t.injected_drops + r.rr_injected_drops;
-  t.injected_dups <- t.injected_dups + r.rr_injected_dups;
-  t.injected_delays <- t.injected_delays + r.rr_injected_delays;
-  t.injected_outages <- t.injected_outages + r.rr_injected_outages;
-  t.crashes <- t.crashes + r.rr_crashes;
-  t.restarts <- t.restarts + r.rr_restarts;
-  t.crash_revoked <- t.crash_revoked + r.rr_crash_revoked
+  {
+    rr_desc = desc;
+    rr_profile = profile;
+    rr_workload = Workload.describe workload;
+    rr_total_ops = report.accesses;
+    rr_problems = report.failures;
+    rr_counts =
+      List.map (fun (name, count) -> (name, count report)) (recovered @ injections @ crashed);
+    rr_flight_dump = dump;
+  }
 
 let print_report ~verbose (r : run_report) =
+  let d = r.rr_desc in
   match r.rr_problems with
   | [] ->
       if verbose then
-        Printf.printf "ok   seed=%d profile=%-7s bench=%-6s config=%s (%d ops)\n%!"
-          r.rr_seed r.rr_profile r.rr_bench r.rr_config r.rr_total_ops
+        Printf.printf "ok   seed=%d profile=%-7s bench=%-6s config=%s (%d ops)\n%!" d.seed
+          r.rr_profile d.bench d.config_name r.rr_total_ops
   | problems ->
-      Printf.printf "FAIL seed=%d profile=%s bench=%s config=%s\n" r.rr_seed
-        r.rr_profile r.rr_bench r.rr_config;
+      Printf.printf "FAIL seed=%d profile=%s bench=%s config=%s\n" d.seed r.rr_profile
+        d.bench d.config_name;
       List.iter (fun p -> Printf.printf "  %s\n%!" p) problems;
-      (match r.rr_flight_dump with
-      | Some path ->
-          Printf.printf "  post-mortem: %s (decode with pcc_trace --flight %s)\n%!"
-            path path
-      | None -> ())
+      Option.iter
+        (fun path ->
+          Printf.printf "  flight dump: %s (replay with pcc_oracle --replay %s)\n%!" path
+            path)
+        r.rr_flight_dump
 
 let json_of_report (r : run_report) =
+  let d = r.rr_desc in
   Jsonl.Obj
-    [
-      ("seed", Jsonl.Int r.rr_seed);
-      ("profile", Jsonl.String r.rr_profile);
-      ("bench", Jsonl.String r.rr_bench);
-      ("workload", Jsonl.String r.rr_workload);
-      ("config", Jsonl.String r.rr_config);
-      ("total_ops", Jsonl.Int r.rr_total_ops);
-      ("problems", Jsonl.List (List.map (fun p -> Jsonl.String p) r.rr_problems));
-      ("retransmits", Jsonl.Int r.rr_retransmits);
-      ("dup_dropped", Jsonl.Int r.rr_dup_dropped);
-      ("txn_timeouts", Jsonl.Int r.rr_txn_timeouts);
-      ("fallbacks", Jsonl.Int r.rr_fallbacks);
-      ("injected_drops", Jsonl.Int r.rr_injected_drops);
-      ("injected_dups", Jsonl.Int r.rr_injected_dups);
-      ("injected_delays", Jsonl.Int r.rr_injected_delays);
-      ("injected_outages", Jsonl.Int r.rr_injected_outages);
-      ("crashes", Jsonl.Int r.rr_crashes);
-      ("restarts", Jsonl.Int r.rr_restarts);
-      ("crash_revoked", Jsonl.Int r.rr_crash_revoked);
-      ( "flight_dump",
-        match r.rr_flight_dump with Some p -> Jsonl.String p | None -> Jsonl.Null );
-    ]
-
-let write_json path t reports =
-  let doc =
-    Jsonl.Obj
-      [
-        ("runs", Jsonl.List (List.map json_of_report reports));
-        ( "tally",
-          Jsonl.Obj
-            [
-              ("runs", Jsonl.Int t.runs);
-              ("failures", Jsonl.Int t.failures);
-              ("injected_drops", Jsonl.Int t.injected_drops);
-              ("injected_dups", Jsonl.Int t.injected_dups);
-              ("injected_delays", Jsonl.Int t.injected_delays);
-              ("injected_outages", Jsonl.Int t.injected_outages);
-              ("retransmits", Jsonl.Int t.retransmits);
-              ("dup_dropped", Jsonl.Int t.dup_dropped);
-              ("txn_timeouts", Jsonl.Int t.txn_timeouts);
-              ("fallbacks", Jsonl.Int t.fallbacks);
-              ("crashes", Jsonl.Int t.crashes);
-              ("restarts", Jsonl.Int t.restarts);
-              ("crash_revoked", Jsonl.Int t.crash_revoked);
-            ] );
-      ]
-  in
-  Atomic_file.write ~path (fun oc ->
-      output_string oc (Jsonl.to_string doc);
-      output_char oc '\n')
+    ([
+       ("seed", Jsonl.Int d.seed);
+       ("profile", Jsonl.String r.rr_profile);
+       ("bench", Jsonl.String d.bench);
+       ("workload", Jsonl.String r.rr_workload);
+       ("config", Jsonl.String d.config_name);
+       ("total_ops", Jsonl.Int r.rr_total_ops);
+       ("problems", Jsonl.List (List.map (fun p -> Jsonl.String p) r.rr_problems));
+     ]
+    @ List.map (fun (name, n) -> (name, Jsonl.Int n)) r.rr_counts
+    @ [
+        ( "flight_dump",
+          Option.fold r.rr_flight_dump ~none:Jsonl.Null ~some:(fun p -> Jsonl.String p) );
+      ])
 
 let main workload_pin seeds protocol nodes scale profile_filter txn_timeout
     fallback_threshold max_events jobs json_path verbose crash_victims crash_nodes
@@ -343,7 +153,14 @@ let main workload_pin seeds protocol nodes scale profile_filter txn_timeout
         | Ok _ -> None
         | Error message -> Some message)
   in
-  match pin_error with
+  let profile_error =
+    (* a typo'd profile is rejected before any run, like a workload *)
+    match profile_filter with
+    | Some name ->
+        Result.fold (Fault.preset name ~seed:0) ~ok:(fun _ -> None) ~error:Option.some
+    | None -> None
+  in
+  match Option.fold pin_error ~none:profile_error ~some:Option.some with
   | Some message ->
       Printf.eprintf "pcc_chaos: %s\n" message;
       2
@@ -414,56 +231,82 @@ let main workload_pin seeds protocol nodes scale profile_filter txn_timeout
             profiles)
         (List.init seeds (fun i -> i + 1))
     in
+    let crash : Oracle.Trace.crash =
+      if crash_nodes <> [] then Victims crash_nodes else Seeded crash_victims
+    in
     let tasks =
       List.map
-        (fun (seed, profile_name, bench) ->
-          ( Printf.sprintf "seed=%d/%s/%s" seed profile_name bench,
-            fun () ->
-              run_one ~bench ~config_name:"full" ~protocol ~nodes ~scale ~seed
-                ~profile_name ~txn_timeout ~fallback_threshold ~max_events
-                ~crash_victims ~crash_nodes ~restart_after ~flight_dir ))
+        (fun (seed, profile, bench) ->
+          let desc =
+            {
+              Oracle.Trace.default with
+              bench;
+              protocol = Some protocol;
+              nodes;
+              scale;
+              seed;
+              max_events;
+              chaos =
+                Some { profile; crash; restart_after; txn_timeout; fallback_threshold };
+            }
+          in
+          ( Printf.sprintf "seed=%d/%s/%s" seed profile bench,
+            fun () -> run_one ~flight_dir desc ))
         cells
     in
     let reports = Pool.run_keyed ~jobs tasks in
-    let t = tally () in
-    List.iter
-      (fun report ->
-        absorb t report;
-        print_report ~verbose report)
-      reports;
+    List.iter (print_report ~verbose) reports;
+    let runs = List.length reports in
+    let failures = List.length (List.filter (fun r -> r.rr_problems <> []) reports) in
+    let total name =
+      List.fold_left (fun acc r -> acc + List.assoc name r.rr_counts) 0 reports
+    in
     let crash_mode = crash_victims > 0 || crash_nodes <> [] in
     Printf.printf
       "%d chaotic runs, %d failures\n\
        injected: %d drops, %d duplicates, %d delays, %d outages\n\
        recovered: %d retransmits, %d duplicates dropped, %d txn timeouts, %d fallbacks\n"
-      t.runs t.failures t.injected_drops t.injected_dups t.injected_delays
-      t.injected_outages t.retransmits t.dup_dropped t.txn_timeouts t.fallbacks;
+      runs failures (total "injected_drops") (total "injected_dups")
+      (total "injected_delays") (total "injected_outages") (total "retransmits")
+      (total "dup_dropped") (total "txn_timeouts") (total "fallbacks");
     if crash_mode then
       Printf.printf "crashed: %d fail-stops, %d restarts, %d delegations revoked\n"
-        t.crashes t.restarts t.crash_revoked;
-    (match json_path with Some path -> write_json path t reports | None -> ());
+        (total "crashes") (total "restarts") (total "crash_revoked");
+    let names = List.map fst in
+    let tally = names injections @ names recovered @ names crashed in
+    Option.iter
+      (fun path ->
+        let doc =
+          Jsonl.Obj
+            [
+              ("runs", Jsonl.List (List.map json_of_report reports));
+              ( "tally",
+                Jsonl.Obj
+                  ([ ("runs", Jsonl.Int runs); ("failures", Jsonl.Int failures) ]
+                  @ List.map (fun name -> (name, Jsonl.Int (total name))) tally) );
+            ]
+        in
+        Atomic_file.write ~path (fun oc ->
+            output_string oc (Jsonl.to_string doc);
+            output_char oc '\n'))
+      json_path;
     Cli_common.write_metrics metrics_path (fun registry ->
-        let module R = Telemetry.Registry in
-        R.counter registry "pcc_chaos_runs" t.runs;
-        R.counter registry "pcc_chaos_failures" t.failures;
-        R.counter registry "pcc_chaos_injected_drops" t.injected_drops;
-        R.counter registry "pcc_chaos_injected_dups" t.injected_dups;
-        R.counter registry "pcc_chaos_injected_delays" t.injected_delays;
-        R.counter registry "pcc_chaos_injected_outages" t.injected_outages;
-        R.counter registry "pcc_retransmits" t.retransmits;
-        R.counter registry "pcc_dup_dropped" t.dup_dropped;
-        R.counter registry "pcc_txn_timeouts" t.txn_timeouts;
-        R.counter registry "pcc_fallbacks" t.fallbacks;
-        R.counter registry "pcc_crashes" t.crashes;
-        R.counter registry "pcc_restarts" t.restarts;
-        R.counter registry "pcc_crash_revoked" t.crash_revoked);
-    if t.failures > 0 then 1
-    else if t.retransmits = 0 || t.dup_dropped = 0 then begin
+        let counter = Telemetry.Registry.counter registry in
+        counter "pcc_chaos_runs" runs;
+        counter "pcc_chaos_failures" failures;
+        List.iter
+          (fun name -> counter ("pcc_chaos_" ^ name) (total name))
+          (names injections);
+        List.iter
+          (fun name -> counter ("pcc_" ^ name) (total name))
+          (names recovered @ names crashed));
+    if failures > 0 then 1
+    else if total "retransmits" = 0 || total "dup_dropped" = 0 then begin
       (* a sweep that never had to recover proves nothing *)
       Printf.printf "SWEEP TOO QUIET: recovery machinery never exercised\n";
       1
     end
-    else if crash_mode && t.crashes = 0 then begin
+    else if crash_mode && total "crashes" = 0 then begin
       Printf.printf "SWEEP TOO QUIET: crash mode on but no node ever fail-stopped\n";
       1
     end
@@ -532,11 +375,12 @@ let flight_dir_arg =
     value & opt string "flight-dumps"
     & info [ "flight-dir" ] ~docv:"DIR"
         ~doc:
-          "Directory for flight-recorder post-mortems (created if missing; \
-           $(b,none) disables arming).  Every run arms a deterministic \
-           per-run dump path there; on a stall, crash or oracle violation \
-           the retained event window lands at that path and the failure \
-           report names it (decode with $(b,pcc_trace --flight)).")
+          "Directory for the flight dumps of failed runs (created if missing; \
+           $(b,none) writes none).  Each run has a deterministic per-run path \
+           there; a run that fails any check leaves its flight dump, with its \
+           run descriptor and failures, at that path and the failure report \
+           names it (re-run with $(b,pcc_oracle --replay), decode with \
+           $(b,pcc_trace --flight)).")
 
 let cmd =
   let term =

@@ -1,6 +1,8 @@
 (* Differential-oracle driver: run seeded random and benchmark workloads
    with the online coherence auditor attached, then replay each run's
-   serialized operations through the model checker and compare.
+   serialized operations through the model checker and compare.  Every
+   run goes through Oracle.Runner; --replay re-runs any checked run's
+   flight dump, pcc_chaos's included.
 
      dune exec bin/pcc_oracle.exe -- --seeds 50
      dune exec bin/pcc_oracle.exe -- --inject-fault --trace fault.jsonl
@@ -31,23 +33,22 @@ let descs_for_seed ~workload_pin ~configs ~nodes ~scale seed :
     (fun bench ->
       List.map
         (fun config_name ->
-          { Oracle.Trace.bench; config_name; nodes; scale; seed; fault = false })
+          { Oracle.Trace.default with bench; config_name; nodes; scale; seed })
         configs)
     benches
 
+(* A replayed pcc_chaos dump also names its backend and fault profile. *)
 let describe (d : Oracle.Trace.run_desc) =
-  Printf.sprintf "seed=%d bench=%s config=%s nodes=%d scale=%.2f%s" d.seed d.bench
+  Printf.sprintf "seed=%d bench=%s config=%s nodes=%d scale=%.2f%s%s%s" d.seed d.bench
     d.config_name d.nodes d.scale
+    (Option.fold d.protocol ~none:"" ~some:(fun p -> " protocol=" ^ Protocol.to_string p))
+    (Option.fold d.chaos ~none:"" ~some:(fun c -> " profile=" ^ c.Oracle.Trace.profile))
     (if d.fault then " FAULT" else "")
 
-let report_failure ~trace ~artifact_written (report : Oracle.Runner.report) =
-  Printf.printf "FAIL %s\n" (describe report.desc);
-  List.iter (fun v -> Printf.printf "  %s\n" v) report.violations;
-  if not !artifact_written then begin
-    Oracle.Runner.save_artifact ~path:trace report;
-    artifact_written := true;
-    Printf.printf "  trace written to %s\n" trace
-  end
+let report_failure desc (report : Oracle.Runner.report) =
+  Printf.printf "FAIL %s\n" (describe desc);
+  List.iter (fun v -> Printf.printf "  %s\n" v) report.failures;
+  Option.iter (Printf.printf "  trace written to %s\n") report.dump
 
 let run_sweep ~workload_pin ~seeds ~protocol ~nodes ~scale ~max_lines ~trace
     ~metrics_path =
@@ -60,13 +61,14 @@ let run_sweep ~workload_pin ~seeds ~protocol ~nodes ~scale ~max_lines ~trace
   let runs = ref 0 in
   let ops = ref 0 in
   let steps = ref 0 in
-  let artifact_written = ref false in
   let results = ref [] in
   for seed = 1 to seeds do
     List.iter
       (fun desc ->
         incr runs;
-        let report = Oracle.Runner.run ~max_lines desc in
+        (* only the first failure leaves the artifact *)
+        let dump = if !failures = 0 then Some trace else None in
+        let report = Oracle.Runner.run ~max_lines ?dump desc in
         (match report.result with
         | Some r -> results := r :: !results
         | None -> ());
@@ -77,7 +79,7 @@ let run_sweep ~workload_pin ~seeds ~protocol ~nodes ~scale ~max_lines ~trace
         | None -> ());
         if not (Oracle.Runner.clean report) then begin
           incr failures;
-          report_failure ~trace ~artifact_written report
+          report_failure desc report
         end)
       (descs_for_seed ~workload_pin ~configs ~nodes ~scale seed)
   done;
@@ -105,18 +107,13 @@ let run_fault ~nodes ~scale ~trace =
       1
     end
     else
-      let desc =
-        { Oracle.Trace.bench = "random"; config_name = "full"; nodes; scale; seed;
-          fault = true }
-      in
-      let report = Oracle.Runner.run ~diff:false desc in
+      let desc = { Oracle.Trace.default with nodes; scale; seed; fault = true } in
+      let report = Oracle.Runner.run ~diff:false ~dump:trace desc in
       if Oracle.Runner.clean report then attempt (seed + 1)
       else begin
-        Oracle.Runner.save_artifact ~path:trace report;
         Printf.printf "fault caught on %s\n" (describe desc);
-        List.iter (fun v -> Printf.printf "  %s\n" v) report.violations;
-        Printf.printf "  %d recent events in the trace; artifact: %s\n"
-          (List.length report.events) trace;
+        List.iter (fun v -> Printf.printf "  %s\n" v) report.failures;
+        Printf.printf "  flight dump: %s (replay with --replay %s)\n" trace trace;
         0
       end
   in
@@ -125,7 +122,7 @@ let run_fault ~nodes ~scale ~trace =
 let run_replay ~max_lines ~path =
   match Oracle.Trace.read_desc ~path with
   | Error message ->
-      Printf.eprintf "cannot replay %s: %s\n" path message;
+      Printf.eprintf "pcc_oracle: cannot replay: %s\n" message;
       2
   | Ok desc ->
       Printf.printf "replaying %s\n" (describe desc);
@@ -135,7 +132,7 @@ let run_replay ~max_lines ~path =
         0
       end
       else begin
-        List.iter (fun v -> Printf.printf "  %s\n" v) report.violations;
+        List.iter (fun v -> Printf.printf "  %s\n" v) report.failures;
         List.iter
           (fun e -> Format.printf "  %a@." Flight_ring.pp_event e)
           report.events;
@@ -150,8 +147,7 @@ let run_golden ~nodes ~scale ~seed =
       List.iter
         (fun (app : Workloads.app) ->
           let desc =
-            { Oracle.Trace.bench = app.name; config_name; nodes; scale; seed;
-              fault = false }
+            { Oracle.Trace.default with bench = app.name; config_name; nodes; scale; seed }
           in
           let config = Oracle.Trace.config_of_desc desc in
           let programs = Oracle.Trace.programs_of_desc desc in
@@ -204,13 +200,17 @@ let trace_arg =
   Arg.(
     value
     & opt string "oracle-fault.jsonl"
-    & info [ "trace" ] ~docv:"FILE" ~doc:"Where to write the first failure artifact.")
+    & info [ "trace" ] ~docv:"FILE"
+        ~doc:"Where to write the first failure's flight dump (one JSON line).")
 
 let replay_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "replay" ] ~docv:"FILE" ~doc:"Re-run the descriptor in a trace file.")
+    & info [ "replay" ] ~docv:"FILE"
+        ~doc:
+          "Re-run the checked run a flight dump describes: a failure artifact of \
+           this tool or of pcc_chaos.")
 
 let fault_arg =
   Arg.(

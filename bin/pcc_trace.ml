@@ -15,12 +15,12 @@ module Sim = Pcc.Simulator
 (* Post-mortem decode mode: turn a flight-recorder dump into a readable
    timeline on stdout and a Perfetto fragment next to the dump file. *)
 let decode_flight path =
-  match Telemetry.Flight.load path with
+  match Flight_ring.read_dump path with
   | Error message ->
       Printf.eprintf "pcc_trace --flight: %s\n" message;
       2
   | Ok dump ->
-      Format.printf "@[<v>%a@]@?" Telemetry.Flight.pp_timeline dump;
+      Format.printf "%a@?" Flight_ring.pp_dump dump;
       let perfetto_path = path ^ ".perfetto.json" in
       Telemetry.Perfetto.write_flight ~path:perfetto_path dump;
       Format.printf "wrote %s (load at https://ui.perfetto.dev)@." perfetto_path;

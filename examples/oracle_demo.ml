@@ -10,10 +10,7 @@ let () =
   (* a clean oracle-checked run: online invariants after every event,
      order checking on every commit, statistics identities at the end,
      then the differential replay against the abstract model *)
-  let desc =
-    { Oracle.Trace.bench = "em3d"; config_name = "full"; nodes = 6; scale = 0.15;
-      seed = 11; fault = false }
-  in
+  let desc = { Oracle.Trace.default with bench = "em3d"; seed = 11 } in
   let report = Oracle.Runner.run desc in
   Format.printf "em3d under the full machine: %s@."
     (if Oracle.Runner.clean report then "oracle clean" else "ORACLE FAILED");
@@ -26,15 +23,12 @@ let () =
   let rec hunt seed =
     if seed > 10 then Format.printf "fault not triggered in 10 seeds@."
     else
-      let desc =
-        { Oracle.Trace.bench = "random"; config_name = "full"; nodes = 6;
-          scale = 0.15; seed; fault = true }
-      in
+      let desc = { Oracle.Trace.default with seed; fault = true } in
       let report = Oracle.Runner.run ~diff:false desc in
       if Oracle.Runner.clean report then hunt (seed + 1)
       else begin
         Format.printf "caught at seed %d:@." seed;
-        List.iter (Format.printf "  %s@.") report.violations;
+        List.iter (Format.printf "  %s@.") report.failures;
         Format.printf "last %d events before the violation:@."
           (List.length report.events);
         List.iter (Format.printf "  %a@." Pcc.Flight_ring.pp_event) report.events

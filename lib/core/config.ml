@@ -22,7 +22,6 @@ type t = {
   speculative_updates : bool;
   intervention_delay : int;
   adaptive_intervention : bool;
-  flush_window : int;
   write_repeat_threshold : int;
   reader_count_bits : int;
   hub_latency : int;
@@ -69,7 +68,6 @@ let base ?(nodes = 16) () =
     speculative_updates = false;
     intervention_delay = 50;
     adaptive_intervention = false;
-    flush_window = 2000;
     write_repeat_threshold = 3;
     reader_count_bits = 2;
     hub_latency = 4;

@@ -52,11 +52,6 @@ type t = {
       (** §5 future work: instead of the fixed delay, track each delegated
           line's write-burst span (EWMA) and downgrade shortly after the
           observed burst length *)
-  flush_window : int;
-      (** undelegation skips its update-flush round when the last push is
-          older than this many cycles — a safe shortcut on an interconnect
-          with bounded delivery latency (set very conservatively; the
-          model checker verifies the unconditional-flush protocol) *)
   (* Predictor (§2.2) *)
   write_repeat_threshold : int;  (** 2-bit saturating counter: saturates at 3 *)
   reader_count_bits : int;

@@ -35,7 +35,6 @@ let n_undelegate = 4
 let n_revoke = 5
 let n_predictor = 6
 let n_dir_state = 7
-let note_count = 8
 
 let note_name = function
   | 0 -> "timeout"
@@ -216,21 +215,28 @@ type dump = {
   d_recorded : int;
   d_capacity : int;
   d_events : event list;
+  d_run : Jsonl.t option;
+  d_failures : string list;
 }
 
-let dump_to_json t ~reason ~time ~nodes ~config =
+(* [run] and [failures] are written only when given, so a machine's own
+   dumps (stalls, crash phases) keep their fields. *)
+let dump_to_json ?run ?(failures = []) t ~reason ~time ~nodes ~config =
   Jsonl.Obj
-    [
-      ("kind", Jsonl.String "pcc-flight");
-      ("version", Jsonl.Int 1);
-      ("reason", Jsonl.String reason);
-      ("time", Jsonl.Int time);
-      ("nodes", Jsonl.Int nodes);
-      ("config", Jsonl.String config);
-      ("recorded", Jsonl.Int t.head);
-      ("capacity", Jsonl.Int (t.mask + 1));
-      ("events", Jsonl.List (List.map event_to_json (events t)));
-    ]
+    ([
+       ("kind", Jsonl.String "pcc-flight");
+       ("version", Jsonl.Int 1);
+       ("reason", Jsonl.String reason);
+       ("time", Jsonl.Int time);
+       ("nodes", Jsonl.Int nodes);
+       ("config", Jsonl.String config);
+       ("recorded", Jsonl.Int t.head);
+       ("capacity", Jsonl.Int (t.mask + 1));
+       ("events", Jsonl.List (List.map event_to_json (events t)));
+     ]
+    @ Option.to_list (Option.map (fun desc -> ("run", desc)) run)
+    @ if failures = [] then []
+      else [ ("failures", Jsonl.List (List.map (fun m -> Jsonl.String m) failures)) ])
 
 let dump_of_json json =
   let ( let* ) r f = Result.bind r f in
@@ -261,6 +267,9 @@ let dump_of_json json =
     if List.compare_lengths decoded events = 0 then Ok ()
     else Error "flight dump: event is not a [time,code,arg,line] int quad"
   in
+  let failures =
+    Option.value ~default:[] (Option.bind (Jsonl.member "failures" json) Jsonl.get_list)
+  in
   Ok
     {
       d_reason = reason;
@@ -270,8 +279,29 @@ let dump_of_json json =
       d_recorded = recorded;
       d_capacity = capacity;
       d_events = decoded;
+      d_run = Jsonl.member "run" json;
+      d_failures = List.filter_map Jsonl.get_string failures;
     }
 
-let write_dump t ~path ~reason ~time ~nodes ~config =
+let write_dump ?run ?failures t ~path ~reason ~time ~nodes ~config =
   Pcc_stats.Atomic_file.write_string ~path
-    (Jsonl.to_string (dump_to_json t ~reason ~time ~nodes ~config) ^ "\n")
+    (Jsonl.to_string (dump_to_json ?run ?failures t ~reason ~time ~nodes ~config) ^ "\n")
+
+let read_dump path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error message -> Error message
+  | text -> (
+      match Jsonl.of_string (String.trim text) with
+      | Error message -> Error (Printf.sprintf "%s: %s" path message)
+      | Ok json -> Result.map_error (Printf.sprintf "%s: %s" path) (dump_of_json json))
+
+let pp_dump ppf d =
+  Format.fprintf ppf "@[<v>flight dump: %s@,config: %s@," d.d_reason d.d_config;
+  Option.iter (fun run -> Format.fprintf ppf "run: %s@," (Jsonl.to_string run)) d.d_run;
+  if d.d_failures <> [] then Format.fprintf ppf "failures:@,";
+  List.iter (Format.fprintf ppf "  %s@,") d.d_failures;
+  Format.fprintf ppf
+    "dumped at cycle %d; %d nodes; last %d of %d recorded events (ring capacity %d)@,"
+    d.d_time d.d_nodes (List.length d.d_events) d.d_recorded d.d_capacity;
+  List.iter (Format.fprintf ppf "%a@," pp_event) d.d_events;
+  Format.fprintf ppf "@]"

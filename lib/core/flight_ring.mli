@@ -7,11 +7,12 @@
     run (the [test_alloc] budgets enforce this).  The ring is the
     machine's only recent-event window: stall reports and oracle
     failures carry its last events ({!recent}), and when a run ends
-    badly — stalled, oracle violation, node crash, uncaught exception —
-    the retained window is dumped atomically as a JSON post-mortem
-    artifact that [pcc_trace --flight] decodes into a timeline
-    ({!Pcc_telemetry.Flight}) and a Perfetto fragment
-    ({!Pcc_telemetry.Perfetto}).  Every tool renders
+    badly — stalled, node crash, uncaught exception, or a checked run
+    with any failure — the retained window is dumped atomically as a
+    JSON post-mortem, the repository's one failure artifact.
+    [pcc_trace --flight] decodes it into a timeline ({!pp_dump}) and a
+    Perfetto fragment ({!Pcc_telemetry.Perfetto}); [pcc_oracle --replay]
+    re-runs a checked run's dump from its descriptor.  Every tool renders
     events through {!describe}. *)
 
 type t
@@ -69,8 +70,6 @@ val n_predictor : int
 val n_dir_state : int
 (** directory entry changed state; arg = {!Directory.dstate} code *)
 
-val note_count : int
-
 val note_name : int -> string
 
 val dstate_code : Directory.dstate -> int
@@ -125,13 +124,20 @@ val line_name : int -> string
 (** A line as ["index@home"], or ["-"] for [-1] (no line). *)
 
 val event_to_json : event -> Pcc_stats.Jsonl.t
-(** The [[time, code, arg, line]] int quad dumps and oracle artifacts
-    store. *)
+(** The [[time, code, arg, line]] int quad a dump stores. *)
 
 val event_of_json : Pcc_stats.Jsonl.t -> event option
 (** Inverse of {!event_to_json}; [None] on anything but an int quad. *)
 
-(** {2 Post-mortem dumps} *)
+(** {2 Post-mortem dumps}
+
+    A dump is one JSON object on one line.  A machine's own dumps (a
+    stall, a crash phase, an uncaught exception) carry the retained
+    window and why it was written.  A checked run's dump
+    ({!Pcc_oracle.Runner}) adds the run descriptor that rebuilds the run
+    and its failure messages, so one file is both the timeline
+    [pcc_trace --flight] decodes and the input [pcc_oracle --replay]
+    re-runs. *)
 
 type dump = {
   d_reason : string;
@@ -141,14 +147,27 @@ type dump = {
   d_recorded : int;  (** events ever recorded *)
   d_capacity : int;
   d_events : event list;  (** retained window, oldest first *)
+  d_run : Pcc_stats.Jsonl.t option;
+      (** the checked run's descriptor ({!Pcc_oracle.Trace.desc_of_json}) *)
+  d_failures : string list;  (** the checked run's failures, in verdict order *)
 }
 
 val dump_to_json :
-  t -> reason:string -> time:int -> nodes:int -> config:string -> Pcc_stats.Jsonl.t
+  ?run:Pcc_stats.Jsonl.t -> ?failures:string list -> t -> reason:string -> time:int ->
+  nodes:int -> config:string -> Pcc_stats.Jsonl.t
+(** [run] and [failures] become fields only when given (non-empty). *)
 
 val dump_of_json : Pcc_stats.Jsonl.t -> (dump, string) result
 
 val write_dump :
-  t -> path:string -> reason:string -> time:int -> nodes:int -> config:string ->
-  unit
+  ?run:Pcc_stats.Jsonl.t -> ?failures:string list -> t -> path:string -> reason:string ->
+  time:int -> nodes:int -> config:string -> unit
 (** Atomic temp+rename write of {!dump_to_json} (one line). *)
+
+val read_dump : string -> (dump, string) result
+(** Read and decode a dump file; an [Error] names the file. *)
+
+val pp_dump : Format.formatter -> dump -> unit
+(** The timeline [pcc_trace --flight] prints: the reason, the config,
+    the checked run's descriptor and failures when present, the window's
+    coverage, then every retained event, oldest first, by {!pp_event}. *)

@@ -126,6 +126,12 @@ let set_dstate t line (entry : Directory.entry) st =
 let find_producer t line =
   match t.producer_table with Some table -> Producer.find table line | None -> None
 
+(* Undelegation skips its update-flush round when the last push is
+   older than this many cycles: a safe shortcut on an interconnect with
+   bounded delivery latency (set very conservatively; the model checker
+   verifies the unconditional-flush protocol). *)
+let flush_window = 2000
+
 (* Undelegation must be fenced while pushed updates may still be in
    flight (a stale straggler could outlive the next writer's
    invalidations).  Pushes older than the flush window have certainly
@@ -138,7 +144,7 @@ let fence_needed t entry =
   if
     (not (Config.hardened t.config))
     && (not (Nodeset.is_empty entry.unflushed))
-    && Sim.now t.sim - entry.last_push > t.config.flush_window
+    && Sim.now t.sim - entry.last_push > flush_window
   then entry.unflushed <- Nodeset.empty;
   (not (Nodeset.is_empty entry.unflushed)) || entry.flush_acks > 0
 

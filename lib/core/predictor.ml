@@ -40,7 +40,3 @@ let write_repeat entry = entry.write_repeat
 let reader_count entry = entry.reader_count
 
 let storage_bits _ = 8
-
-let pp ppf entry =
-  Format.fprintf ppf "last_writer=%d readers=%d repeat=%d" entry.last_writer
-    entry.reader_count entry.write_repeat

@@ -42,5 +42,3 @@ val reader_count : entry -> int
 
 val storage_bits : entry -> int
 (** Hardware cost of the extension fields (8 bits, §3.3.1). *)
-
-val pp : Format.formatter -> entry -> unit

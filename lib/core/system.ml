@@ -64,7 +64,9 @@ let recent t = Flight_ring.recent (flight t) 64
 
 let arm_flight_dump t ~path = t.flight_dump <- Some path
 
-let flight_dump_path t = t.flight_dump
+let write_flight_dump ?run ?failures t ~path ~reason =
+  Flight_ring.write_dump ?run ?failures (flight t) ~path ~reason ~time:(Sim.now t.sim)
+    ~nodes:t.config.nodes ~config:(Config.describe t.config)
 
 (* Write the retained flight window to the armed path (atomic temp +
    rename); a no-op when no dump path is armed, so byte-diff CI runs see
@@ -73,8 +75,7 @@ let dump_flight t ~reason =
   match t.flight_dump with
   | None -> None
   | Some path ->
-      Flight_ring.write_dump (flight t) ~path ~reason ~time:(Sim.now t.sim)
-        ~nodes:t.config.nodes ~config:(Config.describe t.config);
+      write_flight_dump t ~path ~reason;
       Some path
 
 let crash_phase_code = function

@@ -92,7 +92,12 @@ val arm_flight_dump : t -> path:string -> unit
     escaping the simulation loop (oracle violations included).  Decode
     with [pcc_trace --flight].  Unarmed systems never write files. *)
 
-val flight_dump_path : t -> string option
+val write_flight_dump :
+  ?run:Pcc_stats.Jsonl.t -> ?failures:string list -> t -> path:string -> reason:string ->
+  unit
+(** Write the retained flight window to [path] now, whether or not a
+    path is armed; [run] and [failures] as in {!Flight_ring.write_dump}.
+    The oracle's checked runs write their failure artifact with this. *)
 
 (** {2 Observers (online auditors, telemetry, trace tooling)}
 

@@ -24,10 +24,6 @@ let miss_class_index = function
   | Remote_2hop -> 2
   | Remote_3hop -> 3
 
-let is_remote = function
-  | Remote_2hop | Remote_3hop -> true
-  | Rac_hit | Local_mem -> false
-
 module Layout = struct
   (* 2^36 lines of memory per node is far more than any workload uses and
      keeps the home extractable by a shift. *)

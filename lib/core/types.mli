@@ -39,10 +39,6 @@ val miss_classes : miss_class list
 val miss_class_index : miss_class -> int
 (** Dense 0-based index, for per-class accumulator arrays. *)
 
-val is_remote : miss_class -> bool
-(** True for 2-hop and 3-hop misses; RAC hits and home-local DRAM accesses
-    count as local (§1: updates "convert 2-hop misses into local misses"). *)
-
 module Layout : sig
   (** Line-number encoding of data placement.
 

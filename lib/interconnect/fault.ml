@@ -56,7 +56,12 @@ let outages ~seed =
 let presets = [ ("drops", drops); ("storm", storm); ("outages", outages) ]
 
 let preset name ~seed =
-  Option.map (fun make -> make ~seed) (List.assoc_opt name presets)
+  match List.assoc_opt name presets with
+  | Some make -> Ok (make ~seed)
+  | None ->
+      Error
+        (Printf.sprintf "unknown fault profile %S; valid profiles: %s" name
+           (String.concat ", " (List.map fst presets)))
 
 (* The crash schedule is computed up front from its own seed — a pure
    function of (seed, nodes, victims, window) — and never consults the

@@ -65,7 +65,9 @@ val outages : seed:int -> profile
 
 val presets : (string * (seed:int -> profile)) list
 
-val preset : string -> seed:int -> profile option
+val preset : string -> seed:int -> (profile, string) result
+(** The named preset; [Error] names the offender and lists the
+    {!presets}. *)
 
 val crash_schedule :
   seed:int ->

@@ -25,12 +25,7 @@ let default_config =
    delivery whose captured epochs no longer match is stale pre-crash
    traffic and is discarded.  [down] packets are simply lost, as on a
    dead hub. *)
-type crash_state = {
-  down : bool array;
-  epoch : int array;
-  mutable dead_dropped : int;  (* packets to, or sent by, a down node *)
-  mutable stale_dropped : int;  (* stale-epoch packets discarded *)
-}
+type crash_state = { down : bool array; epoch : int array }
 
 (* In-flight packets live in a slot table: the delivery event is a typed
    engine event whose argument is the packet's slot, so sending a packet
@@ -112,17 +107,9 @@ let deliver t slot =
     match t.crash with
     | None -> true
     | Some cs ->
-        if cs.down.(dst) then begin
-          cs.dead_dropped <- cs.dead_dropped + 1;
-          false
-        end
-        else if
-          cs.epoch.(src) <> t.pk_src_epoch.(slot) || cs.epoch.(dst) <> t.pk_dst_epoch.(slot)
-        then begin
-          cs.stale_dropped <- cs.stale_dropped + 1;
-          false
-        end
-        else true
+        (not cs.down.(dst))
+        && cs.epoch.(src) = t.pk_src_epoch.(slot)
+        && cs.epoch.(dst) = t.pk_dst_epoch.(slot)
   in
   (match t.filler with Some filler -> t.pk_payload.(slot) <- filler | None -> ());
   t.pk_free.(t.pk_free_top) <- slot;
@@ -156,13 +143,7 @@ let create ?faults sim topology config =
   let crash =
     match faults with
     | Some p when p.Fault.crashes <> [] ->
-        Some
-          {
-            down = Array.make n false;
-            epoch = Array.make n 0;
-            dead_dropped = 0;
-            stale_dropped = 0;
-          }
+        Some { down = Array.make n false; epoch = Array.make n 0 }
     | Some _ | None -> None
   in
   let t =
@@ -229,11 +210,7 @@ let send t ~src ~dst ~bytes payload =
   let zombie_send =
     (* a closure armed before its node crashed must not emit traffic on
        behalf of the dead incarnation *)
-    match t.crash with
-    | Some cs when cs.down.(src) ->
-        cs.dead_dropped <- cs.dead_dropped + 1;
-        true
-    | Some _ | None -> false
+    match t.crash with Some cs -> cs.down.(src) | None -> false
   in
   if zombie_send then ()
   else if src = dst then
@@ -271,8 +248,6 @@ let crash_state t =
       invalid_arg
         "Network: no fail-stop state (the fault profile schedules no crashes)"
 
-let crash_capable t = t.crash <> None
-
 let mark_down t ~node =
   let cs = crash_state t in
   cs.down.(node) <- true
@@ -289,11 +264,6 @@ let bump_epoch t ~node =
   cs.epoch.(node) <- cs.epoch.(node) + 1
 
 let node_epoch t ~node = match t.crash with Some cs -> cs.epoch.(node) | None -> 0
-
-let crash_drops t =
-  match t.crash with
-  | Some cs -> (cs.dead_dropped, cs.stale_dropped)
-  | None -> (0, 0)
 
 let messages_sent t = t.messages
 

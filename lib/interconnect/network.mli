@@ -79,8 +79,6 @@ val fault_stats : 'a t -> Fault.stats option
     {e detection} time, so in-flight traffic from the victim keeps
     landing during the detection window and drains away after it. *)
 
-val crash_capable : 'a t -> bool
-
 val mark_down : 'a t -> node:int -> unit
 (** Raises [Invalid_argument] when the profile schedules no crashes. *)
 
@@ -95,10 +93,6 @@ val bump_epoch : 'a t -> node:int -> unit
 
 val node_epoch : 'a t -> node:int -> int
 (** [0] when crash support is off. *)
-
-val crash_drops : 'a t -> int * int
-(** [(dead_dropped, stale_dropped)]: packets lost to a down endpoint and
-    stale-epoch packets discarded.  [(0, 0)] when crash support is off. *)
 
 val in_flight : 'a t -> int
 (** Deliveries scheduled but not yet executed (local and remote; a

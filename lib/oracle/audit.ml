@@ -1,11 +1,8 @@
 open Pcc_core
-module Sim = Pcc_engine.Simulator
 
-exception
-  Violation of { message : string; time : int; events : Flight_ring.event list }
+exception Violation of string
 
 type t = {
-  sys : System.t;
   nodes : Node.t array;
   view : Dir_invariants.view;
   dirty : (Types.line, unit) Hashtbl.t;
@@ -14,17 +11,13 @@ type t = {
 
 let full_check_period = 10_000
 
-let raise_violation sys message =
-  raise
-    (Violation { message; time = Sim.now (System.sim sys); events = System.recent sys })
-
 (* The machine's checker judged each commit before any subscriber runs,
    so its first violation aborts the run at the offending commit. *)
 let abort_on_violation sys =
   let check = System.checker sys in
   System.on_commit sys (fun _ ->
       if Sc_check.violations check > 0 then
-        raise_violation sys (List.hd (Sc_check.violation_report check)))
+        raise (Violation (List.hd (Sc_check.violation_report check))))
 
 (* ------------------------------------------------------------------ *)
 (* Per-line structural invariants                                      *)
@@ -64,13 +57,14 @@ let check_line t line =
   Node.line_view t.nodes line t.view;
   answer_in_transit t;
   if Dir_invariants.violations Dir_invariants.Event_boundary t.view <> [] then
-    raise_violation t.sys
-      (String.concat "; "
-         (List.map
-            (fun (inv, detail) ->
-              Printf.sprintf "line %s: %s: %s" (Flight_ring.line_name line)
-                (Dir_invariants.name inv) detail)
-            (Dir_invariants.explain Dir_invariants.Event_boundary t.view)))
+    raise
+      (Violation
+         (String.concat "; "
+            (List.map
+               (fun (inv, detail) ->
+                 Printf.sprintf "line %s: %s: %s" (Flight_ring.line_name line)
+                   (Dir_invariants.name inv) detail)
+               (Dir_invariants.explain Dir_invariants.Event_boundary t.view))))
 
 let check_all t = Node.iter_lines t.nodes (check_line t)
 
@@ -90,7 +84,6 @@ let attach sys =
   let nodes = System.nodes sys in
   let t =
     {
-      sys;
       nodes;
       view = Dir_invariants.create (Array.length nodes);
       dirty = Hashtbl.create 64;

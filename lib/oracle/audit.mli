@@ -24,13 +24,12 @@
     10,000 events, and a final one the caller runs).
 
     A violation raises {!Violation} out of the simulator's [run], naming
-    the broken invariant and carrying the flight recorder's last events
-    ({!System.recent}) for the failure artifact (see {!Trace}). *)
+    the broken invariant; {!Runner} turns it into the run's failure and
+    its flight dump. *)
 
 open Pcc_core
 
-exception
-  Violation of { message : string; time : int; events : Flight_ring.event list }
+exception Violation of string
 
 type t
 
@@ -40,8 +39,8 @@ val attach : System.t -> t
 
 val abort_on_violation : System.t -> unit
 (** Raise {!Violation} at the first commit the machine's checker flags,
-    with the checker's report and the flight window: the online oracle
-    of a backend whose structure the auditor cannot read. *)
+    with the checker's report: the online oracle of a backend whose
+    structure the auditor cannot read. *)
 
 val check_all : t -> unit
 (** Sweep every line known to any cache or directory; raises

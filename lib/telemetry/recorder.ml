@@ -59,8 +59,6 @@ let aborted_span_count t = t.aborted_spans
 
 let samples t = List.rev t.samples
 
-let sample_cadence t = t.sample_every
-
 (* Halve the retained series, keeping the oldest-aligned every-other
    sample, and double the cadence: the series stays a uniform grid over
    the whole run, so unbounded runs keep bounded artifacts while short

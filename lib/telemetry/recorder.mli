@@ -75,10 +75,6 @@ val samples : t -> sample list
 (** Occupancy samples, oldest first (empty unless [sample_every] > 0).
     At most [max_samples]; see {!attach} for the decimation rule. *)
 
-val sample_cadence : t -> int
-(** The current sampling cadence in cycles: the [sample_every] passed to
-    {!attach}, doubled once per decimation. *)
-
 val open_span_count : t -> int
 (** Transactions issued but not yet committed (0 once a run drains). *)
 

@@ -146,22 +146,12 @@ let hub_link_exactly_once =
 
 (* ---------------- end-to-end chaotic runs ---------------- *)
 
-let count_accesses programs =
-  Array.fold_left
-    (fun acc ops ->
-      List.fold_left
-        (fun acc op ->
-          match op with
-          | Types.Access _ -> acc + 1
-          | Types.Compute _ | Types.Barrier _ -> acc)
-        acc ops)
-    0 programs
-
+(* The fault profiles below (a fixed chaos seed, the zero profile) are
+   not ones a descriptor derives, so each test builds its machine and
+   hands it to the oracle's one verdict. *)
 let chaos_run ?(config_name = "full") ?(txn_timeout = 2000) ?(fallback_threshold = 2)
     ~profile ~seed ~bench () =
-  let desc =
-    { Oracle.Trace.bench; config_name; nodes = 6; scale = 0.1; seed; fault = false }
-  in
+  let desc = { Oracle.Trace.default with bench; config_name; scale = 0.1; seed } in
   let config =
     {
       (Oracle.Trace.config_of_desc desc) with
@@ -170,41 +160,25 @@ let chaos_run ?(config_name = "full") ?(txn_timeout = 2000) ?(fallback_threshold
       fallback_threshold;
     }
   in
-  let programs = Oracle.Trace.programs_of_desc desc in
   let sys = System.create ~config () in
-  let sweep = Oracle.Runner.attach sys in
-  let committed = ref 0 in
-  System.on_commit sys (fun _ -> incr committed);
-  let result = System.run_programs ~max_events:20_000_000 sys programs in
-  (result, count_accesses programs, !committed, sweep, sys)
-
-let assert_clean (result : System.result) ~total ~committed =
-  Alcotest.(check bool) "drained" true (result.outcome = Simulator.Drained);
-  Alcotest.(check bool) "no stall report" true (result.stall = None);
-  Alcotest.(check int) "every operation committed" total committed;
-  Alcotest.(check int) "no memory violations" 0 result.violations;
-  Alcotest.(check (list string)) "no invariant errors" [] result.invariant_errors
+  let report = Oracle.Runner.check sys (Oracle.Trace.programs_of_desc desc) in
+  Alcotest.(check (list string)) "clean verdict" [] report.failures;
+  (Option.get report.result, report, sys)
 
 let test_storm_run_stays_coherent () =
-  let result, total, committed, _, _ =
-    chaos_run ~profile:(Fault.storm ~seed:42) ~seed:3 ~bench:"random" ()
-  in
-  assert_clean result ~total ~committed;
+  let result, _, _ = chaos_run ~profile:(Fault.storm ~seed:42) ~seed:3 ~bench:"random" () in
   Alcotest.(check bool) "retransmissions happened" true
     (result.stats.Run_stats.retransmits > 0);
   Alcotest.(check bool) "duplicates suppressed" true
     (result.stats.Run_stats.dup_dropped > 0)
 
-(* A snooping machine gets its oracle checks from the same function as
-   the oracle runs: the machine's checker sees every commit, and the
-   post-run sweep runs. *)
+(* A snooping machine gets the same verdict as an adaptive one: the
+   machine's checker sees every commit, and the post-run checks run. *)
 let test_snoop_storm_run_checked () =
-  let result, total, committed, sweep, sys =
+  let _, report, sys =
     chaos_run ~config_name:"msi" ~profile:(Fault.storm ~seed:42) ~seed:3 ~bench:"random" ()
   in
-  assert_clean result ~total ~committed;
-  Alcotest.(check (list string)) "post-run sweep clean" [] (sweep ());
-  Alcotest.(check int) "checker saw every commit" committed
+  Alcotest.(check int) "checker saw every commit" report.accesses
     (Sc_check.commits (System.checker sys))
 
 (* Long link outages against a short completion timeout: some line must
@@ -216,11 +190,10 @@ let test_outage_forces_fallback () =
   let rec attempt seed =
     if seed > 6 then Alcotest.fail "no seed in 1..6 exercised the fallback path"
     else
-      let result, total, committed, _, _ =
+      let result, _, _ =
         chaos_run ~txn_timeout:1000 ~fallback_threshold:1
           ~profile:(Fault.outages ~seed:(seed * 131)) ~seed ~bench:"random" ()
       in
-      assert_clean result ~total ~committed;
       if result.stats.Run_stats.fallbacks > 0 then
         Alcotest.(check bool) "timeouts preceded the fallback" true
           (result.stats.Run_stats.txn_timeouts > 0)
@@ -232,20 +205,82 @@ let test_outage_forces_fallback () =
    numbers, acks, timeouts armed) — the protocol outcome must be as
    clean as a reliable run. *)
 let test_zero_profile_run_clean () =
-  let result, total, committed, _, _ =
-    chaos_run ~profile:Fault.zero ~seed:5 ~bench:"random" ()
-  in
-  assert_clean result ~total ~committed;
+  let result, _, _ = chaos_run ~profile:Fault.zero ~seed:5 ~bench:"random" () in
   Alcotest.(check int) "nothing injected, nothing suppressed" 0
     result.stats.Run_stats.dup_dropped
+
+(* ---------------- failure artifacts ---------------- *)
+
+(* A pcc_chaos cell as a descriptor: random traffic over dropping links
+   with pcc_chaos's recovery knobs. *)
+let drops_desc ?(fault = false) ?(crash = 0) ?(max_events = Oracle.Trace.default.max_events)
+    ~seed () =
+  {
+    Oracle.Trace.default with
+    seed;
+    fault;
+    max_events;
+    chaos =
+      Some
+        {
+          profile = "drops";
+          crash = Seeded crash;
+          restart_after = 5_000;
+          txn_timeout = 2000;
+          fallback_threshold = 2;
+        };
+  }
+
+(* Run [desc] with a dump path: the run must fail, its dump must carry
+   the descriptor and the failures, and re-running the dump's descriptor
+   as [pcc_oracle --replay] does must give the identical failure list. *)
+let replay_from_artifact desc =
+  let path = Filename.temp_file "pcc-chaos" ".flight.json" in
+  let report = Oracle.Runner.run ~diff:false ~dump:path desc in
+  let dump = Flight_ring.read_dump path and reread = Oracle.Trace.read_desc ~path in
+  Sys.remove path;
+  Alcotest.(check bool) "the run fails" true (report.failures <> []);
+  Alcotest.(check (option string)) "the dump is written" (Some path) report.dump;
+  (match dump with
+  | Ok d ->
+      Alcotest.(check (list string)) "the dump carries the failures" report.failures
+        d.d_failures
+  | Error e -> Alcotest.failf "dump unreadable: %s" e);
+  match reread with
+  | Error e -> Alcotest.failf "no run descriptor: %s" e
+  | Ok replayed ->
+      Alcotest.(check bool) "the descriptor round-trips" true (replayed = desc);
+      Alcotest.(check (list string)) "the replay fails identically" report.failures
+        (Oracle.Runner.run replayed).failures;
+      report.failures
+
+(* The planted stale-update fault under dropping links and one seeded
+   crash, and a run cut off by its event budget. *)
+let test_chaos_failure_replays () =
+  (match replay_from_artifact (drops_desc ~fault:true ~crash:1 ~seed:2 ()) with
+  | [ first ] ->
+      Alcotest.(check bool) "caught online by the directory invariant" true
+        (String.starts_with first
+           ~prefix:"t=34228: line 2@1: consistency within the directory")
+  | failures -> Alcotest.failf "expected one failure, got %d" (List.length failures));
+  ignore (replay_from_artifact (drops_desc ~max_events:200 ~seed:1 ()))
+
+(* A run that did not drain fails once, as its stall report: the
+   post-run checks hold only for a completed run. *)
+let test_undrained_run_is_one_failure () =
+  let report = Oracle.Runner.run ~diff:false (drops_desc ~max_events:200 ~seed:1 ()) in
+  match report.failures with
+  | [ stall ] ->
+      Alcotest.(check bool) "reported as a stall" true
+        (String.starts_with stall ~prefix:"did not quiesce: run ended event-limit")
+  | failures ->
+      Alcotest.failf "expected one failure, got %d:\n%s" (List.length failures)
+        (String.concat "\n" failures)
 
 (* ---------------- stall reports ---------------- *)
 
 let test_stall_report_on_event_limit () =
-  let desc =
-    { Oracle.Trace.bench = "random"; config_name = "full"; nodes = 6; scale = 0.1;
-      seed = 4; fault = false }
-  in
+  let desc = { Oracle.Trace.default with scale = 0.1; seed = 4 } in
   let config = Oracle.Trace.config_of_desc desc in
   let programs = Oracle.Trace.programs_of_desc desc in
   let sys = System.create ~config () in
@@ -284,4 +319,8 @@ let suite =
       test_zero_profile_run_clean;
     Alcotest.test_case "stall report on event limit" `Quick
       test_stall_report_on_event_limit;
+    Alcotest.test_case "chaos failure replays from its artifact" `Quick
+      test_chaos_failure_replays;
+    Alcotest.test_case "an undrained run is one failure" `Quick
+      test_undrained_run_is_one_failure;
   ]

@@ -13,7 +13,6 @@
 
 module Q = QCheck
 module Ring = Pcc_core.Flight_ring
-module Flight = Pcc_telemetry.Flight
 module Registry = Pcc_telemetry.Registry
 module Pool = Pcc_parallel.Pool
 module Jsonl = Pcc_stats.Jsonl
@@ -118,8 +117,7 @@ let test_ring_wraparound () =
 let sink_and_ring config =
   let programs =
     Oracle.Trace.programs_of_desc
-      { Oracle.Trace.bench = "random"; config_name = "full"; nodes = 4; scale = 0.1;
-        seed = 3; fault = false }
+      { Oracle.Trace.default with nodes = 4; scale = 0.1; seed = 3 }
   in
   let sys = System.create ~config () in
   let seen = ref [] in
@@ -210,8 +208,7 @@ let test_registry_jobs_determinism () =
 
 let test_stall_dump_wellformed () =
   let desc =
-    { Oracle.Trace.bench = "random"; config_name = "full"; nodes = 6; scale = 0.1;
-      seed = 4; fault = false }
+    { Oracle.Trace.default with scale = 0.1; seed = 4 }
   in
   let config = Oracle.Trace.config_of_desc desc in
   let programs = Oracle.Trace.programs_of_desc desc in
@@ -225,7 +222,7 @@ let test_stall_dump_wellformed () =
       Alcotest.(check (option string))
         "stall report points at the dump" (Some path)
         stall.System.stall_flight_dump);
-  (match Flight.load path with
+  (match Ring.read_dump path with
   | Error m -> Alcotest.failf "dump not decodable: %s" m
   | Ok dump ->
       Alcotest.(check int) "node count" 6 dump.Ring.d_nodes;
@@ -238,7 +235,7 @@ let test_stall_dump_wellformed () =
           if String.length (Ring.describe e) = 0 then
             Alcotest.failf "event at t=%d renders empty" e.Ring.e_time)
         dump.Ring.d_events;
-      let text = Format.asprintf "%a" Flight.pp_timeline dump in
+      let text = Format.asprintf "%a" Ring.pp_dump dump in
       Alcotest.(check bool) "timeline names the reason" true
         (Astring_contains.contains text dump.Ring.d_reason));
   Sys.remove path

@@ -1,5 +1,5 @@
-(* The oracle subsystem's own tests: the JSONL codec and trace artifacts
-   round-trip, the machine's SC checker accepts legal histories and
+(* The oracle subsystem's own tests: the JSONL codec and failure
+   artifacts round-trip, the machine's SC checker accepts legal histories and
    rejects illegal ones, store-hit fallbacks keep the statistics
    identities, the online auditor catches the injected protocol fault,
    and — the headline property — oracle-checked runs of every benchmark
@@ -50,26 +50,31 @@ let prop_jsonl_roundtrip =
       | Ok v' -> v = v'
       | Error e -> Q.Test.fail_reportf "parse error: %s" e)
 
-(* ---------------- trace artifacts ---------------- *)
+(* ---------------- failure artifacts ---------------- *)
 
-(* The artifact's event lines, decoded from their flight-dump quads. *)
-let artifact_events path =
-  In_channel.with_open_text path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter_map (fun text ->
-         let json = Result.to_option (Jsonl.of_string text) in
-         let field key = Option.bind json (Jsonl.member key) in
-         match field "kind" with
-         | Some (Jsonl.String "event") -> (
-             match Option.bind (field "event") Flight_ring.event_of_json with
-             | Some e -> Some e
-             | None -> Alcotest.failf "undecodable event line: %s" text)
-         | Some _ | None -> None)
-
+(* A checked run's artifact is a flight dump: the descriptor, chaos
+   fields included, the failure messages and the retained events must
+   all come back from the file. *)
 let test_trace_roundtrip () =
   let desc =
-    { Oracle.Trace.bench = "em3d"; config_name = "full"; nodes = 6; scale = 0.25;
-      seed = 17; fault = true }
+    {
+      Oracle.Trace.default with
+      bench = "em3d";
+      protocol = Some Types.Msi;
+      scale = 0.25;
+      seed = 17;
+      fault = true;
+      max_events = 200;
+      chaos =
+        Some
+          {
+            profile = "storm";
+            crash = Victims [ 1; 3 ];
+            restart_after = 8_000;
+            txn_timeout = 1_000;
+            fallback_threshold = 1;
+          };
+    }
   in
   let ring = Flight_ring.create () in
   let inval = Message.Inval { line = line ~home:2 ~index:5; requester = 3 } in
@@ -78,17 +83,28 @@ let test_trace_roundtrip () =
     ~arg:0;
   Flight_ring.record ring ~time:9 ~kind:Flight_ring.k_commit ~detail:1 ~src:4 ~dst:4
     ~line:(line ~home:0 ~index:1) ~arg:42;
-  let events = Flight_ring.events ring in
-  let path = Filename.temp_file "pcc-oracle" ".jsonl" in
-  Oracle.Trace.write ~path ~desc ~violations:[ "boom" ] ~events;
-  let reread = Oracle.Trace.read_desc ~path in
-  let decoded = artifact_events path in
+  let failures = [ "boom"; "did not quiesce: run ended\n  node 0: store" ] in
+  let path = Filename.temp_file "pcc-oracle" ".flight.json" in
+  Flight_ring.write_dump ring ~path ~reason:"boom" ~time:9 ~nodes:6 ~config:"cfg"
+    ~run:(Oracle.Trace.desc_to_json desc) ~failures;
+  let dump = Flight_ring.read_dump path and reread = Oracle.Trace.read_desc ~path in
   Sys.remove path;
-  Alcotest.(check bool) "event lines decode to the recorded events" true
-    (List.length decoded = 2 && decoded = events);
-  match reread with
+  (match dump with
+  | Ok d ->
+      Alcotest.(check (list string)) "failures round-trip" failures d.d_failures;
+      Alcotest.(check bool) "events round-trip" true
+        (List.length d.d_events = 2 && d.d_events = Flight_ring.events ring)
+  | Error e -> Alcotest.failf "read_dump: %s" e);
+  (match reread with
   | Ok desc' -> Alcotest.(check bool) "descriptor round-trips" true (desc = desc')
-  | Error e -> Alcotest.failf "read_desc: %s" e
+  | Error e -> Alcotest.failf "read_desc: %s" e);
+  (* a descriptor naming no preset is rejected as pcc_chaos rejects it *)
+  let nosuch c = { c with Oracle.Trace.profile = "nosuch" } in
+  let unknown = { desc with chaos = Option.map nosuch desc.chaos } in
+  Alcotest.(check (result unit string))
+    "unknown profile rejected"
+    (Error "unknown fault profile \"nosuch\"; valid profiles: drops, storm, outages")
+    (Result.map ignore (Oracle.Trace.desc_of_json (Oracle.Trace.desc_to_json unknown)))
 
 (* ---------------- SC checker ---------------- *)
 
@@ -201,15 +217,15 @@ let fault_is_caught config_name =
      few; the oracle must catch at least one *)
   let caught = ref None in
   let seed = ref 1 in
+  let path = Filename.temp_file "pcc-oracle-fault" ".flight.json" in
   while !caught = None && !seed <= 10 do
-    let desc =
-      { Oracle.Trace.bench = "random"; config_name; nodes = 6; scale = 0.15;
-        seed = !seed; fault = true }
-    in
-    let report = Oracle.Runner.run ~diff:false desc in
+    let desc = { Oracle.Trace.default with config_name; seed = !seed; fault = true } in
+    let report = Oracle.Runner.run ~diff:false ~dump:path desc in
     if not (Oracle.Runner.clean report) then caught := Some report;
     incr seed
   done;
+  let dump = Flight_ring.read_dump path and reread = Oracle.Trace.read_desc ~path in
+  if Sys.file_exists path then Sys.remove path;
   match !caught with
   | None -> Alcotest.failf "%s: injected fault never caught in 10 seeds" config_name
   | Some report ->
@@ -217,13 +233,12 @@ let fault_is_caught config_name =
         (report.result = None);
       Alcotest.(check bool) (config_name ^ ": events captured") true
         (report.events <> []);
-      let path = Filename.temp_file "pcc-oracle-fault" ".jsonl" in
-      Oracle.Runner.save_artifact ~path report;
-      let reread = Oracle.Trace.read_desc ~path in
-      let decoded = artifact_events path in
-      Sys.remove path;
+      (* the dump holds the ring's whole retained window; the report's
+         events are its last 64 *)
+      let window = match dump with Ok d -> d.d_events | Error e -> Alcotest.fail e in
+      let tail = List.filteri (fun i _ -> i >= List.length window - 64) window in
       Alcotest.(check bool) (config_name ^ ": artifact carries the window") true
-        (decoded = report.events);
+        (tail = report.events);
       (match reread with
       | Ok desc -> Alcotest.(check bool) "artifact records the fault" true desc.fault
       | Error e -> Alcotest.failf "artifact unreadable: %s" e);
@@ -235,7 +250,7 @@ let fault_is_caught config_name =
         Alcotest.(check string) "window ends at a receipt" "recv"
           (Flight_ring.kind_name last.e_kind);
         let names needle =
-          List.exists (fun v -> Astring_contains.contains v needle) report.violations
+          List.exists (fun v -> Astring_contains.contains v needle) report.failures
         in
         Alcotest.(check bool) "the receipt's line is the violating line" true
           (names ("line " ^ Flight_ring.line_name last.e_line ^ ": "));
@@ -248,10 +263,7 @@ let test_fault_is_caught () = List.iter fault_is_caught [ "full"; "msi" ]
 let test_fault_free_config_ignores_flag () =
   (* the same workload under the baseline machine has no update path, so
      the fault flag must be inert there *)
-  let desc =
-    { Oracle.Trace.bench = "random"; config_name = "base"; nodes = 6; scale = 0.15;
-      seed = 2; fault = true }
-  in
+  let desc = { Oracle.Trace.default with config_name = "base"; seed = 2; fault = true } in
   let report = Oracle.Runner.run ~diff:false desc in
   Alcotest.(check bool) "clean" true (Oracle.Runner.clean report)
 
@@ -262,7 +274,7 @@ let clean_run desc =
   if not (Oracle.Runner.clean report) then
     Alcotest.failf "%s/%s seed=%d: %s" desc.Oracle.Trace.bench
       desc.Oracle.Trace.config_name desc.Oracle.Trace.seed
-      (String.concat "; " report.violations);
+      (String.concat "; " report.failures);
   match report.diff with
   | Some o ->
       Alcotest.(check bool)
@@ -278,8 +290,7 @@ let test_all_benchmarks_clean () =
       List.iter
         (fun config_name ->
           clean_run
-            { Oracle.Trace.bench = app.name; config_name; nodes = 6; scale = 0.1;
-              seed; fault = false })
+            { Oracle.Trace.default with bench = app.name; config_name; scale = 0.1; seed })
         [ "base"; "full" ])
     Pcc_workload.Apps.all
 
@@ -288,13 +299,18 @@ let prop_random_runs_clean =
     Q.(pair small_int small_int)
     (fun (s, shape) ->
       let desc =
-        { Oracle.Trace.bench = "random"; config_name = (if shape mod 2 = 0 then "full" else "rac");
-          nodes = 4 + (shape mod 3); scale = 0.1; seed = 1 + s; fault = false }
+        {
+          Oracle.Trace.default with
+          config_name = (if shape mod 2 = 0 then "full" else "rac");
+          nodes = 4 + (shape mod 3);
+          scale = 0.1;
+          seed = 1 + s;
+        }
       in
       let report = Oracle.Runner.run ~max_lines:150 desc in
       if not (Oracle.Runner.clean report) then
         Q.Test.fail_reportf "seed %d: %s" desc.seed
-          (String.concat "; " report.violations);
+          (String.concat "; " report.failures);
       true)
 
 let suite =

@@ -13,8 +13,7 @@ module Histogram = Pcc_stats.Histogram
 module Jsonl = Pcc_stats.Jsonl
 
 let desc =
-  { Oracle.Trace.bench = "em3d"; config_name = "full"; nodes = 4; scale = 0.05;
-    seed = 11; fault = false }
+  { Oracle.Trace.default with bench = "em3d"; nodes = 4; scale = 0.05; seed = 11 }
 
 (* One shared instrumented run: every test below reads from it. *)
 let instrumented =
