@@ -140,6 +140,19 @@ let json_of_report (r : run_report) =
           Option.fold r.rr_flight_dump ~none:Jsonl.Null ~some:(fun p -> Jsonl.String p) );
       ])
 
+(* The dump directory is made (or found) before any run: a path that
+   cannot be one is a usage error, not a write failing in a pool
+   worker. *)
+let make_flight_dir = function
+  | "none" -> Ok None
+  | dir -> (
+      match Sys.mkdir dir 0o755 with
+      | () -> Ok (Some dir)
+      | exception Sys_error _ when Sys.file_exists dir && Sys.is_directory dir ->
+          Ok (Some dir)
+      | exception Sys_error message ->
+          Error (Printf.sprintf "--flight-dir: cannot create the directory %s" message))
+
 let main workload_pin seeds protocol nodes scale profile_filter txn_timeout
     fallback_threshold max_events jobs json_path verbose crash_victims crash_nodes
     restart_after flight_dir metrics_path =
@@ -199,16 +212,12 @@ let main workload_pin seeds protocol nodes scale profile_filter txn_timeout
       (nodes - 1);
     2
   end
-  else begin
-    let flight_dir =
-      match flight_dir with
-      | "none" -> None
-      | dir ->
-          (match Sys.mkdir dir 0o755 with
-          | () -> ()
-          | exception Sys_error _ -> ());
-          Some dir
-    in
+  else
+    match make_flight_dir flight_dir with
+    | Error message ->
+        Printf.eprintf "pcc_chaos: %s\n" message;
+        2
+    | Ok flight_dir ->
     let profiles =
       match profile_filter with
       | Some name -> [ name ]
@@ -311,7 +320,6 @@ let main workload_pin seeds protocol nodes scale profile_filter txn_timeout
       1
     end
     else 0
-  end
 
 let profile_arg =
   Arg.(

@@ -133,9 +133,13 @@ let run_replay ~max_lines ~path =
       end
       else begin
         List.iter (fun v -> Printf.printf "  %s\n" v) report.failures;
-        List.iter
-          (fun e -> Format.printf "  %a@." Flight_ring.pp_event e)
-          report.events;
+        (* a stall's failure message already lists the ring's last events *)
+        (match report.result with
+        | Some { System.stall = Some _; _ } -> ()
+        | Some _ | None ->
+            List.iter
+              (fun e -> Format.printf "  %a@." Flight_ring.pp_event e)
+              report.events);
         1
       end
 

@@ -1,11 +1,15 @@
 module Sim = Pcc_engine.Simulator
 module Network = Pcc_interconnect.Network
 
-type 'a frame = Data of { seq : int; payload : 'a } | Ack of { upto : int }
+(* A frame's header rides in the packet's tag ({!Network.send_tagged}):
+   a data frame's sequence number (>= 0), or an acknowledgement's
+   cumulative [upto] (>= -1) stored as [-2 - upto] (< 0).  An
+   acknowledgement's packet carries the payload of the frame that
+   prompted it, never delivered: it only fills the packet's payload
+   slot.  Pass-through packets are plain [Network.send]s, tag 0. *)
+let ack_tag upto = -2 - upto
 
-(* Fills ring slots that hold no frame, so a ring never keeps an
-   acknowledged or delivered payload alive. *)
-let no_frame = Ack { upto = -1 }
+let upto_of_tag tag = -2 - tag
 
 (* Rings start empty and take this capacity on first use, then double;
    capacities stay powers of two so a seq's slot is [seq land mask]. *)
@@ -14,12 +18,12 @@ let initial_window = 16
 (* Sender half of one (this node -> dst) link.  Sequence numbers are
    dense and acknowledgements cumulative, so the unacked frames are
    exactly the window [base, next_seq): a ring indexed by seq holds the
-   [Data] frame of each seq's first send (re-sent as is on every
+   payload of each seq's first send (re-sent as is on every
    retransmission) and its wire bytes.  An ack advances [base]. *)
 type 'a link_out = {
   mutable base : int;
   mutable next_seq : int;
-  mutable frames : 'a frame array;
+  mutable payloads : 'a array;
   mutable sizes : int array;
 }
 
@@ -30,12 +34,12 @@ type 'a link_out = {
 type 'a link_in = {
   mutable expected : int;
   mutable held_seq : int array;
-  mutable held : 'a frame array;
+  mutable held : 'a array;
 }
 
 type 'a t = {
   sim : Sim.t;
-  network : 'a frame Network.t;
+  network : 'a Network.t;
   id : int;
   reliable : bool;
   rto : int;
@@ -48,6 +52,10 @@ type 'a t = {
   on_duplicate : unit -> unit;
   deliver : src:int -> 'a -> unit;
   mutable on_timer : int -> unit;  (* the retransmit timer's handler *)
+  mutable filler : 'a option;
+      (* the first payload a ring held: it fills ring slots that hold no
+         frame, so a ring never keeps an acknowledged or delivered
+         payload alive *)
 }
 
 let in_flight t = Array.fold_left (fun acc o -> acc + (o.next_seq - o.base)) 0 t.out
@@ -56,10 +64,7 @@ let exists_unacked t ~peer ~f =
   let o = t.out.(peer) in
   let rec scan seq =
     seq < o.next_seq
-    && ((match o.frames.(seq land (Array.length o.frames - 1)) with
-        | Data { payload; _ } -> f payload
-        | Ack _ -> false)
-       || scan (seq + 1))
+    && (f o.payloads.(seq land (Array.length o.payloads - 1)) || scan (seq + 1))
   in
   scan o.base
 
@@ -98,22 +103,36 @@ let retransmit t arg =
   let o = t.out.(dst) in
   (* a frame is unacked iff its seq lies in the window *)
   if seq >= o.base && seq < o.next_seq then begin
-    let i = seq land (Array.length o.frames - 1) in
+    let i = seq land (Array.length o.payloads - 1) in
     t.retx_by_dst.(dst) <- t.retx_by_dst.(dst) + 1;
     t.on_retransmit ~dst;
-    Network.send t.network ~src:t.id ~dst ~bytes:o.sizes.(i) o.frames.(i);
+    Network.send_tagged t.network ~src:t.id ~dst ~bytes:o.sizes.(i) ~tag:seq
+      o.payloads.(i);
     arm_retransmit t ~dst ~seq ~attempt:(min max_attempt (attempt + 1))
   end
 
-let grow_window o =
-  let capacity = max initial_window (2 * Array.length o.frames) in
-  let frames = Array.make capacity no_frame and sizes = Array.make capacity 0 in
+(* The ring filler, taken from the payload at hand when the first ring
+   is made: every ring is made with a payload at hand. *)
+let filler t payload =
+  match t.filler with
+  | Some filler -> filler
+  | None ->
+      t.filler <- Some payload;
+      payload
+
+(* Overwrite a ring slot that no longer holds a frame. *)
+let vacate t ring i = match t.filler with Some f -> ring.(i) <- f | None -> ()
+
+let grow_window t o payload =
+  let capacity = max initial_window (2 * Array.length o.payloads) in
+  let payloads = Array.make capacity (filler t payload)
+  and sizes = Array.make capacity 0 in
   for seq = o.base to o.next_seq - 1 do
-    let i = seq land (Array.length o.frames - 1) and j = seq land (capacity - 1) in
-    frames.(j) <- o.frames.(i);
+    let i = seq land (Array.length o.payloads - 1) and j = seq land (capacity - 1) in
+    payloads.(j) <- o.payloads.(i);
     sizes.(j) <- o.sizes.(i)
   done;
-  o.frames <- frames;
+  o.payloads <- payloads;
   o.sizes <- sizes
 
 let send t ~dst ~bytes payload =
@@ -121,33 +140,36 @@ let send t ~dst ~bytes payload =
     (* pass-through: same packet count, bytes, and delivery schedule as a
        bare network — the link layer is zero-cost when hardening is off,
        and hub-local traffic never needs it *)
-    Network.send t.network ~src:t.id ~dst ~bytes (Data { seq = 0; payload })
+    Network.send t.network ~src:t.id ~dst ~bytes payload
   else begin
     let o = t.out.(dst) in
-    if o.next_seq - o.base = Array.length o.frames then grow_window o;
+    if o.next_seq - o.base = Array.length o.payloads then grow_window t o payload;
     let seq = o.next_seq in
-    let frame = Data { seq; payload } in
-    let i = seq land (Array.length o.frames - 1) in
-    o.frames.(i) <- frame;
+    let i = seq land (Array.length o.payloads - 1) in
+    o.payloads.(i) <- payload;
     o.sizes.(i) <- bytes;
     o.next_seq <- seq + 1;
-    Network.send t.network ~src:t.id ~dst ~bytes frame;
+    Network.send_tagged t.network ~src:t.id ~dst ~bytes ~tag:seq payload;
     arm_retransmit t ~dst ~seq ~attempt:0
   end
 
 (* Drop the window's frames up to [stop] (exclusive) and advance [base]. *)
-let release_upto o stop =
+let release_upto t o stop =
   for seq = o.base to stop - 1 do
-    o.frames.(seq land (Array.length o.frames - 1)) <- no_frame
+    vacate t o.payloads (seq land (Array.length o.payloads - 1))
   done;
   if stop > o.base then o.base <- stop
 
-let send_ack t ~dst ~upto =
-  Network.send t.network ~src:t.id ~dst ~bytes:t.ack_bytes (Ack { upto })
+(* [payload] is the frame that prompted the acknowledgement; it only
+   fills the packet. *)
+let send_ack t ~dst ~upto payload =
+  Network.send_tagged t.network ~src:t.id ~dst ~bytes:t.ack_bytes ~tag:(ack_tag upto)
+    payload
 
 (* Re-place the held frames into a ring of [capacity] slots. *)
-let regrow_held inn capacity =
-  let held_seq = Array.make capacity (-1) and held = Array.make capacity no_frame in
+let regrow_held t inn capacity payload =
+  let held_seq = Array.make capacity (-1)
+  and held = Array.make capacity (filler t payload) in
   Array.iteri
     (fun i seq ->
       if seq >= 0 then begin
@@ -162,13 +184,15 @@ let regrow_held inn capacity =
 let rec covering capacity span =
   if capacity >= span then capacity else covering (2 * capacity) span
 
-let hold inn seq frame =
+let hold t inn seq payload =
   let span = seq - inn.expected + 1 in
   if span > Array.length inn.held then
-    regrow_held inn (covering (max initial_window (2 * Array.length inn.held)) span);
+    regrow_held t inn
+      (covering (max initial_window (2 * Array.length inn.held)) span)
+      payload;
   let i = seq land (Array.length inn.held - 1) in
   inn.held_seq.(i) <- seq;
-  inn.held.(i) <- frame
+  inn.held.(i) <- payload
 
 let is_held inn seq =
   let capacity = Array.length inn.held in
@@ -180,55 +204,53 @@ let rec release_held t inn ~src =
   if capacity > 0 then begin
     let i = inn.expected land (capacity - 1) in
     if inn.held_seq.(i) = inn.expected then begin
-      let frame = inn.held.(i) in
+      let payload = inn.held.(i) in
       inn.held_seq.(i) <- -1;
-      inn.held.(i) <- no_frame;
+      vacate t inn.held i;
       inn.expected <- inn.expected + 1;
-      (match frame with Data { payload; _ } -> t.deliver ~src payload | Ack _ -> ());
+      t.deliver ~src payload;
       release_held t inn ~src
     end
   end
 
-let receive t ~src frame =
-  match frame with
-  | Ack { upto } ->
-      (* cumulative: every seq <= upto is acknowledged *)
-      let o = t.out.(src) in
-      release_upto o (min (upto + 1) o.next_seq)
-  | Data { payload; _ } when (not t.reliable) || src = t.id -> t.deliver ~src payload
-  | Data { seq; payload } ->
-      let inn = t.inn.(src) in
-      if seq = inn.expected then begin
-        inn.expected <- seq + 1;
-        t.deliver ~src payload;
-        release_held t inn ~src;
-        send_ack t ~dst:src ~upto:(inn.expected - 1)
-      end
-      else if seq > inn.expected then begin
-        (* out of order: hold until the gap fills, so the layer above
-           keeps its per-link FIFO guarantee under reordering *)
-        if is_held inn seq then t.on_duplicate () else hold inn seq frame;
-        send_ack t ~dst:src ~upto:(inn.expected - 1)
-      end
-      else begin
-        (* duplicate of an already-delivered frame (retransmission or
-           chaos-layer copy): suppress, but re-ack in case our previous
-           acknowledgement was lost *)
-        t.on_duplicate ();
-        send_ack t ~dst:src ~upto:(inn.expected - 1)
-      end
+let receive t ~src ~tag payload =
+  if (not t.reliable) || src = t.id then t.deliver ~src payload
+  else if tag < 0 then begin
+    (* cumulative: every seq <= upto is acknowledged *)
+    let o = t.out.(src) in
+    release_upto t o (min (upto_of_tag tag + 1) o.next_seq)
+  end
+  else begin
+    let seq = tag and inn = t.inn.(src) in
+    if seq = inn.expected then begin
+      inn.expected <- seq + 1;
+      t.deliver ~src payload;
+      release_held t inn ~src
+    end
+    else if seq > inn.expected then begin
+      (* out of order: hold until the gap fills, so the layer above
+         keeps its per-link FIFO guarantee under reordering *)
+      if is_held inn seq then t.on_duplicate () else hold t inn seq payload
+    end
+    else
+      (* duplicate of an already-delivered frame (retransmission or
+         chaos-layer copy): suppress, but re-ack in case our previous
+         acknowledgement was lost *)
+      t.on_duplicate ();
+    send_ack t ~dst:src ~upto:(inn.expected - 1) payload
+  end
 
 (* Fail-stop link surgery (crash-capable machines; see Pcc_core.System).
    A node crash destroys its hub's sequence state, so both ends of every
    affected link must realign or the seq/ack machinery wedges. *)
 
-let clear_held inn =
+let clear_held t inn =
   Array.fill inn.held_seq 0 (Array.length inn.held_seq) (-1);
-  Array.fill inn.held 0 (Array.length inn.held) no_frame
+  Array.iteri (fun i _ -> vacate t inn.held i) inn.held
 
 (* Empty the unacked window and restart sequence numbering at [next_seq]. *)
-let restart_window o ~next_seq =
-  Array.fill o.frames 0 (Array.length o.frames) no_frame;
+let restart_window t o ~next_seq =
+  Array.iteri (fun i _ -> vacate t o.payloads i) o.payloads;
   o.base <- next_seq;
   o.next_seq <- next_seq
 
@@ -236,19 +258,19 @@ let restart_window o ~next_seq =
    frames (their retransmission timers find an empty window and die),
    reassembly buffers. *)
 let reset_all t =
-  Array.iter (fun o -> restart_window o ~next_seq:0) t.out;
+  Array.iter (fun o -> restart_window t o ~next_seq:0) t.out;
   Array.iter
     (fun inn ->
       inn.expected <- 0;
-      clear_held inn)
+      clear_held t inn)
     t.inn
 
 (* The peer died for good: abandon everything queued for it (otherwise
    the retransmission chains never die and the run cannot drain). *)
 let drop_peer t ~peer =
   let o = t.out.(peer) in
-  restart_window o ~next_seq:o.next_seq;
-  clear_held t.inn.(peer)
+  restart_window t o ~next_seq:o.next_seq;
+  clear_held t t.inn.(peer)
 
 (* The peer crashed but will restart with a fresh (zeroed) hub: realign
    both link directions to sequence 0 and re-send everything unacked
@@ -262,18 +284,16 @@ let requeue_peer t ~peer ~droppable =
   let o = t.out.(peer) in
   let pending =
     List.init (o.next_seq - o.base) (fun k ->
-        let i = (o.base + k) land (Array.length o.frames - 1) in
-        (o.sizes.(i), o.frames.(i)))
+        let i = (o.base + k) land (Array.length o.payloads - 1) in
+        (o.sizes.(i), o.payloads.(i)))
   in
-  restart_window o ~next_seq:0;
+  restart_window t o ~next_seq:0;
   let inn = t.inn.(peer) in
   inn.expected <- 0;
-  clear_held inn;
+  clear_held t inn;
   List.iter
-    (fun (bytes, frame) ->
-      match frame with
-      | Data { payload; _ } when not (droppable payload) -> send t ~dst:peer ~bytes payload
-      | Data _ | Ack _ -> ())
+    (fun (bytes, payload) ->
+      if not (droppable payload) then send t ~dst:peer ~bytes payload)
     pending
 
 let peer_epoch t ~peer = Network.node_epoch t.network ~node:peer
@@ -295,15 +315,17 @@ let create ~sim ~network ~id ~nodes ~reliable ~rto ~rto_cap ~ack_bytes ~on_retra
       ack_bytes;
       out =
         Array.init nodes (fun _ ->
-            { base = 0; next_seq = 0; frames = [||]; sizes = [||] });
+            { base = 0; next_seq = 0; payloads = [||]; sizes = [||] });
       inn = Array.init nodes (fun _ -> { expected = 0; held_seq = [||]; held = [||] });
       retx_by_dst = Array.make nodes 0;
       on_retransmit;
       on_duplicate;
       deliver;
       on_timer = ignore;
+      filler = None;
     }
   in
   t.on_timer <- (fun arg -> retransmit t arg);
-  Network.set_receiver network ~node:id (fun ~src frame -> receive t ~src frame);
+  Network.set_tagged_receiver network ~node:id (fun ~src ~tag payload ->
+      receive t ~src ~tag payload);
   t

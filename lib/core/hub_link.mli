@@ -9,18 +9,23 @@
     this restores exactly-once, per-link in-order delivery — the network
     model the coherence protocol above was verified against.
 
+    A frame is the caller's payload itself: its header (the sequence
+    number, or an acknowledgement's cumulative [upto]) rides in the
+    packet's int tag ({!Pcc_interconnect.Network.send_tagged}), so no
+    frame record is built around a payload.  An acknowledgement's packet
+    carries the payload that prompted it as a filler that is never
+    delivered, and is charged [ack_bytes] on the wire.
+
     Sequence numbers are dense per link and acknowledgements cumulative,
     so the unacknowledged frames of a link are always one window of
-    seqs, from [base] up to but excluding [next_seq]: they sit in a
-    seq-indexed ring (the [Data] frame of the first send, re-sent as
-    is), and an acknowledgement just advances [base].  Frames held for
-    reassembly sit in a seq-tagged ring on the receiving side.  Both
-    rings start at 16 slots on first use and double when a window
-    outgrows them.  The retransmit timer is a typed engine event
-    ({!Pcc_engine.Simulator.schedule_call}) whose argument packs the
-    destination, the seq and the attempt count, so sending,
-    acknowledging and retransmitting a frame allocate no closure, table
-    entry or list.
+    seqs, from [base] up to but excluding [next_seq]: their payloads sit
+    in a seq-indexed ring (re-sent as is), and an acknowledgement just
+    advances [base].  Payloads held for reassembly sit in a seq-tagged
+    ring on the receiving side.  Both rings start at 16 slots on first
+    use and double when a window outgrows them.  The retransmit timer is
+    a typed engine event ({!Pcc_engine.Simulator.schedule_call}) whose
+    argument packs the destination, the seq and the attempt count, so
+    sending, acknowledging and retransmitting a frame allocate nothing.
 
     With [reliable = false] (no fault injection configured) the layer is
     a strict pass-through: no sequence tracking, no acknowledgement
@@ -29,19 +34,11 @@
     messages always bypass the machinery: the in-hub path cannot lose
     packets. *)
 
-type 'a frame =
-  | Data of { seq : int; payload : 'a }
-      (** [seq] is per (src, dst) link; 0 and ignored in pass-through
-          mode.  The sequence number rides in the existing packet header,
-          so [Data] frames cost exactly the payload's wire bytes. *)
-  | Ack of { upto : int }
-      (** cumulative: every [seq <= upto] has been delivered *)
-
 type 'a t
 
 val create :
   sim:Pcc_engine.Simulator.t ->
-  network:'a frame Pcc_interconnect.Network.t ->
+  network:'a Pcc_interconnect.Network.t ->
   id:int ->
   nodes:int ->
   reliable:bool ->

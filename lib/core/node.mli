@@ -20,7 +20,7 @@ val create :
   alive_view:bool array ->
   config:Config.t ->
   sim:Pcc_engine.Simulator.t ->
-  network:Message.t Hub_link.frame Pcc_interconnect.Network.t ->
+  network:Message.t Pcc_interconnect.Network.t ->
   id:Types.node_id ->
   stats:Run_stats.t ->
   next_version:(unit -> int) ->
@@ -28,9 +28,9 @@ val create :
   unit ->
   t
 (** Build a node and register its hub link endpoint as the network
-    receiver for [id].  All node traffic travels as {!Hub_link.frame}s;
-    with a fault profile configured ({!Config.hardened}) the link runs
-    in reliable mode, otherwise it is a strict pass-through.
+    receiver for [id].  All node traffic travels through that
+    {!Hub_link}; with a fault profile configured ({!Config.hardened}) the
+    link runs in reliable mode, otherwise it is a strict pass-through.
     [next_version] supplies globally unique store values for coherence
     checking.  [probe] is the machine-wide event sink every protocol
     event is emitted into; [alive_view] is the machine-wide aliveness

@@ -50,12 +50,14 @@ type t = {
 (* The machine-wide bus: a round-robin arbiter over the nodes.  [rr] is
    where the next grant scan starts, so a node that just transacted goes
    to the back of the queue; the scan order is deterministic, keeping
-   runs byte-identical at every --jobs level. *)
+   runs byte-identical at every --jobs level.  [responses] holds the
+   granted transaction's four plain snoop responses (see [on_grant]). *)
 and bus = {
   mutable granted_to : Types.node_id option;
   mutable rr : int;
   waiting : bool array;
   mutable members : t array;  (* back-pointers, filled at machine creation *)
+  responses : Message.t array;
 }
 
 let id t = t.id
@@ -164,6 +166,23 @@ and on_grant t =
             Message.Bus_upgr { line; tid }
         | Mesi.Hit -> assert false (* only this node's own fill adds a copy *)
       in
+      (* Most snoopers answer with neither a flush nor the memory word:
+         those answers are one of four records, built here once and sent
+         by every snooper, as [cmd] is by every send.  The bus stays
+         granted until the last answer is in, so a snooper always finds
+         its transaction's records. *)
+      for k = 0 to 3 do
+        t.bus.responses.(k) <-
+          Message.Snoop_resp
+            {
+              line;
+              tid;
+              shared = k land 2 <> 0;
+              owner = k land 1 <> 0;
+              flushed_home = false;
+              mem_value = None;
+            }
+      done;
       for dst = 0 to t.config.nodes - 1 do
         if dst <> t.id then send t ~dst cmd
       done;
@@ -271,9 +290,12 @@ let on_bus_cmd t ~requester ~tid (row : Mesi.row) line =
         let mem_value = Some (mem_read t line) in
         send t ~dst:requester
           (Snoop_resp { line; tid; shared; owner; flushed_home; mem_value }))
-  else
+  else if flushed_home then
     send t ~dst:requester
       (Snoop_resp { line; tid; shared; owner; flushed_home; mem_value = None })
+  else
+    send t ~dst:requester
+      t.bus.responses.((if shared then 2 else 0) + if owner then 1 else 0)
 
 let on_bus_flush t ~line ~value ~tid ~requester ~dirty =
   if dirty && home_of line = t.id then mem_write t line value;
@@ -451,6 +473,8 @@ let create_machine ~probe ~(config : Config.t) ~sim ~network ~stats ~next_versio
       rr = 0;
       waiting = Array.make config.nodes false;
       members = [||];
+      responses = Array.make 4 (Message.Bus_wb_ack { line = 0; tid = 0 });
+          (* placeholders until the first grant *)
     }
   in
   let nodes =

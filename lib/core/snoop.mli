@@ -42,7 +42,7 @@ val create_machine :
   probe:Probe.t ->
   config:Config.t ->
   sim:Pcc_engine.Simulator.t ->
-  network:Message.t Hub_link.frame Pcc_interconnect.Network.t ->
+  network:Message.t Pcc_interconnect.Network.t ->
   stats:Run_stats.t ->
   next_version:(unit -> int) ->
   rng:Pcc_engine.Rng.t ->

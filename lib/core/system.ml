@@ -17,7 +17,7 @@ type crash_phase = Crash_down | Crash_detected | Crash_restarted
 type t = {
   config : Config.t;
   sim : Sim.t;
-  network : Message.t Hub_link.frame Network.t;
+  network : Message.t Network.t;
   backend : Protocol.packed;
       (* the protocol backend: every generic operation (submission,
          observer fan-out, gauges, invariants) goes through this pack *)

@@ -32,20 +32,22 @@ type crash_state = { down : bool array; epoch : int array }
    allocates neither a closure nor a tuple.  Slots are recycled through a
    free stack; a delivered slot's payload is overwritten with [filler]
    (the first payload ever sent) so the table never keeps a dead payload
-   alive into the major heap.  The epoch columns are used only on
-   crash-capable machines. *)
+   alive into the major heap.  [pk_tag] is the sender's int header field
+   (0 from [send]).  The epoch columns are used only on crash-capable
+   machines. *)
 type 'a t = {
   sim : Simulator.t;
   topology : Topology.t;
   config : config;
   faults : Fault.t option;
   crash : crash_state option;
-  receivers : (src:int -> 'a -> unit) option array;
+  receivers : (src:int -> tag:int -> 'a -> unit) option array;
   egress_free : int array; (* per-node egress port availability *)
   ingress_free : int array;
   arrivals : int array;  (* Fault.plan's output buffer *)
   mutable pk_src : int array;
   mutable pk_dst : int array;
+  mutable pk_tag : int array;
   mutable pk_src_epoch : int array;
   mutable pk_dst_epoch : int array;
   mutable pk_payload : 'a array;  (* [||] until the first packet *)
@@ -60,7 +62,10 @@ type 'a t = {
 
 let initial_packets = 64
 
-let set_receiver t ~node handler = t.receivers.(node) <- Some handler
+let set_tagged_receiver t ~node handler = t.receivers.(node) <- Some handler
+
+let set_receiver t ~node handler =
+  set_tagged_receiver t ~node (fun ~src ~tag:_ payload -> handler ~src payload)
 
 let fault_stats t = Option.map Fault.stats t.faults
 
@@ -83,6 +88,7 @@ let grow_packets t payload =
   in
   t.pk_src <- extend t.pk_src capacity 0;
   t.pk_dst <- extend t.pk_dst capacity 0;
+  t.pk_tag <- extend t.pk_tag capacity 0;
   if t.crash <> None then begin
     t.pk_src_epoch <- extend t.pk_src_epoch capacity 0;
     t.pk_dst_epoch <- extend t.pk_dst_epoch capacity 0
@@ -101,7 +107,7 @@ let in_flight t = Array.length t.pk_src - t.pk_free_top
    detection since — in-flight traffic from a dead node keeps arriving
    until the crash is detected (its epoch bumps), then drains away. *)
 let deliver t slot =
-  let src = t.pk_src.(slot) and dst = t.pk_dst.(slot) in
+  let src = t.pk_src.(slot) and dst = t.pk_dst.(slot) and tag = t.pk_tag.(slot) in
   let payload = t.pk_payload.(slot) in
   let live =
     match t.crash with
@@ -116,20 +122,21 @@ let deliver t slot =
   t.pk_free_top <- t.pk_free_top + 1;
   if live then
     match t.receivers.(dst) with
-    | Some handler -> handler ~src payload
+    | Some handler -> handler ~src ~tag payload
     | None ->
         failwith
           (Printf.sprintf
              "Network.deliver: node %d has no receiver for the packet from node %d" dst
              src)
 
-let schedule_delivery t ~time ~src ~dst payload =
+let schedule_delivery t ~time ~src ~dst ~tag payload =
   if t.pk_free_top = 0 then grow_packets t payload;
   let top = t.pk_free_top - 1 in
   let slot = t.pk_free.(top) in
   t.pk_free_top <- top;
   t.pk_src.(slot) <- src;
   t.pk_dst.(slot) <- dst;
+  t.pk_tag.(slot) <- tag;
   t.pk_payload.(slot) <- payload;
   (match t.crash with
   | None -> ()
@@ -159,6 +166,7 @@ let create ?faults sim topology config =
       arrivals = Array.make Fault.max_copies 0;
       pk_src = [||];
       pk_dst = [||];
+      pk_tag = [||];
       pk_src_epoch = [||];
       pk_dst_epoch = [||];
       pk_payload = [||];
@@ -204,7 +212,7 @@ let reserve port ~node ~earliest ~occupancy =
   port.(node) <- start + occupancy;
   start + occupancy
 
-let send t ~src ~dst ~bytes payload =
+let send_tagged t ~src ~dst ~bytes ~tag payload =
   check_route t ~src ~dst;
   let now = Simulator.now t.sim in
   let zombie_send =
@@ -214,7 +222,7 @@ let send t ~src ~dst ~bytes payload =
   in
   if zombie_send then ()
   else if src = dst then
-    schedule_delivery t ~time:(now + t.config.local_latency) ~src ~dst payload
+    schedule_delivery t ~time:(now + t.config.local_latency) ~src ~dst ~tag payload
   else begin
     let wire_bytes = max bytes t.config.min_packet_bytes in
     let occupancy = (wire_bytes + t.config.port_bytes_per_cycle - 1) / t.config.port_bytes_per_cycle in
@@ -231,15 +239,17 @@ let send t ~src ~dst ~bytes payload =
     t.bytes <- t.bytes + wire_bytes;
     t.hops <- t.hops + router_hops;
     match t.faults with
-    | None -> schedule_delivery t ~time:in_clear ~src ~dst payload
+    | None -> schedule_delivery t ~time:in_clear ~src ~dst ~tag payload
     | Some chaos ->
         (* traffic counters above describe what was {e sent}; the fault
            layer only decides what arrives, and when *)
         let copies = Fault.plan chaos ~src ~dst ~now t.arrivals in
         for i = 0 to copies - 1 do
-          schedule_delivery t ~time:(in_clear + t.arrivals.(i)) ~src ~dst payload
+          schedule_delivery t ~time:(in_clear + t.arrivals.(i)) ~src ~dst ~tag payload
         done
   end
+
+let send t ~src ~dst ~bytes payload = send_tagged t ~src ~dst ~bytes ~tag:0 payload
 
 let crash_state t =
   match t.crash with

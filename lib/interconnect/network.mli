@@ -10,9 +10,9 @@
     Messages between a node and itself are delivered after the local hub
     latency and are not counted as network traffic.
 
-    Packets in flight sit in a slot table (source, destination, payload,
-    and on crash-capable machines both endpoints' epochs), and each
-    delivery is a typed engine event carrying its slot
+    Packets in flight sit in a slot table (source, destination, an int
+    tag, payload, and on crash-capable machines both endpoints' epochs),
+    and each delivery is a typed engine event carrying its slot
     ({!Pcc_engine.Simulator.schedule_call_at}): one delivery path serves
     local and remote, plain and epoch-stamped packets, and sending a
     packet allocates nothing beyond the payload the caller built.  The
@@ -62,6 +62,20 @@ val send : 'a t -> src:int -> dst:int -> bytes:int -> 'a -> unit
     and [Failure] with a diagnostic naming both endpoints if no receiver
     was ever installed for [dst] — a packet must never be silently
     misrouted or fail only inside a far-future delivery event. *)
+
+(** {2 Tagged packets}
+
+    The tag column: every packet carries one int beside its source and
+    destination, a header field for the layer above (a hub link's
+    sequence number or cumulative acknowledgement).  It rides in the
+    slot table, so it costs no wire bytes and no allocation; every
+    fault-layer copy of a packet carries its tag.  [send] tags 0. *)
+
+val set_tagged_receiver : 'a t -> node:int -> (src:int -> tag:int -> 'a -> unit) -> unit
+(** {!set_receiver} for a handler that also reads each packet's tag. *)
+
+val send_tagged : 'a t -> src:int -> dst:int -> bytes:int -> tag:int -> 'a -> unit
+(** {!send} with a tag. *)
 
 val fault_stats : 'a t -> Fault.stats option
 (** Live counters of the attached chaos layer, if any. *)

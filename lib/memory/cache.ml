@@ -8,9 +8,13 @@ type 'a entry = {
 }
 
 (* LRU slot: the key lives in a separate unboxed array so lookups scan
-   plain ints instead of chasing entry pointers. *)
+   plain ints instead of chasing entry pointers.  The payload is kept
+   already boxed as [Some payload], so a hit hands the box out as is.  A
+   way keeps its slot (and box) when its key is removed, and the next
+   key inserted there reuses both: probes and removals allocate
+   nothing, and neither does re-inserting the resident payload. *)
 type 'a slot = {
-  mutable s_payload : 'a;
+  mutable s_box : 'a option;  (* always [Some payload] *)
   mutable s_last_used : int;
   mutable s_pinned : bool;
 }
@@ -21,7 +25,8 @@ type 'a slot = {
      lookup is a linear scan over unboxed int keys, which beats a hash
      table at cache associativities (4-8 ways).  The LRU victim is the
      unique minimum [s_last_used] tick, so scan order cannot change
-     which entry is evicted.
+     which entry is evicted.  A way is free when its key is [no_key];
+     its slot may still hold the last occupant's record for reuse.
 
    - [Tables]: random replacement keeps the original per-set hash
      tables, because the victim is drawn by [Rng.pick] from candidates
@@ -73,18 +78,30 @@ let bump t =
 
 let touch t entry = entry.last_used <- bump t
 
+(* Index of [key] in [keys.(i) .. keys.(stop - 1)], or -1.  Top-level:
+   a local closure over the set's base would allocate ~7 words per
+   probe.  The annotations keep [=] an int compare rather than a
+   polymorphic [caml_equal] call. *)
+let rec scan (keys : int array) (key : int) i stop =
+  if i = stop then -1
+  else if Array.unsafe_get keys i = key then i
+  else scan keys key (i + 1) stop
+
 (* index of [key] within its set's window, or -1 *)
 let way_index t keys key =
   let base = set_of t key * t.ways in
-  let rec scan i =
-    if i = t.ways then -1
-    else if Array.unsafe_get keys (base + i) = key then base + i
-    else scan (i + 1)
-  in
-  scan 0
+  scan keys key base (base + t.ways)
 
 let slot_exn slots i =
   match Array.unsafe_get slots i with Some s -> s | None -> assert false
+
+let payload_of s = match s.s_box with Some p -> p | None -> assert false
+
+(* Rebox only when the payload changes. *)
+let set_payload s payload =
+  match s.s_box with
+  | Some p when p == payload -> ()
+  | Some _ | None -> s.s_box <- Some payload
 
 let find t key =
   match t.rep with
@@ -94,7 +111,7 @@ let find t key =
       else begin
         let s = slot_exn slots i in
         s.s_last_used <- bump t;
-        Some s.s_payload
+        s.s_box
       end
   | Tables data -> (
       match Hashtbl.find data.(set_of t key) key with
@@ -107,7 +124,7 @@ let peek t key =
   match t.rep with
   | Ways { keys; slots } ->
       let i = way_index t keys key in
-      if i < 0 then None else Some (slot_exn slots i).s_payload
+      if i < 0 then None else (slot_exn slots i).s_box
   | Tables data -> (
       match Hashtbl.find data.(set_of t key) key with
       | entry -> Some entry.payload
@@ -124,10 +141,8 @@ let remove t key =
       let i = way_index t keys key in
       if i < 0 then None
       else begin
-        let s = slot_exn slots i in
         keys.(i) <- no_key;
-        slots.(i) <- None;
-        Some s.s_payload
+        (slot_exn slots i).s_box
       end
   | Tables data -> (
       let set = data.(set_of t key) in
@@ -153,7 +168,7 @@ let insert_ways t keys slots ?pin key payload =
   let i = way_index t keys key in
   if i >= 0 then begin
     let s = slot_exn slots i in
-    s.s_payload <- payload;
+    set_payload s payload;
     (match pin with Some p -> s.s_pinned <- p | None -> ());
     s.s_last_used <- bump t;
     Inserted None
@@ -173,26 +188,29 @@ let insert_ways t keys slots ?pin key payload =
           && (!victim < 0 || s.s_last_used < (slot_exn slots !victim).s_last_used)
         then victim := j
     done;
+    let pinned = match pin with Some p -> p | None -> false in
     if !free >= 0 then begin
       keys.(!free) <- key;
-      slots.(!free) <-
-        Some
-          {
-            s_payload = payload;
-            s_last_used = bump t;
-            s_pinned = (match pin with Some p -> p | None -> false);
-          };
+      (match slots.(!free) with
+      | Some s ->
+          (* the way's last occupant left its record behind: reuse it *)
+          set_payload s payload;
+          s.s_last_used <- bump t;
+          s.s_pinned <- pinned
+      | None ->
+          slots.(!free) <-
+            Some { s_box = Some payload; s_last_used = bump t; s_pinned = pinned });
       Inserted None
     end
     else if !victim < 0 then All_ways_pinned
     else begin
       let s = slot_exn slots !victim in
-      let evicted = Some (keys.(!victim), s.s_payload) in
+      let evicted = Some (keys.(!victim), payload_of s) in
       keys.(!victim) <- key;
-      (* reuse the victim's slot record in place: no allocation *)
-      s.s_payload <- payload;
+      (* reuse the victim's slot record in place *)
+      set_payload s payload;
       s.s_last_used <- bump t;
-      s.s_pinned <- (match pin with Some p -> p | None -> false);
+      s.s_pinned <- pinned;
       Inserted evicted
     end
   end
@@ -272,7 +290,7 @@ let iter f t =
   match t.rep with
   | Ways { keys; slots } ->
       Array.iteri
-        (fun i key -> if key <> no_key then f key (slot_exn slots i).s_payload)
+        (fun i key -> if key <> no_key then f key (payload_of (slot_exn slots i)))
         keys
   | Tables data ->
       Array.iter (Hashtbl.iter (fun key entry -> f key entry.payload)) data
@@ -282,7 +300,8 @@ let fold f t init =
   | Ways { keys; slots } ->
       let acc = ref init in
       Array.iteri
-        (fun i key -> if key <> no_key then acc := f key (slot_exn slots i).s_payload !acc)
+        (fun i key ->
+          if key <> no_key then acc := f key (payload_of (slot_exn slots i)) !acc)
         keys;
       !acc
   | Tables data ->

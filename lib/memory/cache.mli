@@ -7,7 +7,17 @@
     random replacement).
 
     Keys are cache-line numbers (or tags in general); payloads are
-    caller-defined. *)
+    caller-defined.
+
+    Probes of an LRU cache allocate nothing: {!find}, {!peek}, {!mem},
+    {!remove}, the pin operations and an {!insert} that overwrites a
+    resident key with its current payload touch no minor heap.  Each way
+    keeps its payload boxed as [Some payload], which {!find}, {!peek}
+    and {!remove} return as is; a removed key's way keeps that box and
+    its slot record for the next key inserted there.  Only an insert
+    that fills a never-used way, stores a new payload, or evicts (the
+    victim pair) allocates.  Random-replacement caches keep per-set hash
+    tables, whose hits box their result. *)
 
 type 'a t
 

@@ -43,28 +43,27 @@ type cursor = {
   mutable epoch : int;
 }
 
+(* One pull from [node]'s cursor, refilling past each exhausted epoch.
+   Top-level, so a pull allocates no closure. *)
+let rec pull ~refill ~epochs node c =
+  if c.pos < c.len then begin
+    let v = Array.unsafe_get c.buf c.pos in
+    c.pos <- c.pos + 1;
+    v
+  end
+  else if c.epoch >= epochs then Op_stream.end_of_stream
+  else begin
+    c.len <- refill node c.epoch c.buf;
+    c.pos <- 0;
+    c.epoch <- c.epoch + 1;
+    pull ~refill ~epochs node c
+  end
+
 let stream_of_epochs ~nodes ~epochs ~capacity ~refill () =
   let cursors =
     Array.init nodes (fun _ -> { buf = Array.make capacity 0; len = 0; pos = 0; epoch = 0 })
   in
-  let next node =
-    let c = cursors.(node) in
-    let rec pull () =
-      if c.pos < c.len then begin
-        let v = Array.unsafe_get c.buf c.pos in
-        c.pos <- c.pos + 1;
-        v
-      end
-      else if c.epoch >= epochs then Op_stream.end_of_stream
-      else begin
-        c.len <- refill node c.epoch c.buf;
-        c.pos <- 0;
-        c.epoch <- c.epoch + 1;
-        pull ()
-      end
-    in
-    pull ()
-  in
+  let next node = pull ~refill ~epochs node cursors.(node) in
   { Op_stream.nodes; next }
 
 (* Zipf(theta) over ranks 0..n-1 as a precomputed CDF; sampling is one
