@@ -657,7 +657,7 @@ let adaptive =
         per_app
           [
             sim small;
-            sim ~tag:"adaptive" { small with Config.adaptive_intervention = true };
+            sim ~tag:"adaptive" (Result.get_ok (Config.of_name ~nodes "adaptive"));
           ]);
     note =
       text "the adaptive mechanism tracks each line's write-burst span (EWMA) per Sec. 5";

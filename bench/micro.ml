@@ -112,9 +112,16 @@ let run_cell ~repeat (key, feed, config) =
    Tolerances: wall-clock throughput is the only noisy number (shared CI
    runners), so it gets a loose 0.5x floor; allocations and the simulated
    numbers are deterministic, so their bands are tight — they exist only
-   to let an intentional, reviewed change ratchet the record forward. *)
+   to let an intentional, reviewed change ratchet the record forward.
+
+   A record notes the best-of count its throughput was taken with, and
+   the check takes its fresh measurement the same way: one run ranges
+   over 2x on a busy host, so a single run against a best-of-3 record
+   compares unlike numbers.  A record that predates the field is matched
+   with an explicit --repeat. *)
 
 type history = {
+  h_repeat : int option;  (* best-of count behind the throughput *)
   h_events_per_sec : float;
   h_minor_words_per_event : float;
   h_delegation_rate : float;  (* delegations per committed operation *)
@@ -123,7 +130,7 @@ type history = {
       (* per miss class: p50, p95, p99 of issue-to-commit latency *)
 }
 
-let history_of_measurements measurements =
+let history_of_measurements ~repeat measurements =
   let total f = List.fold_left (fun acc m -> acc + f m) 0 measurements in
   let events = total (fun m -> m.events) in
   let commits = total (fun m -> m.commits) in
@@ -149,6 +156,7 @@ let history_of_measurements measurements =
       Types.miss_classes
   in
   {
+    h_repeat = Some repeat;
     h_events_per_sec = float_of_int events /. seconds;
     h_minor_words_per_event = minor /. float_of_int events;
     h_delegation_rate = float_of_int delegations /. float_of_int (max 1 commits);
@@ -163,6 +171,7 @@ let history_to_json ~nodes ~scale h =
       ("version", Jsonl.Int 1);
       ("nodes", Jsonl.Int nodes);
       ("scale", Jsonl.Float scale);
+      ("repeat", Jsonl.Int (Option.value h.h_repeat ~default:1));
       ("events_per_sec", Jsonl.Float h.h_events_per_sec);
       ("minor_words_per_event", Jsonl.Float h.h_minor_words_per_event);
       ("delegation_rate", Jsonl.Float h.h_delegation_rate);
@@ -224,6 +233,7 @@ let history_of_json json =
   in
   Ok
     {
+      h_repeat = Option.bind (Jsonl.member "repeat" json) Jsonl.get_int;
       h_events_per_sec = events_per_sec;
       h_minor_words_per_event = minor_words;
       h_delegation_rate = delegation_rate;
@@ -304,13 +314,36 @@ let () =
       exit 2);
   let repeat =
     match repeat_arg with
-    | None -> 1
+    | None -> None
     | Some s -> (
         match int_of_string_opt s with
-        | Some n when n >= 1 -> n
+        | Some n when n >= 1 -> Some n
         | Some _ | None ->
             Printf.eprintf "--repeat %s: expected a positive integer\n" s;
             exit 2)
+  in
+  (* the record to check against is read before measuring, so the fresh
+     throughput is taken the way the record's was *)
+  let last =
+    match history_path with
+    | Some path when check_history_flag -> (
+        match read_last_history path with
+        | Ok last -> Some (path, last)
+        | Error message ->
+            Printf.eprintf "--check-history: %s\n" message;
+            exit 2)
+    | Some _ | None -> None
+  in
+  let repeat =
+    match (repeat, Option.bind last (fun (_, l) -> l.h_repeat)) with
+    | Some n, Some recorded when n <> recorded ->
+        Printf.eprintf
+          "--repeat %d: the last history record is a best of %d; the check compares \
+           throughput taken the same way\n"
+          n recorded;
+        exit 2
+    | Some n, _ | None, Some n -> n
+    | None, None -> 1
   in
   let scale =
     match scale_arg with
@@ -396,23 +429,18 @@ let () =
           output_string oc (Jsonl.to_string doc);
           output_char oc '\n');
       Printf.printf "wrote %s (%d runs)\n" path (List.length runs));
-  match history_path with
-  | None -> ()
-  | Some path when check_history_flag -> (
-      match read_last_history path with
-      | Error message ->
-          Printf.eprintf "--check-history: %s\n" message;
-          exit 2
-      | Ok last -> (
-          let fresh = history_of_measurements measurements in
-          match check_history ~last fresh with
-          | [] -> Printf.printf "history check OK against %s\n" path
-          | problems ->
-              Printf.printf "HISTORY REGRESSION vs %s:\n" path;
-              List.iter (fun p -> Printf.printf "  %s\n" p) problems;
-              exit 3))
-  | Some path ->
-      let record = history_of_measurements measurements in
+  match (history_path, last) with
+  | None, _ -> ()
+  | Some _, Some (path, last) -> (
+      let fresh = history_of_measurements ~repeat measurements in
+      match check_history ~last fresh with
+      | [] -> Printf.printf "history check OK against %s\n" path
+      | problems ->
+          Printf.printf "HISTORY REGRESSION vs %s:\n" path;
+          List.iter (fun p -> Printf.printf "  %s\n" p) problems;
+          exit 3)
+  | Some path, None ->
+      let record = history_of_measurements ~repeat measurements in
       let line = Jsonl.to_string (history_to_json ~nodes ~scale record) in
       let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
       output_string oc line;

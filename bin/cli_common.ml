@@ -37,6 +37,26 @@ let workload_spec
 let workload ?(default = "em3d") () =
   Term.(const (Option.value ~default) $ workload_spec ())
 
+(* The sweep tools' workloads for one seed (pcc_oracle, pcc_chaos):
+   random plus one app benchmark, rotating through the paper's apps by
+   [(seed - 1) mod 7]; a pinned spec replaces both. *)
+let sweep_benches ~pin seed =
+  match pin with
+  | Some spec -> [ spec ]
+  | None ->
+      let apps = Pcc.Workloads.all in
+      let app = List.nth apps ((seed - 1) mod List.length apps) in
+      [ "random"; String.lowercase_ascii app.Pcc.Workloads.name ]
+
+(* A pinned spec is validated before any run: a pool worker must never
+   be the first to notice an unknown workload. *)
+let pin_error ~nodes ~scale = function
+  | None -> None
+  | Some spec ->
+      Result.fold
+        (Pcc.Workload.of_spec ~nodes ~scale ~seed:1 spec)
+        ~ok:(fun _ -> None) ~error:Option.some
+
 let resolve_workload ~tool ~nodes ~scale ~seed spec =
   match Pcc.Workload.of_spec ~nodes ~scale ~seed spec with
   | Ok w -> w
@@ -119,6 +139,15 @@ let write_metrics path fill =
       fill registry;
       Pcc.Telemetry.Registry.add_pool registry;
       Pcc.Telemetry.Registry.write registry ~path
+
+(* Make [dir] (or find it) before any run: a path that cannot be one is
+   a usage error, not a dump write failing in a pool worker. *)
+let make_dir dir =
+  match Sys.mkdir dir 0o755 with
+  | () -> Ok ()
+  | exception Sys_error _ when Sys.file_exists dir && Sys.is_directory dir -> Ok ()
+  | exception Sys_error message ->
+      Error (Printf.sprintf "cannot create the directory %s" message)
 
 let max_events ?(default = 50_000_000) ?(doc = "Event budget per run.") () =
   Arg.(value & opt int default & info [ "max-events" ] ~docv:"N" ~doc)

@@ -28,8 +28,6 @@
 open Cmdliner
 open Pcc
 
-let bench_rotation = [| "barnes"; "ocean"; "em3d"; "lu"; "cg"; "mg"; "appbt" |]
-
 (* A run's counters, 0 for a run that aborted online, in three groups:
    each run's JSON lists them recovered, injected, crashed; the tally
    and the metrics list them injected, recovered, crashed. *)
@@ -140,32 +138,16 @@ let json_of_report (r : run_report) =
           Option.fold r.rr_flight_dump ~none:Jsonl.Null ~some:(fun p -> Jsonl.String p) );
       ])
 
-(* The dump directory is made (or found) before any run: a path that
-   cannot be one is a usage error, not a write failing in a pool
-   worker. *)
 let make_flight_dir = function
   | "none" -> Ok None
   | dir -> (
-      match Sys.mkdir dir 0o755 with
-      | () -> Ok (Some dir)
-      | exception Sys_error _ when Sys.file_exists dir && Sys.is_directory dir ->
-          Ok (Some dir)
-      | exception Sys_error message ->
-          Error (Printf.sprintf "--flight-dir: cannot create the directory %s" message))
+      match Cli_common.make_dir dir with
+      | Ok () -> Ok (Some dir)
+      | Error message -> Error ("--flight-dir: " ^ message))
 
 let main workload_pin seeds protocol nodes scale profile_filter txn_timeout
     fallback_threshold max_events jobs json_path verbose crash_victims crash_nodes
     restart_after flight_dir metrics_path =
-  let pin_error =
-    (* validate the pinned spec loudly up front — workers must never be the
-       first place an unknown workload name is noticed *)
-    match workload_pin with
-    | None -> None
-    | Some spec -> (
-        match Workload.of_spec ~nodes ~scale ~seed:1 spec with
-        | Ok _ -> None
-        | Error message -> Some message)
-  in
   let profile_error =
     (* a typo'd profile is rejected before any run, like a workload *)
     match profile_filter with
@@ -173,7 +155,11 @@ let main workload_pin seeds protocol nodes scale profile_filter txn_timeout
         Result.fold (Fault.preset name ~seed:0) ~ok:(fun _ -> None) ~error:Option.some
     | None -> None
   in
-  match Option.fold pin_error ~none:profile_error ~some:Option.some with
+  match
+    Option.fold
+      (Cli_common.pin_error ~nodes ~scale workload_pin)
+      ~none:profile_error ~some:Option.some
+  with
   | Some message ->
       Printf.eprintf "pcc_chaos: %s\n" message;
       2
@@ -228,15 +214,11 @@ let main workload_pin seeds protocol nodes scale profile_filter txn_timeout
     let cells =
       List.concat_map
         (fun seed ->
-          let benches =
-            match workload_pin with
-            | Some spec -> [ spec ]
-            | None ->
-                [ "random"; bench_rotation.((seed - 1) mod Array.length bench_rotation) ]
-          in
           List.concat_map
             (fun profile_name ->
-              List.map (fun bench -> (seed, profile_name, bench)) benches)
+              List.map
+                (fun bench -> (seed, profile_name, bench))
+                (Cli_common.sweep_benches ~pin:workload_pin seed))
             profiles)
         (List.init seeds (fun i -> i + 1))
     in

@@ -9,7 +9,8 @@
 open Cmdliner
 module Checker = Pcc.Checker
 module Model = Pcc.Protocol_model
-module Litmus = Pcc.Litmus
+module Trace = Pcc.Oracle.Trace
+module Runner = Pcc.Oracle.Runner
 
 let bug_of_string = function
   | "" -> Ok None
@@ -107,45 +108,69 @@ let run_model_check protocol nodes lines ops workload delegation updates bug max
               let outcome = Checker.run (module M) ~max_states ~jobs ?spill () in
               report_outcome M.pp outcome metrics_path))
 
+(* A failed litmus cell leaves its flight dump here, named after the
+   cell: pcc_oracle --replay re-runs it, pcc_trace --flight decodes it. *)
+let dump_dir = "flight-dumps"
+
+let print_cell (name, _) (report : Runner.report) =
+  match report.failures with
+  | [] -> Format.printf "%-32s pass@." name
+  | failures ->
+      Format.printf "%-32s FAIL@." name;
+      List.iter (Format.printf "  %s@.") failures;
+      Option.iter
+        (fun path ->
+          Format.printf "  flight dump: %s (replay with pcc_oracle --replay %s)@." path
+            path)
+        report.dump
+
+(* Every cell is a run descriptor judged by Oracle.Runner.  --protocol
+   msi/mesi restricts the matrix to that backend; the mutated corpus
+   runs once on the backend's own machine with its planted fault. *)
 let run_litmus jobs mutate protocol metrics_path =
-  let results =
-    if mutate then
-      (* detection sanity check: the corpus must fail against the broken
-         machine — the adaptive fault or the snooping one *)
-      let configs =
-        match protocol with
-        | Pcc.Types.Adaptive -> [ ("mutated-updates", Litmus.mutation_config) ]
-        | Pcc.Types.Msi | Pcc.Types.Mesi ->
-            [ ("mutated-msi-snoop", Litmus.snoop_mutation_config) ]
-      in
-      Litmus.run_matrix ~jobs ~configs
-        ~profiles:[ ("reliable", fun ~seed:_ -> None) ]
-        ~seeds:[ 1 ] Litmus.corpus
-    else
-      match protocol with
-      | Pcc.Types.Adaptive -> Litmus.run_matrix ~jobs Litmus.corpus
-      | p -> Litmus.run_matrix ~jobs ~configs:(Litmus.snoop_configs p) Litmus.corpus
+  let machines =
+    match protocol with
+    | Pcc.Types.Adaptive -> None
+    | p -> Some [ Pcc.Protocol.to_string p ]
   in
-  List.iter (fun r -> Format.printf "%a@." Litmus.pp_result r) results;
-  let failed = Litmus.failures results in
-  Cli_common.write_metrics metrics_path (fun registry ->
-      let module R = Pcc.Telemetry.Registry in
-      R.counter registry "pcc_litmus_runs" (List.length results);
-      R.counter registry "pcc_litmus_failures" (List.length failed));
-  if mutate then
-    if failed = [] then begin
-      Format.printf "mutation NOT detected: %d runs all passed@." (List.length results);
-      2
-    end
-    else begin
-      Format.printf "mutation detected in %d/%d runs@." (List.length failed)
-        (List.length results);
-      0
-    end
-  else begin
-    Format.printf "%d runs, %d failures@." (List.length results) (List.length failed);
-    if failed = [] then 0 else 2
-  end
+  let cells =
+    if mutate then
+      Trace.litmus_cells ~fault:true
+        ~machines:(Option.value machines ~default:[ "full" ])
+        ~profiles:[ None ] ~seeds:[ 1 ] Pcc.Litmus.corpus
+    else Trace.litmus_cells ?machines Pcc.Litmus.corpus
+  in
+  match Cli_common.make_dir dump_dir with
+  | Error message -> usage_error message
+  | Ok () ->
+      let reports =
+        Pcc.Pool.run_keyed ~jobs
+          (List.map
+             (fun (name, desc) ->
+               let dump = Filename.concat dump_dir (name ^ ".flight.json") in
+               (name, fun () -> Runner.run ~dump desc))
+             cells)
+      in
+      List.iter2 print_cell cells reports;
+      let runs = List.length reports in
+      let failed = List.length (List.filter (fun r -> not (Runner.clean r)) reports) in
+      Cli_common.write_metrics metrics_path (fun registry ->
+          let module R = Pcc.Telemetry.Registry in
+          R.counter registry "pcc_litmus_runs" runs;
+          R.counter registry "pcc_litmus_failures" failed);
+      if mutate then
+        if failed = 0 then begin
+          Format.printf "mutation NOT detected: %d runs all passed@." runs;
+          2
+        end
+        else begin
+          Format.printf "mutation detected in %d/%d runs@." failed runs;
+          0
+        end
+      else begin
+        Format.printf "%d runs, %d failures@." runs failed;
+        if failed = 0 then 0 else 2
+      end
 
 let run litmus mutate protocol nodes lines ops workload delegation updates bug
     max_states jobs spill por metrics_path =

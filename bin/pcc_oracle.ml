@@ -11,31 +11,19 @@
 open Cmdliner
 open Pcc
 
-let bench_rotation = [| "random"; "barnes"; "ocean"; "em3d"; "lu"; "cg"; "mg"; "appbt" |]
-
 let configs = [ "base"; "full" ]
 
 let descs_for_seed ~workload_pin ~configs ~nodes ~scale seed :
     Oracle.Trace.run_desc list =
-  (* every seed runs the random workload plus one rotating app benchmark,
-     each under both the baseline and the fully adaptive machine (or the
-     selected snooping backend); --workload pins a single spec instead *)
-  let benches =
-    match workload_pin with
-    | Some spec -> [ spec ]
-    | None ->
-        [
-          "random";
-          bench_rotation.(1 + ((seed - 1) mod (Array.length bench_rotation - 1)));
-        ]
-  in
+  (* each of the seed's workloads runs under both the baseline and the
+     fully adaptive machine (or the selected snooping backend) *)
   List.concat_map
     (fun bench ->
       List.map
         (fun config_name ->
           { Oracle.Trace.default with bench; config_name; nodes; scale; seed })
         configs)
-    benches
+    (Cli_common.sweep_benches ~pin:workload_pin seed)
 
 (* A replayed pcc_chaos dump also names its backend and fault profile. *)
 let describe (d : Oracle.Trace.run_desc) =
@@ -168,15 +156,7 @@ let run_golden ~nodes ~scale ~seed =
 
 let main workload_pin seeds protocol nodes scale max_lines trace replay
     inject_fault golden metrics_path =
-  let pin_error =
-    match workload_pin with
-    | None -> None
-    | Some spec -> (
-        match Workload.of_spec ~nodes ~scale ~seed:1 spec with
-        | Ok _ -> None
-        | Error message -> Some message)
-  in
-  match pin_error with
+  match Cli_common.pin_error ~nodes ~scale workload_pin with
   | Some message ->
       Printf.eprintf "pcc_oracle: %s\n" message;
       2
@@ -213,8 +193,9 @@ let replay_arg =
     & opt (some string) None
     & info [ "replay" ] ~docv:"FILE"
         ~doc:
-          "Re-run the checked run a flight dump describes: a failure artifact of \
-           this tool or of pcc_chaos.")
+          "Re-run the checked run a flight dump describes (a failure artifact of \
+           this tool, pcc_chaos or pcc_check --litmus), or a file holding one run \
+           descriptor object.")
 
 let fault_arg =
   Arg.(

@@ -128,6 +128,8 @@ let machines =
     ("small", fun nodes -> small_full ~nodes ());
     ("full", fun nodes -> small_full ~nodes ());
     ("large", fun nodes -> large_full ~nodes ());
+    ( "adaptive",
+      fun nodes -> { (small_full ~nodes ()) with adaptive_intervention = true } );
     ("msi", fun nodes -> snoop ~nodes Types.Msi ());
     ("mesi", fun nodes -> snoop ~nodes Types.Mesi ());
   ]

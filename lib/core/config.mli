@@ -127,7 +127,8 @@ val names : string list
 val of_name : nodes:int -> string -> (t, string) result
 (** The machine a CLI flag or an oracle artifact names: ["base"],
     ["rac"], ["delegation"], ["small"] or ["full"] (32-entry delegate
-    tables + 32 KB RAC), ["large"], or a snooping backend (["msi"],
+    tables + 32 KB RAC), ["large"], ["adaptive"] ([full] with the §5
+    adaptive intervention delay), or a snooping backend (["msi"],
     ["mesi"]).  [Error] names the offender and lists {!names}. *)
 
 val with_hop_latency : t -> int -> t

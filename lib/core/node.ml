@@ -1721,8 +1721,11 @@ let rebuild_dead_owner t nodes line (entry : Directory.entry) =
    detection and re-deliver after restart, so such a frame — a
    writeback, ownership-transfer ack, or delegation hand-back — will
    resolve the entry on its own; touching the entry before it lands
-   would race the authoritative update. *)
-let resolution_in_flight nodes ~dead line =
+   would race the authoritative update.  Only a writeback resolves an
+   Excl entry (the other handlers ignore one), so a shared writeback
+   still unacked — the home may have taken it before the crash, with
+   only its ack lost — must not hold that entry's repair back. *)
+let resolution_in_flight nodes ~dead ~state line =
   Array.exists
     (fun node ->
       node.id <> dead && node.alive
@@ -1730,10 +1733,10 @@ let resolution_in_flight nodes ~dead line =
              Message.line_of msg = line
              &&
              match (msg : Message.t) with
-             | Message.Writeback _ | Message.Shared_writeback _
-             | Message.Transfer_ack _ | Message.Recall_nack _
-             | Message.Undelegate _ ->
-                 true
+             | Message.Writeback _ -> true
+             | Message.Shared_writeback _ | Message.Transfer_ack _
+             | Message.Recall_nack _ | Message.Undelegate _ ->
+                 state <> Directory.Excl
              | _ -> false))
     nodes
 
@@ -1770,7 +1773,8 @@ let normalize_dead_home t nodes line (entry : Directory.entry) =
         entry.sharers <- Nodeset.empty;
         t.stats.crash_pruned <- t.stats.crash_pruned + 1
       end
-      else if not (resolution_in_flight nodes ~dead:t.id line) then begin
+      else if not (resolution_in_flight nodes ~dead:t.id ~state:entry.state line)
+      then begin
         rebuild_stable_from_survivors t nodes line entry;
         t.stats.crash_pruned <- t.stats.crash_pruned + 1
       end
@@ -1786,7 +1790,7 @@ let normalize_dead_home t nodes line (entry : Directory.entry) =
       in
       if
         (not owner_holds_excl) && (not owner_committing)
-        && not (resolution_in_flight nodes ~dead:t.id line)
+        && not (resolution_in_flight nodes ~dead:t.id ~state:entry.state line)
       then begin
         rebuild_stable_from_survivors t nodes line entry;
         t.stats.crash_pruned <- t.stats.crash_pruned + 1

@@ -1,5 +1,6 @@
 open Pcc_core
 module Fault = Pcc_interconnect.Fault
+module Litmus = Pcc_workload.Litmus
 
 type report = {
   result : System.result option;
@@ -38,10 +39,32 @@ let owes_every_commit config =
   | Some profile ->
       List.for_all (fun (c : Fault.crash) -> c.restart_after <> None) profile.crashes
 
+(* A litmus test's forbidden outcome, judged over the run's commits in
+   commit order.  Only a run of a test that names one subscribes, so
+   every other run builds no commit record. *)
+let forbidden_check sys (litmus : Litmus.test option) =
+  match Option.bind litmus (fun test -> test.forbidden) with
+  | None -> fun () -> []
+  | Some (description, reached) ->
+      let observations = ref [] in
+      System.on_commit sys (fun e ->
+          observations :=
+            {
+              Litmus.o_node = e.Probe.c_node;
+              o_kind = e.c_kind;
+              o_loc = Types.Layout.index_of_line e.c_line;
+              o_value = e.c_value;
+            }
+            :: !observations);
+      fun () ->
+        if reached (List.rev !observations) then
+          [ "forbidden outcome reached: " ^ description ]
+        else []
+
 (* The one verdict on a finished run.  A run that did not drain fails
    once, with its stall report: the post-run checks hold only for a
    completed run. *)
-let verdict ~sweep ~replay ~max_lines ~accesses sys (result : System.result) =
+let verdict ~sweep ~forbidden ~replay ~max_lines ~accesses sys (result : System.result) =
   match result.stall with
   | Some stall ->
       ([ "did not quiesce: " ^ Format.asprintf "%a" System.pp_stall_report stall ], None)
@@ -54,6 +77,7 @@ let verdict ~sweep ~replay ~max_lines ~accesses sys (result : System.result) =
         @ (if result.violations > 0 then
              [ Printf.sprintf "%d memory-check violations" result.violations ]
            else [])
+        @ forbidden ()
         @ result.invariant_errors
         @ List.map (fun v -> "stats: " ^ v) (Stats_check.check sys result)
         @ sweep ()
@@ -73,10 +97,11 @@ let verdict ~sweep ~replay ~max_lines ~accesses sys (result : System.result) =
             Some outcome )
       | failures -> (failures, None))
 
-let judge ~diff ~max_lines ~max_events sys programs =
+let judge ~diff ~max_lines ~max_events ~litmus sys programs =
   let replay = diff && (System.config sys).Config.protocol = Types.Adaptive in
   if replay then Sc_check.keep_history (System.checker sys);
   let sweep = attach sys in
+  let forbidden = forbidden_check sys litmus in
   let report =
     {
       result = None;
@@ -95,7 +120,8 @@ let judge ~diff ~max_lines ~max_events sys programs =
       { report with failures; events = System.recent sys }
   | result ->
       let failures, diff =
-        verdict ~sweep ~replay ~max_lines ~accesses:report.accesses sys result
+        verdict ~sweep ~forbidden ~replay ~max_lines ~accesses:report.accesses sys
+          result
       in
       {
         report with
@@ -106,8 +132,9 @@ let judge ~diff ~max_lines ~max_events sys programs =
         faults = System.fault_stats sys;
       }
 
-let check sys programs =
-  judge ~diff:false ~max_lines:0 ~max_events:Trace.default.max_events sys programs
+let check ?litmus sys programs =
+  judge ~diff:false ~max_lines:0 ~max_events:Trace.default.max_events ~litmus sys
+    programs
 
 let run ?(diff = true) ?(max_lines = 400) ?dump (desc : Trace.run_desc) =
   let sys = System.create ~config:(Trace.config_of_desc desc) () in
@@ -120,7 +147,8 @@ let run ?(diff = true) ?(max_lines = 400) ?dump (desc : Trace.run_desc) =
           ~failures)
       dump
   in
-  match judge ~diff ~max_lines ~max_events:desc.max_events sys programs with
+  let litmus = Pcc_workload.Workload.litmus desc.bench in
+  match judge ~diff ~max_lines ~max_events:desc.max_events ~litmus sys programs with
   | exception exn ->
       let backtrace = Printexc.get_raw_backtrace () in
       write [ "uncaught exception: " ^ Printexc.to_string exn ];

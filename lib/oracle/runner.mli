@@ -10,7 +10,8 @@
     - an in-run {!Audit.Violation}, where the run aborted;
     - a run that did not drain, once, as its stall report;
     - for a drained run only: commits short of the workload's accesses
-      (when every crashed node restarts), SC violations, the quiescent
+      (when every crashed node restarts), SC violations, a litmus test's
+      forbidden outcome ({!Pcc_workload.Litmus}), the quiescent
       invariant errors, the {!Stats_check} identities, the auditor's
       final sweep and, when asked, the {!Diff} replay against the model.
 
@@ -35,13 +36,15 @@ type report = {
   dump : string option;  (** the flight dump written for this failure *)
 }
 
-val check : System.t -> Types.op list array -> report
+val check : ?litmus:Pcc_workload.Litmus.test -> System.t -> Types.op list array -> report
 (** Attach the oracle to a freshly created machine, run [programs] on it
-    within {!Trace.default}'s budget of 50M events and judge the run.
-    No model replay, no dump. *)
+    within {!Trace.default}'s budget of 50M events and judge the run,
+    with [litmus]'s forbidden outcome when given.  No model replay, no
+    dump. *)
 
 val run : ?diff:bool -> ?max_lines:int -> ?dump:string -> Trace.run_desc -> report
-(** Build, run and judge the descriptor's machine.  [diff] (default true)
+(** Build, run and judge the descriptor's machine; a [litmus:test=ID]
+    workload's forbidden outcome is judged too.  [diff] (default true)
     asks for the model-checker replay on an adaptive machine, of at most
     [max_lines] lines (default 400); it is skipped when an earlier check
     already failed.  When the run fails and [dump] is given, the flight

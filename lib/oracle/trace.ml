@@ -93,6 +93,49 @@ let programs_of_desc desc =
   | Ok workload -> Pcc_workload.Workload.programs workload
   | Error message -> invalid_arg (Printf.sprintf "Trace.programs_of_desc: %s" message)
 
+let litmus_machines = [ "base"; "delegation"; "full"; "adaptive"; "msi"; "mesi" ]
+
+(* A chaos cell keeps Config's recovery knobs; with no crash,
+   [restart_after] is inert. *)
+let litmus_cells ?(machines = litmus_machines)
+    ?(profiles = [ None; Some "drops"; Some "storm" ]) ?(seeds = [ 1; 2; 3 ])
+    ?(fault = false) tests =
+  let knobs = Config.base () in
+  let chaos profile =
+    {
+      profile;
+      crash = Seeded 0;
+      restart_after = 5_000;
+      txn_timeout = knobs.txn_timeout;
+      fallback_threshold = knobs.fallback_threshold;
+    }
+  in
+  List.concat_map
+    (fun (test : Pcc_workload.Litmus.test) ->
+      List.concat_map
+        (fun config_name ->
+          List.concat_map
+            (fun profile ->
+              List.map
+                (fun seed ->
+                  ( Printf.sprintf "%s-%s%s-%s-seed%d" test.name config_name
+                      (if fault then "+fault" else "")
+                      (Option.value profile ~default:"reliable")
+                      seed,
+                    {
+                      default with
+                      bench = "litmus:test=" ^ test.name;
+                      config_name;
+                      nodes = Pcc_workload.Litmus.nodes test;
+                      seed;
+                      fault;
+                      chaos = Option.map chaos profile;
+                    } ))
+                seeds)
+            profiles)
+        machines)
+    tests
+
 let desc_to_json d =
   let int n = Jsonl.Int n and optional f = Option.fold ~none:Jsonl.Null ~some:f in
   let chaos c =
@@ -174,8 +217,12 @@ let desc_of_json json =
 
 let read_desc ~path =
   match Flight_ring.read_dump path with
-  | Error message -> Error message
   | Ok { Flight_ring.d_run = Some run; _ } -> desc_of_json run
   | Ok { Flight_ring.d_run = None; _ } ->
       Error
         (path ^ ": a machine's own flight dump names no run (decode it with pcc_trace --flight)")
+  | Error message -> (
+      (* not a dump: perhaps a bare descriptor, as desc_to_json writes it *)
+      match Jsonl.of_string (In_channel.with_open_bin path In_channel.input_all) with
+      | Ok json when Jsonl.member "bench" json <> None -> desc_of_json json
+      | Ok _ | Error _ | (exception Sys_error _) -> Error message)

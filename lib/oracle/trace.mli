@@ -60,6 +60,27 @@ val programs_of_desc : run_desc -> Types.op list array
 (** Regenerate the workload via {!Pcc_workload.Workload.of_spec}.  Raises
     [Invalid_argument] on a spec the registry rejects. *)
 
+val litmus_machines : string list
+(** The litmus matrix's machines: [base], [delegation], [full] and
+    [adaptive] (the four directory machines of §3 and §5), [msi] and
+    [mesi]. *)
+
+val litmus_cells :
+  ?machines:string list ->
+  ?profiles:string option list ->
+  ?seeds:int list ->
+  ?fault:bool ->
+  Pcc_workload.Litmus.test list ->
+  (string * run_desc) list
+(** The litmus matrix: one named cell per test × machine × profile ×
+    seed, in that nesting order.  A cell runs [litmus:test=ID] on the
+    test's smallest machine ({!Pcc_workload.Litmus.nodes}); a profile
+    is a {!Pcc_interconnect.Fault.presets} name, [None] for reliable
+    links, and a chaos cell keeps {!Pcc_core.Config}'s recovery knobs.
+    The name, e.g. [coWW-base-drops-seed1] ([+fault] after the machine
+    for [fault] cells), is file-name safe.  Defaults: {!litmus_machines},
+    reliable, drops and storm, seeds 1-3, no planted fault. *)
+
 val desc_to_json : run_desc -> Pcc_stats.Jsonl.t
 
 val desc_of_json : Pcc_stats.Jsonl.t -> (run_desc, string) result
@@ -68,5 +89,6 @@ val desc_of_json : Pcc_stats.Jsonl.t -> (run_desc, string) result
     {!config_of_desc} or {!programs_of_desc} would raise. *)
 
 val read_desc : path:string -> (run_desc, string) result
-(** The run descriptor of the flight dump at [path].  A machine's own
-    dump (a stall or crash phase) carries none. *)
+(** The run descriptor of the flight dump at [path], or the bare
+    descriptor object ({!desc_to_json}) the file holds.  A machine's
+    own dump (a stall or crash phase) carries none. *)

@@ -121,9 +121,9 @@ module Protocol_model = Pcc_mcheck.Protocol_model
 (** Abstract atomic-bus model of the snooping backends. *)
 module Snoop_model = Pcc_mcheck.Snoop_model
 
-(** Litmus tests: per-location SC axioms checked against real simulator
-    runs across configs, chaos profiles, and seeds. *)
-module Litmus = Pcc_litmus.Litmus
+(** The litmus corpus: per-location SC tests, run as [litmus:test=ID]
+    workloads and judged by [Oracle.Runner]. *)
+module Litmus = Pcc_workload.Litmus
 
 (** Online coherence oracle: per-event invariant auditing, per-address
     order checking, differential replay through the model checker. *)

@@ -219,6 +219,18 @@ let app_entry (app : Apps.app) =
            ~describe:(Printf.sprintf "%s:scale=%g,seed=%d" name scale seed)
            (lazy (Apps.programs app ~scale ~seed ~nodes ()))))
 
+(* [litmus:test=ID]; without [test], the corpus's first test *)
+let litmus_test params =
+  match List.assoc_opt "test" params with
+  | None -> Ok (List.hd Litmus.corpus)
+  | Some id -> (
+      match List.find_opt (fun t -> t.Litmus.name = id) Litmus.corpus with
+      | Some test -> Ok test
+      | None ->
+          Error
+            (Printf.sprintf "workload litmus: unknown test %S (tests: %s)" id
+               (String.concat ", " (List.map (fun t -> t.Litmus.name) Litmus.corpus))))
+
 let entries =
   List.map app_entry Apps.all
   @ [
@@ -314,6 +326,24 @@ let entries =
                     ~appends_per_epoch ~events ())));
       };
       {
+        e_name = "litmus";
+        e_summary = "a test of the per-location SC litmus corpus (litmus:test=ID)";
+        e_keys = [ "test" ];
+        e_make =
+          (fun ctx params ->
+            let* test = litmus_test params in
+            let nodes = ctx.c_nodes in
+            if nodes < Litmus.nodes test then
+              Error
+                (Printf.sprintf "workload litmus: test %s needs %d nodes, got %d"
+                   test.Litmus.name (Litmus.nodes test) nodes)
+            else
+              Ok
+                (of_materialized ~name:"litmus" ~nodes
+                   ~describe:("litmus:test=" ^ test.Litmus.name)
+                   (lazy (Litmus.programs ~nodes test))));
+      };
+      {
         e_name = "trace";
         e_summary = "replay a recorded binary trace (trace:file=PATH)";
         e_keys = [ "file" ];
@@ -390,3 +420,8 @@ let of_spec ~nodes ~scale ~seed s =
       in
       let* () = check_keys spec.spec_params in
       e.e_make { c_nodes = nodes; c_scale = scale; c_seed = seed } spec.spec_params
+
+let litmus s =
+  match parse_spec s with
+  | Ok { spec_name = "litmus"; spec_params } -> Result.to_option (litmus_test spec_params)
+  | Ok _ | Error _ -> None

@@ -97,7 +97,7 @@ val of_spec : nodes:int -> scale:float -> seed:int -> string -> (packed, string)
 
 val names : unit -> string list
 (** Registry names: the seven paper apps, [random], [prodcons], the
-    four datacenter generators, and [trace]. *)
+    four datacenter generators, [litmus] and [trace]. *)
 
 val summaries : unit -> (string * string) list
 (** [(name, one-line summary)] for CLI help text. *)
@@ -105,3 +105,7 @@ val summaries : unit -> (string * string) list
 val unknown_message : string -> string
 (** The loud-rejection message for an unknown name, with "did you
     mean" suggestions. *)
+
+val litmus : string -> Litmus.test option
+(** The litmus test a [litmus:test=ID] spec names; [None] for any other
+    workload. *)

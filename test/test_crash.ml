@@ -159,6 +159,36 @@ let test_restart_gets_no_orphan_update () =
   Alcotest.(check int) "one restart" 1 result.stats.Run_stats.restarts;
   Alcotest.(check int) "no stale reads" 0 result.violations
 
+(* ---------------- a grant lost with its home ---------------- *)
+
+(* pcc_chaos --nodes 3 --crash 1 --seeds 3 --profile outages --workload
+   random: home node 0 crashes at cycle 10,569 while its exclusive grant
+   to node 2 sits unacked in its own hub (link 0->2 is down).  Node 2's
+   shared writeback from cycle 2,245 reached the home, but its ack was
+   lost on that link, so the frame is still unacked at detection.  An
+   Excl entry ignores a shared writeback, so recovery must rebuild the
+   entry rather than wait for that frame; before the fix the home NACKed
+   node 2's store to line 0@0 until the run stalled. *)
+let test_lost_grant_rebuilt () =
+  let desc =
+    {
+      Oracle.Trace.default with
+      nodes = 3;
+      seed = 3;
+      chaos =
+        Some
+          {
+            profile = "outages";
+            crash = Seeded 1;
+            restart_after = 5_000;
+            txn_timeout = 2_000;
+            fallback_threshold = 2;
+          };
+    }
+  in
+  let report = Oracle.Runner.run ~diff:false desc in
+  Alcotest.(check (list string)) "clean verdict" [] report.failures
+
 (* ---------------- telemetry recovery spans ---------------- *)
 
 (* The recorder must turn the crash life cycle into one recovery span —
@@ -288,6 +318,8 @@ let suite =
       test_no_restart_survivors_finish;
     Alcotest.test_case "restarted node receives no orphan update" `Quick
       test_restart_gets_no_orphan_update;
+    Alcotest.test_case "home crash with a lost grant is rebuilt" `Quick
+      test_lost_grant_rebuilt;
     Alcotest.test_case "recorder reconstructs recovery spans" `Quick
       test_recovery_spans;
     Alcotest.test_case "crash sweep bit-identical across pool widths" `Slow
