@@ -1,7 +1,7 @@
-(* Shared cmdliner vocabulary for the six CLIs and bench/main.exe.
+(* Shared cmdliner vocabulary for the five CLIs and bench/main.exe.
 
    Every tool speaks the same flags with the same docstrings; defaults
-   differ per tool (a chaos sweep wants 6 nodes at scale 0.15, the
+   differ per tool (a checked sweep wants 6 nodes at scale 0.15, the
    simulator driver wants the paper's 16 at 0.5), so each term takes its
    default as a parameter.  Tool-specific knobs (fault profiles, model
    bounds, output directories) stay in their own executables. *)
@@ -37,9 +37,9 @@ let workload_spec
 let workload ?(default = "em3d") () =
   Term.(const (Option.value ~default) $ workload_spec ())
 
-(* The sweep tools' workloads for one seed (pcc_oracle, pcc_chaos):
-   random plus one app benchmark, rotating through the paper's apps by
-   [(seed - 1) mod 7]; a pinned spec replaces both. *)
+(* A pcc_oracle seed sweep's workloads for one seed (differential and
+   chaos): random plus one app benchmark, rotating through the paper's
+   apps by [(seed - 1) mod 7]; a pinned spec replaces both. *)
 let sweep_benches ~pin seed =
   match pin with
   | Some spec -> [ spec ]

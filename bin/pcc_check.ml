@@ -1,16 +1,13 @@
-(* Command-line verification driver (the paper's §2.5, scaled up).
+(* Model-checking driver (the paper's §2.5, scaled up): exhaustive
+   exploration of the abstract protocol model, or of the atomic-bus
+   snooping model.  Checked simulation (the litmus matrix included) is
+   pcc_oracle's.
 
-   Two modes:
-   - exhaustive model checking of the abstract protocol model
-       dune exec bin/pcc_check.exe -- --nodes 4 --lines 2 --ops 1 --jobs 4
-   - the litmus corpus against the real simulator
-       dune exec bin/pcc_check.exe -- --litmus --jobs 4 *)
+     dune exec bin/pcc_check.exe -- --nodes 4 --lines 2 --ops 1 --jobs 4 *)
 
 open Cmdliner
 module Checker = Pcc.Checker
 module Model = Pcc.Protocol_model
-module Trace = Pcc.Oracle.Trace
-module Runner = Pcc.Oracle.Runner
 
 let bug_of_string = function
   | "" -> Ok None
@@ -108,77 +105,6 @@ let run_model_check protocol nodes lines ops workload delegation updates bug max
               let outcome = Checker.run (module M) ~max_states ~jobs ?spill () in
               report_outcome M.pp outcome metrics_path))
 
-(* A failed litmus cell leaves its flight dump here, named after the
-   cell: pcc_oracle --replay re-runs it, pcc_trace --flight decodes it. *)
-let dump_dir = "flight-dumps"
-
-let print_cell (name, _) (report : Runner.report) =
-  match report.failures with
-  | [] -> Format.printf "%-32s pass@." name
-  | failures ->
-      Format.printf "%-32s FAIL@." name;
-      List.iter (Format.printf "  %s@.") failures;
-      Option.iter
-        (fun path ->
-          Format.printf "  flight dump: %s (replay with pcc_oracle --replay %s)@." path
-            path)
-        report.dump
-
-(* Every cell is a run descriptor judged by Oracle.Runner.  --protocol
-   msi/mesi restricts the matrix to that backend; the mutated corpus
-   runs once on the backend's own machine with its planted fault. *)
-let run_litmus jobs mutate protocol metrics_path =
-  let machines =
-    match protocol with
-    | Pcc.Types.Adaptive -> None
-    | p -> Some [ Pcc.Protocol.to_string p ]
-  in
-  let cells =
-    if mutate then
-      Trace.litmus_cells ~fault:true
-        ~machines:(Option.value machines ~default:[ "full" ])
-        ~profiles:[ None ] ~seeds:[ 1 ] Pcc.Litmus.corpus
-    else Trace.litmus_cells ?machines Pcc.Litmus.corpus
-  in
-  match Cli_common.make_dir dump_dir with
-  | Error message -> usage_error message
-  | Ok () ->
-      let reports =
-        Pcc.Pool.run_keyed ~jobs
-          (List.map
-             (fun (name, desc) ->
-               let dump = Filename.concat dump_dir (name ^ ".flight.json") in
-               (name, fun () -> Runner.run ~dump desc))
-             cells)
-      in
-      List.iter2 print_cell cells reports;
-      let runs = List.length reports in
-      let failed = List.length (List.filter (fun r -> not (Runner.clean r)) reports) in
-      Cli_common.write_metrics metrics_path (fun registry ->
-          let module R = Pcc.Telemetry.Registry in
-          R.counter registry "pcc_litmus_runs" runs;
-          R.counter registry "pcc_litmus_failures" failed);
-      if mutate then
-        if failed = 0 then begin
-          Format.printf "mutation NOT detected: %d runs all passed@." runs;
-          2
-        end
-        else begin
-          Format.printf "mutation detected in %d/%d runs@." failed runs;
-          0
-        end
-      else begin
-        Format.printf "%d runs, %d failures@." runs failed;
-        if failed = 0 then 0 else 2
-      end
-
-let run litmus mutate protocol nodes lines ops workload delegation updates bug
-    max_states jobs spill por metrics_path =
-  if litmus || mutate then run_litmus jobs mutate protocol metrics_path
-  else
-    run_model_check protocol nodes lines ops workload delegation updates bug max_states
-      jobs spill por metrics_path
-
 let nodes_arg = Cli_common.nodes ~default:3 ~doc:"Nodes in the model." ()
 
 let lines_arg =
@@ -218,7 +144,7 @@ let bug_arg =
 
 let max_states_arg = Cli_common.max_states ()
 
-let jobs_arg = Cli_common.jobs ~what:"frontier chunks (or litmus runs)" ()
+let jobs_arg = Cli_common.jobs ~what:"frontier chunks" ()
 
 let spill_arg =
   Arg.(
@@ -236,39 +162,19 @@ let por_arg =
     & info [ "por" ]
         ~doc:"Partial-order reduction over independent lines (only matters with --lines > 1).")
 
-let litmus_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "litmus" ]
-        ~doc:
-          "Run the litmus corpus through the real simulator (configs × chaos profiles × \
-           seeds) instead of model checking.")
-
-let mutate_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "litmus-mutated" ]
-        ~doc:
-          "Run the litmus corpus against a deliberately broken machine and require a \
-           failure (harness detection sanity check).")
-
 let cmd =
   let term =
     Term.(
-      const run $ litmus_arg $ mutate_arg
+      const run_model_check
       $ Cli_common.protocol
           ~doc:
-            "Which backend to verify: $(b,adaptive) checks the directory-protocol \
-             model (or the full litmus matrix, every backend included); $(b,msi) / \
-             $(b,mesi) check the atomic-bus snooping model (bug: \
-             $(b,upgr-skips-invals)) or restrict the litmus matrix to that backend." ()
+            "Which model to check: $(b,adaptive) the directory protocol's, $(b,msi) / \
+             $(b,mesi) the atomic-bus snooping model's (bug: $(b,upgr-skips-invals))." ()
       $ nodes_arg $ lines_arg $ ops_arg
       $ workload_arg $ delegation_arg $ updates_arg $ bug_arg $ max_states_arg
       $ jobs_arg $ spill_arg $ por_arg $ Cli_common.metrics ())
   in
   Cmd.v
-    (Cmd.info "pcc_check" ~doc:"Verify the coherence protocol backends") term
+    (Cmd.info "pcc_check" ~doc:"Model-check the coherence protocol backends") term
 
 let () = exit (Cmd.eval' cmd)

@@ -43,9 +43,14 @@ let run workload_spec machine protocol nodes scale seed delegate_entries rac_kb
     | Some ops -> Printf.sprintf " ops=%d" ops
     | None -> "");
   let sys = System.create ~config () in
-  (match flight_dump with
-  | Some path -> System.arm_flight_dump sys ~path
-  | None -> ());
+  let post_mortem reason =
+    Option.iter
+      (fun path ->
+        System.write_flight_dump sys ~path ~reason;
+        Format.printf "post-mortem flight dump: %s (decode with pcc_trace --flight %s)@."
+          path path)
+      flight_dump
+  in
   let stream = Workload.stream workload in
   let writer = Option.map (fun path -> Btrace.Writer.create ~path ~nodes ()) record_path in
   let stream = match writer with Some w -> Btrace.recording w stream | None -> stream in
@@ -56,6 +61,7 @@ let run workload_spec machine protocol nodes scale seed delegate_entries rac_kb
         result
     | exception e ->
         Option.iter Btrace.Writer.abort writer;
+        post_mortem ("uncaught exception: " ^ Printexc.to_string e);
         raise e
   in
   (match (writer, record_path) with
@@ -82,7 +88,11 @@ let run workload_spec machine protocol nodes scale seed delegate_entries rac_kb
   Format.printf "violations        %d@." result.System.violations;
   List.iter (Format.printf "INVARIANT ERROR: %s@.") result.System.invariant_errors;
   (match result.System.stall with
-  | Some stall -> Format.printf "%a@." System.pp_stall_report stall
+  | Some stall ->
+      Format.printf "%a@." System.pp_stall_report stall;
+      post_mortem
+        (Format.asprintf "run ended %a with %d processor(s) unfinished"
+           Simulator.pp_outcome stall.System.stall_outcome stall.System.stall_unfinished)
   | None -> ());
   if verbose then begin
     Format.printf "@.per-class network messages:@.";
@@ -125,9 +135,9 @@ let flight_dump_arg =
     & opt (some string) None
     & info [ "flight-dump" ] ~docv:"PATH"
         ~doc:
-          "Arm the always-on flight recorder's post-mortem: on a stall, crash \
-           or uncaught exception the retained event window is dumped to \
-           $(docv) (decode with $(b,pcc_trace --flight)).")
+          "On a stall or an uncaught exception, dump the always-on flight \
+           recorder's retained event window to $(docv) (decode with \
+           $(b,pcc_trace --flight)).")
 
 let record_arg =
   Arg.(

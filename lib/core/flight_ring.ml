@@ -220,7 +220,7 @@ type dump = {
 }
 
 (* [run] and [failures] are written only when given, so a machine's own
-   dumps (stalls, crash phases) keep their fields. *)
+   dumps ([pcc_sim --flight-dump]) keep their fields. *)
 let dump_to_json ?run ?(failures = []) t ~reason ~time ~nodes ~config =
   Jsonl.Obj
     ([

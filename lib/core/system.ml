@@ -41,9 +41,6 @@ type t = {
   probe : Probe.t;
       (* event sink: the always-on flight ring and SC checker, then
          subscribers *)
-  mutable flight_dump : string option;
-      (* armed post-mortem path: stalls, crashes, and uncaught exceptions
-         (oracle violations included) dump the flight window here *)
 }
 
 let on_crash t f = t.crash_hooks <- t.crash_hooks @ [ f ]
@@ -62,21 +59,9 @@ let checker t = Probe.checker t.probe
 
 let recent t = Flight_ring.recent (flight t) 64
 
-let arm_flight_dump t ~path = t.flight_dump <- Some path
-
 let write_flight_dump ?run ?failures t ~path ~reason =
   Flight_ring.write_dump ?run ?failures (flight t) ~path ~reason ~time:(Sim.now t.sim)
     ~nodes:t.config.nodes ~config:(Config.describe t.config)
-
-(* Write the retained flight window to the armed path (atomic temp +
-   rename); a no-op when no dump path is armed, so byte-diff CI runs see
-   no extra artifacts unless a CLI asked for them. *)
-let dump_flight t ~reason =
-  match t.flight_dump with
-  | None -> None
-  | Some path ->
-      write_flight_dump t ~path ~reason;
-      Some path
 
 let crash_phase_code = function
   | Crash_down -> 0
@@ -90,12 +75,6 @@ let fire_crash_hooks t ~node ~phase =
   let code = crash_phase_code phase in
   Flight_ring.record (flight t) ~time ~kind:Flight_ring.k_crash ~detail:code ~src:node
     ~dst:node ~line:(-1) ~arg:0;
-  (match
-     dump_flight t
-       ~reason:
-         (Printf.sprintf "crash: node %d %s" node (Flight_ring.crash_phase_name code))
-   with
-  | Some _ | None -> ());
   List.iter (fun f -> f ~time ~node ~phase) t.crash_hooks
 
 (* A barrier releases every processor [barrier_latency] cycles after the
@@ -236,7 +215,6 @@ let create ~(config : Config.t) () =
       last_finish = 0;
       crash_progress = 0;
       probe;
-      flight_dump = None;
     }
   in
   (match config.net_faults with
@@ -362,7 +340,6 @@ type stall_report = {
   stall_unfinished : int;
   stall_in_flight : in_flight list;
   stall_recent : Flight_ring.event list;
-  stall_flight_dump : string option;
 }
 
 type result = {
@@ -399,12 +376,6 @@ let pp_stall_report ppf r =
   | events ->
       Format.fprintf ppf "@,recent events:";
       List.iter (fun e -> Format.fprintf ppf "@,  %a" Flight_ring.pp_event e) events);
-  (match r.stall_flight_dump with
-  | None -> ()
-  | Some path ->
-      Format.fprintf ppf
-        "@,post-mortem flight dump: %s (decode with pcc_trace --flight %s)" path
-        path);
   Format.fprintf ppf "@]"
 
 let run_stream ?max_events (t : t) (feed : Op_stream.t) =
@@ -490,18 +461,7 @@ let run_stream ?max_events (t : t) (feed : Op_stream.t) =
                program; the run can still drain without it *)
             if Nodeset.mem t.dead_forever node then finish node ()
         | Crash_restarted -> resume_stepper.(node) ());
-  let outcome =
-    try Sim.run ?max_events t.sim
-    with exn ->
-      (* oracle violations and other observer exceptions abort the run:
-         leave a post-mortem behind before propagating *)
-      let bt = Printexc.get_raw_backtrace () in
-      (match
-         dump_flight t ~reason:("uncaught exception: " ^ Printexc.to_string exn)
-       with
-      | Some _ | None -> ());
-      Printexc.raise_with_backtrace exn bt
-  in
+  let outcome = Sim.run ?max_events t.sim in
   let invariant_errors =
     if !remaining = 0 && outcome = Sim.Drained then P.check_invariants arr
     else
@@ -530,11 +490,6 @@ let run_stream ?max_events (t : t) (feed : Op_stream.t) =
         {
           stall_outcome = outcome;
           stall_unfinished = !remaining;
-          stall_flight_dump =
-            dump_flight t
-              ~reason:
-                (Format.asprintf "run ended %a with %d processor(s) unfinished"
-                   Sim.pp_outcome outcome !remaining);
           stall_in_flight =
             Array.to_list arr
             |> List.filter_map (fun node ->

@@ -85,19 +85,15 @@ val recent : t -> Flight_ring.event list
 (** The flight ring's last 64 events, oldest first: the window stall
     reports and oracle failures carry. *)
 
-val arm_flight_dump : t -> path:string -> unit
-(** Arm a post-mortem dump path.  When armed, the retained flight window
-    is written there (atomic temp+rename, one JSON line) on a stalled or
-    unfinished run, on every crash phase, and on an uncaught exception
-    escaping the simulation loop (oracle violations included).  Decode
-    with [pcc_trace --flight].  Unarmed systems never write files. *)
-
 val write_flight_dump :
   ?run:Pcc_stats.Jsonl.t -> ?failures:string list -> t -> path:string -> reason:string ->
   unit
-(** Write the retained flight window to [path] now, whether or not a
-    path is armed; [run] and [failures] as in {!Flight_ring.write_dump}.
-    The oracle's checked runs write their failure artifact with this. *)
+(** Write the retained flight window to [path] (atomic temp+rename, one
+    JSON line; decode with [pcc_trace --flight]); [run] and [failures] as
+    in {!Flight_ring.write_dump}.  The one failure-dump writer: the
+    oracle's checked runs write their artifact with it, and [pcc_sim
+    --flight-dump] its stall or exception post-mortem.  A system never
+    writes files on its own. *)
 
 (** {2 Observers (online auditors, telemetry, trace tooling)}
 
@@ -204,9 +200,6 @@ type stall_report = {
   stall_recent : Flight_ring.event list;
       (** {!recent} when the run ended, in every mode (rendered with
           {!Flight_ring.pp_event}) *)
-  stall_flight_dump : string option;
-      (** where the flight-recorder post-mortem was written, when
-          {!arm_flight_dump} armed one — the artifact to open first *)
 }
 
 val pp_stall_report : Format.formatter -> stall_report -> unit

@@ -30,8 +30,9 @@ type run_desc = {
   bench : string;  (** a {!Pcc_workload.Workload.of_spec} workload spec *)
   config_name : string;  (** a {!Pcc_core.Config.of_name} machine name *)
   protocol : Types.protocol option;
-      (** backend override on the named machine: [pcc_chaos --protocol
-          msi] runs the [full] machine with the bus backend *)
+      (** backend override on the named machine: [pcc_oracle --profile
+          all --protocol msi] runs the [full] machine with the bus
+          backend *)
   nodes : int;
   scale : float;  (** epoch-count multiplier for app benchmarks *)
   seed : int;
@@ -47,7 +48,7 @@ type run_desc = {
 val default : run_desc
 (** [random] on the [full] machine with 6 nodes, scale 0.15, seed 1, no
     planted fault, reliable links and a budget of 50M events: the
-    defaults of [pcc_oracle] and [pcc_chaos]. *)
+    defaults of [pcc_oracle]'s seed sweeps. *)
 
 val config_of_desc : run_desc -> Config.t
 (** Build the whole machine the descriptor names.  A chaos run's seed is
@@ -91,4 +92,4 @@ val desc_of_json : Pcc_stats.Jsonl.t -> (run_desc, string) result
 val read_desc : path:string -> (run_desc, string) result
 (** The run descriptor of the flight dump at [path], or the bare
     descriptor object ({!desc_to_json}) the file holds.  A machine's
-    own dump (a stall or crash phase) carries none. *)
+    own dump ([pcc_sim --flight-dump]) carries none. *)

@@ -2,10 +2,11 @@
 
     One labeled namespace for every counter, gauge and latency summary
     the tools expose, with two deterministic renderings: a JSON snapshot
-    and an OpenMetrics text exposition.  All six CLIs accept
+    and an OpenMetrics text exposition.  All five CLIs accept
     [--metrics FILE] and write one of the two (chosen by file
-    extension), so any run — simulation, sweep, oracle replay, chaos
-    campaign, model check — leaves a machine-readable scrape behind.
+    extension), so any run — simulation, parameter sweep, checked
+    sweep (chaos campaigns included), model check — leaves a
+    machine-readable scrape behind.
 
     Determinism contract: exports are sorted by (name, labels) and every
     bridge below derives its numbers from run results collected on the

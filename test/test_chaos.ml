@@ -211,8 +211,8 @@ let test_zero_profile_run_clean () =
 
 (* ---------------- failure artifacts ---------------- *)
 
-(* A pcc_chaos cell as a descriptor: random traffic over dropping links
-   with pcc_chaos's recovery knobs. *)
+(* A chaos cell of pcc_oracle --profile drops as a descriptor: random
+   traffic over dropping links with the sweep's default recovery knobs. *)
 let drops_desc ?(fault = false) ?(crash = 0) ?(max_events = Oracle.Trace.default.max_events)
     ~seed () =
   {

@@ -161,7 +161,7 @@ let test_restart_gets_no_orphan_update () =
 
 (* ---------------- a grant lost with its home ---------------- *)
 
-(* pcc_chaos --nodes 3 --crash 1 --seeds 3 --profile outages --workload
+(* pcc_oracle --profile outages --nodes 3 --crash 1 --seeds 3 --workload
    random: home node 0 crashes at cycle 10,569 while its exclusive grant
    to node 2 sits unacked in its own hub (link 0->2 is down).  Node 2's
    shared writeback from cycle 2,245 reached the home, but its ack was

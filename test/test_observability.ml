@@ -214,17 +214,22 @@ let test_stall_dump_wellformed () =
   let programs = Oracle.Trace.programs_of_desc desc in
   let sys = System.create ~config () in
   let path = Filename.temp_file "pcc-flight" ".json" in
-  System.arm_flight_dump sys ~path;
   let result = System.run_programs ~max_events:300 sys programs in
-  (match result.System.stall with
-  | None -> Alcotest.fail "a truncated run must carry a stall report"
-  | Some stall ->
-      Alcotest.(check (option string))
-        "stall report points at the dump" (Some path)
-        stall.System.stall_flight_dump);
+  let recent =
+    match result.System.stall with
+    | None -> Alcotest.fail "a truncated run must carry a stall report"
+    | Some stall -> stall.System.stall_recent
+  in
+  System.write_flight_dump sys ~path ~reason:"forced stall";
   (match Ring.read_dump path with
   | Error m -> Alcotest.failf "dump not decodable: %s" m
   | Ok dump ->
+      let tail =
+        List.filteri
+          (fun i _ -> i >= List.length dump.Ring.d_events - List.length recent)
+          dump.Ring.d_events
+      in
+      Alcotest.(check bool) "the stall report's window ends the dump" true (tail = recent);
       Alcotest.(check int) "node count" 6 dump.Ring.d_nodes;
       Alcotest.(check bool) "window non-empty" true (dump.Ring.d_events <> []);
       Alcotest.(check bool) "recorded covers the window" true

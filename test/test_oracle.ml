@@ -98,7 +98,8 @@ let test_trace_roundtrip () =
   (match reread with
   | Ok desc' -> Alcotest.(check bool) "descriptor round-trips" true (desc = desc')
   | Error e -> Alcotest.failf "read_desc: %s" e);
-  (* a descriptor naming no preset is rejected as pcc_chaos rejects it *)
+  (* a descriptor naming no preset is rejected as pcc_oracle --profile
+     rejects it *)
   let nosuch c = { c with Oracle.Trace.profile = "nosuch" } in
   let unknown = { desc with chaos = Option.map nosuch desc.chaos } in
   Alcotest.(check (result unit string))
