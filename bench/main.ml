@@ -888,6 +888,7 @@ let write_json path =
 (* ------------------------------------------------------------------ *)
 
 let main selected jobs json_path backend workload =
+  Cli_common.check_outputs ~tool:"main" [ json_path ];
   (* Same loud-rejection contract as the CLIs: an unknown workload name
      exits 2 with the suggestion list, never a silent default. *)
   Option.iter

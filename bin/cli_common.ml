@@ -149,6 +149,26 @@ let make_dir dir =
   | exception Sys_error message ->
       Error (Printf.sprintf "cannot create the directory %s" message)
 
+(* Every file a tool writes is checked before any run: one whose
+   directory is missing, or that is a directory, is a usage error naming
+   the path, not a Sys_error once all the work is done. *)
+let unwritable path =
+  let dir = Filename.dirname path in
+  if not (Sys.file_exists dir && Sys.is_directory dir) then
+    Some (Printf.sprintf "cannot write %s: no directory %s" path dir)
+  else if Sys.file_exists path && Sys.is_directory path then
+    Some (Printf.sprintf "cannot write %s: it is a directory" path)
+  else None
+
+let output_error paths = List.find_map (fun path -> Option.bind path unwritable) paths
+
+let check_outputs ~tool paths =
+  Option.iter
+    (fun message ->
+      Printf.eprintf "%s: %s\n" tool message;
+      exit 2)
+    (output_error paths)
+
 let max_events ?(default = 50_000_000) ?(doc = "Event budget per run.") () =
   Arg.(value & opt int default & info [ "max-events" ] ~docv:"N" ~doc)
 

@@ -64,8 +64,17 @@ let report_outcome pp outcome metrics_path =
 
 let run_model_check protocol nodes lines ops workload delegation updates bug max_states
     jobs spill por metrics_path =
-  match protocol with
-  | Pcc.Types.Msi | Pcc.Types.Mesi -> (
+  let bad_output =
+    match (Cli_common.output_error [ metrics_path ], spill) with
+    | Some message, _ -> Some message
+    | None, Some dir ->
+        Result.fold (Cli_common.make_dir dir) ~ok:(fun () -> None) ~error:(fun message ->
+            Some ("--spill: " ^ message))
+    | None, None -> None
+  in
+  match (bad_output, protocol) with
+  | Some message, _ -> usage_error message
+  | None, (Pcc.Types.Msi | Pcc.Types.Mesi) -> (
       match snoop_bug_of_string bug with
       | Error message -> usage_error message
       | Ok bug -> (
@@ -83,7 +92,7 @@ let run_model_check protocol nodes lines ops workload delegation updates bug max
           | (module M) ->
               let outcome = Checker.run (module M) ~max_states ~jobs ?spill () in
               report_outcome M.pp outcome metrics_path))
-  | Pcc.Types.Adaptive -> (
+  | None, Pcc.Types.Adaptive -> (
       match (bug_of_string bug, workload_of_string workload) with
       | Error message, _ | _, Error message -> usage_error message
       | Ok bug, Ok workload -> (

@@ -434,6 +434,10 @@ let main mode o given =
       | None -> Ok ()
     in
     let* () = validate o in
+    let* () =
+      Option.fold ~none:(Ok ()) ~some:Result.error
+        (Cli_common.output_error [ o.json; o.metrics ])
+    in
     match mode with
     | Replay path -> Ok (fun () -> run_replay ~max_lines:o.max_lines ~path)
     | Golden -> Ok (fun () -> run_golden ~nodes:8 ~scale:o.scale ~seed:7)

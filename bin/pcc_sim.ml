@@ -11,6 +11,8 @@ open Cmdliner
 let run workload_spec machine protocol nodes scale seed delegate_entries rac_kb
     intervention_delay hop_latency max_events verbose metrics_path flight_dump
     record_path json_path =
+  Cli_common.check_outputs ~tool:"pcc_sim"
+    [ json_path; metrics_path; record_path; flight_dump ];
   let workload =
     Cli_common.resolve_workload ~tool:"pcc_sim" ~nodes ~scale ~seed workload_spec
   in

@@ -47,6 +47,7 @@ let write_json path ~app_name ~workload ~knob ~protocol ~nodes ~scale
       output_char oc '\n')
 
 let run workload_spec knob values protocol nodes scale seed jobs json_path metrics_path =
+  Cli_common.check_outputs ~tool:"pcc_sweep" [ json_path; metrics_path ];
   let workload =
     Cli_common.resolve_workload ~tool:"pcc_sweep" ~nodes ~scale ~seed workload_spec
   in

@@ -28,6 +28,12 @@ let decode_flight path =
 
 let run_traced ~workload_spec ~machine ~nodes ~scale ~seed ~sample_every ~out_dir
     ~max_events ~metrics_path =
+  Cli_common.check_outputs ~tool:"pcc_trace" [ metrics_path ];
+  (match Cli_common.make_dir out_dir with
+  | Ok () -> ()
+  | Error message ->
+      Printf.eprintf "pcc_trace: --out-dir: %s\n" message;
+      exit 2);
   let workload =
     Cli_common.resolve_workload ~tool:"pcc_trace" ~nodes ~scale ~seed workload_spec
   in
@@ -41,9 +47,6 @@ let run_traced ~workload_spec ~machine ~nodes ~scale ~seed ~sample_every ~out_di
   let result = System.run_stream ~max_events sys (Workload.stream workload) in
   let wall = Unix.gettimeofday () -. wall_start in
   let sim = System.sim sys in
-  (match Unix.mkdir out_dir 0o755 with
-  | () -> ()
-  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let spans = Telemetry.Recorder.spans recorder in
   let samples = Telemetry.Recorder.samples recorder in
   let recoveries = Telemetry.Recorder.recoveries recorder in

@@ -23,7 +23,6 @@ type t = {
   intervention_delay : int;
   adaptive_intervention : bool;
   write_repeat_threshold : int;
-  reader_count_bits : int;
   hub_latency : int;
   nack_retry_delay : int;
   barrier_latency : int;
@@ -32,11 +31,7 @@ type t = {
   link_rto : int;
   link_rto_cap : int;
   txn_timeout : int;
-  txn_timeout_cap : int;
   fallback_threshold : int;
-  crash_detect_delay : int;
-  watchdog_interval : int;
-  watchdog_checks : int;
   seed : int;
   inject_fault : fault option;
 }
@@ -69,7 +64,6 @@ let base ?(nodes = 16) () =
     intervention_delay = 50;
     adaptive_intervention = false;
     write_repeat_threshold = 3;
-    reader_count_bits = 2;
     hub_latency = 4;
     nack_retry_delay = 50;
     barrier_latency = 200;
@@ -78,11 +72,7 @@ let base ?(nodes = 16) () =
     link_rto = 500;
     link_rto_cap = 8_000;
     txn_timeout = 5_000;
-    txn_timeout_cap = 80_000;
     fallback_threshold = 3;
-    crash_detect_delay = 1_500;
-    watchdog_interval = 100_000;
-    watchdog_checks = 10;
     seed = 42;
     inject_fault = None;
   }

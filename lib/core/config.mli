@@ -54,7 +54,6 @@ type t = {
           observed burst length *)
   (* Predictor (§2.2) *)
   write_repeat_threshold : int;  (** 2-bit saturating counter: saturates at 3 *)
-  reader_count_bits : int;
   (* Miscellaneous protocol timing *)
   hub_latency : int;  (** per-message hub processing *)
   nack_retry_delay : int;
@@ -74,25 +73,11 @@ type t = {
       (** cycles a pending transaction may sit without completing before
           the node re-attempts it and records a strike against the line
           (0 disables; only armed when {!hardened}) *)
-  txn_timeout_cap : int;
-      (** ceiling for the per-transaction timeout backoff *)
   fallback_threshold : int;
       (** timeout strikes against a line before the node gives up on the
           optimized path for it: the line is undelegated, speculative
           updates are disabled, and future delegation requests are
           refused — falling back to the verified base 3-hop protocol *)
-  crash_detect_delay : int;
-      (** cycles between a fail-stop crash and machine-wide detection:
-          the window during which the victim's in-flight traffic still
-          lands.  At detection the directories run recovery (revocation,
-          sharer pruning, transaction abort/retry) and the victim's
-          epoch is bumped so its remaining pre-crash traffic is
-          discarded.  Only meaningful when {!crash_capable}. *)
-  watchdog_interval : int;
-      (** executed events between progress-watchdog samples *)
-  watchdog_checks : int;
-      (** consecutive no-progress samples before the run is declared
-          stalled (livelock) *)
   seed : int;
   inject_fault : fault option;
       (** deliberately break the protocol (test-only, default [None]) *)

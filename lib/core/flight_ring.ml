@@ -47,14 +47,6 @@ let note_name = function
   | 7 -> "dir-state"
   | _ -> "?"
 
-let dstate_code : Directory.dstate -> int = function
-  | Directory.Unowned -> 0
-  | Directory.Shared_s -> 1
-  | Directory.Excl -> 2
-  | Directory.Busy_shared -> 3
-  | Directory.Busy_excl -> 4
-  | Directory.Dele -> 5
-
 let dstate_name = function
   | 0 -> "Unowned"
   | 1 -> "Shared"

@@ -68,11 +68,9 @@ val n_predictor : int
     producer-consumer *)
 
 val n_dir_state : int
-(** directory entry changed state; arg = {!Directory.dstate} code *)
+(** directory entry changed state; arg = {!Directory.state_code} *)
 
 val note_name : int -> string
-
-val dstate_code : Directory.dstate -> int
 
 val dstate_name : int -> string
 

@@ -121,7 +121,7 @@ let home_of line = Types.Layout.home_of_line line
    recorder sees line state transitions. *)
 let set_dstate t line (entry : Directory.entry) st =
   entry.state <- st;
-  note t ~code:Flight_ring.n_dir_state ~line ~arg:(Flight_ring.dstate_code st)
+  note t ~code:Flight_ring.n_dir_state ~line ~arg:(Directory.state_code st)
 
 let find_producer t line =
   match t.producer_table with Some table -> Producer.find table line | None -> None
@@ -684,88 +684,78 @@ and schedule_retry t p =
       | _ -> () (* committed, superseded, or granted while the retry waited *))
 
 (* ------------------------------------------------------------------ *)
-(* Home-side request handling                                          *)
+(* Home directory                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Is the requester recorded in a Busy entry still the incarnation that
+(* Is the requester a Busy entry waits for still the incarnation that
    issued the request?  A requester that crashed — even if it restarted
    since, with a bumped epoch — must not be granted: the grant would
-   name an owner that no longer holds (or expects) the line. *)
+   name an owner that no longer holds (or expects) the line.  An entry
+   that never waited has no requester to ask about. *)
 let requester_current t (entry : Directory.entry) =
-  (not t.crashable)
+  (not t.crashable) || entry.requester < 0
   || ((not (Hub_link.peer_down t.hub ~peer:entry.requester))
      && Hub_link.peer_epoch t.hub ~peer:entry.requester = entry.requester_epoch)
 
-(* Stamp the requester's incarnation into a freshly set Busy state. *)
-let stamp_requester t (entry : Directory.entry) =
-  if t.crashable then
-    entry.requester_epoch <- Hub_link.peer_epoch t.hub ~peer:entry.requester
+(* [Directory.home_step] makes every home decision; [home_request] and
+   [home_answer] interpret its action with the simulator's side of it:
+   latencies, the predictor, statistics, flight notes and crash stamps. *)
+let home_step t (entry : Directory.entry) input ~src =
+  Directory.home_step entry.state input
+    (Directory.role ~owner:entry.owner ~requester:entry.requester src)
+    ~current:(requester_current t entry)
 
-let rec home_get_shared t ~src ~tid line =
+(* The sender waits in a Busy entry, stamped with its incarnation. *)
+let wait t line (entry : Directory.entry) (step : Directory.step) ~src ~op ~tid =
+  set_dstate t line entry step.next;
+  entry.requester <- src;
+  entry.requester_op <- op;
+  entry.requester_tid <- tid;
+  if t.crashable then entry.requester_epoch <- Hub_link.peer_epoch t.hub ~peer:src
+
+(* A checkpointed value only moves memory forward: versions are monotone. *)
+let raise_mem (entry : Directory.entry) value =
+  if value > entry.mem_value then entry.mem_value <- value
+
+let take_back t line (entry : Directory.entry) (step : Directory.step) =
+  set_dstate t line entry step.next;
+  entry.owner <- -1;
+  entry.sharers <- Nodeset.empty
+
+let rec home_request t ~src ~(op : Types.op_kind) ~tid line =
   let access = dir_access t line in
   let entry = Directory.entry t.dir line in
-  match entry.state with
-  | Directory.Unowned | Directory.Shared_s ->
-      let unique = not (Nodeset.mem entry.sharers src) in
-      Predictor.record_read t.params access.predictor ~reader:src ~unique;
-      set_dstate t line entry Directory.Shared_s;
-      entry.sharers <- Nodeset.add entry.sharers src;
-      send_after t
-        ~delay:(access.latency + dram_delay t)
-        ~dst:src
-        (Data_shared { line; value = entry.mem_value; source_is_home = true; tid })
-  | Directory.Excl ->
-      if entry.owner = src then
-        (* the owner's writeback is in flight; retry until it lands *)
-        send_after t ~delay:access.latency ~dst:src
-          (Nack { line; reason = Message.Pending; tid })
-      else begin
-        Predictor.record_read t.params access.predictor ~reader:src ~unique:true;
-        set_dstate t line entry Directory.Busy_shared;
-        entry.requester <- src;
-        entry.requester_op <- Types.Load;
-        entry.requester_tid <- tid;
-        stamp_requester t entry;
-        t.stats.interventions_sent <- t.stats.interventions_sent + 1;
-        send_after t ~delay:access.latency ~dst:entry.owner
-          (Intervention { line; requester = src; tid })
-      end
-  | Directory.Busy_shared | Directory.Busy_excl ->
-      send_after t ~delay:access.latency ~dst:src
-        (Nack { line; reason = Message.Busy; tid })
-  | Directory.Dele ->
-      if entry.owner = src then
-        send_after t ~delay:access.latency ~dst:src
-          (Nack { line; reason = Message.Busy; tid })
-      else begin
-        (* Fig. 4b: forward to the delegated home and teach the requester *)
-        send_after t ~delay:access.latency ~dst:entry.owner
-          (Fwd_get_shared { line; requester = src; tid });
-        send_after t ~delay:access.latency ~dst:src
-          (New_home { line; home = entry.owner })
-      end
-
-and home_get_exclusive t ~src ~tid line =
-  let access = dir_access t line in
-  let entry = Directory.entry t.dir line in
-  match entry.state with
-  | Directory.Unowned ->
-      Predictor.record_write t.params access.predictor ~writer:src;
-      set_dstate t line entry Directory.Excl;
-      entry.owner <- src;
-      entry.sharers <- Nodeset.empty;
-      send_after t
-        ~delay:(access.latency + dram_delay t)
-        ~dst:src
-        (Data_exclusive
-           {
-             line;
-             value = entry.mem_value;
-             acks_expected = 0;
-             sharers = Nodeset.empty;
-             tid;
-           })
-  | Directory.Shared_s ->
+  let input = match op with Load -> Directory.Get_shared | Store -> Directory.Get_exclusive in
+  let step = home_step t entry input ~src in
+  match step.action with
+  | Serve -> (
+      match op with
+      | Load ->
+          Predictor.record_read t.params access.predictor ~reader:src
+            ~unique:(not (Nodeset.mem entry.sharers src));
+          set_dstate t line entry step.next;
+          entry.sharers <- Nodeset.add entry.sharers src;
+          send_after t
+            ~delay:(access.latency + dram_delay t)
+            ~dst:src
+            (Data_shared { line; value = entry.mem_value; source_is_home = true; tid })
+      | Store ->
+          Predictor.record_write t.params access.predictor ~writer:src;
+          set_dstate t line entry step.next;
+          entry.owner <- src;
+          entry.sharers <- Nodeset.empty;
+          send_after t
+            ~delay:(access.latency + dram_delay t)
+            ~dst:src
+            (Data_exclusive
+               {
+                 line;
+                 value = entry.mem_value;
+                 acks_expected = 0;
+                 sharers = Nodeset.empty;
+                 tid;
+               }))
+  | Grant_or_delegate ->
       Predictor.record_write t.params access.predictor ~writer:src;
       let is_pc = Predictor.is_producer_consumer t.params access.predictor in
       let consumers = Nodeset.remove entry.sharers src in
@@ -803,195 +793,126 @@ and home_get_exclusive t ~src ~tid line =
              { line; sharers = consumers; value = entry.mem_value; acks_expected = n; tid })
       end
       else begin
-        set_dstate t line entry Directory.Excl;
+        set_dstate t line entry step.next;
         send_after t
           ~delay:(access.latency + dram_delay t)
           ~dst:src
           (Data_exclusive
-             {
-               line;
-               value = entry.mem_value;
-               acks_expected = n;
-               sharers = consumers;
-               tid;
-             })
+             { line; value = entry.mem_value; acks_expected = n; sharers = consumers; tid })
       end
-  | Directory.Excl ->
-      if entry.owner = src then
-        send_after t ~delay:access.latency ~dst:src
-          (Nack { line; reason = Message.Pending; tid })
-      else begin
-        Predictor.record_write t.params access.predictor ~writer:src;
-        set_dstate t line entry Directory.Busy_excl;
-        entry.requester <- src;
-        entry.requester_op <- Types.Store;
-        entry.requester_tid <- tid;
-        stamp_requester t entry;
-        send_after t ~delay:access.latency ~dst:entry.owner
-          (Transfer { line; requester = src; tid })
-      end
-  | Directory.Busy_shared | Directory.Busy_excl ->
+  | Nack_busy ->
+      send_after t ~delay:access.latency ~dst:src (Nack { line; reason = Message.Busy; tid })
+  | Nack_pending ->
       send_after t ~delay:access.latency ~dst:src
-        (Nack { line; reason = Message.Busy; tid })
-  | Directory.Dele ->
-      if entry.owner = src then
-        send_after t ~delay:access.latency ~dst:src
-          (Nack { line; reason = Message.Busy; tid })
-      else begin
-        (* undelegation reason 3 (§2.3.3): another node wants exclusivity *)
-        Predictor.record_write t.params access.predictor ~writer:src;
-        set_dstate t line entry Directory.Busy_excl;
-        entry.requester <- src;
-        entry.requester_op <- Types.Store;
-        entry.requester_tid <- tid;
-        stamp_requester t entry;
-        send_after t ~delay:access.latency ~dst:entry.owner
-          (Recall { line; requester = src; kind = Types.Store })
-      end
+        (Nack { line; reason = Message.Pending; tid })
+  | Intervene ->
+      Predictor.record_read t.params access.predictor ~reader:src ~unique:true;
+      wait t line entry step ~src ~op ~tid;
+      t.stats.interventions_sent <- t.stats.interventions_sent + 1;
+      send_after t ~delay:access.latency ~dst:entry.owner
+        (Intervention { line; requester = src; tid })
+  | Transfer ->
+      Predictor.record_write t.params access.predictor ~writer:src;
+      wait t line entry step ~src ~op ~tid;
+      send_after t ~delay:access.latency ~dst:entry.owner
+        (Transfer { line; requester = src; tid })
+  | Recall ->
+      Predictor.record_write t.params access.predictor ~writer:src;
+      wait t line entry step ~src ~op ~tid;
+      send_after t ~delay:access.latency ~dst:entry.owner
+        (Recall { line; requester = src; kind = op })
+  | Forward ->
+      send_after t ~delay:access.latency ~dst:entry.owner
+        (Fwd_get_shared { line; requester = src; tid });
+      send_after t ~delay:access.latency ~dst:src (New_home { line; home = entry.owner })
+  | Retry_recall | Serve_waiting | Rerun_waiting | Share | Share_with_reader
+  | Confirm_transfer | Checkpoint | Take_back | Reclaim | Reclaim_and_rerun | Stale ->
+      assert false (* answers' actions *)
 
-and home_service_request t (node, kind, tid) line =
-  (* a request stored on behalf of a node that has died is dropped: its
-     transaction died with it *)
-  if t.crashable && not (peer_alive t node) then ()
-  else
-    match (kind : Types.op_kind) with
-    | Types.Load -> home_get_shared t ~src:node ~tid line
-    | Types.Store -> home_get_exclusive t ~src:node ~tid line
+(* A request the home stored (or a dead owner left parked) runs again;
+   one stored for a node that has died since is dropped: its
+   transaction died with it. *)
+and home_rerun t (node, op, tid) line =
+  if not (t.crashable && not (peer_alive t node)) then home_request t ~src:node ~op ~tid line
 
-(* ------------------------------------------------------------------ *)
-(* Home-side replies and races                                         *)
-(* ------------------------------------------------------------------ *)
-
-let on_writeback t ~src line ~value =
-  let access = dir_access t line in
+(* What an owner, an evictor or a delegated home sends the home. *)
+let home_answer t ~src line input (msg : Message.t) =
   let entry = Directory.entry t.dir line in
-  send_after t ~delay:access.latency ~dst:src (Writeback_ack { line });
-  match entry.state with
-  | Directory.Excl when entry.owner = src ->
+  let latency =
+    match msg with
+    | Writeback _ ->
+        let access = dir_access t line in
+        send_after t ~delay:access.latency ~dst:src (Writeback_ack { line });
+        access.latency
+    | _ -> 0
+  in
+  let step = home_step t entry input ~src in
+  match (step.action, msg) with
+  | Take_back, Writeback { value; _ } ->
       entry.mem_value <- value;
-      set_dstate t line entry Directory.Unowned;
-      entry.owner <- -1
-  | Directory.Busy_shared when entry.owner = src ->
-      (* the intervention crossed the writeback: serve the waiting reader
-         from home memory (unless that reader has died meanwhile) *)
+      take_back t line entry step
+  | Take_back, Transfer_ack { value; _ } ->
+      (match value with Some v -> raise_mem entry v | None -> ());
+      take_back t line entry step
+  | Serve_waiting, Writeback { value; _ } ->
       entry.mem_value <- value;
-      if requester_current t entry then begin
-        set_dstate t line entry Directory.Shared_s;
-        entry.sharers <- Nodeset.singleton entry.requester;
-        send_after t
-          ~delay:(access.latency + dram_delay t)
-          ~dst:entry.requester
-          (Data_shared { line; value; source_is_home = true; tid = entry.requester_tid })
-      end
-      else begin
-        set_dstate t line entry Directory.Unowned;
-        entry.owner <- -1;
-        entry.sharers <- Nodeset.empty
-      end
-  | Directory.Busy_excl when entry.owner = src ->
-      (* the transfer crossed the writeback: grant the waiting writer *)
-      entry.mem_value <- value;
-      set_dstate t line entry Directory.Unowned;
+      set_dstate t line entry step.next;
       entry.owner <- -1;
-      if requester_current t entry then
-        home_service_request t
-          (entry.requester, entry.requester_op, entry.requester_tid)
-          line
-  | Directory.Busy_excl when entry.requester = src ->
-      (* the new owner wrote back before its Transfer_ack arrived: the
-         transfer evidently completed, so the transaction ends here *)
+      entry.sharers <- Nodeset.singleton entry.requester;
+      send_after t
+        ~delay:(latency + dram_delay t)
+        ~dst:entry.requester
+        (Data_shared { line; value; source_is_home = true; tid = entry.requester_tid })
+  | Rerun_waiting, Writeback { value; _ } ->
       entry.mem_value <- value;
-      set_dstate t line entry Directory.Unowned;
-      entry.owner <- -1
-  | Directory.Unowned | Directory.Shared_s | Directory.Excl | Directory.Busy_shared
-  | Directory.Busy_excl | Directory.Dele ->
-      () (* stale writeback *)
-
-let on_shared_writeback t ~src line ~value ~new_sharer =
-  let entry = Directory.entry t.dir line in
-  match entry.state with
-  | Directory.Busy_shared when entry.owner = src ->
+      take_back t line entry step;
+      home_rerun t (entry.requester, entry.requester_op, entry.requester_tid) line
+  | (Share | Share_with_reader), Shared_writeback { value; new_sharer; _ } ->
       entry.mem_value <- value;
-      set_dstate t line entry Directory.Shared_s;
+      set_dstate t line entry step.next;
       (* the served reader joins the sharing vector only if it is still
          the incarnation that asked (its cache died with it otherwise) *)
       entry.sharers <-
-        (if requester_current t entry then
-           Nodeset.add (Nodeset.singleton src) new_sharer
+        (if step.action = Share_with_reader then Nodeset.add (Nodeset.singleton src) new_sharer
          else Nodeset.singleton src);
       entry.owner <- -1
-  | Directory.Dele when entry.owner = src ->
-      (* crash-capable machines: the delegated producer checkpoints its
-         freshest value at every downgrade so a later crash cannot lose
-         a value survivors already observed; versions are monotone *)
-      if value > entry.mem_value then entry.mem_value <- value
-  | _ -> ()
-
-let on_transfer_ack t ~src line ~new_owner ~value =
-  let entry = Directory.entry t.dir line in
-  match entry.state with
-  | Directory.Busy_excl when entry.owner = src ->
+  | Checkpoint, Shared_writeback { value; _ } ->
+      (* the delegated producer checkpoints its freshest value at every
+         downgrade so a later crash cannot lose a value survivors
+         already observed *)
+      raise_mem entry value
+  | Confirm_transfer, Transfer_ack { new_owner; value; _ } ->
       (* crash mode: the old owner's final value rides the ack so home
          memory catches up (the new owner may die before writing back) *)
-      (match value with
-      | Some v -> if v > entry.mem_value then entry.mem_value <- v
-      | None -> ());
-      if requester_current t entry then begin
-        set_dstate t line entry Directory.Excl;
-        entry.owner <- new_owner;
-        entry.sharers <- Nodeset.empty
-      end
-      else begin
-        (* the new owner died (or restarted cold) before taking the
-           grant: ownership reverts to home memory *)
-        set_dstate t line entry Directory.Unowned;
-        entry.owner <- -1;
-        entry.sharers <- Nodeset.empty
-      end
-  | _ -> ()
-
-let on_undelegate t ~src line ~sharers ~owner ~value ~pending =
-  let entry = Directory.entry t.dir line in
-  match entry.state with
-  | (Directory.Dele | Directory.Busy_excl) when entry.owner = src ->
-      let stored_pending =
-        if entry.state = Directory.Busy_excl && requester_current t entry then
+      (match value with Some v -> raise_mem entry v | None -> ());
+      set_dstate t line entry step.next;
+      entry.owner <- new_owner;
+      entry.sharers <- Nodeset.empty
+  | (Reclaim | Reclaim_and_rerun), Undelegate { sharers; owner; value; pending; _ } ->
+      let stored =
+        if step.action = Reclaim_and_rerun then
           Some (entry.requester, entry.requester_op, entry.requester_tid)
         else None
       in
       (match value with Some v -> entry.mem_value <- v | None -> ());
       Directory.reset_predictor t.dir line;
+      set_dstate t line entry
+        (Directory.reclaimed ~kept_owner:(Option.is_some owner)
+           ~sharers:(not (Nodeset.is_empty sharers)));
       (match owner with
       | Some node ->
-          set_dstate t line entry Directory.Excl;
           entry.owner <- node;
           entry.sharers <- Nodeset.empty
       | None ->
           entry.owner <- -1;
-          if Nodeset.is_empty sharers then begin
-            set_dstate t line entry Directory.Unowned;
-            entry.sharers <- Nodeset.empty
-          end
-          else begin
-            set_dstate t line entry Directory.Shared_s;
-            entry.sharers <- sharers
-          end);
-      (match pending with
-      | Some request -> home_service_request t request line
-      | None -> ());
-      (match stored_pending with
-      | Some request -> home_service_request t request line
-      | None -> ())
-  | _ -> () (* stale *)
-
-let on_recall_nack t ~src line =
-  let entry = Directory.entry t.dir line in
-  match entry.state with
-  | Directory.Busy_excl when entry.owner = src ->
-      (* the producer has not seen the Delegate yet: retry the recall *)
+          entry.sharers <- sharers);
+      (match pending with Some request -> home_rerun t request line | None -> ());
+      (match stored with Some request -> home_rerun t request line | None -> ())
+  | Retry_recall, _ ->
       send_after t ~delay:t.config.nack_retry_delay ~dst:entry.owner
         (Recall { line; requester = entry.requester; kind = entry.requester_op })
-  | _ -> () (* resolved meanwhile (the Undelegate arrived) *)
+  | Stale, _ -> ()
+  | _, _ -> assert false (* each answer's actions come with its input *)
 
 (* ------------------------------------------------------------------ *)
 (* Delegated-home (producer) request handling                          *)
@@ -1258,34 +1179,31 @@ let handle_message t ~src (msg : Message.t) =
   Probe.recv t.probe ~src ~dst:t.id msg;
   match msg with
   | Get_shared { line; tid } ->
-      if home_of line = t.id then home_get_shared t ~src ~tid line
+      if home_of line = t.id then home_request t ~src ~op:Types.Load ~tid line
       else prod_get_shared t line ~requester:src ~tid
   | Fwd_get_shared { line; requester; tid } -> prod_get_shared t line ~requester ~tid
   | Get_exclusive { line; tid } ->
-      if home_of line = t.id then home_get_exclusive t ~src ~tid line
+      if home_of line = t.id then home_request t ~src ~op:Types.Store ~tid line
       else prod_get_exclusive t line ~requester:src ~tid
-  | Writeback { line; value } -> on_writeback t ~src line ~value
+  | Writeback { line; _ } -> home_answer t ~src line Directory.Writeback msg
   | Writeback_ack { line } -> Hashtbl.remove t.wb_pending line
   | Inval { line; requester } -> on_inval t line ~requester
   | Intervention { line; requester; tid } -> on_intervention t line ~requester ~tid
   | Transfer { line; requester; tid } -> on_transfer t line ~requester ~tid
-  | Transfer_ack { line; new_owner; value } ->
-      on_transfer_ack t ~src line ~new_owner ~value
+  | Transfer_ack { line; _ } -> home_answer t ~src line Directory.Transfer_ack msg
   | Data_shared { line; value; source_is_home = _; tid } ->
       on_data_shared t ~src line ~value ~tid
   | Data_exclusive { line; value; acks_expected; sharers; tid } ->
       on_data_exclusive t ~src line ~value ~acks_expected ~sharers ~tid
   | Inv_ack { line } -> on_inv_ack t ~src line
-  | Shared_writeback { line; value; new_sharer } ->
-      on_shared_writeback t ~src line ~value ~new_sharer
+  | Shared_writeback { line; _ } -> home_answer t ~src line Directory.Shared_writeback msg
   | Nack { line; reason; tid } -> on_nack t line ~reason ~tid
   | Delegate { line; sharers; value; acks_expected; tid } ->
       on_delegate t ~src line ~sharers ~value ~acks_expected ~tid
   | New_home { line; home } -> on_new_home t line ~new_home:home
   | Recall { line; requester = _; kind = _ } -> on_recall t line
-  | Recall_nack { line } -> on_recall_nack t ~src line
-  | Undelegate { line; sharers; owner; value; pending } ->
-      on_undelegate t ~src line ~sharers ~owner ~value ~pending
+  | Recall_nack { line } -> home_answer t ~src line Directory.Recall_nack msg
+  | Undelegate { line; _ } -> home_answer t ~src line Directory.Undelegate msg
   | Update { line; value } -> on_update t ~src line ~value
   | Update_flush { line } -> send t ~dst:src (Update_flush_ack { line })
   | Update_flush_ack { line } -> on_update_flush_ack t ~src line
@@ -1303,7 +1221,10 @@ let handle_message t ~src (msg : Message.t) =
    it already holds data and is merely collecting acks, which duplicate
    requests could corrupt — and records a strike that may demote the line
    to the base protocol.  The timer re-arms with exponential backoff so a
-   genuinely slow transaction is not hammered. *)
+   genuinely slow transaction is not hammered, up to [txn_timeout_cap]
+   cycles. *)
+let txn_timeout_cap = 80_000
+
 let rec arm_txn_timeout t p ~delay =
   sched t ~delay (fun () ->
       match t.pending with
@@ -1325,8 +1246,7 @@ let rec arm_txn_timeout t p ~delay =
                p.ack_waiters);
           arm_txn_timeout t p
             ~delay:
-              (min t.config.txn_timeout_cap
-                 (t.config.txn_timeout lsl min p.timeouts 10))
+              (min txn_timeout_cap (t.config.txn_timeout lsl min p.timeouts 10))
       | _ -> () (* committed; let the timer die *))
 
 let start_miss t ~kind ~line ~on_commit =
@@ -1711,9 +1631,7 @@ let rebuild_dead_owner t nodes line (entry : Directory.entry) =
   match was with
   | Directory.Busy_shared | Directory.Busy_excl ->
       if requester_current t entry then
-        home_service_request t
-          (entry.requester, entry.requester_op, entry.requester_tid)
-          line
+        home_rerun t (entry.requester, entry.requester_op, entry.requester_tid) line
   | _ -> ()
 
 (* Is a directory-resolving reply for [line] still in flight from a

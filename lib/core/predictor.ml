@@ -1,9 +1,12 @@
 type params = { write_repeat_threshold : int; reader_count_max : int }
 
+(* The unique-reader count is a 2-bit saturating counter (§2.2). *)
+let reader_count_bits = 2
+
 let params_of_config (config : Config.t) =
   {
     write_repeat_threshold = config.write_repeat_threshold;
-    reader_count_max = (1 lsl config.reader_count_bits) - 1;
+    reader_count_max = (1 lsl reader_count_bits) - 1;
   }
 
 type entry = {

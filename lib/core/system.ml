@@ -125,6 +125,10 @@ let barrier_forget t ~dead =
       release_barrier_if_full t id b)
     (List.sort (fun (a, _) (b, _) -> compare (a : int) b) pending)
 
+(* Cycles between a fail-stop crash and machine-wide detection: the
+   window in which the victim's in-flight traffic still lands. *)
+let crash_detect_delay = 1_500
+
 (* Fail-stop schedule: each crash is three simulator events.  At
    [crash_at] the node dies (volatile state lost, links down).  After the
    detection delay the machine notices: the victim's incarnation epoch is
@@ -140,7 +144,7 @@ let schedule_crashes t (crashes : Fault.crash list) =
       let victim = c.victim in
       if victim < 0 || victim >= t.config.nodes then
         invalid_arg "System: crash victim out of range";
-      let detect_at = c.crash_at + t.config.crash_detect_delay in
+      let detect_at = c.crash_at + crash_detect_delay in
       Sim.schedule t.sim ~delay:c.crash_at (fun () ->
           Network.mark_down t.network ~node:victim;
           Node.crash nodes.(victim);
@@ -168,6 +172,13 @@ let schedule_crashes t (crashes : Fault.crash list) =
               t.crash_progress <- t.crash_progress + 1;
               fire_crash_hooks t ~node:victim ~phase:Crash_restarted))
     crashes
+
+(* The progress watchdog samples every [watchdog_interval] events and
+   declares a stall (livelock) after [watchdog_checks] samples in a row
+   without a commit. *)
+let watchdog_interval = 100_000
+
+let watchdog_checks = 10
 
 let create ~(config : Config.t) () =
   let sim = Sim.create () in
@@ -225,8 +236,7 @@ let create ~(config : Config.t) () =
        under fault injection events keep flowing (retransmissions, retries)
        even when the protocol is stuck *)
     let check = Probe.checker probe in
-    Sim.set_watchdog sim ~interval:config.watchdog_interval
-      ~stall_checks:config.watchdog_checks
+    Sim.set_watchdog sim ~interval:watchdog_interval ~stall_checks:watchdog_checks
       ~progress:(fun () -> Sc_check.commits check + t.crash_progress)
   end;
   t

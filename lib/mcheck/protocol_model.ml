@@ -1,3 +1,6 @@
+module Directory = Pcc_core.Directory
+module Message = Pcc_core.Message
+
 type bug = Skip_invals_on_delegate | No_poison_on_inval | Updates_without_resharing
 
 type workload = Symmetric | Producer_consumer
@@ -93,10 +96,6 @@ type nst = {
          resolves the race and acknowledges the writeback *)
 }
 
-type dstate = DU | DS | DE | DBs | DBe | DD
-
-type nack_reason = NBusy | NNotHome | NPending
-
 type msg =
   | MGetS of int  (* requester's transaction id, echoed by the reply *)
   | MGetX of int
@@ -109,7 +108,7 @@ type msg =
   | MAck
   | MSwb of int * int  (* value, new sharer *)
   | MTack of int  (* new owner *)
-  | MNack of nack_reason * int  (* tid *)
+  | MNack of Message.nack_reason * int  (* tid *)
   | MDelegate of int * int * int * int  (* sharers, value, acks expected, tid *)
   | MNewHome of int
   | MRecall
@@ -131,7 +130,7 @@ type packet = { src : int; dst : int; seq : int; msg : msg }
 
 type state = {
   ns : nst array;
-  dir : dstate;
+  dir : Directory.dstate;
   shr : int;
   own : int;
   req : int;
@@ -224,6 +223,16 @@ let norm st =
       { st with net = renumber (-1) (-1) 0 (List.sort packet_order net) }
 
 let fail st message = { st with error = Some message }
+
+let dir_name : Directory.dstate -> string = function
+  | Unowned -> "U"
+  | Shared_s -> "S"
+  | Excl -> "E"
+  | Busy_shared -> "Bs"
+  | Busy_excl -> "Be"
+  | Dele -> "D"
+
+let nack_code : Message.nack_reason -> int = function Busy -> 0 | Not_home -> 1 | Pending -> 2
 
 (* ------------------------------------------------------------------ *)
 (* Transition labels                                                   *)
@@ -558,125 +567,94 @@ let try_complete_store st n =
 (* Home-side message handling                                          *)
 (* ------------------------------------------------------------------ *)
 
+let from_home dst msg = { src = home; dst; seq = 0; msg }
+
+let write_request requester tid = { src = requester; dst = home; seq = 0; msg = MGetX tid }
+
 (* Returns the possible next states for delivering [msg] from [s] at the
    home (several when the home may nondeterministically delegate); [] if
-   delivery is currently blocked. *)
+   delivery is currently blocked.  [Directory.home_step] makes every
+   decision, as it does in the simulator; this interprets its action as
+   packets.  The model's requesters never crash, so a waiting requester
+   is always current, and its producers never NACK a recall. *)
 let home_handle params st ~s msg =
-  let reply m = [ { src = home; dst = s; seq = 0; msg = m } ] in
-  match (msg, st.dir) with
-  | MGetS tid, (DU | DS) ->
-      [ post { st with dir = DS; shr = add_bit st.shr s } (reply (MDataS (st.mem, tid))) ]
-  | MGetS tid, DE ->
-      if st.own = s then [ post st (reply (MNack (NPending, tid))) ]
+  let input : Directory.input =
+    match msg with
+    | MGetS _ -> Get_shared
+    | MGetX _ -> Get_exclusive
+    | MWb _ -> Writeback
+    | MSwb _ -> Shared_writeback
+    | MTack _ -> Transfer_ack
+    | MUndele _ -> Undelegate
+    | MFwdS _ | MInval _ | MIntv _ | MTransfer _ | MDataS _ | MDataE _ | MAck | MNack _
+    | MDelegate _ | MNewHome _ | MRecall | MUpdate _ | MFlush | MFlushAck | MWbAck ->
+        assert false (* routed to the cache side *)
+  in
+  let step =
+    Directory.home_step st.dir input
+      (Directory.role ~owner:st.own ~requester:st.req s)
+      ~current:true
+  in
+  let dir = step.next in
+  match (step.action, msg) with
+  | Serve, MGetS tid ->
+      [ post { st with dir; shr = add_bit st.shr s } [ from_home s (MDataS (st.mem, tid)) ] ]
+  | Serve, MGetX tid ->
+      [ post { st with dir; own = s; shr = 0 } [ from_home s (MDataE (st.mem, 0, tid)) ] ]
+  | Grant_or_delegate, MGetX tid ->
+      let sharers = rem_bit st.shr s in
+      let others = bits_list sharers in
+      let invals = List.map (fun n -> from_home n (MInval s)) others in
+      let granted = { st with dir; own = s; shr = 0 } in
+      let acks = List.length others in
+      let grant = post granted (from_home s (MDataE (st.mem, acks, tid)) :: invals) in
+      let delegated = { granted with dir = Dele } in
+      if not params.enable_delegation then [ grant ]
+      else if params.bug = Some Skip_invals_on_delegate then
+        [ grant; post delegated [ from_home s (MDelegate (sharers, st.mem, 0, tid)) ] ]
       else
-        [
-          post
-            { st with dir = DBs; req = s; req_tid = tid }
-            [ { src = home; dst = st.own; seq = 0; msg = MIntv (s, tid) } ];
-        ]
-  | MGetS tid, (DBs | DBe) -> [ post st (reply (MNack (NBusy, tid))) ]
-  | MGetS tid, DD ->
-      if st.own = s then [ post st (reply (MNack (NBusy, tid))) ]
-      else
-        [
-          post st
-            [
-              { src = home; dst = st.own; seq = 0; msg = MFwdS (s, tid) };
-              { src = home; dst = s; seq = 0; msg = MNewHome st.own };
-            ];
-        ]
-  | MGetX tid, DU ->
-      [ post { st with dir = DE; own = s; shr = 0 } (reply (MDataE (st.mem, 0, tid))) ]
-  | MGetX tid, DS ->
-      let others = bits_list (rem_bit st.shr s) in
-      let invals requester =
-        List.map (fun n -> { src = home; dst = n; seq = 0; msg = MInval requester }) others
-      in
-      let grant =
-        post
-          { st with dir = DE; own = s; shr = 0 }
-          (reply (MDataE (st.mem, List.length others, tid)) @ invals s)
-      in
-      let delegations =
-        if params.enable_delegation then begin
-          let sharers = rem_bit st.shr s in
-          let base = { st with dir = DD; own = s; shr = 0 } in
-          if params.bug = Some Skip_invals_on_delegate then
-            [ post base (reply (MDelegate (sharers, st.mem, 0, tid))) ]
-          else
-            [
-              post base
-                (reply (MDelegate (sharers, st.mem, List.length others, tid)) @ invals s);
-            ]
-        end
-        else []
-      in
-      grant :: delegations
-  | MGetX tid, DE ->
-      if st.own = s then [ post st (reply (MNack (NPending, tid))) ]
-      else
-        [
-          post
-            { st with dir = DBe; req = s; req_tid = tid }
-            [ { src = home; dst = st.own; seq = 0; msg = MTransfer (s, tid) } ];
-        ]
-  | MGetX tid, (DBs | DBe) -> [ post st (reply (MNack (NBusy, tid))) ]
-  | MGetX tid, DD ->
-      if st.own = s then [ post st (reply (MNack (NBusy, tid))) ]
-      else
-        [
-          post
-            { st with dir = DBe; req = s; req_tid = tid }
-            [ { src = home; dst = st.own; seq = 0; msg = MRecall } ];
-        ]
-  | MWb v, DE when st.own = s ->
-      [ post { st with mem = v; dir = DU; own = -1 } (reply MWbAck) ]
-  | MWb v, DBs when st.own = s ->
+        [ grant; post delegated (from_home s (MDelegate (sharers, st.mem, acks, tid)) :: invals) ]
+  | Nack_busy, (MGetS tid | MGetX tid) -> [ post st [ from_home s (MNack (Busy, tid)) ] ]
+  | Nack_pending, (MGetS tid | MGetX tid) -> [ post st [ from_home s (MNack (Pending, tid)) ] ]
+  | Intervene, MGetS tid ->
+      [ post { st with dir; req = s; req_tid = tid } [ from_home st.own (MIntv (s, tid)) ] ]
+  | Transfer, MGetX tid ->
+      [ post { st with dir; req = s; req_tid = tid } [ from_home st.own (MTransfer (s, tid)) ] ]
+  | Recall, MGetX tid ->
+      [ post { st with dir; req = s; req_tid = tid } [ from_home st.own MRecall ] ]
+  | Forward, MGetS tid ->
+      [ post st [ from_home st.own (MFwdS (s, tid)); from_home s (MNewHome st.own) ] ]
+  | Retry_recall, _ -> [ post st [ from_home st.own MRecall ] ]
+  (* a writeback is always acknowledged *)
+  | Take_back, MWb v -> [ post { st with mem = v; dir; own = -1; shr = 0 } [ from_home s MWbAck ] ]
+  | Serve_waiting, MWb v ->
       [
         post
-          { st with mem = v; dir = DS; shr = bit st.req; own = -1 }
-          (reply MWbAck
-          @ [ { src = home; dst = st.req; seq = 0; msg = MDataS (v, st.req_tid) } ]);
+          { st with mem = v; dir; shr = bit st.req; own = -1 }
+          [ from_home s MWbAck; from_home st.req (MDataS (v, st.req_tid)) ];
       ]
-  | MWb v, DBe when st.own = s ->
-      (* grant the waiting writer by re-running its request *)
+  | Rerun_waiting, MWb v ->
       [
         post
-          { st with mem = v; dir = DU; own = -1 }
-          (reply MWbAck
-          @ [ { src = st.req; dst = home; seq = 0; msg = MGetX st.req_tid } ]);
+          { st with mem = v; dir; own = -1; shr = 0 }
+          [ from_home s MWbAck; write_request st.req st.req_tid ];
       ]
-  | MWb v, DBe when st.req = s ->
-      (* the new owner wrote back before its Transfer_ack reached us: the
-         ownership transfer evidently completed, so the transaction ends
-         here (the late Transfer_ack is dropped) *)
-      [ post { st with mem = v; dir = DU; own = -1 } (reply MWbAck) ]
-  | MWb _, _ -> [ post st (reply MWbAck) ] (* stale, but always acknowledged *)
-  | MSwb (v, new_sharer), DBs when st.own = s ->
-      [ { st with mem = v; dir = DS; shr = add_bit (bit s) new_sharer; own = -1 } ]
-  | MSwb _, _ -> [ st ]
-  | MTack new_owner, DBe when st.own = s -> [ { st with dir = DE; own = new_owner } ]
-  | MTack _, _ -> [ st ]
-  | MUndele (sharers, value, pending), (DD | DBe) when st.own = s ->
-      let st = match value with Some v -> { st with mem = v } | None -> st in
-      let stored = if st.dir = DBe then Some (st.req, st.req_tid) else None in
-      let st =
-        if sharers = 0 then { st with dir = DU; own = -1; shr = 0 }
-        else { st with dir = DS; own = -1; shr = sharers }
+  | Stale, MWb _ -> [ post st [ from_home s MWbAck ] ]
+  | Share, MSwb (v, _) -> [ { st with mem = v; dir; shr = bit s; own = -1 } ]
+  | Share_with_reader, MSwb (v, new_sharer) ->
+      [ { st with mem = v; dir; shr = add_bit (bit s) new_sharer; own = -1 } ]
+  | Checkpoint, MSwb (v, _) -> [ { st with mem = max st.mem v } ]
+  | Confirm_transfer, MTack new_owner -> [ { st with dir; own = new_owner; shr = 0 } ]
+  | (Reclaim | Reclaim_and_rerun), MUndele (sharers, value, pending) ->
+      let mem = match value with Some v -> v | None -> st.mem in
+      let dir = Directory.reclaimed ~kept_owner:false ~sharers:(sharers <> 0) in
+      let stored =
+        if step.action = Reclaim_and_rerun then [ write_request st.req st.req_tid ] else []
       in
-      let requeue (requester, tid) =
-        { src = requester; dst = home; seq = 0; msg = MGetX tid }
-      in
-      let packets =
-        (match pending with Some r -> [ requeue r ] | None -> [])
-        @ (match stored with Some r -> [ requeue r ] | None -> [])
-      in
-      [ post st packets ]
-  | MUndele _, _ -> [ st ]
-  | ( ( MFwdS _ | MInval _ | MIntv _ | MTransfer _ | MDataS _ | MDataE _ | MAck | MNack _
-      | MDelegate _ | MNewHome _ | MRecall | MUpdate _ | MFlush | MFlushAck | MWbAck ),
-      _ ) ->
-      assert false (* routed to the cache side *)
+      let carried = match pending with Some (r, tid) -> [ write_request r tid ] | None -> [] in
+      [ post { st with mem; dir; own = -1; shr = sharers } (carried @ stored) ]
+  | Stale, _ -> [ st ]
+  | _, _ -> assert false (* each action comes with its input *)
 
 (* ------------------------------------------------------------------ *)
 (* Cache/producer-side message handling                                *)
@@ -686,9 +664,9 @@ let serve_read params st n ~requester ~tid =
   let node = st.ns.(n) in
   match node.prod with
   | None ->
-      [ post st [ { src = n; dst = requester; seq = 0; msg = MNack (NNotHome, tid) } ] ]
+      [ post st [ { src = n; dst = requester; seq = 0; msg = MNack (Not_home, tid) } ] ]
   | Some { pst = PB; _ } ->
-      [ post st [ { src = n; dst = requester; seq = 0; msg = MNack (NBusy, tid) } ] ]
+      [ post st [ { src = n; dst = requester; seq = 0; msg = MNack (Busy, tid) } ] ]
   | Some ({ pst = PEx; _ } as _p) ->
       let st = downgrade_push params st n ~exclude:(Some requester) in
       let node = st.ns.(n) in
@@ -708,7 +686,7 @@ let serve_read params st n ~requester ~tid =
           in
           [ post st [ { src = n; dst = requester; seq = 0; msg = MDataS (v, tid) } ] ]
       | None ->
-          [ post st [ { src = n; dst = requester; seq = 0; msg = MNack (NNotHome, tid) } ] ])
+          [ post st [ { src = n; dst = requester; seq = 0; msg = MNack (Not_home, tid) } ] ])
 
 let resend_request st n =
   let node = st.ns.(n) in
@@ -795,7 +773,7 @@ let cache_handle params st ~src n msg =
       match node.pend with
       | Some p when p.tid = tid ->
           let st =
-            if reason = NNotHome then with_node st n (fun node -> { node with hint = None })
+            if reason = Message.Not_home then with_node st n (fun node -> { node with hint = None })
             else st
           in
           [ resend_request st n ]
@@ -841,10 +819,10 @@ let cache_handle params st ~src n msg =
   | MGetX tid -> (
       match node.prod with
       | None ->
-          [ post st [ { src = n; dst = src; seq = 0; msg = MNack (NNotHome, tid) } ] ]
+          [ post st [ { src = n; dst = src; seq = 0; msg = MNack (Not_home, tid) } ] ]
       | Some p ->
           if p.pst = PB || fence_needed p then
-            [ post st [ { src = n; dst = src; seq = 0; msg = MNack (NBusy, tid) } ] ]
+            [ post st [ { src = n; dst = src; seq = 0; msg = MNack (Busy, tid) } ] ]
           else [ undelegate st n ~pending:(Some (src, tid)) ])
   | MRecall -> (
       match node.prod with
@@ -1059,14 +1037,7 @@ let rec note_in_transit (v : Inv.view) own = function
 
 let fill_view (v : Inv.view) st =
   v.nodes <- Array.length st.ns;
-  v.dir <-
-    (match st.dir with
-    | DU -> Unowned
-    | DS -> Shared_s
-    | DE -> Excl
-    | DBs -> Busy_shared
-    | DBe -> Busy_excl
-    | DD -> Dele);
+  v.dir <- st.dir;
   v.owner <- st.own;
   v.requester <- st.req;
   v.sharers <- Nodeset.of_mask st.shr;
@@ -1117,7 +1088,7 @@ let initial_state params =
               last_seen = 0;
               wbp = false;
             });
-      dir = DU;
+      dir = Unowned;
       shr = 0;
       own = -1;
       req = -1;
@@ -1169,14 +1140,7 @@ let pp_state ppf st =
     | CE v -> Printf.sprintf "E%d" v
   in
   Format.fprintf ppf "@[<v>dir=%s own=%d req=%d shr=%x mem=%d nextv=%d@,"
-    (match st.dir with
-    | DU -> "U"
-    | DS -> "S"
-    | DE -> "E"
-    | DBs -> "Bs"
-    | DBe -> "Be"
-    | DD -> "D")
-    st.own st.req st.shr st.mem st.nextv;
+    (dir_name st.dir) st.own st.req st.shr st.mem st.nextv;
   Array.iteri
     (fun n node ->
       Format.fprintf ppf "n%d: cache=%s rac=%s prod=%s pend=%s done=%d seen=%d@," n
@@ -1274,7 +1238,7 @@ let put_msg o perm = function
       put_node o perm w
   | MNack (r, tid) ->
       put o 11;
-      put o (match r with NBusy -> 0 | NNotHome -> 1 | NPending -> 2);
+      put o (nack_code r);
       put o tid
   | MDelegate (s, v, a, tid) ->
       put o 12;
@@ -1380,7 +1344,7 @@ let write_line o ~perm ~inv ~(keys : int array) (pk : packet array) count st =
   for j = 0 to Array.length perm - 1 do
     put_node_record o perm st.ns.(inv.(j))
   done;
-  put o (match st.dir with DU -> 0 | DS -> 1 | DE -> 2 | DBs -> 3 | DBe -> 4 | DD -> 5);
+  put o (Directory.state_code st.dir);
   put_mask o perm st.shr;
   put_node o perm st.own;
   put_node o perm st.req;
@@ -1866,7 +1830,7 @@ module Sym = struct
           byte buf o
       | MNack (r, tid) ->
           byte buf 11;
-          byte buf (match r with NBusy -> 0 | NNotHome -> 1 | NPending -> 2);
+          byte buf (nack_code r);
           byte buf tid
       | MDelegate (s, v, a, tid) ->
           byte buf 12;
@@ -1909,7 +1873,7 @@ module Sym = struct
           byte buf n.last_seen;
           enc_bool buf n.wbp)
         st.ns;
-      byte buf (match st.dir with DU -> 0 | DS -> 1 | DE -> 2 | DBs -> 3 | DBe -> 4 | DD -> 5);
+      byte buf (Directory.state_code st.dir);
       byte buf st.shr;
       byte buf st.own;
       byte buf st.req;
@@ -1968,9 +1932,7 @@ module Sym = struct
      [encode a = encode b] must imply [semantic_sig a = semantic_sig b]. *)
   let semantic_sig mst =
     let line_sig st =
-      let dir =
-        match st.dir with DU -> "U" | DS -> "S" | DE -> "E" | DBs -> "Bs" | DBe -> "Be" | DD -> "D"
-      in
+      let dir = dir_name st.dir in
       let popcount mask = List.length (bits_list mask) in
       let per_node =
         Array.to_list
@@ -2025,16 +1987,17 @@ module Step = struct
 
   let net_size st = List.length st.net
 
-  let dir_stable st = match st.dir with DBs | DBe -> false | DU | DS | DE | DD -> true
+  let dir_stable st =
+    match st.dir with Busy_shared | Busy_excl -> false | Unowned | Shared_s | Excl | Dele -> true
 
   let final_value st =
     match st.dir with
-    | DU | DS -> Some st.mem
-    | DE | DBs | DBe -> (
+    | Unowned | Shared_s -> Some st.mem
+    | Excl | Busy_shared | Busy_excl -> (
         if st.own < 0 then None
         else
           match st.ns.(st.own).cache with CE v | CS v -> Some v | CI -> None)
-    | DD -> (
+    | Dele -> (
         let node = st.ns.(st.own) in
         match node.cache with CE v | CS v -> Some v | CI -> node.rac)
 

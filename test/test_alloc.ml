@@ -301,6 +301,43 @@ let check_cache_probes () =
        %d probes — a cache probe must stay allocation-free"
       words (7 * rounds * keys)
 
+(* Every message that reaches a home looks its step up in
+   [Directory.home_step], so the lookup must not allocate: 1M rounds over
+   every state, input, role and currentness. *)
+let check_home_table () =
+  let states = Directory.[| Unowned; Shared_s; Excl; Busy_shared; Busy_excl; Dele |] in
+  let inputs =
+    Directory.
+      [|
+        Get_shared; Get_exclusive; Writeback; Shared_writeback; Transfer_ack; Undelegate;
+        Recall_nack;
+      |]
+  in
+  let roles = Directory.[| Owner; Requester; Other |] in
+  let rounds = 1_000_000 in
+  let stale = ref 0 in
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    for s = 0 to Array.length states - 1 do
+      for i = 0 to Array.length inputs - 1 do
+        for r = 0 to Array.length roles - 1 do
+          for c = 0 to 1 do
+            let step = Directory.home_step states.(s) inputs.(i) roles.(r) ~current:(c = 1) in
+            if step.action = Directory.Stale then incr stale
+          done
+        done
+      done
+    done
+  done;
+  let words = Gc.minor_words () -. before in
+  if !stale = 0 then Alcotest.fail "no lookup ran";
+  if words > 0.0 then
+    Alcotest.failf
+      "Directory.home_step allocated %.0f minor words over %d rounds of lookups — the \
+       home table must stay allocation-free"
+      words rounds
+
 (* The hub link wraps no record around a payload: a round of send ->
    deliver (-> ack, on a reliable link) between two hubs, pass-through
    or reliable, must touch the minor heap not at all.  The two hubs
@@ -446,6 +483,7 @@ let suite =
     Alcotest.test_case "memory-model checker allocation-free" `Quick check_sc_checker;
     Alcotest.test_case "adaptive invariants allocation-free" `Quick check_dir_invariants;
     Alcotest.test_case "cache probes allocation-free" `Quick check_cache_probes;
+    Alcotest.test_case "home directory table allocation-free" `Quick check_home_table;
     Alcotest.test_case "pass-through hub link allocation-free" `Quick
       (check_hub_link ~reliable:false);
     Alcotest.test_case "reliable hub link allocation-free" `Quick

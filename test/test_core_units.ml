@@ -243,6 +243,57 @@ let test_directory_reset_predictor () =
   let b = Directory.access d line in
   Alcotest.(check (option int)) "reset" None (Predictor.producer b.Directory.predictor)
 
+(* The interpreters rely on the table's shape: a request never draws an
+   answer's action (each side asserts it), a step that leaves the state
+   says so, and outside Busy states neither [current] nor a stale
+   [requester] field changes the step. *)
+let test_home_table_shape () =
+  let open Directory in
+  let states = [ Unowned; Shared_s; Excl; Busy_shared; Busy_excl; Dele ] in
+  let inputs =
+    [
+      Get_shared; Get_exclusive; Writeback; Shared_writeback; Transfer_ack; Undelegate; Recall_nack;
+    ]
+  in
+  let request_action = function
+    | Serve | Grant_or_delegate | Nack_busy | Nack_pending | Intervene | Transfer | Recall
+    | Forward ->
+        true
+    | Retry_recall | Serve_waiting | Rerun_waiting | Share | Share_with_reader
+    | Confirm_transfer | Checkpoint | Take_back | Reclaim | Reclaim_and_rerun | Stale ->
+        false
+  in
+  let keeps_state = function
+    | Nack_busy | Nack_pending | Forward | Retry_recall | Checkpoint | Stale -> true
+    | _ -> false
+  in
+  List.iter
+    (fun state ->
+      List.iteri
+        (fun i input ->
+          List.iter
+            (fun role ->
+              List.iter
+                (fun current ->
+                  let step = home_step state input role ~current in
+                  let what = Printf.sprintf "state %d, input %d" (state_code state) i in
+                  Alcotest.(check bool)
+                    (what ^ ": request actions answer requests only")
+                    (input = Get_shared || input = Get_exclusive)
+                    (request_action step.action);
+                  if keeps_state step.action then
+                    Alcotest.(check int) (what ^ ": state kept") (state_code state)
+                      (state_code step.next);
+                  if state <> Busy_shared && state <> Busy_excl then
+                    Alcotest.(check bool) (what ^ ": only Busy reads requester or current") true
+                      (home_step state input (if role = Requester then Other else role)
+                         ~current:true
+                      = step))
+                [ false; true ])
+            [ Owner; Requester; Other ])
+        inputs)
+    states
+
 (* ---------------- SC checker ---------------- *)
 
 let store m ~node line ~value ~time =
@@ -418,6 +469,7 @@ let suite =
     Alcotest.test_case "predictor bits lost on eviction" `Quick
       test_directory_predictor_lost_on_eviction;
     Alcotest.test_case "directory reset predictor" `Quick test_directory_reset_predictor;
+    Alcotest.test_case "home table shape" `Quick test_home_table_shape;
     Alcotest.test_case "memcheck current" `Quick test_memcheck_accepts_current;
     Alcotest.test_case "memcheck overlap" `Quick test_memcheck_accepts_overlap;
     Alcotest.test_case "memcheck stale" `Quick test_memcheck_rejects_stale;
