@@ -1,7 +1,5 @@
 type copy = No_copy | Shared_copy | Exclusive_copy
 
-type phase = No_entry | Busy | Exclusive | Shared
-
 type view = {
   mutable nodes : int;
   mutable dir : Directory.dstate;
@@ -13,7 +11,7 @@ type view = {
   l2_value : int array;
   rac : bool array;
   rac_value : int array;
-  phase : phase array;
+  phase : Delegate_cache.phase array;
   vector : Nodeset.t array;
   mutable transfer : Nodeset.t;
   mutable reaching : Nodeset.t;
@@ -34,7 +32,7 @@ let create nodes =
     l2_value = slots 0;
     rac = slots false;
     rac_value = slots 0;
-    phase = slots No_entry;
+    phase = slots Delegate_cache.No_entry;
     vector = slots none;
     transfer = none;
     reaching = none;
@@ -75,9 +73,9 @@ let in_transit strength set n = strength = Event_boundary && Nodeset.mem set n
 
 let has_owner v = v.owner >= 0 && v.owner < v.nodes
 
-let producer v = if has_owner v then v.phase.(v.owner) else No_entry
+let producer v = if has_owner v then v.phase.(v.owner) else Delegate_cache.No_entry
 
-let producer_covers v n = producer v <> No_entry && Nodeset.mem v.vector.(v.owner) n
+let producer_covers v n = producer v <> Delegate_cache.No_entry && Nodeset.mem v.vector.(v.owner) n
 
 let covered strength v n =
   match v.dir with
@@ -87,13 +85,13 @@ let covered strength v n =
       n = v.owner || n = v.requester || producer_covers v n
   | Dele ->
       n = v.owner
-      || if producer v = No_entry then in_transit strength v.delegating n
+      || if producer v = Delegate_cache.No_entry then in_transit strength v.delegating n
          else producer_covers v n
 
 (* A stable line's copies all equal its authority: home memory under
    Shared_s, the producer's RAC backing copy under a shared delegation. *)
 let has_authority v =
-  v.dir = Shared_s || (v.dir = Dele && producer v = Shared && v.rac.(v.owner))
+  v.dir = Shared_s || (v.dir = Dele && producer v = Delegate_cache.Shared && v.rac.(v.owner))
 
 let authority v = if v.dir = Shared_s then v.mem else v.rac_value.(v.owner)
 
@@ -102,7 +100,7 @@ let l2_stale v n = v.l2.(n) <> No_copy && v.l2_value.(n) <> authority v
 let held_exclusively v =
   match v.dir with
   | Excl -> has_owner v && v.l2.(v.owner) = Exclusive_copy
-  | Dele -> producer v = Exclusive
+  | Dele -> producer v = Delegate_cache.Exclusive
   | Unowned | Shared_s | Busy_shared | Busy_excl -> false
 
 let is_busy dir = dir = Directory.Busy_shared || dir = Directory.Busy_excl
@@ -129,13 +127,13 @@ let breaks strength v rule n =
   | Unsettled ->
       strength = Quiescent
       && ((n = v.owner && (is_busy v.dir || (v.dir = Excl && v.l2.(n) <> Exclusive_copy)))
-         || v.phase.(n) = Busy)
+         || v.phase.(n) = Delegate_cache.Busy)
   | Unreflected_producer ->
-      v.phase.(n) <> No_entry && not (n = v.owner && (v.dir = Dele || v.dir = Busy_excl))
+      v.phase.(n) <> Delegate_cache.No_entry && not (n = v.owner && (v.dir = Dele || v.dir = Busy_excl))
   | Missing_producer ->
-      n = v.owner && v.dir = Dele && v.phase.(n) = No_entry
+      n = v.owner && v.dir = Dele && v.phase.(n) = Delegate_cache.No_entry
       && not (strength = Event_boundary && v.handoff)
-  | Missing_backing -> v.phase.(n) <> No_entry && not v.rac.(n)
+  | Missing_backing -> v.phase.(n) <> Delegate_cache.No_entry && not v.rac.(n)
 
 (* Top-level loops taking every input as an argument: a clean check
    allocates nothing. *)
@@ -179,7 +177,7 @@ let describe v rule n =
       p "node %d holds a copy while %s %d holds the line exclusively" n
         (if v.dir = Dele then "producer" else "owner") v.owner
   | Unsettled ->
-      if v.phase.(n) = Busy then p "node %d: producer entry busy at quiescence" n
+      if v.phase.(n) = Delegate_cache.Busy then p "node %d: producer entry busy at quiescence" n
       else if is_busy v.dir then "directory busy at quiescence"
       else p "directory exclusive at %d but no exclusive L2 copy" n
   | Unreflected_producer ->

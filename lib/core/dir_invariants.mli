@@ -12,8 +12,6 @@
 
 type copy = No_copy | Shared_copy | Exclusive_copy  (** a node's L2 copy *)
 
-type phase = No_entry | Busy | Exclusive | Shared  (** a node's producer entry *)
-
 (** One line as its caller sees it.  The in-transit sets answer "may a
     message still in transit account for this node?": the model answers
     from its network, the auditor from directory and producer state. *)
@@ -28,7 +26,7 @@ type view = {
   l2_value : int array;
   rac : bool array;  (** the node's RAC holds the line *)
   rac_value : int array;
-  phase : phase array;
+  phase : Delegate_cache.phase array;  (** a node's producer entry *)
   vector : Nodeset.t array;  (** a producer entry's sharing vector *)
   mutable transfer : Nodeset.t;  (** granted by a transfer not yet acknowledged *)
   mutable reaching : Nodeset.t;

@@ -36,8 +36,8 @@ type t =
       sharers : Nodeset.t;
       owner : Types.node_id option;
       value : int option;
-      pending : (Types.node_id * Types.op_kind * int) option;
-          (* requester, operation, transaction id *)
+      pending : (Types.node_id * int) option;
+          (* the carried Get_exclusive's requester and transaction id *)
     }
   | Update of { line : Types.line; value : int }
   | Update_flush of { line : Types.line }
@@ -218,7 +218,7 @@ let pp ppf message =
   | Undelegate { sharers; pending; _ } ->
       Format.fprintf ppf "undelegate(%d@%d, sharers=%a%s)" line home Nodeset.pp sharers
         (match pending with
-        | Some (node, _, _) -> Printf.sprintf ", pending=%d" node
+        | Some (node, _) -> Printf.sprintf ", pending=%d" node
         | None -> "")
   | New_home { home = new_home; _ } ->
       Format.fprintf ppf "new-home(%d@%d -> %d)" line home new_home

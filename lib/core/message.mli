@@ -86,9 +86,10 @@ type t =
           (** [Some n] when the line remains exclusively owned by [n]
               (delegation refused but exclusivity kept) *)
       value : int option;  (** line contents if dirty at the producer *)
-      pending : (Types.node_id * Types.op_kind * int) option;
-          (** requester, operation and transaction id that triggered the
-              undelegation, for the home to service (§2.3.3) *)
+      pending : (Types.node_id * int) option;
+          (** requester and transaction id of the [Get_exclusive] that
+              triggered the undelegation, for the home to run as a store
+              (§2.3.3) *)
     }
   (* Speculative updates (§2.4) *)
   | Update of { line : Types.line; value : int }

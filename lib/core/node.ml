@@ -40,24 +40,18 @@ type pending = {
   mutable deferred : deferred list;
 }
 
-type after_busy =
-  | No_recall
-  | Undelegate_plain  (* home holds the pending requester (Recall path) *)
-  | Undelegate_with of (Types.node_id * Types.op_kind * int)
-
-type prod_state = P_shared | P_excl | P_busy
-
 (* Delegated directory state held in the producer table (the DirEntry of
-   Fig. 3 plus the speculative-update bookkeeping of §2.4.2). *)
+   Fig. 3 plus the speculative-update bookkeeping of §2.4.2).  Its phase
+   and slot are [Delegate_cache]'s, which decides every event at it. *)
 type prod_entry = {
-  mutable pstate : prod_state;
+  mutable phase : Delegate_cache.phase;  (* Busy, Exclusive or Shared *)
   mutable psharers : Nodeset.t;  (* current sharing vector (includes self) *)
   mutable update_set : Nodeset.t;  (* previous epoch's consumers *)
   mutable last_write : int;
   mutable burst_start : int;  (* first write of the current epoch *)
   mutable burst_span_ewma : int;  (* adaptive-delay estimate of burst length *)
   mutable intervention_scheduled : bool;
-  mutable after_busy : after_busy;
+  mutable slot : Delegate_cache.slot;  (* what the entry owes its home *)
   mutable unflushed : Nodeset.t;  (* targets pushed since the last flush *)
   mutable last_push : int;  (* cycle of the most recent push *)
   mutable flush_acks : int;  (* flush round trips outstanding *)
@@ -148,15 +142,31 @@ let fence_needed t entry =
   then entry.unflushed <- Nodeset.empty;
   (not (Nodeset.is_empty entry.unflushed)) || entry.flush_acks > 0
 
-(* A producer entry may not be evicted (capacity-undelegated) while it is
-   mid-transaction or while an undelegation fence is pending. *)
+(* [Delegate_cache.producer_step] makes every delegated-home decision.
+   The fence ages out only for the rows that read it: aged before a
+   read's or a burst's push, older targets would miss the next flush. *)
+let entry_step t entry (event : Delegate_cache.event) =
+  let fenced =
+    match event with
+    | Read | Own_store | Burst_over -> false
+    | Write | Recall | Store_done | Flush_done | Evicted -> fence_needed t entry
+  in
+  Delegate_cache.producer_step entry.phase ~fenced entry.slot event
+
+let producer_step t found event =
+  match found with
+  | Some entry -> entry_step t entry event
+  | None -> Delegate_cache.producer_step No_entry ~fenced:false Free event
+
+(* A producer entry may be evicted (capacity-undelegated) only where the
+   table would give it back: not mid-transaction, not fenced. *)
 let refresh_entry_lock t line entry =
   match t.producer_table with
   | None -> ()
-  | Some table ->
-      if entry.pstate = P_busy || fence_needed t entry then Producer.lock table line
-      else Producer.unlock table line
-
+  | Some table -> (
+      match (entry_step t entry Evicted).action with
+      | Keep -> Producer.lock table line
+      | _ -> Producer.unlock table line)
 
 (* Adaptive intervention (§5 future work): downgrade shortly after the
    line's typical write-burst span instead of a fixed delay. *)
@@ -247,9 +257,15 @@ let fill_l2 t line entry = handle_victim t (L2.fill t.l2 line entry)
 (* Speculative updates: downgrade + push (§2.4)                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The RAC copy that backs every producer entry (Missing_backing). *)
+let backing t line =
+  match t.rac with
+  | Some rac -> ( match Rac.peek rac line with Some v -> v | None -> assert false)
+  | None -> assert false
+
 (* Downgrade the producer's exclusive copy into the RAC and push the new
-   data to the previous epoch's consumers.  [exclude] is a consumer being
-   served an ordinary data reply right now. *)
+   data to the previous epoch's consumers (the caller applied the step's
+   Shared phase).  [exclude] is a consumer served a data reply now. *)
 let downgrade_and_push t line entry ~exclude =
   (match L2.peek t.l2 line with
   | Some L2.{ state = Exclusive; value; _ } -> (
@@ -260,7 +276,6 @@ let downgrade_and_push t line entry ~exclude =
             ignore (Rac.fill rac line ~value ~origin:Rac.Delegated)
       | None -> assert false)
   | Some L2.{ state = Shared; _ } | None -> () (* data already in the RAC *));
-  entry.pstate <- P_shared;
   (* Crash-capable machines: the delegated value escapes to home memory
      at every downgrade, so a later producer crash cannot lose a value
      survivors already observed (the home's Dele entry applies it
@@ -275,11 +290,7 @@ let downgrade_and_push t line entry ~exclude =
          | None -> ())
      | None -> ());
   if t.config.speculative_updates && not (Hashtbl.mem t.fallback_lines line) then begin
-    let value =
-      match t.rac with
-      | Some rac -> ( match Rac.peek rac line with Some v -> v | None -> assert false)
-      | None -> assert false
-    in
+    let value = backing t line in
     let targets = Nodeset.remove entry.update_set t.id in
     let targets =
       match exclude with Some node -> Nodeset.remove targets node | None -> targets
@@ -321,27 +332,35 @@ let rec schedule_intervention t line entry =
 and intervention_fires t line =
   match find_producer t line with
   | None -> () (* undelegated meanwhile *)
-  | Some entry ->
+  | Some entry -> (
       entry.intervention_scheduled <- false;
-      if entry.pstate = P_excl then begin
-        let delay = effective_intervention_delay t entry in
-        let idle = Sim.now t.sim - entry.last_write in
-        if idle < delay then begin
-          (* the write burst is still running; wait for it to go quiet *)
-          entry.intervention_scheduled <- true;
-          sched t ~delay:(delay - idle) (fun () -> intervention_fires t line)
-        end
-        else downgrade_and_push t line entry ~exclude:None
-      end
+      let step = entry_step t entry Burst_over in
+      match step.action with
+      | Downgrade_and_push ->
+          let delay = effective_intervention_delay t entry in
+          let idle = Sim.now t.sim - entry.last_write in
+          if idle < delay then begin
+            (* the write burst is still running; wait for it to go quiet *)
+            entry.intervention_scheduled <- true;
+            sched t ~delay:(delay - idle) (fun () -> intervention_fires t line)
+          end
+          else begin
+            entry.phase <- step.phase;
+            downgrade_and_push t line entry ~exclude:None
+          end
+      | _ -> () (* no longer exclusive *))
 
 (* ------------------------------------------------------------------ *)
 (* Undelegation (§2.3.3)                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Give the line back to its home: downgrade local copies, ship the
-   current contents and sharing vector.  The producer-table entry must
-   already be detached by the caller. *)
-let undelegate_common t line entry ~pending =
+(* Give the line back to its home: detach the entry (a victim an insert
+   evicted already is), downgrade local copies, ship the current contents
+   and sharing vector. *)
+let do_undelegate t line entry ~pending =
+  (match t.producer_table with
+  | Some table -> ignore (Producer.remove table line)
+  | None -> assert false);
   let l2_state = L2.peek t.l2 line in
   let value =
     match l2_state with
@@ -349,10 +368,7 @@ let undelegate_common t line entry ~pending =
         L2.set t.l2 line L2.{ state = Shared; value; dirty = false };
         value
     | Some L2.{ value; _ } -> value
-    | None -> (
-        match t.rac with
-        | Some rac -> ( match Rac.peek rac line with Some v -> v | None -> assert false)
-        | None -> assert false)
+    | None -> backing t line
   in
   (match t.rac with
   | Some rac ->
@@ -372,21 +388,11 @@ let undelegate_common t line entry ~pending =
   send t ~dst:(home_of line)
     (Undelegate { line; sharers; owner = None; value = Some value; pending })
 
-let do_undelegate t line entry ~pending =
-  (match t.producer_table with
-  | Some table -> ignore (Producer.remove table line)
-  | None -> assert false);
-  undelegate_common t line entry ~pending
-
-(* Victim already evicted from the producer table by an insert. *)
-let undelegate_victim t line entry = undelegate_common t line entry ~pending:None
-
-(* Begin (or continue) the flush round: a marker chases the pushed
-   updates down their FIFO channels; acks mean they all landed.  On a
-   crash-capable machine only live targets are waited for (a flush
-   toward a node already known dead would never be acknowledged), and
-   the debtor set is recorded so recovery can credit a target that dies
-   mid-round. *)
+(* Begin the flush round: a marker chases the pushed updates down their
+   FIFO channels; acks mean they all landed.  On a crash-capable machine
+   only live targets are waited for (a flush toward a node already known
+   dead would never be acknowledged), and the debtor set is recorded so
+   recovery can credit a target that dies mid-round. *)
 let rec start_flush t line entry =
   if entry.flush_acks = 0 && not (Nodeset.is_empty entry.unflushed) then begin
     let targets =
@@ -399,29 +405,33 @@ let rec start_flush t line entry =
     Nodeset.iter (fun c -> send t ~dst:c (Update_flush { line })) targets;
     refresh_entry_lock t line entry;
     (* every target may already be dead: the round completes on the spot *)
-    if entry.flush_acks = 0 then flush_round_done t line entry
+    if entry.flush_acks = 0 then settle t line entry (entry_step t entry Flush_done)
   end
 
-and flush_round_done t line entry =
-  if entry.pstate <> P_busy then
-    if fence_needed t entry then
-      (* more updates were pushed while flushing: chase them too *)
+(* The actions of the events that read only the fence and the slot: a
+   recall (or the fallback), the producer's store commit and the end of
+   a flush round.  Another round chases updates pushed while flushing. *)
+and settle t line entry (step : Delegate_cache.step) =
+  entry.phase <- step.phase;
+  match step.action with
+  | Keep -> ()
+  | Mark_recalled -> entry.slot <- Recalled
+  | Flush -> start_flush t line entry
+  | Mark_recalled_and_flush ->
+      entry.slot <- Recalled;
       start_flush t line entry
-    else
-      match entry.after_busy with
-      | No_recall -> ()
-      | Undelegate_plain ->
-          entry.after_busy <- No_recall;
-          do_undelegate t line entry ~pending:None
-      | Undelegate_with request ->
-          entry.after_busy <- No_recall;
-          do_undelegate t line entry ~pending:(Some request)
+  | Give_back -> do_undelegate t line entry ~pending:None
+  | Give_back_held -> (
+      match entry.slot with
+      | Held { requester; tid } -> do_undelegate t line entry ~pending:(Some (requester, tid))
+      | Free | Recalled -> assert false)
+  | _ -> assert false (* requests' and the processor's actions *)
 
 and flush_ack_credit t line entry =
   if entry.flush_acks > 0 then begin
     entry.flush_acks <- entry.flush_acks - 1;
     refresh_entry_lock t line entry;
-    if entry.flush_acks = 0 then flush_round_done t line entry
+    if entry.flush_acks = 0 then settle t line entry (entry_step t entry Flush_done)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -442,16 +452,10 @@ let force_fallback t line =
     (match t.consumer_table with
     | Some table -> Consumer.remove table line
     | None -> ());
+    (* the delegated home gives the line back as if recalled *)
     match find_producer t line with
     | None -> ()
-    | Some entry ->
-        if entry.pstate = P_busy || fence_needed t entry then begin
-          (match entry.after_busy with
-          | No_recall -> entry.after_busy <- Undelegate_plain
-          | Undelegate_plain | Undelegate_with _ -> ());
-          if entry.pstate <> P_busy then start_flush t line entry
-        end
-        else do_undelegate t line entry ~pending:None
+    | Some entry -> settle t line entry (entry_step t entry Recall)
   end
 
 let note_strike t line =
@@ -497,20 +501,20 @@ let commit_load t p ~value ~miss =
     ~started:p.started ~miss:(Some miss);
   p.on_commit ()
 
-(* Producer bookkeeping common to store commits and exclusive store hits:
-   re-arm the delayed intervention and run any postponed undelegation. *)
+(* The producer's store committed: re-arm the delayed intervention and
+   settle a recall or a held request, which wait for the update flush to
+   complete (see Update_flush). *)
 let note_producer_write t line =
   match find_producer t line with
   | None -> ()
-  | Some entry -> (
-      if entry.pstate = P_busy then entry.burst_start <- Sim.now t.sim;
-      entry.pstate <- P_excl;
+  | Some entry ->
+      let step = entry_step t entry Store_done in
+      if entry.phase = Busy then entry.burst_start <- Sim.now t.sim;
+      entry.phase <- step.phase;
       refresh_entry_lock t line entry;
       entry.last_write <- Sim.now t.sim;
       schedule_intervention t line entry;
-      (* a postponed undelegation runs only once the update flush has
-         completed (see Update_flush) *)
-      if entry.after_busy <> No_recall then flush_round_done t line entry)
+      settle t line entry step
 
 let rec commit_store t p =
   let now = Sim.now t.sim in
@@ -636,9 +640,9 @@ and resolve_target t line =
    cross the network (the "2-hop write" of §2.3). *)
 and start_local_upgrade t p entry =
   let line = p.line in
-  match entry.pstate with
-  | P_busy -> assert false (* the blocking processor is the only writer *)
-  | P_excl ->
+  let step = entry_step t entry Own_store in
+  match step.action with
+  | Regain ->
       (* exclusivity already held (L2 copy was evicted; data is in the
          pinned RAC entry) *)
       p.have_data <- true;
@@ -646,16 +650,14 @@ and start_local_upgrade t p entry =
       p.miss_override <- Some Types.Rac_hit;
       sched t ~delay:t.config.rac_hit_latency (fun () ->
           match t.pending with Some q when q == p -> try_complete_store t q | _ -> ())
-  | P_shared ->
+  | Local_upgrade ->
       let consumers = Nodeset.remove entry.psharers t.id in
       let n = Nodeset.cardinal consumers in
       if n > 0 then Pcc_stats.Histogram.observe t.stats.consumer_hist n;
       entry.update_set <- consumers;
       entry.psharers <- Nodeset.singleton t.id;
-      entry.pstate <- P_busy;
-      (match t.producer_table with
-      | Some table -> Producer.lock table line
-      | None -> assert false);
+      entry.phase <- step.phase;
+      refresh_entry_lock t line entry;
       p.have_data <- true;
       add_ack_debt t p ~sharers:consumers ~acks_expected:n;
       p.miss_override <- Some (if n = 0 then Types.Rac_hit else Types.Remote_2hop);
@@ -674,6 +676,7 @@ and start_local_upgrade t p entry =
             send_after t ~delay:t.config.hub_latency ~dst:consumer
               (Inval { line; requester = t.id }))
           consumers
+  | _ -> assert false (* the blocking processor is the only writer *)
 
 and schedule_retry t p =
   t.stats.retries <- t.stats.retries + 1;
@@ -906,7 +909,9 @@ let home_answer t ~src line input (msg : Message.t) =
       | None ->
           entry.owner <- -1;
           entry.sharers <- sharers);
-      (match pending with Some request -> home_rerun t request line | None -> ());
+      (match pending with
+      | Some (node, tid) -> home_rerun t (node, Types.Store, tid) line
+      | None -> ());
       (match stored with Some request -> home_rerun t request line | None -> ())
   | Retry_recall, _ ->
       send_after t ~delay:t.config.nack_retry_delay ~dst:entry.owner
@@ -918,57 +923,48 @@ let home_answer t ~src line input (msg : Message.t) =
 (* Delegated-home (producer) request handling                          *)
 (* ------------------------------------------------------------------ *)
 
-let prod_get_shared t line ~requester ~tid =
-  if t.crashable && not (peer_alive t requester) then ()
+(* A read ([event] [Read]) or a Get_exclusive ([Write]) at a delegated
+   home, or at a node that no longer is one. *)
+let prod_request t line (event : Delegate_cache.event) ~requester ~tid =
+  (* a read from a node known dead died with it *)
+  if event = Read && t.crashable && not (peer_alive t requester) then ()
   else
-  match find_producer t line with
-  | None -> send t ~dst:requester (Nack { line; reason = Message.Not_home; tid })
-  | Some entry -> (
-      match entry.pstate with
-      | P_busy -> send t ~dst:requester (Nack { line; reason = Message.Busy; tid })
-      | P_excl | P_shared ->
-          if entry.pstate = P_excl then
-            (* serve the read by downgrading early; the remaining
-               consumers get their speculative updates now *)
-            downgrade_and_push t line entry ~exclude:(Some requester)
-          else entry.psharers <- Nodeset.add entry.psharers requester;
-          let value =
-            match t.rac with
-            | Some rac -> (
-                match Rac.peek rac line with Some v -> v | None -> assert false)
-            | None -> assert false
-          in
-          send_after t ~delay:t.config.dir_hit_latency ~dst:requester
-            (Data_shared { line; value; source_is_home = false; tid }))
-
-let prod_get_exclusive t line ~requester ~tid =
-  match find_producer t line with
-  | None -> send t ~dst:requester (Nack { line; reason = Message.Not_home; tid })
-  | Some entry ->
-      if entry.pstate = P_busy || fence_needed t entry then begin
-        (match entry.after_busy with
-        | No_recall -> entry.after_busy <- Undelegate_with (requester, Types.Store, tid)
-        | Undelegate_plain | Undelegate_with _ ->
-            send t ~dst:requester (Nack { line; reason = Message.Busy; tid }));
-        if entry.pstate <> P_busy then start_flush t line entry
-      end
-      else do_undelegate t line entry ~pending:(Some (requester, Types.Store, tid))
+    let found = find_producer t line in
+    let step = producer_step t found event in
+    match (step.action, found) with
+    | (Nack_busy | Nack_not_home), _ ->
+        let reason = if step.action = Nack_busy then Message.Busy else Message.Not_home in
+        send t ~dst:requester (Nack { line; reason; tid })
+    | (Serve | Downgrade_and_serve), Some entry ->
+        if step.action = Downgrade_and_serve then begin
+          (* serve the read by downgrading early; the remaining consumers
+             get their speculative updates now *)
+          entry.phase <- step.phase;
+          downgrade_and_push t line entry ~exclude:(Some requester)
+        end
+        else entry.psharers <- Nodeset.add entry.psharers requester;
+        send_after t ~delay:t.config.dir_hit_latency ~dst:requester
+          (Data_shared { line; value = backing t line; source_is_home = false; tid })
+    | (Hold | Hold_and_flush), Some entry ->
+        (* the request rides the Undelegate once the fence drops *)
+        entry.phase <- step.phase;
+        entry.slot <- Held { requester; tid };
+        if step.action = Hold_and_flush then start_flush t line entry
+    | Give_back_with_request, Some entry ->
+        do_undelegate t line entry ~pending:(Some (requester, tid))
+    | _ -> assert false (* requests draw only these *)
 
 let on_recall t line =
-  match find_producer t line with
-  | None ->
+  let found = find_producer t line in
+  let step = producer_step t found Recall in
+  match (step.action, found) with
+  | Recall_nack, _ ->
       (* either already undelegated (the in-flight Undelegate resolves
          it), or the recall overtook the Delegate still being sent; NACK
          so the home retries until one of the two arrives *)
       send t ~dst:(home_of line) (Recall_nack { line })
-  | Some entry ->
-      if entry.pstate = P_busy || fence_needed t entry then begin
-        (match entry.after_busy with
-        | No_recall -> entry.after_busy <- Undelegate_plain
-        | Undelegate_plain | Undelegate_with _ -> ());
-        if entry.pstate <> P_busy then start_flush t line entry
-      end
-      else do_undelegate t line entry ~pending:None
+  | _, Some entry -> settle t line entry step
+  | _, None -> assert false (* no entry draws only the NACK *)
 
 let on_delegate t ~src line ~sharers ~value ~acks_expected ~tid =
   match t.pending with
@@ -1003,14 +999,14 @@ let on_delegate t ~src line ~sharers ~value ~acks_expected ~tid =
           else begin
             let entry =
               {
-                pstate = P_busy;
+                phase = Busy;
                 psharers = Nodeset.singleton t.id;
                 update_set = sharers;
                 last_write = Sim.now t.sim;
                 burst_start = Sim.now t.sim;
                 burst_span_ewma = 0;
                 intervention_scheduled = false;
-                after_busy = No_recall;
+                slot = Free;
                 unflushed = Nodeset.empty;
                 last_push = 0;
                 flush_acks = 0;
@@ -1026,7 +1022,7 @@ let on_delegate t ~src line ~sharers ~value ~acks_expected ~tid =
                 (match victim with
                 | Some (victim_line, victim_entry) ->
                     t.deledc_pressure <- t.deledc_pressure + 1;
-                    undelegate_victim t victim_line victim_entry
+                    do_undelegate t victim_line victim_entry ~pending:None
                 | None -> ());
                 Producer.lock table line;
                 accept_grant ()
@@ -1180,11 +1176,11 @@ let handle_message t ~src (msg : Message.t) =
   match msg with
   | Get_shared { line; tid } ->
       if home_of line = t.id then home_request t ~src ~op:Types.Load ~tid line
-      else prod_get_shared t line ~requester:src ~tid
-  | Fwd_get_shared { line; requester; tid } -> prod_get_shared t line ~requester ~tid
+      else prod_request t line Read ~requester:src ~tid
+  | Fwd_get_shared { line; requester; tid } -> prod_request t line Read ~requester ~tid
   | Get_exclusive { line; tid } ->
       if home_of line = t.id then home_request t ~src ~op:Types.Store ~tid line
-      else prod_get_exclusive t line ~requester:src ~tid
+      else prod_request t line Write ~requester:src ~tid
   | Writeback { line; _ } -> home_answer t ~src line Directory.Writeback msg
   | Writeback_ack { line } -> Hashtbl.remove t.wb_pending line
   | Inval { line; requester } -> on_inval t line ~requester
@@ -1475,8 +1471,7 @@ let line_view nodes line (v : Dir_invariants.view) =
     | None -> v.rac.(n) <- false);
     match (match node.producer_table with Some t -> Producer.peek t line | None -> None) with
     | Some p ->
-        v.phase.(n) <-
-          (match p.pstate with P_busy -> Busy | P_excl -> Exclusive | P_shared -> Shared);
+        v.phase.(n) <- p.phase;
         v.vector.(n) <- p.psharers
     | None -> v.phase.(n) <- No_entry
   done
@@ -1785,12 +1780,12 @@ let recover_after_crash nodes ~dead ~will_restart =
                 entry.psharers <- Nodeset.remove entry.psharers dead;
                 entry.update_set <- Nodeset.remove entry.update_set dead;
                 entry.unflushed <- Nodeset.remove entry.unflushed dead;
-                (match entry.after_busy with
-                | Undelegate_with (r, _, _) when r = dead ->
+                (match entry.slot with
+                | Held { requester; _ } when requester = dead ->
                     (* still give the line back, just not to the dead
                        requester *)
-                    entry.after_busy <- Undelegate_plain
-                | No_recall | Undelegate_plain | Undelegate_with _ -> ());
+                    entry.slot <- Recalled
+                | Free | Recalled | Held _ -> ());
                 if Nodeset.mem entry.flush_waiters dead then begin
                   entry.flush_waiters <- Nodeset.remove entry.flush_waiters dead;
                   flushes := (line, entry) :: !flushes

@@ -1,4 +1,5 @@
 module Directory = Pcc_core.Directory
+module Delegate_cache = Pcc_core.Delegate_cache
 module Message = Pcc_core.Message
 
 type bug = Skip_invals_on_delegate | No_poison_on_inval | Updates_without_resharing
@@ -67,13 +68,11 @@ type pend = {
          the commit *)
 }
 
-type prodst = PB | PEx | PSh
-
 type prod = {
-  pst : prodst;
+  phase : Delegate_cache.phase;  (* Busy, Exclusive or Shared *)
   psharers : int;
   upds : int;
-  recalled : bool;
+  slot : Delegate_cache.slot;  (* what the entry owes its home *)
   unflushed : int;
       (* nodes pushed to since the last flush; undelegation is fenced by a
          flush/flush-ack round on those channels, otherwise a stale update
@@ -275,8 +274,8 @@ end
 
 let delivery_names =
   [| "gets"; "getx"; "fwds"; "inval"; "intv"; "transfer"; "datas"; "datae"; "ack"; "swb";
-     "tack"; "nack"; "delegate"; "newhome"; "recall"; "undele"; "update"; "updack"; "wb";
-     "wback" |]
+     "tack"; "nack"; "delegate"; "newhome"; "recall"; "undele"; "update"; "flush";
+     "flushack"; "wb"; "wback" |]
 
 let msg_kind = function
   | MGetS _ -> 0
@@ -296,9 +295,10 @@ let msg_kind = function
   | MRecall -> 14
   | MUndele _ -> 15
   | MUpdate _ -> 16
-  | MFlush | MFlushAck -> 17
-  | MWb _ -> 18
-  | MWbAck -> 19
+  | MFlush -> 17
+  | MFlushAck -> 18
+  | MWb _ -> 19
+  | MWbAck -> 20
 
 (* A delivery has at most two outcomes (the home grants or delegates);
    the second one's label ends in "#1". *)
@@ -430,10 +430,6 @@ let commit_store st n =
         last_seen = v;
         cache = CE v;
         rac = (match node.prod with Some _ -> node.rac | None -> None);
-        prod =
-          (match node.prod with
-          | Some p -> Some { p with pst = PEx }
-          | None -> None);
       })
 
 (* Owner-side servicing of an intervention/transfer against a committed
@@ -466,7 +462,17 @@ let transfer_now st n requester tid =
 (* Producer-side actions                                               *)
 (* ------------------------------------------------------------------ *)
 
-let fence_needed p = p.unflushed <> 0 || p.fl_acks > 0
+(* [Delegate_cache.producer_step] makes every delegated-home decision, as
+   in the simulator; the handlers below interpret its action as packets. *)
+let entry_step p event =
+  Delegate_cache.producer_step p.phase ~fenced:(p.unflushed <> 0 || p.fl_acks > 0) p.slot event
+
+let producer_step found event =
+  match found with
+  | Some p -> entry_step p event
+  | None -> Delegate_cache.producer_step No_entry ~fenced:false Free event
+
+let set_prod st n p = with_node st n (fun node -> { node with prod = Some p })
 
 (* Post flush markers chasing the pushed updates; a no-op when a flush is
    already in flight or nothing was pushed. *)
@@ -475,13 +481,7 @@ let start_flush st n =
   match node.prod with
   | Some p when p.fl_acks = 0 && p.unflushed <> 0 ->
       let targets = bits_list p.unflushed in
-      let st =
-        with_node st n (fun node ->
-            {
-              node with
-              prod = Some { p with unflushed = 0; fl_acks = List.length targets };
-            })
-      in
+      let st = set_prod st n { p with unflushed = 0; fl_acks = List.length targets } in
       post st (List.map (fun c -> { src = n; dst = c; seq = 0; msg = MFlush }) targets)
   | _ -> st
 
@@ -490,59 +490,71 @@ let line_value node =
   | CE v | CS v -> v
   | CI -> ( match node.rac with Some v -> v | None -> -1)
 
-let downgrade_push params st n ~exclude =
+(* The exclusive copy moves to the RAC and the previous epoch's consumers
+   get the new value; [exclude], a reader served now, joins the vector. *)
+let downgrade_push params st n p (step : Delegate_cache.step) ~exclude =
   let node = st.ns.(n) in
-  match node.prod with
-  | Some ({ pst = PEx; _ } as p) ->
-      let v = line_value node in
-      let pushed =
-        if params.enable_updates then
-          List.filter (fun c -> c <> n && Some c <> exclude) (bits_list p.upds)
-        else []
-      in
-      let new_sharers =
-        if params.bug = Some Updates_without_resharing then p.psharers
-        else List.fold_left add_bit p.psharers pushed
-      in
-      let st =
-        with_node st n (fun node ->
-            {
-              node with
-              cache = (match node.cache with CE v -> CS v | other -> other);
-              rac = Some v;
-              prod =
-                Some
-                  {
-                    p with
-                    pst = PSh;
-                    psharers = new_sharers;
-                    unflushed = List.fold_left add_bit p.unflushed pushed;
-                  };
-            })
-      in
-      post st (List.map (fun c -> { src = n; dst = c; seq = 0; msg = MUpdate v }) pushed)
-  | _ -> st
+  let v = line_value node in
+  let pushed =
+    if params.enable_updates then
+      List.filter (fun c -> c <> n && Some c <> exclude) (bits_list p.upds)
+    else []
+  in
+  let new_sharers =
+    if params.bug = Some Updates_without_resharing then p.psharers
+    else List.fold_left add_bit p.psharers pushed
+  in
+  let new_sharers = match exclude with Some r -> add_bit new_sharers r | None -> new_sharers in
+  let unflushed = List.fold_left add_bit p.unflushed pushed in
+  let st =
+    with_node st n (fun node ->
+        {
+          node with
+          cache = (match node.cache with CE v -> CS v | other -> other);
+          rac = Some v;
+          prod = Some { p with phase = step.phase; psharers = new_sharers; unflushed };
+        })
+  in
+  post st (List.map (fun c -> { src = n; dst = c; seq = 0; msg = MUpdate v }) pushed)
 
-let undelegate st n ~pending =
+let undelegate st n p ~pending =
   let node = st.ns.(n) in
-  match node.prod with
-  | Some p ->
-      let v = line_value node in
-      let st =
-        with_node st n (fun node ->
-            {
-              node with
-              cache = (match node.cache with CE v -> CS v | other -> other);
-              (* refresh the (stale during P_excl) RAC backing copy *)
-              rac = (match node.rac with Some _ -> Some v | None -> None);
-              prod = None;
-            })
-      in
-      let node' = st.ns.(n) in
-      let self_copy = node'.cache <> CI || node'.rac <> None in
-      let sharers = if self_copy then add_bit p.psharers n else rem_bit p.psharers n in
-      post st [ { src = n; dst = home; seq = 0; msg = MUndele (sharers, Some v, pending) } ]
-  | None -> st
+  let v = line_value node in
+  let st =
+    with_node st n (fun node ->
+        {
+          node with
+          cache = (match node.cache with CE v -> CS v | other -> other);
+          (* refresh the RAC backing copy, stale while Exclusive *)
+          rac = (match node.rac with Some _ -> Some v | None -> None);
+          prod = None;
+        })
+  in
+  let self_copy = node.cache <> CI || node.rac <> None in
+  let sharers = if self_copy then add_bit p.psharers n else rem_bit p.psharers n in
+  post st [ { src = n; dst = home; seq = 0; msg = MUndele (sharers, Some v, pending) } ]
+
+(* The actions of the events that read only the fence and the slot: a
+   recall, a store's commit, a flush round's end and an eviction. *)
+let settle st n p (step : Delegate_cache.step) =
+  let st = if step.phase = p.phase then st else set_prod st n { p with phase = step.phase } in
+  match step.action with
+  | Keep -> st
+  | Mark_recalled -> set_prod st n { p with phase = step.phase; slot = Recalled }
+  | Flush -> start_flush st n
+  | Mark_recalled_and_flush ->
+      start_flush (set_prod st n { p with phase = step.phase; slot = Recalled }) n
+  | Give_back -> undelegate st n p ~pending:None
+  | Give_back_held -> (
+      match p.slot with
+      | Held { requester; tid } -> undelegate st n p ~pending:(Some (requester, tid))
+      | Free | Recalled -> assert false)
+  | _ -> assert false (* requests' and the processor's actions *)
+
+(* The producer's store committed: a recall or a held request received
+   meanwhile settles once the update flush completes. *)
+let store_done st n =
+  match st.ns.(n).prod with Some p -> settle st n p (entry_step p Store_done) | None -> st
 
 let try_complete_store st n =
   match st.ns.(n).pend with
@@ -555,12 +567,7 @@ let try_complete_store st n =
             else intervention_now st n requester tid)
           st (List.rev deferred)
       in
-      (* a recall received mid-transaction triggers undelegation once the
-         update flush completes *)
-      (match st.ns.(n).prod with
-      | Some ({ recalled = true; _ } as p) ->
-          if fence_needed p then start_flush st n else undelegate st n ~pending:None
-      | _ -> st)
+      store_done st n
   | _ -> st
 
 (* ------------------------------------------------------------------ *)
@@ -660,33 +667,28 @@ let home_handle params st ~s msg =
 (* Cache/producer-side message handling                                *)
 (* ------------------------------------------------------------------ *)
 
-let serve_read params st n ~requester ~tid =
+(* A read ([event] [Read]) or a Get_exclusive ([Write]) at a delegated
+   home, or at a node that no longer is one. *)
+let serve_request params st n event ~requester ~tid =
   let node = st.ns.(n) in
-  match node.prod with
-  | None ->
-      [ post st [ { src = n; dst = requester; seq = 0; msg = MNack (Not_home, tid) } ] ]
-  | Some { pst = PB; _ } ->
-      [ post st [ { src = n; dst = requester; seq = 0; msg = MNack (Busy, tid) } ] ]
-  | Some ({ pst = PEx; _ } as _p) ->
-      let st = downgrade_push params st n ~exclude:(Some requester) in
-      let node = st.ns.(n) in
-      let p = Option.get node.prod in
-      let st =
-        with_node st n (fun node ->
-            { node with prod = Some { p with psharers = add_bit p.psharers requester } })
-      in
-      let v = match node.rac with Some v -> v | None -> line_value node in
-      [ post st [ { src = n; dst = requester; seq = 0; msg = MDataS (v, tid) } ] ]
-  | Some ({ pst = PSh; _ } as p) -> (
-      match node.rac with
-      | Some v ->
-          let st =
-            with_node st n (fun node ->
-                { node with prod = Some { p with psharers = add_bit p.psharers requester } })
-          in
-          [ post st [ { src = n; dst = requester; seq = 0; msg = MDataS (v, tid) } ] ]
-      | None ->
-          [ post st [ { src = n; dst = requester; seq = 0; msg = MNack (Not_home, tid) } ] ])
+  let step = producer_step node.prod event in
+  match (step.action, node.prod) with
+  | (Nack_busy | Nack_not_home), _ ->
+      let reason : Message.nack_reason = if step.action = Nack_busy then Busy else Not_home in
+      post st [ { src = n; dst = requester; seq = 0; msg = MNack (reason, tid) } ]
+  | Downgrade_and_serve, Some p ->
+      let st = downgrade_push params st n p step ~exclude:(Some requester) in
+      post st [ { src = n; dst = requester; seq = 0; msg = MDataS (line_value node, tid) } ]
+  | Serve, Some p ->
+      (* the RAC copy backs every producer entry (Missing_backing) *)
+      let v = match node.rac with Some v -> v | None -> assert false in
+      let st = set_prod st n { p with psharers = add_bit p.psharers requester } in
+      post st [ { src = n; dst = requester; seq = 0; msg = MDataS (v, tid) } ]
+  | (Hold | Hold_and_flush), Some p ->
+      let st = set_prod st n { p with phase = step.phase; slot = Held { requester; tid } } in
+      if step.action = Hold_and_flush then start_flush st n else st
+  | Give_back_with_request, Some p -> undelegate st n p ~pending:(Some (requester, tid))
+  | _ -> assert false (* requests draw only these *)
 
 let resend_request st n =
   let node = st.ns.(n) in
@@ -792,11 +794,8 @@ let cache_handle params st ~src n msg =
       match node.prod with
       | Some ({ fl_acks; _ } as p) when fl_acks > 0 ->
           let p = { p with fl_acks = fl_acks - 1 } in
-          let st = with_node st n (fun node -> { node with prod = Some p }) in
-          if p.fl_acks = 0 && p.pst <> PB && p.recalled then
-            if p.unflushed <> 0 then [ start_flush st n ]
-            else [ undelegate st n ~pending:None ]
-          else [ st ]
+          let st = set_prod st n p in
+          if p.fl_acks = 0 then [ settle st n p (entry_step p Flush_done) ] else [ st ]
       | _ -> [ st ])
   | MDelegate (sharers, v, acks, tid) -> (
       match node.pend with
@@ -806,7 +805,7 @@ let cache_handle params st ~src n msg =
                 {
                   node with
                   rac = Some v;
-                  prod = Some { pst = PB; psharers = bit n; upds = sharers; recalled = false; unflushed = 0; fl_acks = 0 };
+                  prod = Some { phase = Busy; psharers = bit n; upds = sharers; slot = Free; unflushed = 0; fl_acks = 0 };
                   pend = Some { p with have_data = true; acks = p.acks + acks };
                 })
           in
@@ -814,31 +813,18 @@ let cache_handle params st ~src n msg =
       | _ ->
           (* defensive: return the delegation *)
           [ post st [ { src = n; dst = home; seq = 0; msg = MUndele (sharers, Some v, None) } ] ])
-  | MFwdS (requester, tid) -> serve_read params st n ~requester ~tid
-  | MGetS tid -> serve_read params st n ~requester:src ~tid
-  | MGetX tid -> (
-      match node.prod with
-      | None ->
-          [ post st [ { src = n; dst = src; seq = 0; msg = MNack (Not_home, tid) } ] ]
-      | Some p ->
-          if p.pst = PB || fence_needed p then
-            [ post st [ { src = n; dst = src; seq = 0; msg = MNack (Busy, tid) } ] ]
-          else [ undelegate st n ~pending:(Some (src, tid)) ])
+  | MFwdS (requester, tid) -> [ serve_request params st n Read ~requester ~tid ]
+  | MGetS tid -> [ serve_request params st n Read ~requester:src ~tid ]
+  | MGetX tid -> [ serve_request params st n Write ~requester:src ~tid ]
   | MRecall -> (
-      match node.prod with
-      | None -> [ st ]
-      | Some p ->
-          if p.pst = PB || fence_needed p then
-            (* remember the recall; undelegate when the local store commits
-               and the update flush completes *)
-            [
-              (let st =
-                 with_node st n (fun node ->
-                     { node with prod = Some { p with recalled = true } })
-               in
-               if p.pst = PB then st else start_flush st n);
-            ]
-          else [ undelegate st n ~pending:None ])
+      let step = producer_step node.prod Recall in
+      match (step.action, node.prod) with
+      | Recall_nack, _ ->
+          (* dropped: a recall cannot overtake its Delegate on their FIFO
+             channel, so the entry's Undelegate is on its way home *)
+          [ st ]
+      | _, Some p -> [ settle st n p step ]
+      | _, None -> assert false (* no entry draws only the NACK *))
   | MWbAck -> [ with_node st n (fun node -> { node with wbp = false }) ]
   | MWb _ | MSwb _ | MTack _ | MUndele _ -> assert false (* home side *)
 
@@ -890,35 +876,29 @@ let issue_transitions params labels ~line st n acc =
     let store acc =
       match (node.cache, node.prod) with
       | CE _, _ -> keep Issue.store_hit (commit_store st n) acc
-      | _, Some ({ pst = PSh; _ } as p) ->
-          (* delegated local upgrade: invalidate consumers directly *)
-          let others = bits_list (rem_bit p.psharers n) in
-          let st =
-            with_node st n (fun node ->
-                {
-                  node with
-                  prod = Some { pst = PB; upds = rem_bit p.psharers n; psharers = bit n; recalled = p.recalled; unflushed = p.unflushed; fl_acks = p.fl_acks };
-                  pend =
-                    Some
-                      {
-                        pkind = PW;
-                        have_data = true;
-                        acks = List.length others;
-                        poisoned = false;
-                        target = n;
-                        tid = (2 * node.done_) + 1;
-                        deferred = [];
-                      };
-                })
-          in
-          let st =
-            post st (List.map (fun c -> { src = n; dst = c; seq = 0; msg = MInval n }) others)
-          in
-          keep Issue.store_upgrade (try_complete_store st n) acc
-      | CI, Some { pst = PEx; _ } ->
-          (* exclusivity held, line evicted to the pinned RAC entry *)
-          keep Issue.store_regain (commit_store st n) acc
-      | (CI | CS _), _ ->
+      | (CI | CS _), Some p -> (
+          let step = entry_step p Own_store in
+          match step.action with
+          | Local_upgrade ->
+              (* delegated local upgrade: invalidate consumers directly *)
+              let others = bits_list (rem_bit p.psharers n) in
+              let st =
+                with_node st n (fun node ->
+                    {
+                      node with
+                      prod = Some { p with phase = step.phase; upds = rem_bit p.psharers n; psharers = bit n };
+                      pend = Some { pkind = PW; have_data = true; acks = List.length others; poisoned = false; target = n; tid = (2 * node.done_) + 1; deferred = [] };
+                    })
+              in
+              let st =
+                post st (List.map (fun c -> { src = n; dst = c; seq = 0; msg = MInval n }) others)
+              in
+              keep Issue.store_upgrade (try_complete_store st n) acc
+          | Regain ->
+              (* exclusivity held, line evicted to the pinned RAC entry *)
+              keep Issue.store_regain (store_done (commit_store st n) n) acc
+          | _ -> assert false (* the blocking processor is the only writer *))
+      | (CI | CS _), None ->
           let st =
             with_node st n (fun node ->
                 {
@@ -947,9 +927,10 @@ let spontaneous_transitions params labels st n acc =
   (* capacity undelegation *)
   let acc =
     match node.prod with
-    | Some ({ pst = PEx | PSh; _ } as p) when not (fence_needed p) ->
-        keep Move.undelegate (undelegate st n ~pending:None) acc
-    | _ -> acc
+    | Some p -> (
+        let step = entry_step p Evicted in
+        match step.action with Keep -> acc | _ -> keep Move.undelegate (settle st n p step) acc)
+    | None -> acc
   in
   (* cache eviction *)
   let acc =
@@ -973,9 +954,12 @@ let spontaneous_transitions params labels st n acc =
   in
   (* delayed intervention fires *)
   match node.prod with
-  | Some { pst = PEx; _ } ->
-      keep Move.downgrade (downgrade_push params st n ~exclude:None) acc
-  | _ -> acc
+  | Some p -> (
+      let step = entry_step p Burst_over in
+      match step.action with
+      | Downgrade_and_push -> keep Move.downgrade (downgrade_push params st n p step ~exclude:None) acc
+      | _ -> acc)
+  | None -> acc
 
 let rec head_of_line packet = function
   | [] -> true
@@ -1059,7 +1043,7 @@ let fill_view (v : Inv.view) st =
     | None -> v.rac.(n) <- false);
     match node.prod with
     | Some p ->
-        v.phase.(n) <- (match p.pst with PB -> Busy | PEx -> Exclusive | PSh -> Shared);
+        v.phase.(n) <- p.phase;
         v.vector.(n) <- Nodeset.of_mask p.psharers
     | None -> v.phase.(n) <- No_entry
   done;
@@ -1146,11 +1130,8 @@ let pp_state ppf st =
       Format.fprintf ppf "n%d: cache=%s rac=%s prod=%s pend=%s done=%d seen=%d@," n
         (cache_str node)
         (match node.rac with Some v -> string_of_int v | None -> "-")
-        (match node.prod with
-        | Some { pst = PB; _ } -> "B"
-        | Some { pst = PEx; _ } -> "E"
-        | Some { pst = PSh; _ } -> "S"
-        | None -> "-")
+        (match Option.map (fun p -> p.phase) node.prod with
+        | Some Busy -> "B" | Some Exclusive -> "E" | Some Shared -> "S" | Some No_entry | None -> "-")
         (match node.pend with
         | Some { pkind = PL; _ } -> "L"
         | Some { pkind = PW; _ } -> "W"
@@ -1282,6 +1263,16 @@ let rec put_deferred o perm = function
       put o tid;
       put_deferred o perm rest
 
+(* A stored entry's phase and slot, a byte each; a held request's
+   renamed requester and tid follow the slot's byte. *)
+let phase_byte : Delegate_cache.phase -> int = function
+  | Busy -> 0 | Exclusive -> 1 | Shared -> 2 | No_entry -> assert false (* never stored *)
+
+let put_slot o perm : Delegate_cache.slot -> unit = function
+  | Free -> put o 0
+  | Recalled -> put o 1
+  | Held { requester; tid } -> put o 2; put_node o perm requester; put o tid
+
 let put_node_record o perm node =
   (match node.cache with
   | CI -> put o 0
@@ -1300,10 +1291,10 @@ let put_node_record o perm node =
   | None -> put o 0
   | Some p ->
       put o 1;
-      put o (match p.pst with PB -> 0 | PEx -> 1 | PSh -> 2);
+      put o (phase_byte p.phase);
       put_mask o perm p.psharers;
       put_mask o perm p.upds;
-      put_bool o p.recalled;
+      put_slot o perm p.slot;
       put_mask o perm p.unflushed;
       put o p.fl_acks);
   (match node.pend with
@@ -1689,6 +1680,7 @@ module Sym = struct
                     p with
                     psharers = rename_mask perm p.psharers;
                     upds = rename_mask perm p.upds;
+                    slot = (match p.slot with Held h -> Held { h with requester = rename_node perm h.requester } | s -> s);
                     unflushed = rename_mask perm p.unflushed;
                   })
                 node.prod;
@@ -1767,10 +1759,13 @@ module Sym = struct
           byte buf v
 
     let enc_prod buf p =
-      byte buf (match p.pst with PB -> 0 | PEx -> 1 | PSh -> 2);
+      byte buf (phase_byte p.phase);
       byte buf p.psharers;
       byte buf p.upds;
-      enc_bool buf p.recalled;
+      (match p.slot with
+      | Free -> byte buf 0
+      | Recalled -> byte buf 1
+      | Held { requester; tid } -> List.iter (byte buf) [ 2; requester; tid ]);
       byte buf p.unflushed;
       byte buf p.fl_acks
 

@@ -42,8 +42,8 @@ let answer_in_transit t =
         v.owner < 0
         ||
         match v.phase.(v.owner) with
-        | Dir_invariants.No_entry | Dir_invariants.Busy -> true
-        | Dir_invariants.Exclusive | Dir_invariants.Shared -> false)
+        | Delegate_cache.No_entry | Delegate_cache.Busy -> true
+        | Delegate_cache.Exclusive | Delegate_cache.Shared -> false)
   in
   let anyone = Nodeset.of_mask (if unsettled then (1 lsl v.nodes) - 1 else 0) in
   v.reaching <- anyone;

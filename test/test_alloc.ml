@@ -475,6 +475,40 @@ let trace_workload () =
   | Ok w -> w
   | Error m -> Alcotest.fail m
 
+(* Every event at a delegated home looks its step up in
+   [Delegate_cache.producer_step], so the lookup must not allocate: 1M
+   rounds over every phase, fence, slot and event. *)
+let check_producer_table () =
+  let open Delegate_cache in
+  let phases = [| No_entry; Busy; Exclusive; Shared |] in
+  let slots = [| Free; Recalled; Held { requester = 1; tid = 3 } |] in
+  let events =
+    [| Read; Write; Recall; Own_store; Store_done; Flush_done; Burst_over; Evicted |]
+  in
+  let rounds = 1_000_000 in
+  let kept = ref 0 in
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    for p = 0 to Array.length phases - 1 do
+      for f = 0 to 1 do
+        for s = 0 to Array.length slots - 1 do
+          for e = 0 to Array.length events - 1 do
+            let step = producer_step phases.(p) ~fenced:(f = 1) slots.(s) events.(e) in
+            if step.action = Keep then incr kept
+          done
+        done
+      done
+    done
+  done;
+  let words = Gc.minor_words () -. before in
+  if !kept = 0 then Alcotest.fail "no lookup ran";
+  if words > 0.0 then
+    Alcotest.failf
+      "Delegate_cache.producer_step allocated %.0f minor words over %d rounds of lookups \
+       — the producer table must stay allocation-free"
+      words rounds
+
 let suite =
   [
     Alcotest.test_case "flight record path allocation-free" `Quick check_flight_record;
@@ -484,6 +518,7 @@ let suite =
     Alcotest.test_case "adaptive invariants allocation-free" `Quick check_dir_invariants;
     Alcotest.test_case "cache probes allocation-free" `Quick check_cache_probes;
     Alcotest.test_case "home directory table allocation-free" `Quick check_home_table;
+    Alcotest.test_case "producer table allocation-free" `Quick check_producer_table;
     Alcotest.test_case "pass-through hub link allocation-free" `Quick
       (check_hub_link ~reliable:false);
     Alcotest.test_case "reliable hub link allocation-free" `Quick

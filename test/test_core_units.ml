@@ -294,6 +294,47 @@ let test_home_table_shape () =
         inputs)
     states
 
+(* The delegated home's table, over every lookup.  Its interpreters rely
+   on it: a read never touches the slot, the line goes home only from an
+   entry neither Busy nor fenced, a request or a recall lands only in a
+   free slot, and the simulator ages the fence only for the rows that
+   read it. *)
+let test_producer_table_shape () =
+  let open Delegate_cache in
+  let events = [ Read; Write; Recall; Own_store; Store_done; Flush_done; Burst_over; Evicted ] in
+  let phases = [ No_entry; Busy; Exclusive; Shared ] in
+  let slots = [ Free; Recalled; Held { requester = 1; tid = 3 } ] in
+  List.iteri
+    (fun e event ->
+      List.iteri
+        (fun p phase ->
+          List.iteri
+            (fun k slot ->
+              List.iter
+                (fun fenced ->
+                  let step = producer_step phase ~fenced slot event in
+                  let what =
+                    Printf.sprintf "event %d, phase %d, slot %d, fenced %b" e p k fenced
+                  in
+                  (match step.action with
+                  | Give_back | Give_back_held | Give_back_with_request ->
+                      (* a committing store leaves Busy in the same step *)
+                      Alcotest.(check bool) (what ^ ": given back only when quiet") true
+                        ((step.phase = Exclusive || step.phase = Shared) && not fenced);
+                      Alcotest.(check bool) (what ^ ": a read keeps the slot") true (event <> Read)
+                  | Hold | Hold_and_flush | Mark_recalled | Mark_recalled_and_flush ->
+                      Alcotest.(check bool) (what ^ ": only a free slot takes one") true
+                        (slot = Free);
+                      Alcotest.(check bool) (what ^ ": a read keeps the slot") true (event <> Read)
+                  | _ -> ());
+                  if event = Read || event = Own_store || event = Burst_over then
+                    Alcotest.(check bool) (what ^ ": the fence is not read") true
+                      (producer_step phase ~fenced:(not fenced) slot event = step))
+                [ false; true ])
+            slots)
+        phases)
+    events
+
 (* ---------------- SC checker ---------------- *)
 
 let store m ~node line ~value ~time =
@@ -470,6 +511,7 @@ let suite =
       test_directory_predictor_lost_on_eviction;
     Alcotest.test_case "directory reset predictor" `Quick test_directory_reset_predictor;
     Alcotest.test_case "home table shape" `Quick test_home_table_shape;
+    Alcotest.test_case "producer table shape" `Quick test_producer_table_shape;
     Alcotest.test_case "memcheck current" `Quick test_memcheck_accepts_current;
     Alcotest.test_case "memcheck overlap" `Quick test_memcheck_accepts_overlap;
     Alcotest.test_case "memcheck stale" `Quick test_memcheck_rejects_stale;

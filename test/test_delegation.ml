@@ -172,6 +172,62 @@ let test_stale_hint_recovery () =
   Alcotest.(check bool) "ran with undelegations" true
     (r.System.stats.Run_stats.undelegations >= 1)
 
+(* A consumer that learned the delegated home writes while the
+   producer's flush fence is up: the producer holds the request (no Busy
+   NACK), runs one flush round, and the Undelegate carries the request
+   home, which serves it. *)
+let test_held_write_rides_undelegate () =
+  let l = line ~home:0 0 in
+  let config = Config.full ~nodes:4 () in
+  let base = pc_programs ~nodes:4 ~producer:1 ~consumers:[ 2 ] ~lines:[ l ] ~epochs:8 in
+  (* node 3 reads the delegated line (learning its home from New_home and
+     joining the vector); the producer's next write pushes to it, and
+     node 3's write then meets the fence *)
+  let tail = function
+    | 1 -> [ Types.Barrier 100; store l; Types.Barrier 101 ]
+    | 3 -> [ load l; Types.Barrier 100; Types.Barrier 101; store l ]
+    | _ -> [ Types.Barrier 100; Types.Barrier 101 ]
+  in
+  let programs = Array.mapi (fun node ops -> ops @ tail node) base in
+  let t = System.create ~config () in
+  let log = ref [] in
+  System.on_message t (fun ~time:_ ~src ~dst msg -> log := (src, dst, msg) :: !log);
+  let result = System.run_programs t programs in
+  Alcotest.(check int) "coherent" 0 result.System.violations;
+  Alcotest.(check (list string)) "invariants" [] result.System.invariant_errors;
+  Alcotest.(check int) "no NACK" 0 result.System.stats.Run_stats.nacks_received;
+  let rec after p = function [] -> [] | m :: rest -> if p m then rest else after p rest in
+  let rec before p = function [] -> [] | m :: rest -> if p m then [] else m :: before p rest in
+  let sent = List.rev !log in
+  let held =
+    after
+      (function 3, 1, Message.Get_exclusive _ -> true | _ -> false)
+      sent
+  in
+  if held = [] then Alcotest.fail "node 3's write never reached the producer";
+  let carries_request = function
+    | 1, 0, Message.Undelegate { pending = Some (3, _); _ } -> true
+    | _ -> false
+  in
+  let flushes =
+    List.filter_map
+      (function 1, dst, Message.Update_flush _ -> Some dst | _ -> None)
+      (before carries_request held)
+  in
+  Alcotest.(check bool) "one flush round" true
+    (flushes <> [] && List.sort_uniq compare flushes = List.sort compare flushes);
+  let home_side = after carries_request held in
+  if home_side = [] then Alcotest.fail "no Undelegate carried the request";
+  Alcotest.(check bool) "the home serves the carried request" true
+    (List.exists
+       (function
+         | 0, 3, (Message.Data_exclusive _ | Message.Delegate _) -> true | _ -> false)
+       home_side);
+  Alcotest.(check bool) "the writer holds the line" true
+    (match System.l2_entry t ~node:3 ~line:l with
+    | Some { L2.state = L2.Exclusive; _ } -> true
+    | Some _ | None -> false)
+
 let suite =
   [
     Alcotest.test_case "delegation after detection" `Quick
@@ -187,4 +243,6 @@ let suite =
     Alcotest.test_case "delegation reduces 3-hop" `Quick test_delegation_reduces_3hop;
     Alcotest.test_case "self-delegation at home" `Quick test_self_delegation_at_home;
     Alcotest.test_case "stale hint recovery" `Quick test_stale_hint_recovery;
+    Alcotest.test_case "held write rides the undelegation" `Quick
+      test_held_write_rides_undelegate;
   ]

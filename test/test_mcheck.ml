@@ -261,6 +261,7 @@ let test_snoop_table_invariants () =
    lines pass both strengths. *)
 let test_adaptive_invariants () =
   let module Inv = Pcc_core.Dir_invariants in
+  let module Dc = Pcc_core.Delegate_cache in
   let set = Pcc_core.Nodeset.of_list in
   let line ?(owner = -1) ?(requester = -1) ?(sharers = []) ?(mem = 0) ?(l2 = [])
       ?(rac = []) ?(producer = []) ?(transfer = []) ?(handoff = false) dir =
@@ -289,7 +290,7 @@ let test_adaptive_invariants () =
   let clean_shared =
     line Shared_s ~sharers:[ 1; 2 ] ~mem:5 ~l2:[ (1, s, 5) ] ~rac:[ (2, 5) ]
   and clean_delegation =
-    line Dele ~owner:1 ~producer:[ (1, Inv.Shared, [ 1; 2 ]) ] ~l2:[ (1, s, 7) ]
+    line Dele ~owner:1 ~producer:[ (1, Dc.Shared, [ 1; 2 ]) ] ~l2:[ (1, s, 7) ]
       ~rac:[ (1, 7); (2, 7) ]
   and busy = line Busy_shared ~owner:1 ~requester:2 ~l2:[ (1, e, 3) ]
   and granting = line Excl ~owner:1
@@ -327,16 +328,16 @@ let test_adaptive_invariants () =
           [ Directory_consistency ] );
         ( "a producer entry with no RAC backing",
           Event_boundary,
-          line Dele ~owner:1 ~producer:[ (1, Exclusive, [ 1 ]) ] ~l2:[ (1, e, 3) ],
+          line Dele ~owner:1 ~producer:[ (1, Dc.Exclusive, [ 1 ]) ] ~l2:[ (1, e, 3) ],
           [ Delegation_consistency ] );
         ( "a producer entry the directory does not reflect",
           Event_boundary,
           line Shared_s ~sharers:[ 1; 2 ] ~mem:2 ~l2:[ (1, s, 2) ] ~rac:[ (2, 2) ]
-            ~producer:[ (2, Shared, [ 2 ]) ],
+            ~producer:[ (2, Dc.Shared, [ 2 ]) ],
           [ Delegation_consistency ] );
         ( "a foreign copy while the producer is exclusive",
           Event_boundary,
-          line Dele ~owner:1 ~producer:[ (1, Exclusive, [ 1; 2 ]) ]
+          line Dele ~owner:1 ~producer:[ (1, Dc.Exclusive, [ 1; 2 ]) ]
             ~l2:[ (1, e, 3); (2, s, 2) ]
             ~rac:[ (1, 2) ],
           [ Directory_consistency ] );
@@ -589,6 +590,44 @@ let test_golden_counterexample () =
       Alcotest.(check (list string)) "canonical minimal trace" golden_trace trace
   | _ -> Alcotest.fail "expected a violation"
 
+(* The model runs the simulator's rule for a Get_exclusive that meets a
+   fenced producer: held, not NACKed; the flush round starts; and the
+   Undelegate carries the writer home.  Steered by label: node 0 reads,
+   node 1's write is delegated, node 2's forwarded read makes node 1
+   downgrade and push to node 0 (the fence), and node 2, hinted to
+   node 1, writes. *)
+let test_held_write_in_model () =
+  let module Step = Protocol_model.Step in
+  let params = Protocol_model.default_params in
+  let take st label =
+    let succs = Step.successors params st in
+    match List.assoc_opt label succs with
+    | Some st -> st
+    | None -> Alcotest.failf "%s not offered; offered: %s" label (String.concat " " (List.map fst succs))
+  in
+  let steer = List.fold_left take in
+  let offered st label = List.mem_assoc label (Step.successors params st) in
+  let fenced =
+    steer (Step.initial params)
+      [
+        "n0:issue-load-miss"; "deliver[0->0]:gets"; "deliver[0->0]:datas";
+        "n1:issue-store-miss"; "deliver[1->0]:getx#1"; "deliver[0->1]:delegate";
+        "deliver[0->0]:inval"; "deliver[0->1]:ack"; "n2:issue-load-miss";
+        "deliver[2->0]:gets"; "deliver[0->1]:fwds"; "deliver[0->2]:newhome";
+        "deliver[1->2]:datas"; "n2:issue-store-miss";
+      ]
+  in
+  let held = take fenced "deliver[2->1]:getx" in
+  Alcotest.(check bool) "no NACK from the producer" false (offered held "deliver[1->2]:nack");
+  let returned =
+    steer held [ "deliver[1->0]:update"; "deliver[1->0]:flush"; "deliver[0->1]:flushack" ]
+  in
+  Alcotest.(check bool) "no NACK after the flush" false (offered returned "deliver[1->2]:nack");
+  (* the home re-runs a carried request as the writer's own Get_exclusive *)
+  let reclaimed = take returned "deliver[1->0]:undele" in
+  Alcotest.(check bool) "the undelegation carried node 2's write" true
+    (offered reclaimed "deliver[2->0]:getx")
+
 let test_verdict_byte_stable_across_jobs () =
   let sequential = render ~jobs:1 violating_params in
   Alcotest.(check string) "jobs=4 output" sequential (render ~jobs:4 violating_params)
@@ -681,6 +720,7 @@ let suite =
       test_adaptive_invariants;
     Alcotest.test_case "golden: minimal canonical counterexample" `Quick
       test_golden_counterexample;
+    Alcotest.test_case "held write rides the undelegation" `Quick test_held_write_in_model;
     Alcotest.test_case "verdict byte-stable across jobs" `Quick
       test_verdict_byte_stable_across_jobs;
     Alcotest.test_case "verdict byte-stable with spill" `Quick
