@@ -1,4 +1,4 @@
-type copy = No_copy | Shared_copy | Exclusive_copy
+type copy = L2.copy = No_copy | Shared_copy | Exclusive_copy
 
 type view = {
   mutable nodes : int;

@@ -10,7 +10,7 @@
     both at {!Event_boundary}, and {!Node.check_invariants} on a drained
     machine at {!Quiescent}.  A clean check allocates nothing. *)
 
-type copy = No_copy | Shared_copy | Exclusive_copy  (** a node's L2 copy *)
+type copy = L2.copy = No_copy | Shared_copy | Exclusive_copy  (** a node's L2 copy *)
 
 (** One line as its caller sees it.  The in-transit sets answer "may a
     message still in transit account for this node?": the model answers

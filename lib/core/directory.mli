@@ -45,8 +45,9 @@ val state_code : dstate -> int
     own side's effects (the simulator's latencies, predictor, statistics
     and flight notes; the model's packets and nondeterministic
     delegation), so the two cannot disagree on a home decision.  The
-    delegated home has its own table ([Delegate_cache.producer_step]);
-    the requester side is in neither.  Below, "the sender" is the
+    delegated home has its own table ([Delegate_cache.producer_step]),
+    and so does the requester side ([L2.requester_step]).  Below, "the
+    sender" is the
     message's source and the fields are {!entry}'s. *)
 
 type input =

@@ -6,10 +6,6 @@ module Consumer = Delegate_cache.Consumer
 (* State                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type deferred =
-  | D_intervention of Types.node_id * int  (* requester, tid *)
-  | D_transfer of Types.node_id * int
-
 (* One outstanding processor transaction.  [target] is where the current
    attempt was sent; [reply_src] who granted it — together they classify
    the miss by network legs.  [deferred] holds interventions that arrived
@@ -37,7 +33,7 @@ type pending = {
   mutable poisoned : bool;
       (* an invalidation overtook this load: commit without caching *)
   mutable miss_override : Types.miss_class option;
-  mutable deferred : deferred list;
+  mutable deferred : L2.deferred list;
 }
 
 (* Delegated directory state held in the producer table (the DirEntry of
@@ -488,8 +484,20 @@ let ack_collection_class t p ~acks_expected =
       Some (if p.target = t.id then Types.Remote_2hop else Types.Remote_3hop)
 
 (* ------------------------------------------------------------------ *)
-(* Transaction commit                                                  *)
+(* The requester side (§2.3, §2.4.3)                                   *)
 (* ------------------------------------------------------------------ *)
+
+(* [L2.requester_step] makes every requester decision; the handlers
+   below interpret its action with the simulator's side of it: latencies,
+   miss classes, statistics, crash debtor sets and routing.  [txn] is the
+   node's transaction on [line] as the table reads it. *)
+let txn t line : L2.txn =
+  match t.pending with
+  | Some p when p.line = line -> (
+      match p.kind with
+      | Types.Load -> Loading
+      | Types.Store -> if p.have_data then Granted else Awaiting_grant)
+  | Some _ | None -> Idle
 
 let commit_load t p ~value ~miss =
   let now = Sim.now t.sim in
@@ -516,6 +524,22 @@ let note_producer_write t line =
       schedule_intervention t line entry;
       settle t line entry step
 
+(* Drop the line's copies; a waiting load the step poisons commits
+   without caching. *)
+let invalidate t line (action : L2.action) =
+  ignore (L2.invalidate t.l2 line);
+  (match t.rac with Some rac -> Rac.invalidate rac line | None -> ());
+  match (action, t.pending) with
+  | Invalidate_and_poison, Some p -> p.poisoned <- true
+  | (Invalidate | Invalidate_and_poison), _ -> ()
+  | _ -> assert false (* the Inval rows draw only these *)
+
+(* The step of an event that reads neither a copy nor a writeback. *)
+let reply_step t line event ~own =
+  L2.requester_step No_copy (txn t line) ~own ~wb:false ~local:false event
+
+(* After the commit, the producer settles first, then the deferred
+   forwarded requests run again. *)
 let rec commit_store t p =
   let now = Sim.now t.sim in
   let version = t.next_version () in
@@ -536,55 +560,44 @@ let rec commit_store t p =
     ~started:p.started ~miss:(Some miss);
   note_producer_write t p.line;
   List.iter
-    (fun d ->
-      match d with
-      | D_intervention (requester, tid) ->
-          handle_intervention_now t p.line ~requester ~tid
-      | D_transfer (requester, tid) -> handle_transfer_now t p.line ~requester ~tid)
+    (function
+      | L2.Deferred_intervention { requester; tid } ->
+          forwarded t p.line L2.Intervention ~requester ~tid
+      | L2.Deferred_transfer { requester; tid } -> forwarded t p.line L2.Transfer ~requester ~tid)
     (List.rev p.deferred);
   p.on_commit ()
 
 and try_complete_store t p =
   if p.have_data && p.acks_needed <= 0 then commit_store t p
 
-(* ------------------------------------------------------------------ *)
-(* Owner-side interventions                                            *)
-(* ------------------------------------------------------------------ *)
-
-and handle_intervention_now t line ~requester ~tid =
-  match L2.peek t.l2 line with
-  | Some L2.{ state = Exclusive; value; _ } ->
-      L2.set t.l2 line L2.{ state = Shared; value; dirty = false };
+(* An [Intervention] or [Transfer] reaching the owner, or run again once
+   the store it waited for commits. *)
+and forwarded t line (event : L2.event) ~requester ~tid =
+  let entry = L2.peek t.l2 line in
+  let action =
+    L2.requester_step (L2.copy_of entry) (txn t line) ~own:false
+      ~wb:(Hashtbl.mem t.wb_pending line) ~local:false event
+  in
+  match (action, entry, t.pending, event) with
+  | Defer, _, Some p, Intervention ->
+      p.deferred <- Deferred_intervention { requester; tid } :: p.deferred
+  | Defer, _, Some p, Transfer -> p.deferred <- Deferred_transfer { requester; tid } :: p.deferred
+  | Serve, Some { state; value; _ }, _, Intervention ->
+      if state = L2.Exclusive then L2.set t.l2 line L2.{ state = Shared; value; dirty = false };
       send t ~dst:requester (Data_shared { line; value; source_is_home = false; tid });
-      send t ~dst:(home_of line)
-        (Shared_writeback { line; value; new_sharer = requester })
-  | Some L2.{ state = Shared; value; _ } ->
-      send t ~dst:requester (Data_shared { line; value; source_is_home = false; tid });
-      send t ~dst:(home_of line)
-        (Shared_writeback { line; value; new_sharer = requester })
-  | None -> () (* our writeback is in flight; the home resolves the race *)
-
-and handle_transfer_now t line ~requester ~tid =
-  match L2.invalidate t.l2 line with
-  | Some L2.{ value; _ } ->
+      send t ~dst:(home_of line) (Shared_writeback { line; value; new_sharer = requester })
+  | Serve, Some { value; _ }, _, Transfer ->
+      ignore (L2.invalidate t.l2 line);
       (match t.rac with Some rac -> Rac.invalidate rac line | None -> ());
       send t ~dst:requester
-        (Data_exclusive
-           { line; value; acks_expected = 0; sharers = Nodeset.empty; tid });
+        (Data_exclusive { line; value; acks_expected = 0; sharers = Nodeset.empty; tid });
       (* crash-capable machines: the value rides the ack so home memory
          can catch up — the new owner may die before writing back *)
       send t ~dst:(home_of line)
         (Transfer_ack
-           {
-             line;
-             new_owner = requester;
-             value = (if t.crashable then Some value else None);
-           })
-  | None -> () (* writeback race; the home resolves it *)
-
-(* ------------------------------------------------------------------ *)
-(* Requester side: attempts and retries                                *)
-(* ------------------------------------------------------------------ *)
+           { line; new_owner = requester; value = (if t.crashable then Some value else None) })
+  | Drop, _, _, _ -> ()
+  | _ -> assert false (* forwarded requests draw only these *)
 
 (* Register invalidation debt for a store grant.  Crash-capable machines
    track the precise debtor set: sharers already known dead are not
@@ -601,32 +614,14 @@ let add_ack_debt t p ~sharers ~acks_expected =
     p.acks_needed <- p.acks_needed + Nodeset.cardinal owed
   end
 
-let rec start_attempt t p =
-  let line = p.line in
-  match p.kind with
-  | Types.Load -> (
-      let rac_value =
-        match t.rac with Some rac -> Rac.lookup rac line | None -> None
-      in
-      match rac_value with
-      | Some value ->
-          sched t ~delay:t.config.rac_hit_latency (fun () ->
-              match t.pending with
-              | Some q when q == p -> commit_load t q ~value ~miss:Types.Rac_hit
-              | _ -> ())
-      | None ->
-          let target = resolve_target t line in
-          p.target <- target;
-          send t ~dst:target (Get_shared { line; tid = p.tid }))
-  | Types.Store -> (
-      match find_producer t line with
-      | Some entry -> start_local_upgrade t p entry
-      | None ->
-          let target = resolve_target t line in
-          p.target <- target;
-          send t ~dst:target (Get_exclusive { line; tid = p.tid }))
+let take_grant t p ~src ~sharers ~acks_expected =
+  p.have_data <- true;
+  p.reply_src <- src;
+  add_ack_debt t p ~sharers ~acks_expected;
+  ack_collection_class t p ~acks_expected;
+  try_complete_store t p
 
-and resolve_target t line =
+let resolve_target t line =
   let home = home_of line in
   if home = t.id then home
   else
@@ -635,55 +630,80 @@ and resolve_target t line =
         match Consumer.find table line with Some node -> node | None -> home)
     | None -> home
 
-(* The producer writing a line it is the delegated home of: the whole
-   directory transaction is local; only invalidations and their acks
-   cross the network (the "2-hop write" of §2.3). *)
-and start_local_upgrade t p entry =
-  let line = p.line in
-  let step = entry_step t entry Own_store in
-  match step.action with
-  | Regain ->
-      (* exclusivity already held (L2 copy was evicted; data is in the
-         pinned RAC entry) *)
-      p.have_data <- true;
-      p.acks_needed <- 0;
-      p.miss_override <- Some Types.Rac_hit;
-      sched t ~delay:t.config.rac_hit_latency (fun () ->
-          match t.pending with Some q when q == p -> try_complete_store t q | _ -> ())
-  | Local_upgrade ->
-      let consumers = Nodeset.remove entry.psharers t.id in
-      let n = Nodeset.cardinal consumers in
-      if n > 0 then Pcc_stats.Histogram.observe t.stats.consumer_hist n;
-      entry.update_set <- consumers;
-      entry.psharers <- Nodeset.singleton t.id;
-      entry.phase <- step.phase;
-      refresh_entry_lock t line entry;
-      p.have_data <- true;
-      add_ack_debt t p ~sharers:consumers ~acks_expected:n;
-      p.miss_override <- Some (if n = 0 then Types.Rac_hit else Types.Remote_2hop);
-      if p.acks_needed = 0 then
-        (* every consumer may already be dead (crash mode): complete
-           after the local-upgrade latency, with no acks to collect *)
-        sched t ~delay:t.config.hub_latency (fun () ->
-            match t.pending with
-            | Some q when q == p -> try_complete_store t q
-            | _ -> ())
-      else
-        Nodeset.iter
-          (fun consumer ->
-            t.stats.invals_sent <- t.stats.invals_sent + 1;
-            Run_stats.note_inval t.stats ~line;
-            send_after t ~delay:t.config.hub_latency ~dst:consumer
-              (Inval { line; requester = t.id }))
-          consumers
-  | _ -> assert false (* the blocking processor is the only writer *)
+let request t p =
+  let target = resolve_target t p.line in
+  p.target <- target;
+  send t ~dst:target
+    (match p.kind with
+    | Types.Load -> Get_shared { line = p.line; tid = p.tid }
+    | Types.Store -> Get_exclusive { line = p.line; tid = p.tid })
 
-and schedule_retry t p =
+(* A miss the node serves itself: a load from its RAC copy, a store from
+   its producer entry, where the whole directory transaction is local and
+   only invalidations and their acks cross the network (the "2-hop
+   write" of §2.3). *)
+let serve_locally t p =
+  let line = p.line in
+  match (p.kind, t.rac) with
+  | Types.Load, Some rac ->
+      let value = match Rac.lookup rac line with Some v -> v | None -> assert false in
+      sched t ~delay:t.config.rac_hit_latency (fun () ->
+          match t.pending with
+          | Some q when q == p -> commit_load t q ~value ~miss:Types.Rac_hit
+          | _ -> ())
+  | Types.Load, None -> assert false (* the issue row saw the RAC copy *)
+  | Types.Store, _ -> (
+      let entry =
+        match find_producer t line with
+        | Some e -> e
+        | None -> assert false (* the issue row saw the entry *)
+      in
+      let step = entry_step t entry Own_store in
+      match step.action with
+      | Regain ->
+          (* exclusivity already held (L2 copy was evicted; data is in the
+             pinned RAC entry) *)
+          p.have_data <- true;
+          p.acks_needed <- 0;
+          p.miss_override <- Some Types.Rac_hit;
+          sched t ~delay:t.config.rac_hit_latency (fun () ->
+              match t.pending with Some q when q == p -> try_complete_store t q | _ -> ())
+      | Local_upgrade ->
+          let consumers = Nodeset.remove entry.psharers t.id in
+          let n = Nodeset.cardinal consumers in
+          if n > 0 then Pcc_stats.Histogram.observe t.stats.consumer_hist n;
+          entry.update_set <- consumers;
+          entry.psharers <- Nodeset.singleton t.id;
+          entry.phase <- step.phase;
+          refresh_entry_lock t line entry;
+          p.have_data <- true;
+          add_ack_debt t p ~sharers:consumers ~acks_expected:n;
+          p.miss_override <- Some (if n = 0 then Types.Rac_hit else Types.Remote_2hop);
+          if p.acks_needed = 0 then
+            (* every consumer may already be dead (crash mode): complete
+               after the local-upgrade latency, with no acks to collect *)
+            sched t ~delay:t.config.hub_latency (fun () ->
+                match t.pending with
+                | Some q when q == p -> try_complete_store t q
+                | _ -> ())
+          else
+            Nodeset.iter
+              (fun consumer ->
+                t.stats.invals_sent <- t.stats.invals_sent + 1;
+                Run_stats.note_inval t.stats ~line;
+                send_after t ~delay:t.config.hub_latency ~dst:consumer
+                  (Inval { line; requester = t.id }))
+              consumers
+      | _ -> assert false (* the blocking processor is the only writer *))
+
+(* A NACKed attempt never holds a RAC copy, a producer entry or an
+   exclusive copy, so its issue row would request again: it does. *)
+let schedule_retry t p =
   t.stats.retries <- t.stats.retries + 1;
   let jitter = Pcc_engine.Rng.int t.rng ~bound:16 in
   sched t ~delay:(t.config.nack_retry_delay + jitter) (fun () ->
       match t.pending with
-      | Some q when q == p && not q.have_data -> start_attempt t q
+      | Some q when q == p && not q.have_data -> request t q
       | _ -> () (* committed, superseded, or granted while the retry waited *))
 
 (* ------------------------------------------------------------------ *)
@@ -966,179 +986,108 @@ let on_recall t line =
   | _, Some entry -> settle t line entry step
   | _, None -> assert false (* no entry draws only the NACK *)
 
-let on_delegate t ~src line ~sharers ~value ~acks_expected ~tid =
-  match t.pending with
-  | Some p when p.line = line && p.kind = Types.Store && p.tid = tid -> (
-      let accept_grant () =
-        p.have_data <- true;
-        p.reply_src <- src;
-        add_ack_debt t p ~sharers ~acks_expected;
-        ack_collection_class t p ~acks_expected;
-        try_complete_store t p
-      in
-      ignore tid;
-      let refuse () =
-        t.stats.delegation_refusals <- t.stats.delegation_refusals + 1;
-        Run_stats.note_churn t.stats ~line;
-        note t ~code:Flight_ring.n_delegation_refused ~line ~arg:0;
-        send t ~dst:src
-          (Undelegate
-             { line; sharers = Nodeset.empty; owner = Some t.id; value = None; pending = None });
-        accept_grant ()
-      in
-      match (t.producer_table, t.rac) with
-      | _ when Hashtbl.mem t.fallback_lines line ->
-          (* this line repeatedly timed out on the optimized path: stay
-             on the verified base protocol *)
-          refuse ()
-      | Some table, Some rac ->
-          (* fence locks age out with the flush window; refresh them so a
-             stale lock cannot spuriously refuse this delegation *)
-          Producer.iter (fun l e -> refresh_entry_lock t l e) table;
-          if not (Rac.fill rac line ~value ~origin:Rac.Delegated) then refuse ()
-          else begin
-            let entry =
-              {
-                phase = Busy;
-                psharers = Nodeset.singleton t.id;
-                update_set = sharers;
-                last_write = Sim.now t.sim;
-                burst_start = Sim.now t.sim;
-                burst_span_ewma = 0;
-                intervention_scheduled = false;
-                slot = Free;
-                unflushed = Nodeset.empty;
-                last_push = 0;
-                flush_acks = 0;
-                flush_waiters = Nodeset.empty;
-              }
-            in
-            match Producer.insert table line entry with
-            | Producer.Set_locked ->
-                t.deledc_pressure <- t.deledc_pressure + 1;
-                Rac.invalidate rac line;
-                refuse ()
-            | Producer.Inserted victim ->
-                (match victim with
-                | Some (victim_line, victim_entry) ->
-                    t.deledc_pressure <- t.deledc_pressure + 1;
-                    do_undelegate t victim_line victim_entry ~pending:None
-                | None -> ());
-                Producer.lock table line;
-                accept_grant ()
-          end
-      | _ -> refuse ())
-  | _ ->
-      (* no matching transaction (defensive): return the delegation *)
-      send t ~dst:src
-        (Undelegate { line; sharers; owner = None; value = Some value; pending = None })
-
 (* ------------------------------------------------------------------ *)
 (* Requester-side replies                                              *)
 (* ------------------------------------------------------------------ *)
 
-let on_data_shared t ~src line ~value ~tid =
-  match t.pending with
-  | Some p when p.line = line && p.kind = Types.Load && p.tid = tid ->
+(* The delegation doubles as the store's grant (Fig. 4a).  A line that
+   repeatedly timed out on the optimized path stays on the verified base
+   protocol, and a full RAC or locked producer set cannot take the
+   entry: the node keeps exclusivity and hands the directory back. *)
+let refuse_delegation t ~src line =
+  t.stats.delegation_refusals <- t.stats.delegation_refusals + 1;
+  Run_stats.note_churn t.stats ~line;
+  note t ~code:Flight_ring.n_delegation_refused ~line ~arg:0;
+  send t ~dst:src
+    (Undelegate { line; sharers = Nodeset.empty; owner = Some t.id; value = None; pending = None })
+
+let take_delegation t p ~src ~sharers ~value ~acks_expected =
+  let line = p.line in
+  (match (t.producer_table, t.rac) with
+  | _ when Hashtbl.mem t.fallback_lines line -> refuse_delegation t ~src line
+  | Some table, Some rac ->
+      (* fence locks age out with the flush window; refresh them so a
+         stale lock cannot spuriously refuse this delegation *)
+      Producer.iter (fun l e -> refresh_entry_lock t l e) table;
+      if not (Rac.fill rac line ~value ~origin:Rac.Delegated) then refuse_delegation t ~src line
+      else begin
+        let entry =
+          {
+            phase = Busy;
+            psharers = Nodeset.singleton t.id;
+            update_set = sharers;
+            last_write = Sim.now t.sim;
+            burst_start = Sim.now t.sim;
+            burst_span_ewma = 0;
+            intervention_scheduled = false;
+            slot = Free;
+            unflushed = Nodeset.empty;
+            last_push = 0;
+            flush_acks = 0;
+            flush_waiters = Nodeset.empty;
+          }
+        in
+        match Producer.insert table line entry with
+        | Producer.Set_locked ->
+            t.deledc_pressure <- t.deledc_pressure + 1;
+            Rac.invalidate rac line;
+            refuse_delegation t ~src line
+        | Producer.Inserted victim ->
+            (match victim with
+            | Some (victim_line, victim_entry) ->
+                t.deledc_pressure <- t.deledc_pressure + 1;
+                do_undelegate t victim_line victim_entry ~pending:None
+            | None -> ());
+            Producer.lock table line
+      end
+  | _ -> refuse_delegation t ~src line);
+  take_grant t p ~src ~sharers ~acks_expected
+
+let credit_ack t p ~src =
+  if not t.crashable then begin
+    p.acks_needed <- p.acks_needed - 1;
+    try_complete_store t p
+  end
+  else if Nodeset.mem p.ack_waiters src then begin
+    (* only known debtors are credited: recovery may already have
+       credited a dead consumer whose ack was still in flight, and
+       timeout-driven re-invalidations can elicit duplicate acks *)
+    p.ack_waiters <- Nodeset.remove p.ack_waiters src;
+    p.acks_needed <- p.acks_needed - 1;
+    try_complete_store t p
+  end
+  else if not p.have_data then
+    (* the ack beat the grant that will name its sender as a debtor *)
+    p.early_acks <- Nodeset.add p.early_acks src
+
+let owns t tid = match t.pending with Some p -> p.tid = tid | None -> false
+
+(* A reply, invalidation or push reaching the requester side.  [own]:
+   does the message's tid name the node's transaction (tid carriers
+   only)? *)
+let requester_event t ~src line (event : L2.event) ~own (msg : Message.t) =
+  match (reply_step t line event ~own, t.pending, msg) with
+  | Commit_load, Some p, Data_shared { value; _ } ->
       p.reply_src <- src;
       commit_load t p ~value ~miss:(classify_legs t ~target:p.target ~reply_src:src)
-  | _ -> () (* stale reply for a transaction satisfied another way: drop *)
-
-let on_data_exclusive t ~src line ~value ~acks_expected ~sharers ~tid =
-  ignore value;
-  match t.pending with
-  | Some p when p.line = line && p.kind = Types.Store && p.tid = tid ->
-      p.have_data <- true;
-      p.reply_src <- src;
-      add_ack_debt t p ~sharers ~acks_expected;
-      ack_collection_class t p ~acks_expected;
-      try_complete_store t p
-  | _ -> ()
-
-let on_inv_ack t ~src line =
-  match t.pending with
-  | Some p when p.line = line && p.kind = Types.Store ->
-      if not t.crashable then begin
-        p.acks_needed <- p.acks_needed - 1;
-        try_complete_store t p
-      end
-      else if Nodeset.mem p.ack_waiters src then begin
-        (* only known debtors are credited: recovery may already have
-           credited a dead consumer whose ack was still in flight, and
-           timeout-driven re-invalidations can elicit duplicate acks *)
-        p.ack_waiters <- Nodeset.remove p.ack_waiters src;
-        p.acks_needed <- p.acks_needed - 1;
-        try_complete_store t p
-      end
-      else if not p.have_data then
-        (* the ack beat the grant that will name its sender as a debtor *)
-        p.early_acks <- Nodeset.add p.early_acks src
-  | _ -> ()
-
-let on_nack t line ~reason ~tid =
-  match t.pending with
-  (* [not p.have_data]: a timeout re-attempt can elicit a NACK for a
-     transaction the original request already granted (impossible on a
-     reliable network, where each tid sees exactly one reply); retrying a
-     granted store would re-enter the upgrade path mid-flight *)
-  | Some p when p.line = line && p.tid = tid && not p.have_data ->
+  | Take_grant, Some p, Data_exclusive { acks_expected; sharers; _ } ->
+      take_grant t p ~src ~sharers ~acks_expected
+  | Take_delegation, Some p, Delegate { sharers; value; acks_expected; _ } ->
+      take_delegation t p ~src ~sharers ~value ~acks_expected
+  | Return_delegation, _, Delegate { sharers; value; _ } ->
+      send t ~dst:src
+        (Undelegate { line; sharers; owner = None; value = Some value; pending = None })
+  | ((Retry | Retry_unhinted) as action), Some p, Nack _ ->
       t.stats.nacks_received <- t.stats.nacks_received + 1;
-      (match (reason, t.consumer_table) with
-      | Message.Not_home, Some table -> Consumer.remove table line
-      | (Message.Not_home | Message.Busy | Message.Pending), _ -> ());
+      (match (action, t.consumer_table) with
+      | Retry_unhinted, Some table -> Consumer.remove table line
+      | _ -> ());
       schedule_retry t p
-  | _ -> ()
-
-let on_new_home t line ~new_home =
-  match t.consumer_table with
-  | Some table when new_home <> t.id ->
-      if Consumer.insert table line new_home then
-        t.deledc_pressure <- t.deledc_pressure + 1
-  | Some _ | None -> ()
-
-let on_inval t line ~requester =
-  ignore (L2.invalidate t.l2 line);
-  (match t.rac with Some rac -> Rac.invalidate rac line | None -> ());
-  (match t.pending with
-  | Some p when p.line = line && p.kind = Types.Load -> p.poisoned <- true
-  | _ -> ());
-  send t ~dst:requester (Inv_ack { line })
-
-(* An upgrade in flight on the same line means the intervention targets
-   the exclusive copy this node is about to gain — servicing it from the
-   stale shared copy would let the directory go Shared while the upgrade
-   commits Exclusive (a race found by the model checker).  Defer until
-   the store commits. *)
-let upgrade_in_flight t line =
-  match t.pending with
-  | Some p when p.line = line && p.kind = Types.Store -> Some p
-  | _ -> None
-
-let on_intervention t line ~requester ~tid =
-  if Hashtbl.mem t.wb_pending line then
-    (* the intervention belongs to the epoch our in-flight writeback
-       ends; the home resolves the race when the writeback lands *)
-    ()
-  else
-    match (L2.peek t.l2 line, upgrade_in_flight t line) with
-    | (Some L2.{ state = Shared; _ } | None), Some p ->
-        p.deferred <- D_intervention (requester, tid) :: p.deferred
-    | Some _, _ -> handle_intervention_now t line ~requester ~tid
-    | None, None -> () (* writeback race *)
-
-let on_transfer t line ~requester ~tid =
-  if Hashtbl.mem t.wb_pending line then ()
-  else
-    match (L2.peek t.l2 line, upgrade_in_flight t line) with
-    | (Some L2.{ state = Shared; _ } | None), Some p ->
-        p.deferred <- D_transfer (requester, tid) :: p.deferred
-    | Some _, _ -> handle_transfer_now t line ~requester ~tid
-    | None, None -> ()
-
-let on_update t ~src line ~value =
-  ignore src;
-  match t.pending with
-  | Some p when p.line = line && p.kind = Types.Load ->
+  | Credit_ack, Some p, Inv_ack _ -> credit_ack t p ~src
+  | ((Invalidate | Invalidate_and_poison) as action), _, Inval { requester; _ } ->
+      invalidate t line action;
+      send t ~dst:requester (Inv_ack { line })
+  | Commit_update, Some p, Update { value; _ } ->
       (* §2.4.3: "If the consumer processor has already requested the
          data, the update message is treated as the response."  The
          superseded data reply still in flight carries this transaction's
@@ -1150,10 +1099,19 @@ let on_update t ~src line ~value =
          channels are FIFO, so a later invalidation cleans it up) *)
       p.poisoned <- false;
       commit_load t p ~value ~miss:Types.Remote_2hop
-  | _ -> (
+  | Fill_rac, _, Update { value; _ } -> (
       match t.rac with
       | Some rac -> ignore (Rac.fill rac line ~value ~origin:Rac.Pushed_update)
       | None -> ())
+  | Drop, _, _ -> ()
+  | _ -> assert false (* each action comes with its event *)
+
+let on_new_home t line ~new_home =
+  match t.consumer_table with
+  | Some table when new_home <> t.id ->
+      if Consumer.insert table line new_home then
+        t.deledc_pressure <- t.deledc_pressure + 1
+  | Some _ | None -> ()
 
 let on_update_flush_ack t ~src line =
   match find_producer t line with
@@ -1183,24 +1141,25 @@ let handle_message t ~src (msg : Message.t) =
       else prod_request t line Write ~requester:src ~tid
   | Writeback { line; _ } -> home_answer t ~src line Directory.Writeback msg
   | Writeback_ack { line } -> Hashtbl.remove t.wb_pending line
-  | Inval { line; requester } -> on_inval t line ~requester
-  | Intervention { line; requester; tid } -> on_intervention t line ~requester ~tid
-  | Transfer { line; requester; tid } -> on_transfer t line ~requester ~tid
+  | Inval { line; _ } -> requester_event t ~src line Inval ~own:false msg
+  | Intervention { line; requester; tid } -> forwarded t line Intervention ~requester ~tid
+  | Transfer { line; requester; tid } -> forwarded t line Transfer ~requester ~tid
   | Transfer_ack { line; _ } -> home_answer t ~src line Directory.Transfer_ack msg
-  | Data_shared { line; value; source_is_home = _; tid } ->
-      on_data_shared t ~src line ~value ~tid
-  | Data_exclusive { line; value; acks_expected; sharers; tid } ->
-      on_data_exclusive t ~src line ~value ~acks_expected ~sharers ~tid
-  | Inv_ack { line } -> on_inv_ack t ~src line
+  | Data_shared { line; tid; _ } -> requester_event t ~src line Data_shared ~own:(owns t tid) msg
+  | Data_exclusive { line; tid; _ } ->
+      requester_event t ~src line Data_exclusive ~own:(owns t tid) msg
+  | Inv_ack { line } -> requester_event t ~src line Inv_ack ~own:false msg
   | Shared_writeback { line; _ } -> home_answer t ~src line Directory.Shared_writeback msg
-  | Nack { line; reason; tid } -> on_nack t line ~reason ~tid
-  | Delegate { line; sharers; value; acks_expected; tid } ->
-      on_delegate t ~src line ~sharers ~value ~acks_expected ~tid
+  | Nack { line; reason = Not_home; tid } ->
+      requester_event t ~src line Nack_not_home ~own:(owns t tid) msg
+  | Nack { line; reason = Busy | Pending; tid } ->
+      requester_event t ~src line Nack ~own:(owns t tid) msg
+  | Delegate { line; tid; _ } -> requester_event t ~src line Delegate ~own:(owns t tid) msg
   | New_home { line; home } -> on_new_home t line ~new_home:home
   | Recall { line; requester = _; kind = _ } -> on_recall t line
   | Recall_nack { line } -> home_answer t ~src line Directory.Recall_nack msg
   | Undelegate { line; _ } -> home_answer t ~src line Directory.Undelegate msg
-  | Update { line; value } -> on_update t ~src line ~value
+  | Update { line; _ } -> requester_event t ~src line Update ~own:false msg
   | Update_flush { line } -> send t ~dst:src (Update_flush_ack { line })
   | Update_flush_ack { line } -> on_update_flush_ack t ~src line
   | Bus_rd _ | Bus_rdx _ | Bus_upgr _ | Bus_flush _ | Snoop_resp _ | Bus_wb _
@@ -1213,12 +1172,12 @@ let handle_message t ~src (msg : Message.t) =
 (* ------------------------------------------------------------------ *)
 
 (* Second-line defense (the hub link already guarantees delivery): a
-   transaction that sits unfinished for the timeout re-attempts — unless
-   it already holds data and is merely collecting acks, which duplicate
-   requests could corrupt — and records a strike that may demote the line
-   to the base protocol.  The timer re-arms with exponential backoff so a
-   genuinely slow transaction is not hammered, up to [txn_timeout_cap]
-   cycles. *)
+   transaction that sits unfinished for the timeout requests again —
+   unless it already holds data and is merely collecting acks, which
+   duplicate requests could corrupt — and records a strike that may
+   demote the line to the base protocol.  The timer re-arms with
+   exponential backoff so a genuinely slow transaction is not hammered,
+   up to [txn_timeout_cap] cycles. *)
 let txn_timeout_cap = 80_000
 
 let rec arm_txn_timeout t p ~delay =
@@ -1229,7 +1188,7 @@ let rec arm_txn_timeout t p ~delay =
           p.timeouts <- p.timeouts + 1;
           note t ~code:Flight_ring.n_timeout ~line:p.line ~arg:p.timeouts;
           note_strike t p.line;
-          (if not p.have_data then start_attempt t p
+          (if not p.have_data then request t p
            else if t.crashable && p.kind = Types.Store && p.acks_needed > 0 then
              (* a consumer that crashed and restarted lost the original
                 invalidation with its cache: re-invalidate the remaining
@@ -1245,7 +1204,24 @@ let rec arm_txn_timeout t p ~delay =
               (min txn_timeout_cap (t.config.txn_timeout lsl min p.timeouts 10))
       | _ -> () (* committed; let the timer die *))
 
-let start_miss t ~kind ~line ~on_commit =
+(* The issue row, for the L2 lookup [entry].  Only a miss reads [local];
+   its probes touch no recency. *)
+let issue_step t (kind : Types.op_kind) line entry =
+  let copy = L2.copy_of entry in
+  match kind with
+  | Load ->
+      L2.requester_step copy Idle ~own:false ~wb:false
+        ~local:(match t.rac with Some rac -> Rac.contains rac line | None -> false)
+        Issue_load
+  | Store ->
+      L2.requester_step copy Idle ~own:false ~wb:false
+        ~local:
+          (match t.producer_table with
+          | Some table -> Option.is_some (Producer.peek table line)
+          | None -> false)
+        Issue_store
+
+let start_miss t ~kind ~line ~on_commit (action : L2.action) =
   t.next_tid <- t.next_tid + 1;
   let p =
     {
@@ -1267,7 +1243,10 @@ let start_miss t ~kind ~line ~on_commit =
     }
   in
   t.pending <- Some p;
-  start_attempt t p;
+  (match action with
+  | Local -> serve_locally t p
+  | Request -> request t p
+  | _ -> assert false (* a miss draws only these *));
   if Config.hardened t.config && t.config.txn_timeout > 0 then
     arm_txn_timeout t p ~delay:t.config.txn_timeout
 
@@ -1278,18 +1257,18 @@ let submit t ~kind ~line ~on_commit =
   (match kind with
   | Types.Load -> t.stats.loads <- t.stats.loads + 1
   | Types.Store -> t.stats.stores <- t.stats.stores + 1);
-  match (L2.lookup t.l2 line, kind) with
-  | Some entry, Types.Load ->
+  let entry = L2.lookup t.l2 line in
+  match (issue_step t kind line entry, kind, entry) with
+  | Hit, Types.Load, Some { value; _ } ->
       t.stats.l2_hits <- t.stats.l2_hits + 1;
       sched t ~delay:t.config.l2_hit_latency (fun () ->
-          Probe.commit t.probe ~node:t.id ~kind:Types.Load ~line ~value:entry.value
-            ~started ~miss:None;
+          Probe.commit t.probe ~node:t.id ~kind:Types.Load ~line ~value ~started ~miss:None;
           on_commit ())
-  | Some L2.{ state = Exclusive; _ }, Types.Store ->
+  | Hit, Types.Store, _ ->
       t.stats.l2_hits <- t.stats.l2_hits + 1;
       sched t ~delay:t.config.l2_hit_latency (fun () ->
-          match L2.peek t.l2 line with
-          | Some L2.{ state = Exclusive; _ } ->
+          match issue_step t kind line (L2.peek t.l2 line) with
+          | Hit ->
               let version = t.next_version () in
               L2.set t.l2 line L2.{ state = Exclusive; value = version; dirty = true };
               (match find_producer t line with
@@ -1300,13 +1279,13 @@ let submit t ~kind ~line ~on_commit =
               Probe.commit t.probe ~node:t.id ~kind:Types.Store ~line ~value:version
                 ~started ~miss:None;
               on_commit ()
-          | Some L2.{ state = Shared; _ } | None ->
+          | action ->
               (* lost exclusivity in the hit window: the miss path counts
                  this access, so it was no hit *)
               t.stats.l2_hits <- t.stats.l2_hits - 1;
-              start_miss t ~kind ~line ~on_commit)
-  | Some L2.{ state = Shared; _ }, Types.Store | None, (Types.Load | Types.Store) ->
-      start_miss t ~kind ~line ~on_commit
+              start_miss t ~kind ~line ~on_commit action)
+  | Hit, Types.Load, None -> assert false (* a load hits only a copy *)
+  | action, _, _ -> start_miss t ~kind ~line ~on_commit action
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -1459,11 +1438,9 @@ let line_view nodes line (v : Dir_invariants.view) =
       v.mem <- 0);
   for n = 0 to Array.length nodes - 1 do
     let node = nodes.(n) in
-    (match L2.peek node.l2 line with
-    | Some { state; value; _ } ->
-        v.l2.(n) <- (if state = L2.Shared then Shared_copy else Exclusive_copy);
-        v.l2_value.(n) <- value
-    | None -> v.l2.(n) <- No_copy);
+    let entry = L2.peek node.l2 line in
+    v.l2.(n) <- L2.copy_of entry;
+    (match entry with Some { value; _ } -> v.l2_value.(n) <- value | None -> ());
     (match rac_value node line with
     | Some value ->
         v.rac.(n) <- true;
@@ -1538,15 +1515,10 @@ let surviving_value nodes line =
     nodes;
   !best
 
-(* Drop a (stale) cached copy during recovery: like [on_inval] but with
-   no requester to acknowledge.  A pending load on the line commits
-   without caching, exactly as if an invalidation had overtaken it. *)
-let recovery_invalidate t line =
-  ignore (L2.invalidate t.l2 line);
-  (match t.rac with Some rac -> Rac.invalidate rac line | None -> ());
-  match t.pending with
-  | Some p when p.line = line && p.kind = Types.Load -> p.poisoned <- true
-  | _ -> ()
+(* Drop a (stale) cached copy during recovery: an [Inval] with no
+   requester to acknowledge.  A pending load on the line commits without
+   caching, exactly as if an invalidation had overtaken it. *)
+let recovery_invalidate t line = invalidate t line (reply_step t line Inval ~own:false)
 
 (* Rebuild [entry] into a stable Shared_s/Unowned state from surviving
    caches: recover the newest surviving value into home memory, keep the
@@ -1763,10 +1735,16 @@ let recover_after_crash nodes ~dead ~will_restart =
       if node.id <> dead then begin
         (* updates are fire-and-forget, and the producer bookkeeping below
            forgets the victim: a requeued update would install a copy no
-           later invalidation reaches *)
+           later invalidation reaches.  A forwarded Intervention or
+           Transfer asks the dead incarnation for a copy it no longer
+           holds; delivered to the restarted node, it would wait behind
+           that node's next store and then give away the fresh copy the
+           home still records as the old one.  Recovery rebuilds every
+           entry the victim owned and re-serves the waiting requester
+           instead (rebuild_dead_owner). *)
         if will_restart then
           Hub_link.requeue_peer node.hub ~peer:dead ~droppable:(function
-            | Message.Update _ -> true
+            | Message.Update _ | Message.Intervention _ | Message.Transfer _ -> true
             | _ -> false)
         else Hub_link.drop_peer node.hub ~peer:dead;
         (match node.consumer_table with

@@ -6,7 +6,10 @@
     with delegation enabled — (c) a potential {e delegated home} for lines
     it produces.  All inter-node interaction goes through coherence
     messages on the network; a node sending to itself models a processor
-    accessing its own home memory.
+    accessing its own home memory.  Each role's decisions are one
+    transition table the model checker interprets too
+    ([L2.requester_step], [Directory.home_step],
+    [Delegate_cache.producer_step]); the node adds its side's effects.
 
     A node has no observer surface of its own: every send, receive,
     issue, commit, retransmission and protocol decision note goes once

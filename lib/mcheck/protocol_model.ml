@@ -1,5 +1,6 @@
 module Directory = Pcc_core.Directory
 module Delegate_cache = Pcc_core.Delegate_cache
+module L2 = Pcc_core.L2
 module Message = Pcc_core.Message
 
 type bug = Skip_invals_on_delegate | No_poison_on_inval | Updates_without_resharing
@@ -62,10 +63,9 @@ type pend = {
   poisoned : bool;
   target : int;  (* where the current request attempt was sent *)
   tid : int;  (* transaction id echoed by replies; stale replies dropped *)
-  deferred : (bool * int * int) list;
-      (* interventions/transfers (is_transfer, requester, tid) received
-         between the exclusive grant and the store commit, replayed after
-         the commit *)
+  deferred : L2.deferred list;
+      (* interventions and transfers received while the store was
+         outstanding, run again after its commit *)
 }
 
 type prod = {
@@ -432,32 +432,6 @@ let commit_store st n =
         rac = (match node.prod with Some _ -> node.rac | None -> None);
       })
 
-(* Owner-side servicing of an intervention/transfer against a committed
-   exclusive (or downgraded shared) copy. *)
-let intervention_now st n requester tid =
-  let node = st.ns.(n) in
-  match node.cache with
-  | CE v | CS v ->
-      let st = with_node st n (fun node -> { node with cache = CS v }) in
-      post st
-        [
-          { src = n; dst = requester; seq = 0; msg = MDataS (v, tid) };
-          { src = n; dst = home; seq = 0; msg = MSwb (v, requester) };
-        ]
-  | CI -> st (* writeback race; the home resolves it *)
-
-let transfer_now st n requester tid =
-  let node = st.ns.(n) in
-  match node.cache with
-  | CE v | CS v ->
-      let st = with_node st n (fun node -> { node with cache = CI; rac = None }) in
-      post st
-        [
-          { src = n; dst = requester; seq = 0; msg = MDataE (v, 0, tid) };
-          { src = n; dst = home; seq = 0; msg = MTack requester };
-        ]
-  | CI -> st
-
 (* ------------------------------------------------------------------ *)
 (* Producer-side actions                                               *)
 (* ------------------------------------------------------------------ *)
@@ -556,18 +530,64 @@ let settle st n p (step : Delegate_cache.step) =
 let store_done st n =
   match st.ns.(n).prod with Some p -> settle st n p (entry_step p Store_done) | None -> st
 
+(* [L2.requester_step] makes every requester decision, as in the
+   simulator; the handlers below interpret its action as packets.  [txn]
+   is the node's transaction as the table reads it. *)
+let txn node : L2.txn =
+  match node.pend with
+  | None -> Idle
+  | Some { pkind = PL; _ } -> Loading
+  | Some { pkind = PW; have_data; _ } -> if have_data then Granted else Awaiting_grant
+
+let copy : cstate -> L2.copy = function
+  | CI -> No_copy
+  | CS _ -> Shared_copy
+  | CE _ -> Exclusive_copy
+
+(* An intervention or transfer reaching the owner, or run again once the
+   store it waited for commits. *)
+let forwarded st n (event : L2.event) ~requester ~tid =
+  let node = st.ns.(n) in
+  let action =
+    L2.requester_step (copy node.cache) (txn node) ~own:false ~wb:node.wbp ~local:false event
+  in
+  match (action, node.cache, node.pend, event) with
+  | Defer, _, Some p, (Intervention | Transfer) ->
+      let d : L2.deferred =
+        if event = Transfer then Deferred_transfer { requester; tid }
+        else Deferred_intervention { requester; tid }
+      in
+      with_node st n (fun node -> { node with pend = Some { p with deferred = d :: p.deferred } })
+  | Serve, (CE v | CS v), _, Intervention ->
+      let st = with_node st n (fun node -> { node with cache = CS v }) in
+      post st
+        [
+          { src = n; dst = requester; seq = 0; msg = MDataS (v, tid) };
+          { src = n; dst = home; seq = 0; msg = MSwb (v, requester) };
+        ]
+  | Serve, (CE v | CS v), _, Transfer ->
+      let st = with_node st n (fun node -> { node with cache = CI; rac = None }) in
+      post st
+        [
+          { src = n; dst = requester; seq = 0; msg = MDataE (v, 0, tid) };
+          { src = n; dst = home; seq = 0; msg = MTack requester };
+        ]
+  | Drop, _, _, _ -> st
+  | _ -> assert false (* forwarded requests draw only these *)
+
+(* After the commit, the producer settles first, then the deferred
+   requests run again. *)
 let try_complete_store st n =
   match st.ns.(n).pend with
   | Some { pkind = PW; have_data = true; acks; deferred; _ } when acks <= 0 ->
-      let st = commit_store st n in
-      let st =
-        List.fold_left
-          (fun st (is_transfer, requester, tid) ->
-            if is_transfer then transfer_now st n requester tid
-            else intervention_now st n requester tid)
-          st (List.rev deferred)
-      in
-      store_done st n
+      List.fold_left
+        (fun st (d : L2.deferred) ->
+          match d with
+          | Deferred_intervention { requester; tid } ->
+              forwarded st n Intervention ~requester ~tid
+          | Deferred_transfer { requester; tid } -> forwarded st n Transfer ~requester ~tid)
+        (store_done (commit_store st n) n)
+        (List.rev deferred)
   | _ -> st
 
 (* ------------------------------------------------------------------ *)
@@ -702,93 +722,72 @@ let resend_request st n =
       in
       post st [ { src = n; dst = target; seq = 0; msg } ]
 
+let owns node tid = match node.pend with Some p -> p.tid = tid | None -> false
+
+(* A reply, invalidation or push reaching a cache.  [own]: does the
+   message's tid name the node's transaction (tid carriers only)? *)
+let requester_event params st n (event : L2.event) ~own msg =
+  let node = st.ns.(n) in
+  match (L2.requester_step No_copy (txn node) ~own ~wb:false ~local:false event, node.pend, msg) with
+  | Commit_load, Some p, MDataS (v, _) -> commit_read st n v ~cache_fill:(not p.poisoned)
+  | Take_grant, Some p, MDataE (_, acks, _) ->
+      try_complete_store
+        (with_node st n (fun node ->
+             { node with pend = Some { p with have_data = true; acks = p.acks + acks } }))
+        n
+  | Take_delegation, Some p, MDelegate (sharers, v, acks, _) ->
+      try_complete_store
+        (with_node st n (fun node ->
+             {
+               node with
+               rac = Some v;
+               prod = Some { phase = Busy; psharers = bit n; upds = sharers; slot = Free; unflushed = 0; fl_acks = 0 };
+               pend = Some { p with have_data = true; acks = p.acks + acks };
+             }))
+        n
+  | Return_delegation, _, MDelegate (sharers, v, _, _) ->
+      post st [ { src = n; dst = home; seq = 0; msg = MUndele (sharers, Some v, None) } ]
+  | ((Retry | Retry_unhinted) as action), Some _, MNack _ ->
+      resend_request
+        (if action = Retry_unhinted then with_node st n (fun node -> { node with hint = None })
+         else st)
+        n
+  | Credit_ack, Some p, MAck ->
+      try_complete_store
+        (with_node st n (fun node -> { node with pend = Some { p with acks = p.acks - 1 } }))
+        n
+  | ((Invalidate | Invalidate_and_poison) as action), pend, MInval requester ->
+      let pend =
+        match pend with
+        | Some p when action = Invalidate_and_poison && params.bug <> Some No_poison_on_inval ->
+            Some { p with poisoned = true }
+        | other -> other
+      in
+      let st = with_node st n (fun node -> { node with cache = CI; rac = None; pend }) in
+      post st [ { src = n; dst = requester; seq = 0; msg = MAck } ]
+  | Commit_update, Some _, MUpdate v ->
+      (* update-as-reply (§2.4.3); the superseded data reply is dropped
+         by its stale transaction id *)
+      commit_read st n v ~cache_fill:true
+  | Fill_rac, _, MUpdate v -> with_node st n (fun node -> { node with rac = Some v })
+  | Drop, _, _ -> st
+  | _ -> assert false (* each action comes with its event *)
+
 let cache_handle params st ~src n msg =
   let node = st.ns.(n) in
   match msg with
-  | MInval requester ->
-      let st =
-        with_node st n (fun node ->
-            {
-              node with
-              cache = CI;
-              rac = None;
-              pend =
-                (match node.pend with
-                | Some ({ pkind = PL; _ } as p) when params.bug <> Some No_poison_on_inval ->
-                    Some { p with poisoned = true }
-                | other -> other);
-            })
-      in
-      [ post st [ { src = n; dst = requester; seq = 0; msg = MAck } ] ]
-  | MIntv (requester, tid) -> (
-      (* an upgrade in flight means the intervention targets the exclusive
-         copy we are about to gain: stash it until the store commits.  An
-         intervention arriving while our writeback is outstanding belongs
-         to the epoch that writeback ends: drop it (the home resolves the
-         race when the writeback lands). *)
-      match (node.cache, node.pend) with
-      | _, _ when node.wbp -> [ st ]
-      | (CS _ | CI), Some ({ pkind = PW; _ } as p) ->
-          [
-            with_node st n (fun node ->
-                {
-                  node with
-                  pend = Some { p with deferred = (false, requester, tid) :: p.deferred };
-                });
-          ]
-      | (CE _ | CS _), _ -> [ intervention_now st n requester tid ]
-      | CI, _ -> [ st ] (* writeback race; the home resolves it *))
-  | MTransfer (requester, tid) -> (
-      match (node.cache, node.pend) with
-      | _, _ when node.wbp -> [ st ]
-      | (CS _ | CI), Some ({ pkind = PW; _ } as p) ->
-          [
-            with_node st n (fun node ->
-                {
-                  node with
-                  pend = Some { p with deferred = (true, requester, tid) :: p.deferred };
-                });
-          ]
-      | (CE _ | CS _), _ -> [ transfer_now st n requester tid ]
-      | CI, _ -> [ st ])
-  | MDataS (v, tid) -> (
-      match node.pend with
-      | Some { pkind = PL; poisoned; tid = pt; _ } when pt = tid ->
-          [ commit_read st n v ~cache_fill:(not poisoned) ]
-      | _ -> [ st ] (* stale reply: drop *))
-  | MDataE (_v, acks, tid) -> (
-      match node.pend with
-      | Some ({ pkind = PW; tid = pt; _ } as p) when pt = tid ->
-          let st =
-            with_node st n (fun node ->
-                { node with pend = Some { p with have_data = true; acks = p.acks + acks } })
-          in
-          [ try_complete_store st n ]
-      | _ -> [ st ])
-  | MAck -> (
-      match node.pend with
-      | Some ({ pkind = PW; _ } as p) ->
-          let st = with_node st n (fun node -> { node with pend = Some { p with acks = p.acks - 1 } }) in
-          [ try_complete_store st n ]
-      | _ -> [ st ])
-  | MNack (reason, tid) -> (
-      match node.pend with
-      | Some p when p.tid = tid ->
-          let st =
-            if reason = Message.Not_home then with_node st n (fun node -> { node with hint = None })
-            else st
-          in
-          [ resend_request st n ]
-      | _ -> [ st ] (* stale NACK: drop *))
+  | MDataS (_, tid) -> [ requester_event params st n Data_shared ~own:(owns node tid) msg ]
+  | MDataE (_, _, tid) -> [ requester_event params st n Data_exclusive ~own:(owns node tid) msg ]
+  | MDelegate (_, _, _, tid) -> [ requester_event params st n Delegate ~own:(owns node tid) msg ]
+  | MNack (Not_home, tid) -> [ requester_event params st n Nack_not_home ~own:(owns node tid) msg ]
+  | MNack ((Busy | Pending), tid) -> [ requester_event params st n Nack ~own:(owns node tid) msg ]
+  | MAck -> [ requester_event params st n Inv_ack ~own:false msg ]
+  | MInval _ -> [ requester_event params st n Inval ~own:false msg ]
+  | MUpdate _ -> [ requester_event params st n Update ~own:false msg ]
+  | MIntv (requester, tid) -> [ forwarded st n Intervention ~requester ~tid ]
+  | MTransfer (requester, tid) -> [ forwarded st n Transfer ~requester ~tid ]
   | MNewHome h ->
       [ (if h = n then st else with_node st n (fun node -> { node with hint = Some h })) ]
-  | MUpdate v -> (
-      match node.pend with
-      | Some { pkind = PL; _ } ->
-          (* update-as-reply (§2.4.3); the superseded data reply is
-             dropped by its stale transaction id *)
-          [ commit_read st n v ~cache_fill:true ]
-      | _ -> [ with_node st n (fun node -> { node with rac = Some v }) ])
   | MFlush -> [ post st [ { src = n; dst = src; seq = 0; msg = MFlushAck } ] ]
   | MFlushAck -> (
       match node.prod with
@@ -797,22 +796,6 @@ let cache_handle params st ~src n msg =
           let st = set_prod st n p in
           if p.fl_acks = 0 then [ settle st n p (entry_step p Flush_done) ] else [ st ]
       | _ -> [ st ])
-  | MDelegate (sharers, v, acks, tid) -> (
-      match node.pend with
-      | Some ({ pkind = PW; tid = pt; _ } as p) when pt = tid ->
-          let st =
-            with_node st n (fun node ->
-                {
-                  node with
-                  rac = Some v;
-                  prod = Some { phase = Busy; psharers = bit n; upds = sharers; slot = Free; unflushed = 0; fl_acks = 0 };
-                  pend = Some { p with have_data = true; acks = p.acks + acks };
-                })
-          in
-          [ try_complete_store st n ]
-      | _ ->
-          (* defensive: return the delegation *)
-          [ post st [ { src = n; dst = home; seq = 0; msg = MUndele (sharers, Some v, None) } ] ])
   | MFwdS (requester, tid) -> [ serve_request params st n Read ~requester ~tid ]
   | MGetS tid -> [ serve_request params st n Read ~requester:src ~tid ]
   | MGetX tid -> [ serve_request params st n Write ~requester:src ~tid ]
@@ -845,6 +828,13 @@ let keep params labels id st acc =
   let st = norm st in
   if fits params.channel_capacity st.net then (labels.(id), st) :: acc else acc
 
+let issue_step node event ~local =
+  L2.requester_step (copy node.cache) Idle ~own:false ~wb:false ~local event
+
+(* A miss's transaction before its first request. *)
+let miss pkind ~tid =
+  { pkind; have_data = false; acks = 0; poisoned = false; target = -1; tid; deferred = [] }
+
 let issue_transitions params labels ~line st n acc =
   let node = st.ns.(n) in
   if node.pend <> None || node.done_ >= params.max_ops_per_node then acc
@@ -858,25 +848,20 @@ let issue_transitions params labels ~line st n acc =
     in
     let keep kind st acc = keep params labels (issue_label n kind) st acc in
     let load acc =
-      match node.cache with
-      | CS v | CE v -> keep Issue.load_hit (commit_read st n v ~cache_fill:true) acc
-      | CI -> (
-          match node.rac with
-          | Some v -> keep Issue.load_rac (commit_read st n v ~cache_fill:true) acc
-          | None ->
-              let st =
-                with_node st n (fun node ->
-                    {
-                      node with
-                      pend = Some { pkind = PL; have_data = false; acks = 0; poisoned = false; target = -1; tid = 2 * node.done_; deferred = [] };
-                    })
-              in
-              keep Issue.load_miss (resend_request st n) acc)
+      match issue_step node Issue_load ~local:(node.rac <> None) with
+      | Hit -> keep Issue.load_hit (commit_read st n (line_value node) ~cache_fill:true) acc
+      | Local -> keep Issue.load_rac (commit_read st n (line_value node) ~cache_fill:true) acc
+      | Request ->
+          let st =
+            with_node st n (fun node -> { node with pend = Some (miss PL ~tid:(2 * node.done_)) })
+          in
+          keep Issue.load_miss (resend_request st n) acc
+      | _ -> assert false (* an issue draws only these *)
     in
     let store acc =
-      match (node.cache, node.prod) with
-      | CE _, _ -> keep Issue.store_hit (commit_store st n) acc
-      | (CI | CS _), Some p -> (
+      match (issue_step node Issue_store ~local:(node.prod <> None), node.prod) with
+      | Hit, _ -> keep Issue.store_hit (commit_store st n) acc
+      | Local, Some p -> (
           let step = entry_step p Own_store in
           match step.action with
           | Local_upgrade ->
@@ -898,15 +883,13 @@ let issue_transitions params labels ~line st n acc =
               (* exclusivity held, line evicted to the pinned RAC entry *)
               keep Issue.store_regain (store_done (commit_store st n) n) acc
           | _ -> assert false (* the blocking processor is the only writer *))
-      | (CI | CS _), None ->
+      | Request, _ ->
           let st =
             with_node st n (fun node ->
-                {
-                  node with
-                  pend = Some { pkind = PW; have_data = false; acks = 0; poisoned = false; target = -1; tid = (2 * node.done_) + 1; deferred = [] };
-                })
+                { node with pend = Some (miss PW ~tid:((2 * node.done_) + 1)) })
           in
           keep Issue.store_miss (resend_request st n) acc
+      | _ -> assert false (* an issue draws only these *)
     in
     let acc = if may_load then load acc else acc in
     if may_store then store acc else acc
@@ -1028,14 +1011,8 @@ let fill_view (v : Inv.view) st =
   v.mem <- st.mem;
   for n = 0 to Array.length st.ns - 1 do
     let node = st.ns.(n) in
-    (match node.cache with
-    | CI -> v.l2.(n) <- No_copy
-    | CS x ->
-        v.l2.(n) <- Shared_copy;
-        v.l2_value.(n) <- x
-    | CE x ->
-        v.l2.(n) <- Exclusive_copy;
-        v.l2_value.(n) <- x);
+    v.l2.(n) <- copy node.cache;
+    (match node.cache with CS x | CE x -> v.l2_value.(n) <- x | CI -> ());
     (match node.rac with
     | Some x ->
         v.rac.(n) <- true;
@@ -1255,12 +1232,19 @@ let put_msg o perm = function
       put o v
   | MWbAck -> put o 20
 
+(* A deferred request writes whether it is a transfer, its renamed
+   requester, then its tid. *)
+let put_request o perm ~transfer ~requester ~tid =
+  put_bool o transfer;
+  put_node o perm requester;
+  put o tid
+
 let rec put_deferred o perm = function
   | [] -> ()
-  | (is_transfer, requester, tid) :: rest ->
-      put_bool o is_transfer;
-      put_node o perm requester;
-      put o tid;
+  | d :: rest ->
+      (match (d : L2.deferred) with
+      | Deferred_intervention { requester; tid } -> put_request o perm ~transfer:false ~requester ~tid
+      | Deferred_transfer { requester; tid } -> put_request o perm ~transfer:true ~requester ~tid);
       put_deferred o perm rest
 
 (* A stored entry's phase and slot, a byte each; a held request's
@@ -1692,7 +1676,12 @@ module Sym = struct
                     target = rename_node perm p.target;
                     deferred =
                       List.map
-                        (fun (t, r, tid) -> (t, rename_node perm r, tid))
+                        (fun (d : L2.deferred) : L2.deferred ->
+                          match d with
+                          | Deferred_intervention { requester; tid } ->
+                              Deferred_intervention { requester = rename_node perm requester; tid }
+                          | Deferred_transfer { requester; tid } ->
+                              Deferred_transfer { requester = rename_node perm requester; tid })
                         p.deferred;
                   })
                 node.pend;
@@ -1778,8 +1767,13 @@ module Sym = struct
       byte buf p.tid;
       byte buf (List.length p.deferred);
       List.iter
-        (fun (t, r, tid) ->
-          enc_bool buf t;
+        (fun (d : L2.deferred) ->
+          let transfer, r, tid =
+            match d with
+            | Deferred_intervention { requester; tid } -> (false, requester, tid)
+            | Deferred_transfer { requester; tid } -> (true, requester, tid)
+          in
+          enc_bool buf transfer;
           byte buf r;
           byte buf tid)
         p.deferred

@@ -475,6 +475,44 @@ let trace_workload () =
   | Ok w -> w
   | Error m -> Alcotest.fail m
 
+(* Every miss, reply, invalidation, push and forwarded request looks up
+   [L2.requester_step], so the lookup must not allocate: 1M rounds over
+   every copy, transaction, tid match, writeback, local flag and event. *)
+let check_requester_table () =
+  let open L2 in
+  let copies = [| No_copy; Shared_copy; Exclusive_copy |] in
+  let txns = [| Idle; Loading; Awaiting_grant; Granted |] in
+  let events =
+    [| Issue_load; Issue_store; Data_shared; Data_exclusive; Delegate; Nack; Nack_not_home;
+       Inv_ack; Inval; Update; Intervention; Transfer |]
+  in
+  let rounds = 1_000_000 in
+  let dropped = ref 0 in
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    for c = 0 to Array.length copies - 1 do
+      for x = 0 to Array.length txns - 1 do
+        for flags = 0 to 7 do
+          for e = 0 to Array.length events - 1 do
+            let action =
+              requester_step copies.(c) txns.(x) ~own:(flags land 4 <> 0)
+                ~wb:(flags land 2 <> 0) ~local:(flags land 1 <> 0) events.(e)
+            in
+            if action = Drop then incr dropped
+          done
+        done
+      done
+    done
+  done;
+  let words = Gc.minor_words () -. before in
+  if !dropped = 0 then Alcotest.fail "no lookup ran";
+  if words > 0.0 then
+    Alcotest.failf
+      "L2.requester_step allocated %.0f minor words over %d rounds of lookups — the \
+       requester table must stay allocation-free"
+      words rounds
+
 (* Every event at a delegated home looks its step up in
    [Delegate_cache.producer_step], so the lookup must not allocate: 1M
    rounds over every phase, fence, slot and event. *)
@@ -519,6 +557,7 @@ let suite =
     Alcotest.test_case "cache probes allocation-free" `Quick check_cache_probes;
     Alcotest.test_case "home directory table allocation-free" `Quick check_home_table;
     Alcotest.test_case "producer table allocation-free" `Quick check_producer_table;
+    Alcotest.test_case "requester table allocation-free" `Quick check_requester_table;
     Alcotest.test_case "pass-through hub link allocation-free" `Quick
       (check_hub_link ~reliable:false);
     Alcotest.test_case "reliable hub link allocation-free" `Quick

@@ -335,6 +335,80 @@ let test_producer_table_shape () =
         phases)
     events
 
+let test_requester_table_shape () =
+  let open L2 in
+  let events =
+    [ Issue_load; Issue_store; Data_shared; Data_exclusive; Delegate; Nack; Nack_not_home;
+      Inv_ack; Inval; Update; Intervention; Transfer ]
+  in
+  let copies = [ No_copy; Shared_copy; Exclusive_copy ] in
+  let txns = [ Idle; Loading; Awaiting_grant; Granted ] in
+  let bools = [ false; true ] in
+  List.iteri
+    (fun e event ->
+      List.iteri
+        (fun c copy ->
+          List.iteri
+            (fun x txn ->
+              List.iter
+                (fun own ->
+                  List.iter
+                    (fun wb ->
+                      List.iter
+                        (fun local ->
+                          let action = requester_step copy txn ~own ~wb ~local event in
+                          let what =
+                            Printf.sprintf "event %d, copy %d, txn %d, own %b, wb %b, local %b" e
+                              c x own wb local
+                          in
+                          let check msg = Alcotest.(check bool) (what ^ ": " ^ msg) true in
+                          let storing = txn = Awaiting_grant || txn = Granted in
+                          (match event with
+                          | Data_shared | Data_exclusive | Nack | Nack_not_home when not own ->
+                              check "a reply to another transaction is dropped" (action = Drop)
+                          | Delegate when not own ->
+                              check "another transaction's delegation goes back"
+                                (action = Return_delegation)
+                          | Nack | Nack_not_home when txn = Granted ->
+                              check "a granted store is never retried" (action = Drop)
+                          | Intervention | Transfer ->
+                              if wb then check "dropped while a writeback is unacked" (action = Drop);
+                              check "deferred only behind a store without an exclusive copy"
+                                (action = Defer
+                                = ((not wb) && storing && copy <> Exclusive_copy))
+                          | Issue_load ->
+                              check "a load hits any copy" (action = Hit = (copy <> No_copy))
+                          | Issue_store ->
+                              check "a store hits only an exclusive copy"
+                                (action = Hit = (copy = Exclusive_copy))
+                          | _ -> ());
+                          (* each row reads only the inputs the interface names *)
+                          let same ?(copy = copy) ?(txn = txn) ?(own = own) ?(wb = wb)
+                              ?(local = local) () =
+                            requester_step copy txn ~own ~wb ~local event = action
+                          in
+                          (match event with
+                          | Issue_load | Issue_store ->
+                              check "an issue reads only the copy and local"
+                                (same ~txn:Idle ~own:(not own) ~wb:(not wb) ())
+                          | Intervention | Transfer ->
+                              check "a forwarded request reads no tid and no local"
+                                (same ~own:(not own) ~local:(not local) ())
+                          | Data_shared | Data_exclusive | Delegate | Nack | Nack_not_home
+                          | Inv_ack | Inval | Update ->
+                              check "a reply reads no copy, writeback or local"
+                                (same ~copy:No_copy ~wb:(not wb) ~local:(not local) ()));
+                          match event with
+                          | Inv_ack | Inval | Update ->
+                              check "an untagged message reads no tid" (same ~own:(not own) ())
+                          | _ -> ())
+                        bools)
+                    bools)
+                bools)
+            txns)
+        copies)
+    events
+
 (* ---------------- SC checker ---------------- *)
 
 let store m ~node line ~value ~time =
@@ -512,6 +586,7 @@ let suite =
     Alcotest.test_case "directory reset predictor" `Quick test_directory_reset_predictor;
     Alcotest.test_case "home table shape" `Quick test_home_table_shape;
     Alcotest.test_case "producer table shape" `Quick test_producer_table_shape;
+    Alcotest.test_case "requester table shape" `Quick test_requester_table_shape;
     Alcotest.test_case "memcheck current" `Quick test_memcheck_accepts_current;
     Alcotest.test_case "memcheck overlap" `Quick test_memcheck_accepts_overlap;
     Alcotest.test_case "memcheck stale" `Quick test_memcheck_rejects_stale;

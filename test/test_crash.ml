@@ -189,6 +189,44 @@ let test_lost_grant_rebuilt () =
   let report = Oracle.Runner.run ~diff:false desc in
   Alcotest.(check (list string)) "clean verdict" [] report.failures
 
+(* ---------------- stale forwarded requests ---------------- *)
+
+(* The home's Intervention or Transfer to a victim that crashed is still
+   unacked in the home's hub at detection.  Requeued to the restarted
+   node, it waited behind that node's next store and then gave away the
+   fresh copy.  In the coRR full/storm cell the restarted node 1's L2
+   copy then ran ahead of its own producer RAC copy (the audit aborted
+   at cycle 9,216); in the coRR base/outages cell the home kept line 0@0
+   Excl at node 1, which held it only Shared, and NACKed node 1's store
+   until the run stalled.  Recovery now drops both requests with the
+   victim's updates and re-serves their requester itself. *)
+let test_stale_forwarded_dropped () =
+  List.iter
+    (fun (config_name, profile, seed) ->
+      let desc =
+        {
+          Oracle.Trace.default with
+          bench = "litmus:test=coRR";
+          config_name;
+          nodes = 3;
+          seed;
+          chaos =
+            Some
+              {
+                profile;
+                crash = Seeded 1;
+                restart_after = 5_000;
+                txn_timeout = 5_000;
+                fallback_threshold = 3;
+              };
+        }
+      in
+      let report = Oracle.Runner.run ~diff:false desc in
+      Alcotest.(check (list string))
+        (Printf.sprintf "coRR %s %s seed %d" config_name profile seed)
+        [] report.failures)
+    [ ("full", "storm", 3); ("base", "outages", 1) ]
+
 (* ---------------- telemetry recovery spans ---------------- *)
 
 (* The recorder must turn the crash life cycle into one recovery span —
@@ -219,11 +257,12 @@ let test_recovery_spans () =
     (Pcc_telemetry.Recorder.outage_cycles r >= 5_000);
   Alcotest.(check int) "no dangling open spans" 0
     (Pcc_telemetry.Recorder.open_span_count recorder);
-  (* the run is long enough that the victim dies mid-transaction under
-     this seed; if the seed ever shifts, the abort counter still has to
-     agree with the span ledger *)
-  Alcotest.(check bool) "abort counter consistent" true
-    (Pcc_telemetry.Recorder.aborted_span_count recorder >= 0);
+  (* the victim dies mid-transaction under this seed, and each recovery
+     that aborted a transaction closed exactly one span as aborted *)
+  Alcotest.(check bool) "the crash aborted a transaction" true r.r_aborted_txn;
+  Alcotest.(check int) "abort counter consistent"
+    (List.length (List.filter (fun r -> r.Pcc_telemetry.Recorder.r_aborted_txn) recoveries))
+    (Pcc_telemetry.Recorder.aborted_span_count recorder);
   let json =
     Pcc_telemetry.Perfetto.json_of_spans ~recoveries
       (Pcc_telemetry.Recorder.spans recorder)
@@ -320,6 +359,8 @@ let suite =
       test_restart_gets_no_orphan_update;
     Alcotest.test_case "home crash with a lost grant is rebuilt" `Quick
       test_lost_grant_rebuilt;
+    Alcotest.test_case "restarted node takes no stale forwarded request" `Quick
+      test_stale_forwarded_dropped;
     Alcotest.test_case "recorder reconstructs recovery spans" `Quick
       test_recovery_spans;
     Alcotest.test_case "crash sweep bit-identical across pool widths" `Slow

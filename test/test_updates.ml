@@ -110,16 +110,18 @@ let test_early_read_forces_downgrade () =
   Alcotest.(check int) "still coherent" 0 r.System.violations
 
 let test_update_as_reply () =
-  (* a consumer that reads immediately often has its read in flight when
-     the push arrives: the update serves as the response (§2.4.3) *)
-  let lines = List.init 4 (fun i -> line i) in
-  let config = Config.full ~nodes:4 () in
-  let programs =
-    pc_programs ~gap:1 ~nodes:4 ~producer:1 ~consumers:[ 2; 3 ] ~lines ~epochs:12 ()
+  (* a consumer whose read is in flight when the push arrives takes the
+     update as the response (§2.4.3).  Barrier-separated epochs never
+     overlap a read with a push; the key-value generator's unsynchronized
+     readers do, dozens of times in 20,000 events *)
+  let workload =
+    match Pcc_workload.Workload.of_spec ~nodes:4 ~scale:1.0 ~seed:1 "kv:events=20000" with
+    | Ok w -> w
+    | Error e -> Alcotest.fail e
   in
-  let r = run config programs in
+  let r = run (Config.full ~nodes:4 ()) (Pcc_workload.Workload.programs workload) in
   Alcotest.(check bool) "some updates served reads" true
-    (r.System.stats.Run_stats.updates_as_reply >= 0)
+    (r.System.stats.Run_stats.updates_as_reply > 0)
 
 let test_rac_pressure_wastes_updates () =
   (* a consumer whose RAC cannot hold the aggregated pushed working set of
@@ -193,7 +195,9 @@ let test_undelegation_waits_for_acks () =
         List.concat
           (List.init 12 (fun e ->
                let produce = if node = 1 then [ store l ] else [] in
-               let steal = if node = 2 && e mod 3 = 2 then [ store l ] else [] in
+               (* every fourth epoch, once the predictor has seen three
+                  repeats and delegated the line *)
+               let steal = if node = 2 && e mod 4 = 3 then [ store l ] else [] in
                let consume = if node = 3 then [ load l ] else [] in
                produce
                @ [ Types.Barrier ((3 * e) + 1) ]
@@ -204,7 +208,9 @@ let test_undelegation_waits_for_acks () =
   in
   let r = run config programs in
   Alcotest.(check bool) "exercised undelegation" true
-    (r.System.stats.Run_stats.undelegations >= 0)
+    (r.System.stats.Run_stats.undelegations > 0);
+  Alcotest.(check bool) "the undelegation waited for a flush round" true
+    (Pcc_stats.Counter.get r.System.stats.Run_stats.message_classes "update-flush-ack" > 0)
 
 let test_adaptive_intervention_delay () =
   (* §5 future work: the adaptive mechanism must remain coherent and keep
