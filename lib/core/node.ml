@@ -1637,10 +1637,14 @@ let resolution_in_flight nodes ~dead ~state line =
    mid-commit records a grant that died unacknowledged in [t]'s hub: the
    requester was already rescued (its retry would otherwise be NACKed
    "owner pending" forever), so rebuild the entry from survivors.  The
-   same applies to a Busy entry whose transfer can no longer resolve.
-   In both cases, if a survivor still carries a resolution frame for the
-   line (requeued at detection, delivered after restart), leave the
-   entry alone — that frame is the authoritative fix. *)
+   same applies to a Busy entry whose transfer can no longer resolve,
+   and to a Dele entry whose live owner holds no producer entry: [t]
+   records Dele before it sends the Delegate, and a Delegate that had
+   not landed by detection never will (the victim's old-epoch frames are
+   discarded), so the owner would be NACKed Busy as its own home
+   forever.  In every case, if a survivor still carries a resolution
+   frame for the line (requeued at detection, delivered after restart),
+   leave the entry alone — that frame is the authoritative fix. *)
 let normalize_dead_home t nodes line (entry : Directory.entry) =
   let owner = entry.owner in
   let owner_live = owner >= 0 && owner < Array.length nodes && nodes.(owner).alive in
@@ -1680,7 +1684,16 @@ let normalize_dead_home t nodes line (entry : Directory.entry) =
         rebuild_stable_from_survivors t nodes line entry;
         t.stats.crash_pruned <- t.stats.crash_pruned + 1
       end
-  | Directory.Unowned | Directory.Shared_s | Directory.Dele -> ()
+  | Directory.Dele ->
+      if
+        owner_live
+        && Option.is_none (find_producer nodes.(owner) line)
+        && not (resolution_in_flight nodes ~dead:t.id ~state:entry.state line)
+      then begin
+        rebuild_stable_from_survivors t nodes line entry;
+        t.stats.crash_pruned <- t.stats.crash_pruned + 1
+      end
+  | Directory.Unowned | Directory.Shared_s -> ()
 
 (* Fail-stop crash: every volatile structure on the node dies.  The
    directory and home memory live on the battery-backed memory

@@ -48,97 +48,373 @@ let default_params =
     bug = None;
   }
 
+
 (* ------------------------------------------------------------------ *)
-(* Model state                                                         *)
+(* Model state: one slot image per line                                *)
 (* ------------------------------------------------------------------ *)
 
-type cstate = CI | CS of int | CE of int
+(* A line's state is one [Bytes] image of slots, laid out by the slot
+   table below: the line's own slots, then each node's, then the packet
+   count and the packets.  The image's first byte is its width, and every access reads
+   it: a slot is two bytes, signed, in [Step], and one byte biased by 64
+   in the checker, whose frontier keeps every state's image and whose
+   values [validate] keeps within [-64, 191].  A slot is plain (a code,
+   flag, count, value or tid, never renamed), a node id (held plus one,
+   so 0 is no node) or a node mask; [rename] is the one function that
+   reads the kinds.  An absent field (an invalid copy's value, a free
+   slot's requester, a packet's unused fields) is zero, so a state has
+   exactly one image.
 
-type pkind = PL | PW
+   Channels between each (src, dst) pair are FIFO, as in the modeled
+   NUMALink interconnect (and the simulator): only a pair's head-of-line
+   packet is deliverable.  The speculative-update mechanism depends on
+   this ordering — an update overtaken by a later invalidation from the
+   same producer would strand a stale copy (the model checker finds this
+   if delivery is unordered).  Packets stay sorted by (src, dst), each
+   pair's queue in send order, so a packet's sequence number is its
+   place in its pair's queue and the network is normalized by
+   construction.
 
-type pend = {
-  pkind : pkind;
-  have_data : bool;
-  acks : int;
-  poisoned : bool;
-  target : int;  (* where the current request attempt was sent *)
-  tid : int;  (* transaction id echoed by replies; stale replies dropped *)
-  deferred : L2.deferred list;
-      (* interventions and transfers received while the store was
-         outstanding, run again after its commit *)
-}
+   An image never changes once a successor holds it: a transition edits
+   a per-domain copy ([load]) and [keep] copies the result out. *)
 
-type prod = {
-  phase : Delegate_cache.phase;  (* Busy, Exclusive or Shared *)
-  psharers : int;
-  upds : int;
-  slot : Delegate_cache.slot;  (* what the entry owes its home *)
-  unflushed : int;
-      (* nodes pushed to since the last flush; undelegation is fenced by a
-         flush/flush-ack round on those channels, otherwise a stale update
-         could land in a consumer's RAC after a post-undelegation writer
-         invalidated it.  Updates themselves are fire-and-forget. *)
-  fl_acks : int;  (* flush acknowledgments outstanding *)
-}
+type kind = Plain | Node | Mask
 
-type nst = {
-  cache : cstate;
-  rac : int option;
-  prod : prod option;
-  pend : pend option;
-  hint : int option;
-  done_ : int;
-  last_seen : int;
-  wbp : bool;
-      (* writeback outstanding: interventions received while true belong
-         to the epoch the writeback ends and are dropped; the home
-         resolves the race and acknowledges the writeback *)
-}
+(* A region's slots, numbered in declaration order. *)
+type region = { mutable width : int; mutable kinds : kind array }
 
-type msg =
-  | MGetS of int  (* requester's transaction id, echoed by the reply *)
-  | MGetX of int
-  | MFwdS of int * int  (* requester, tid *)
-  | MInval of int  (* ack target *)
-  | MIntv of int * int  (* requester, tid *)
-  | MTransfer of int * int
-  | MDataS of int * int  (* value, tid *)
-  | MDataE of int * int * int  (* value, acks expected, tid *)
+let region () = { width = 0; kinds = [||] }
+
+let slot r kind =
+  r.kinds <- Array.append r.kinds [| kind |];
+  r.width <- r.width + 1;
+  r.width - 1
+
+(* The line's own slots: the home directory and the value-coherence
+   error. *)
+module D = struct
+  let r = region ()
+
+  let nodes = slot r Plain (* the node count, so an image describes itself *)
+
+  let dir = slot r Plain (* [Directory.state_code] *)
+
+  let sharers = slot r Mask
+
+  let owner = slot r Node
+
+  let requester = slot r Node
+
+  let requester_tid = slot r Plain (* the waiting requester's, in Busy states *)
+
+  let mem = slot r Plain
+
+  let stores = slot r Plain (* the last version handed out *)
+
+  (* The node whose load broke value coherence, plus one (0 while none
+     did), then the value it read and the value it had seen.  The node is
+     not renamed: the error's text names it as the run saw it, so two
+     states whose errors name different nodes stay apart. *)
+  let error = slot r Plain
+
+  let error_value = slot r Plain
+
+  let error_seen = slot r Plain
+end
+
+(* Each node's slots. *)
+module N = struct
+  let r = region ()
+
+  let cache = slot r Plain (* [copies] *)
+
+  let cache_value = slot r Plain
+
+  let rac = slot r Plain (* the RAC copy's value plus one, 0 for none *)
+
+  (* The producer entry, [phase] to [flush_acks]; phase 0 is none. *)
+  let phase = slot r Plain (* [phases] *)
+
+  let vector = slot r Mask
+
+  let upds = slot r Mask (* the previous epoch's consumers, pushed at the downgrade *)
+
+  let held = slot r Plain (* what the entry owes its home: [entry_slots] *)
+
+  let held_requester = slot r Node (* a held Get_exclusive's *)
+
+  let held_tid = slot r Plain
+
+  (* Nodes pushed to since the last flush.  Undelegation is fenced by a
+     flush/flush-ack round on those channels, otherwise a stale update
+     could land in a consumer's RAC after a post-undelegation writer
+     invalidated it.  Updates themselves are fire-and-forget. *)
+  let unflushed = slot r Mask
+
+  let flush_acks = slot r Plain (* flush acknowledgments outstanding *)
+
+  (* The transaction, [txn] to [deferred_transfer]; txn 0 is none. *)
+  let txn = slot r Plain (* [txns] *)
+
+  let acks = slot r Plain (* below zero while acks beat the grant *)
+
+  let poisoned = slot r Plain
+
+  let target = slot r Node (* where the current request attempt was sent *)
+
+  let tid = slot r Plain (* echoed by replies; stale replies dropped *)
+
+  (* An intervention or transfer received while the store was
+     outstanding, run again after its commit: its requester, tid and
+     kind.  A store defers at most one: the home stays Busy, NACKing
+     every other request for the line, until this node answers. *)
+  let deferred = slot r Node
+
+  let deferred_tid = slot r Plain
+
+  let deferred_transfer = slot r Plain (* 1 a transfer, 0 an intervention *)
+
+  let hint = slot r Node
+
+  let done_ = slot r Plain
+
+  let seen = slot r Plain (* the highest version observed *)
+
+  (* Writeback outstanding: interventions received while it is set
+     belong to the epoch the writeback ends and are dropped; the home
+     resolves the race and acknowledges the writeback. *)
+  let wb = slot r Plain
+end
+
+(* A packet.  Its kind says which fields it uses: gets and getx a tid;
+   fwds, intv and transfer the requester (peer) and a tid; inval the ack
+   target; datas a value and a tid, datae acks as well; swb a value and
+   the reader served; tack the new owner; nack a reason and a tid;
+   delegate the sharers, a value, acks and a tid; newhome the home;
+   undele the sharers, a value and the writer it carries, with its tid;
+   update and wb a value. *)
+module P = struct
+  let r = region ()
+
+  let src = slot r Node
+
+  let dst = slot r Node
+
+  let kind = slot r Plain (* [kinds] *)
+
+  let peer = slot r Node
+
+  let sharers = slot r Mask
+
+  let value = slot r Plain
+
+  let acks = slot r Plain
+
+  let tid = slot r Plain
+
+  let reason = slot r Plain (* [nack_code] *)
+end
+
+type message_kind =
+  | MGetS
+  | MGetX
+  | MFwdS
+  | MInval
+  | MIntv
+  | MTransfer
+  | MDataS
+  | MDataE
   | MAck
-  | MSwb of int * int  (* value, new sharer *)
-  | MTack of int  (* new owner *)
-  | MNack of Message.nack_reason * int  (* tid *)
-  | MDelegate of int * int * int * int  (* sharers, value, acks expected, tid *)
-  | MNewHome of int
+  | MSwb
+  | MTack
+  | MNack
+  | MDelegate
+  | MNewHome
   | MRecall
-  | MUndele of int * int option * (int * int) option
-      (* sharers, value, pending (writer, tid) *)
-  | MUpdate of int
+  | MUndele
+  | MUpdate
   | MFlush
   | MFlushAck
-  | MWb of int
+  | MWb
   | MWbAck
 
-(* Channels between each (src, dst) pair are FIFO, as in the modeled
-   NUMALink interconnect (and the simulator): [seq] orders messages within
-   a pair and only the head-of-line message of each pair is deliverable.
-   The speculative-update mechanism depends on this ordering — an update
-   overtaken by a later invalidation from the same producer would strand a
-   stale copy (the model checker finds this if delivery is unordered). *)
-type packet = { src : int; dst : int; seq : int; msg : msg }
+(* Kinds by code, and the names their deliveries' labels carry. *)
+let kinds =
+  [| MGetS; MGetX; MFwdS; MInval; MIntv; MTransfer; MDataS; MDataE; MAck; MSwb; MTack; MNack;
+     MDelegate; MNewHome; MRecall; MUndele; MUpdate; MFlush; MFlushAck; MWb; MWbAck |]
 
-type state = {
-  ns : nst array;
-  dir : Directory.dstate;
-  shr : int;
-  own : int;
-  req : int;
-  req_tid : int;  (* pending requester's transaction id in Busy states *)
-  mem : int;
-  net : packet list;
-  nextv : int;
-  error : string option;
-}
+let delivery_names =
+  [| "gets"; "getx"; "fwds"; "inval"; "intv"; "transfer"; "datas"; "datae"; "ack"; "swb";
+     "tack"; "nack"; "delegate"; "newhome"; "recall"; "undele"; "update"; "flush";
+     "flushack"; "wb"; "wback" |]
+
+let kind_code = function
+  | MGetS -> 0
+  | MGetX -> 1
+  | MFwdS -> 2
+  | MInval -> 3
+  | MIntv -> 4
+  | MTransfer -> 5
+  | MDataS -> 6
+  | MDataE -> 7
+  | MAck -> 8
+  | MSwb -> 9
+  | MTack -> 10
+  | MNack -> 11
+  | MDelegate -> 12
+  | MNewHome -> 13
+  | MRecall -> 14
+  | MUndele -> 15
+  | MUpdate -> 16
+  | MFlush -> 17
+  | MFlushAck -> 18
+  | MWb -> 19
+  | MWbAck -> 20
+
+let nack_code : Message.nack_reason -> int = function Busy -> 0 | Not_home -> 1 | Pending -> 2
+
+let copies = [| L2.No_copy; Shared_copy; Exclusive_copy |]
+
+let copy_code : L2.copy -> int = function No_copy -> 0 | Shared_copy -> 1 | Exclusive_copy -> 2
+
+let txns = [| L2.Idle; Loading; Awaiting_grant; Granted |]
+
+let txn_code : L2.txn -> int = function
+  | Idle -> 0
+  | Loading -> 1
+  | Awaiting_grant -> 2
+  | Granted -> 3
+
+let phases = Delegate_cache.[| No_entry; Busy; Exclusive; Shared |]
+
+let phase_code : Delegate_cache.phase -> int = function
+  | No_entry -> 0
+  | Busy -> 1
+  | Exclusive -> 2
+  | Shared -> 3
+
+(* [Delegate_cache.producer_step] reads a slot only as free, recalled or
+   held; a held request's requester and tid are the node's slots. *)
+let entry_slots = Delegate_cache.[| Free; Recalled; Held { requester = 0; tid = 0 } |]
+
+let slot_code : Delegate_cache.slot -> int = function Free -> 0 | Recalled -> 1 | Held _ -> 2
+
+let dstates = Directory.[| Unowned; Shared_s; Excl; Busy_shared; Busy_excl; Dele |]
+
+(* ------------------------------------------------------------------ *)
+(* Slot access                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let width b = Char.code (Bytes.unsafe_get b 0)
+
+(* Unchecked, as every index is structural: the slot table fixes the
+   offsets, and [send] checks the one thing that grows, the packets. *)
+external get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
+
+external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+
+let get b i =
+  if width b = 1 then Char.code (Bytes.unsafe_get b (1 + i)) - 64
+  else (get16 b (1 + (2 * i)) lsl (Sys.int_size - 16)) asr (Sys.int_size - 16)
+
+let set b i v =
+  if width b = 1 then Bytes.unsafe_set b (1 + i) (Char.unsafe_chr ((v + 64) land 0xff))
+  else set16 b (1 + (2 * i)) v
+
+(* Slot [i]'s byte offset in [b], for moving slots with [Bytes.blit]. *)
+let offset b i = 1 + (width b * i)
+
+(* A node-id slot's node, -1 for none. *)
+let node_at b i = get b i - 1
+
+let set_node_at b i n = set b i (n + 1)
+
+let nodes_of b = get b D.nodes
+
+let node_slot n s = D.r.width + (n * N.r.width) + s
+
+let field b n s = get b (node_slot n s)
+
+let set_field b n s v = set b (node_slot n s) v
+
+let count_slot b = D.r.width + (nodes_of b * N.r.width)
+
+let packets b = get b (count_slot b)
+
+let packet_slot b i s = count_slot b + 1 + (i * P.r.width) + s
+
+let msg b i s = get b (packet_slot b i s)
+
+let msg_node b i s = node_at b (packet_slot b i s)
+
+(* Whether the packets at slots [p] and [q] share a channel. *)
+let same_channel b p q =
+  get b (p + P.src) = get b (q + P.src) && get b (p + P.dst) = get b (q + P.dst)
+
+let initial_state params ~width =
+  let nodes = params.nodes in
+  let b = Bytes.make (1 + (width * (D.r.width + (nodes * N.r.width) + 1))) '\000' in
+  Bytes.set b 0 (Char.chr width);
+  if width = 1 then Bytes.fill b 1 (Bytes.length b - 1) '\064';
+  set b D.nodes nodes;
+  b
+
+(* The state a transition left in [b]. *)
+let copy_out b = Bytes.sub b 0 (offset b (packet_slot b (packets b) 0))
+
+(* The most packets one transition posts: a store's commit can serve its
+   deferred request (two packets) and flush or give back the line, and a
+   grant invalidates every other node. *)
+let posts nodes = (4 * nodes) + 8
+
+(* The image a transition edits, one per domain: [load] copies a state
+   into it with room for every packet one transition can post. *)
+let work = Domain.DLS.new_key (fun () -> ref Bytes.empty)
+
+let load st =
+  let w = Domain.DLS.get work in
+  let len = Bytes.length st in
+  let room = len + (width st * P.r.width * posts (nodes_of st)) in
+  if Bytes.length !w < room then w := Bytes.create (2 * room);
+  Bytes.blit st 0 !w 0 len;
+  !w
+
+(* The slot of the first packet from slot [p] on whose channel sorts
+   after (src, dst), or [last]. *)
+let rec insertion_point b ~last ~src ~dst p =
+  if p = last then p
+  else
+    let s = node_at b (p + P.src) and d = node_at b (p + P.dst) in
+    if s > src || (s = src && d > dst) then p
+    else insertion_point b ~last ~src ~dst (p + P.r.width)
+
+(* Queues a packet behind the last one of its pair. *)
+let send b ~src ~dst ?(peer = -1) ?(sharers = 0) ?(value = 0) ?(acks = 0) ?(tid = 0)
+    ?(reason = 0) kind =
+  let count = packets b in
+  let last = packet_slot b count 0 in
+  if offset b (last + P.r.width) > Bytes.length b then
+    failwith "Protocol_model: no room to post";
+  let at = insertion_point b ~last ~src ~dst (packet_slot b 0 0) in
+  Bytes.blit b (offset b at) b (offset b (at + P.r.width)) (offset b last - offset b at);
+  set b (count_slot b) (count + 1);
+  set_node_at b (at + P.src) src;
+  set_node_at b (at + P.dst) dst;
+  set b (at + P.kind) (kind_code kind);
+  set_node_at b (at + P.peer) peer;
+  set b (at + P.sharers) sharers;
+  set b (at + P.value) value;
+  set b (at + P.acks) acks;
+  set b (at + P.tid) tid;
+  set b (at + P.reason) reason
+
+let remove b i =
+  let at = packet_slot b i 0 and count = packets b in
+  Bytes.blit b
+    (offset b (at + P.r.width))
+    b (offset b at)
+    (offset b (packet_slot b count 0) - offset b (at + P.r.width));
+  set b (count_slot b) (count - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Small helpers                                                       *)
@@ -154,74 +430,48 @@ let add_bit mask n = mask lor bit n
 
 let rem_bit mask n = mask land lnot (bit n)
 
-let bits_list mask =
-  let rec collect n acc =
-    if n < 0 then acc else collect (n - 1) (if mem_bit mask n then n :: acc else acc)
-  in
-  collect 62 []
+let rec popcount mask = if mask = 0 then 0 else (mask land 1) + popcount (mask lsr 1)
 
-let with_node st n f =
-  let ns = Array.copy st.ns in
-  ns.(n) <- f ns.(n);
-  { st with ns }
+let field_node b n s = node_at b (node_slot n s)
 
-let rec next_seq src dst seq = function
-  | [] -> seq
-  | p :: rest ->
-      let seq = if p.src = src && p.dst = dst then Int.max seq (p.seq + 1) else seq in
-      next_seq src dst seq rest
+let set_field_node b n s v = set_node_at b (node_slot n s) v
 
-(* Each packet goes on the front of the network with the next sequence
-   number of its pair. *)
-let post st packets =
-  match packets with
-  | [] -> st
-  | _ ->
-      let net =
-        List.fold_left
-          (fun net p -> { p with seq = next_seq p.src p.dst 0 net } :: net)
-          st.net packets
-      in
-      { st with net }
+let copy b n = copies.(field b n N.cache)
 
-let remove_packet st packet =
-  let rec drop = function
-    | [] -> []
-    | p :: rest -> if p == packet then rest else p :: drop rest
-  in
-  { st with net = drop st.net }
+let phase b n = phases.(field b n N.phase)
 
-(* Packets sort by (src, dst, seq).  Sequence numbers are distinct within
-   a pair, so this order is total and never looks at the message. *)
-let packet_order a b =
-  if a.src <> b.src then Int.compare a.src b.src
-  else if a.dst <> b.dst then Int.compare a.dst b.dst
-  else Int.compare a.seq b.seq
+let has_entry b n = field b n N.phase <> 0
 
-let rec normalized_after q = function
-  | [] -> true
-  | p :: rest ->
-      (if p.src = q.src && p.dst = q.dst then p.seq = q.seq + 1
-       else p.seq = 0 && packet_order q p < 0)
-      && normalized_after p rest
+let set_copy b n c v =
+  set_field b n N.cache (copy_code c);
+  set_field b n N.cache_value v
 
-(* Canonical form: packets sorted, and per-pair sequence numbers
-   renumbered from 0 so states differing only by absolute sequence values
-   coincide.  A state already in that form comes back unchanged. *)
-let norm st =
-  match st.net with
-  | [] -> st
-  | p :: rest when p.seq = 0 && normalized_after p rest -> st
-  | net ->
-      let rec renumber src dst seq = function
-        | [] -> []
-        | p :: rest ->
-            let seq = if p.src = src && p.dst = dst then seq + 1 else 0 in
-            (if p.seq = seq then p else { p with seq }) :: renumber p.src p.dst seq rest
-      in
-      { st with net = renumber (-1) (-1) 0 (List.sort packet_order net) }
+let drop_copy b n = set_copy b n No_copy 0
 
-let fail st message = { st with error = Some message }
+(* An exclusive copy becomes a shared one. *)
+let downgrade b n = if copy b n = Exclusive_copy then set_field b n N.cache (copy_code Shared_copy)
+
+let has_rac b n = field b n N.rac <> 0
+
+let rac_value b n = field b n N.rac - 1
+
+let set_rac b n v = set_field b n N.rac (v + 1)
+
+let drop_rac b n = set_field b n N.rac 0
+
+let clear b n ~first ~last =
+  for s = first to last do
+    set_field b n s 0
+  done
+
+(* The slot records the recall, dropping a held request. *)
+let mark_recalled b n =
+  set_field b n N.held (slot_code Recalled);
+  set_field b n N.held_requester 0;
+  set_field b n N.held_tid 0
+
+let line_value b n =
+  if copy b n <> No_copy then field b n N.cache_value else rac_value b n
 
 let dir_name : Directory.dstate -> string = function
   | Unowned -> "U"
@@ -231,7 +481,9 @@ let dir_name : Directory.dstate -> string = function
   | Busy_excl -> "Be"
   | Dele -> "D"
 
-let nack_code : Message.nack_reason -> int = function Busy -> 0 | Not_home -> 1 | Pending -> 2
+let error_text b =
+  Printf.sprintf "node %d read value %d after observing %d" (get b D.error - 1)
+    (get b D.error_value) (get b D.error_seen)
 
 (* ------------------------------------------------------------------ *)
 (* Transition labels                                                   *)
@@ -272,34 +524,6 @@ module Move = struct
   and drop_hint = 5
 end
 
-let delivery_names =
-  [| "gets"; "getx"; "fwds"; "inval"; "intv"; "transfer"; "datas"; "datae"; "ack"; "swb";
-     "tack"; "nack"; "delegate"; "newhome"; "recall"; "undele"; "update"; "flush";
-     "flushack"; "wb"; "wback" |]
-
-let msg_kind = function
-  | MGetS _ -> 0
-  | MGetX _ -> 1
-  | MFwdS _ -> 2
-  | MInval _ -> 3
-  | MIntv _ -> 4
-  | MTransfer _ -> 5
-  | MDataS _ -> 6
-  | MDataE _ -> 7
-  | MAck -> 8
-  | MSwb _ -> 9
-  | MTack _ -> 10
-  | MNack _ -> 11
-  | MDelegate _ -> 12
-  | MNewHome _ -> 13
-  | MRecall -> 14
-  | MUndele _ -> 15
-  | MUpdate _ -> 16
-  | MFlush -> 17
-  | MFlushAck -> 18
-  | MWb _ -> 19
-  | MWbAck -> 20
-
 (* A delivery has at most two outcomes (the home grants or delegates);
    the second one's label ends in "#1". *)
 let alternatives = 2
@@ -312,11 +536,10 @@ let issue_label n k = (n * Array.length Issue.names) + k
 
 let spontaneous_label n k = issue_count + (n * Array.length Move.names) + k
 
-let delivery_label p alt =
+let delivery_label ~src ~dst code alt =
   assert (alt < alternatives);
   issue_count + spontaneous_count
-  + (((((p.src * label_nodes) + p.dst) * Array.length delivery_names) + msg_kind p.msg)
-     * alternatives)
+  + (((((src * label_nodes) + dst) * Array.length delivery_names) + code) * alternatives)
   + alt
 
 let labels =
@@ -351,16 +574,7 @@ let labels =
 (* Non-home nodes are interchangeable (a Murphi "scalarset"): states that
    differ only by a permutation of nodes 1..n-1 are equivalent.  The
    canonical encoding is the minimum over all such permutations of the
-   renamed, normalized state's encoding ([encode_mstate]). *)
-
-let rename_node perm n = if n < 0 then n else perm.(n)
-
-let rename_mask perm mask =
-  let renamed = ref 0 in
-  for n = 0 to Array.length perm - 1 do
-    if mem_bit mask n then renamed := add_bit !renamed perm.(n)
-  done;
-  !renamed
+   renamed state's bytes ([encode_mstate]). *)
 
 (* All permutations of fixed+1..n-1; nodes 0..fixed map to themselves.
    [fixed = 0] fixes only the home — the full symmetric group over the
@@ -397,291 +611,276 @@ let model_permutations params =
 (* Commit helpers                                                      *)
 (* ------------------------------------------------------------------ *)
 
+let clear_txn b n = clear b n ~first:N.txn ~last:N.deferred_transfer
+
 (* A read is coherent if each node observes the (globally serialized)
    write order monotonically. *)
-let commit_read st n v ~cache_fill =
-  let node = st.ns.(n) in
-  let st =
-    if v < node.last_seen then
-      fail st (Printf.sprintf "node %d read value %d after observing %d" n v node.last_seen)
-    else st
-  in
-  with_node st n (fun node ->
-      {
-        node with
-        pend = None;
-        done_ = node.done_ + 1;
-        last_seen = max v node.last_seen;
-        cache =
-          (match (cache_fill, node.cache) with
-          | true, CI -> CS v
-          | true, other -> other
-          | false, other -> other);
-      })
+let commit_read b n v ~cache_fill =
+  let seen = field b n N.seen in
+  if v < seen then begin
+    set b D.error (n + 1);
+    set b D.error_value v;
+    set b D.error_seen seen
+  end;
+  clear_txn b n;
+  set_field b n N.done_ (field b n N.done_ + 1);
+  set_field b n N.seen (max v seen);
+  if cache_fill && copy b n = No_copy then set_copy b n Shared_copy v
 
-let commit_store st n =
-  let v = st.nextv + 1 in
-  let st = { st with nextv = v } in
-  with_node st n (fun node ->
-      {
-        node with
-        pend = None;
-        done_ = node.done_ + 1;
-        last_seen = v;
-        cache = CE v;
-        rac = (match node.prod with Some _ -> node.rac | None -> None);
-      })
+let commit_store b n =
+  let v = get b D.stores + 1 in
+  set b D.stores v;
+  clear_txn b n;
+  set_field b n N.done_ (field b n N.done_ + 1);
+  set_field b n N.seen v;
+  set_copy b n Exclusive_copy v;
+  if not (has_entry b n) then drop_rac b n
 
 (* ------------------------------------------------------------------ *)
 (* Producer-side actions                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* [Delegate_cache.producer_step] makes every delegated-home decision, as
-   in the simulator; the handlers below interpret its action as packets. *)
-let entry_step p event =
-  Delegate_cache.producer_step p.phase ~fenced:(p.unflushed <> 0 || p.fl_acks > 0) p.slot event
+   in the simulator; the handlers below interpret its action as packets.
+   A node without an entry reads as [No_entry], unfenced and free. *)
+let entry_step b n event =
+  Delegate_cache.producer_step (phase b n)
+    ~fenced:(field b n N.unflushed <> 0 || field b n N.flush_acks > 0)
+    entry_slots.(field b n N.held) event
 
-let producer_step found event =
-  match found with
-  | Some p -> entry_step p event
-  | None -> Delegate_cache.producer_step No_entry ~fenced:false Free event
-
-let set_prod st n p = with_node st n (fun node -> { node with prod = Some p })
+let set_phase b n (step : Delegate_cache.step) = set_field b n N.phase (phase_code step.phase)
 
 (* Post flush markers chasing the pushed updates; a no-op when a flush is
    already in flight or nothing was pushed. *)
-let start_flush st n =
-  let node = st.ns.(n) in
-  match node.prod with
-  | Some p when p.fl_acks = 0 && p.unflushed <> 0 ->
-      let targets = bits_list p.unflushed in
-      let st = set_prod st n { p with unflushed = 0; fl_acks = List.length targets } in
-      post st (List.map (fun c -> { src = n; dst = c; seq = 0; msg = MFlush }) targets)
-  | _ -> st
-
-let line_value node =
-  match node.cache with
-  | CE v | CS v -> v
-  | CI -> ( match node.rac with Some v -> v | None -> -1)
+let start_flush b n =
+  let targets = field b n N.unflushed in
+  if has_entry b n && field b n N.flush_acks = 0 && targets <> 0 then begin
+    set_field b n N.unflushed 0;
+    set_field b n N.flush_acks (popcount targets);
+    for c = 0 to nodes_of b - 1 do
+      if mem_bit targets c then send b ~src:n ~dst:c MFlush
+    done
+  end
 
 (* The exclusive copy moves to the RAC and the previous epoch's consumers
-   get the new value; [exclude], a reader served now, joins the vector. *)
-let downgrade_push params st n p (step : Delegate_cache.step) ~exclude =
-  let node = st.ns.(n) in
-  let v = line_value node in
+   get the new value; [exclude], a reader served now (or -1), joins the
+   vector. *)
+let downgrade_push params b n step ~exclude =
+  let v = line_value b n in
   let pushed =
-    if params.enable_updates then
-      List.filter (fun c -> c <> n && Some c <> exclude) (bits_list p.upds)
-    else []
+    if not params.enable_updates then 0
+    else
+      let upds = rem_bit (field b n N.upds) n in
+      if exclude >= 0 then rem_bit upds exclude else upds
   in
-  let new_sharers =
-    if params.bug = Some Updates_without_resharing then p.psharers
-    else List.fold_left add_bit p.psharers pushed
+  let vector = field b n N.vector in
+  let vector =
+    if params.bug = Some Updates_without_resharing then vector else vector lor pushed
   in
-  let new_sharers = match exclude with Some r -> add_bit new_sharers r | None -> new_sharers in
-  let unflushed = List.fold_left add_bit p.unflushed pushed in
-  let st =
-    with_node st n (fun node ->
-        {
-          node with
-          cache = (match node.cache with CE v -> CS v | other -> other);
-          rac = Some v;
-          prod = Some { p with phase = step.phase; psharers = new_sharers; unflushed };
-        })
-  in
-  post st (List.map (fun c -> { src = n; dst = c; seq = 0; msg = MUpdate v }) pushed)
+  downgrade b n;
+  set_rac b n v;
+  set_phase b n step;
+  set_field b n N.vector (if exclude >= 0 then add_bit vector exclude else vector);
+  set_field b n N.unflushed (field b n N.unflushed lor pushed);
+  for c = 0 to nodes_of b - 1 do
+    if mem_bit pushed c then send b ~src:n ~dst:c ~value:v MUpdate
+  done
 
-let undelegate st n p ~pending =
-  let node = st.ns.(n) in
-  let v = line_value node in
-  let st =
-    with_node st n (fun node ->
-        {
-          node with
-          cache = (match node.cache with CE v -> CS v | other -> other);
-          (* refresh the RAC backing copy, stale while Exclusive *)
-          rac = (match node.rac with Some _ -> Some v | None -> None);
-          prod = None;
-        })
-  in
-  let self_copy = node.cache <> CI || node.rac <> None in
-  let sharers = if self_copy then add_bit p.psharers n else rem_bit p.psharers n in
-  post st [ { src = n; dst = home; seq = 0; msg = MUndele (sharers, Some v, pending) } ]
+(* Gives the line back, carrying [requester]'s Get_exclusive (-1: none). *)
+let undelegate b n ~requester ~tid =
+  let v = line_value b n in
+  let self_copy = copy b n <> No_copy || has_rac b n in
+  let vector = field b n N.vector in
+  let sharers = if self_copy then add_bit vector n else rem_bit vector n in
+  downgrade b n;
+  (* refresh the RAC backing copy, stale while Exclusive *)
+  if has_rac b n then set_rac b n v;
+  clear b n ~first:N.phase ~last:N.flush_acks;
+  send b ~src:n ~dst:home ~sharers ~value:v ~peer:requester ~tid MUndele
 
 (* The actions of the events that read only the fence and the slot: a
    recall, a store's commit, a flush round's end and an eviction. *)
-let settle st n p (step : Delegate_cache.step) =
-  let st = if step.phase = p.phase then st else set_prod st n { p with phase = step.phase } in
+let settle b n (step : Delegate_cache.step) =
+  set_phase b n step;
   match step.action with
-  | Keep -> st
-  | Mark_recalled -> set_prod st n { p with phase = step.phase; slot = Recalled }
-  | Flush -> start_flush st n
+  | Keep -> ()
+  | Mark_recalled -> mark_recalled b n
+  | Flush -> start_flush b n
   | Mark_recalled_and_flush ->
-      start_flush (set_prod st n { p with phase = step.phase; slot = Recalled }) n
-  | Give_back -> undelegate st n p ~pending:None
-  | Give_back_held -> (
-      match p.slot with
-      | Held { requester; tid } -> undelegate st n p ~pending:(Some (requester, tid))
-      | Free | Recalled -> assert false)
+      mark_recalled b n;
+      start_flush b n
+  | Give_back -> undelegate b n ~requester:(-1) ~tid:0
+  | Give_back_held ->
+      undelegate b n ~requester:(field_node b n N.held_requester) ~tid:(field b n N.held_tid)
   | _ -> assert false (* requests' and the processor's actions *)
 
 (* The producer's store committed: a recall or a held request received
    meanwhile settles once the update flush completes. *)
-let store_done st n =
-  match st.ns.(n).prod with Some p -> settle st n p (entry_step p Store_done) | None -> st
+let store_done b n = if has_entry b n then settle b n (entry_step b n Store_done)
 
 (* [L2.requester_step] makes every requester decision, as in the
-   simulator; the handlers below interpret its action as packets.  [txn]
-   is the node's transaction as the table reads it. *)
-let txn node : L2.txn =
-  match node.pend with
-  | None -> Idle
-  | Some { pkind = PL; _ } -> Loading
-  | Some { pkind = PW; have_data; _ } -> if have_data then Granted else Awaiting_grant
-
-let copy : cstate -> L2.copy = function
-  | CI -> No_copy
-  | CS _ -> Shared_copy
-  | CE _ -> Exclusive_copy
+   simulator; the handlers below interpret its action as packets. *)
+let txn b n = txns.(field b n N.txn)
 
 (* An intervention or transfer reaching the owner, or run again once the
    store it waited for commits. *)
-let forwarded st n (event : L2.event) ~requester ~tid =
-  let node = st.ns.(n) in
+let forwarded b n (event : L2.event) ~requester ~tid =
   let action =
-    L2.requester_step (copy node.cache) (txn node) ~own:false ~wb:node.wbp ~local:false event
+    L2.requester_step (copy b n) (txn b n) ~own:false ~wb:(field b n N.wb <> 0) ~local:false
+      event
   in
-  match (action, node.cache, node.pend, event) with
-  | Defer, _, Some p, (Intervention | Transfer) ->
-      let d : L2.deferred =
-        if event = Transfer then Deferred_transfer { requester; tid }
-        else Deferred_intervention { requester; tid }
-      in
-      with_node st n (fun node -> { node with pend = Some { p with deferred = d :: p.deferred } })
-  | Serve, (CE v | CS v), _, Intervention ->
-      let st = with_node st n (fun node -> { node with cache = CS v }) in
-      post st
-        [
-          { src = n; dst = requester; seq = 0; msg = MDataS (v, tid) };
-          { src = n; dst = home; seq = 0; msg = MSwb (v, requester) };
-        ]
-  | Serve, (CE v | CS v), _, Transfer ->
-      let st = with_node st n (fun node -> { node with cache = CI; rac = None }) in
-      post st
-        [
-          { src = n; dst = requester; seq = 0; msg = MDataE (v, 0, tid) };
-          { src = n; dst = home; seq = 0; msg = MTack requester };
-        ]
-  | Drop, _, _, _ -> st
+  match (action, event) with
+  | Defer, (Intervention | Transfer) ->
+      if field b n N.deferred <> 0 then failwith "Protocol_model: a second request deferred";
+      set_field_node b n N.deferred requester;
+      set_field b n N.deferred_tid tid;
+      set_field b n N.deferred_transfer (if event = Transfer then 1 else 0)
+  | Serve, Intervention ->
+      let v = field b n N.cache_value in
+      set_field b n N.cache (copy_code Shared_copy);
+      send b ~src:n ~dst:requester ~value:v ~tid MDataS;
+      send b ~src:n ~dst:home ~value:v ~peer:requester MSwb
+  | Serve, Transfer ->
+      let v = field b n N.cache_value in
+      drop_copy b n;
+      drop_rac b n;
+      send b ~src:n ~dst:requester ~value:v ~tid MDataE;
+      send b ~src:n ~dst:home ~peer:requester MTack
+  | Drop, _ -> ()
   | _ -> assert false (* forwarded requests draw only these *)
 
 (* After the commit, the producer settles first, then the deferred
-   requests run again. *)
-let try_complete_store st n =
-  match st.ns.(n).pend with
-  | Some { pkind = PW; have_data = true; acks; deferred; _ } when acks <= 0 ->
-      List.fold_left
-        (fun st (d : L2.deferred) ->
-          match d with
-          | Deferred_intervention { requester; tid } ->
-              forwarded st n Intervention ~requester ~tid
-          | Deferred_transfer { requester; tid } -> forwarded st n Transfer ~requester ~tid)
-        (store_done (commit_store st n) n)
-        (List.rev deferred)
-  | _ -> st
+   request runs again. *)
+let try_complete_store b n =
+  if txn b n = Granted && field b n N.acks <= 0 then begin
+    let requester = field_node b n N.deferred and tid = field b n N.deferred_tid in
+    let event : L2.event =
+      if field b n N.deferred_transfer = 1 then Transfer else Intervention
+    in
+    commit_store b n;
+    store_done b n;
+    if requester >= 0 then forwarded b n event ~requester ~tid
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Home-side message handling                                          *)
 (* ------------------------------------------------------------------ *)
 
-let from_home dst msg = { src = home; dst; seq = 0; msg }
+(* The home's next directory state, owner and sharers. *)
+let settle_dir b dir ~owner ~sharers =
+  set b D.dir dir;
+  set_node_at b D.owner owner;
+  set b D.sharers sharers
 
-let write_request requester tid = { src = requester; dst = home; seq = 0; msg = MGetX tid }
+(* The home waits on the owner for requester [s]. *)
+let wait b dir ~s ~tid =
+  set b D.dir dir;
+  set_node_at b D.requester s;
+  set b D.requester_tid tid
 
-(* Returns the possible next states for delivering [msg] from [s] at the
-   home (several when the home may nondeterministically delegate); [] if
-   delivery is currently blocked.  [Directory.home_step] makes every
-   decision, as it does in the simulator; this interprets its action as
-   packets.  The model's requesters never crash, so a waiting requester
-   is always current, and its producers never NACK a recall. *)
-let home_handle params st ~s msg =
+(* Delivers packet [i] of [st], already removed from [b], at the home:
+   outcome [alt] of the delivery, and whether outcome [alt + 1] exists
+   (the home may nondeterministically delegate).  [Directory.home_step]
+   makes every decision, as it does in the simulator; this interprets
+   its action as packets.  The model's requesters never crash, so a
+   waiting requester is always current, and its producers never NACK a
+   recall. *)
+let home_handle params b ~st i ~s ~alt =
+  let kind = kinds.(msg st i P.kind) and tid = msg st i P.tid and value = msg st i P.value in
   let input : Directory.input =
-    match msg with
-    | MGetS _ -> Get_shared
-    | MGetX _ -> Get_exclusive
-    | MWb _ -> Writeback
-    | MSwb _ -> Shared_writeback
-    | MTack _ -> Transfer_ack
-    | MUndele _ -> Undelegate
-    | MFwdS _ | MInval _ | MIntv _ | MTransfer _ | MDataS _ | MDataE _ | MAck | MNack _
-    | MDelegate _ | MNewHome _ | MRecall | MUpdate _ | MFlush | MFlushAck | MWbAck ->
-        assert false (* routed to the cache side *)
+    match kind with
+    | MGetS -> Get_shared
+    | MGetX -> Get_exclusive
+    | MWb -> Writeback
+    | MSwb -> Shared_writeback
+    | MTack -> Transfer_ack
+    | MUndele -> Undelegate
+    | _ -> assert false (* routed to the cache side *)
   in
+  let own = node_at b D.owner and req = node_at b D.requester and mem = get b D.mem in
+  let req_tid = get b D.requester_tid in
   let step =
-    Directory.home_step st.dir input
-      (Directory.role ~owner:st.own ~requester:st.req s)
+    Directory.home_step dstates.(get b D.dir) input
+      (Directory.role ~owner:own ~requester:req s)
       ~current:true
   in
-  let dir = step.next in
-  match (step.action, msg) with
-  | Serve, MGetS tid ->
-      [ post { st with dir; shr = add_bit st.shr s } [ from_home s (MDataS (st.mem, tid)) ] ]
-  | Serve, MGetX tid ->
-      [ post { st with dir; own = s; shr = 0 } [ from_home s (MDataE (st.mem, 0, tid)) ] ]
-  | Grant_or_delegate, MGetX tid ->
-      let sharers = rem_bit st.shr s in
-      let others = bits_list sharers in
-      let invals = List.map (fun n -> from_home n (MInval s)) others in
-      let granted = { st with dir; own = s; shr = 0 } in
-      let acks = List.length others in
-      let grant = post granted (from_home s (MDataE (st.mem, acks, tid)) :: invals) in
-      let delegated = { granted with dir = Dele } in
-      if not params.enable_delegation then [ grant ]
-      else if params.bug = Some Skip_invals_on_delegate then
-        [ grant; post delegated [ from_home s (MDelegate (sharers, st.mem, 0, tid)) ] ]
-      else
-        [ grant; post delegated (from_home s (MDelegate (sharers, st.mem, acks, tid)) :: invals) ]
-  | Nack_busy, (MGetS tid | MGetX tid) -> [ post st [ from_home s (MNack (Busy, tid)) ] ]
-  | Nack_pending, (MGetS tid | MGetX tid) -> [ post st [ from_home s (MNack (Pending, tid)) ] ]
-  | Intervene, MGetS tid ->
-      [ post { st with dir; req = s; req_tid = tid } [ from_home st.own (MIntv (s, tid)) ] ]
-  | Transfer, MGetX tid ->
-      [ post { st with dir; req = s; req_tid = tid } [ from_home st.own (MTransfer (s, tid)) ] ]
-  | Recall, MGetX tid ->
-      [ post { st with dir; req = s; req_tid = tid } [ from_home st.own MRecall ] ]
-  | Forward, MGetS tid ->
-      [ post st [ from_home st.own (MFwdS (s, tid)); from_home s (MNewHome st.own) ] ]
-  | Retry_recall, _ -> [ post st [ from_home st.own MRecall ] ]
+  let dir = Directory.state_code step.next in
+  (match (step.action, kind) with
+  | Serve, MGetS ->
+      set b D.dir dir;
+      set b D.sharers (add_bit (get b D.sharers) s);
+      send b ~src:home ~dst:s ~value:mem ~tid MDataS
+  | Serve, MGetX ->
+      settle_dir b dir ~owner:s ~sharers:0;
+      send b ~src:home ~dst:s ~value:mem ~tid MDataE
+  | Grant_or_delegate, MGetX ->
+      let others = rem_bit (get b D.sharers) s in
+      let acks = popcount others in
+      let skip_invals = alt = 1 && params.bug = Some Skip_invals_on_delegate in
+      settle_dir b dir ~owner:s ~sharers:0;
+      if alt = 0 then send b ~src:home ~dst:s ~value:mem ~acks ~tid MDataE
+      else begin
+        set b D.dir (Directory.state_code Dele);
+        send b ~src:home ~dst:s ~sharers:others ~value:mem
+          ~acks:(if skip_invals then 0 else acks)
+          ~tid MDelegate
+      end;
+      if not skip_invals then
+        for n = 0 to nodes_of b - 1 do
+          if mem_bit others n then send b ~src:home ~dst:n ~peer:s MInval
+        done
+  | Nack_busy, (MGetS | MGetX) -> send b ~src:home ~dst:s ~reason:(nack_code Busy) ~tid MNack
+  | Nack_pending, (MGetS | MGetX) ->
+      send b ~src:home ~dst:s ~reason:(nack_code Pending) ~tid MNack
+  | Intervene, MGetS ->
+      wait b dir ~s ~tid;
+      send b ~src:home ~dst:own ~peer:s ~tid MIntv
+  | Transfer, MGetX ->
+      wait b dir ~s ~tid;
+      send b ~src:home ~dst:own ~peer:s ~tid MTransfer
+  | Recall, MGetX ->
+      wait b dir ~s ~tid;
+      send b ~src:home ~dst:own MRecall
+  | Forward, MGetS ->
+      send b ~src:home ~dst:own ~peer:s ~tid MFwdS;
+      send b ~src:home ~dst:s ~peer:own MNewHome
+  | Retry_recall, _ -> send b ~src:home ~dst:own MRecall
   (* a writeback is always acknowledged *)
-  | Take_back, MWb v -> [ post { st with mem = v; dir; own = -1; shr = 0 } [ from_home s MWbAck ] ]
-  | Serve_waiting, MWb v ->
-      [
-        post
-          { st with mem = v; dir; shr = bit st.req; own = -1 }
-          [ from_home s MWbAck; from_home st.req (MDataS (v, st.req_tid)) ];
-      ]
-  | Rerun_waiting, MWb v ->
-      [
-        post
-          { st with mem = v; dir; own = -1; shr = 0 }
-          [ from_home s MWbAck; write_request st.req st.req_tid ];
-      ]
-  | Stale, MWb _ -> [ post st [ from_home s MWbAck ] ]
-  | Share, MSwb (v, _) -> [ { st with mem = v; dir; shr = bit s; own = -1 } ]
-  | Share_with_reader, MSwb (v, new_sharer) ->
-      [ { st with mem = v; dir; shr = add_bit (bit s) new_sharer; own = -1 } ]
-  | Checkpoint, MSwb (v, _) -> [ { st with mem = max st.mem v } ]
-  | Confirm_transfer, MTack new_owner -> [ { st with dir; own = new_owner; shr = 0 } ]
-  | (Reclaim | Reclaim_and_rerun), MUndele (sharers, value, pending) ->
-      let mem = match value with Some v -> v | None -> st.mem in
-      let dir = Directory.reclaimed ~kept_owner:false ~sharers:(sharers <> 0) in
-      let stored =
-        if step.action = Reclaim_and_rerun then [ write_request st.req st.req_tid ] else []
-      in
-      let carried = match pending with Some (r, tid) -> [ write_request r tid ] | None -> [] in
-      [ post { st with mem; dir; own = -1; shr = sharers } (carried @ stored) ]
-  | Stale, _ -> [ st ]
-  | _, _ -> assert false (* each action comes with its input *)
+  | Take_back, MWb ->
+      set b D.mem value;
+      settle_dir b dir ~owner:(-1) ~sharers:0;
+      send b ~src:home ~dst:s MWbAck
+  | Serve_waiting, MWb ->
+      set b D.mem value;
+      settle_dir b dir ~owner:(-1) ~sharers:(bit req);
+      send b ~src:home ~dst:s MWbAck;
+      send b ~src:home ~dst:req ~value ~tid:req_tid MDataS
+  | Rerun_waiting, MWb ->
+      set b D.mem value;
+      settle_dir b dir ~owner:(-1) ~sharers:0;
+      send b ~src:home ~dst:s MWbAck;
+      send b ~src:req ~dst:home ~tid:req_tid MGetX
+  | Stale, MWb -> send b ~src:home ~dst:s MWbAck
+  | Share, MSwb ->
+      set b D.mem value;
+      settle_dir b dir ~owner:(-1) ~sharers:(bit s)
+  | Share_with_reader, MSwb ->
+      set b D.mem value;
+      settle_dir b dir ~owner:(-1) ~sharers:(add_bit (bit s) (msg_node st i P.peer))
+  | Checkpoint, MSwb -> set b D.mem (max mem value)
+  | Confirm_transfer, MTack -> settle_dir b dir ~owner:(msg_node st i P.peer) ~sharers:0
+  | (Reclaim | Reclaim_and_rerun), MUndele ->
+      let sharers = msg st i P.sharers and writer = msg_node st i P.peer in
+      set b D.mem value;
+      settle_dir b
+        (Directory.state_code (Directory.reclaimed ~kept_owner:false ~sharers:(sharers <> 0)))
+        ~owner:(-1) ~sharers;
+      (* the carried request, then the waiting one *)
+      if writer >= 0 then send b ~src:writer ~dst:home ~tid MGetX;
+      if step.action = Reclaim_and_rerun then send b ~src:req ~dst:home ~tid:req_tid MGetX
+  | Stale, _ -> ()
+  | _, _ -> assert false (* each action comes with its input *));
+  alt = 0 && step.action = Grant_or_delegate && params.enable_delegation
 
 (* ------------------------------------------------------------------ *)
 (* Cache/producer-side message handling                                *)
@@ -689,155 +888,152 @@ let home_handle params st ~s msg =
 
 (* A read ([event] [Read]) or a Get_exclusive ([Write]) at a delegated
    home, or at a node that no longer is one. *)
-let serve_request params st n event ~requester ~tid =
-  let node = st.ns.(n) in
-  let step = producer_step node.prod event in
-  match (step.action, node.prod) with
-  | (Nack_busy | Nack_not_home), _ ->
-      let reason : Message.nack_reason = if step.action = Nack_busy then Busy else Not_home in
-      post st [ { src = n; dst = requester; seq = 0; msg = MNack (reason, tid) } ]
-  | Downgrade_and_serve, Some p ->
-      let st = downgrade_push params st n p step ~exclude:(Some requester) in
-      post st [ { src = n; dst = requester; seq = 0; msg = MDataS (line_value node, tid) } ]
-  | Serve, Some p ->
+let serve_request params b n event ~requester ~tid =
+  let step = entry_step b n event in
+  match step.action with
+  | Nack_busy -> send b ~src:n ~dst:requester ~reason:(nack_code Busy) ~tid MNack
+  | Nack_not_home -> send b ~src:n ~dst:requester ~reason:(nack_code Not_home) ~tid MNack
+  | Downgrade_and_serve ->
+      let v = line_value b n in
+      downgrade_push params b n step ~exclude:requester;
+      send b ~src:n ~dst:requester ~value:v ~tid MDataS
+  | Serve ->
       (* the RAC copy backs every producer entry (Missing_backing) *)
-      let v = match node.rac with Some v -> v | None -> assert false in
-      let st = set_prod st n { p with psharers = add_bit p.psharers requester } in
-      post st [ { src = n; dst = requester; seq = 0; msg = MDataS (v, tid) } ]
-  | (Hold | Hold_and_flush), Some p ->
-      let st = set_prod st n { p with phase = step.phase; slot = Held { requester; tid } } in
-      if step.action = Hold_and_flush then start_flush st n else st
-  | Give_back_with_request, Some p -> undelegate st n p ~pending:(Some (requester, tid))
+      assert (has_rac b n);
+      set_field b n N.vector (add_bit (field b n N.vector) requester);
+      send b ~src:n ~dst:requester ~value:(rac_value b n) ~tid MDataS
+  | Hold | Hold_and_flush ->
+      set_phase b n step;
+      set_field b n N.held (slot_code (Held { requester; tid }));
+      set_field_node b n N.held_requester requester;
+      set_field b n N.held_tid tid;
+      if step.action = Hold_and_flush then start_flush b n
+  | Give_back_with_request -> undelegate b n ~requester ~tid
   | _ -> assert false (* requests draw only these *)
 
-let resend_request st n =
-  let node = st.ns.(n) in
-  match node.pend with
-  | None -> st
-  | Some p ->
-      let target = match node.hint with Some h -> h | None -> home in
-      let msg = match p.pkind with PL -> MGetS p.tid | PW -> MGetX p.tid in
-      let st =
-        with_node st n (fun node -> { node with pend = Some { p with target } })
-      in
-      post st [ { src = n; dst = target; seq = 0; msg } ]
+let resend_request b n =
+  let t = txn b n in
+  if t <> Idle then begin
+    let target = match field_node b n N.hint with -1 -> home | h -> h in
+    set_field_node b n N.target target;
+    send b ~src:n ~dst:target ~tid:(field b n N.tid) (if t = Loading then MGetS else MGetX)
+  end
 
-let owns node tid = match node.pend with Some p -> p.tid = tid | None -> false
+let owns b n tid = txn b n <> Idle && field b n N.tid = tid
 
-(* A reply, invalidation or push reaching a cache.  [own]: does the
-   message's tid name the node's transaction (tid carriers only)? *)
-let requester_event params st n (event : L2.event) ~own msg =
-  let node = st.ns.(n) in
-  match (L2.requester_step No_copy (txn node) ~own ~wb:false ~local:false event, node.pend, msg) with
-  | Commit_load, Some p, MDataS (v, _) -> commit_read st n v ~cache_fill:(not p.poisoned)
-  | Take_grant, Some p, MDataE (_, acks, _) ->
-      try_complete_store
-        (with_node st n (fun node ->
-             { node with pend = Some { p with have_data = true; acks = p.acks + acks } }))
-        n
-  | Take_delegation, Some p, MDelegate (sharers, v, acks, _) ->
-      try_complete_store
-        (with_node st n (fun node ->
-             {
-               node with
-               rac = Some v;
-               prod = Some { phase = Busy; psharers = bit n; upds = sharers; slot = Free; unflushed = 0; fl_acks = 0 };
-               pend = Some { p with have_data = true; acks = p.acks + acks };
-             }))
-        n
-  | Return_delegation, _, MDelegate (sharers, v, _, _) ->
-      post st [ { src = n; dst = home; seq = 0; msg = MUndele (sharers, Some v, None) } ]
-  | ((Retry | Retry_unhinted) as action), Some _, MNack _ ->
-      resend_request
-        (if action = Retry_unhinted then with_node st n (fun node -> { node with hint = None })
-         else st)
-        n
-  | Credit_ack, Some p, MAck ->
-      try_complete_store
-        (with_node st n (fun node -> { node with pend = Some { p with acks = p.acks - 1 } }))
-        n
-  | ((Invalidate | Invalidate_and_poison) as action), pend, MInval requester ->
-      let pend =
-        match pend with
-        | Some p when action = Invalidate_and_poison && params.bug <> Some No_poison_on_inval ->
-            Some { p with poisoned = true }
-        | other -> other
-      in
-      let st = with_node st n (fun node -> { node with cache = CI; rac = None; pend }) in
-      post st [ { src = n; dst = requester; seq = 0; msg = MAck } ]
-  | Commit_update, Some _, MUpdate v ->
+(* A reply, invalidation or push (packet [i] of [st]) reaching a cache.
+   [own]: does the message's tid name the node's transaction (tid
+   carriers only)? *)
+let requester_event params b n (event : L2.event) ~own ~st i =
+  let value = msg st i P.value and acks = msg st i P.acks in
+  match L2.requester_step No_copy (txn b n) ~own ~wb:false ~local:false event with
+  | Commit_load -> commit_read b n value ~cache_fill:(field b n N.poisoned = 0)
+  | Take_grant ->
+      set_field b n N.txn (txn_code Granted);
+      set_field b n N.acks (field b n N.acks + acks);
+      try_complete_store b n
+  | Take_delegation ->
+      set_rac b n value;
+      clear b n ~first:N.phase ~last:N.flush_acks;
+      set_field b n N.phase (phase_code Busy);
+      set_field b n N.vector (bit n);
+      set_field b n N.upds (msg st i P.sharers);
+      set_field b n N.txn (txn_code Granted);
+      set_field b n N.acks (field b n N.acks + acks);
+      try_complete_store b n
+  | Return_delegation -> send b ~src:n ~dst:home ~sharers:(msg st i P.sharers) ~value MUndele
+  | (Retry | Retry_unhinted) as action ->
+      if action = Retry_unhinted then set_field_node b n N.hint (-1);
+      resend_request b n
+  | Credit_ack ->
+      set_field b n N.acks (field b n N.acks - 1);
+      try_complete_store b n
+  | (Invalidate | Invalidate_and_poison) as action ->
+      if action = Invalidate_and_poison && params.bug <> Some No_poison_on_inval then
+        set_field b n N.poisoned 1;
+      drop_copy b n;
+      drop_rac b n;
+      send b ~src:n ~dst:(msg_node st i P.peer) MAck
+  | Commit_update ->
       (* update-as-reply (§2.4.3); the superseded data reply is dropped
          by its stale transaction id *)
-      commit_read st n v ~cache_fill:true
-  | Fill_rac, _, MUpdate v -> with_node st n (fun node -> { node with rac = Some v })
-  | Drop, _, _ -> st
+      commit_read b n value ~cache_fill:true
+  | Fill_rac -> set_rac b n value
+  | Drop -> ()
   | _ -> assert false (* each action comes with its event *)
 
-let cache_handle params st ~src n msg =
-  let node = st.ns.(n) in
-  match msg with
-  | MDataS (_, tid) -> [ requester_event params st n Data_shared ~own:(owns node tid) msg ]
-  | MDataE (_, _, tid) -> [ requester_event params st n Data_exclusive ~own:(owns node tid) msg ]
-  | MDelegate (_, _, _, tid) -> [ requester_event params st n Delegate ~own:(owns node tid) msg ]
-  | MNack (Not_home, tid) -> [ requester_event params st n Nack_not_home ~own:(owns node tid) msg ]
-  | MNack ((Busy | Pending), tid) -> [ requester_event params st n Nack ~own:(owns node tid) msg ]
-  | MAck -> [ requester_event params st n Inv_ack ~own:false msg ]
-  | MInval _ -> [ requester_event params st n Inval ~own:false msg ]
-  | MUpdate _ -> [ requester_event params st n Update ~own:false msg ]
-  | MIntv (requester, tid) -> [ forwarded st n Intervention ~requester ~tid ]
-  | MTransfer (requester, tid) -> [ forwarded st n Transfer ~requester ~tid ]
-  | MNewHome h ->
-      [ (if h = n then st else with_node st n (fun node -> { node with hint = Some h })) ]
-  | MFlush -> [ post st [ { src = n; dst = src; seq = 0; msg = MFlushAck } ] ]
-  | MFlushAck -> (
-      match node.prod with
-      | Some ({ fl_acks; _ } as p) when fl_acks > 0 ->
-          let p = { p with fl_acks = fl_acks - 1 } in
-          let st = set_prod st n p in
-          if p.fl_acks = 0 then [ settle st n p (entry_step p Flush_done) ] else [ st ]
-      | _ -> [ st ])
-  | MFwdS (requester, tid) -> [ serve_request params st n Read ~requester ~tid ]
-  | MGetS tid -> [ serve_request params st n Read ~requester:src ~tid ]
-  | MGetX tid -> [ serve_request params st n Write ~requester:src ~tid ]
+(* Delivers packet [i] of [st], already removed from [b], at cache [n]. *)
+let cache_handle params b ~st i ~src n =
+  let tid = msg st i P.tid and peer = msg_node st i P.peer in
+  let own = owns b n tid in
+  match kinds.(msg st i P.kind) with
+  | MDataS -> requester_event params b n Data_shared ~own ~st i
+  | MDataE -> requester_event params b n Data_exclusive ~own ~st i
+  | MDelegate -> requester_event params b n Delegate ~own ~st i
+  | MNack ->
+      requester_event params b n
+        (if msg st i P.reason = nack_code Not_home then Nack_not_home else Nack)
+        ~own ~st i
+  | MAck -> requester_event params b n Inv_ack ~own:false ~st i
+  | MInval -> requester_event params b n Inval ~own:false ~st i
+  | MUpdate -> requester_event params b n Update ~own:false ~st i
+  | MIntv -> forwarded b n Intervention ~requester:peer ~tid
+  | MTransfer -> forwarded b n Transfer ~requester:peer ~tid
+  | MNewHome -> if peer <> n then set_field_node b n N.hint peer
+  | MFlush -> send b ~src:n ~dst:src MFlushAck
+  | MFlushAck ->
+      let acks = field b n N.flush_acks in
+      if has_entry b n && acks > 0 then begin
+        set_field b n N.flush_acks (acks - 1);
+        if acks = 1 then settle b n (entry_step b n Flush_done)
+      end
+  | MFwdS -> serve_request params b n Read ~requester:peer ~tid
+  | MGetS -> serve_request params b n Read ~requester:src ~tid
+  | MGetX -> serve_request params b n Write ~requester:src ~tid
   | MRecall -> (
-      let step = producer_step node.prod Recall in
-      match (step.action, node.prod) with
-      | Recall_nack, _ ->
+      let step = entry_step b n Recall in
+      match step.action with
+      | Recall_nack ->
           (* dropped: a recall cannot overtake its Delegate on their FIFO
              channel, so the entry's Undelegate is on its way home *)
-          [ st ]
-      | _, Some p -> [ settle st n p step ]
-      | _, None -> assert false (* no entry draws only the NACK *))
-  | MWbAck -> [ with_node st n (fun node -> { node with wbp = false }) ]
-  | MWb _ | MSwb _ | MTack _ | MUndele _ -> assert false (* home side *)
+          ()
+      | _ -> settle b n step)
+  | MWbAck -> set_field b n N.wb 0
+  | MWb | MSwb | MTack | MUndele -> assert false (* home side *)
 
 (* ------------------------------------------------------------------ *)
 (* Transition enumeration                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* [keep] adds a candidate successor to [acc], normalized, unless it
-   overfills a channel: the message it would react to then stays in the
-   network for later.  On a normalized network a pair holds more than
-   [channel_capacity] packets exactly when one of them has a sequence
-   number that reaches it. *)
-let rec fits capacity = function
-  | [] -> true
-  | p :: rest -> p.seq < capacity && fits capacity rest
+(* [keep] adds the edited image in [b] to [acc] as the successor [wrap]
+   copies out of it, unless it overfills a channel: the message it would
+   react to then stays in the network for later. *)
+let rec fits capacity b ~first ~last p run =
+  p = last
+  ||
+  let run = if p > first && same_channel b p (p - P.r.width) then run + 1 else 1 in
+  run <= capacity && fits capacity b ~first ~last (p + P.r.width) run
 
-let keep params labels id st acc =
-  let st = norm st in
-  if fits params.channel_capacity st.net then (labels.(id), st) :: acc else acc
+let keep params labels wrap id b acc =
+  if
+    fits params.channel_capacity b ~first:(packet_slot b 0 0)
+      ~last:(packet_slot b (packets b) 0)
+      (packet_slot b 0 0) 0
+  then
+    (labels.(id), wrap b) :: acc
+  else acc
 
-let issue_step node event ~local =
-  L2.requester_step (copy node.cache) Idle ~own:false ~wb:false ~local event
+let issue_step st n event ~local =
+  L2.requester_step (copy st n) Idle ~own:false ~wb:false ~local event
 
-(* A miss's transaction before its first request. *)
-let miss pkind ~tid =
-  { pkind; have_data = false; acks = 0; poisoned = false; target = -1; tid; deferred = [] }
+(* A miss's transaction and its first request. *)
+let start_miss b n ~store =
+  set_field b n N.txn (txn_code (if store then Awaiting_grant else Loading));
+  set_field b n N.tid ((2 * field b n N.done_) + Bool.to_int store);
+  resend_request b n
 
-let issue_transitions params labels ~line st n acc =
-  let node = st.ns.(n) in
-  if node.pend <> None || node.done_ >= params.max_ops_per_node then acc
+let issue_transitions params labels wrap ~line st n acc =
+  if txn st n <> Idle || field st n N.done_ >= params.max_ops_per_node then acc
   else begin
     let may_load, may_store =
       match params.workload with
@@ -846,240 +1042,209 @@ let issue_transitions params labels ~line st n acc =
           let p = producer_of_line params line in
           (n <> p, n = p)
     in
-    let keep kind st acc = keep params labels (issue_label n kind) st acc in
-    let load acc =
-      match issue_step node Issue_load ~local:(node.rac <> None) with
-      | Hit -> keep Issue.load_hit (commit_read st n (line_value node) ~cache_fill:true) acc
-      | Local -> keep Issue.load_rac (commit_read st n (line_value node) ~cache_fill:true) acc
-      | Request ->
-          let st =
-            with_node st n (fun node -> { node with pend = Some (miss PL ~tid:(2 * node.done_)) })
-          in
-          keep Issue.load_miss (resend_request st n) acc
-      | _ -> assert false (* an issue draws only these *)
+    let acc =
+      if not may_load then acc
+      else
+        let b = load st in
+        match issue_step st n Issue_load ~local:(has_rac st n) with
+        | (Hit | Local) as action ->
+            commit_read b n (line_value b n) ~cache_fill:true;
+            keep params labels wrap
+              (issue_label n (if action = Hit then Issue.load_hit else Issue.load_rac))
+              b acc
+        | Request ->
+            start_miss b n ~store:false;
+            keep params labels wrap (issue_label n Issue.load_miss) b acc
+        | _ -> assert false (* an issue draws only these *)
     in
-    let store acc =
-      match (issue_step node Issue_store ~local:(node.prod <> None), node.prod) with
-      | Hit, _ -> keep Issue.store_hit (commit_store st n) acc
-      | Local, Some p -> (
-          let step = entry_step p Own_store in
+    if not may_store then acc
+    else
+      let b = load st in
+      match issue_step st n Issue_store ~local:(has_entry st n) with
+      | Hit ->
+          commit_store b n;
+          keep params labels wrap (issue_label n Issue.store_hit) b acc
+      | Local -> (
+          let step = entry_step b n Own_store in
           match step.action with
           | Local_upgrade ->
               (* delegated local upgrade: invalidate consumers directly *)
-              let others = bits_list (rem_bit p.psharers n) in
-              let st =
-                with_node st n (fun node ->
-                    {
-                      node with
-                      prod = Some { p with phase = step.phase; upds = rem_bit p.psharers n; psharers = bit n };
-                      pend = Some { pkind = PW; have_data = true; acks = List.length others; poisoned = false; target = n; tid = (2 * node.done_) + 1; deferred = [] };
-                    })
-              in
-              let st =
-                post st (List.map (fun c -> { src = n; dst = c; seq = 0; msg = MInval n }) others)
-              in
-              keep Issue.store_upgrade (try_complete_store st n) acc
+              let others = rem_bit (field b n N.vector) n in
+              set_phase b n step;
+              set_field b n N.upds others;
+              set_field b n N.vector (bit n);
+              set_field b n N.txn (txn_code Granted);
+              set_field b n N.acks (popcount others);
+              set_field_node b n N.target n;
+              set_field b n N.tid ((2 * field b n N.done_) + 1);
+              for c = 0 to nodes_of b - 1 do
+                if mem_bit others c then send b ~src:n ~dst:c ~peer:n MInval
+              done;
+              try_complete_store b n;
+              keep params labels wrap (issue_label n Issue.store_upgrade) b acc
           | Regain ->
               (* exclusivity held, line evicted to the pinned RAC entry *)
-              keep Issue.store_regain (store_done (commit_store st n) n) acc
+              commit_store b n;
+              store_done b n;
+              keep params labels wrap (issue_label n Issue.store_regain) b acc
           | _ -> assert false (* the blocking processor is the only writer *))
-      | Request, _ ->
-          let st =
-            with_node st n (fun node ->
-                { node with pend = Some (miss PW ~tid:((2 * node.done_) + 1)) })
-          in
-          keep Issue.store_miss (resend_request st n) acc
+      | Request ->
+          start_miss b n ~store:true;
+          keep params labels wrap (issue_label n Issue.store_miss) b acc
       | _ -> assert false (* an issue draws only these *)
-    in
-    let acc = if may_load then load acc else acc in
-    if may_store then store acc else acc
   end
 
-(* Kept in reverse of the order they are offered: hint eviction,
-   undelegation, cache eviction, delayed intervention. *)
-let spontaneous_transitions params labels st n acc =
-  let node = st.ns.(n) in
-  let keep move st acc = keep params labels (spontaneous_label n move) st acc in
+(* Offered in this order: hint eviction, undelegation, cache eviction,
+   delayed intervention. *)
+let spontaneous_transitions params labels wrap st n acc =
   (* consumer-table hint eviction *)
   let acc =
-    match node.hint with
-    | Some _ ->
-        keep Move.drop_hint (with_node st n (fun node -> { node with hint = None })) acc
-    | None -> acc
+    if field st n N.hint = 0 then acc
+    else
+      let b = load st in
+      set_field b n N.hint 0;
+      keep params labels wrap (spontaneous_label n Move.drop_hint) b acc
   in
   (* capacity undelegation *)
   let acc =
-    match node.prod with
-    | Some p -> (
-        let step = entry_step p Evicted in
-        match step.action with Keep -> acc | _ -> keep Move.undelegate (settle st n p step) acc)
-    | None -> acc
+    if not (has_entry st n) then acc
+    else
+      let step = entry_step st n Evicted in
+      match step.action with
+      | Keep -> acc
+      | _ ->
+          let b = load st in
+          settle b n step;
+          keep params labels wrap (spontaneous_label n Move.undelegate) b acc
   in
   (* cache eviction *)
   let acc =
-    match (node.cache, node.prod) with
-    | CE v, Some _ ->
-        keep Move.evict_excl_delegated
-          (with_node st n (fun node -> { node with cache = CI; rac = Some v }))
-          acc
-    | CE v, None ->
-        keep Move.evict_excl
-          (post
-             (with_node st n (fun node -> { node with cache = CI; wbp = true }))
-             [ { src = n; dst = home; seq = 0; msg = MWb v } ])
-          acc
-    | CS v, _ ->
-        keep Move.evict_shared
-          (with_node st n (fun node ->
-               { node with cache = CI; rac = (if n = home then node.rac else Some v) }))
-          acc
-    | CI, _ -> acc
+    match copy st n with
+    | No_copy -> acc
+    | c ->
+        let b = load st and v = field st n N.cache_value in
+        drop_copy b n;
+        if c = Shared_copy then begin
+          if n <> home then set_rac b n v;
+          keep params labels wrap (spontaneous_label n Move.evict_shared) b acc
+        end
+        else if has_entry b n then begin
+          set_rac b n v;
+          keep params labels wrap (spontaneous_label n Move.evict_excl_delegated) b acc
+        end
+        else begin
+          set_field b n N.wb 1;
+          send b ~src:n ~dst:home ~value:v MWb;
+          keep params labels wrap (spontaneous_label n Move.evict_excl) b acc
+        end
   in
   (* delayed intervention fires *)
-  match node.prod with
-  | Some p -> (
-      let step = entry_step p Burst_over in
-      match step.action with
-      | Downgrade_and_push -> keep Move.downgrade (downgrade_push params st n p step ~exclude:None) acc
-      | _ -> acc)
-  | None -> acc
+  if not (has_entry st n) then acc
+  else
+    let step = entry_step st n Burst_over in
+    match step.action with
+    | Downgrade_and_push ->
+        let b = load st in
+        downgrade_push params b n step ~exclude:(-1);
+        keep params labels wrap (spontaneous_label n Move.downgrade) b acc
+    | _ -> acc
 
-let rec head_of_line packet = function
-  | [] -> true
-  | q :: rest ->
-      (not (q.src = packet.src && q.dst = packet.dst && q.seq < packet.seq))
-      && head_of_line packet rest
+(* Every outcome of delivering packet [i], from outcome [alt] on. *)
+let rec deliver params labels wrap st i alt acc =
+  let b = load st in
+  remove b i;
+  let src = msg_node st i P.src and dst = msg_node st i P.dst and code = msg st i P.kind in
+  let more =
+    match kinds.(code) with
+    | (MGetS | MGetX) when dst = home -> home_handle params b ~st i ~s:src ~alt
+    | MWb | MSwb | MTack | MUndele -> home_handle params b ~st i ~s:src ~alt
+    | _ ->
+        cache_handle params b ~st i ~src dst;
+        false
+  in
+  let acc = keep params labels wrap (delivery_label ~src ~dst code alt) b acc in
+  if more then deliver params labels wrap st i (alt + 1) acc else acc
 
-let rec keep_outcomes params labels packet alt outcomes acc =
-  match outcomes with
-  | [] -> acc
-  | st :: rest ->
-      keep_outcomes params labels packet (alt + 1) rest
-        (keep params labels (delivery_label packet alt) st acc)
-
-let deliver_transitions params labels st acc =
-  List.fold_left
-    (fun acc packet ->
-      if not (head_of_line packet st.net) then acc
-      else
-        let st' = remove_packet st packet in
-        let outcomes =
-          match packet.msg with
-          | (MGetS _ | MGetX _) when packet.dst = home ->
-              home_handle params st' ~s:packet.src packet.msg
-          | MWb _ | MSwb _ | MTack _ | MUndele _ ->
-              home_handle params st' ~s:packet.src packet.msg
-          | _ -> cache_handle params st' ~src:packet.src packet.dst packet.msg
-        in
-        keep_outcomes params labels packet 0 outcomes acc)
-    acc st.net
+(* Each pair's head-of-line packet, in (src, dst) order. *)
+let deliver_transitions params labels wrap st acc =
+  let acc = ref acc in
+  for i = 0 to packets st - 1 do
+    if i = 0 || not (same_channel st (packet_slot st i 0) (packet_slot st (i - 1) 0)) then
+      acc := deliver params labels wrap st i 0 !acc
+  done;
+  !acc
 
 (* ------------------------------------------------------------------ *)
 (* Invariants                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Value coherence (every read observes the write order) is the model's
-   own, recorded in [error] as reads commit.  The structural invariants
-   are [Pcc_core.Dir_invariants], read through a line view filled from
-   the state, with the network answering "may this still be in
-   transit". *)
+   own, recorded in the error slots as reads commit.  The structural
+   invariants are [Pcc_core.Dir_invariants], read through a line view
+   filled from the state, with the network answering "may this still be
+   in transit". *)
 module Inv = Pcc_core.Dir_invariants
 module Nodeset = Pcc_core.Nodeset
 
-let rec note_in_transit (v : Inv.view) own = function
-  | [] -> ()
-  | p :: rest ->
-      (match p.msg with
-      | MInval _ | MUpdate _ -> v.reaching <- Nodeset.add v.reaching p.dst
-      | MUndele (sharers, _, _) ->
-          (* a winding-down delegation carries its vector home *)
-          v.reaching <- Nodeset.union v.reaching (Nodeset.of_mask sharers);
-          if p.src = own then v.handoff <- true
-      | MTack n -> v.transfer <- Nodeset.add v.transfer n
-      | MDelegate (sharers, _, _, _) when p.dst = own ->
-          v.delegating <- Nodeset.union v.delegating (Nodeset.of_mask sharers);
-          v.handoff <- true
-      | _ -> ());
-      note_in_transit v own rest
-
 let fill_view (v : Inv.view) st =
-  v.nodes <- Array.length st.ns;
-  v.dir <- st.dir;
-  v.owner <- st.own;
-  v.requester <- st.req;
-  v.sharers <- Nodeset.of_mask st.shr;
-  v.mem <- st.mem;
-  for n = 0 to Array.length st.ns - 1 do
-    let node = st.ns.(n) in
-    v.l2.(n) <- copy node.cache;
-    (match node.cache with CS x | CE x -> v.l2_value.(n) <- x | CI -> ());
-    (match node.rac with
-    | Some x ->
-        v.rac.(n) <- true;
-        v.rac_value.(n) <- x
-    | None -> v.rac.(n) <- false);
-    match node.prod with
-    | Some p ->
-        v.phase.(n) <- p.phase;
-        v.vector.(n) <- Nodeset.of_mask p.psharers
-    | None -> v.phase.(n) <- No_entry
+  v.nodes <- nodes_of st;
+  v.dir <- dstates.(get st D.dir);
+  v.owner <- node_at st D.owner;
+  v.requester <- node_at st D.requester;
+  v.sharers <- Nodeset.of_mask (get st D.sharers);
+  v.mem <- get st D.mem;
+  for n = 0 to nodes_of st - 1 do
+    v.l2.(n) <- copy st n;
+    if copy st n <> No_copy then v.l2_value.(n) <- field st n N.cache_value;
+    v.rac.(n) <- has_rac st n;
+    if has_rac st n then v.rac_value.(n) <- rac_value st n;
+    v.phase.(n) <- phase st n;
+    if has_entry st n then v.vector.(n) <- Nodeset.of_mask (field st n N.vector)
   done;
   v.transfer <- Nodeset.empty;
   v.reaching <- Nodeset.empty;
   v.delegating <- Nodeset.empty;
   v.handoff <- false;
-  note_in_transit v st.own st.net
+  let own = v.owner in
+  for i = 0 to packets st - 1 do
+    let dst = msg_node st i P.dst in
+    match kinds.(msg st i P.kind) with
+    | MInval | MUpdate -> v.reaching <- Nodeset.add v.reaching dst
+    | MUndele ->
+        (* a winding-down delegation carries its vector home *)
+        v.reaching <- Nodeset.union v.reaching (Nodeset.of_mask (msg st i P.sharers));
+        if msg_node st i P.src = own then v.handoff <- true
+    | MTack -> v.transfer <- Nodeset.add v.transfer (msg_node st i P.peer)
+    | MDelegate when dst = own ->
+        v.delegating <- Nodeset.union v.delegating (Nodeset.of_mask (msg st i P.sharers));
+        v.handoff <- true
+    | _ -> ()
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Model assembly                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let initial_state params =
-  norm
-    {
-      ns =
-        Array.init params.nodes (fun _ ->
-            {
-              cache = CI;
-              rac = None;
-              prod = None;
-              pend = None;
-              hint = None;
-              done_ = 0;
-              last_seen = 0;
-              wbp = false;
-            });
-      dir = Unowned;
-      shr = 0;
-      own = -1;
-      req = -1;
-      req_tid = 0;
-      mem = 0;
-      net = [];
-      nextv = 0;
-      error = None;
-    }
-
 (* Issues, then spontaneous moves, then deliveries; [labels] names the
-   line's transitions (see [line_labels]). *)
-let all_successors ?(line = 0) params labels st =
+   line's transitions (see [line_labels]) and [wrap] copies each edited
+   image out as a successor. *)
+let all_successors ?(line = 0) params labels wrap st =
   let acc = ref [] in
   for n = 0 to params.nodes - 1 do
-    acc := issue_transitions params labels ~line st n !acc
+    acc := issue_transitions params labels wrap ~line st n !acc
   done;
   for n = 0 to params.nodes - 1 do
-    acc := spontaneous_transitions params labels st n !acc
+    acc := spontaneous_transitions params labels wrap st n !acc
   done;
-  List.rev (deliver_transitions params labels st !acc)
+  List.rev (deliver_transitions params labels wrap st !acc)
 
 (* One view per domain, since the checker evaluates invariants on several
    domains at once.  [filled] is the state the view was last filled
    from, so a state's three structural invariants share one fill. *)
-type view_scratch = { view : Inv.view; mutable filled : state }
+type view_scratch = { view : Inv.view; mutable filled : Bytes.t }
 
 let view_scratch =
-  Domain.DLS.new_key (fun () ->
-      { view = Inv.create label_nodes; filled = initial_state default_params })
+  Domain.DLS.new_key (fun () -> { view = Inv.create label_nodes; filled = Bytes.empty })
 
 let structural inv st =
   let sc = Domain.DLS.get view_scratch in
@@ -1090,217 +1255,57 @@ let structural inv st =
   Inv.holds Event_boundary inv sc.view
 
 let invariants_list =
-  ("value coherence", fun st -> st.error = None)
+  ("value coherence", fun st -> get st D.error = 0)
   :: List.map (fun inv -> (Inv.name inv, structural inv)) Inv.invariants
 
+let cache_name st n =
+  match copy st n with
+  | No_copy -> "I"
+  | c -> Printf.sprintf "%s%d" (if c = Shared_copy then "S" else "E") (field st n N.cache_value)
+
 let pp_state ppf st =
-  let cache_str node =
-    match node.cache with
-    | CI -> "I"
-    | CS v -> Printf.sprintf "S%d" v
-    | CE v -> Printf.sprintf "E%d" v
-  in
   Format.fprintf ppf "@[<v>dir=%s own=%d req=%d shr=%x mem=%d nextv=%d@,"
-    (dir_name st.dir) st.own st.req st.shr st.mem st.nextv;
-  Array.iteri
-    (fun n node ->
-      Format.fprintf ppf "n%d: cache=%s rac=%s prod=%s pend=%s done=%d seen=%d@," n
-        (cache_str node)
-        (match node.rac with Some v -> string_of_int v | None -> "-")
-        (match Option.map (fun p -> p.phase) node.prod with
-        | Some Busy -> "B" | Some Exclusive -> "E" | Some Shared -> "S" | Some No_entry | None -> "-")
-        (match node.pend with
-        | Some { pkind = PL; _ } -> "L"
-        | Some { pkind = PW; _ } -> "W"
-        | None -> "-")
-        node.done_ node.last_seen)
-    st.ns;
-  Format.fprintf ppf "net: %d msgs@]" (List.length st.net)
+    (dir_name dstates.(get st D.dir))
+    (node_at st D.owner) (node_at st D.requester) (get st D.sharers) (get st D.mem)
+    (get st D.stores);
+  for n = 0 to nodes_of st - 1 do
+    Format.fprintf ppf "n%d: cache=%s rac=%s prod=%s pend=%s done=%d seen=%d@," n
+      (cache_name st n)
+      (if has_rac st n then string_of_int (rac_value st n) else "-")
+      (match phase st n with Busy -> "B" | Exclusive -> "E" | Shared -> "S" | No_entry -> "-")
+      (match txn st n with Idle -> "-" | Loading -> "L" | Awaiting_grant | Granted -> "W")
+      (field st n N.done_) (field st n N.seen)
+  done;
+  Format.fprintf ppf "net: %d msgs@]" (packets st)
 
 (* ------------------------------------------------------------------ *)
-(* Canonical encoding                                                  *)
+(* Renaming and the canonical encoding                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One byte per small field, biased by 64.  Every integer in a reachable
-   state is tiny (masks < 2^nodes, versions and tids bounded by the op
-   budget, ack counts by in-flight messages; [validate] rejects parameters
-   that could reach 192, where the byte wraps), and every list is
-   length-prefixed, so a line's encoding is self-delimiting and several
-   line encodings concatenate injectively.
+let rename_mask perm mask =
+  let renamed = ref 0 in
+  for n = 0 to Array.length perm - 1 do
+    if mem_bit mask n then renamed := add_bit !renamed perm.(n)
+  done;
+  !renamed
 
-   A state's encoding under a node permutation is the encoding of the
-   renamed, normalized state.  [write_line] writes it straight from the
-   normalized original: it reads node records through the inverse
-   permutation, renames masks and node ids as it writes them, and emits
-   packets in the order [norm] gives the renamed network. *)
+let renamed perm kind v =
+  match kind with
+  | Plain -> v
+  | Node -> if v = 0 then 0 else perm.(v - 1) + 1
+  | Mask -> rename_mask perm v
 
-(* The growable buffer of one [encode] call. *)
-type out = { mutable b : Bytes.t; mutable len : int }
-
-let reserve o n =
-  if o.len + n > Bytes.length o.b then begin
-    let b = Bytes.create (Int.max (o.len + n) (2 * Bytes.length o.b)) in
-    Bytes.blit o.b 0 b 0 o.len;
-    o.b <- b
-  end
-
-let put o n =
-  reserve o 1;
-  Bytes.unsafe_set o.b o.len (Char.unsafe_chr ((n + 64) land 0xff));
-  o.len <- o.len + 1
-
-let put_bool o x = put o (if x then 1 else 0)
-
-let put_node o perm n = put o (rename_node perm n)
-
-let put_mask o perm mask = put o (rename_mask perm mask)
-
-let put_msg o perm = function
-  | MGetS tid ->
-      put o 0;
-      put o tid
-  | MGetX tid ->
-      put o 1;
-      put o tid
-  | MFwdS (r, tid) ->
-      put o 2;
-      put_node o perm r;
-      put o tid
-  | MInval r ->
-      put o 3;
-      put_node o perm r
-  | MIntv (r, tid) ->
-      put o 4;
-      put_node o perm r;
-      put o tid
-  | MTransfer (r, tid) ->
-      put o 5;
-      put_node o perm r;
-      put o tid
-  | MDataS (v, tid) ->
-      put o 6;
-      put o v;
-      put o tid
-  | MDataE (v, a, tid) ->
-      put o 7;
-      put o v;
-      put o a;
-      put o tid
-  | MAck -> put o 8
-  | MSwb (v, ns) ->
-      put o 9;
-      put o v;
-      put_node o perm ns
-  | MTack w ->
-      put o 10;
-      put_node o perm w
-  | MNack (r, tid) ->
-      put o 11;
-      put o (nack_code r);
-      put o tid
-  | MDelegate (s, v, a, tid) ->
-      put o 12;
-      put_mask o perm s;
-      put o v;
-      put o a;
-      put o tid
-  | MNewHome h ->
-      put o 13;
-      put_node o perm h
-  | MRecall -> put o 14
-  | MUndele (s, v, pending) -> (
-      put o 15;
-      put_mask o perm s;
-      (match v with
-      | None -> put o 0
-      | Some v ->
-          put o 1;
-          put o v);
-      match pending with
-      | None -> put o 0
-      | Some (r, tid) ->
-          put o 1;
-          put_node o perm r;
-          put o tid)
-  | MUpdate v ->
-      put o 16;
-      put o v
-  | MFlush -> put o 17
-  | MFlushAck -> put o 18
-  | MWb v ->
-      put o 19;
-      put o v
-  | MWbAck -> put o 20
-
-(* A deferred request writes whether it is a transfer, its renamed
-   requester, then its tid. *)
-let put_request o perm ~transfer ~requester ~tid =
-  put_bool o transfer;
-  put_node o perm requester;
-  put o tid
-
-let rec put_deferred o perm = function
-  | [] -> ()
-  | d :: rest ->
-      (match (d : L2.deferred) with
-      | Deferred_intervention { requester; tid } -> put_request o perm ~transfer:false ~requester ~tid
-      | Deferred_transfer { requester; tid } -> put_request o perm ~transfer:true ~requester ~tid);
-      put_deferred o perm rest
-
-(* A stored entry's phase and slot, a byte each; a held request's
-   renamed requester and tid follow the slot's byte. *)
-let phase_byte : Delegate_cache.phase -> int = function
-  | Busy -> 0 | Exclusive -> 1 | Shared -> 2 | No_entry -> assert false (* never stored *)
-
-let put_slot o perm : Delegate_cache.slot -> unit = function
-  | Free -> put o 0
-  | Recalled -> put o 1
-  | Held { requester; tid } -> put o 2; put_node o perm requester; put o tid
-
-let put_node_record o perm node =
-  (match node.cache with
-  | CI -> put o 0
-  | CS v ->
-      put o 1;
-      put o v
-  | CE v ->
-      put o 2;
-      put o v);
-  (match node.rac with
-  | None -> put o 0
-  | Some v ->
-      put o 1;
-      put o v);
-  (match node.prod with
-  | None -> put o 0
-  | Some p ->
-      put o 1;
-      put o (phase_byte p.phase);
-      put_mask o perm p.psharers;
-      put_mask o perm p.upds;
-      put_slot o perm p.slot;
-      put_mask o perm p.unflushed;
-      put o p.fl_acks);
-  (match node.pend with
-  | None -> put o 0
-  | Some p ->
-      put o 1;
-      put o (match p.pkind with PL -> 0 | PW -> 1);
-      put_bool o p.have_data;
-      put o p.acks;
-      put_bool o p.poisoned;
-      put_node o perm p.target;
-      put o p.tid;
-      put o (List.length p.deferred);
-      put_deferred o perm p.deferred);
-  (match node.hint with
-  | None -> put o 0
-  | Some h ->
-      put o 1;
-      put_node o perm h);
-  put o node.done_;
-  put o node.last_seen;
-  put_bool o node.wbp
+(* Region [r] of the one-byte image [st] from slot [from], renamed, at
+   byte [pos] of [out]; returns where it ends. *)
+let copy_region r perm st from out pos =
+  for s = 0 to r.width - 1 do
+    let c = Bytes.get st (1 + from + s) in
+    Bytes.set out (pos + s)
+      (match r.kinds.(s) with
+      | Plain -> c
+      | kind -> Char.unsafe_chr (renamed perm kind (Char.code c - 64) + 64))
+  done;
+  pos + r.width
 
 let sort_prefix (a : int array) k =
   for i = 1 to k - 1 do
@@ -1313,48 +1318,32 @@ let sort_prefix (a : int array) k =
     a.(!j + 1) <- x
   done
 
-(* One line under [perm] ([inv] is its inverse).  [pk.(0 .. count-1)]
-   is the line's network; [keys] is scratch at least as long. *)
-let write_line o ~perm ~inv ~(keys : int array) (pk : packet array) count st =
-  for j = 0 to Array.length perm - 1 do
-    put_node_record o perm st.ns.(inv.(j))
+(* The one renamer: writes the slots of the checker's line [st] under
+   node permutation [perm] ([inv] is its inverse) at byte [pos] of [out],
+   one byte each, and returns where they end.  Every node id and mask is
+   renamed, node [j]'s slots are node [inv.(j)]'s, and the packets are
+   re-sorted by renamed (src, dst), each pair's queue kept in order: the
+   result is the renamed state's image without its width byte.  [keys]
+   is scratch, an int per packet. *)
+let rename ~perm ~inv ~keys st out pos =
+  let nodes = nodes_of st in
+  let pos = ref (copy_region D.r perm st 0 out pos) in
+  for j = 0 to nodes - 1 do
+    let from = node_slot inv.(j) 0 in
+    pos := copy_region N.r perm st from out !pos
   done;
-  put o (Directory.state_code st.dir);
-  put_mask o perm st.shr;
-  put_node o perm st.own;
-  put_node o perm st.req;
-  put o st.req_tid;
-  put o st.mem;
-  put o st.nextv;
-  let nodes = Array.length perm in
-  put o count;
-  (* key: renamed (src, dst) pair, seq, then the packet's index *)
+  let count = packets st in
+  Bytes.set out !pos (Bytes.get st (count_slot st + 1));
+  incr pos;
   for i = 0 to count - 1 do
-    let p = pk.(i) in
-    let pair = (perm.(p.src) * nodes) + perm.(p.dst) in
-    keys.(i) <- (((pair lsl 20) lor p.seq) lsl 20) lor i
+    let pair = (perm.(msg_node st i P.src) * nodes) + perm.(msg_node st i P.dst) in
+    keys.(i) <- (pair lsl 20) lor i
   done;
   sort_prefix keys count;
-  let pair = ref (-1) and seq = ref 0 in
   for i = 0 to count - 1 do
-    let p = pk.(keys.(i) land 0xfffff) in
-    let this = keys.(i) lsr 40 in
-    seq := if this = !pair then !seq + 1 else 0;
-    pair := this;
-    put o perm.(p.src);
-    put o perm.(p.dst);
-    put o !seq;
-    put_msg o perm p.msg
+    pos := copy_region P.r perm st (packet_slot st (keys.(i) land 0xfffff) 0) out !pos
   done;
-  match st.error with
-  | None -> put o 0
-  | Some e ->
-      let n = String.length e in
-      put o 1;
-      put o n;
-      reserve o n;
-      Bytes.blit_string e 0 o.b o.len n;
-      o.len <- o.len + n
+  !pos
 
 (* [String.compare] of two regions of [b]. *)
 let rec compare_regions b i ilen j jlen =
@@ -1375,9 +1364,9 @@ let rec compare_regions b i ilen j jlen =
    line at once) composed with any permutation of the lines maps
    reachable states to reachable states and preserves all invariants. *)
 
-type mstate = { ls : state array }
+type mstate = Bytes.t array
 
-let initial_mstate params = { ls = Array.init params.lines (fun _ -> initial_state params) }
+let initial_mstate params = Array.init params.lines (fun _ -> initial_state params ~width:1)
 
 let line_label params l label =
   if params.lines > 1 then Printf.sprintf "L%d:%s" l label else label
@@ -1388,16 +1377,16 @@ let line_labels params =
   if params.lines = 1 then [| labels |]
   else Array.init params.lines (fun l -> Array.map (line_label params l) labels)
 
-let line_successors params tables mst l =
-  List.map
-    (fun (label, st') ->
-      let ls = Array.copy mst.ls in
-      ls.(l) <- st';
-      (label, { ls }))
-    (all_successors ~line:l params tables.(l) mst.ls.(l))
+let line_successors params tables (mst : mstate) l =
+  all_successors ~line:l params tables.(l)
+    (fun b ->
+      let ls = Array.copy mst in
+      ls.(l) <- copy_out b;
+      ls)
+    mst.(l)
 
-let mstate_successors params tables mst =
-  match mst.ls with
+let mstate_successors params tables (mst : mstate) =
+  match mst with
   | [| _ |] -> line_successors params tables mst 0
   | ls -> List.concat (List.init (Array.length ls) (line_successors params tables mst))
 
@@ -1405,52 +1394,50 @@ let mstate_successors params tables mst =
    the first group offering an unexplored successor; the soundness
    argument (DESIGN.md, "Verification") depends on this order being a
    fixed function of the line index, not of the state. *)
-let mstate_groups params tables mst =
-  List.init (Array.length mst.ls) (line_successors params tables mst)
+let mstate_groups params tables (mst : mstate) =
+  List.init (Array.length mst) (line_successors params tables mst)
 
 let mstate_invariants params =
   List.concat
     (List.init params.lines (fun l ->
          List.map
-           (fun (name, pred) ->
-             (line_label params l name, fun mst -> pred mst.ls.(l)))
+           (fun (name, pred) -> (line_label params l name, fun (mst : mstate) -> pred mst.(l)))
            invariants_list))
 
 let line_quiescent params st =
-  st.net = []
-  && Array.for_all
-       (fun node -> node.pend = None && node.done_ >= params.max_ops_per_node)
-       st.ns
+  let idle = ref (packets st = 0) in
+  for n = 0 to params.nodes - 1 do
+    idle := !idle && txn st n = Idle && field st n N.done_ >= params.max_ops_per_node
+  done;
+  !idle
 
-let mstate_quiescent params mst = Array.for_all (line_quiescent params) mst.ls
+let mstate_quiescent params (mst : mstate) = Array.for_all (line_quiescent params) mst
 
-let pp_mstate ppf mst =
-  if Array.length mst.ls = 1 then pp_state ppf mst.ls.(0)
+let pp_mstate ppf (mst : mstate) =
+  if Array.length mst = 1 then pp_state ppf mst.(0)
   else begin
     Format.fprintf ppf "@[<v>";
-    Array.iteri (fun l st -> Format.fprintf ppf "line %d: %a@," l pp_state st) mst.ls;
+    Array.iteri (fun l st -> Format.fprintf ppf "line %d: %a@," l pp_state st) mst;
     Format.fprintf ppf "@]"
   end
 
 (* Canonical representative over the node × line symmetry group: for each
-   admissible node permutation, write every line under it, order the
-   interchangeable lines by their bytes (all lines under the symmetric
-   workload; only same-producer lines under the producer-consumer
-   workload, since distinct producers make lines distinguishable), and
-   keep the lexicographically least concatenation over all permutations.
-   The least so far sits at the front of the scratch buffer, and each
-   candidate is written after it.  Self-delimiting parts and
-   params-determined group sizes keep the concatenation injective. *)
+   admissible node permutation, rename every line into one byte a slot,
+   order the interchangeable lines by their bytes (all lines under the
+   symmetric workload; only same-producer lines under the
+   producer-consumer workload, since distinct producers make lines
+   distinguishable), and keep the lexicographically least concatenation
+   over all permutations.  Every candidate has one byte per slot of the
+   state, and the least so far sits at the front of the scratch buffer.
+   Fixed-width lines with a packet count and params-determined group
+   sizes keep the concatenation injective. *)
 
 (* The scratch of [encode_mstate], one per domain, since the checker
    encodes on several domains at once; an encoding allocates only its
-   result.  Line [l]'s network is [pks.(l).(0 .. counts.(l) - 1)], and
-   line [l] of the current candidate is bytes
+   result.  Line [l] of the current candidate is bytes
    [starts.(l), starts.(l+1)). *)
 type scratch = {
-  o : out;
-  mutable pks : packet array array;
-  mutable counts : int array;
+  mutable out : Bytes.t;
   mutable keys : int array;
   mutable starts : int array;
   mutable order : int array;
@@ -1459,41 +1446,20 @@ type scratch = {
 
 let scratch =
   Domain.DLS.new_key (fun () ->
-      {
-        o = { b = Bytes.create 256; len = 0 };
-        pks = [||];
-        counts = [||];
-        keys = [||];
-        starts = [||];
-        order = [||];
-        inv = [||];
-      })
+      { out = Bytes.empty; keys = [||]; starts = [||]; order = [||]; inv = [||] })
 
-let no_packet = { src = 0; dst = 0; seq = 0; msg = MAck }
-
-let rec fill_packets pk i = function
-  | [] -> ()
-  | p :: rest ->
-      pk.(i) <- p;
-      fill_packets pk (i + 1) rest
-
-(* Sizes [sc] for [mst] and copies each line's network into it. *)
-let load_scratch sc nodes mst =
-  let lines = Array.length mst.ls in
-  if Array.length sc.pks < lines then begin
-    sc.pks <- Array.init lines (fun l -> if l < Array.length sc.pks then sc.pks.(l) else [||]);
-    sc.counts <- Array.make lines 0;
+(* Sizes [sc] for [mst], whose lines hold [slots] slots in all. *)
+let prepare sc (mst : mstate) ~slots =
+  let lines = Array.length mst in
+  if Bytes.length sc.out < 3 * slots then sc.out <- Bytes.create (6 * slots);
+  if Array.length sc.order < lines then begin
     sc.starts <- Array.make (lines + 1) 0;
     sc.order <- Array.make lines 0
   end;
-  if Array.length sc.inv < nodes then sc.inv <- Array.make nodes 0;
+  if Array.length sc.inv < nodes_of mst.(0) then sc.inv <- Array.make (nodes_of mst.(0)) 0;
   for l = 0 to lines - 1 do
-    let net = mst.ls.(l).net in
-    let count = List.length net in
-    if Array.length sc.pks.(l) < count then sc.pks.(l) <- Array.make (2 * count) no_packet;
+    let count = packets mst.(l) in
     if Array.length sc.keys < count then sc.keys <- Array.make (2 * count) 0;
-    fill_packets sc.pks.(l) 0 net;
-    sc.counts.(l) <- count;
     sc.order.(l) <- l
   done
 
@@ -1508,26 +1474,31 @@ let line_before params sc a b =
   if ca <> cb then ca < cb
   else
     let starts = sc.starts in
-    compare_regions sc.o.b starts.(a)
+    compare_regions sc.out starts.(a)
       (starts.(a + 1) - starts.(a))
       starts.(b)
       (starts.(b + 1) - starts.(b))
     < 0
 
-(* Writes [perm]'s candidate from [sc.o.len] on and returns where it
-   starts. *)
-let write_candidate params sc mst perm =
-  let o = sc.o and lines = Array.length mst.ls in
+(* Writes [perm]'s candidate from byte [at] on and returns where it
+   starts.  The identity's lines are the images as they are. *)
+let write_candidate params sc (mst : mstate) perm ~identity ~at =
+  let lines = Array.length mst in
   for i = 0 to Array.length perm - 1 do
     sc.inv.(perm.(i)) <- i
   done;
-  let base = o.len in
+  let pos = ref at in
   for l = 0 to lines - 1 do
-    sc.starts.(l) <- o.len;
-    write_line o ~perm ~inv:sc.inv ~keys:sc.keys sc.pks.(l) sc.counts.(l) mst.ls.(l)
+    sc.starts.(l) <- !pos;
+    if identity then begin
+      let len = Bytes.length mst.(l) - 1 in
+      Bytes.blit mst.(l) 1 sc.out !pos len;
+      pos := !pos + len
+    end
+    else pos := rename ~perm ~inv:sc.inv ~keys:sc.keys mst.(l) sc.out !pos
   done;
-  sc.starts.(lines) <- o.len;
-  if lines = 1 then base
+  sc.starts.(lines) <- !pos;
+  if lines = 1 then at
   else begin
     let order = sc.order in
     for i = 1 to lines - 1 do
@@ -1539,36 +1510,34 @@ let write_candidate params sc mst perm =
       done;
       order.(!j + 1) <- x
     done;
-    let cand = o.len in
-    reserve o (cand - base);
+    let cand = !pos in
     for i = 0 to lines - 1 do
       let l = order.(i) in
       let len = sc.starts.(l + 1) - sc.starts.(l) in
-      Bytes.blit o.b sc.starts.(l) o.b o.len len;
-      o.len <- o.len + len
+      Bytes.blit sc.out sc.starts.(l) sc.out !pos len;
+      pos := !pos + len
     done;
     cand
   end
 
 let encode_mstate params =
   let perms = Array.of_list (model_permutations params) in
-  fun mst ->
+  fun (mst : mstate) ->
     let sc = Domain.DLS.get scratch in
-    load_scratch sc params.nodes mst;
-    let o = sc.o in
-    o.len <- 0;
-    (* the least candidate so far is bytes [0, least) *)
-    let least = ref 0 in
-    for k = 0 to Array.length perms - 1 do
-      o.len <- !least;
-      let cand = write_candidate params sc mst perms.(k) in
-      let len = o.len - cand in
-      if k = 0 || compare_regions o.b cand len 0 !least < 0 then begin
-        Bytes.blit o.b cand o.b 0 len;
-        least := len
-      end
+    let slots = ref 0 in
+    for l = 0 to Array.length mst - 1 do
+      slots := !slots + Bytes.length mst.(l) - 1
     done;
-    Bytes.sub_string o.b 0 !least
+    let slots = !slots in
+    prepare sc mst ~slots;
+    (* the least candidate so far is bytes [0, slots); [permutations_fixing]
+       lists the identity first *)
+    for k = 0 to Array.length perms - 1 do
+      let cand = write_candidate params sc mst perms.(k) ~identity:(k = 0) ~at:slots in
+      if k = 0 || compare_regions sc.out cand slots 0 slots < 0 then
+        Bytes.blit sc.out cand sc.out 0 slots
+    done;
+    Bytes.sub_string sc.out 0 slots
 
 (* The largest int the one-byte encoding holds: 192 + 64 wraps to 0. *)
 let max_encoded = 191
@@ -1587,13 +1556,14 @@ let validate params =
           one-byte encoding holds at most %d"
          (params.nodes * params.max_ops_per_node)
          max_encoded);
-  if params.channel_capacity * params.nodes * params.nodes > max_encoded then
+  (* a transition's posts land before [keep] drops an overfull successor *)
+  let in_flight = (params.channel_capacity * params.nodes * params.nodes) + posts params.nodes in
+  if in_flight > max_encoded then
     invalid_arg
       (Printf.sprintf
-         "Protocol_model: in-flight messages reach channel_capacity * nodes^2 = %d; \
-          the one-byte encoding holds at most %d"
-         (params.channel_capacity * params.nodes * params.nodes)
-         max_encoded)
+         "Protocol_model: in-flight messages reach channel_capacity * nodes^2 plus one \
+          transition's posts = %d; the one-byte encoding holds at most %d"
+         in_flight max_encoded)
 
 let make ?(por = true) params =
   validate params;
@@ -1632,316 +1602,61 @@ module Sym = struct
 
   let node_permutations = node_permutations
 
-  let rename_msg perm = function
-    | MFwdS (r, tid) -> MFwdS (rename_node perm r, tid)
-    | MInval r -> MInval (rename_node perm r)
-    | MIntv (r, tid) -> MIntv (rename_node perm r, tid)
-    | MTransfer (r, tid) -> MTransfer (rename_node perm r, tid)
-    | MSwb (v, ns) -> MSwb (v, rename_node perm ns)
-    | MTack o -> MTack (rename_node perm o)
-    | MDelegate (sharers, v, a, tid) -> MDelegate (rename_mask perm sharers, v, a, tid)
-    | MNewHome h -> MNewHome (rename_node perm h)
-    | MUndele (sharers, v, pending) ->
-        MUndele
-          ( rename_mask perm sharers,
-            v,
-            Option.map (fun (r, tid) -> (rename_node perm r, tid)) pending )
-    | ( MGetS _ | MGetX _ | MDataS _ | MDataE _ | MAck | MNack _ | MRecall | MUpdate _
-      | MFlush | MFlushAck | MWb _ | MWbAck ) as m ->
-        m
+  let rename_nodes perm (mst : mstate) : mstate =
+    let inv = Array.make (Array.length perm) 0 in
+    Array.iteri (fun i j -> inv.(j) <- i) perm;
+    Array.map
+      (fun st ->
+        let out = Bytes.create (Bytes.length st) in
+        Bytes.set out 0 '\001';
+        ignore (rename ~perm ~inv ~keys:(Array.make (packets st) 0) st out 1 : int);
+        out)
+      mst
 
-  let rename_state perm st =
-    let ns = Array.make (Array.length st.ns) st.ns.(0) in
-    Array.iteri
-      (fun i node ->
-        ns.(perm.(i)) <-
-          {
-            node with
-            prod =
-              Option.map
-                (fun p ->
-                  {
-                    p with
-                    psharers = rename_mask perm p.psharers;
-                    upds = rename_mask perm p.upds;
-                    slot = (match p.slot with Held h -> Held { h with requester = rename_node perm h.requester } | s -> s);
-                    unflushed = rename_mask perm p.unflushed;
-                  })
-                node.prod;
-            pend =
-              Option.map
-                (fun p ->
-                  {
-                    p with
-                    target = rename_node perm p.target;
-                    deferred =
-                      List.map
-                        (fun (d : L2.deferred) : L2.deferred ->
-                          match d with
-                          | Deferred_intervention { requester; tid } ->
-                              Deferred_intervention { requester = rename_node perm requester; tid }
-                          | Deferred_transfer { requester; tid } ->
-                              Deferred_transfer { requester = rename_node perm requester; tid })
-                        p.deferred;
-                  })
-                node.pend;
-            hint = Option.map (rename_node perm) node.hint;
-          })
-      st.ns;
-    let net =
-      List.map
-        (fun p ->
-          {
-            p with
-            src = rename_node perm p.src;
-            dst = rename_node perm p.dst;
-            msg = rename_msg perm p.msg;
-          })
-        st.net
+  let permute_lines perm (mst : mstate) : mstate =
+    Array.init (Array.length mst) (fun i -> mst.(perm.(i)))
+
+  (* What [encode] must equal, built the plain way: per permutation,
+     rename whole states with [rename_nodes], take each line's slots as a
+     string, sort the interchangeable lines and concatenate; keep the
+     least. *)
+  let reference_encode params (mst : mstate) =
+    let slots st = Bytes.sub_string st 1 (Bytes.length st - 1) in
+    let sort_parts parts =
+      match params.workload with
+      | Symmetric -> List.sort String.compare parts
+      | Producer_consumer ->
+          let k = params.nodes - 1 in
+          let classes = Array.make k [] in
+          List.iteri (fun l part -> classes.(l mod k) <- part :: classes.(l mod k)) parts;
+          Array.to_list classes |> List.concat_map (List.sort String.compare)
     in
-    {
-      st with
-      ns;
-      net;
-      shr = rename_mask perm st.shr;
-      own = rename_node perm st.own;
-      req = rename_node perm st.req;
-    }
-
-  let rename_nodes perm mst = { ls = Array.map (fun st -> norm (rename_state perm st)) mst.ls }
-
-  let permute_lines perm mst = { ls = Array.init (Array.length mst.ls) (fun i -> mst.ls.(perm.(i))) }
-
-  (* The encoder [encode] replaced, kept as its reference: per
-     permutation, rename a copy of the whole state, normalize it again
-     (sorting with polymorphic [compare]), serialize each line into its
-     own string, and keep the least concatenation. *)
-  module Reference = struct
-    let norm st =
-      let sorted = List.sort compare st.net in
-      let rec renumber last counter acc = function
-        | [] -> List.rev acc
-        | p :: rest ->
-            let pair = (p.src, p.dst) in
-            let counter = if last = Some pair then counter + 1 else 0 in
-            renumber (Some pair) counter ({ p with seq = counter } :: acc) rest
-      in
-      { st with net = renumber None 0 [] sorted }
-
-    let byte buf n = Buffer.add_char buf (Char.unsafe_chr ((n + 64) land 0xff))
-
-    let enc_bool buf x = byte buf (if x then 1 else 0)
-
-    let enc_opt enc buf = function
-      | None -> byte buf 0
-      | Some x ->
-          byte buf 1;
-          enc buf x
-
-    let enc_cache buf = function
-      | CI -> byte buf 0
-      | CS v ->
-          byte buf 1;
-          byte buf v
-      | CE v ->
-          byte buf 2;
-          byte buf v
-
-    let enc_prod buf p =
-      byte buf (phase_byte p.phase);
-      byte buf p.psharers;
-      byte buf p.upds;
-      (match p.slot with
-      | Free -> byte buf 0
-      | Recalled -> byte buf 1
-      | Held { requester; tid } -> List.iter (byte buf) [ 2; requester; tid ]);
-      byte buf p.unflushed;
-      byte buf p.fl_acks
-
-    let enc_pend buf p =
-      byte buf (match p.pkind with PL -> 0 | PW -> 1);
-      enc_bool buf p.have_data;
-      byte buf p.acks;
-      enc_bool buf p.poisoned;
-      byte buf p.target;
-      byte buf p.tid;
-      byte buf (List.length p.deferred);
-      List.iter
-        (fun (d : L2.deferred) ->
-          let transfer, r, tid =
-            match d with
-            | Deferred_intervention { requester; tid } -> (false, requester, tid)
-            | Deferred_transfer { requester; tid } -> (true, requester, tid)
-          in
-          enc_bool buf transfer;
-          byte buf r;
-          byte buf tid)
-        p.deferred
-
-    let enc_msg buf = function
-      | MGetS tid ->
-          byte buf 0;
-          byte buf tid
-      | MGetX tid ->
-          byte buf 1;
-          byte buf tid
-      | MFwdS (r, tid) ->
-          byte buf 2;
-          byte buf r;
-          byte buf tid
-      | MInval r ->
-          byte buf 3;
-          byte buf r
-      | MIntv (r, tid) ->
-          byte buf 4;
-          byte buf r;
-          byte buf tid
-      | MTransfer (r, tid) ->
-          byte buf 5;
-          byte buf r;
-          byte buf tid
-      | MDataS (v, tid) ->
-          byte buf 6;
-          byte buf v;
-          byte buf tid
-      | MDataE (v, a, tid) ->
-          byte buf 7;
-          byte buf v;
-          byte buf a;
-          byte buf tid
-      | MAck -> byte buf 8
-      | MSwb (v, ns) ->
-          byte buf 9;
-          byte buf v;
-          byte buf ns
-      | MTack o ->
-          byte buf 10;
-          byte buf o
-      | MNack (r, tid) ->
-          byte buf 11;
-          byte buf (nack_code r);
-          byte buf tid
-      | MDelegate (s, v, a, tid) ->
-          byte buf 12;
-          byte buf s;
-          byte buf v;
-          byte buf a;
-          byte buf tid
-      | MNewHome h ->
-          byte buf 13;
-          byte buf h
-      | MRecall -> byte buf 14
-      | MUndele (s, v, p) ->
-          byte buf 15;
-          byte buf s;
-          enc_opt byte buf v;
-          enc_opt
-            (fun buf (r, tid) ->
-              byte buf r;
-              byte buf tid)
-            buf p
-      | MUpdate v ->
-          byte buf 16;
-          byte buf v
-      | MFlush -> byte buf 17
-      | MFlushAck -> byte buf 18
-      | MWb v ->
-          byte buf 19;
-          byte buf v
-      | MWbAck -> byte buf 20
-
-    let enc_line buf st =
-      Array.iter
-        (fun n ->
-          enc_cache buf n.cache;
-          enc_opt byte buf n.rac;
-          enc_opt enc_prod buf n.prod;
-          enc_opt enc_pend buf n.pend;
-          enc_opt byte buf n.hint;
-          byte buf n.done_;
-          byte buf n.last_seen;
-          enc_bool buf n.wbp)
-        st.ns;
-      byte buf (Directory.state_code st.dir);
-      byte buf st.shr;
-      byte buf st.own;
-      byte buf st.req;
-      byte buf st.req_tid;
-      byte buf st.mem;
-      byte buf st.nextv;
-      byte buf (List.length st.net);
-      List.iter
-        (fun p ->
-          byte buf p.src;
-          byte buf p.dst;
-          byte buf p.seq;
-          enc_msg buf p.msg)
-        st.net;
-      match st.error with
-      | None -> byte buf 0
-      | Some e ->
-          byte buf 1;
-          byte buf (String.length e);
-          Buffer.add_string buf e
-
-    let encode params mst =
-      let sort_parts parts =
-        match params.workload with
-        | Symmetric -> List.sort String.compare parts
-        | Producer_consumer ->
-            let k = params.nodes - 1 in
-            let classes = Array.make k [] in
-            List.iteri (fun l part -> classes.(l mod k) <- part :: classes.(l mod k)) parts;
-            Array.to_list classes |> List.concat_map (List.sort String.compare)
-      in
-      let buf = Buffer.create 256 in
-      let encode_with perm st =
-        Buffer.clear buf;
-        enc_line buf (norm (rename_state perm st));
-        Buffer.contents buf
-      in
-      let many = Array.length mst.ls > 1 in
-      let best = ref None in
-      List.iter
-        (fun perm ->
-          let parts = Array.to_list (Array.map (encode_with perm) mst.ls) in
-          let parts = if many then sort_parts parts else parts in
-          let candidate = String.concat "" parts in
-          match !best with
-          | Some b when String.compare b candidate <= 0 -> ()
-          | _ -> best := Some candidate)
-        (model_permutations params);
-      Option.get !best
-  end
-
-  let reference_encode = Reference.encode
+    List.fold_left
+      (fun best perm ->
+        let parts = Array.to_list (Array.map slots (rename_nodes perm mst)) in
+        let parts = if Array.length mst > 1 then sort_parts parts else parts in
+        let candidate = String.concat "" parts in
+        match best with Some b when String.compare b candidate <= 0 -> best | _ -> Some candidate)
+      None (model_permutations params)
+    |> Option.get
 
   (* A symmetry-invariant projection of the observable facts: any two
      states related by a node/line permutation agree on it, so
      [encode a = encode b] must imply [semantic_sig a = semantic_sig b]. *)
-  let semantic_sig mst =
+  let semantic_sig (mst : mstate) =
     let line_sig st =
-      let dir = dir_name st.dir in
-      let popcount mask = List.length (bits_list mask) in
       let per_node =
-        Array.to_list
-          (Array.map
-             (fun n ->
-               Printf.sprintf "%s/%d/%d"
-                 (match n.cache with
-                 | CI -> "I"
-                 | CS v -> Printf.sprintf "S%d" v
-                 | CE v -> Printf.sprintf "E%d" v)
-                 n.done_ n.last_seen)
-             st.ns)
+        List.init (nodes_of st) (fun n ->
+            Printf.sprintf "%s/%d/%d" (cache_name st n) (field st n N.done_) (field st n N.seen))
         |> List.sort String.compare
       in
-      Printf.sprintf "%s|%d|%d|%d|%d|%s" dir st.mem st.nextv (popcount st.shr)
-        (List.length st.net)
-        (String.concat "," per_node)
+      Printf.sprintf "%s|%d|%d|%d|%d|%s"
+        (dir_name dstates.(get st D.dir))
+        (get st D.mem) (get st D.stores)
+        (popcount (get st D.sharers))
+        (packets st) (String.concat "," per_node)
     in
-    Array.to_list (Array.map line_sig mst.ls)
-    |> List.sort String.compare |> String.concat ";"
+    Array.to_list (Array.map line_sig mst) |> List.sort String.compare |> String.concat ";"
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1954,43 +1669,51 @@ end
    simulator.  [Step] re-exposes the same transition system with the
    state abstract-but-inspectable. *)
 module Step = struct
-  type nonrec state = state
+  type state = Bytes.t
+
+  let max_value = 0x7fff
 
   let initial params =
     if params.nodes > label_nodes then
       invalid_arg
         (Printf.sprintf "Protocol_model.Step: at most %d nodes" label_nodes);
-    initial_state params
+    if
+      params.nodes * params.max_ops_per_node > max_value
+      || params.channel_capacity * params.nodes * params.nodes > max_value
+    then
+      invalid_arg
+        (Printf.sprintf "Protocol_model.Step: a slot holds values up to %d" max_value);
+    initial_state params ~width:2
 
-  let successors params st = all_successors params labels st
+  let successors params st = all_successors params labels copy_out st
 
   let invariants = invariants_list
 
-  let done_count st n = st.ns.(n).done_
+  let done_count st n = field st n N.done_
 
-  let last_seen st n = st.ns.(n).last_seen
+  let last_seen st n = field st n N.seen
 
-  let has_pending st n = st.ns.(n).pend <> None
+  let has_pending st n = txn st n <> Idle
 
-  let store_count st = st.nextv
+  let store_count st = get st D.stores
 
-  let net_size st = List.length st.net
+  let net_size = packets
 
   let dir_stable st =
-    match st.dir with Busy_shared | Busy_excl -> false | Unowned | Shared_s | Excl | Dele -> true
+    match dstates.(get st D.dir) with
+    | Busy_shared | Busy_excl -> false
+    | Unowned | Shared_s | Excl | Dele -> true
 
   let final_value st =
-    match st.dir with
-    | Unowned | Shared_s -> Some st.mem
-    | Excl | Busy_shared | Busy_excl -> (
-        if st.own < 0 then None
-        else
-          match st.ns.(st.own).cache with CE v | CS v -> Some v | CI -> None)
+    let own = node_at st D.owner in
+    match dstates.(get st D.dir) with
+    | Unowned | Shared_s -> Some (get st D.mem)
+    | Excl | Busy_shared | Busy_excl ->
+        if own < 0 || copy st own = No_copy then None else Some (field st own N.cache_value)
     | Dele -> (
-        let node = st.ns.(st.own) in
-        match node.cache with CE v | CS v -> Some v | CI -> node.rac)
+        match line_value st own with -1 -> None | v -> Some v)
 
-  let error st = st.error
+  let error st = if get st D.error = 0 then None else Some (error_text st)
 
   let pp = pp_state
 end

@@ -89,9 +89,11 @@ val make : ?por:bool -> params -> (module Checker.MODEL)
     for cross-checking that reduction preserves verdicts.
 
     @raise Invalid_argument when [nodes] is outside 2..7, [lines < 1],
-    [max_ops_per_node < 0], or a value the one-byte state encoding must
+    [max_ops_per_node < 0], or a value the checker's one-byte slots must
     hold could exceed 191: versions ([nodes * max_ops_per_node]) or
-    in-flight messages ([channel_capacity * nodes * nodes]). *)
+    in-flight messages ([channel_capacity * nodes * nodes], plus the
+    [4 * nodes + 8] one transition may post before its successor is
+    dropped for overfilling a channel). *)
 
 (** The same transition system with an inspectable (single-line) state,
     for drivers that steer the model along one specific execution instead
@@ -108,8 +110,13 @@ val make : ?por:bool -> params -> (module Checker.MODEL)
 module Step : sig
   type state
 
+  val max_value : int
+  (** The largest value a state's two-byte slots hold. *)
+
   val initial : params -> state
-  (** @raise Invalid_argument when [nodes] exceeds 8. *)
+  (** @raise Invalid_argument when [nodes] exceeds 8, or when versions
+      ([nodes * max_ops_per_node]) or in-flight messages
+      ([channel_capacity * nodes * nodes]) could exceed {!max_value}. *)
 
   val successors : params -> state -> (string * state) list
   (** Every enabled labeled transition from [state]. *)
@@ -160,9 +167,11 @@ module Sym : sig
   (** The packed model's canonical encoding. *)
 
   val reference_encode : params -> mstate -> string
-  (** The encoder [encode] replaced: rename a copy of the state per
-      permutation, normalize it again, serialize it, and keep the least
-      result.  Slow; [encode] must match it byte for byte. *)
+  (** [encode] built the plain way: per permutation, rename the whole
+      state with {!rename_nodes}, take each line's slots as a string,
+      sort the interchangeable lines and concatenate; keep the least.
+      Slow; [encode], which renames into one buffer and orders the lines
+      in place, must match it byte for byte. *)
 
   val node_permutations : int -> int array list
   (** All permutations of nodes [1..n-1] (home fixed), as arrays mapping

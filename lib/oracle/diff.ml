@@ -242,7 +242,9 @@ let replay ?(max_lines = 400) ?(chaos = 0.25) ?(step_budget = 20_000) ~seed ~sys
       let model_nodes =
         1 + List.length (List.filter (fun n -> n <> home) participants)
       in
-      if i >= max_lines || model_nodes > max_model_nodes then incr skipped
+      (* the model's slots must hold every version and tid the line replays *)
+      let too_wide = max 2 model_nodes * (List.length ops + 1) > Step.max_value in
+      if i >= max_lines || model_nodes > max_model_nodes || too_wide then incr skipped
       else begin
         incr checked;
         try

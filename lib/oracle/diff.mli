@@ -27,9 +27,11 @@
     rejecting an operation the simulator committed, or failing to drain —
     is reported as a {!divergence}.
 
-    Lines whose participant set exceeds the model's practical size are
-    skipped (and counted); under [max_lines] the busiest multi-node lines
-    are replayed first. *)
+    Lines whose participant set exceeds the model's practical size, or
+    whose versions could pass its slots' width
+    ({!Pcc_mcheck.Protocol_model.Step.max_value}), are skipped (and
+    counted); under [max_lines] the busiest multi-node lines are replayed
+    first. *)
 
 open Pcc_core
 
@@ -37,7 +39,7 @@ type divergence = { d_line : Types.line; d_detail : string }
 
 type outcome = {
   lines_checked : int;
-  lines_skipped : int;  (** too many participants, or over [max_lines] *)
+  lines_skipped : int;  (** too many participants or ops, or over [max_lines] *)
   ops_replayed : int;
   model_steps : int;
   divergences : divergence list;

@@ -569,10 +569,11 @@ let suite =
        record per hub-link frame took them to 193, 251 and 267 *)
     Alcotest.test_case "base protocol under budget" `Quick
       (check "base" 260.0 (Config.base ~nodes ()));
-    (* measured 637 words/state; 2,000 trips a return to a renamed copy
-       of the state per permutation and a formatted label per successor,
-       which cost 2,568 *)
-    Alcotest.test_case "model checker under budget" `Quick (check_checker 2_000.0);
+    (* measured 141 words/state, about half the budget: each successor
+       allocates its line's one-byte slot image; states built from
+       records and lists took 403, and a renamed copy of the state per
+       permutation with a formatted label per successor 2,568 *)
+    Alcotest.test_case "model checker under budget" `Quick (check_checker 300.0);
     Alcotest.test_case "model checker memory under budget" `Quick
       (check_checker_memory 60.0);
     Alcotest.test_case "full adaptive machine under budget" `Quick

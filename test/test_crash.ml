@@ -189,6 +189,46 @@ let test_lost_grant_rebuilt () =
   let report = Oracle.Runner.run ~diff:false desc in
   Alcotest.(check (list string)) "clean verdict" [] report.failures
 
+(* A home records Dele when it decides to delegate and sends the
+   Delegate only after its directory and memory latency; one that
+   crashed in between (mp, delegation, storm, seed 8: home 2 took node
+   1's Get_exclusive at 3,960 and crashed at 3,984), or whose Delegate
+   a lossy link kept from landing before the crash (random, full,
+   drops, seed 53: home 0 sent node 2 the Delegate at 10,588 and crashed
+   at 10,719), left the entry Dele at a live owner with no producer
+   entry, which its own home NACKed Busy until the watchdog declared a
+   stall.  Recovery now rebuilds such an entry from survivors. *)
+let test_orphaned_delegation_rebuilt () =
+  List.iter
+    (fun (bench, config_name, protocol, profile, seed, txn_timeout, fallback_threshold) ->
+      let desc =
+        {
+          Oracle.Trace.default with
+          bench;
+          config_name;
+          protocol;
+          nodes = 3;
+          seed;
+          chaos =
+            Some
+              {
+                profile;
+                crash = Seeded 1;
+                restart_after = 5_000;
+                txn_timeout;
+                fallback_threshold;
+              };
+        }
+      in
+      let report = Oracle.Runner.run ~diff:false desc in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s %s %s seed %d" bench config_name profile seed)
+        [] report.failures)
+    [
+      ("random", "full", Some Types.Adaptive, "drops", 53, 2_000, 2);
+      ("litmus:test=mp", "delegation", None, "storm", 8, 5_000, 3);
+    ]
+
 (* ---------------- stale forwarded requests ---------------- *)
 
 (* The home's Intervention or Transfer to a victim that crashed is still
@@ -359,6 +399,8 @@ let suite =
       test_restart_gets_no_orphan_update;
     Alcotest.test_case "home crash with a lost grant is rebuilt" `Quick
       test_lost_grant_rebuilt;
+    Alcotest.test_case "home crash before its Delegate landed is rebuilt" `Quick
+      test_orphaned_delegation_rebuilt;
     Alcotest.test_case "restarted node takes no stale forwarded request" `Quick
       test_stale_forwarded_dropped;
     Alcotest.test_case "recorder reconstructs recovery spans" `Quick

@@ -438,9 +438,10 @@ let prop_distinct_states_hash_distinct =
       then Q.Test.fail_report "distinct observables, same canonical hash";
       true)
 
-(* the direct encoder writes exactly the bytes of the renamed-state
-   encoder it replaced, on every state of a walk, across node counts,
-   line counts and both workloads *)
+(* the direct encoder, which renames into one buffer and orders the
+   lines in place, writes exactly the bytes of renaming whole states and
+   sorting their lines as strings, on every state of a walk, across node
+   counts, line counts and both workloads *)
 let prop_encode_matches_reference =
   let config =
     Q.make
@@ -471,8 +472,8 @@ let prop_encode_matches_reference =
    expands the unpacked copy, so a state must behave the same after the
    round trip: same encoding, same successors (labels, order and
    encodings, per transition group too) and same invariant verdicts.
-   This guards the models' use of physical equality, such as
-   [remove_packet]'s [==], and catches any closure that enters a
+   This guards the models' use of physical equality, such as the
+   invariants' cached view, and catches any closure that enters a
    state. *)
 let repack_agrees (type s) (module M : Checker.MODEL with type state = s) picks =
   let view successors = List.map (fun (label, st) -> (label, M.encode st)) successors in
@@ -589,6 +590,87 @@ let test_golden_counterexample () =
         "which invariant" "consistency within the directory" invariant;
       Alcotest.(check (list string)) "canonical minimal trace" golden_trace trace
   | _ -> Alcotest.fail "expected a violation"
+
+(* Replays a counterexample label by label through [Step]: every state
+   before the last passes every invariant, and the last breaks
+   [invariant].  A trace that moves with the canonical digests is then
+   checked by more than its bytes. *)
+let replay_counterexample name params ~invariant trace =
+  let module Step = Protocol_model.Step in
+  let broken st =
+    List.filter_map (fun (inv, holds) -> if holds st then None else Some inv) Step.invariants
+  in
+  let last =
+    List.fold_left
+      (fun st label ->
+        (match broken st with
+        | [] -> ()
+        | invs -> Alcotest.failf "%s: %s broken before %s" name (String.concat ", " invs) label);
+        match List.assoc_opt label (Step.successors params st) with
+        | Some st -> st
+        | None -> Alcotest.failf "%s: %s not offered" name label)
+      (Step.initial params) trace
+  in
+  Alcotest.(check (list string)) (name ^ ": broken at the last state") [ invariant ] (broken last)
+
+(* The golden trace above and the seeded-bug goldens of test/mcheck,
+   each under the parameters its pcc_check command gives. *)
+let test_counterexamples_replay () =
+  replay_counterexample "golden trace" violating_params
+    ~invariant:"consistency within the directory" golden_trace;
+  let d = Protocol_model.default_params in
+  List.iter
+    (fun (file, params) ->
+      let lines =
+        String.split_on_char '\n'
+          (In_channel.with_open_text (Filename.concat "mcheck" file) In_channel.input_all)
+      in
+      match lines with
+      | first :: steps :: rest ->
+          let invariant = Scanf.sscanf first "INVARIANT '%[^']' VIOLATED" Fun.id in
+          let rec labels = function
+            | l :: rest when String.starts_with ~prefix:"  " l -> String.trim l :: labels rest
+            | _ -> []
+          in
+          let trace = labels rest in
+          Alcotest.(check int) (file ^ ": trace length")
+            (Scanf.sscanf steps "trace (%d steps):" Fun.id)
+            (List.length trace);
+          replay_counterexample file params ~invariant trace
+      | _ -> Alcotest.failf "%s: not a counterexample" file)
+    [
+      ( "CHECK_bug_skip_invals.txt",
+        { d with max_ops_per_node = 1; bug = Some Skip_invals_on_delegate } );
+      ("CHECK_bug_no_poison.txt", { d with bug = Some No_poison_on_inval });
+      ("CHECK_bug_no_resharing.txt", { d with bug = Some Updates_without_resharing });
+    ]
+
+(* [Step]'s slots are two bytes wide, so the differential replay can
+   drive long lines: a producer committing 300 stores counts all of them,
+   past the 191 a checker slot holds; [initial] refuses parameters whose
+   versions could pass [max_value]. *)
+let test_step_slot_width () =
+  let module Step = Protocol_model.Step in
+  let params = { Protocol_model.default_params with nodes = 2; max_ops_per_node = 300 } in
+  let take st label =
+    match List.assoc_opt label (Step.successors params st) with
+    | Some st -> st
+    | None -> Alcotest.failf "%s not offered" label
+  in
+  let st =
+    List.fold_left take (Step.initial params)
+      [ "n1:issue-store-miss"; "deliver[1->0]:getx"; "deliver[0->1]:datae" ]
+  in
+  let st = ref st in
+  for _ = 2 to 300 do
+    st := take !st "n1:issue-store-hit"
+  done;
+  Alcotest.(check int) "stores" 300 (Step.store_count !st);
+  Alcotest.(check int) "last seen" 300 (Step.last_seen !st 1);
+  Alcotest.(check (option int)) "final value" (Some 300) (Step.final_value !st);
+  match Step.initial { params with max_ops_per_node = (Step.max_value / 2) + 1 } with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "accepted versions past a slot's width"
 
 (* The model runs the simulator's rule for a Get_exclusive that meets a
    fenced producer: held, not NACKed; the flush round starts; and the
@@ -720,6 +802,8 @@ let suite =
       test_adaptive_invariants;
     Alcotest.test_case "golden: minimal canonical counterexample" `Quick
       test_golden_counterexample;
+    Alcotest.test_case "counterexamples replay through Step" `Quick test_counterexamples_replay;
+    Alcotest.test_case "Step holds values past a checker slot" `Quick test_step_slot_width;
     Alcotest.test_case "held write rides the undelegation" `Quick test_held_write_in_model;
     Alcotest.test_case "verdict byte-stable across jobs" `Quick
       test_verdict_byte_stable_across_jobs;
