@@ -19,12 +19,15 @@ let initial_window = 16
    dense and acknowledgements cumulative, so the unacked frames are
    exactly the window [base, next_seq): a ring indexed by seq holds the
    payload of each seq's first send (re-sent as is on every
-   retransmission) and its wire bytes.  An ack advances [base]. *)
+   retransmission), its wire bytes and the handle of its pending
+   retransmit timer.  An ack advances [base] and cancels the released
+   frames' timers. *)
 type 'a link_out = {
   mutable base : int;
   mutable next_seq : int;
   mutable payloads : 'a array;
   mutable sizes : int array;
+  mutable timers : Sim.handle array;
 }
 
 (* Receiver half of one (src -> this node) link: frames that arrive ahead
@@ -80,21 +83,24 @@ let retransmits_by_link t =
    outage ends) but bounded in rate. *)
 let backoff t attempt = min t.rto_cap (t.rto lsl min attempt 16)
 
-(* The retransmit timer is a typed engine event whose argument packs
-   (seq, attempt, dst).  [dst] fits 6 bits (Nodeset caps machines at 62
-   nodes).  [backoff] ignores attempts above 16, so saturating the count
-   at 17 keeps every delay exact in 5 bits.  The attempt rides in the
-   timer, not in the ring: after [requeue_peer] a stale timer whose seq
-   collides with a re-sent frame retransmits it with its own backoff. *)
+(* The retransmit timer is a cancellable typed engine event whose
+   argument packs (seq, attempt, dst).  [dst] fits 6 bits (Nodeset caps
+   machines at 62 nodes).  [backoff] ignores attempts above 16, so
+   saturating the count at 17 keeps every delay exact in 5 bits.  The
+   attempt rides in the timer, not in the ring: after [requeue_peer] a
+   stale timer whose seq collides with a re-sent frame retransmits it
+   with its own backoff.  Arming stores the handle in the frame's ring
+   slot, where the ack that releases the frame finds it. *)
 let dst_bits = 6
 
 let attempt_bits = 5
 
 let max_attempt = 17
 
-let arm_retransmit t ~dst ~seq ~attempt =
-  Sim.schedule_call t.sim ~delay:(backoff t attempt) t.on_timer
-    ((((seq lsl attempt_bits) lor attempt) lsl dst_bits) lor dst)
+let arm_retransmit t o i ~dst ~seq ~attempt =
+  o.timers.(i) <-
+    Sim.schedule_timer t.sim ~delay:(backoff t attempt) t.on_timer
+      ((((seq lsl attempt_bits) lor attempt) lsl dst_bits) lor dst)
 
 let retransmit t arg =
   let dst = arg land ((1 lsl dst_bits) - 1) in
@@ -108,7 +114,7 @@ let retransmit t arg =
     t.on_retransmit ~dst;
     Network.send_tagged t.network ~src:t.id ~dst ~bytes:o.sizes.(i) ~tag:seq
       o.payloads.(i);
-    arm_retransmit t ~dst ~seq ~attempt:(min max_attempt (attempt + 1))
+    arm_retransmit t o i ~dst ~seq ~attempt:(min max_attempt (attempt + 1))
   end
 
 (* The ring filler, taken from the payload at hand when the first ring
@@ -126,14 +132,17 @@ let vacate t ring i = match t.filler with Some f -> ring.(i) <- f | None -> ()
 let grow_window t o payload =
   let capacity = max initial_window (2 * Array.length o.payloads) in
   let payloads = Array.make capacity (filler t payload)
-  and sizes = Array.make capacity 0 in
+  and sizes = Array.make capacity 0
+  and timers = Array.make capacity Sim.no_handle in
   for seq = o.base to o.next_seq - 1 do
     let i = seq land (Array.length o.payloads - 1) and j = seq land (capacity - 1) in
     payloads.(j) <- o.payloads.(i);
-    sizes.(j) <- o.sizes.(i)
+    sizes.(j) <- o.sizes.(i);
+    timers.(j) <- o.timers.(i)
   done;
   o.payloads <- payloads;
-  o.sizes <- sizes
+  o.sizes <- sizes;
+  o.timers <- timers
 
 let send t ~dst ~bytes payload =
   if (not t.reliable) || dst = t.id then
@@ -150,13 +159,16 @@ let send t ~dst ~bytes payload =
     o.sizes.(i) <- bytes;
     o.next_seq <- seq + 1;
     Network.send_tagged t.network ~src:t.id ~dst ~bytes ~tag:seq payload;
-    arm_retransmit t ~dst ~seq ~attempt:0
+    arm_retransmit t o i ~dst ~seq ~attempt:0
   end
 
-(* Drop the window's frames up to [stop] (exclusive) and advance [base]. *)
+(* Drop the window's frames up to [stop] (exclusive), cancel their
+   retransmit timers and advance [base]. *)
 let release_upto t o stop =
   for seq = o.base to stop - 1 do
-    vacate t o.payloads (seq land (Array.length o.payloads - 1))
+    let i = seq land (Array.length o.payloads - 1) in
+    Sim.cancel t.sim o.timers.(i);
+    vacate t o.payloads i
   done;
   if stop > o.base then o.base <- stop
 
@@ -248,7 +260,12 @@ let clear_held t inn =
   Array.fill inn.held_seq 0 (Array.length inn.held_seq) (-1);
   Array.iteri (fun i _ -> vacate t inn.held i) inn.held
 
-(* Empty the unacked window and restart sequence numbering at [next_seq]. *)
+(* Empty the unacked window and restart sequence numbering at
+   [next_seq].  The frames' timers stay queued: each finds its seq
+   outside the window and dies, unless a restart at seq 0 put a new
+   frame there (see [requeue_peer]).  Their handles stay in the ring
+   unread: a send overwrites a slot's handle before its seq re-enters
+   the window. *)
 let restart_window t o ~next_seq =
   Array.iteri (fun i _ -> vacate t o.payloads i) o.payloads;
   o.base <- next_seq;
@@ -277,9 +294,11 @@ let drop_peer t ~peer =
    that the caller does not mark [droppable], in order, through the
    normal reliable path — the re-sent frames carry current epoch stamps,
    so they survive until the restarted peer can receive them.  Old
-   retransmission timers outlive the realignment; a timer whose old seq
-   collides with a re-issued one merely retransmits that frame early,
-   which the receiver dedups. *)
+   retransmission timers of frames still unacked outlive the
+   realignment; a timer whose old seq collides with a re-issued one
+   merely retransmits that frame early, which the receiver dedups.  A
+   frame acked before the realignment has no timer left: its ack
+   cancelled it. *)
 let requeue_peer t ~peer ~droppable =
   let o = t.out.(peer) in
   let pending =
@@ -315,7 +334,7 @@ let create ~sim ~network ~id ~nodes ~reliable ~rto ~rto_cap ~ack_bytes ~on_retra
       ack_bytes;
       out =
         Array.init nodes (fun _ ->
-            { base = 0; next_seq = 0; payloads = [||]; sizes = [||] });
+            { base = 0; next_seq = 0; payloads = [||]; sizes = [||]; timers = [||] });
       inn = Array.init nodes (fun _ -> { expected = 0; held_seq = [||]; held = [||] });
       retx_by_dst = Array.make nodes 0;
       on_retransmit;

@@ -23,9 +23,15 @@
     advances [base].  Payloads held for reassembly sit in a seq-tagged
     ring on the receiving side.  Both rings start at 16 slots on first
     use and double when a window outgrows them.  The retransmit timer is
-    a typed engine event ({!Pcc_engine.Simulator.schedule_call}) whose
-    argument packs the destination, the seq and the attempt count, so
-    sending, acknowledging and retransmitting a frame allocate nothing.
+    a cancellable typed engine event
+    ({!Pcc_engine.Simulator.schedule_timer}) whose argument packs the
+    destination, the seq and the attempt count; its handle sits in the
+    send ring beside the payload, and the acknowledgement that releases
+    a frame cancels its timer.  So sending, acknowledging and
+    retransmitting a frame allocate nothing, and an acknowledged frame
+    leaves no event behind.  The crash surgery below leaves queued
+    timers alone: the timer of a frame still unacked at a realignment
+    stays queued and may retransmit the frame re-sent at its seq.
 
     With [reliable = false] (no fault injection configured) the layer is
     a strict pass-through: no sequence tracking, no acknowledgement

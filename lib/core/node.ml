@@ -92,13 +92,24 @@ type t = {
          cache would have run identically (bench dedup) *)
   mutable next_tid : int;
   mutable pending : pending option;
+  mutable timeout : Sim.handle;  (* the pending transaction's completion timeout *)
+  mutable hit_held : bool;  (* an L2 hit waits out its latency *)
+  mutable rac_hit_value : int;  (* the value a RAC-hit load commits *)
+  mutable ob_dst : int array;
+      (* the outbox: messages waiting out a [send_after] delay, in the
+         slots their timers name; ob_free.(0 .. ob_free_top-1) are
+         unused *)
+  mutable ob_msg : Message.t array;
+  mutable ob_free : int array;
+  mutable ob_free_top : int;
+  mutable on_timer : int -> unit;  (* runs every node timer; see [run_timer] *)
   mutable alive : bool;
   mutable node_epoch : int;  (* incarnation count, mirrors the network's *)
 }
 
 let id t = t.id
 
-let busy t = t.pending <> None
+let busy t = t.pending <> None || t.hit_held
 
 (* Protocol decision points, recorded straight into the flight ring. *)
 let note t ~code ~line ~arg = Probe.note t.probe ~node:t.id ~code ~line ~arg
@@ -197,21 +208,87 @@ let send t ~dst msg =
 
 let peer_alive t node = Array.get t.alive_view node
 
-(* Every protocol timer and delayed send goes through [sched]: on a
-   crash-capable machine a closure armed by a previous incarnation of
-   this node (or while it was up, for a node now down) must not fire —
-   it would resurrect pre-crash transactions or commit zombie operations.
-   Without crashes this is exactly [Sim.schedule]. *)
-let sched t ~delay f =
-  if not t.crashable then Sim.schedule t.sim ~delay f
-  else begin
-    let epoch = t.node_epoch in
-    Sim.schedule t.sim ~delay (fun () -> if t.alive && t.node_epoch = epoch then f ())
-  end
+(* ------------------------------------------------------------------ *)
+(* Node timers                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Every protocol timer and delayed send is one typed engine event run
+   by [t.on_timer], which the node builds once, so arming a timer
+   allocates nothing.  Its int argument packs the timer's kind (low
+   [kind_bits]), the node's incarnation when it was armed (next
+   [epoch_bits]) and a payload naming the timer's state: a tid for the
+   transaction timers (tids are unique per node for the whole run), a
+   line for the delayed intervention, an outbox slot for a delayed
+   send.  An L2 hit's commit is the one closure left (see [submit]).
+   The kinds: *)
+let timer_rac_load = 0 (* a RAC-hit load commits [rac_hit_value] *)
+
+let timer_store_done = 1 (* a locally served store completes *)
+
+let timer_retry = 2 (* a NACKed request goes out again *)
+
+let timer_intervention = 3 (* the delayed intervention after a write burst (§2.4) *)
+
+let timer_send_out = 4 (* a [send_after] message leaves the outbox *)
+
+let timer_timeout = 5 (* the completion timeout; cancellable *)
+
+let kind_bits = 3
+
+let epoch_bits = 16
+
+(* A timer or closure armed in incarnation [epoch] may still act: on a
+   crash-capable machine one armed by an earlier incarnation of this
+   node (or while it was up, for a node now down) must not — it would
+   resurrect pre-crash transactions or commit zombie operations. *)
+let current t epoch = (not t.crashable) || (t.alive && epoch = t.node_epoch)
+
+let timer_arg t kind payload =
+  (((payload lsl epoch_bits) lor t.node_epoch) lsl kind_bits) lor kind
+
+let arm t ~delay kind payload =
+  Sim.schedule_call t.sim ~delay t.on_timer (timer_arg t kind payload)
+
+(* A slot whose timer ran has its message overwritten with this
+   constant, so the outbox never keeps a sent message alive. *)
+let outbox_filler : Message.t = Writeback_ack { line = 0 }
+
+(* Double the outbox; every slot is taken when this runs, so the free
+   stack becomes exactly the new slots. *)
+let grow_outbox t =
+  let old = Array.length t.ob_dst in
+  let capacity = max 16 (2 * old) in
+  let extend a filler =
+    let b = Array.make capacity filler in
+    Array.blit a 0 b 0 old;
+    b
+  in
+  t.ob_dst <- extend t.ob_dst 0;
+  t.ob_msg <- extend t.ob_msg outbox_filler;
+  t.ob_free <- Array.init capacity (fun i -> capacity - 1 - i);
+  t.ob_free_top <- capacity - old
 
 let send_after t ~delay ~dst msg =
   if delay <= 0 then send t ~dst msg
-  else sched t ~delay (fun () -> send t ~dst msg)
+  else begin
+    if t.ob_free_top = 0 then grow_outbox t;
+    let top = t.ob_free_top - 1 in
+    let slot = t.ob_free.(top) in
+    t.ob_free_top <- top;
+    t.ob_dst.(slot) <- dst;
+    t.ob_msg.(slot) <- msg;
+    arm t ~delay timer_send_out slot
+  end
+
+(* The outbox slot's timer ran: free the slot (exactly once, whether or
+   not the crash guard lets the message go) and send when [current]. *)
+let outbox_fires t slot ~current =
+  let dst = t.ob_dst.(slot) and msg = t.ob_msg.(slot) in
+  t.ob_msg.(slot) <- outbox_filler;
+  t.ob_free.(t.ob_free_top) <- slot;
+  t.ob_free_top <- t.ob_free_top + 1;
+  if current then send t ~dst msg
+
 let dir_access t line =
   let access = Directory.access t.dir line in
   if access.dir_cache_hit then t.stats.dir_cache_hits <- t.stats.dir_cache_hits + 1
@@ -314,18 +391,16 @@ let downgrade_and_push t line entry ~exclude =
   | Some node -> entry.psharers <- Nodeset.add entry.psharers node
   | None -> ()
 
-let rec schedule_intervention t line entry =
+let schedule_intervention t line entry =
   if
     t.config.speculative_updates && (not entry.intervention_scheduled)
     && t.config.intervention_delay < max_int / 2
   then begin
     entry.intervention_scheduled <- true;
-    sched t
-      ~delay:(effective_intervention_delay t entry)
-      (fun () -> intervention_fires t line)
+    arm t ~delay:(effective_intervention_delay t entry) timer_intervention line
   end
 
-and intervention_fires t line =
+let intervention_fires t line =
   match find_producer t line with
   | None -> () (* undelegated meanwhile *)
   | Some entry -> (
@@ -338,7 +413,7 @@ and intervention_fires t line =
           if idle < delay then begin
             (* the write burst is still running; wait for it to go quiet *)
             entry.intervention_scheduled <- true;
-            sched t ~delay:(delay - idle) (fun () -> intervention_fires t line)
+            arm t ~delay:(delay - idle) timer_intervention line
           end
           else begin
             entry.phase <- step.phase;
@@ -491,6 +566,14 @@ let ack_collection_class t p ~acks_expected =
    below interpret its action with the simulator's side of it: latencies,
    miss classes, statistics, crash debtor sets and routing.  [txn] is the
    node's transaction on [line] as the table reads it. *)
+
+(* The transaction is over (committed, or died with a crash): its
+   completion timeout has nothing left to do, so it leaves the queue. *)
+let end_txn t =
+  t.pending <- None;
+  Sim.cancel t.sim t.timeout;
+  t.timeout <- Sim.no_handle
+
 let txn t line : L2.txn =
   match t.pending with
   | Some p when p.line = line -> (
@@ -504,7 +587,7 @@ let commit_load t p ~value ~miss =
   if not p.poisoned then
     fill_l2 t p.line L2.{ state = Shared; value; dirty = false };
   Run_stats.record_miss t.stats miss ~line:p.line ~latency:(now - p.started);
-  t.pending <- None;
+  end_txn t;
   Probe.commit t.probe ~node:t.id ~kind:Types.Load ~line:p.line ~value
     ~started:p.started ~miss:(Some miss);
   p.on_commit ()
@@ -555,7 +638,7 @@ let rec commit_store t p =
     | None -> classify_legs t ~target:p.target ~reply_src:p.reply_src
   in
   Run_stats.record_miss t.stats miss ~line:p.line ~latency:(now - p.started);
-  t.pending <- None;
+  end_txn t;
   Probe.commit t.probe ~node:t.id ~kind:Types.Store ~line:p.line ~value:version
     ~started:p.started ~miss:(Some miss);
   note_producer_write t p.line;
@@ -646,11 +729,8 @@ let serve_locally t p =
   let line = p.line in
   match (p.kind, t.rac) with
   | Types.Load, Some rac ->
-      let value = match Rac.lookup rac line with Some v -> v | None -> assert false in
-      sched t ~delay:t.config.rac_hit_latency (fun () ->
-          match t.pending with
-          | Some q when q == p -> commit_load t q ~value ~miss:Types.Rac_hit
-          | _ -> ())
+      t.rac_hit_value <- (match Rac.lookup rac line with Some v -> v | None -> assert false);
+      arm t ~delay:t.config.rac_hit_latency timer_rac_load p.tid
   | Types.Load, None -> assert false (* the issue row saw the RAC copy *)
   | Types.Store, _ -> (
       let entry =
@@ -666,8 +746,7 @@ let serve_locally t p =
           p.have_data <- true;
           p.acks_needed <- 0;
           p.miss_override <- Some Types.Rac_hit;
-          sched t ~delay:t.config.rac_hit_latency (fun () ->
-              match t.pending with Some q when q == p -> try_complete_store t q | _ -> ())
+          arm t ~delay:t.config.rac_hit_latency timer_store_done p.tid
       | Local_upgrade ->
           let consumers = Nodeset.remove entry.psharers t.id in
           let n = Nodeset.cardinal consumers in
@@ -682,10 +761,7 @@ let serve_locally t p =
           if p.acks_needed = 0 then
             (* every consumer may already be dead (crash mode): complete
                after the local-upgrade latency, with no acks to collect *)
-            sched t ~delay:t.config.hub_latency (fun () ->
-                match t.pending with
-                | Some q when q == p -> try_complete_store t q
-                | _ -> ())
+            arm t ~delay:t.config.hub_latency timer_store_done p.tid
           else
             Nodeset.iter
               (fun consumer ->
@@ -701,10 +777,12 @@ let serve_locally t p =
 let schedule_retry t p =
   t.stats.retries <- t.stats.retries + 1;
   let jitter = Pcc_engine.Rng.int t.rng ~bound:16 in
-  sched t ~delay:(t.config.nack_retry_delay + jitter) (fun () ->
-      match t.pending with
-      | Some q when q == p && not q.have_data -> request t q
-      | _ -> () (* committed, superseded, or granted while the retry waited *))
+  arm t ~delay:(t.config.nack_retry_delay + jitter) timer_retry p.tid
+
+let retry_fires t tid =
+  match t.pending with
+  | Some p when p.tid = tid && not p.have_data -> request t p
+  | _ -> () (* committed, superseded, or granted while the retry waited *)
 
 (* ------------------------------------------------------------------ *)
 (* Home directory                                                      *)
@@ -1177,32 +1255,34 @@ let handle_message t ~src (msg : Message.t) =
    duplicate requests could corrupt — and records a strike that may
    demote the line to the base protocol.  The timer re-arms with
    exponential backoff so a genuinely slow transaction is not hammered,
-   up to [txn_timeout_cap] cycles. *)
+   up to [txn_timeout_cap] cycles.  The timer is cancelled when the
+   transaction ends ([end_txn]), so it runs only on a transaction still
+   pending. *)
 let txn_timeout_cap = 80_000
 
-let rec arm_txn_timeout t p ~delay =
-  sched t ~delay (fun () ->
-      match t.pending with
-      | Some q when q == p ->
-          t.stats.txn_timeouts <- t.stats.txn_timeouts + 1;
-          p.timeouts <- p.timeouts + 1;
-          note t ~code:Flight_ring.n_timeout ~line:p.line ~arg:p.timeouts;
-          note_strike t p.line;
-          (if not p.have_data then request t p
-           else if t.crashable && p.kind = Types.Store && p.acks_needed > 0 then
-             (* a consumer that crashed and restarted lost the original
-                invalidation with its cache: re-invalidate the remaining
-                live debtors (idempotent — the debtor-set accounting
-                ignores acks from nodes no longer owed) *)
-             Nodeset.iter
-               (fun dst ->
-                 if peer_alive t dst then
-                   send t ~dst (Inval { line = p.line; requester = t.id }))
-               p.ack_waiters);
-          arm_txn_timeout t p
-            ~delay:
-              (min txn_timeout_cap (t.config.txn_timeout lsl min p.timeouts 10))
-      | _ -> () (* committed; let the timer die *))
+let arm_txn_timeout t p ~delay =
+  t.timeout <- Sim.schedule_timer t.sim ~delay t.on_timer (timer_arg t timer_timeout p.tid)
+
+let txn_timeout_fires t tid =
+  match t.pending with
+  | Some p when p.tid = tid ->
+      t.stats.txn_timeouts <- t.stats.txn_timeouts + 1;
+      p.timeouts <- p.timeouts + 1;
+      note t ~code:Flight_ring.n_timeout ~line:p.line ~arg:p.timeouts;
+      note_strike t p.line;
+      (if not p.have_data then request t p
+       else if t.crashable && p.kind = Types.Store && p.acks_needed > 0 then
+         (* a consumer that crashed and restarted lost the original
+            invalidation with its cache: re-invalidate the remaining
+            live debtors (idempotent — the debtor-set accounting ignores
+            acks from nodes no longer owed) *)
+         Nodeset.iter
+           (fun dst ->
+             if peer_alive t dst then send t ~dst (Inval { line = p.line; requester = t.id }))
+           p.ack_waiters);
+      arm_txn_timeout t p
+        ~delay:(min txn_timeout_cap (t.config.txn_timeout lsl min p.timeouts 10))
+  | _ -> () (* the transaction ended; [end_txn] cancels its timer *)
 
 (* The issue row, for the L2 lookup [entry].  Only a miss reads [local];
    its probes touch no recency. *)
@@ -1250,9 +1330,14 @@ let start_miss t ~kind ~line ~on_commit (action : L2.action) =
   if Config.hardened t.config && t.config.txn_timeout > 0 then
     arm_txn_timeout t p ~delay:t.config.txn_timeout
 
+(* An L2 hit commits after the hit latency, in a closure that carries
+   its line, value and continuation; [hit_held] marks it in flight, so
+   [submit] refuses a second operation meanwhile.  It stays a closure:
+   with the hit's state held in node fields for a typed timer, the
+   two-domain crash sweep segfaulted in the OCaml 5.1.1 runtime's major
+   GC (ROADMAP, hot-path item), and with the closure it ran clean. *)
 let submit t ~kind ~line ~on_commit =
-  if t.pending <> None then invalid_arg "Node.submit: operation already pending";
-  let started = Sim.now t.sim in
+  if busy t then invalid_arg "Node.submit: operation already pending";
   Probe.issue t.probe ~node:t.id ~kind ~line;
   (match kind with
   | Types.Load -> t.stats.loads <- t.stats.loads + 1
@@ -1261,31 +1346,60 @@ let submit t ~kind ~line ~on_commit =
   match (issue_step t kind line entry, kind, entry) with
   | Hit, Types.Load, Some { value; _ } ->
       t.stats.l2_hits <- t.stats.l2_hits + 1;
-      sched t ~delay:t.config.l2_hit_latency (fun () ->
-          Probe.commit t.probe ~node:t.id ~kind:Types.Load ~line ~value ~started ~miss:None;
-          on_commit ())
+      t.hit_held <- true;
+      let started = Sim.now t.sim and epoch = t.node_epoch in
+      Sim.schedule t.sim ~delay:t.config.l2_hit_latency (fun () ->
+          if current t epoch then begin
+            t.hit_held <- false;
+            Probe.commit t.probe ~node:t.id ~kind:Types.Load ~line ~value ~started ~miss:None;
+            on_commit ()
+          end)
   | Hit, Types.Store, _ ->
       t.stats.l2_hits <- t.stats.l2_hits + 1;
-      sched t ~delay:t.config.l2_hit_latency (fun () ->
-          match issue_step t kind line (L2.peek t.l2 line) with
-          | Hit ->
-              let version = t.next_version () in
-              L2.set t.l2 line L2.{ state = Exclusive; value = version; dirty = true };
-              (match find_producer t line with
-              | Some entry ->
-                  entry.last_write <- Sim.now t.sim;
-                  schedule_intervention t line entry
-              | None -> ());
-              Probe.commit t.probe ~node:t.id ~kind:Types.Store ~line ~value:version
-                ~started ~miss:None;
-              on_commit ()
-          | action ->
-              (* lost exclusivity in the hit window: the miss path counts
-                 this access, so it was no hit *)
-              t.stats.l2_hits <- t.stats.l2_hits - 1;
-              start_miss t ~kind ~line ~on_commit action)
+      t.hit_held <- true;
+      let started = Sim.now t.sim and epoch = t.node_epoch in
+      Sim.schedule t.sim ~delay:t.config.l2_hit_latency (fun () ->
+          if current t epoch then begin
+            t.hit_held <- false;
+            match issue_step t Types.Store line (L2.peek t.l2 line) with
+            | Hit ->
+                let version = t.next_version () in
+                L2.set t.l2 line L2.{ state = Exclusive; value = version; dirty = true };
+                (match find_producer t line with
+                | Some entry ->
+                    entry.last_write <- Sim.now t.sim;
+                    schedule_intervention t line entry
+                | None -> ());
+                Probe.commit t.probe ~node:t.id ~kind:Types.Store ~line ~value:version
+                  ~started ~miss:None;
+                on_commit ()
+            | action ->
+                (* lost exclusivity in the hit window: the miss path
+                   counts this access, so it was no hit *)
+                t.stats.l2_hits <- t.stats.l2_hits - 1;
+                start_miss t ~kind:Types.Store ~line ~on_commit action
+          end)
   | Hit, Types.Load, None -> assert false (* a load hits only a copy *)
   | action, _, _ -> start_miss t ~kind ~line ~on_commit action
+
+(* The one handler of every node timer.  A timer that is not [current]
+   does nothing but free its outbox slot. *)
+let run_timer t arg =
+  let kind = arg land ((1 lsl kind_bits) - 1)
+  and epoch = (arg lsr kind_bits) land ((1 lsl epoch_bits) - 1)
+  and payload = arg lsr (kind_bits + epoch_bits) in
+  let current = current t epoch in
+  if kind = timer_send_out then outbox_fires t payload ~current
+  else if not current then ()
+  else if kind = timer_rac_load then (
+    match t.pending with
+    | Some p when p.tid = payload -> commit_load t p ~value:t.rac_hit_value ~miss:Types.Rac_hit
+    | _ -> ())
+  else if kind = timer_store_done then (
+    match t.pending with Some p when p.tid = payload -> try_complete_store t p | _ -> ())
+  else if kind = timer_retry then retry_fires t payload
+  else if kind = timer_intervention then intervention_fires t payload
+  else txn_timeout_fires t payload
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -1363,11 +1477,20 @@ let create ~probe ~alive_view ~config ~sim ~network ~id ~stats ~next_version ~rn
       deledc_pressure = 0;
       next_tid = 0;
       pending = None;
+      timeout = Sim.no_handle;
+      hit_held = false;
+      rac_hit_value = 0;
+      ob_dst = [||];
+      ob_msg = [||];
+      ob_free = [||];
+      ob_free_top = 0;
+      on_timer = ignore;
       alive = true;
       node_epoch = 0;
     }
   in
   handler := (fun ~src msg -> handle_message t ~src msg);
+  t.on_timer <- (fun arg -> run_timer t arg);
   t
 
 (* ------------------------------------------------------------------ *)
@@ -1697,9 +1820,10 @@ let normalize_dead_home t nodes line (entry : Directory.entry) =
 
 (* Fail-stop crash: every volatile structure on the node dies.  The
    directory and home memory live on the battery-backed memory
-   controller and survive (the recovery sweep repairs them).  Timers
-   armed by this incarnation are neutralized by the [sched] epoch
-   guard. *)
+   controller and survive (the recovery sweep repairs them).  The
+   interrupted transaction's completion timeout is cancelled and an L2
+   hit in flight is dropped; every other timer armed by this incarnation
+   is neutralized by [run_timer]'s epoch guard. *)
 let crash t =
   if not t.crashable then invalid_arg "Node.crash: machine has no crash schedule";
   t.alive <- false;
@@ -1721,7 +1845,8 @@ let crash t =
       | Types.Load -> t.stats.loads <- t.stats.loads - 1
       | Types.Store -> t.stats.stores <- t.stats.stores - 1)
   | None -> ());
-  t.pending <- None;
+  end_txn t;
+  t.hit_held <- false;
   Hub_link.reset_all t.hub
 
 (* Re-admission after a crash: cold caches, fresh incarnation.  The
@@ -1739,6 +1864,9 @@ let restart t =
    so directory repair sees post-rescue cache states. *)
 let recover_after_crash nodes ~dead ~will_restart =
   let victim = nodes.(dead) in
+  (* a timer's argument holds [epoch_bits] of the epoch it was armed in *)
+  if victim.node_epoch + 1 >= 1 lsl epoch_bits then
+    invalid_arg "Node.recover_after_crash: too many crashes of one node";
   victim.node_epoch <- victim.node_epoch + 1;
   let stats = victim.stats in
   (* 1. Per-survivor surgery: links, routing hints, producer

@@ -49,7 +49,8 @@ val submit :
     already pending. *)
 
 val busy : t -> bool
-(** True while a submitted operation has not yet committed. *)
+(** True while a submitted operation has not yet committed, an L2 hit
+    waiting out its latency included. *)
 
 (** {2 Inspection (tests, examples, invariant checks)} *)
 

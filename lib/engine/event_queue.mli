@@ -10,9 +10,24 @@
     across them.  The heap itself holds only ints (time, insertion
     sequence, payload slot); thunks, handlers and arguments sit in
     slot-indexed arrays beside it, so reordering the heap never touches
-    a pointer, and a typed event costs no allocation at all. *)
+    a pointer, and a typed event costs no allocation at all.
+
+    A typed event scheduled with {!add_timer} comes with a {e handle}
+    that can {!cancel} it: a timer whose work is done leaves the queue
+    at once instead of running to find nothing to do.  A handle names
+    one event, not the slot it sits in, so cancelling an event that
+    already ran or was cancelled is a no-op even after a later event
+    reuses its slot (as long as fewer than 2{^32} events are scheduled
+    in between). *)
 
 type t
+
+type handle = private int
+(** Names one event scheduled by {!add_timer}.  An immediate int, so an
+    array of handles holds no pointers. *)
+
+val no_handle : handle
+(** A handle that names no event: cancelling it does nothing. *)
 
 val create : unit -> t
 
@@ -28,6 +43,15 @@ val add_call : t -> time:int -> (int -> unit) -> int -> unit
     Allocation-free once the queue has grown to its peak depth, provided
     [handler] is a closure built once, not per event. *)
 
+val add_timer : t -> time:int -> (int -> unit) -> int -> handle
+(** {!add_call} that returns the event's handle. *)
+
+val cancel : t -> handle -> unit
+(** Take the event the handle names out of the queue, so it never runs.
+    A handle whose event already ran or was cancelled, one taken before
+    a {!clear}, and {!no_handle} cancel nothing.  Costs one sift;
+    allocation-free. *)
+
 val min_time : t -> int option
 (** Timestamp of the next event, if any. *)
 
@@ -42,4 +66,5 @@ val run_next : t -> unit
     {!is_empty}/{!next_time}. *)
 
 val clear : t -> unit
-(** Drop every pending event (and the references they hold). *)
+(** Drop every pending event (and the references they hold).  Every
+    handle taken before the clear is spent. *)

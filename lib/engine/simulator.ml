@@ -47,15 +47,24 @@ let schedule_at t ~time action =
   Event_queue.add t.queue ~time action;
   note_depth t
 
-let schedule_call t ~delay handler arg =
-  assert (delay >= 0);
-  Event_queue.add_call t.queue ~time:(t.now + delay) handler arg;
-  note_depth t
-
 let schedule_call_at t ~time handler arg =
   assert (time >= t.now);
   Event_queue.add_call t.queue ~time handler arg;
   note_depth t
+
+type handle = Event_queue.handle
+
+let no_handle = Event_queue.no_handle
+
+let schedule_timer t ~delay handler arg =
+  assert (delay >= 0);
+  let handle = Event_queue.add_timer t.queue ~time:(t.now + delay) handler arg in
+  note_depth t;
+  handle
+
+let schedule_call t ~delay handler arg = ignore (schedule_timer t ~delay handler arg : handle)
+
+let cancel t handle = Event_queue.cancel t.queue handle
 
 let stop t = t.stop_requested <- true
 

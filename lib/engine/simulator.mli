@@ -11,7 +11,13 @@
     slot, a packed timer key).  Scheduling one allocates nothing.  Both
     kinds share one (time, insertion) order, so switching an event kind
     from a closure to a typed event, scheduled at the same moment,
-    leaves every simulated result unchanged. *)
+    leaves every simulated result unchanged.
+
+    A timer that usually finds its work done (a retransmission after the
+    ack, a completion timeout after the commit) is scheduled with
+    {!schedule_timer}, whose handle {!cancel}s it once the work is done:
+    it leaves the queue instead of running as a no-op.  Cancelling only
+    such a timer leaves every event that does work in its order. *)
 
 type t
 
@@ -46,6 +52,20 @@ val schedule_call : t -> delay:int -> (int -> unit) -> int -> unit
 
 val schedule_call_at : t -> time:int -> (int -> unit) -> int -> unit
 (** Absolute-time variant of {!schedule_call}. *)
+
+type handle = Event_queue.handle
+(** Names one event scheduled by {!schedule_timer}; an immediate int. *)
+
+val no_handle : handle
+(** Names no event: cancelling it does nothing. *)
+
+val schedule_timer : t -> delay:int -> (int -> unit) -> int -> handle
+(** {!schedule_call} that returns the event's handle. *)
+
+val cancel : t -> handle -> unit
+(** Take the named event out of the queue before it runs.  A handle
+    whose event already ran or was cancelled, or {!no_handle}, cancels
+    nothing.  Allocation-free. *)
 
 val stop : t -> unit
 (** Request that [run] return after the current event. *)

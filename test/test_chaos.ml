@@ -209,6 +209,27 @@ let test_zero_profile_run_clean () =
   Alcotest.(check int) "nothing injected, nothing suppressed" 0
     result.stats.Run_stats.dup_dropped
 
+(* A hardened machine's completion timeouts and retransmit timers leave
+   the queue once their work is done: a load and a store to a remote
+   home commit well before the first timeout would fire, and the run
+   drains with them, not when the store's leftover timeout expires. *)
+let test_timers_leave_with_their_work () =
+  let config = Config.with_faults (Config.small_full ~nodes:2 ()) Fault.zero in
+  let line = Types.Layout.make_line ~home:1 ~index:0 in
+  let sys = System.create ~config () in
+  let result =
+    System.run_programs sys
+      [| [ Types.Access (Types.Load, line); Types.Access (Types.Store, line) ]; [] |]
+  in
+  Alcotest.(check bool) "drained" true (result.System.outcome = Simulator.Drained);
+  Alcotest.(check int) "both ops committed" 2
+    (result.stats.Run_stats.loads + result.stats.Run_stats.stores);
+  let sim = System.sim sys in
+  if Simulator.now sim >= config.txn_timeout then
+    Alcotest.failf "drained at cycle %d after %d events: a timer outlived its work \
+                    (the completion timeout is %d cycles)"
+      (Simulator.now sim) (Simulator.events_executed sim) config.txn_timeout
+
 (* ---------------- failure artifacts ---------------- *)
 
 (* A chaos cell of pcc_oracle --profile drops as a descriptor: random
@@ -317,6 +338,8 @@ let suite =
       test_outage_forces_fallback;
     Alcotest.test_case "zero-probability profile runs clean" `Quick
       test_zero_profile_run_clean;
+    Alcotest.test_case "timers leave the queue with their work" `Quick
+      test_timers_leave_with_their_work;
     Alcotest.test_case "stall report on event limit" `Quick
       test_stall_report_on_event_limit;
     Alcotest.test_case "chaos failure replays from its artifact" `Quick

@@ -1,9 +1,9 @@
 (* The determinism guarantees behind the parallel experiment engine:
 
    - Event_queue against a sorted-list reference model (total order,
-     FIFO within a cycle, behaviour across grow/clear) — the queue's
-     total order is what makes every simulation a pure function of its
-     inputs.
+     FIFO within a cycle, cancellation, behaviour across grow/clear) —
+     the queue's total order is what makes every simulation a pure
+     function of its inputs.
    - Parallel-vs-sequential bit-identity over the full app×config
      matrix: fanning runs out across domains must not change a single
      byte of any run's canonical export.
@@ -21,16 +21,21 @@ open Pcc_core
 (* ------------------------------------------------------------------ *)
 
 (* [Add] schedules a thunk, [Call] a typed event (a shared handler plus
-   an int argument); both draw from one insertion sequence, so FIFO
-   within a cycle must hold across the two kinds. *)
-type model_op = Add of int | Call of int | Pop | Clear
+   an int argument) and [Timer] a typed event with a handle; all draw
+   from one insertion sequence, so FIFO within a cycle must hold across
+   the kinds.  [Cancel k] cancels the handle of the [k]th timer ever
+   scheduled (modulo their number): still queued, spent by running or
+   by an earlier cancel, or taken before a [Clear]. *)
+type model_op = Add of int | Call of int | Timer of int | Cancel of int | Pop | Clear
 
 let op_gen =
   Q.Gen.(
     frequency
       [
         (3, map (fun t -> Add t) (int_bound 10));
-        (3, map (fun t -> Call t) (int_bound 10));
+        (2, map (fun t -> Call t) (int_bound 10));
+        (2, map (fun t -> Timer t) (int_bound 10));
+        (2, map (fun k -> Cancel k) (int_bound 1000));
         (4, return Pop);
         (1, return Clear);
       ])
@@ -38,6 +43,8 @@ let op_gen =
 let print_op = function
   | Add t -> Printf.sprintf "Add %d" t
   | Call t -> Printf.sprintf "Call %d" t
+  | Timer t -> Printf.sprintf "Timer %d" t
+  | Cancel k -> Printf.sprintf "Cancel %d" k
   | Pop -> "Pop"
   | Clear -> "Clear"
 
@@ -59,9 +66,14 @@ let check_against_model ops =
   let model = ref [] in
   let next_id = ref 0 in
   let popped = ref (-1) in
+  (* every timer's (handle, id), newest first, and the ids cancelled *)
+  let timers = ref [] and cancelled = Hashtbl.create 16 in
   (* one handler for every typed event, as the simulator's callers do:
      the event's identity travels in the int argument *)
-  let record id = popped := id in
+  let record id =
+    if Hashtbl.mem cancelled id then Q.Test.fail_reportf "cancelled event %d ran" id;
+    popped := id
+  in
   let agree label =
     if Event_queue.length q <> List.length !model then
       Q.Test.fail_reportf "%s: length %d, model %d" label (Event_queue.length q)
@@ -101,6 +113,23 @@ let check_against_model ops =
           incr next_id;
           Event_queue.add_call q ~time:t record id;
           model := model_insert !model t id
+      | Timer t ->
+          let id = !next_id in
+          incr next_id;
+          timers := (Event_queue.add_timer q ~time:t record id, id) :: !timers;
+          model := model_insert !model t id
+      | Cancel k -> (
+          match !timers with
+          | [] -> ()
+          | all ->
+              let handle, id = List.nth all (k mod List.length all) in
+              Event_queue.cancel q handle;
+              (* a queued event leaves; a spent handle cancels nothing,
+                 which [agree] checks through the length *)
+              if List.exists (fun (_, id') -> id' = id) !model then begin
+                Hashtbl.replace cancelled id ();
+                model := List.filter (fun (_, id') -> id' <> id) !model
+              end)
       | Pop -> if not (Event_queue.is_empty q) then run_next "pop"
       | Clear ->
           Event_queue.clear q;
@@ -119,13 +148,20 @@ let event_queue_model =
     ops_arbitrary check_against_model
 
 let event_queue_model_growth =
-  (* long same-time runs of both kinds force grow, and a clear in the
-     middle recycles every slot, while FIFO must survive *)
+  (* long same-time runs of every kind force grow, cancels take events
+     out of the middle of the heap, and a clear in the middle recycles
+     every slot (and spends every handle), while FIFO must survive *)
   let adds =
     Q.Gen.(
       list_repeat 300
-        (map2 (fun typed t -> if typed then Call (t mod 3) else Add (t mod 3)) bool
-           (int_bound 2)))
+        (map2
+           (fun kind t ->
+             match kind with
+             | 0 -> Add (t mod 3)
+             | 1 -> Call (t mod 3)
+             | 2 -> Timer (t mod 3)
+             | _ -> Cancel t)
+           (int_bound 3) (int_bound 1000)))
   in
   Q.Test.make ~count:50 ~name:"event queue model across grow"
     (Q.make ~print:(fun (a, b) -> print_ops (a @ (Clear :: b))) Q.Gen.(pair adds adds))

@@ -120,6 +120,36 @@ let test_queue_clear () =
   Event_queue.clear q;
   Alcotest.(check bool) "empty after clear" true (Event_queue.is_empty q)
 
+(* A handle names one event, not its slot: a spent handle (its event ran,
+   was cancelled, or was cleared) cancels nothing, even once a later
+   event has taken its slot. *)
+let test_queue_cancel () =
+  let q = Event_queue.create () in
+  let log = ref [] in
+  let record id = log := id :: !log in
+  let first = Event_queue.add_timer q ~time:1 record 1 in
+  let second = Event_queue.add_timer q ~time:2 record 2 in
+  let third = Event_queue.add_timer q ~time:3 record 3 in
+  Event_queue.cancel q second;
+  check "a queued event leaves" 2 (Event_queue.length q);
+  Event_queue.cancel q second;
+  check "a cancelled handle is spent" 2 (Event_queue.length q);
+  Event_queue.run_next q;
+  (* the freed slot goes to the next event *)
+  let fourth = Event_queue.add_timer q ~time:4 record 4 in
+  Event_queue.cancel q first;
+  check "a handle whose event ran is spent" 2 (Event_queue.length q);
+  Event_queue.clear q;
+  Event_queue.add_call q ~time:5 record 5;
+  Event_queue.cancel q third;
+  Event_queue.cancel q fourth;
+  Event_queue.cancel q Event_queue.no_handle;
+  check "handles taken before a clear are spent" 1 (Event_queue.length q);
+  while not (Event_queue.is_empty q) do
+    Event_queue.run_next q
+  done;
+  Alcotest.(check (list int)) "only live events ran" [ 1; 5 ] (List.rev !log)
+
 let test_sim_now_advances () =
   let sim = Simulator.create () in
   let seen = ref [] in
@@ -212,6 +242,7 @@ let suite =
     Alcotest.test_case "queue min time" `Quick test_queue_min_time;
     Alcotest.test_case "queue growth and order" `Quick test_queue_growth;
     Alcotest.test_case "queue clear" `Quick test_queue_clear;
+    Alcotest.test_case "queue cancel by handle" `Quick test_queue_cancel;
     Alcotest.test_case "sim clock advances" `Quick test_sim_now_advances;
     Alcotest.test_case "sim nested scheduling" `Quick test_sim_nested_scheduling;
     Alcotest.test_case "sim until limit" `Quick test_sim_until_limit;

@@ -184,9 +184,30 @@ let test_deterministic_runs () =
   Alcotest.(check int) "same cycles" a.System.cycles b.System.cycles;
   Alcotest.(check int) "same messages" a.System.network_messages b.System.network_messages
 
+(* The blocking processor has one operation in flight, an L2 hit waiting
+   out its latency included: a second submission raises, and the hit
+   still commits exactly once. *)
+let test_submit_during_hit_raises () =
+  let sys = System.create ~config:(Config.base ~nodes:2 ()) () in
+  let sim = System.sim sys in
+  let l = line ~home:0 0 in
+  let commits = ref 0 in
+  let on_commit () = incr commits in
+  let drain () = ignore (Pcc_engine.Simulator.run sim : Pcc_engine.Simulator.outcome) in
+  System.submit sys ~node:0 ~kind:Types.Load ~line:l ~on_commit;
+  drain ();
+  Alcotest.(check int) "the miss committed" 1 !commits;
+  System.submit sys ~node:0 ~kind:Types.Load ~line:l ~on_commit;
+  Alcotest.check_raises "a second operation during the hit"
+    (Invalid_argument "Node.submit: operation already pending") (fun () ->
+      System.submit sys ~node:0 ~kind:Types.Load ~line:l ~on_commit);
+  drain ();
+  Alcotest.(check int) "the hit committed once" 2 !commits
+
 let suite =
   [
     Alcotest.test_case "local access" `Quick test_local_access;
+    Alcotest.test_case "submit during an L2 hit raises" `Quick test_submit_during_hit_raises;
     Alcotest.test_case "remote read 2-hop" `Quick test_remote_read_is_2hop;
     Alcotest.test_case "dirty remote read 3-hop" `Quick test_dirty_remote_read_is_3hop;
     Alcotest.test_case "write invalidates sharers" `Quick test_write_invalidates_sharers;
