@@ -21,7 +21,7 @@ let seeds ?(default = 50) ?(doc = "Number of seeds to sweep.") () =
   Arg.(value & opt int default & info [ "seeds" ] ~docv:"N" ~doc)
 
 (* Workload selection: the [--workload NAME[:k=v,...]] spec grammar over
-   the Workload registry.  Parsing to a Workload.packed happens in
+   the Workload registry.  Parsing to a Workload.t happens in
    [resolve_workload] (not an Arg.conv) so unknown names and keys exit 2
    with a suggestion list, mirroring the --protocol loud-rejection
    contract.  [workload_spec] is the optional form, for tools that only

@@ -84,7 +84,7 @@ end
     ([Node]) and the model checker ([Pcc_mcheck.Protocol_model]) look up a
     {!step} for every event at a delegated home and interpret its
     {!action}, each with only its own side's effects (the simulator's
-    latencies, locks, push statistics, crash debtor sets and flight notes;
+    latencies, locks, push statistics, flush debtor sets and flight notes;
     the model's packets and seeded bugs). *)
 
 type phase =

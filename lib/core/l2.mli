@@ -49,7 +49,7 @@ val iter : (Types.line -> entry -> unit) -> t -> unit
     and the model checker ([Pcc_mcheck.Protocol_model]) look up an
     {!action} for every such event and interpret it, each with only its
     own side's effects (the simulator's latencies, miss classification,
-    statistics, crash debtor sets, timeouts and routing; the model's
+    statistics, invalidation debtor sets, timeouts and routing; the model's
     packets, seeded bugs and labels).  Evictions, [New_home],
     [Writeback_ack] and [Update_flush] are one rule each and stay with
     their callers. *)

@@ -121,7 +121,18 @@ let wire_bytes ~line_bytes = function
   | Snoop_resp { mem_value; _ } ->
       header_bytes + (match mem_value with Some _ -> line_bytes | None -> 0)
 
-let class_count = 29
+(* The class names, in [class_index] order. *)
+let class_names =
+  [|
+    "get-shared"; "get-exclusive"; "writeback"; "writeback-ack"; "inval";
+    "intervention"; "transfer"; "transfer-ack"; "data-shared"; "data-exclusive";
+    "inv-ack"; "shared-writeback"; "nack"; "delegate"; "new-home";
+    "fwd-get-shared"; "recall"; "recall-nack"; "undelegate"; "update";
+    "update-flush"; "update-flush-ack"; "bus-rd"; "bus-rdx"; "bus-upgr";
+    "bus-flush"; "snoop-resp"; "bus-wb"; "bus-wb-ack";
+  |]
+
+let class_count = Array.length class_names
 
 let class_index = function
   | Get_shared _ -> 0
@@ -154,51 +165,10 @@ let class_index = function
   | Bus_wb _ -> 27
   | Bus_wb_ack _ -> 28
 
-let class_name = function
-  | Get_shared _ -> "get-shared"
-  | Get_exclusive _ -> "get-exclusive"
-  | Writeback _ -> "writeback"
-  | Writeback_ack _ -> "writeback-ack"
-  | Inval _ -> "inval"
-  | Intervention _ -> "intervention"
-  | Transfer _ -> "transfer"
-  | Transfer_ack _ -> "transfer-ack"
-  | Data_shared _ -> "data-shared"
-  | Data_exclusive _ -> "data-exclusive"
-  | Inv_ack _ -> "inv-ack"
-  | Shared_writeback _ -> "shared-writeback"
-  | Nack _ -> "nack"
-  | Delegate _ -> "delegate"
-  | New_home _ -> "new-home"
-  | Fwd_get_shared _ -> "fwd-get-shared"
-  | Recall _ -> "recall"
-  | Recall_nack _ -> "recall-nack"
-  | Undelegate _ -> "undelegate"
-  | Update _ -> "update"
-  | Update_flush _ -> "update-flush"
-  | Update_flush_ack _ -> "update-flush-ack"
-  | Bus_rd _ -> "bus-rd"
-  | Bus_rdx _ -> "bus-rdx"
-  | Bus_upgr _ -> "bus-upgr"
-  | Bus_flush _ -> "bus-flush"
-  | Snoop_resp _ -> "snoop-resp"
-  | Bus_wb _ -> "bus-wb"
-  | Bus_wb_ack _ -> "bus-wb-ack"
-
-(* Keep in sync with [class_index] / [class_name] above. *)
-let class_index_names =
-  [|
-    "get-shared"; "get-exclusive"; "writeback"; "writeback-ack"; "inval";
-    "intervention"; "transfer"; "transfer-ack"; "data-shared"; "data-exclusive";
-    "inv-ack"; "shared-writeback"; "nack"; "delegate"; "new-home";
-    "fwd-get-shared"; "recall"; "recall-nack"; "undelegate"; "update";
-    "update-flush"; "update-flush-ack"; "bus-rd"; "bus-rdx"; "bus-upgr";
-    "bus-flush"; "snoop-resp"; "bus-wb"; "bus-wb-ack";
-  |]
+let class_name m = class_names.(class_index m)
 
 let class_index_name i =
-  if i >= 0 && i < class_count then class_index_names.(i)
-  else Printf.sprintf "class-%d" i
+  if i >= 0 && i < class_count then class_names.(i) else Printf.sprintf "class-%d" i
 
 let pp_nack_reason ppf reason =
   Format.pp_print_string ppf

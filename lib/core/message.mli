@@ -52,11 +52,12 @@ type t =
       sharers : Nodeset.t;
           (** the nodes being invalidated on the requester's behalf (the
               ack debtors); rides in the header's directory-info bits.
-              Crash recovery uses it to credit a dead debtor's ack. *)
+              The requester waits for an ack from each live one, so crash
+              recovery can credit a dead debtor's ack. *)
       tid : int;
     }
-      (** speculative exclusive reply; completion needs [acks_expected]
-          invalidation acks *)
+      (** speculative exclusive reply; completion needs an invalidation
+          ack from each of [sharers], [acks_expected] of them *)
   | Inv_ack of { line : Types.line }
   | Shared_writeback of { line : Types.line; value : int; new_sharer : Types.node_id }
   | Nack of { line : Types.line; reason : nack_reason; tid : int }

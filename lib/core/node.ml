@@ -19,16 +19,14 @@ type pending = {
   mutable timeouts : int;  (* completion-timeout expiries (hardened mode) *)
   mutable target : Types.node_id;
   mutable reply_src : Types.node_id;
-  mutable acks_needed : int;
   mutable ack_waiters : Nodeset.t;
-      (* crash-capable machines: the exact invalidation debtors behind
-         [acks_needed], so recovery can credit a dead debtor's ack and a
-         stale ack cannot over-credit *)
+      (* a store's invalidation debtors: it commits once the set is empty.
+         Only a debtor's ack is credited, so recovery can credit a dead
+         debtor and a stale or duplicate ack cannot over-credit *)
   mutable early_acks : Nodeset.t;
-      (* crash-capable machines: invalidation acks that beat the grant
-         that names their senders as debtors (the home invalidates
-         sharers in parallel with granting); counting relies on going
-         negative, sets must remember the senders instead *)
+      (* invalidation acks that beat the grant naming their senders as
+         debtors (the home invalidates sharers in parallel with
+         granting) *)
   mutable have_data : bool;
   mutable poisoned : bool;
       (* an invalidation overtook this load: commit without caching *)
@@ -50,10 +48,9 @@ type prod_entry = {
   mutable slot : Delegate_cache.slot;  (* what the entry owes its home *)
   mutable unflushed : Nodeset.t;  (* targets pushed since the last flush *)
   mutable last_push : int;  (* cycle of the most recent push *)
-  mutable flush_acks : int;  (* flush round trips outstanding *)
   mutable flush_waiters : Nodeset.t;
-      (* the targets of the outstanding flush round: [flush_acks] alone
-         cannot identify a dead flush target during crash recovery *)
+      (* the targets of the outstanding flush round still owing an ack:
+         the round ends when the set is empty *)
 }
 
 type t = {
@@ -107,8 +104,6 @@ type t = {
   mutable node_epoch : int;  (* incarnation count, mirrors the network's *)
 }
 
-let id t = t.id
-
 let busy t = t.pending <> None || t.hit_held
 
 (* Protocol decision points, recorded straight into the flight ring. *)
@@ -147,7 +142,7 @@ let fence_needed t entry =
     && (not (Nodeset.is_empty entry.unflushed))
     && Sim.now t.sim - entry.last_push > flush_window
   then entry.unflushed <- Nodeset.empty;
-  (not (Nodeset.is_empty entry.unflushed)) || entry.flush_acks > 0
+  not (Nodeset.is_empty entry.unflushed && Nodeset.is_empty entry.flush_waiters)
 
 (* [Delegate_cache.producer_step] makes every delegated-home decision.
    The fence ages out only for the rows that read it: aged before a
@@ -208,6 +203,16 @@ let send t ~dst msg =
 
 let peer_alive t node = Array.get t.alive_view node
 
+(* The members of [set] that are up: a node known dead owes no ack.  A
+   loop rather than [Nodeset.filter] with a closure, so the grant and
+   flush paths that call it allocate nothing. *)
+let live t set =
+  let live = ref set in
+  for node = 0 to Array.length t.alive_view - 1 do
+    if not (Array.get t.alive_view node) then live := Nodeset.remove !live node
+  done;
+  !live
+
 (* ------------------------------------------------------------------ *)
 (* Node timers                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -237,11 +242,12 @@ let kind_bits = 3
 
 let epoch_bits = 16
 
-(* A timer or closure armed in incarnation [epoch] may still act: on a
-   crash-capable machine one armed by an earlier incarnation of this
-   node (or while it was up, for a node now down) must not — it would
-   resurrect pre-crash transactions or commit zombie operations. *)
-let current t epoch = (not t.crashable) || (t.alive && epoch = t.node_epoch)
+(* A timer or closure armed in incarnation [epoch] may still act only
+   while the node is up in that incarnation: one armed by an earlier
+   incarnation (or while it was up, for a node now down) would resurrect
+   pre-crash transactions or commit zombie operations.  Without crashes
+   every node stays up in incarnation 0. *)
+let current t epoch = t.alive && epoch = t.node_epoch
 
 let timer_arg t kind payload =
   (((payload lsl epoch_bits) lor t.node_epoch) lsl kind_bits) lor kind
@@ -460,23 +466,19 @@ let do_undelegate t line entry ~pending =
     (Undelegate { line; sharers; owner = None; value = Some value; pending })
 
 (* Begin the flush round: a marker chases the pushed updates down their
-   FIFO channels; acks mean they all landed.  On a crash-capable machine
-   only live targets are waited for (a flush toward a node already known
-   dead would never be acknowledged), and the debtor set is recorded so
-   recovery can credit a target that dies mid-round. *)
+   FIFO channels; acks mean they all landed.  Only live targets are
+   waited for (a flush toward a node already known dead would never be
+   acknowledged), and they are recorded so that recovery can credit a
+   target that dies mid-round. *)
 let rec start_flush t line entry =
-  if entry.flush_acks = 0 && not (Nodeset.is_empty entry.unflushed) then begin
-    let targets =
-      if t.crashable then Nodeset.filter (fun c -> peer_alive t c) entry.unflushed
-      else entry.unflushed
-    in
+  if Nodeset.is_empty entry.flush_waiters && not (Nodeset.is_empty entry.unflushed) then begin
+    let targets = live t entry.unflushed in
     entry.unflushed <- Nodeset.empty;
-    entry.flush_acks <- Nodeset.cardinal targets;
     entry.flush_waiters <- targets;
     Nodeset.iter (fun c -> send t ~dst:c (Update_flush { line })) targets;
     refresh_entry_lock t line entry;
     (* every target may already be dead: the round completes on the spot *)
-    if entry.flush_acks = 0 then settle t line entry (entry_step t entry Flush_done)
+    if Nodeset.is_empty targets then settle t line entry (entry_step t entry Flush_done)
   end
 
 (* The actions of the events that read only the fence and the slot: a
@@ -498,11 +500,14 @@ and settle t line entry (step : Delegate_cache.step) =
       | Free | Recalled -> assert false)
   | _ -> assert false (* requests' and the processor's actions *)
 
-and flush_ack_credit t line entry =
-  if entry.flush_acks > 0 then begin
-    entry.flush_acks <- entry.flush_acks - 1;
+(* Only a target the round still waits for is credited: recovery may
+   already have credited a dead target whose ack was still in flight. *)
+and flush_ack_credit t line entry ~src =
+  if Nodeset.mem entry.flush_waiters src then begin
+    entry.flush_waiters <- Nodeset.remove entry.flush_waiters src;
     refresh_entry_lock t line entry;
-    if entry.flush_acks = 0 then settle t line entry (entry_step t entry Flush_done)
+    if Nodeset.is_empty entry.flush_waiters then
+      settle t line entry (entry_step t entry Flush_done)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -564,8 +569,8 @@ let ack_collection_class t p ~acks_expected =
 
 (* [L2.requester_step] makes every requester decision; the handlers
    below interpret its action with the simulator's side of it: latencies,
-   miss classes, statistics, crash debtor sets and routing.  [txn] is the
-   node's transaction on [line] as the table reads it. *)
+   miss classes, statistics, invalidation debtor sets and routing.  [txn]
+   is the node's transaction on [line] as the table reads it. *)
 
 (* The transaction is over (committed, or died with a crash): its
    completion timeout has nothing left to do, so it leaves the queue. *)
@@ -651,7 +656,7 @@ let rec commit_store t p =
   p.on_commit ()
 
 and try_complete_store t p =
-  if p.have_data && p.acks_needed <= 0 then commit_store t p
+  if p.have_data && Nodeset.is_empty p.ack_waiters then commit_store t p
 
 (* An [Intervention] or [Transfer] reaching the owner, or run again once
    the store it waited for commits. *)
@@ -682,25 +687,19 @@ and forwarded t line (event : L2.event) ~requester ~tid =
   | Drop, _, _, _ -> ()
   | _ -> assert false (* forwarded requests draw only these *)
 
-(* Register invalidation debt for a store grant.  Crash-capable machines
-   track the precise debtor set: sharers already known dead are not
+(* Register a store grant's invalidation debt: its live sharers, less
+   those whose ack beat the grant.  Sharers already known dead are not
    waited for, and an acknowledgement later counts only if its sender is
    still owed — a dead consumer's in-flight ack must not complete the
    store while a live consumer still holds a stale copy. *)
-let add_ack_debt t p ~sharers ~acks_expected =
-  if not t.crashable then p.acks_needed <- p.acks_needed + acks_expected
-  else begin
-    let live = Nodeset.filter (fun node -> peer_alive t node) sharers in
-    let owed = Nodeset.diff live p.early_acks in
-    p.early_acks <- Nodeset.empty;
-    p.ack_waiters <- Nodeset.union p.ack_waiters owed;
-    p.acks_needed <- p.acks_needed + Nodeset.cardinal owed
-  end
+let add_ack_debt t p ~sharers =
+  p.ack_waiters <- Nodeset.union p.ack_waiters (Nodeset.diff (live t sharers) p.early_acks);
+  p.early_acks <- Nodeset.empty
 
 let take_grant t p ~src ~sharers ~acks_expected =
   p.have_data <- true;
   p.reply_src <- src;
-  add_ack_debt t p ~sharers ~acks_expected;
+  add_ack_debt t p ~sharers;
   ack_collection_class t p ~acks_expected;
   try_complete_store t p
 
@@ -744,7 +743,6 @@ let serve_locally t p =
           (* exclusivity already held (L2 copy was evicted; data is in the
              pinned RAC entry) *)
           p.have_data <- true;
-          p.acks_needed <- 0;
           p.miss_override <- Some Types.Rac_hit;
           arm t ~delay:t.config.rac_hit_latency timer_store_done p.tid
       | Local_upgrade ->
@@ -756,9 +754,9 @@ let serve_locally t p =
           entry.phase <- step.phase;
           refresh_entry_lock t line entry;
           p.have_data <- true;
-          add_ack_debt t p ~sharers:consumers ~acks_expected:n;
+          add_ack_debt t p ~sharers:consumers;
           p.miss_override <- Some (if n = 0 then Types.Rac_hit else Types.Remote_2hop);
-          if p.acks_needed = 0 then
+          if Nodeset.is_empty p.ack_waiters then
             (* every consumer may already be dead (crash mode): complete
                after the local-upgrade latency, with no acks to collect *)
             arm t ~delay:t.config.hub_latency timer_store_done p.tid
@@ -794,7 +792,7 @@ let retry_fires t tid =
    name an owner that no longer holds (or expects) the line.  An entry
    that never waited has no requester to ask about. *)
 let requester_current t (entry : Directory.entry) =
-  (not t.crashable) || entry.requester < 0
+  entry.requester < 0
   || ((not (Hub_link.peer_down t.hub ~peer:entry.requester))
      && Hub_link.peer_epoch t.hub ~peer:entry.requester = entry.requester_epoch)
 
@@ -812,7 +810,7 @@ let wait t line (entry : Directory.entry) (step : Directory.step) ~src ~op ~tid 
   entry.requester <- src;
   entry.requester_op <- op;
   entry.requester_tid <- tid;
-  if t.crashable then entry.requester_epoch <- Hub_link.peer_epoch t.hub ~peer:src
+  entry.requester_epoch <- Hub_link.peer_epoch t.hub ~peer:src
 
 (* A checkpointed value only moves memory forward: versions are monotone. *)
 let raise_mem (entry : Directory.entry) value =
@@ -934,7 +932,7 @@ let rec home_request t ~src ~(op : Types.op_kind) ~tid line =
    one stored for a node that has died since is dropped: its
    transaction died with it. *)
 and home_rerun t (node, op, tid) line =
-  if not (t.crashable && not (peer_alive t node)) then home_request t ~src:node ~op ~tid line
+  if peer_alive t node then home_request t ~src:node ~op ~tid line
 
 (* What an owner, an evictor or a delegated home sends the home. *)
 let home_answer t ~src line input (msg : Message.t) =
@@ -1025,7 +1023,7 @@ let home_answer t ~src line input (msg : Message.t) =
    home, or at a node that no longer is one. *)
 let prod_request t line (event : Delegate_cache.event) ~requester ~tid =
   (* a read from a node known dead died with it *)
-  if event = Read && t.crashable && not (peer_alive t requester) then ()
+  if event = Read && not (peer_alive t requester) then ()
   else
     let found = find_producer t line in
     let step = producer_step t found event in
@@ -1101,7 +1099,6 @@ let take_delegation t p ~src ~sharers ~value ~acks_expected =
             slot = Free;
             unflushed = Nodeset.empty;
             last_push = 0;
-            flush_acks = 0;
             flush_waiters = Nodeset.empty;
           }
         in
@@ -1122,16 +1119,11 @@ let take_delegation t p ~src ~sharers ~value ~acks_expected =
   take_grant t p ~src ~sharers ~acks_expected
 
 let credit_ack t p ~src =
-  if not t.crashable then begin
-    p.acks_needed <- p.acks_needed - 1;
-    try_complete_store t p
-  end
-  else if Nodeset.mem p.ack_waiters src then begin
+  if Nodeset.mem p.ack_waiters src then begin
     (* only known debtors are credited: recovery may already have
        credited a dead consumer whose ack was still in flight, and
        timeout-driven re-invalidations can elicit duplicate acks *)
     p.ack_waiters <- Nodeset.remove p.ack_waiters src;
-    p.acks_needed <- p.acks_needed - 1;
     try_complete_store t p
   end
   else if not p.have_data then
@@ -1194,14 +1186,7 @@ let on_new_home t line ~new_home =
 let on_update_flush_ack t ~src line =
   match find_producer t line with
   | None -> () (* stale ack; the line was already undelegated *)
-  | Some entry ->
-      if not t.crashable then flush_ack_credit t line entry
-      else if Nodeset.mem entry.flush_waiters src then begin
-        (* only known debtors are credited: recovery may already have
-           credited a dead flush target whose ack was still in flight *)
-        entry.flush_waiters <- Nodeset.remove entry.flush_waiters src;
-        flush_ack_credit t line entry
-      end
+  | Some entry -> flush_ack_credit t line entry ~src
 
 (* ------------------------------------------------------------------ *)
 (* Message dispatch                                                    *)
@@ -1271,7 +1256,7 @@ let txn_timeout_fires t tid =
       note t ~code:Flight_ring.n_timeout ~line:p.line ~arg:p.timeouts;
       note_strike t p.line;
       (if not p.have_data then request t p
-       else if t.crashable && p.kind = Types.Store && p.acks_needed > 0 then
+       else if t.crashable then
          (* a consumer that crashed and restarted lost the original
             invalidation with its cache: re-invalidate the remaining
             live debtors (idempotent — the debtor-set accounting ignores
@@ -1313,7 +1298,6 @@ let start_miss t ~kind ~line ~on_commit (action : L2.action) =
       timeouts = 0;
       target = t.id;
       reply_src = t.id;
-      acks_needed = 0;
       ack_waiters = Nodeset.empty;
       early_acks = Nodeset.empty;
       have_data = false;
@@ -1905,24 +1889,20 @@ let recover_after_crash nodes ~dead ~will_restart =
                        requester *)
                     entry.slot <- Recalled
                 | Free | Recalled | Held _ -> ());
-                if Nodeset.mem entry.flush_waiters dead then begin
-                  entry.flush_waiters <- Nodeset.remove entry.flush_waiters dead;
-                  flushes := (line, entry) :: !flushes
-                end)
+                if Nodeset.mem entry.flush_waiters dead then
+                  flushes := (line, entry) :: !flushes)
               table;
             (* credited outside the iteration: completing a flush round
                can undelegate, which mutates the table being iterated *)
-            List.iter (fun (line, entry) -> flush_ack_credit node line entry)
+            List.iter (fun (line, entry) -> flush_ack_credit node line entry ~src:dead)
               (List.rev !flushes)
         | None -> ());
         (match node.pending with
-        | Some p when p.kind = Types.Store && Nodeset.mem p.ack_waiters dead ->
+        | Some p when Nodeset.mem p.ack_waiters dead ->
             (* the dead node can no longer acknowledge — and its copy
                died with it, which is all the invalidation wanted *)
-            p.ack_waiters <- Nodeset.remove p.ack_waiters dead;
-            p.acks_needed <- p.acks_needed - 1;
             stats.crash_rescued <- stats.crash_rescued + 1;
-            try_complete_store node p
+            credit_ack node p ~src:dead
         | Some _ | None -> ());
         match node.pending with
         | Some p when p.target = dead && not p.have_data ->

@@ -39,18 +39,12 @@ val create :
     event is emitted into; [alive_view] is the machine-wide aliveness
     array shared by every node of one system (flipped by crashes). *)
 
-val id : t -> Types.node_id
-
 val submit :
   t -> kind:Types.op_kind -> line:Types.line -> on_commit:(unit -> unit) -> unit
 (** Issue one blocking memory operation from the local processor.  At most
     one operation may be outstanding per node; [on_commit] fires when it
     is globally performed.  Raises [Invalid_argument] if an operation is
-    already pending. *)
-
-val busy : t -> bool
-(** True while a submitted operation has not yet committed, an L2 hit
-    waiting out its latency included. *)
+    already pending (an L2 hit waiting out its latency included). *)
 
 (** {2 Inspection (tests, examples, invariant checks)} *)
 

@@ -60,10 +60,6 @@ and bus = {
   responses : Message.t array;
 }
 
-let id t = t.id
-
-let busy t = t.pending <> None
-
 let home_of line = Types.Layout.home_of_line line
 
 let mem_read t line = match Hashtbl.find_opt t.mem line with Some v -> v | None -> 0
@@ -499,6 +495,10 @@ let pending_op t = match t.pending with Some p -> Some (p.kind, p.line) | None -
 let pending_info t =
   match t.pending with Some p -> Some (p.kind, p.line, p.started, 0) | None -> None
 
+let hub_in_flight t = Hub_link.in_flight t.hub
+
+let link_retransmits t = Hub_link.retransmits_by_link t.hub
+
 let copy_state (_, e) = Mesi.state_of_entry e
 
 let copy_value (_, (e : L2.entry)) = e.value
@@ -553,41 +553,3 @@ let check_invariants nodes =
         (Mesi.violations nodes.(0).table ~state:copy_state ~value:copy_value ~mem copies))
     sorted_lines;
   List.rev !errors
-
-module Backend = struct
-  type node = t
-
-  let id = id
-
-  let submit = submit
-
-  let busy = busy
-
-  let l2_state = l2_state
-
-  let iter_l2 = iter_l2
-
-  let pending_op = pending_op
-
-  let pending_info = pending_info
-
-  let check_invariants = check_invariants
-
-  let delegated_line_count _ = 0
-
-  let rac_occupancy _ = 0
-
-  let rac_capacity _ = 0
-
-  let rac_updates_consumed _ = 0
-
-  let rac_updates_wasted _ = 0
-
-  let rac_pressure _ = 0
-
-  let deledc_pressure _ = 0
-
-  let hub_in_flight t = Hub_link.in_flight t.hub
-
-  let link_retransmits t = Hub_link.retransmits_by_link t.hub
-end

@@ -24,7 +24,7 @@
 
     Every state decision — hit or bus command, each snooper's reaction,
     the state a fill installs, write-back on eviction, the per-line
-    invariants of {!Backend.check_invariants}, the planted
+    invariants of {!check_invariants}, the planted
     [Config.Snoop_upgr_skips_invals] — comes from the {!Mesi} table,
     the same table the model checker interprets; this module keeps only
     bus arbitration, messages and timing.  State encoding on the shared
@@ -53,4 +53,29 @@ val create_machine :
     arbiter is machine-wide state — hence the whole-machine constructor.
     [config.protocol] must be [Msi] or [Mesi]. *)
 
-module Backend : Protocol.S with type node = t
+val submit :
+  t -> kind:Types.op_kind -> line:Types.line -> on_commit:(unit -> unit) -> unit
+(** Issue one blocking processor operation; at most one outstanding per
+    node ([Invalid_argument] otherwise). *)
+
+(** {2 Inspection (System's gauges, stall reports and tests)} *)
+
+val l2_state : t -> Types.line -> L2.entry option
+(** Side-effect-free cache-state peek, in the encoding above. *)
+
+val iter_l2 : t -> (Types.line -> L2.entry -> unit) -> unit
+
+val pending_op : t -> (Types.op_kind * Types.line) option
+
+val pending_info : t -> (Types.op_kind * Types.line * int * int) option
+(** The outstanding transaction with its start cycle and timeout count
+    (always 0: the bus protocol takes no completion timeouts). *)
+
+val check_invariants : t array -> string list
+(** A drained machine's invariants: the bus released, no transaction
+    pending, and every line passes the {!Mesi} table's per-line
+    invariants (empty = consistent). *)
+
+val hub_in_flight : t -> int
+
+val link_retransmits : t -> (Types.node_id * int) list

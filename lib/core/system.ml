@@ -14,17 +14,17 @@ type barrier = {
 
 type crash_phase = Crash_down | Crash_detected | Crash_restarted
 
+(* The machine's nodes, of whichever protocol [Config.protocol] names:
+   every generic operation matches the two cases, and the crash
+   machinery and the adaptive-only oracle layers (Audit, Diff) take the
+   adaptive nodes. *)
+type backend = Adaptive of Node.t array | Snooping of Snoop.t array
+
 type t = {
   config : Config.t;
   sim : Sim.t;
   network : Message.t Network.t;
-  backend : Protocol.packed;
-      (* the protocol backend: every generic operation (submission,
-         observer fan-out, gauges, invariants) goes through this pack *)
-  adaptive_nodes : Node.t array option;
-      (* the same nodes, concretely typed, when the backend is the
-         adaptive protocol: the crash machinery and the adaptive-only
-         oracle layers (Audit, Diff) need the full Node surface *)
+  backend : backend;
   stats : Run_stats.t;
   alive_view : bool array;  (* shared with every node; flipped by crashes *)
   barriers : (int, barrier) Hashtbl.t;
@@ -46,9 +46,9 @@ type t = {
 let on_crash t f = t.crash_hooks <- t.crash_hooks @ [ f ]
 
 let adaptive_exn t =
-  match t.adaptive_nodes with
-  | Some nodes -> nodes
-  | None ->
+  match t.backend with
+  | Adaptive nodes -> nodes
+  | Snooping _ ->
       invalid_arg
         (Printf.sprintf "System: adaptive backend required (running %s)"
            (Config.describe t.config))
@@ -193,22 +193,18 @@ let create ~(config : Config.t) () =
   let rng = Pcc_engine.Rng.create ~seed:config.seed in
   let alive_view = Array.make config.nodes true in
   let probe = Probe.create ~sim ~nodes:config.nodes in
-  let backend, adaptive_nodes =
+  let backend =
     match config.protocol with
     | Types.Adaptive ->
-        let nodes =
-          Array.init config.nodes (fun id ->
-              Node.create ~probe ~alive_view ~config ~sim ~network ~id ~stats
-                ~next_version
-                ~rng:(Pcc_engine.Rng.split rng)
-                ())
-        in
-        (Protocol.Pack ((module Protocol.Adaptive_backend), nodes), Some nodes)
+        Adaptive
+          (Array.init config.nodes (fun id ->
+               Node.create ~probe ~alive_view ~config ~sim ~network ~id ~stats
+                 ~next_version
+                 ~rng:(Pcc_engine.Rng.split rng)
+                 ()))
     | Types.Msi | Types.Mesi ->
-        let nodes =
-          Snoop.create_machine ~probe ~config ~sim ~network ~stats ~next_version ~rng ()
-        in
-        (Protocol.Pack ((module Snoop.Backend), nodes), None)
+        Snooping
+          (Snoop.create_machine ~probe ~config ~sim ~network ~stats ~next_version ~rng ())
   in
   let t =
     {
@@ -216,7 +212,6 @@ let create ~(config : Config.t) () =
       sim;
       network;
       backend;
-      adaptive_nodes;
       stats;
       alive_view;
       barriers = Hashtbl.create 16;
@@ -257,10 +252,14 @@ let node_alive t id = t.alive_view.(id)
    tests; side-effect-free). *)
 
 let l2_entry t ~node:id ~line =
-  match t.backend with Protocol.Pack ((module P), arr) -> P.l2_state arr.(id) line
+  match t.backend with
+  | Adaptive nodes -> Node.l2_state nodes.(id) line
+  | Snooping nodes -> Snoop.l2_state nodes.(id) line
 
 let iter_l2 t ~node:id f =
-  match t.backend with Protocol.Pack ((module P), arr) -> P.iter_l2 arr.(id) f
+  match t.backend with
+  | Adaptive nodes -> Node.iter_l2 nodes.(id) f
+  | Snooping nodes -> Snoop.iter_l2 nodes.(id) f
 
 let stats t = t.stats
 
@@ -272,10 +271,13 @@ let fault_stats t = Network.fault_stats t.network
 
 let submit t ~node ~kind ~line ~on_commit =
   match t.backend with
-  | Protocol.Pack ((module P), arr) -> P.submit arr.(node) ~kind ~line ~on_commit
+  | Adaptive nodes -> Node.submit nodes.(node) ~kind ~line ~on_commit
+  | Snooping nodes -> Snoop.submit nodes.(node) ~kind ~line ~on_commit
 
 let check_invariants t =
-  match t.backend with Protocol.Pack ((module P), arr) -> P.check_invariants arr
+  match t.backend with
+  | Adaptive nodes -> Node.check_invariants nodes
+  | Snooping nodes -> Snoop.check_invariants nodes
 
 (* Observers: post-event callbacks from the simulator, and the
    machine-wide event streams, which subscribe straight into the probe
@@ -295,46 +297,44 @@ let on_retransmit t f = Probe.on_retransmit t.probe f
 
 (* Live occupancy gauges for telemetry samplers. *)
 
+let sum f nodes = Array.fold_left (fun acc node -> acc + f node) 0 nodes
+
+(* The RAC and delegation gauges: only the adaptive machine has a RAC
+   and a delegate cache, so a snooping machine reads 0. *)
+let adaptive_sum t f = match t.backend with Adaptive nodes -> sum f nodes | Snooping _ -> 0
+
 let in_flight_txns t =
+  let pending pending_op = sum (fun node -> if pending_op node <> None then 1 else 0) in
   match t.backend with
-  | Protocol.Pack ((module P), arr) ->
-      Array.fold_left
-        (fun acc node -> acc + if P.pending_op node <> None then 1 else 0)
-        0 arr
+  | Adaptive nodes -> pending Node.pending_op nodes
+  | Snooping nodes -> pending Snoop.pending_op nodes
 
-let delegated_lines t =
-  match t.backend with
-  | Protocol.Pack ((module P), arr) ->
-      Array.fold_left (fun acc node -> acc + P.delegated_line_count node) 0 arr
+let delegated_lines t = adaptive_sum t Node.delegated_line_count
 
-let rac_occupancy t =
-  match t.backend with
-  | Protocol.Pack ((module P), arr) ->
-      Array.fold_left (fun acc node -> acc + P.rac_occupancy node) 0 arr
+let rac_occupancy t = adaptive_sum t Node.rac_occupancy
 
-let rac_capacity t =
-  match t.backend with
-  | Protocol.Pack ((module P), arr) ->
-      Array.fold_left (fun acc node -> acc + P.rac_capacity node) 0 arr
+let rac_capacity t = adaptive_sum t Node.rac_capacity
 
 let link_in_flight t =
   match t.backend with
-  | Protocol.Pack ((module P), arr) ->
-      Array.fold_left (fun acc node -> acc + P.hub_in_flight node) 0 arr
+  | Adaptive nodes -> sum Node.hub_in_flight nodes
+  | Snooping nodes -> sum Snoop.hub_in_flight nodes
 
 let network_in_flight t = Network.in_flight t.network
 
 let event_queue_depth t = Sim.pending_events t.sim
 
+(* A node's id is its index in the machine's array. *)
 let retransmits_by_link t =
+  let links retransmits nodes =
+    Array.to_list nodes
+    |> List.mapi (fun src node ->
+           List.map (fun (dst, count) -> (src, dst, count)) (retransmits node))
+    |> List.concat
+  in
   match t.backend with
-  | Protocol.Pack ((module P), arr) ->
-      Array.to_list arr
-      |> List.concat_map (fun node ->
-             let src = P.id node in
-             List.map
-               (fun (dst, count) -> (src, dst, count))
-               (P.link_retransmits node))
+  | Adaptive nodes -> links Node.link_retransmits nodes
+  | Snooping nodes -> links Snoop.link_retransmits nodes
 
 (* One transaction still outstanding when a run failed to drain. *)
 type in_flight = {
@@ -391,8 +391,6 @@ let pp_stall_report ppf r =
 let run_stream ?max_events (t : t) (feed : Op_stream.t) =
   if feed.Op_stream.nodes <> t.config.nodes then
     invalid_arg "System.run_stream: one program per node required";
-  match t.backend with
-  | Protocol.Pack ((module P), arr) ->
   let crashable = Config.crash_capable t.config in
   let remaining = ref t.config.nodes in
   let finished = Array.make t.config.nodes false in
@@ -423,7 +421,6 @@ let run_stream ?max_events (t : t) (feed : Op_stream.t) =
     end
   in
   for node_id = 0 to t.config.nodes - 1 do
-    let node = arr.(node_id) in
     (* one stepper closure per node, pulling one packed op per step: each
        processor has at most one continuation outstanding, so the feed is
        consulted exactly once per op and no per-op closure is built *)
@@ -447,7 +444,7 @@ let run_stream ?max_events (t : t) (feed : Op_stream.t) =
         | 3 (* barrier *) -> barrier_arrive t node_id payload (guard node_id step)
         | tag (* load/store *) ->
             let kind = if tag = 1 then Types.Load else Types.Store in
-            P.submit node ~kind ~line:payload ~on_commit:resume
+            submit t ~node:node_id ~kind ~line:payload ~on_commit:resume
       end
     and resume () =
       in_flight_op.(node_id) <- false;
@@ -473,7 +470,7 @@ let run_stream ?max_events (t : t) (feed : Op_stream.t) =
         | Crash_restarted -> resume_stepper.(node) ());
   let outcome = Sim.run ?max_events t.sim in
   let invariant_errors =
-    if !remaining = 0 && outcome = Sim.Drained then P.check_invariants arr
+    if !remaining = 0 && outcome = Sim.Drained then check_invariants t
     else
       [
         Printf.sprintf "run did not quiesce: %d processors unfinished (outcome %s)"
@@ -481,17 +478,20 @@ let run_stream ?max_events (t : t) (feed : Op_stream.t) =
           (Format.asprintf "%a" Sim.pp_outcome outcome);
       ]
   in
-  let updates_consumed =
-    Array.fold_left (fun acc node -> acc + P.rac_updates_consumed node) 0 arr
-  in
-  let updates_wasted =
-    Array.fold_left (fun acc node -> acc + P.rac_updates_wasted node) 0 arr
-  in
-  let rac_pressure =
-    Array.fold_left (fun acc node -> acc + P.rac_pressure node) 0 arr
-  in
-  let deledc_pressure =
-    Array.fold_left (fun acc node -> acc + P.deledc_pressure node) 0 arr
+  let stalled pending_info nodes =
+    Array.to_list nodes
+    |> List.mapi (fun id node ->
+           Option.map
+             (fun (kind, line, started, timeouts) ->
+               {
+                 stalled_node = id;
+                 stalled_kind = kind;
+                 stalled_line = line;
+                 stalled_since = started;
+                 stalled_timeouts = timeouts;
+               })
+             (pending_info node))
+    |> List.filter_map Fun.id
   in
   let stall =
     if outcome = Sim.Drained && !remaining = 0 then None
@@ -501,18 +501,9 @@ let run_stream ?max_events (t : t) (feed : Op_stream.t) =
           stall_outcome = outcome;
           stall_unfinished = !remaining;
           stall_in_flight =
-            Array.to_list arr
-            |> List.filter_map (fun node ->
-                   Option.map
-                     (fun (kind, line, started, timeouts) ->
-                       {
-                         stalled_node = P.id node;
-                         stalled_kind = kind;
-                         stalled_line = line;
-                         stalled_since = started;
-                         stalled_timeouts = timeouts;
-                       })
-                     (P.pending_info node));
+            (match t.backend with
+            | Adaptive nodes -> stalled Node.pending_info nodes
+            | Snooping nodes -> stalled Snoop.pending_info nodes);
           stall_recent = recent t;
         }
   in
@@ -525,10 +516,10 @@ let run_stream ?max_events (t : t) (feed : Op_stream.t) =
     network_bytes = Network.bytes_sent t.network;
     violations = Sc_check.violations (checker t);
     invariant_errors;
-    updates_consumed;
-    updates_wasted;
-    rac_pressure;
-    deledc_pressure;
+    updates_consumed = adaptive_sum t Node.rac_updates_consumed;
+    updates_wasted = adaptive_sum t Node.rac_updates_wasted;
+    rac_pressure = adaptive_sum t Node.rac_pressure;
+    deledc_pressure = adaptive_sum t Node.deledc_pressure;
     hot_lines = Run_stats.top_lines t.stats ~n:10;
     stall;
   }

@@ -5,13 +5,14 @@
     run-level results the evaluation reports: execution cycles, remote
     misses, network messages and bytes, and coherence-check outcomes.
 
-    The coherence state machine itself is pluggable: [Config.protocol]
-    selects a {!Protocol} backend (the paper's adaptive directory
-    protocol, or bus-snooping MSI/MESI), and everything in this module —
-    the run loop, barriers, watchdog, observers, gauges, flight
-    recorder, stall reports — works identically over any backend.  Only
-    the fail-stop crash machinery and the [Node]-typed accessors are
-    adaptive-specific.
+    [Config.protocol] selects the coherence machine: the paper's
+    adaptive directory protocol ({!Node}) or bus-snooping MSI/MESI
+    ({!Snoop}).  The machine holds its nodes as one variant of the two,
+    and everything in this module — the run loop, barriers, watchdog,
+    observers, gauges, flight recorder, stall reports — works over
+    either.  Only the fail-stop crash machinery and the [Node]-typed
+    accessors are adaptive-specific; the RAC and delegation gauges read
+    0 on a snooping machine.
 
     Every backend emits its events once, into the machine's {!Probe}:
     the flight ring records each one and the [on_*] observers below
@@ -157,13 +158,13 @@ val in_flight_txns : t -> int
 (** Nodes with an outstanding processor transaction. *)
 
 val delegated_lines : t -> int
-(** Producer-table entries held across the machine. *)
+(** Producer-table entries held across the machine (0 when snooping). *)
 
 val rac_occupancy : t -> int
-(** Valid RAC entries across the machine. *)
+(** Valid RAC entries across the machine (0 when snooping). *)
 
 val rac_capacity : t -> int
-(** Total RAC entries across the machine. *)
+(** Total RAC entries across the machine (0 when snooping). *)
 
 val link_in_flight : t -> int
 (** Unacknowledged hub-link packets across all nodes (0 when the link is
@@ -214,7 +215,9 @@ type result = {
   network_bytes : int;
   violations : int;
   invariant_errors : string list;
-  updates_consumed : int;  (** pushed updates later read by a consumer *)
+  updates_consumed : int;
+      (** pushed updates later read by a consumer; this and the next
+          three fields read 0 on a snooping machine *)
   updates_wasted : int;
   rac_pressure : int;
       (** machine-wide RAC capacity events (evictions + pinned-set fill

@@ -18,8 +18,8 @@ module System = Pcc_core.System
 (** The per-location SC checker every commit feeds (§2.5). *)
 module Sc_check = Pcc_core.Sc_check
 
-(** Pluggable coherence backends: the interface every state machine
-    implements, plus backend-name parsing for CLIs. *)
+(** The coherence-protocol names (adaptive, MSI, MESI) and their
+    parsing for CLIs. *)
 module Protocol = Pcc_core.Protocol
 
 (** Bus-snooping MSI/MESI backend. *)
@@ -92,9 +92,8 @@ module Fault = Pcc_interconnect.Fault
 (** The seven evaluation workloads (Table 2) and their generators. *)
 module Workloads = Pcc_workload.Apps
 
-(** First-class workloads: the streaming interface every workload
-    implements, and the registry behind the [--workload] spec
-    grammar. *)
+(** Workloads as one record (name, footprint, a fresh feed per run),
+    and the registry behind the [--workload] spec grammar. *)
 module Workload = Pcc_workload.Workload
 
 (** Streaming datacenter-shaped workload generators (sharded KV,

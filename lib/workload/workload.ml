@@ -1,91 +1,43 @@
-(* First-class workloads.
+(* Workloads, and the registry behind the [--workload] CLI grammar.
 
-   Mirrors the PR 9 protocol-backend redesign on the workload side: a
-   workload is a module implementing [S] — a streaming source of packed
-   ops with a declared node/line footprint — existentially packed so
-   System/bench/CLIs consume any workload backend-agnostically.  The
-   seven paper apps are the first instances (materialized programs
-   bridged through [Op_stream.of_programs], bit-identical to the eager
-   path); the datacenter generators and binary-trace replays are the
-   streaming ones.
+   A workload is one record: a streaming source of packed ops with a
+   declared node/line footprint, consumed by System, the bench harnesses
+   and every CLI.  The seven paper apps are materialized programs bridged
+   through [Op_stream.of_programs], bit-identical to the eager path; the
+   datacenter generators and binary-trace replays are the streaming ones.
 
-   The registry maps the CLI spec grammar [NAME:k=v,...] to instances.
+   The registry maps the CLI spec grammar [NAME:k=v,...] to workloads.
    Unknown names and unknown keys are rejected loudly with suggestions —
    a sweep silently run under the wrong workload poisons every
    comparison built on it (same contract as Protocol.of_string). *)
 
 open Pcc_core
 
-module type S = sig
-  type t
+type t = {
+  name : string;
+  describe : string;
+  nodes : int;
+  footprint : int Lazy.t;
+  accesses : int option Lazy.t;
+  stream : unit -> Op_stream.t;
+}
 
-  val name : t -> string
+let name w = w.name
 
-  val describe : t -> string
+let describe w = w.describe
 
-  val nodes : t -> int
+let nodes w = w.nodes
 
-  val footprint : t -> int
+let footprint w = Lazy.force w.footprint
 
-  val total_accesses : t -> int option
+let total_accesses w = Lazy.force w.accesses
 
-  val stream : t -> Op_stream.t
-end
+let stream w = w.stream ()
 
-type packed = Pack : (module S with type t = 'a) * 'a -> packed
-
-let name (Pack ((module W), w)) = W.name w
-
-let describe (Pack ((module W), w)) = W.describe w
-
-let nodes (Pack ((module W), w)) = W.nodes w
-
-let footprint (Pack ((module W), w)) = W.footprint w
-
-let total_accesses (Pack ((module W), w)) = W.total_accesses w
-
-let stream (Pack ((module W), w)) = W.stream w
-
-let programs p = Op_stream.to_programs (stream p)
-
-(* The universal instance carrier: a name, a footprint, and a thunk
-   producing a fresh rewound feed.  Having one concrete module (rather
-   than one per workload) keeps registry entries one-liners; anything
-   genuinely new can still implement [S] directly. *)
-module Instance = struct
-  type t = {
-    i_name : string;
-    i_describe : string;
-    i_nodes : int;
-    i_footprint : int Lazy.t;
-    i_accesses : int option Lazy.t;
-    i_stream : unit -> Op_stream.t;
-  }
-
-  let name t = t.i_name
-
-  let describe t = t.i_describe
-
-  let nodes t = t.i_nodes
-
-  let footprint t = Lazy.force t.i_footprint
-
-  let total_accesses t = Lazy.force t.i_accesses
-
-  let stream t = t.i_stream ()
-end
+let programs w = Op_stream.to_programs (stream w)
 
 let make ~name ~describe ~nodes ~footprint ~accesses stream =
-  Pack
-    ( (module Instance),
-      {
-        Instance.i_name = name;
-        i_describe = describe;
-        i_nodes = nodes;
-        i_footprint = footprint;
-        i_accesses = accesses;
-        i_stream = stream;
-      } )
+  { name; describe; nodes; footprint; accesses; stream }
 
 let distinct_lines programs =
   let seen = Hashtbl.create 256 in
@@ -196,7 +148,7 @@ type entry = {
   e_name : string;
   e_summary : string;
   e_keys : string list;
-  e_make : ctx -> (string * string) list -> (packed, string) result;
+  e_make : ctx -> (string * string) list -> (t, string) result;
 }
 
 let scale_seed_entry ~name ~summary build =

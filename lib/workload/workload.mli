@@ -1,78 +1,59 @@
-(** First-class workloads: the streaming interface every workload
-    implements, and the name registry behind the [--workload] CLI
+(** Workloads, and the name registry behind the [--workload] CLI
     grammar.
 
-    This is the workload-side mirror of {!Pcc_core.Protocol}: a
-    workload is a module implementing {!S} — a source of packed-op
-    feeds with a declared node/line footprint — existentially packed in
-    {!packed} so {!Pcc_core.System.run_stream}, the bench harnesses,
-    and every CLI consume any workload backend-agnostically.  The seven
-    paper apps are the first instances (materialized programs bridged
-    through {!Pcc_core.Op_stream.of_programs}, bit-identical to the
-    eager path); the {!Dcgen} generators and {!Btrace} replays are the
-    streaming ones.
+    A workload is one record: a source of packed-op feeds with a
+    declared node/line footprint, which {!Pcc_core.System.run_stream},
+    the bench harnesses and every CLI consume.  The seven paper apps
+    are materialized programs bridged through
+    {!Pcc_core.Op_stream.of_programs}, bit-identical to the eager path;
+    the {!Dcgen} generators and {!Btrace} replays are the streaming
+    ones.
 
-    To add a workload: build a {!packed} (usually via a {!Dcgen}-style
-    generator record or a materialized program array) and give it a
-    registry entry — see DESIGN.md, "How to add a workload". *)
+    To add a workload: build one with {!make} (usually via a
+    {!Dcgen}-style generator record or a materialized program array) and
+    give it a registry entry — see DESIGN.md, "How to add a workload". *)
 
 open Pcc_core
 
-module type S = sig
-  type t
+type t
 
-  val name : t -> string
-  (** Registry name, e.g. ["kv"]. *)
+val name : t -> string
+(** Registry name, e.g. ["kv"]. *)
 
-  val describe : t -> string
-  (** Resolved parameters as a respawnable spec string, e.g.
-      ["kv:keys=2048,skew=0.9,..."] — what artifacts record. *)
+val describe : t -> string
+(** Resolved parameters as a respawnable spec string, e.g.
+    ["kv:keys=2048,skew=0.9,..."] — what artifacts record. *)
 
-  val nodes : t -> int
+val nodes : t -> int
 
-  val footprint : t -> int
-  (** Distinct cache lines the workload touches (approximate for
-      generators; may force generation for materialized instances). *)
+val footprint : t -> int
+(** Distinct cache lines the workload touches (approximate for
+    generators; may force generation for materialized workloads). *)
 
-  val total_accesses : t -> int option
-  (** Total memory accesses, when the workload knows it up front
-      ([None] for open-ended replays). *)
+val total_accesses : t -> int option
+(** Total memory accesses, when the workload knows it up front
+    ([None] for open-ended replays). *)
 
-  val stream : t -> Op_stream.t
-  (** A fresh rewound feed; each call starts a new identical pass, so
-      one workload value can drive many runs. *)
-end
+val stream : t -> Op_stream.t
+(** A fresh rewound feed; each call starts a new identical pass, so
+    one workload value can drive many runs. *)
 
-type packed = Pack : (module S with type t = 'a) * 'a -> packed
-
-val name : packed -> string
-
-val describe : packed -> string
-
-val nodes : packed -> int
-
-val footprint : packed -> int
-
-val total_accesses : packed -> int option
-
-val stream : packed -> Op_stream.t
-
-val programs : packed -> Pcc_core.Types.op list array
+val programs : t -> Pcc_core.Types.op list array
 (** Materialize one full pass (legacy [Types.op list array] consumers:
     oracle replay, text-trace export).  Do not call on 10^8-event
     generator workloads. *)
 
-(** {2 Building instances} *)
+(** {2 Building workloads} *)
 
 val make :
   name:string -> describe:string -> nodes:int -> footprint:int Lazy.t ->
-  accesses:int option Lazy.t -> (unit -> Op_stream.t) -> packed
+  accesses:int option Lazy.t -> (unit -> Op_stream.t) -> t
 
 val of_materialized :
   name:string -> describe:string -> nodes:int ->
-  Types.op list array Lazy.t -> packed
+  Types.op list array Lazy.t -> t
 
-val of_dcgen : Dcgen.t -> packed
+val of_dcgen : Dcgen.t -> t
 
 val prodcons_spec : nodes:int -> scale:float -> seed:int -> Gen.app_spec
 (** The distilled 1-producer/(N-1)-consumer microbenchmark (formerly
@@ -89,7 +70,7 @@ type spec = { spec_name : string; spec_params : (string * string) list }
 
 val parse_spec : string -> (spec, string) result
 
-val of_spec : nodes:int -> scale:float -> seed:int -> string -> (packed, string) result
+val of_spec : nodes:int -> scale:float -> seed:int -> string -> (t, string) result
 (** Resolve a spec string against the registry.  [nodes]/[scale]/[seed]
     are the CLI-level defaults; spec keys override where the workload
     accepts them (a [trace] replay takes its node count from the file,

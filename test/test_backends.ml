@@ -203,6 +203,53 @@ let test_snoop_rejects_crash_configs () =
     (Invalid_argument "Snoop.create_machine: fail-stop crashes are not supported")
     (fun () -> ignore (System.create ~config ()))
 
+(* Only the adaptive machine has a RAC and a delegate cache.  The same
+   producer-consumer run, on a configuration whose RAC and delegation
+   are on, reads those gauges and result fields as nonzero on the
+   adaptive machine and as 0 on a snooping one, where the Node-typed
+   accessors refuse. *)
+let test_snoop_adaptive_gauges () =
+  let nodes = 4 in
+  let workload =
+    match Pcc_workload.Workload.of_spec ~nodes ~scale:0.15 ~seed:1 "prodcons" with
+    | Ok w -> w
+    | Error m -> Alcotest.fail m
+  in
+  let run protocol =
+    let config = { (Config.full ~nodes ()) with Config.protocol } in
+    let t = System.create ~config () in
+    let r = System.run_stream t (Pcc_workload.Workload.stream workload) in
+    Alcotest.(check int) "coherent" 0 r.System.violations;
+    Alcotest.(check (list string)) "invariants" [] r.System.invariant_errors;
+    ( t,
+      [
+        ("delegated lines", System.delegated_lines t);
+        ("rac occupancy", System.rac_occupancy t);
+        ("rac capacity", System.rac_capacity t);
+        ("updates consumed", r.System.updates_consumed);
+        ("updates wasted", r.System.updates_wasted);
+        ("rac pressure", r.System.rac_pressure);
+        ("deledc pressure", r.System.deledc_pressure);
+      ] )
+  in
+  let adaptive, gauges = run Types.Adaptive in
+  List.iter
+    (fun what ->
+      Alcotest.(check bool) ("adaptive " ^ what ^ " > 0") true (List.assoc what gauges > 0))
+    [ "delegated lines"; "rac occupancy"; "rac capacity"; "updates consumed" ];
+  Alcotest.(check int) "adaptive nodes" nodes (Array.length (System.nodes adaptive));
+  let refuses f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  List.iter
+    (fun protocol ->
+      let name = Protocol.to_string protocol in
+      let t, gauges = run protocol in
+      List.iter (fun (what, v) -> Alcotest.(check int) (name ^ " " ^ what) 0 v) gauges;
+      Alcotest.(check bool) (name ^ ": nodes refuses") true
+        (refuses (fun () -> System.nodes t));
+      Alcotest.(check bool) (name ^ ": node refuses") true
+        (refuses (fun () -> System.node t 0)))
+    [ Types.Msi; Types.Mesi ]
+
 (* ---------------- qcheck conformance suite ---------------- *)
 
 (* Random legal op sequences against one backend.  Online checks:
@@ -293,5 +340,7 @@ let suite =
     Alcotest.test_case "MESI silent upgrade vs MSI" `Quick test_mesi_silent_upgrade;
     Alcotest.test_case "cache-to-cache transfer" `Quick test_c2c_transfer;
     Alcotest.test_case "snoop rejects crash configs" `Quick test_snoop_rejects_crash_configs;
+    Alcotest.test_case "RAC and delegation gauges read 0 when snooping" `Quick
+      test_snoop_adaptive_gauges;
   ]
   @ conformance_tests

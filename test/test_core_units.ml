@@ -494,11 +494,32 @@ let test_message_class_names_unique () =
       Message.Undelegate
         { line; sharers = Nodeset.empty; owner = None; value = None; pending = None };
       Message.Update { line; value = 0 };
+      Message.Update_flush { line };
+      Message.Update_flush_ack { line };
+      Message.Recall_nack { line };
+      Message.Bus_rd { line; tid = 0 };
+      Message.Bus_rdx { line; tid = 0 };
+      Message.Bus_upgr { line; tid = 0 };
+      Message.Bus_flush { line; value = 0; tid = 0; requester = 0; dirty = false };
+      Message.Snoop_resp
+        { line; tid = 0; shared = false; owner = false; flushed_home = false; mem_value = None };
+      Message.Bus_wb { line; value = 0 };
+      Message.Bus_wb_ack { line; tid = 0 };
     ]
   in
+  Alcotest.(check int) "one message per class" Message.class_count (List.length messages);
   let names = List.map Message.class_name messages in
   Alcotest.(check int) "distinct class names" (List.length names)
-    (List.length (List.sort_uniq compare names))
+    (List.length (List.sort_uniq compare names));
+  let indices = List.map Message.class_index messages in
+  Alcotest.(check (list int)) "class indices cover [0, class_count) once"
+    (List.init Message.class_count Fun.id)
+    (List.sort compare indices);
+  List.iter
+    (fun m ->
+      Alcotest.(check string) "class_index_name inverts class_index" (Message.class_name m)
+        (Message.class_index_name (Message.class_index m)))
+    messages
 
 (* ---------------- Config / Hw_cost ---------------- *)
 
