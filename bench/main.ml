@@ -23,6 +23,7 @@
 
 open Pcc_core
 module Apps = Pcc_workload.Apps
+module Gen = Pcc_workload.Gen
 module Table = Pcc_stats.Table
 module Summary = Pcc_stats.Summary
 module Jsonl = Pcc_stats.Jsonl
@@ -66,15 +67,15 @@ let run_cache : (string, System.result) Hashtbl.t = Hashtbl.create 64
    artifacts are self-describing (registered wherever a key is minted) *)
 let workload_by_key : (string, string) Hashtbl.t = Hashtbl.create 64
 
-let programs_cache = Hashtbl.create 16
+(* One compiled plan per app, forced only in the main domain when a run
+   or row first needs it: pool workers only open passes over it (a pass
+   owns its buffers and generators). *)
+let plans =
+  List.map
+    (fun app -> (app.Apps.name, lazy (Gen.compile (app.Apps.spec ~scale ~nodes ~seed:1))))
+    Apps.all
 
-let programs app =
-  match Hashtbl.find_opt programs_cache app.Apps.name with
-  | Some p -> p
-  | None ->
-      let p = Apps.programs app ~scale ~nodes () in
-      Hashtbl.add programs_cache app.Apps.name p;
-      p
+let plan app = Lazy.force (List.assoc app.Apps.name plans)
 
 (* Record a finished run: warnings print here, always from the main
    domain, so a parallel prewarm emits them in the same deterministic
@@ -217,14 +218,11 @@ let prewarm ~jobs runs =
                  pending))
           pending
       in
-      (* Generate workloads once, in the main domain: the cache stays
-         single-domain and workers capture the finished (immutable)
-         program lists in their closures. *)
       let tasks =
         List.map
           (fun (key, app, config) ->
-            let programs = programs app in
-            (key, fun () -> System.run ~config ~programs ()))
+            let plan = plan app in
+            (key, fun () -> System.run_stream (System.create ~config ()) (Gen.stream plan)))
           wave
       in
       let results = Pool.run_keyed ~jobs tasks in
@@ -333,7 +331,7 @@ let table2 =
               [
                 Table.String app.Apps.name;
                 String app.Apps.problem_size;
-                Int (Pcc_workload.Gen.total_ops (programs app));
+                Int (Gen.accesses (plan app));
               ])
           Apps.all);
     note = text "";

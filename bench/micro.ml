@@ -368,12 +368,12 @@ let () =
   let cells =
     match workload_arg with
     | None ->
-        (* the fixed app cells; programs materialize once per cell, the
-           feed rewinds per repeat *)
+        (* the fixed app cells; each compiles its plan once and opens a
+           fresh pass per repeat *)
         List.map
-          (fun (key, app, config) ->
-            let programs = Apps.programs app ~scale ~nodes () in
-            (key, (fun () -> Op_stream.of_programs programs), config))
+          (fun (key, (app : Apps.app), config) ->
+            let plan = Workload_gen.compile (app.Apps.spec ~scale ~nodes ~seed:1) in
+            (key, (fun () -> Workload_gen.stream plan), config))
           (cells ())
     | Some spec -> (
         (* ad-hoc override: one registry workload, streamed, under the

@@ -62,6 +62,39 @@ let of_programs programs =
   in
   { nodes; next }
 
+(* Per-node cursor over a per-epoch refill buffer.  [refill node epoch
+   buf] writes packed ops and returns the count; every epoch ends with
+   at least a barrier, so refills always make progress. *)
+type cursor = {
+  buf : int array;
+  mutable len : int;
+  mutable pos : int;
+  mutable epoch : int;
+}
+
+(* One pull from [node]'s cursor, refilling past each exhausted epoch.
+   Top-level, so a pull allocates no closure. *)
+let rec pull ~refill ~epochs node c =
+  if c.pos < c.len then begin
+    let v = Array.unsafe_get c.buf c.pos in
+    c.pos <- c.pos + 1;
+    v
+  end
+  else if c.epoch >= epochs then end_of_stream
+  else begin
+    c.len <- refill node c.epoch c.buf;
+    c.pos <- 0;
+    c.epoch <- c.epoch + 1;
+    pull ~refill ~epochs node c
+  end
+
+let stream_of_epochs ~nodes ~epochs ~capacity ~refill () =
+  let cursors =
+    Array.init nodes (fun _ -> { buf = Array.make capacity 0; len = 0; pos = 0; epoch = 0 })
+  in
+  let next node = pull ~refill ~epochs node cursors.(node) in
+  { nodes; next }
+
 let to_programs t =
   Array.init t.nodes (fun node ->
       let rec pull acc =

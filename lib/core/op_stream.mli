@@ -51,13 +51,27 @@ val unpack_op : int -> Types.op
 (** Inverse of {!pack_op} (allocates; tooling and tests, not the hot
     path). *)
 
-(** {2 Bridging materialized programs} *)
+(** {2 Epoch-at-a-time feeds} *)
+
+val stream_of_epochs :
+  nodes:int -> epochs:int -> capacity:int ->
+  refill:(int -> int -> int array -> int) -> unit -> t
+(** A feed from a per-epoch refill function: [refill node epoch buf]
+    writes packed ops into [buf] (at most [capacity]) and returns the
+    count.  Each node's cursor refills its own buffer when the previous
+    epoch is exhausted, so a pull is an array read and a feed holds one
+    epoch per node whatever the run's length.  Every epoch must emit at
+    least one op per node (the generators end epochs with a barrier).
+    The paper apps ([Gen]) and the datacenter generators ([Dcgen])
+    share this cursor. *)
+
+(** {2 Bridging hand-written programs} *)
 
 val of_programs : Types.op list array -> t
-(** A feed replaying eagerly-built per-node programs in order —
-    allocation-free per pull once built.  This is how the legacy
-    [Types.op list array] entry points ride the streaming run loop
-    bit-identically. *)
+(** A feed replaying per-node programs someone wrote out as lists (the
+    litmus corpus, tests, [System.run_programs]) in order —
+    allocation-free per pull once built.  Generated workloads stream
+    through {!stream_of_epochs} instead. *)
 
 val to_programs : t -> Types.op list array
 (** Drain a feed into materialized programs (tooling: text-trace export,

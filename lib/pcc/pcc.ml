@@ -92,7 +92,7 @@ module Fault = Pcc_interconnect.Fault
 (** The seven evaluation workloads (Table 2) and their generators. *)
 module Workloads = Pcc_workload.Apps
 
-(** Workloads as one record (name, footprint, a fresh feed per run),
+(** Workloads as one record (name, access count, a fresh feed per run),
     and the registry behind the [--workload] spec grammar. *)
 module Workload = Pcc_workload.Workload
 
@@ -108,7 +108,8 @@ module Btrace = Pcc_workload.Btrace
     {!System.run_stream}). *)
 module Op_stream = Pcc_core.Op_stream
 
-(** Build-your-own workload machinery. *)
+(** Build-your-own workload machinery: sharing structures compiled into
+    epoch-at-a-time streams. *)
 module Workload_gen = Pcc_workload.Gen
 
 (** Explicit-state model checker (§2.5). *)

@@ -3,6 +3,7 @@ module Rng = Pcc_engine.Rng
 type app = {
   name : string;
   problem_size : string;
+  min_nodes : int;
   spec : scale:float -> nodes:int -> seed:int -> Gen.app_spec;
 }
 
@@ -48,6 +49,7 @@ let barnes =
   {
     name = "Barnes";
     problem_size = "16384 nodes, 123 seed";
+    min_nodes = 2;
     spec =
       (fun ~scale ~nodes ~seed ->
         let rng = Rng.create ~seed:(seed + 0xB0) in
@@ -88,6 +90,7 @@ let ocean =
   {
     name = "Ocean";
     problem_size = "258*258 array, 1e-7 error tolerance";
+    min_nodes = 1;
     spec =
       (fun ~scale ~nodes ~seed ->
         let rng = Rng.create ~seed:(seed + 0x0C) in
@@ -126,6 +129,7 @@ let em3d =
   {
     name = "Em3D";
     problem_size = "38400 nodes, degree 5, 15% remote";
+    min_nodes = 2;
     spec =
       (fun ~scale ~nodes ~seed ->
         let rng = Rng.create ~seed:(seed + 0xE3) in
@@ -162,6 +166,7 @@ let lu =
   {
     name = "LU";
     problem_size = "16*16*16 nodes, 50 testes";
+    min_nodes = 1;
     spec =
       (fun ~scale ~nodes ~seed ->
         let rng = Rng.create ~seed:(seed + 0x10) in
@@ -197,6 +202,7 @@ let cg =
   {
     name = "CG";
     problem_size = "1400 nodes, 15 iteration";
+    min_nodes = 2;
     spec =
       (fun ~scale ~nodes ~seed ->
         let rng = Rng.create ~seed:(seed + 0xC6) in
@@ -247,6 +253,7 @@ let mg =
   {
     name = "MG";
     problem_size = "32*32*32 nodes, 4 steps";
+    min_nodes = 2;
     spec =
       (fun ~scale ~nodes ~seed ->
         let rng = Rng.create ~seed:(seed + 0x36) in
@@ -283,6 +290,7 @@ let appbt =
   {
     name = "Appbt";
     problem_size = "16*16*16 nodes, 60 timesteps";
+    min_nodes = 2;
     spec =
       (fun ~scale ~nodes ~seed ->
         let rng = Rng.create ~seed:(seed + 0xAB) in

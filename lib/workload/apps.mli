@@ -14,6 +14,10 @@ open Pcc_core
 type app = {
   name : string;
   problem_size : string;  (** the Table 2 description *)
+  min_nodes : int;
+      (** the smallest machine [spec] can lay the sharing structure
+          out on: 2 where a line needs a producer and a different
+          consumer or home, 1 for the neighbour exchanges *)
   spec : scale:float -> nodes:int -> seed:int -> Gen.app_spec;
 }
 
@@ -51,4 +55,5 @@ val find : string -> app option
 (** Case-insensitive lookup by name. *)
 
 val programs : app -> ?scale:float -> ?seed:int -> nodes:int -> unit -> Types.op list array
-(** Convenience: build the spec and materialize the programs. *)
+(** Convenience: build the spec and drain one pass of its stream
+    ({!Gen.programs}); [scale] defaults to 1 and [seed] to 1. *)

@@ -1,9 +1,9 @@
 (* Streaming datacenter-shaped workload generators.
 
-   Where the seven paper apps are materialized up front (a few hundred
-   thousand ops), these four generators synthesize their programs one
-   epoch at a time into reusable per-node buffers, so a 10^8-event run
-   holds a few KB of generator state instead of gigabytes of op lists.
+   Like the seven paper apps ([Gen]), these four generators synthesize
+   their programs one epoch at a time into reusable per-node buffers
+   ([Op_stream.stream_of_epochs]), so a 10^8-event run holds a few KB of
+   generator state instead of gigabytes of op lists.
 
    Determinism without coordination: every shared decision for epoch [e]
    (who is hot, who publishes, who produces this era) is drawn from an
@@ -28,43 +28,9 @@ type t = {
   g_name : string;
   g_describe : string;
   g_nodes : int;
-  g_footprint : int;  (* distinct lines touched (shared + private) *)
   g_accesses : int;  (* total memory accesses across the run *)
   g_stream : unit -> Op_stream.t;
 }
-
-(* Per-node cursor over a per-epoch refill buffer.  [refill node epoch
-   buf] writes packed ops and returns the count; every epoch ends with
-   at least a barrier, so refills always make progress. *)
-type cursor = {
-  buf : int array;
-  mutable len : int;
-  mutable pos : int;
-  mutable epoch : int;
-}
-
-(* One pull from [node]'s cursor, refilling past each exhausted epoch.
-   Top-level, so a pull allocates no closure. *)
-let rec pull ~refill ~epochs node c =
-  if c.pos < c.len then begin
-    let v = Array.unsafe_get c.buf c.pos in
-    c.pos <- c.pos + 1;
-    v
-  end
-  else if c.epoch >= epochs then Op_stream.end_of_stream
-  else begin
-    c.len <- refill node c.epoch c.buf;
-    c.pos <- 0;
-    c.epoch <- c.epoch + 1;
-    pull ~refill ~epochs node c
-  end
-
-let stream_of_epochs ~nodes ~epochs ~capacity ~refill () =
-  let cursors =
-    Array.init nodes (fun _ -> { buf = Array.make capacity 0; len = 0; pos = 0; epoch = 0 })
-  in
-  let next node = pull ~refill ~epochs node cursors.(node) in
-  { Op_stream.nodes; next }
 
 (* Zipf(theta) over ranks 0..n-1 as a precomputed CDF; sampling is one
    uniform draw plus a binary search, allocation-free. *)
@@ -145,9 +111,8 @@ let kv ~nodes ~seed ?(keys = 2048) ?(skew = 0.9) ?(write_frac = 0.2)
       Printf.sprintf "kv:keys=%d,skew=%g,write-frac=%g,events=%d,seed=%d" keys skew
         write_frac events seed;
     g_nodes = nodes;
-    g_footprint = keys + (nodes * 64);
     g_accesses = nodes * per_epoch * epochs;
-    g_stream = stream_of_epochs ~nodes ~epochs ~capacity:(per_epoch + 2) ~refill;
+    g_stream = Op_stream.stream_of_epochs ~nodes ~epochs ~capacity:(per_epoch + 2) ~refill;
   }
 
 (* Pub/sub fan-out: each topic has one stable publisher and a subscriber
@@ -233,9 +198,8 @@ let pubsub ~nodes ~seed ?(topics = 192) ?(skew = 1.2) ?(max_fanout = 0)
       Printf.sprintf "pubsub:topics=%d,skew=%g,fanout=%d,events=%d,seed=%d"
         topics skew max_fanout events seed;
     g_nodes = nodes;
-    g_footprint = topics + (nodes * 64);
     g_accesses = per_epoch_total * epochs;
-    g_stream = stream_of_epochs ~nodes ~epochs ~capacity ~refill;
+    g_stream = Op_stream.stream_of_epochs ~nodes ~epochs ~capacity ~refill;
   }
 
 (* Work-stealing queue: every node pushes and pops its own deque;
@@ -288,9 +252,8 @@ let worksteal ~nodes ~seed ?(queue = 8) ?(steal_frac = 0.3) ?(skew = 1.0)
       Printf.sprintf "worksteal:queue=%d,steal-frac=%g,skew=%g,events=%d,seed=%d" queue
         steal_frac skew events seed;
     g_nodes = nodes;
-    g_footprint = (nodes * queue) + (nodes * 64);
     g_accesses = nodes * (per_epoch - 2) * epochs;
-    g_stream = stream_of_epochs ~nodes ~epochs ~capacity:(per_epoch + 2) ~refill;
+    g_stream = Op_stream.stream_of_epochs ~nodes ~epochs ~capacity:(per_epoch + 2) ~refill;
   }
 
 (* MPSC log ingestion: a few consumer nodes own the shard lines of a
@@ -356,7 +319,6 @@ let mpsc ~nodes ~seed ?(consumers = 0) ?(slots = 16) ?(rotate = 4) ?(skew = 0.8)
       Printf.sprintf "mpsc:consumers=%d,slots=%d,rotate=%d,skew=%g,events=%d,seed=%d"
         consumers slots rotate skew events seed;
     g_nodes = nodes;
-    g_footprint = (consumers * slots) + (nodes * 64);
     g_accesses = per_epoch_total * epochs;
-    g_stream = stream_of_epochs ~nodes ~epochs ~capacity ~refill;
+    g_stream = Op_stream.stream_of_epochs ~nodes ~epochs ~capacity ~refill;
   }

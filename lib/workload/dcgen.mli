@@ -18,7 +18,6 @@ type t = {
   g_name : string;
   g_describe : string;  (** resolved parameters, for artifacts *)
   g_nodes : int;
-  g_footprint : int;  (** distinct lines touched (shared + private) *)
   g_accesses : int;  (** total memory accesses across the run *)
   g_stream : unit -> Op_stream.t;  (** fresh rewound feed per call *)
 }
@@ -56,11 +55,3 @@ val mpsc :
 val zipf_cdf : n:int -> theta:float -> float array
 
 val zipf_sample : float array -> Pcc_engine.Rng.t -> int
-
-val stream_of_epochs :
-  nodes:int -> epochs:int -> capacity:int ->
-  refill:(int -> int -> int array -> int) -> unit -> Op_stream.t
-(** Build a feed from a per-epoch refill function: [refill node epoch
-    buf] writes packed ops into [buf] (at most [capacity]) and returns
-    the count.  Every epoch must emit at least one op per node (the
-    generators end epochs with a barrier). *)

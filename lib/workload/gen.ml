@@ -93,89 +93,148 @@ let random_spec ~nodes ~seed =
     seed;
   }
 
-let programs spec =
-  assert (spec.nodes > 0 && spec.phases > 0 && spec.epochs_per_phase > 0);
-  let node_rngs =
-    Array.init spec.nodes (fun node -> Rng.create ~seed:(spec.seed + (node * 7919)))
-  in
-  let programs = Array.make spec.nodes [] in
-  let push node op = programs.(node) <- op :: programs.(node) in
-  let private_access node rng =
-    if spec.private_lines_per_node > 0 then begin
-      let index = Rng.int rng ~bound:spec.private_lines_per_node in
-      let kind =
-        if Rng.bool rng ~p:spec.private_write_fraction then Types.Store else Types.Load
-      in
-      push node (Types.Access (kind, private_line ~node index))
-    end
-  in
-  let compute node rng budget =
-    if budget > 0 then begin
-      let jitter = Rng.int rng ~bound:(max 1 (budget / 4)) in
-      push node (Types.Compute (budget + jitter))
-    end
-  in
-  (* Precompute per-phase producer/consumer assignments once. *)
-  let phase_roles =
-    Array.init spec.phases (fun phase ->
-        List.map
-          (fun role ->
-            let producer = role.producer_of_phase phase in
-            let consumers =
-              List.filter (fun c -> c <> producer) (role.consumers_of_phase phase)
-            in
-            (role, producer, consumers))
-          spec.lines)
-  in
-  let barrier_counter = ref 0 in
-  let next_barrier () =
-    incr barrier_counter;
-    !barrier_counter
-  in
+(* A spec compiled for streaming.  Everything an epoch needs that does
+   not depend on the epoch is worked out here, once: [stores.(at)] and
+   [loads.(at)], with [at = phase * nodes + node], are the node's write
+   burst and reads in role order, already packed.  A refill then copies
+   those two arrays and draws only the node's private accesses and
+   compute jitter.  Nothing here is mutated after [compile], so passes
+   in several domains can share one plan. *)
+type plan = {
+  spec : app_spec;
+  stores : int array array;
+  loads : int array array;
+  epochs : int;
+  capacity : int;  (* the largest epoch any node emits *)
+  accesses : int;  (* memory accesses of one pass *)
+}
+
+(* Private accesses a node makes in [count] draws: none without private
+   lines. *)
+let private_count spec count =
+  if spec.private_lines_per_node > 0 then max 0 count else 0
+
+let compile spec =
+  if spec.nodes < 1 || spec.phases < 1 || spec.epochs_per_phase < 1 then
+    invalid_arg "Gen.compile: nodes, phases and epochs_per_phase must be positive";
+  let nodes = spec.nodes in
+  let stores = Array.make (spec.phases * nodes) [||] in
+  let loads = Array.make (spec.phases * nodes) [||] in
   for phase = 0 to spec.phases - 1 do
-    let roles = phase_roles.(phase) in
-    for _epoch = 0 to spec.epochs_per_phase - 1 do
-      (* produce step *)
-      for node = 0 to spec.nodes - 1 do
-        let rng = node_rngs.(node) in
-        compute node rng (spec.compute_per_epoch / 2);
-        List.iter
-          (fun (role, producer, _) ->
-            if producer = node then
-              for _write = 1 to role.writes_per_epoch do
-                push node (Types.Access (Types.Store, role.line))
-              done)
-          roles;
-        for _access = 1 to spec.private_accesses_per_epoch / 2 do
-          private_access node rng
-        done
-      done;
-      let b1 = next_barrier () in
-      for node = 0 to spec.nodes - 1 do
-        push node (Types.Barrier b1)
-      done;
-      (* consume step *)
-      for node = 0 to spec.nodes - 1 do
-        let rng = node_rngs.(node) in
-        List.iter
-          (fun (role, _, consumers) ->
-            if List.mem node consumers then
-              for _read = 1 to role.reads_per_epoch do
-                push node (Types.Access (Types.Load, role.line))
-              done)
-          roles;
-        for _access = 1 to spec.private_accesses_per_epoch - (spec.private_accesses_per_epoch / 2) do
-          private_access node rng
-        done;
-        compute node rng (spec.compute_per_epoch - (spec.compute_per_epoch / 2))
-      done;
-      let b2 = next_barrier () in
-      for node = 0 to spec.nodes - 1 do
-        push node (Types.Barrier b2)
-      done
+    let roles =
+      List.map
+        (fun role ->
+          let producer = role.producer_of_phase phase in
+          let consumers =
+            List.filter (fun c -> c <> producer) (role.consumers_of_phase phase)
+          in
+          (role, producer, consumers))
+        spec.lines
+    in
+    let repeat kind role count =
+      List.init (max 0 count) (fun _ -> Op_stream.access kind role.line)
+    in
+    for node = 0 to nodes - 1 do
+      let at = (phase * nodes) + node in
+      stores.(at) <-
+        Array.of_list
+          (List.concat_map
+             (fun (role, producer, _) ->
+               if producer = node then repeat Types.Store role role.writes_per_epoch
+               else [])
+             roles);
+      loads.(at) <-
+        Array.of_list
+          (List.concat_map
+             (fun (role, _, consumers) ->
+               if List.mem node consumers then repeat Types.Load role role.reads_per_epoch
+               else [])
+             roles)
     done
   done;
-  Array.map List.rev programs
+  let k = spec.private_accesses_per_epoch in
+  let private_per_epoch = private_count spec (k / 2) + private_count spec (k - (k / 2)) in
+  let capacity = ref 0 and shared = ref 0 in
+  Array.iteri
+    (fun at burst ->
+      let n = Array.length burst + Array.length loads.(at) in
+      capacity := max !capacity n;
+      shared := !shared + n)
+    stores;
+  {
+    spec;
+    stores;
+    loads;
+    epochs = spec.phases * spec.epochs_per_phase;
+    (* two computes, two barriers *)
+    capacity = !capacity + private_per_epoch + 4;
+    accesses =
+      spec.epochs_per_phase * (!shared + (spec.phases * nodes * private_per_epoch));
+  }
+
+let accesses plan = plan.accesses
+
+(* The refill's steps return the next free slot of [buf]; top-level and
+   closure-free, so an epoch's refill allocates nothing. *)
+
+(* [budget] cycles plus up to a quarter more of jitter. *)
+let compute rng budget buf n =
+  if budget > 0 then begin
+    let jitter = Rng.int rng ~bound:(max 1 (budget / 4)) in
+    Array.unsafe_set buf n (Op_stream.compute (budget + jitter));
+    n + 1
+  end
+  else n
+
+let private_accesses spec rng node count buf n =
+  let count = private_count spec count in
+  for i = 0 to count - 1 do
+    let index = Rng.int rng ~bound:spec.private_lines_per_node in
+    let kind =
+      if Rng.bool rng ~p:spec.private_write_fraction then Types.Store else Types.Load
+    in
+    Array.unsafe_set buf (n + i) (Op_stream.access kind (private_line ~node index))
+  done;
+  n + count
+
+let copy (src : int array) (buf : int array) n =
+  let len = Array.length src in
+  for i = 0 to len - 1 do
+    Array.unsafe_set buf (n + i) (Array.unsafe_get src i)
+  done;
+  n + len
+
+(* One epoch of [node]: compute, write burst, half the private mix,
+   barrier [2e+1]; reads, the other half, compute, barrier [2e+2].  The
+   draws come from the node's own generator, in the order they always
+   have, so each node's op sequence is the same however the pulls of
+   different nodes interleave. *)
+let refill plan rngs node epoch buf =
+  let spec = plan.spec in
+  let rng = Array.unsafe_get rngs node in
+  let k = spec.private_accesses_per_epoch and c = spec.compute_per_epoch in
+  let at = (epoch / spec.epochs_per_phase * spec.nodes) + node in
+  let n = compute rng (c / 2) buf 0 in
+  let n = copy plan.stores.(at) buf n in
+  let n = private_accesses spec rng node (k / 2) buf n in
+  Array.unsafe_set buf n (Op_stream.barrier ((2 * epoch) + 1));
+  let n = copy plan.loads.(at) buf (n + 1) in
+  let n = private_accesses spec rng node (k - (k / 2)) buf n in
+  let n = compute rng (c - (c / 2)) buf n in
+  Array.unsafe_set buf n (Op_stream.barrier ((2 * epoch) + 2));
+  n + 1
+
+let stream plan =
+  let rngs =
+    Array.init plan.spec.nodes (fun node ->
+        Rng.create ~seed:(plan.spec.seed + (node * 7919)))
+  in
+  Op_stream.stream_of_epochs ~nodes:plan.spec.nodes ~epochs:plan.epochs
+    ~capacity:plan.capacity
+    ~refill:(fun node epoch buf -> refill plan rngs node epoch buf)
+    ()
+
+let programs spec = Op_stream.to_programs (stream (compile spec))
 
 let total_ops programs =
   Array.fold_left

@@ -47,8 +47,38 @@ val random_spec : nodes:int -> seed:int -> app_spec
     [(nodes, seed)], so a failing seed is a complete reproducer.
     Requires [nodes >= 2]. *)
 
+(** {2 Streaming}
+
+    A spec runs as a stream, one epoch per node at a time.  Each epoch
+    of node [n] is: compute (half the budget, plus jitter), the write
+    burst, half the private accesses, barrier [2e+1], the reads, the
+    other half, compute, barrier [2e+2], where [e] counts epochs across
+    phases.  Jitter and private accesses come from the node's own
+    generator, seeded [seed + 7919 * n]. *)
+
+type plan
+(** A spec compiled once: for each phase and node, the packed stores of
+    the node's write burst and the packed loads of its reads, in role
+    order, and the size of the largest epoch.  Immutable, so passes in
+    several domains may share it. *)
+
+val compile : app_spec -> plan
+(** Evaluates each role's producer and consumers once per phase.
+    Raises [Invalid_argument] unless [nodes], [phases] and
+    [epochs_per_phase] are positive. *)
+
+val accesses : plan -> int
+(** Memory accesses of one pass, counted from the plan without
+    generating it. *)
+
+val stream : plan -> Op_stream.t
+(** A fresh pass.  It allocates one epoch's buffer and one generator
+    per node; its refills and pulls allocate nothing, so a pass holds
+    the same memory whatever the run's length. *)
+
 val programs : app_spec -> Types.op list array
-(** Materialize one program per node.  Deterministic for a given spec. *)
+(** Drain one pass of [compile spec] into lists (tests, the oracle's
+    replay, text export).  Deterministic for a given spec. *)
 
 val total_ops : Types.op list array -> int
 (** Total memory accesses across all programs (for reporting). *)

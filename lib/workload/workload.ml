@@ -1,10 +1,12 @@
 (* Workloads, and the registry behind the [--workload] CLI grammar.
 
-   A workload is one record: a streaming source of packed ops with a
-   declared node/line footprint, consumed by System, the bench harnesses
-   and every CLI.  The seven paper apps are materialized programs bridged
-   through [Op_stream.of_programs], bit-identical to the eager path; the
-   datacenter generators and binary-trace replays are the streaming ones.
+   A workload is one record: a streaming source of packed ops, consumed
+   by System, the bench harnesses and every CLI.  Every generated
+   workload streams one epoch per node at a time: the seven paper apps,
+   [random] and [prodcons] through a compiled [Gen] plan, the datacenter
+   generators through [Dcgen], recorded traces through [Btrace].  Only
+   the hand-written litmus programs are materialized, and bridged
+   through [Op_stream.of_programs].
 
    The registry maps the CLI spec grammar [NAME:k=v,...] to workloads.
    Unknown names and unknown keys are rejected loudly with suggestions —
@@ -17,8 +19,7 @@ type t = {
   name : string;
   describe : string;
   nodes : int;
-  footprint : int Lazy.t;
-  accesses : int option Lazy.t;
+  accesses : int option;
   stream : unit -> Op_stream.t;
 }
 
@@ -28,37 +29,29 @@ let describe w = w.describe
 
 let nodes w = w.nodes
 
-let footprint w = Lazy.force w.footprint
-
-let total_accesses w = Lazy.force w.accesses
+let total_accesses w = w.accesses
 
 let stream w = w.stream ()
 
 let programs w = Op_stream.to_programs (stream w)
 
-let make ~name ~describe ~nodes ~footprint ~accesses stream =
-  { name; describe; nodes; footprint; accesses; stream }
-
-let distinct_lines programs =
-  let seen = Hashtbl.create 256 in
-  Array.iter
-    (List.iter (function
-      | Types.Access (_, line) -> Hashtbl.replace seen line ()
-      | Types.Compute _ | Types.Barrier _ -> ()))
-    programs;
-  Hashtbl.length seen
+let make ~name ~describe ~nodes ~accesses stream =
+  { name; describe; nodes; accesses; stream }
 
 let of_materialized ~name ~describe ~nodes programs =
-  make ~name ~describe ~nodes
-    ~footprint:(lazy (distinct_lines (Lazy.force programs)))
-    ~accesses:(lazy (Some (Gen.total_ops (Lazy.force programs))))
-    (fun () -> Op_stream.of_programs (Lazy.force programs))
+  make ~name ~describe ~nodes ~accesses:(Some (Gen.total_ops programs)) (fun () ->
+      Op_stream.of_programs programs)
+
+(* The plan is compiled here, where the workload is resolved; each
+   [stream] opens a pass over it. *)
+let of_gen ~name ~describe spec =
+  let plan = Gen.compile spec in
+  make ~name ~describe ~nodes:spec.Gen.nodes ~accesses:(Some (Gen.accesses plan))
+    (fun () -> Gen.stream plan)
 
 let of_dcgen (g : Dcgen.t) =
   make ~name:g.Dcgen.g_name ~describe:g.Dcgen.g_describe ~nodes:g.Dcgen.g_nodes
-    ~footprint:(lazy g.Dcgen.g_footprint)
-    ~accesses:(lazy (Some g.Dcgen.g_accesses))
-    g.Dcgen.g_stream
+    ~accesses:(Some g.Dcgen.g_accesses) g.Dcgen.g_stream
 
 (* The distilled producer-consumer microbenchmark (the paper's target
    pattern): node 0 writes a handful of lines each epoch, every other
@@ -148,14 +141,18 @@ type entry = {
   e_name : string;
   e_summary : string;
   e_keys : string list;
+  e_min_nodes : int;
+      (* the smallest machine the generator can lay its workload out on;
+         [of_spec] checks it before [e_make] runs *)
   e_make : ctx -> (string * string) list -> (t, string) result;
 }
 
-let scale_seed_entry ~name ~summary build =
+let scale_seed_entry ~name ~summary ~min_nodes build =
   {
     e_name = name;
     e_summary = summary;
     e_keys = [ "scale"; "seed" ];
+    e_min_nodes = min_nodes;
     e_make =
       (fun ctx params ->
         let* scale = float_param ~workload:name params "scale" ctx.c_scale in
@@ -165,11 +162,12 @@ let scale_seed_entry ~name ~summary build =
 
 let app_entry (app : Apps.app) =
   let name = String.lowercase_ascii app.Apps.name in
-  scale_seed_entry ~name ~summary:app.Apps.problem_size (fun ~nodes ~scale ~seed ->
+  scale_seed_entry ~name ~summary:app.Apps.problem_size ~min_nodes:app.Apps.min_nodes
+    (fun ~nodes ~scale ~seed ->
       Ok
-        (of_materialized ~name ~nodes
+        (of_gen ~name
            ~describe:(Printf.sprintf "%s:scale=%g,seed=%d" name scale seed)
-           (lazy (Apps.programs app ~scale ~seed ~nodes ()))))
+           (app.Apps.spec ~scale ~nodes ~seed)))
 
 (* [litmus:test=ID]; without [test], the corpus's first test *)
 let litmus_test params =
@@ -190,25 +188,28 @@ let entries =
         e_name = "random";
         e_summary = "small random sharing structure (differential/fuzz testing)";
         e_keys = [ "seed" ];
+        e_min_nodes = 2;
         e_make =
           (fun ctx params ->
             let* seed = int_param ~workload:"random" params "seed" ctx.c_seed in
             Ok
-              (of_materialized ~name:"random" ~nodes:ctx.c_nodes
+              (of_gen ~name:"random"
                  ~describe:(Printf.sprintf "random:seed=%d" seed)
-                 (lazy (Gen.programs (Gen.random_spec ~nodes:ctx.c_nodes ~seed)))));
+                 (Gen.random_spec ~nodes:ctx.c_nodes ~seed)));
       };
       scale_seed_entry ~name:"prodcons"
         ~summary:"distilled producer-consumer microbenchmark (1 writer, N-1 readers)"
+        ~min_nodes:1
         (fun ~nodes ~scale ~seed ->
           Ok
-            (of_materialized ~name:"prodcons" ~nodes
+            (of_gen ~name:"prodcons"
                ~describe:(Printf.sprintf "prodcons:scale=%g,seed=%d" scale seed)
-               (lazy (Gen.programs (prodcons_spec ~nodes ~scale ~seed)))));
+               (prodcons_spec ~nodes ~scale ~seed)));
       {
         e_name = "kv";
         e_summary = "sharded KV store with Zipf-hot keys (streaming)";
         e_keys = [ "keys"; "skew"; "write-frac"; "ops"; "events"; "seed" ];
+        e_min_nodes = 2;
         e_make =
           (fun ctx params ->
             let w = "kv" in
@@ -227,6 +228,7 @@ let entries =
         e_name = "pubsub";
         e_summary = "pub/sub fan-out with skewed subscriber counts (streaming)";
         e_keys = [ "topics"; "skew"; "fanout"; "events"; "seed" ];
+        e_min_nodes = 2;
         e_make =
           (fun ctx params ->
             let w = "pubsub" in
@@ -244,6 +246,7 @@ let entries =
         e_name = "worksteal";
         e_summary = "work-stealing deques with Zipf-popular victims (streaming)";
         e_keys = [ "queue"; "steal-frac"; "skew"; "tasks"; "events"; "seed" ];
+        e_min_nodes = 2;
         e_make =
           (fun ctx params ->
             let w = "worksteal" in
@@ -262,6 +265,7 @@ let entries =
         e_name = "mpsc";
         e_summary = "MPSC log ingestion with rotating producers (streaming)";
         e_keys = [ "consumers"; "slots"; "rotate"; "skew"; "appends"; "events"; "seed" ];
+        e_min_nodes = 3;
         e_make =
           (fun ctx params ->
             let w = "mpsc" in
@@ -281,6 +285,8 @@ let entries =
         e_name = "litmus";
         e_summary = "a test of the per-location SC litmus corpus (litmus:test=ID)";
         e_keys = [ "test" ];
+        e_min_nodes =
+          List.fold_left (fun m test -> min m (Litmus.nodes test)) max_int Litmus.corpus;
         e_make =
           (fun ctx params ->
             let* test = litmus_test params in
@@ -293,12 +299,14 @@ let entries =
               Ok
                 (of_materialized ~name:"litmus" ~nodes
                    ~describe:("litmus:test=" ^ test.Litmus.name)
-                   (lazy (Litmus.programs ~nodes test))));
+                   (Litmus.programs ~nodes test)));
       };
       {
         e_name = "trace";
         e_summary = "replay a recorded binary trace (trace:file=PATH)";
         e_keys = [ "file" ];
+        (* a replay takes its node count from the file *)
+        e_min_nodes = 0;
         e_make =
           (fun _ctx params ->
             match List.assoc_opt "file" params with
@@ -310,8 +318,7 @@ let entries =
                     Ok
                       (make ~name:"trace"
                          ~describe:(Printf.sprintf "trace:file=%s" path)
-                         ~nodes:(Btrace.nodes reader) ~footprint:(lazy 0)
-                         ~accesses:(lazy None)
+                         ~nodes:(Btrace.nodes reader) ~accesses:None
                          (fun () -> Btrace.stream reader))));
       };
     ]
@@ -371,6 +378,13 @@ let of_spec ~nodes ~scale ~seed s =
                    (String.concat ", " e.e_keys))
       in
       let* () = check_keys spec.spec_params in
+      let* () =
+        if nodes >= e.e_min_nodes then Ok ()
+        else
+          Error
+            (Printf.sprintf "workload %s needs at least %d nodes, got %d" e.e_name
+               e.e_min_nodes nodes)
+      in
       e.e_make { c_nodes = nodes; c_scale = scale; c_seed = seed } spec.spec_params
 
 let litmus s =

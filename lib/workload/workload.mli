@@ -1,17 +1,18 @@
 (** Workloads, and the name registry behind the [--workload] CLI
     grammar.
 
-    A workload is one record: a source of packed-op feeds with a
-    declared node/line footprint, which {!Pcc_core.System.run_stream},
-    the bench harnesses and every CLI consume.  The seven paper apps
-    are materialized programs bridged through
-    {!Pcc_core.Op_stream.of_programs}, bit-identical to the eager path;
-    the {!Dcgen} generators and {!Btrace} replays are the streaming
-    ones.
+    A workload is one record: a source of packed-op feeds, which
+    {!Pcc_core.System.run_stream}, the bench harnesses and every CLI
+    consume.  Every generated workload streams one epoch per node at a
+    time, in memory that does not grow with the run: the seven paper
+    apps, [random] and [prodcons] through a compiled {!Gen.plan}, the
+    {!Dcgen} generators through their refills, {!Btrace} replays chunk
+    by chunk.  Only the hand-written litmus programs are materialized.
 
-    To add a workload: build one with {!make} (usually via a
-    {!Dcgen}-style generator record or a materialized program array) and
-    give it a registry entry — see DESIGN.md, "How to add a workload". *)
+    To add a workload: build one with {!make} (usually from a
+    {!Gen.app_spec}, a {!Dcgen}-style generator record or a program
+    array) and give it a registry entry — see DESIGN.md, "How to add a
+    workload". *)
 
 open Pcc_core
 
@@ -25,10 +26,6 @@ val describe : t -> string
     ["kv:keys=2048,skew=0.9,..."] — what artifacts record. *)
 
 val nodes : t -> int
-
-val footprint : t -> int
-(** Distinct cache lines the workload touches (approximate for
-    generators; may force generation for materialized workloads). *)
 
 val total_accesses : t -> int option
 (** Total memory accesses, when the workload knows it up front
@@ -46,12 +43,13 @@ val programs : t -> Pcc_core.Types.op list array
 (** {2 Building workloads} *)
 
 val make :
-  name:string -> describe:string -> nodes:int -> footprint:int Lazy.t ->
-  accesses:int option Lazy.t -> (unit -> Op_stream.t) -> t
+  name:string -> describe:string -> nodes:int -> accesses:int option ->
+  (unit -> Op_stream.t) -> t
 
 val of_materialized :
-  name:string -> describe:string -> nodes:int ->
-  Types.op list array Lazy.t -> t
+  name:string -> describe:string -> nodes:int -> Types.op list array -> t
+(** Hand-written programs (the litmus corpus); each {!stream} replays
+    them through {!Pcc_core.Op_stream.of_programs}. *)
 
 val of_dcgen : Dcgen.t -> t
 
@@ -74,7 +72,11 @@ val of_spec : nodes:int -> scale:float -> seed:int -> string -> (t, string) resu
 (** Resolve a spec string against the registry.  [nodes]/[scale]/[seed]
     are the CLI-level defaults; spec keys override where the workload
     accepts them (a [trace] replay takes its node count from the file,
-    ignoring [nodes]). *)
+    ignoring [nodes]).  A machine smaller than the workload's minimum
+    (2 nodes for most generators, 3 for [mpsc], 1 for [ocean], [lu]
+    and [prodcons]) is an [Error], checked before anything is built.
+    Generated workloads are compiled here, so resolve in the domain
+    that will share the result. *)
 
 val names : unit -> string list
 (** Registry names: the seven paper apps, [random], [prodcons], the

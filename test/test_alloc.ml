@@ -400,7 +400,7 @@ let check_hub_link ~reliable () =
 (* A generator feed's pull is an array read, plus a refill at each
    epoch's end: with a refill that allocates nothing, pulling every
    node's ops must touch the minor heap not at all. *)
-let check_dcgen_pull () =
+let check_epoch_cursor_pull () =
   let nodes = 4 and per_epoch = 64 in
   let refill node epoch buf =
     for i = 0 to per_epoch - 2 do
@@ -412,7 +412,7 @@ let check_dcgen_pull () =
   in
   let epochs = 4_000 in
   let feed =
-    Pcc_workload.Dcgen.stream_of_epochs ~nodes ~epochs ~capacity:per_epoch ~refill ()
+    Op_stream.stream_of_epochs ~nodes ~epochs ~capacity:per_epoch ~refill ()
   in
   let pulls = ref 0 in
   Gc.full_major ();
@@ -427,9 +427,55 @@ let check_dcgen_pull () =
     Alcotest.failf "%d pulls, expected %d" !pulls (nodes * epochs * per_epoch);
   if words > 256.0 then
     Alcotest.failf
-      "Dcgen pulls allocated %.0f minor words over %d pulls — a feed pull must stay \
+      "epoch-cursor pulls allocated %.0f minor words over %d pulls — a feed pull must stay \
        allocation-free"
       words !pulls
+
+(* A paper app streams in flat memory: resolving em3d (its plan) and
+   draining a whole pass allocate the same few thousand words at every
+   run length.  Counted as minor plus direct major allocation, so a
+   large block cannot hide from the count.  Building the programs as
+   lists took 3.33M words at scale 12 and 13.9M at scale 48. *)
+let check_app_stream_memory () =
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let resolve_and_drain scale =
+    let before = allocated () in
+    let w =
+      match Pcc_workload.Workload.of_spec ~nodes:16 ~scale ~seed:7 "em3d" with
+      | Ok w -> w
+      | Error m -> Alcotest.fail m
+    in
+    let feed = Pcc_workload.Workload.stream w in
+    let accesses = ref 0 in
+    for node = 0 to 15 do
+      let op = ref (feed.Op_stream.next node) in
+      while !op <> Op_stream.end_of_stream do
+        let tag = Op_stream.tag !op in
+        if tag = Op_stream.tag_load || tag = Op_stream.tag_store then incr accesses;
+        op := feed.Op_stream.next node
+      done
+    done;
+    let words = allocated () -. before in
+    if Some !accesses <> Pcc_workload.Workload.total_accesses w then
+      Alcotest.failf "em3d scale %g: drained %d accesses, not the declared count" scale
+        !accesses;
+    (words, !accesses)
+  in
+  let words12, accesses12 = resolve_and_drain 12.0 in
+  let words48, accesses48 = resolve_and_drain 48.0 in
+  if accesses48 < 3 * accesses12 then
+    Alcotest.failf "scale 48 drained %d accesses, scale 12 %d" accesses48 accesses12;
+  List.iter
+    (fun (scale, words) ->
+      if words > 20_000.0 then
+        Alcotest.failf
+          "em3d scale %d: resolving and draining allocated %.0f words — a paper app \
+           must stream in memory that does not grow with the run"
+          scale words)
+    [ (12, words12); (48, words48) ]
 
 (* The streaming feed path: a run fed by Workload.stream — generator
    refills or binary-trace chunk decoding included — must hold the same
@@ -566,7 +612,8 @@ let suite =
       (check_hub_link ~reliable:false);
     Alcotest.test_case "reliable hub link allocation-free" `Quick
       (check_hub_link ~reliable:true);
-    Alcotest.test_case "generator pull allocation-free" `Quick check_dcgen_pull;
+    Alcotest.test_case "generator pull allocation-free" `Quick check_epoch_cursor_pull;
+    Alcotest.test_case "paper app streams in flat memory" `Quick check_app_stream_memory;
     (* the machine budgets below are about twice the measured words per
        commit, the em3d programs built inside the window included: base
        123, full 130, hardened 135; a closure per node timer and a

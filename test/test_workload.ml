@@ -4,6 +4,8 @@
 open Pcc_core
 module Gen = Pcc_workload.Gen
 module Apps = Pcc_workload.Apps
+module Litmus = Pcc_workload.Litmus
+module Rng = Pcc_engine.Rng
 
 let count_ops p =
   Array.fold_left
@@ -17,6 +19,93 @@ let count_ops p =
           | Types.Compute _ -> (l, s, b))
         (loads, stores, barriers) ops)
     (0, 0, 0) p
+
+(* The eager generator every paper app ran through before the apps
+   streamed: it builds all of each node's program as a list, one epoch
+   of every node at a time.  [Gen.stream] must reproduce it op for op. *)
+let reference_programs (spec : Gen.app_spec) =
+  assert (spec.nodes > 0 && spec.phases > 0 && spec.epochs_per_phase > 0);
+  let node_rngs =
+    Array.init spec.nodes (fun node -> Rng.create ~seed:(spec.seed + (node * 7919)))
+  in
+  let programs = Array.make spec.nodes [] in
+  let push node op = programs.(node) <- op :: programs.(node) in
+  let private_access node rng =
+    if spec.private_lines_per_node > 0 then begin
+      let index = Rng.int rng ~bound:spec.private_lines_per_node in
+      let kind =
+        if Rng.bool rng ~p:spec.private_write_fraction then Types.Store else Types.Load
+      in
+      push node (Types.Access (kind, Gen.private_line ~node index))
+    end
+  in
+  let compute node rng budget =
+    if budget > 0 then begin
+      let jitter = Rng.int rng ~bound:(max 1 (budget / 4)) in
+      push node (Types.Compute (budget + jitter))
+    end
+  in
+  (* Precompute per-phase producer/consumer assignments once. *)
+  let phase_roles =
+    Array.init spec.phases (fun phase ->
+        List.map
+          (fun (role : Gen.line_role) ->
+            let producer = role.producer_of_phase phase in
+            let consumers =
+              List.filter (fun c -> c <> producer) (role.consumers_of_phase phase)
+            in
+            (role, producer, consumers))
+          spec.lines)
+  in
+  let barrier_counter = ref 0 in
+  let next_barrier () =
+    incr barrier_counter;
+    !barrier_counter
+  in
+  for phase = 0 to spec.phases - 1 do
+    let roles = phase_roles.(phase) in
+    for _epoch = 0 to spec.epochs_per_phase - 1 do
+      (* produce step *)
+      for node = 0 to spec.nodes - 1 do
+        let rng = node_rngs.(node) in
+        compute node rng (spec.compute_per_epoch / 2);
+        List.iter
+          (fun ((role : Gen.line_role), producer, _) ->
+            if producer = node then
+              for _write = 1 to role.writes_per_epoch do
+                push node (Types.Access (Types.Store, role.line))
+              done)
+          roles;
+        for _access = 1 to spec.private_accesses_per_epoch / 2 do
+          private_access node rng
+        done
+      done;
+      let b1 = next_barrier () in
+      for node = 0 to spec.nodes - 1 do
+        push node (Types.Barrier b1)
+      done;
+      (* consume step *)
+      for node = 0 to spec.nodes - 1 do
+        let rng = node_rngs.(node) in
+        List.iter
+          (fun ((role : Gen.line_role), _, consumers) ->
+            if List.mem node consumers then
+              for _read = 1 to role.reads_per_epoch do
+                push node (Types.Access (Types.Load, role.line))
+              done)
+          roles;
+        for _access = 1 to spec.private_accesses_per_epoch - (spec.private_accesses_per_epoch / 2) do
+          private_access node rng
+        done;
+        compute node rng (spec.compute_per_epoch - (spec.compute_per_epoch / 2))
+      done;
+      let b2 = next_barrier () in
+      for node = 0 to spec.nodes - 1 do
+        push node (Types.Barrier b2)
+      done
+    done
+  done;
+  Array.map List.rev programs
 
 let test_generator_determinism () =
   let spec app = Apps.programs app ~scale:0.2 ~nodes:8 ~seed:5 () in
@@ -240,8 +329,8 @@ let test_streaming_generator_skew_knob () =
     [ "kv"; "pubsub"; "worksteal"; "mpsc" ]
 
 let test_streaming_matches_materialized () =
-  (* the legacy apps exposed through the registry stream exactly what
-     Apps.programs materializes — the bit-identity the tentpole promises *)
+  (* a registry spec reaches the app with the CLI's scale, seed and
+     node count: it streams exactly what Apps.programs drains *)
   List.iter
     (fun (name, app) ->
       let w = resolve name in
@@ -250,6 +339,102 @@ let test_streaming_matches_materialized () =
       Alcotest.(check bool) (name ^ " matches Apps.programs") true
         (via_registry = direct))
     [ ("em3d", Apps.em3d); ("ocean", Apps.ocean); ("lu", Apps.lu) ]
+
+(* Each registered generator's stream, drained, equals the eager
+   reference op for op, and its declared access count is the drained
+   one: the seven apps over a grid of machines, seeds and run lengths,
+   [random] over every machine from 2 to 16 nodes, and [prodcons]. *)
+let test_streams_match_reference () =
+  let check ~nodes ~scale ~seed name spec =
+    let described =
+      Printf.sprintf "%s (nodes %d, scale %g, seed %d)" name nodes scale seed
+    in
+    let w =
+      match Workload.of_spec ~nodes ~scale ~seed name with
+      | Ok w -> w
+      | Error m -> Alcotest.failf "%s: %s" described m
+    in
+    let drained = Workload.programs w in
+    let reference = reference_programs spec in
+    if drained <> reference then
+      Alcotest.failf "%s: stream differs from the reference" described;
+    Alcotest.(check (option int))
+      (described ^ " accesses") (Some (Gen.total_ops reference)) (Workload.total_accesses w)
+  in
+  List.iter
+    (fun (app : Apps.app) ->
+      let name = String.lowercase_ascii app.Apps.name in
+      List.iter
+        (fun nodes ->
+          List.iter
+            (fun seed ->
+              List.iter
+                (fun scale ->
+                  check ~nodes ~scale ~seed name (app.Apps.spec ~scale ~nodes ~seed))
+                [ 0.1; 0.5; 1.0 ])
+            [ 1; 7; 42 ])
+        [ 2; 4; 8; 16 ])
+    Apps.all;
+  for nodes = 2 to 16 do
+    List.iter
+      (fun seed -> check ~nodes ~scale:1.0 ~seed "random" (Gen.random_spec ~nodes ~seed))
+      [ 1; 5; 99 ]
+  done;
+  List.iter
+    (fun (nodes, scale) ->
+      check ~nodes ~scale ~seed:3 "prodcons" (Workload.prodcons_spec ~nodes ~scale ~seed:3))
+    [ (1, 0.15); (4, 0.15); (8, 0.5); (16, 1.0) ]
+
+(* A machine smaller than a workload's minimum is a spec error from
+   [of_spec], never an exception out of a generator; at the minimum the
+   workload resolves and a full pass drains.  Every registry name but
+   [trace] (which takes its node count from the file) is listed. *)
+let test_registry_rejects_too_few_nodes () =
+  let litmus =
+    List.hd (List.sort (fun a b -> compare (Litmus.nodes a) (Litmus.nodes b)) Litmus.corpus)
+  in
+  let minimums =
+    [
+      ("barnes", 2, "");
+      ("ocean", 1, "");
+      ("em3d", 2, "");
+      ("lu", 1, "");
+      ("cg", 2, "");
+      ("mg", 2, "");
+      ("appbt", 2, "");
+      ("random", 2, "");
+      ("prodcons", 1, "");
+      ("kv", 2, ":events=2000");
+      ("pubsub", 2, ":events=2000");
+      ("worksteal", 2, ":events=2000");
+      ("mpsc", 3, ":events=2000");
+      ("litmus", Litmus.nodes litmus, ":test=" ^ litmus.Litmus.name);
+    ]
+  in
+  List.iter
+    (fun name ->
+      if name <> "trace" && not (List.exists (fun (n, _, _) -> n = name) minimums) then
+        Alcotest.failf "%s: no minimum node count listed" name)
+    (Workload.names ());
+  List.iter
+    (fun (name, minimum, params) ->
+      let spec = name ^ params in
+      (match Workload.of_spec ~nodes:(minimum - 1) ~scale:0.1 ~seed:5 spec with
+      | exception e ->
+          Alcotest.failf "%s on %d nodes raised %s" spec (minimum - 1)
+            (Printexc.to_string e)
+      | Ok _ -> Alcotest.failf "%s accepted %d nodes" spec (minimum - 1)
+      | Error m ->
+          Alcotest.(check bool) (spec ^ " names the minimum") true
+            (contains ~needle:(Printf.sprintf "needs at least %d nodes" minimum) m));
+      match Workload.of_spec ~nodes:minimum ~scale:0.1 ~seed:5 spec with
+      | Error m -> Alcotest.failf "%s on %d nodes: %s" spec minimum m
+      | Ok w ->
+          Alcotest.(check int) (spec ^ " nodes") minimum (Workload.nodes w);
+          Alcotest.(check int)
+            (spec ^ " drains") minimum
+            (Array.length (Workload.programs w)))
+    minimums
 
 let suite =
   [
@@ -278,6 +463,10 @@ let suite =
       test_streaming_generator_skew_knob;
     Alcotest.test_case "streaming matches materialized" `Quick
       test_streaming_matches_materialized;
+    Alcotest.test_case "streams match the eager reference" `Quick
+      test_streams_match_reference;
+    Alcotest.test_case "registry rejects too few nodes" `Quick
+      test_registry_rejects_too_few_nodes;
     Alcotest.test_case "Table 3: Ocean" `Slow test_table3_ocean;
     Alcotest.test_case "Table 3: Em3D" `Slow test_table3_em3d;
     Alcotest.test_case "Table 3: LU" `Slow test_table3_lu;
